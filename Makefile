@@ -8,9 +8,7 @@ FLAGS ?= --offline
 .PHONY: verify build test test-metrics doc clippy perf-gate multi-smoke bench-report scaling streaming serve clean
 
 ## The full PR gate: build, tests with metrics off AND on, docs, lints,
-## the counter-based performance gate (including the streaming replay
-## gates 17-19 and the sharded-serving gates 20-22), and the d = 2
-## multivariate smoke.
+## the counter-based performance gate, and the d = 2 multivariate smoke.
 verify: build test test-metrics doc clippy perf-gate multi-smoke
 	@echo "verify: all gates green"
 
@@ -33,32 +31,10 @@ clippy:
 	$(CARGO) clippy $(FLAGS) --workspace --all-targets -- -D warnings
 	$(CARGO) clippy $(FLAGS) --workspace --all-targets --features metrics -- -D warnings
 
-## Counter-based perf gate: asserts from one results/BENCH_report.json read
-## that the merge-sweep's sort comparisons stay O(n log n) with kernel evals
-## matching the sorted sweep's, that the prefix-moment sweep answers every
-## (obs, bandwidth) cell within the n·k·ceil(log2 n) window-query ceiling
-## with zero kernel evals, that the windowed GPU program holds its
-## memory contract — peak device bytes ≤ 16·n·(deg+2) (no n² term) and
-## simulated memory transactions ≤ n·k·(2·ceil(log2 n) + 24·(deg+1)), i.e.
-## O(k·log n) per observation — and that the bagged selector holds its
-## n-independence contract: work ≤ bags·bag_size·k window queries with
-## zero kernel evals (no n term), measured peak host-heap bytes ≤
-## workers × one bag's documented footprint bound — the multivariate
-## fast-sum-updating contract: the d = 2 multi-fast strategy
-## evaluates the kernel zero times, keeps its window queries within
-## grid_points·n·d·ceil(log2 n), and beats the naive product-kernel full
-## grid by ≥ 10× wall time at the identical bandwidth vector — and
-## the streaming incremental-engine contract: the sliding-
-## window replay's report object is present, its re-selections evaluate
-## the kernel zero times with Fenwick tree updates within
-## (inserts+removes)·ceil(log2 W)·(deg+3), and the replay beats
-## per-arrival recompute-from-scratch by ≥ 10× wall time at the
-## identical final bandwidth — and (schema v7, gates 20-22) the sharded
-## serving contract: the report's serving object is present, the service
-## coalesces bursts and evaluates the kernel zero times service-wide,
-## and beats a global lock around one stream map by ≥ 4× wall time with
-## per-stream final bandwidths bit-identical
-## (see crates/bench/src/bin/perf_gate.rs).
+## Counter-based perf gate: 18 named complexity contracts (prefix, windowed
+## GPU, bagged, multivariate, streaming and serving engines) asserted from
+## one read of results/BENCH_report.json; the list, and why each bound is
+## what it is, lives in crates/bench/src/bin/perf_gate.rs.
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
 		--bin perf_gate -- --n 2000 --k 100

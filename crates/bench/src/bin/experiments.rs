@@ -46,7 +46,6 @@ fn main() {
             wall(Program::RacineHayfield),
             wall(Program::MulticoreR),
             wall(Program::SequentialC),
-            wall(Program::MergedC),
             wall(Program::PrefixC),
             wall(Program::CudaGpu),
             sim,
@@ -58,7 +57,6 @@ fn main() {
             fmt_seconds(wall(Program::RacineHayfield)),
             fmt_seconds(wall(Program::MulticoreR)),
             fmt_seconds(wall(Program::SequentialC)),
-            fmt_seconds(wall(Program::MergedC)),
             fmt_seconds(wall(Program::PrefixC)),
             fmt_seconds(wall(Program::CudaGpu)),
             fmt_seconds(sim),
@@ -68,7 +66,7 @@ fn main() {
     }
     write_csv(
         Path::new("results/table1.csv"),
-        &["n", "racine_hayfield", "multicore_r", "sequential_c", "merged_c", "prefix_c", "cuda_wall", "cuda_simulated", "bagged", "multi_fast"],
+        &["n", "racine_hayfield", "multicore_r", "sequential_c", "prefix_c", "cuda_wall", "cuda_simulated", "bagged", "multi_fast"],
         &csv_rows,
     )
     .expect("write table1.csv");
@@ -77,7 +75,6 @@ fn main() {
         "Racine&Hayfield",
         "Multicore R",
         "Sequential C",
-        "Merged C",
         "Prefix C",
         "CUDA wall",
         "CUDA simulated",
@@ -93,17 +90,15 @@ fn main() {
     if let Some(&n) = sizes.last() {
         let rh = get(n, Program::RacineHayfield).map_or(f64::NAN, |r| r.wall_seconds);
         let sc = get(n, Program::SequentialC).map_or(f64::NAN, |r| r.wall_seconds);
-        let mc = get(n, Program::MergedC).map_or(f64::NAN, |r| r.wall_seconds);
         let pc = get(n, Program::PrefixC).map_or(f64::NAN, |r| r.wall_seconds);
         let sim = get(n, Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN);
         let _ = writeln!(
             summary,
             "At n = {n}: sorted grid search beats numerical optimisation by {:.1}×;\n\
-             merge-sweep vs sorted sweep: {:.1}×; prefix-moments vs merge-sweep: {:.1}×;\n\
+             prefix-moments vs sorted sweep: {:.1}×;\n\
              numerical-opt vs simulated GPU time: {:.1}× (paper at n = 20,000: 7.2×).\n",
             rh / sc,
-            sc / mc,
-            mc / pc,
+            sc / pc,
             rh / sim
         );
     }
@@ -115,7 +110,6 @@ fn main() {
                 fmt_seconds(a),
                 fmt_seconds(b),
                 fmt_seconds(c),
-                "-".into(),
                 "-".into(),
                 fmt_seconds(d),
                 "-".into(),
@@ -132,7 +126,6 @@ fn main() {
         ('r', Program::RacineHayfield),
         ('m', Program::MulticoreR),
         ('s', Program::SequentialC),
-        ('c', Program::MergedC),
         ('p', Program::PrefixC),
         ('g', Program::CudaGpu),
         ('b', Program::Bagged),
@@ -215,7 +208,7 @@ fn main() {
     }
     let _ = writeln!(
         summary,
-        "Correctness (§IV-C): all eight programs (incl. the bagged selector, which\n\
+        "Correctness (§IV-C): all seven programs (incl. the bagged selector, which\n\
          degenerates to B redundant prefix selections at n ≤ 2,000) produced bandwidths\n\
          within 0.1 of each other on {agree}/{total} seeds (max spread {max_spread:.4}); the\n\
          grid programs agree to within one grid step by construction (see integration tests).\n"

@@ -23,8 +23,8 @@ fn main() {
 
     let mut series = Vec::new();
     let marks = [('r', Program::RacineHayfield), ('m', Program::MulticoreR),
-                 ('s', Program::SequentialC), ('c', Program::MergedC),
-                 ('p', Program::PrefixC), ('g', Program::CudaGpu),
+                 ('s', Program::SequentialC), ('p', Program::PrefixC),
+                 ('g', Program::CudaGpu),
                  ('w', Program::WindowedGpu), ('b', Program::Bagged),
                  ('f', Program::MultiFast)];
     for (mark, program) in marks {
@@ -60,8 +60,8 @@ fn main() {
                 Program::MulticoreR => 2.0,
                 Program::SequentialC => 3.0,
                 Program::CudaGpu => 4.0,
-                // Beyond the paper's four program codes.
-                Program::MergedC => 5.0,
+                // Beyond the paper's four program codes (5 was the retired
+                // merge-sweep program).
                 Program::PrefixC => 6.0,
                 Program::WindowedGpu => 7.0,
                 Program::Bagged => 8.0,

@@ -2,81 +2,72 @@
 //!
 //! Collects a fresh per-strategy report at a small fixed `(n, k)` point,
 //! writes it to the report path, then re-reads the file ONCE and asserts the
-//! merge-sweep's and the prefix-moment sweep's complexity contracts from the
-//! JSON itself, as a single named gate table:
+//! engines' complexity contracts from the JSON itself, as a single named
+//! gate table:
 //!
-//! 1. `merged` sort comparisons stay `O(n log n)` — hard ceiling
-//!    `3 · n · ceil(log2 n)` (one global argsort; a per-observation sort
-//!    would be `Θ(n² log n)` and blow straight through it);
-//! 2. `merged` kernel evaluations equal the sorted sweep's exactly (the
-//!    merge changes how neighbours are *ordered*, never which neighbours
-//!    are *evaluated*);
-//! 3. at `n ≥ 2,000` the sorted sweep spends at least 100× more sort
-//!    comparisons than the merge-sweep;
-//! 4. the sorted and merged strategies select the identical bandwidth;
-//! 5. `prefix` answers every (obs, bandwidth) cell with binary-search window
+//! 1. `prefix` answers every (obs, bandwidth) cell with binary-search window
 //!    queries — counted once per cell, so the count is bounded by
 //!    `n · k · ceil(log2 n)` (a per-neighbour scan has no business here);
-//! 6. `prefix` and `prefix-par` evaluate the kernel **zero** times — every
+//! 2. `prefix` and `prefix-par` evaluate the kernel **zero** times — every
 //!    score comes from prefix-sum differencing, never a neighbour visit;
-//! 7. `prefix` actually ran its window machinery (queries > 0);
-//! 8. `prefix` and `prefix-par` select the same bandwidth as the sorted
+//! 3. `prefix` actually ran its window machinery (queries > 0);
+//! 4. `prefix` and `prefix-par` select the same bandwidth as the sorted
 //!    sweep;
-//! 9. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling
+//! 5. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling
 //!    `16 · n · (deg + 2)` bytes (64n at the default quadratic kernel).
 //!    The classic pipeline's two `n×n` matrices sit at `8n²` and blow
 //!    through this ceiling by the hundreds at gate scale, so any regression
 //!    that sneaks a dense matrix back into the windowed program fails loud;
-//! 10. `gpu-windowed` simulated memory transactions stay
-//!     `O(k · log n)` per observation — ceiling
-//!     `n · k · (2·ceil(log2 n) + 24·(deg + 1))`: two binary searches plus a
-//!     constant number of prefix-table touches per cell. A per-neighbour
-//!     scan (the classic running-sum loop) is `Θ(n)` per cell and fails.
-//! 11. `bagged` total work stays ≤ `B ×` one bag's bound — window queries
-//!     at most `bags · bag_size · k` and **zero** kernel evals (prefix
-//!     engine), with `bags`/`bag_size` read from the report itself. The
-//!     ceiling has no `n` term at fixed `(B, r)`: a bagged run that
-//!     quietly sweeps the full sample per bag fails by orders of
-//!     magnitude;
-//! 12. `bagged` measured host-heap peak stays ≤ `workers ×` one bag's
-//!     documented footprint bound (`kcv_core::select::bagged::
-//!     bag_footprint_bound_bytes`) — each rayon worker holds at most one
-//!     bag's subsample and tables at a time, so keeping every bag's data
-//!     alive at once (or materialising anything `O(n)` per bag) fails.
-//! 13. the report's schema version is exactly [`REPORT_VERSION`] — the
-//!     multivariate gates below read the v5 `multi` object, so a stale
-//!     writer must fail here, not half-pass on missing fields;
-//! 14. `multi-fast` evaluates the kernel **zero** times while its
+//! 6. `gpu-windowed` simulated memory transactions stay
+//!    `O(k · log n)` per observation — ceiling
+//!    `n · k · (2·ceil(log2 n) + 24·(deg + 1))`: two binary searches plus a
+//!    constant number of prefix-table touches per cell. A per-neighbour
+//!    scan (the classic running-sum loop) is `Θ(n)` per cell and fails.
+//! 7. `bagged` total work stays ≤ `B ×` one bag's bound — window queries
+//!    at most `bags · bag_size · k` and **zero** kernel evals (prefix
+//!    engine), with `bags`/`bag_size` read from the report itself. The
+//!    ceiling has no `n` term at fixed `(B, r)`: a bagged run that
+//!    quietly sweeps the full sample per bag fails by orders of
+//!    magnitude;
+//! 8. `bagged` measured host-heap peak stays ≤ `workers ×` one bag's
+//!    documented footprint bound (`kcv_core::select::bagged::
+//!    bag_footprint_bound_bytes`) — each rayon worker holds at most one
+//!    bag's subsample and tables at a time, so keeping every bag's data
+//!    alive at once (or materialising anything `O(n)` per bag) fails.
+//! 9. the report's schema version is exactly [`REPORT_VERSION`] — the
+//!    multivariate gates below read the v5 `multi` object, so a stale
+//!    writer must fail here, not half-pass on missing fields;
+//! 10. `multi-fast` evaluates the kernel **zero** times while its
 //!     dimension sweeps actually ran (`dim_sweeps > 0`) — every product
 //!     weight comes from prefix-moment differencing over the per-dimension
 //!     Fenwick/prefix tables, never a neighbour visit;
-//! 15. `multi-fast` window queries stay within
+//! 11. `multi-fast` window queries stay within
 //!     `grid_points · n · d · ceil(log2 n)` — the d-per-cell binary-search
 //!     budget; a per-neighbour product scan is `Θ(n)` per cell and fails;
-//! 16. at `n ≥ 2,000` `multi-fast` beats `multi-naive` by ≥ 10× wall time
+//! 12. at `n ≥ 2,000` `multi-fast` beats `multi-naive` by ≥ 10× wall time
 //!     while selecting the bit-identical bandwidth **vector** (the
 //!     serialised `bandwidths` arrays compare equal);
-//! 17. the schema-v6 top-level `streaming` object is present — the two
+//! 13. the schema-v6 top-level `streaming` object is present — the two
 //!     replay gates below read it, so a writer that stops measuring the
 //!     streaming engine must fail here, not pass by absence;
-//! 18. the streaming replay never evaluates the kernel and its Fenwick
+//! 14. the streaming replay never evaluates the kernel and its Fenwick
 //!     tree updates stay within `(inserts + removes) · ceil(log2 W) ·
 //!     (deg + 3)` — every re-selection is answered from the
 //!     order-statistic moment tree (`O(log W)` node-blocks per update),
 //!     never a neighbour visit;
-//! 19. the streaming replay beats the per-arrival recompute-from-scratch
+//! 15. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth
 //!     on the final window (the serialised values compare equal);
-//! 20. the schema-v7 top-level `serving` object is present — the two
+//! 16. the schema-v7 top-level `serving` object is present — the two
 //!     service gates below read it, so a writer that stops measuring the
 //!     sharded service must fail here, not pass by absence;
-//! 21. the sharded service answers every stream from the incremental
+//! 17. the sharded service answers every stream from the incremental
 //!     engine — **zero** kernel evaluations service-wide — while its
 //!     workers actually drained requests and coalesced bursts
 //!     (`requests_served > 0`, `coalesced_arrivals > 0`): a service that
 //!     quietly re-selects per arrival (nothing to coalesce) or recomputes
 //!     profiles from scratch (kernel evals) fails;
-//! 22. at `n ≥ 2,000` the sharded service beats the single-global-lock
+//! 18. at `n ≥ 2,000` the sharded service beats the single-global-lock
 //!     baseline by ≥ 4× wall time on the identical per-stream traffic
 //!     while the serialised per-stream `final_bandwidths` arrays compare
 //!     bit-identical — the conflated re-selections must cost throughput
@@ -132,10 +123,9 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         return gates;
     }
 
-    let (sorted, merged, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
+    let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
         match (
             strategy_slice(json, "sorted"),
-            strategy_slice(json, "merged"),
             strategy_slice(json, "prefix"),
             strategy_slice(json, "prefix-par"),
             strategy_slice(json, "gpu-windowed"),
@@ -143,12 +133,12 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
             strategy_slice(json, "multi-naive"),
             strategy_slice(json, "multi-fast"),
         ) {
-            (Some(s), Some(m), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
-                (s, m, p, pp, w, b, mn, mf)
+            (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
+                (s, p, pp, w, b, mn, mf)
             }
             _ => {
                 gates.push(Gate::pass_if(
-                    "report lists sorted/merged/prefix/prefix-par/gpu-windowed/bagged/\
+                    "report lists sorted/prefix/prefix-par/gpu-windowed/bagged/\
                      multi-naive/multi-fast strategies",
                     false,
                     "at least one strategy entry is missing from the report".into(),
@@ -164,45 +154,9 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     let field = |slice: &str, key: &str| u64_field(slice, key).unwrap_or(0);
     let log2n = (n as f64).log2().ceil() as u64;
 
-    // --- merge-sweep contract (PR 3) -----------------------------------
-    let cmp_ceiling = 3 * n as u64 * log2n;
-    let merged_cmps = field(merged, "sort_comparisons");
-    gates.push(Gate::pass_if(
-        "merged sort comparisons stay O(n log n)",
-        merged_cmps <= cmp_ceiling,
-        format!("{merged_cmps} <= {cmp_ceiling}"),
-    ));
-
-    let (se, me) = (field(sorted, "kernel_evals"), field(merged, "kernel_evals"));
-    gates.push(Gate::pass_if(
-        "merged kernel evals equal sorted sweep's",
-        me == se,
-        format!("{me} == {se}"),
-    ));
-
-    let sorted_cmps = field(sorted, "sort_comparisons");
-    if n >= 2_000 {
-        gates.push(Gate::pass_if(
-            "sorted sweep sorts >= 100x more than merged",
-            sorted_cmps >= 100 * merged_cmps.max(1),
-            format!("{sorted_cmps} >= 100 * {merged_cmps}"),
-        ));
-    } else {
-        gates.push(Gate::skip(
-            "sorted sweep sorts >= 100x more than merged",
-            format!("ratio asserted only at n >= 2,000 (n = {n})"),
-        ));
-    }
-
     let sb = f64_field(sorted, "bandwidth");
-    let mb = f64_field(merged, "bandwidth");
-    gates.push(Gate::pass_if(
-        "sorted and merged select the same bandwidth",
-        sb.is_some() && sb == mb,
-        format!("{sb:?} == {mb:?}"),
-    ));
 
-    // --- prefix-moment contract (this PR) ------------------------------
+    // --- prefix-moment contract -----------------------------------------
     let query_ceiling = (n * k) as u64 * log2n;
     let prefix_queries = field(prefix, "window_queries");
     gates.push(Gate::pass_if(
@@ -232,7 +186,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("prefix {pb:?}, prefix-par {ppb:?} == sorted {sb:?}"),
     ));
 
-    // --- windowed GPU memory contract (this PR) ------------------------
+    // --- windowed GPU memory contract ------------------------------------
     // The default config runs the quadratic Epanechnikov kernel, so
     // deg = 2: peak ceiling 16·n·(deg+2) = 64n bytes, and the per-cell
     // traffic budget is 2·ceil(log2 n) probe reads + 24·(deg+1) table /
@@ -255,7 +209,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("0 < {windowed_txns} <= n*k*(2*ceil(log2 n) + 24*(deg+1)) = {txn_ceiling}"),
     ));
 
-    // --- bagged contracts (this PR) ------------------------------------
+    // --- bagged contracts ------------------------------------------------
     // Both ceilings are functions of (bags, bag_size, k, workers) read
     // from the report itself — deliberately independent of n, which is
     // the bagged selector's entire value proposition.
@@ -285,7 +239,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("0 < {bagged_peak} <= workers({workers}) * bag_bound = {mem_ceiling}"),
     ));
 
-    // --- multivariate fast-sum-updating contracts (this PR) -------------
+    // --- multivariate fast-sum-updating contracts -------------------------
     // The d = 2 full-grid selector: every product weight must come from
     // the dimension-recursive prefix-moment tables, never a kernel call.
     let mf_evals = field(multi_fast, "kernel_evals");
@@ -330,7 +284,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ));
     }
 
-    // --- streaming incremental-engine contracts (PR 9) -------------------
+    // --- streaming incremental-engine contracts ---------------------------
     // The replay measurements live in the schema-v6 top-level `streaming`
     // object. Since v7 it is no longer the report's final entry — the
     // `serving` object follows it and shares field names (`window`,
@@ -383,7 +337,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("wall ratio {st_ratio:.1} >= 10, final {fb:?} == recompute {rb:?}"),
     ));
 
-    // --- sharded serving contracts (this PR) -----------------------------
+    // --- sharded serving contracts ---------------------------------------
     // The service measurements live in the schema-v7 top-level `serving`
     // object, the report's final entry.
     let serving = match json.find("\"serving\":{") {
@@ -504,11 +458,9 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "{\"version\":7,\"metrics_enabled\":true,\"strategies\":[\
+    const SAMPLE: &str = "{\"version\":8,\"metrics_enabled\":true,\"strategies\":[\
         {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
         \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
-        {\"name\":\"merged\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":90,\"sort_comparisons\":35}}},\
         {\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
         \"kernel_evals\":0,\"window_queries\":200000}}},\
         {\"name\":\"prefix-par\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
@@ -546,9 +498,9 @@ mod tests {
     fn strategy_slice_isolates_one_entry() {
         let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
         assert!(sorted.contains("\"sort_comparisons\":400000"));
-        assert!(!sorted.contains("\"sort_comparisons\":35"));
-        let merged = strategy_slice(SAMPLE, "merged").unwrap();
-        assert_eq!(u64_field(merged, "sort_comparisons"), Some(35));
+        assert!(!sorted.contains("\"window_queries\""));
+        let prefix = strategy_slice(SAMPLE, "prefix").unwrap();
+        assert_eq!(u64_field(prefix, "window_queries"), Some(200_000));
         assert!(strategy_slice(SAMPLE, "gpu-sim").is_none());
     }
 
@@ -564,17 +516,17 @@ mod tests {
 
     #[test]
     fn field_parsers_read_numbers() {
-        let merged = strategy_slice(SAMPLE, "merged").unwrap();
-        assert_eq!(u64_field(merged, "kernel_evals"), Some(90));
-        assert_eq!(f64_field(merged, "bandwidth"), Some(0.125));
-        assert_eq!(u64_field(merged, "missing"), None);
+        let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
+        assert_eq!(u64_field(sorted, "kernel_evals"), Some(90));
+        assert_eq!(f64_field(sorted, "bandwidth"), Some(0.125));
+        assert_eq!(u64_field(sorted, "missing"), None);
     }
 
     #[test]
     fn all_gates_pass_on_a_conforming_report() {
         // n = 2,000, k = 100: ceil(log2 2000) = 11, so the window-query
-        // ceiling is 2,200,000, the comparison ceiling 66,000, the windowed
-        // peak ceiling 128,000 bytes and the transaction ceiling 18,800,000.
+        // ceiling is 2,200,000, the windowed peak ceiling 128,000 bytes and
+        // the transaction ceiling 18,800,000.
         // Bagged (B = 10, r = 500): work ceiling 500,000 queries; memory
         // ceiling 8 × (256·500 + 64·100 + 65,536) = 1,599,488 bytes.
         // Multi-fast (g = 100, d = 2): query ceiling 100·2,000·2·11 =
@@ -583,19 +535,8 @@ mod tests {
         // 0.42/0.011 = 38×. Serving: wall ratio 0.84/0.081 = 10.4×,
         // identical bandwidth arrays.
         let gates = evaluate_gates(SAMPLE, 2_000, 100);
-        assert_eq!(gates.len(), 22);
+        assert_eq!(gates.len(), 18);
         assert!(gates.iter().all(|g| g.ok == Some(true)), "{:?}", fails(&gates));
-    }
-
-    #[test]
-    fn ratio_gate_skips_below_two_thousand() {
-        let gates = evaluate_gates(SAMPLE, 1_000, 100);
-        let ratio = gates
-            .iter()
-            .find(|g| g.name.contains("100x"))
-            .unwrap();
-        assert_eq!(ratio.ok, None);
-        assert!(gates.iter().filter(|g| g.ok == Some(false)).count() == 0, "{:?}", fails(&gates));
     }
 
     #[test]
@@ -714,7 +655,7 @@ mod tests {
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":7", "\"version\":6");
+        let bad = SAMPLE.replace("\"version\":8", "\"version\":7");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }
@@ -788,18 +729,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_gates_still_guard_the_pr3_contract() {
-        let bad = SAMPLE.replace("\"sort_comparisons\":35", "\"sort_comparisons\":9999999");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(failed.contains(&"merged sort comparisons stay O(n log n)"));
-        assert!(failed.contains(&"sorted sweep sorts >= 100x more than merged"));
-    }
-
-    #[test]
     fn streaming_gate_catches_a_missing_object() {
         // A writer that stops measuring the replay (pre-v6 tail) must fail
-        // gate 17 explicitly, not let gates 18–19 pass by absence.
+        // gate 13 explicitly, not let gates 14–15 pass by absence.
         let end = SAMPLE.find(",\"streaming\":{").unwrap();
         let bad = format!("{}}}", &SAMPLE[..end]);
         let gates = evaluate_gates(&bad, 2_000, 100);
@@ -859,7 +791,7 @@ mod tests {
     #[test]
     fn serving_gate_catches_a_missing_object() {
         // A writer that stops measuring the sharded service (v6 tail) must
-        // fail gate 20 explicitly, not let gates 21–22 pass by absence.
+        // fail gate 16 explicitly, not let gates 17–18 pass by absence.
         let end = SAMPLE.find(",\"serving\":{").unwrap();
         let bad = format!("{}}}", &SAMPLE[..end]);
         let gates = evaluate_gates(&bad, 2_000, 100);

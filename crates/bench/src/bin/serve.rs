@@ -23,7 +23,7 @@
 //! * `results/serve.csv` — one row with the full measurement (CI uploads
 //!   this);
 //! * stdout — the rendered table (throughput, p50/p99 enqueue-to-select
-//!   latency, re-selection counts) plus the perf-gate-22 acceptance
+//!   latency, re-selection counts) plus the perf-gate-18 acceptance
 //!   checks: ≥ 4× throughput over the global lock, per-stream final
 //!   bandwidths bit-identical to the baseline's, nothing shed, and — on
 //!   a `--features metrics` build — zero kernel evaluations service-wide
@@ -44,7 +44,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Gate 22's wall-clock floor: the sharded service must beat the
+/// Gate 18's wall-clock floor: the sharded service must beat the
 /// global-lock baseline by at least this factor.
 const SPEEDUP_FLOOR: f64 = 4.0;
 
@@ -271,7 +271,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // ---- acceptance checks (gate 22's criteria at bench scale) -----------
+    // ---- acceptance checks (gate 18's criteria at bench scale) -----------
     let mut ok = true;
 
     let pass = speedup >= SPEEDUP_FLOOR;

@@ -29,7 +29,7 @@
 //! Outputs:
 //!
 //! * `results/streaming.csv` — one row per cadence (CI uploads this);
-//! * stdout — the rendered table plus the perf-gate-19 check: at every
+//! * stdout — the rendered table plus the perf-gate-15 check: at every
 //!   cadence ≥ 64 the replay must beat per-arrival recompute by ≥ 10×
 //!   and select bit-identically on the final window.
 //!
@@ -48,7 +48,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Gate 19's wall-clock floor: the replay must beat per-arrival
+/// Gate 15's wall-clock floor: the replay must beat per-arrival
 /// recompute by at least this factor at every swept cadence ≥ 64.
 const SPEEDUP_FLOOR: f64 = 10.0;
 
@@ -234,7 +234,7 @@ fn main() -> ExitCode {
         render(&headers, &t_rows)
     );
 
-    // ---- acceptance check (gate 19's criterion, across the sweep) --------
+    // ---- acceptance check (gate 15's criterion, across the sweep) --------
     let mut ok = true;
     for r in &rows {
         if r.cadence < 64 {

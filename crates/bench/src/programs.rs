@@ -10,7 +10,7 @@ use kcv_np::{npregbw, NpRegBwOptions};
 use std::time::Instant;
 
 /// The paper's four evaluated programs, plus this reproduction's
-/// merge-sweep variant.
+/// beyond-the-paper programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Program {
     /// Program 1 — "Racine & Hayfield": the np-style numerical-optimisation
@@ -21,9 +21,6 @@ pub enum Program {
     MulticoreR,
     /// Program 3 — "Sequential C": the sorted-sweep grid search, one core.
     SequentialC,
-    /// Beyond the paper — "Merged C": the merge-sweep grid search (one
-    /// global argsort, no per-observation sort), one core.
-    MergedC,
     /// Beyond the paper — "Prefix C": the prefix-moment grid search (window
     /// queries over global moment prefix sums, no per-neighbour scan), one
     /// core.
@@ -45,7 +42,7 @@ pub enum Program {
     /// (`kcv_core::multi::fast`) over the [`multi_dataset`] bivariate
     /// sample. Zero kernel evaluations on the hot path; the naive product
     /// oracle for the same grid is the `multi-naive` BENCH-report strategy.
-    /// Kept out of [`Program::all`] so the §IV-C "eight programs" framing
+    /// Kept out of [`Program::all`] so the §IV-C "seven programs" framing
     /// (which is univariate) stays intact.
     MultiFast,
     /// Beyond the paper — "Streaming": the sample replayed as an arrival
@@ -61,15 +58,13 @@ pub enum Program {
 }
 
 impl Program {
-    /// Every program, in the paper's order (with the merge-sweep and
-    /// prefix-moment sweeps slotted after the sequential sorted sweep they
-    /// successively improve on).
-    pub fn all() -> [Program; 8] {
+    /// Every program, in the paper's order (with the prefix-moment sweep
+    /// slotted after the sequential sorted sweep it improves on).
+    pub fn all() -> [Program; 7] {
         [
             Program::RacineHayfield,
             Program::MulticoreR,
             Program::SequentialC,
-            Program::MergedC,
             Program::PrefixC,
             Program::CudaGpu,
             Program::WindowedGpu,
@@ -83,7 +78,6 @@ impl Program {
             Program::RacineHayfield => "Racine & Hayfield",
             Program::MulticoreR => "Multicore R",
             Program::SequentialC => "Sequential C",
-            Program::MergedC => "Merged C",
             Program::PrefixC => "Prefix C",
             Program::CudaGpu => "CUDA on GPU",
             Program::WindowedGpu => "Windowed GPU",
@@ -171,10 +165,9 @@ pub fn run_program(
                 evaluations: bw.evaluations,
             })
         }
-        Program::SequentialC | Program::MergedC | Program::PrefixC => {
+        Program::SequentialC | Program::PrefixC => {
             let grid = BandwidthGrid::paper_default(x, k).map_err(|e| e.to_string())?;
             let profile = match program {
-                Program::MergedC => kcv_core::cv::cv_profile_merged(x, y, &grid, &Epanechnikov),
                 Program::PrefixC => kcv_core::cv::cv_profile_prefix(x, y, &grid, &Epanechnikov),
                 _ => kcv_core::cv::cv_profile_sorted(x, y, &grid, &Epanechnikov),
             }
@@ -313,15 +306,6 @@ mod tests {
             .iter()
             .fold((f64::MAX, f64::MIN), |(lo, hi), &b| (lo.min(b), hi.max(b)));
         assert!(hi - lo < 0.12, "programs disagree: {bandwidths:?}");
-    }
-
-    #[test]
-    fn merged_and_sequential_c_select_identically() {
-        let s = PaperDgp.sample(250, 10);
-        let seq = run_program(Program::SequentialC, &s.x, &s.y, 40, 1).unwrap();
-        let merged = run_program(Program::MergedC, &s.x, &s.y, 40, 1).unwrap();
-        assert_eq!(seq.bandwidth, merged.bandwidth);
-        assert!((seq.score - merged.score).abs() < 1e-9);
     }
 
     #[test]

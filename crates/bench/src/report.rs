@@ -13,7 +13,7 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 7)
+//! ## Schema (version 8)
 //!
 //! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
 //! overlapping same-name phase scopes on different rayon workers sum to CPU
@@ -99,13 +99,18 @@
 //! `coalesced_arrivals`, `queue_high_water` — max across shards —
 //! `shed_requests`, `kernel_evals`; zero without metrics), and the two
 //! per-stream `final_bandwidths` arrays in stream-id order. Perf gates
-//! 20–22 pin the object's presence, the zero-kernel-eval /
-//! coalescing-observed contract, and the ≥ 4× throughput win at
-//! bit-identical serialised final bandwidths.
+//! 16–18 (numbered 20–22 before version 8) pin the object's presence,
+//! the zero-kernel-eval / coalescing-observed contract, and the ≥ 4×
+//! throughput win at bit-identical serialised final bandwidths.
+//!
+//! Version 8 drops the `merged` and `merged-par` strategy entries: the
+//! merge-sweep was dominated on every measured axis by the prefix-moment
+//! sweep and was deleted, together with the four perf gates that read
+//! those entries (the remaining gates are renumbered 1–18).
 //!
 //! ```json
 //! {
-//!   "version": 6,
+//!   "version": 8,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -168,8 +173,8 @@
 //! ```
 
 use kcv_core::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_prefix,
-    cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par,
+    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted,
+    cv_profile_sorted_par,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -196,16 +201,16 @@ use std::time::Instant;
 /// (the chunk-hook scope-entry delta; see the module-level schema notes).
 /// Version 7: added the top-level `serving` object (the sharded
 /// multi-stream service vs global-lock baseline measurement perf gates
-/// 20–22 read; see the module-level schema notes).
-pub const REPORT_VERSION: u32 = 7;
+/// 16–18 read; see the module-level schema notes).
+/// Version 8: dropped the `merged`/`merged-par` strategies (the deleted
+/// merge-sweep).
+pub const REPORT_VERSION: u32 = 8;
 
 /// The strategies a report covers, in emission order.
-pub const STRATEGIES: [&str; 12] = [
+pub const STRATEGIES: [&str; 10] = [
     "naive",
     "sorted",
     "parallel",
-    "merged",
-    "merged-par",
     "prefix",
     "prefix-par",
     "gpu-sim",
@@ -320,23 +325,23 @@ pub struct StreamingInfo {
     /// Completed `reselect()` passes (cadence-triggered plus the forced
     /// final one), from the `reselects` counter.
     pub reselects: u64,
-    /// Fenwick node visits, from the `tree_updates` counter. Perf gate 18
+    /// Fenwick node visits, from the `tree_updates` counter. Perf gate 14
     /// holds this under `(inserts+removes)·⌈log₂ window⌉·(deg+3)`.
     pub tree_updates: u64,
     /// Kernel evaluations spent by the whole replay — pinned to zero by
-    /// perf gate 18.
+    /// perf gate 14.
     pub kernel_evals: u64,
     /// The bandwidth selected by the forced final `reselect` on the full
     /// window.
     pub final_bandwidth: f64,
     /// The bandwidth a fresh prefix run selects on the identical final
-    /// window — perf gate 19 pins it equal to
+    /// window — perf gate 15 pins it equal to
     /// [`StreamingInfo::final_bandwidth`].
     pub recompute_bandwidth: f64,
     /// Wall-clock seconds for the whole replay (pushes + re-selections).
     pub wall_seconds: f64,
     /// Extrapolated wall-clock seconds of the recompute-at-every-arrival
-    /// prefix baseline (sampled at the re-selection points; perf gate 19
+    /// prefix baseline (sampled at the re-selection points; perf gate 15
     /// requires ≥ 10× [`StreamingInfo::wall_seconds`]).
     pub recompute_wall_seconds: f64,
 }
@@ -344,7 +349,7 @@ pub struct StreamingInfo {
 /// The sharded serving measurement (schema v7): the report's sample
 /// replayed as concurrent streams through `kcv_serve::BandwidthService`
 /// next to the single-global-lock baseline on the identical per-stream
-/// sequences. Perf gate 22 compares the serialised `final_bandwidths`
+/// sequences. Perf gate 18 compares the serialised `final_bandwidths`
 /// arrays for bit identity and requires `lock_wall_seconds ≥ 4 ×
 /// wall_seconds` at gate scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -379,7 +384,7 @@ pub struct ServingInfo {
     /// per cadence boundary per stream, plus each close.
     pub lock_reselects: u64,
     /// Kernel evaluations across the whole service run, from the merged
-    /// shard counters — pinned to zero by perf gate 21.
+    /// shard counters — pinned to zero by perf gate 17.
     pub kernel_evals: u64,
     /// Wall-clock seconds for the sharded service replay (enqueue through
     /// shutdown drain).
@@ -390,7 +395,7 @@ pub struct ServingInfo {
     /// Per-stream final bandwidths in stream-id order (service).
     pub final_bandwidths: Vec<f64>,
     /// Per-stream final bandwidths in stream-id order (baseline) — perf
-    /// gate 22 pins the serialised arrays equal.
+    /// gate 18 pins the serialised arrays equal.
     pub lock_final_bandwidths: Vec<f64>,
 }
 
@@ -596,7 +601,7 @@ impl PerfReport {
 /// constant factor more than a fresh prefix profile on the same window
 /// (the Fenwick log-factor per cell), so the amortised win over the
 /// recompute-every-arrival policy is roughly `cadence / that factor` —
-/// comfortably past perf gate 19's 10× at cadence 64.
+/// comfortably past perf gate 15's 10× at cadence 64.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {
     use kcv_core::cv::SlidingWindowSelector;
     let n = x.len();
@@ -674,7 +679,7 @@ fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, St
 /// a shard worker drain whole bursts: with conflation on, a burst crossing
 /// several cadence boundaries funds **one** re-selection where the
 /// baseline — re-selecting under its lock at every boundary — pays one per
-/// boundary. That conflation is the entire wall-time gap perf gate 22
+/// boundary. That conflation is the entire wall-time gap perf gate 18
 /// measures; the final bandwidths still agree bit-for-bit because both
 /// services run the same final re-selection over the same surviving
 /// window at close.
@@ -811,18 +816,6 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 let o = p.argmin().map_err(|e| e.to_string())?;
                 (o.bandwidth, o.score, None, None)
             }
-            "merged" => {
-                let p = cv_profile_merged(&s.x, &s.y, &grid, &Epanechnikov)
-                    .map_err(|e| e.to_string())?;
-                let o = p.argmin().map_err(|e| e.to_string())?;
-                (o.bandwidth, o.score, None, None)
-            }
-            "merged-par" => {
-                let p = cv_profile_merged_par(&s.x, &s.y, &grid, &Epanechnikov)
-                    .map_err(|e| e.to_string())?;
-                let o = p.argmin().map_err(|e| e.to_string())?;
-                (o.bandwidth, o.score, None, None)
-            }
             "prefix" => {
                 let p = cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov)
                     .map_err(|e| e.to_string())?;
@@ -943,10 +936,10 @@ mod tests {
             assert!(s.bandwidth > 0.0);
             assert!(s.wall_seconds >= 0.0);
         }
-        let classic = &report.strategies[7];
+        let classic = &report.strategies[5];
         assert_eq!(classic.name, "gpu-sim");
         assert!(classic.simulated_seconds.unwrap() > 0.0);
-        let windowed = &report.strategies[8];
+        let windowed = &report.strategies[6];
         assert_eq!(windowed.name, "gpu-windowed");
         assert!(windowed.simulated_seconds.unwrap() > 0.0);
         // The windowed program's whole point: a fraction of the classic
@@ -994,7 +987,7 @@ mod tests {
         // shards and through the global-lock baseline. Whatever the
         // machine's timing did to burst shapes, the per-stream final
         // bandwidths must agree bit-for-bit (speedup is asserted only at
-        // gate scale, by perf gate 22 — not here).
+        // gate scale, by perf gate 18 — not here).
         let sv = report.serving.as_ref().unwrap();
         assert_eq!(sv.streams, 8);
         assert_eq!(sv.arrivals_per_stream, 120);
@@ -1011,7 +1004,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":7,"));
+        assert!(json.starts_with("{\"version\":8,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -1226,7 +1219,7 @@ mod tests {
         assert_eq!(u64_field(serving, "kernel_evals"), Some(0));
         assert_eq!(f64_field(serving, "wall_seconds"), Some(0.081));
         assert_eq!(f64_field(serving, "lock_wall_seconds"), Some(0.84));
-        // Gate 22 compares these serialised slices verbatim.
+        // Gate 18 compares these serialised slices verbatim.
         assert_eq!(
             crate::json::array_field(serving, "final_bandwidths"),
             Some("[0.052341000000,0.052341000000]")
@@ -1265,11 +1258,6 @@ mod tests {
         let sorted = by_name("sorted");
         assert!(sorted.counter("kernel_evals") <= n * (n - 1));
         assert!(sorted.counter("sort_comparisons") > 0);
-        // The merge-sweep walks the same support as the sorted sweep but
-        // replaces the per-observation sorts with one global argsort.
-        let merged = by_name("merged");
-        assert_eq!(merged.counter("kernel_evals"), sorted.counter("kernel_evals"));
-        assert!(merged.counter("sort_comparisons") < sorted.counter("sort_comparisons"));
         // The prefix sweep answers every (obs, bandwidth) cell with exactly
         // one window query and touches no neighbours at all.
         let prefix = by_name("prefix");
@@ -1318,10 +1306,10 @@ mod tests {
         // parallel sweep still records exactly the sequential sweep's
         // kernel evaluations.
         let workers = std::thread::available_parallelism().map_or(1, |w| w.get()) as u64;
-        for seq in ["naive", "sorted", "merged", "prefix"] {
+        for seq in ["naive", "sorted", "prefix"] {
             assert_eq!(by_name(seq).counter("scope_enters"), 0, "{seq}");
         }
-        for par in ["parallel", "merged-par", "prefix-par"] {
+        for par in ["parallel", "prefix-par"] {
             let enters = by_name(par).counter("scope_enters");
             assert!(
                 (1..=workers.min(n)).contains(&enters),
@@ -1337,7 +1325,7 @@ mod tests {
         // the whole stream (no evictions), the 64-arrival cadence never
         // fires before the forced final pass, and the incremental engine
         // answers the grid with zero kernel evaluations inside the
-        // gate-18 tree-update budget.
+        // gate-14 tree-update budget.
         let st = report.streaming.as_ref().unwrap();
         assert_eq!(st.window, 60);
         assert_eq!(st.removes, 0);
@@ -1357,7 +1345,7 @@ mod tests {
         // and the whole service answered from the incremental engine
         // without a single kernel evaluation. Burst shapes (and so
         // `coalesced_arrivals`) are timing-dependent — asserted at gate
-        // scale by perf gate 21, not here.
+        // scale by perf gate 17, not here.
         let sv = report.serving.as_ref().unwrap();
         assert_eq!(sv.requests_served, 8 * (n + 1));
         assert_eq!(sv.shed_requests, 0);

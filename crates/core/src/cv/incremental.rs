@@ -41,7 +41,7 @@
 //!   dominated by the sweep it precedes).
 //!
 //! Every tree-node visit (point updates and rebuild writes alike) counts
-//! into the `tree_updates` counter; perf gate 18 holds the total under
+//! into the `tree_updates` counter; perf gate 14 holds the total under
 //! `(inserts + removes)·⌈log₂ W⌉·(deg + 3)` for the streaming replay.
 //!
 //! ## Agreement with the fresh prefix sweep
@@ -980,14 +980,14 @@ mod tests {
         assert_eq!(snap.counter("reselects"), 1);
         let updates = snap.counter("tree_updates");
         assert!(updates > 0, "tree updates not counted");
-        // Gate 18's budget at W = n: every insert/remove plus amortised
+        // Gate 14's budget at W = n: every insert/remove plus amortised
         // rebuild writes fit in (U+R)·⌈log₂ W⌉·(deg+3).
         let ops = (256 + 64) as u64;
         let log2w = (256f64).log2().ceil() as u64;
         let deg = 2u64;
         assert!(
             updates <= ops * log2w * (deg + 3),
-            "tree_updates {updates} exceeds the gate-18 budget"
+            "tree_updates {updates} exceeds the gate-14 budget"
         );
         assert!(snap.counter("window_queries") >= 256 * 25 - 64 * 25);
     }

@@ -9,53 +9,47 @@
 //! with `ĝ_{-i}` the leave-one-out Nadaraya–Watson estimator (Eq. 2) and
 //! `M(X_i)` the indicator that its denominator is non-zero.
 //!
-//! Six evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`:
+//! Four evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`,
+//! each kept for one reason:
 //!
-//! | module | complexity | applies to |
-//! |---|---|---|
-//! | [`naive`] | `O(k·n²)` | any kernel |
-//! | [`sorted`] | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
-//! | [`merged`] | `O(n log n + n·(n + k·deg))` total (one global argsort) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`prefix`] | `O(n log n + n·k·(log n + deg²))` total (window queries over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | `O(log n)` insert/remove, `O(k·(log n + deg²)·n)` reselect (Fenwick moment tree) | [`PolynomialKernel`]s, 1-D `x`, streaming |
-//! | [`parallel`] | same as `sorted`, divided across cores | all of the above |
+//! | module | role | complexity | applies to |
+//! |---|---|---|---|
+//! | [`naive`] | oracle | `O(k·n²)` | any kernel |
+//! | [`sorted`] | the paper's reproduction | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
+//! | [`prefix`] | production, batch | `O(n log n + n·k·(log n + deg²))` total (window queries over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`incremental`] | production, streaming | `O(log n)` insert/remove, `O(k·(log n + deg²)·n)` reselect (Fenwick moment tree) | [`PolynomialKernel`]s, 1-D `x` |
 //!
-//! `sorted` is the paper's first contribution; `merged` goes one step
-//! further in the bivariate case by replacing the `n` per-observation sorts
-//! with a single global argsort and a two-cursor merge; `prefix` then drops
-//! the per-neighbour scan too, answering each `(observation, bandwidth)`
-//! cell from compensated global moment prefix sums; `parallel` is the
-//! SPMD parallelisation (executed here with rayon on host cores; the
-//! simulated GPU version lives in the `kcv-gpu` crate).
+//! `sorted` is the paper's first contribution; `prefix` drops the
+//! per-observation sort and the per-neighbour scan, answering each
+//! `(observation, bandwidth)` cell from compensated global moment prefix
+//! sums. Every batch profile — the local-constant ones above and the
+//! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
+//! observations through one observation fold, sequentially or split across host
+//! cores (the `_par` entry points; the paper's SPMD parallelisation, whose
+//! simulated-GPU form lives in the `kcv-gpu` crate).
 //!
-//! Exactness caveat: `sorted` and `merged` classify *and* score
-//! bit-comparably to `naive` (1e-9-level agreement); `prefix` shares the
-//! bit-identical support classification but its scores carry the
-//! prefix-differencing error documented in [`prefix`] (1e-8-relative
-//! agreement on the paper DGP, identical argmin).
+//! Exactness caveat: `sorted` classifies *and* scores bit-comparably to
+//! `naive` (1e-9-level agreement); `prefix` shares the bit-identical
+//! support classification but its scores carry the prefix-differencing
+//! error documented in [`prefix`] (1e-8-relative agreement on the paper
+//! DGP, identical argmin).
 //!
 //! [`PolynomialKernel`]: crate::kernels::PolynomialKernel
 
+mod fold;
 pub mod incremental;
-pub mod merged;
 pub mod naive;
-pub mod parallel;
 pub mod prefix;
 pub mod sorted;
 pub mod sorted_ll;
 
 pub use incremental::{IncrementalSelector, SlidingWindowSelector};
-pub use merged::{cv_profile_merged, cv_profile_merged_par};
-pub use naive::{cv_profile_naive, cv_score_single};
-pub use parallel::{cv_profile_naive_par, cv_profile_sorted_par};
+pub use naive::{cv_profile_naive, cv_profile_naive_par, cv_score_single};
 pub use prefix::{
     cv_profile_prefix, cv_profile_prefix_ll, cv_profile_prefix_ll_par, cv_profile_prefix_par,
 };
-pub use sorted::cv_profile_sorted;
-pub use sorted_ll::{
-    cv_profile_merged_ll, cv_profile_merged_ll_par, cv_profile_naive_ll, cv_profile_sorted_ll,
-    cv_profile_sorted_ll_par,
-};
+pub use sorted::{cv_profile_sorted, cv_profile_sorted_par};
+pub use sorted_ll::{cv_profile_naive_ll, cv_profile_sorted_ll, cv_profile_sorted_ll_par};
 
 use crate::error::{Error, Result};
 

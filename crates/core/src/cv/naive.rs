@@ -5,6 +5,7 @@
 //! like the Gaussian or Cosine, that are not polynomial in `|u|`). The
 //! sorted sweep is tested against it.
 
+use super::fold::fold_observations;
 use super::CvProfile;
 use crate::error::{validate_bandwidth, validate_sample, Result};
 use crate::grid::BandwidthGrid;
@@ -18,19 +19,36 @@ pub fn cv_profile_naive<K: Kernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
+    profile(x, y, grid.values(), kernel, false)
+}
+
+/// Parallel naive CV profile — the analogue of the paper's "Multicore R"
+/// Program 2: the `O(k·n²)` objective, split across cores by observation.
+pub fn cv_profile_naive_par<K: Kernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    grid: &BandwidthGrid,
+    kernel: &K,
+) -> Result<CvProfile> {
+    profile(x, y, grid.values(), kernel, true)
+}
+
+pub(crate) fn profile<K: Kernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    parallel: bool,
+) -> Result<CvProfile> {
     let n = validate_sample(x, y, 2)?;
-    let k = grid.len();
-    let mut scores = vec![0.0; k];
-    let mut included = vec![0usize; k];
-
     let _sweep = kcv_obs::phase("cv.naive");
-    for (m, &h) in grid.values().iter().enumerate() {
-        let (score, inc) = cv_at_bandwidth(x, y, h, kernel);
-        scores[m] = score;
-        included[m] = inc;
-    }
-
-    Ok(CvProfile { bandwidths: grid.values().to_vec(), scores, included, n })
+    Ok(fold_observations(
+        n,
+        hs,
+        parallel,
+        || (),
+        |i, _, sq, inc| accumulate_observation(i, x, y, hs, kernel, sq, inc),
+    ))
 }
 
 /// Evaluates `CV_lc(h)` at a single bandwidth, returning the score and the
@@ -39,36 +57,51 @@ pub fn cv_profile_naive<K: Kernel + ?Sized>(
 /// This is the objective the numerical-optimisation baselines minimise.
 pub fn cv_score_single<K: Kernel + ?Sized>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> (f64, usize) {
     debug_assert!(validate_bandwidth(h).is_ok());
-    let (score, inc) = cv_at_bandwidth(x, y, h, kernel);
-    (score, inc)
+    let hs = [h];
+    let p = fold_observations(
+        x.len(),
+        &hs,
+        false,
+        || (),
+        |i, _, sq, inc| accumulate_observation(i, x, y, &hs, kernel, sq, inc),
+    );
+    (p.scores[0], p.included[0])
 }
 
-fn cv_at_bandwidth<K: Kernel + ?Sized>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> (f64, usize) {
+/// Adds observation `i`'s `(Y_i − ĝ_{-i}(X_i))² M(X_i)` at every bandwidth
+/// in `hs` into `sq_sums`/`included`, evaluating the kernel for every
+/// `l ≠ i`.
+fn accumulate_observation<K: Kernel + ?Sized>(
+    i: usize,
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    sq_sums: &mut [f64],
+    included: &mut [usize],
+) {
     let n = x.len();
-    let inv_h = 1.0 / h;
-    let mut sum_sq = 0.0;
-    let mut included = 0usize;
+    let xi = x[i];
     let mut evals = kcv_obs::LocalCounter::new(kcv_obs::Counter::KernelEvals);
-    for i in 0..n {
-        let xi = x[i];
+    for (m, &h) in hs.iter().enumerate() {
+        let inv_h = 1.0 / h;
         let mut num = 0.0;
         let mut den = 0.0;
-        for l in 0..n {
+        for (l, (&xl, &yl)) in x.iter().zip(y).enumerate() {
             if l == i {
                 continue;
             }
-            let w = kernel.eval((xi - x[l]) * inv_h);
-            num += y[l] * w;
+            let w = kernel.eval((xi - xl) * inv_h);
+            num += yl * w;
             den += w;
         }
         evals.incr(n as u64 - 1);
         if den > 0.0 {
             let resid = y[i] - num / den;
-            sum_sq += resid * resid;
-            included += 1;
+            sq_sums[m] += resid * resid;
+            included[m] += 1;
         }
     }
-    (sum_sq / n as f64, included)
 }
 
 #[cfg(test)]

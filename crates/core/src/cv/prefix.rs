@@ -1,10 +1,12 @@
-//! The prefix-moment sweep — dropping the per-neighbour scan entirely.
+//! The prefix-moment sweep — dropping the per-observation sort and the
+//! per-neighbour scan entirely.
 //!
-//! [`super::merged`] removed the per-observation *sort*, but still touches
-//! every `(observation, neighbour)` pair once: its total cost is bounded
-//! below by `n²` neighbour absorptions. For a compactly supported
-//! polynomial kernel that scan is also redundant, because the windowed
-//! power sums the sweep maintains,
+//! The sorted sweep ([`super::sorted`]) sorts every observation's
+//! neighbour distances and then touches every `(observation, neighbour)`
+//! pair once: its total cost is bounded below by `n²` neighbour absorptions.
+//! For a compactly supported polynomial kernel and a one-dimensional
+//! regressor both are redundant, because the windowed power sums the sweep
+//! maintains,
 //!
 //! ```text
 //! S_j(i, h) = Σ_{|x_i − x_l| ≤ h·r, l≠i} (x_i − x_l)^j ,
@@ -28,7 +30,7 @@
 //! O(n log n + n·k·(log n + deg²))
 //! ```
 //!
-//! versus the merge-sweep's `O(n log n + n·(n + k·deg))` — this is the
+//! versus the sorted sweep's `O(n² log n + n·k·deg)` — this is the
 //! fast-sum-updating idea of Langrené & Warin (2018) pushed one step
 //! further, to closed-form leave-one-out CV over the whole grid.
 //!
@@ -38,7 +40,7 @@
 //! other strategy uses — `(x_i − x_l)·(1/h) ≤ r` on the **original**
 //! coordinates, which is monotone along the sorted sample in IEEE
 //! arithmetic — so which neighbours are in-support (and therefore
-//! `included` and the selected bandwidth) agrees with naive/sorted/merged
+//! `included` and the selected bandwidth) agrees with naive/sorted
 //! exactly. The *scores*, however, come from differences of large prefix
 //! sums, which can cancel catastrophically in sparse windows. Two defences
 //! keep the error at the `1e-8`-relative level the tests pin on the paper
@@ -65,10 +67,11 @@
 //! arbitrarily-accurate reference; see DESIGN.md's numerical-accuracy note
 //! for the full tradeoff.
 //!
-//! Like the merge, the expansion requires a global total order of the
-//! regressor — one-dimensional `x` — and a polynomial kernel; the sorted
-//! sweep remains the general-position fallback.
+//! The expansion requires a global total order of the regressor —
+//! one-dimensional `x` — and a polynomial kernel; the sorted sweep remains
+//! the general-position fallback.
 
+use super::fold::fold_observations;
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
@@ -76,7 +79,6 @@ use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
 use crate::util::NeumaierSum;
-use rayon::prelude::*;
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
@@ -231,7 +233,7 @@ impl PrefixScratch {
 /// `hi` in `[hi_prev, n]`. The predicate is the bit-identical
 /// `d·(1/h) ≤ r` every other strategy uses, evaluated on the original
 /// sorted coordinates, so the returned membership set matches
-/// naive/sorted/merged exactly. Costs at most `~2·⌈log₂ n⌉` probes.
+/// naive/sorted exactly. Costs at most `~2·⌈log₂ n⌉` probes.
 #[inline]
 fn support_window(
     xs: &[f64],
@@ -391,43 +393,73 @@ fn accumulate_observation_prefix_ll(
     }
 }
 
-/// The sequential prefix-moment scoring core shared by
-/// [`cv_profile_prefix`] and the d = 1 dispatch of the multivariate fast
-/// engine (`crate::multi::fast`): scores every bandwidth in `hs` and
-/// returns `(scores, included)` in the same order. `hs` must be
-/// non-decreasing — the support windows narrow monotonically from one
-/// bandwidth to the next, so an out-of-order list would resolve wrong
-/// windows. Callers with an arbitrary bandwidth list sort it (with an
+/// The local-constant prefix-moment profile over the bandwidth list `hs`.
+/// Shared by the public entry points below and by the d = 1 dispatch of the
+/// multivariate fast engine (`crate::multi::fast`).
+///
+/// `hs` must be non-decreasing — the support windows narrow monotonically
+/// from one bandwidth to the next, so an out-of-order list would resolve
+/// wrong windows. Callers with an arbitrary bandwidth list sort it (with an
 /// index map) first; callers holding a [`BandwidthGrid`] are ascending by
 /// construction.
-pub(crate) fn prefix_scores_for_bandwidths<K: PolynomialKernel + ?Sized>(
+pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
     kernel: &K,
-) -> Result<(Vec<f64>, Vec<usize>)> {
-    let n = validate_sample(x, y, 2)?;
+    parallel: bool,
+) -> Result<CvProfile> {
+    let deg = kernel.coeffs().len() - 1;
+    fold_prefix(x, y, hs, kernel, deg, parallel, accumulate_observation_prefix)
+}
+
+/// The local-linear prefix-moment profile over the ascending list `hs`.
+fn profile_ll<K: PolynomialKernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    parallel: bool,
+) -> Result<CvProfile> {
+    // The slope term weights offsets quadratically: local-linear needs
+    // moments up to deg + 2, but the per-cell cost stays O(log n + deg²).
+    let deg = kernel.coeffs().len() - 1;
+    fold_prefix(x, y, hs, kernel, deg + 2, parallel, accumulate_observation_prefix_ll)
+}
+
+/// Builds the moment tables up to `max_m` and folds `step` over every
+/// observation against them. Generic over the step, so each form's
+/// per-observation code is compiled into the fold's loop rather than called
+/// through a function pointer.
+fn fold_prefix<K, F>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    max_m: usize,
+    parallel: bool,
+    step: F,
+) -> Result<CvProfile>
+where
+    K: PolynomialKernel + ?Sized,
+    F: Fn(usize, &PrefixTables, &[f64], f64, &[f64], &mut PrefixScratch, &mut [f64], &mut [usize])
+        + Sync
+        + Send,
+{
+    validate_sample(x, y, 2)?;
     debug_assert!(hs.windows(2).all(|w| w[0] <= w[1]), "bandwidths must be non-decreasing");
     let coeffs = kernel.coeffs();
     let radius = kernel.radius();
-    let k = hs.len();
-    let deg = coeffs.len() - 1;
-
-    let tables = PrefixTables::build(x, y, deg);
-
-    let mut sq_sums = vec![0.0; k];
-    let mut included = vec![0usize; k];
-    let mut scratch = PrefixScratch::new(deg);
+    let t = PrefixTables::build(x, y, max_m);
 
     let _window = kcv_obs::phase("cv.window");
-    for si in 0..n {
-        accumulate_observation_prefix(
-            si, &tables, coeffs, radius, hs, &mut scratch, &mut sq_sums, &mut included,
-        );
-    }
-
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok((scores, included))
+    Ok(fold_observations(
+        t.n,
+        hs,
+        parallel,
+        || PrefixScratch::new(t.max_m),
+        |si, scratch, sq, inc| step(si, &t, coeffs, radius, hs, scratch, sq, inc),
+    ))
 }
 
 /// Computes the CV profile with the prefix-moment sweep, sequentially:
@@ -438,9 +470,7 @@ pub fn cv_profile_prefix<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let hs = grid.values();
-    let (scores, included) = prefix_scores_for_bandwidths(x, y, hs, kernel)?;
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n: x.len() })
+    profile(x, y, grid.values(), kernel, false)
 }
 
 /// Parallel prefix-moment CV profile: the argsort and table build run once
@@ -452,70 +482,17 @@ pub fn cv_profile_prefix_par<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    let deg = coeffs.len() - 1;
-
-    let tables = PrefixTables::build(x, y, deg);
-    let tables = &tables;
-
-    let _window = kcv_obs::phase("cv.window");
-    // Re-install the caller's recorder scope once per worker chunk (scope
-    // stacks are thread-local) so counts attribute to the run that spawned us.
-    let scope = kcv_obs::scope();
-    let (sq_sums, included) = (0..n)
-        .into_par_iter()
-        .fold_with_setup(
-            || scope.enter(),
-            || (vec![0.0; k], vec![0usize; k], PrefixScratch::new(deg)),
-            |(mut sq, mut inc, mut scratch), si| {
-                accumulate_observation_prefix(
-                    si, tables, coeffs, radius, hs, &mut scratch, &mut sq, &mut inc,
-                );
-                (sq, inc, scratch)
-            },
-        )
-        .map(|(sq, inc, _)| (sq, inc))
-        .reduce(|| (vec![0.0; k], vec![0usize; k]), super::parallel::merge_partials);
-
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    profile(x, y, grid.values(), kernel, true)
 }
 
-/// Local-linear CV profile via the prefix-moment sweep, sequential. Needs
-/// prefix moments up to `deg + 2` (the slope term quadratically weights the
-/// offsets), but the per-cell cost stays `O(log n + deg²)`.
+/// Local-linear CV profile via the prefix-moment sweep, sequential.
 pub fn cv_profile_prefix_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    let deg = coeffs.len() - 1;
-
-    let tables = PrefixTables::build(x, y, deg + 2);
-
-    let mut sq_sums = vec![0.0; k];
-    let mut included = vec![0usize; k];
-    let mut scratch = PrefixScratch::new(deg + 2);
-
-    let _window = kcv_obs::phase("cv.window");
-    for si in 0..n {
-        accumulate_observation_prefix_ll(
-            si, &tables, coeffs, radius, hs, &mut scratch, &mut sq_sums, &mut included,
-        );
-    }
-
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    profile_ll(x, y, grid.values(), kernel, false)
 }
 
 /// Local-linear prefix-moment CV profile, parallel over observations.
@@ -525,43 +502,14 @@ pub fn cv_profile_prefix_ll_par<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    let deg = coeffs.len() - 1;
-
-    let tables = PrefixTables::build(x, y, deg + 2);
-    let tables = &tables;
-
-    let _window = kcv_obs::phase("cv.window");
-    let scope = kcv_obs::scope();
-    let (sq_sums, included) = (0..n)
-        .into_par_iter()
-        .fold_with_setup(
-            || scope.enter(),
-            || (vec![0.0; k], vec![0usize; k], PrefixScratch::new(deg + 2)),
-            |(mut sq, mut inc, mut scratch), si| {
-                accumulate_observation_prefix_ll(
-                    si, tables, coeffs, radius, hs, &mut scratch, &mut sq, &mut inc,
-                );
-                (sq, inc, scratch)
-            },
-        )
-        .map(|(sq, inc, _)| (sq, inc))
-        .reduce(|| (vec![0.0; k], vec![0usize; k]), super::parallel::merge_partials);
-
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    profile_ll(x, y, grid.values(), kernel, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cv::{
-        cv_profile_merged, cv_profile_naive, cv_profile_sorted, sorted_ll::cv_profile_naive_ll,
-        cv_profile_sorted_ll,
+        cv_profile_naive, cv_profile_sorted, cv_profile_sorted_ll, sorted_ll::cv_profile_naive_ll,
     };
     use crate::kernels::{polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform};
     use crate::util::{approx_eq, SplitMix64};
@@ -681,35 +629,15 @@ mod tests {
     }
 
     #[test]
-    fn prefix_argmin_matches_naive_sorted_and_merged() {
+    fn prefix_argmin_matches_naive_and_sorted() {
         for seed in 0..5 {
             let (x, y) = paper_dgp(120, 100 + seed);
             let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
             let a = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
             let b = cv_profile_naive(&x, &y, &grid, &Epanechnikov).unwrap();
             let c = cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
-            let d = cv_profile_merged(&x, &y, &grid, &Epanechnikov).unwrap();
             assert_eq!(a.argmin().unwrap().index, b.argmin().unwrap().index);
             assert_eq!(a.argmin().unwrap().index, c.argmin().unwrap().index);
-            assert_eq!(a.argmin().unwrap().index, d.argmin().unwrap().index);
-        }
-    }
-
-    #[test]
-    fn parallel_prefix_matches_sequential_prefix() {
-        let (x, y) = paper_dgp(300, 21);
-        let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
-        let seq = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
-        let par = cv_profile_prefix_par(&x, &y, &grid, &Epanechnikov).unwrap();
-        assert_eq!(seq.included, par.included);
-        for m in 0..grid.len() {
-            assert!(
-                approx_eq(seq.scores[m], par.scores[m], 1e-12, 1e-14),
-                "h={}: {} vs {}",
-                grid.values()[m],
-                seq.scores[m],
-                par.scores[m]
-            );
         }
     }
 
@@ -755,17 +683,14 @@ mod tests {
     }
 
     #[test]
-    fn prefix_ll_par_matches_sequential_and_sorted_ll() {
+    fn prefix_ll_matches_sorted_ll() {
         let (x, y) = paper_dgp(200, 206);
         let grid = BandwidthGrid::linear(0.1, 1.0, 25).unwrap();
-        let seq = cv_profile_prefix_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        let par = cv_profile_prefix_ll_par(&x, &y, &grid, &Epanechnikov).unwrap();
+        let prefix = cv_profile_prefix_ll(&x, &y, &grid, &Epanechnikov).unwrap();
         let sorted = cv_profile_sorted_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        assert_eq!(seq.included, par.included);
-        assert_eq!(seq.included, sorted.included);
+        assert_eq!(prefix.included, sorted.included);
         for m in 0..grid.len() {
-            assert!(approx_eq(seq.scores[m], par.scores[m], 1e-12, 1e-14));
-            assert!(approx_eq(seq.scores[m], sorted.scores[m], 1e-7, 1e-9));
+            assert!(approx_eq(prefix.scores[m], sorted.scores[m], 1e-7, 1e-9));
         }
     }
 

@@ -31,6 +31,7 @@
 //! relative drift in the sparse-window regime. The naive profile remains
 //! the arbitrarily-accurate reference.
 
+use super::fold::fold_observations;
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::grid::BandwidthGrid;
@@ -161,25 +162,41 @@ pub fn cv_profile_sorted<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
+    profile(x, y, grid, kernel, false)
+}
+
+/// Parallel sorted-sweep CV profile — the algorithmic content of the
+/// paper's Program 4 (CUDA), run on host cores. One logical "GPU thread"
+/// per observation, exactly as §IV-B assigns them.
+pub fn cv_profile_sorted_par<K: PolynomialKernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    grid: &BandwidthGrid,
+    kernel: &K,
+) -> Result<CvProfile> {
+    profile(x, y, grid, kernel, true)
+}
+
+pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    grid: &BandwidthGrid,
+    kernel: &K,
+    parallel: bool,
+) -> Result<CvProfile> {
     let n = validate_sample(x, y, 2)?;
     let coeffs = kernel.coeffs();
     let radius = kernel.radius();
-    let k = grid.len();
     let hs = grid.values();
 
-    let mut sq_sums = vec![0.0; k];
-    let mut included = vec![0usize; k];
-    let mut scratch = SweepScratch::new(n, coeffs.len() - 1);
-
     let _sweep = kcv_obs::phase("cv.sweep");
-    for i in 0..n {
-        accumulate_observation(
-            i, x, y, coeffs, radius, hs, &mut scratch, &mut sq_sums, &mut included,
-        );
-    }
-
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    Ok(fold_observations(
+        n,
+        hs,
+        parallel,
+        || SweepScratch::new(n, coeffs.len() - 1),
+        |i, scratch, sq, inc| accumulate_observation(i, x, y, coeffs, radius, hs, scratch, sq, inc),
+    ))
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@
 //! `O(n log n + (n + k)·deg)` per observation as the local-constant sweep,
 //! with 5 running sums per polynomial power instead of 2.
 
+use super::fold::fold_observations;
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
-use rayon::prelude::*;
 
 /// Per-observation accumulation for the local-linear sweep.
 #[allow(clippy::too_many_arguments)]
@@ -115,95 +115,6 @@ fn accumulate_observation_ll(
     }
 }
 
-/// Per-observation accumulation for the *merged* local-linear sweep: the
-/// observation sits at sorted position `si` of the globally argsorted
-/// `xs`/`ys`, and its neighbours' absolute offsets `|e_l|` are the merge of
-/// two sorted runs walking outward from `si` — no per-observation sort or
-/// buffer fill. Same merge front-end as [`super::merged`], with the
-/// signed-power running sums of this module.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_observation_ll_merged(
-    si: usize,
-    xs: &[f64],
-    ys: &[f64],
-    coeffs: &[f64],
-    radius: f64,
-    hs: &[f64],
-    sq_sums: &mut [f64],
-    included: &mut [usize],
-) {
-    let deg = coeffs.len() - 1;
-    let n = xs.len();
-    let xi = xs[si];
-    let yi = ys[si];
-
-    let mut a = vec![[0.0f64; 3]; deg + 1];
-    let mut b = vec![[0.0f64; 2]; deg + 1];
-
-    let mut left = si;
-    let mut right = si + 1;
-    let mut taken = 0usize;
-    let mut absorbed = kcv_obs::LocalCounter::new(kcv_obs::Counter::KernelEvals);
-    let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (m, &h) in hs.iter().enumerate() {
-        let inv_h = 1.0 / h;
-        let taken_before = taken;
-        // Absorb the next-nearest neighbour from whichever side is closer,
-        // under the same support predicate as every other strategy.
-        loop {
-            let dl = if left > 0 { xi - xs[left - 1] } else { f64::INFINITY };
-            let dr = if right < n { xs[right] - xi } else { f64::INFINITY };
-            let (d, e, yl) = if dl <= dr {
-                if dl * inv_h > radius {
-                    break;
-                }
-                left -= 1;
-                (dl, xs[left] - xi, ys[left])
-            } else {
-                if dr * inv_h > radius {
-                    break;
-                }
-                right += 1;
-                (dr, xs[right - 1] - xi, ys[right - 1])
-            };
-            let e2 = e * e;
-            let mut pw = 1.0;
-            for q in 0..=deg {
-                a[q][0] += pw;
-                a[q][1] += pw * e;
-                a[q][2] += pw * e2;
-                b[q][0] += pw * yl;
-                b[q][1] += pw * yl * e;
-                pw *= d;
-            }
-            taken += 1;
-        }
-        absorbed.incr((taken - taken_before) as u64);
-        skipped.incr((n - 1 - taken) as u64);
-        // Assemble the five weighted moments.
-        let mut hp = 1.0;
-        let mut s0 = 0.0;
-        let mut s1 = 0.0;
-        let mut s2 = 0.0;
-        let mut t0 = 0.0;
-        let mut t1 = 0.0;
-        for q in 0..=deg {
-            let c = coeffs[q] * hp;
-            s0 += c * a[q][0];
-            s1 += c * a[q][1];
-            s2 += c * a[q][2];
-            t0 += c * b[q][0];
-            t1 += c * b[q][1];
-            hp *= inv_h;
-        }
-        if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], h) {
-            let r = yi - g;
-            sq_sums[m] += r * r;
-            included[m] += 1;
-        }
-    }
-}
-
 /// Local-linear CV profile via the sorted sweep, sequential.
 pub fn cv_profile_sorted_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
@@ -211,18 +122,7 @@ pub fn cv_profile_sorted_ll<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    let mut sq_sums = vec![0.0; k];
-    let mut included = vec![0usize; k];
-    for i in 0..n {
-        accumulate_observation_ll(i, x, y, coeffs, radius, hs, &mut sq_sums, &mut included);
-    }
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    profile(x, y, grid, kernel, false)
 }
 
 /// Local-linear CV profile via the sorted sweep, parallel over observations.
@@ -232,95 +132,27 @@ pub fn cv_profile_sorted_ll_par<K: PolynomialKernel + ?Sized>(
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    // Re-install the caller's recorder scope once per worker chunk (scope
-    // stacks are thread-local) so counts attribute to the run that spawned us.
-    let scope = kcv_obs::scope();
-    let (sq_sums, included) = (0..n)
-        .into_par_iter()
-        .fold_with_setup(
-            || scope.enter(),
-            || (vec![0.0; k], vec![0usize; k]),
-            |(mut sq, mut inc), i| {
-                accumulate_observation_ll(i, x, y, coeffs, radius, hs, &mut sq, &mut inc);
-                (sq, inc)
-            },
-        )
-        .reduce(|| (vec![0.0; k], vec![0usize; k]), super::parallel::merge_partials);
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    profile(x, y, grid, kernel, true)
 }
 
-/// Local-linear CV profile via the *merge* sweep: one global argsort of
-/// `x`, then two cursors per observation — `O(n log n + n·(n + k·deg))`
-/// total, against the sorted sweep's `O(n² log n)`.
-pub fn cv_profile_merged_ll<K: PolynomialKernel + ?Sized>(
+fn profile<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
+    parallel: bool,
 ) -> Result<CvProfile> {
     let n = validate_sample(x, y, 2)?;
     let coeffs = kernel.coeffs();
     let radius = kernel.radius();
-    let k = grid.len();
     let hs = grid.values();
-    let (xs, ys) = {
-        let _sort = kcv_obs::phase("cv.argsort");
-        let perm = argsort(x);
-        (apply_permutation(x, &perm), apply_permutation(y, &perm))
-    };
-    let mut sq_sums = vec![0.0; k];
-    let mut included = vec![0usize; k];
-    let _merge = kcv_obs::phase("cv.merge");
-    for si in 0..n {
-        accumulate_observation_ll_merged(
-            si, &xs, &ys, coeffs, radius, hs, &mut sq_sums, &mut included,
-        );
-    }
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
-}
-
-/// Local-linear merge-sweep CV profile, parallel over observations.
-pub fn cv_profile_merged_ll_par<K: PolynomialKernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let k = grid.len();
-    let hs = grid.values();
-    let (xs, ys) = {
-        let _sort = kcv_obs::phase("cv.argsort");
-        let perm = argsort(x);
-        (apply_permutation(x, &perm), apply_permutation(y, &perm))
-    };
-    let (xs, ys) = (xs.as_slice(), ys.as_slice());
-    let _merge = kcv_obs::phase("cv.merge");
-    let scope = kcv_obs::scope();
-    let (sq_sums, included) = (0..n)
-        .into_par_iter()
-        .fold_with_setup(
-            || scope.enter(),
-            || (vec![0.0; k], vec![0usize; k]),
-            |(mut sq, mut inc), si| {
-                accumulate_observation_ll_merged(
-                    si, xs, ys, coeffs, radius, hs, &mut sq, &mut inc,
-                );
-                (sq, inc)
-            },
-        )
-        .reduce(|| (vec![0.0; k], vec![0usize; k]), super::parallel::merge_partials);
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+    Ok(fold_observations(
+        n,
+        hs,
+        parallel,
+        || (),
+        |i, _, sq, inc| accumulate_observation_ll(i, x, y, coeffs, radius, hs, sq, inc),
+    ))
 }
 
 /// Naive local-linear CV profile (`O(k·n²)`), the reference the sweep is
@@ -415,48 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ll_matches_sequential_ll() {
-        let (x, y) = paper_dgp(200, 203);
-        let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
-        let seq = cv_profile_sorted_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        let par = cv_profile_sorted_ll_par(&x, &y, &grid, &Epanechnikov).unwrap();
-        assert_eq!(seq.included, par.included);
-        for m in 0..grid.len() {
-            assert!(approx_eq(seq.scores[m], par.scores[m], 1e-12, 1e-14));
-        }
-    }
-
-    #[test]
-    fn merged_ll_matches_naive_ll() {
-        let (x, y) = paper_dgp(120, 205);
-        let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-        let merged = cv_profile_merged_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        let naive = cv_profile_naive_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        for m in 0..grid.len() {
-            assert_eq!(merged.included[m], naive.included[m], "h index {m}");
-            assert!(
-                approx_eq(merged.scores[m], naive.scores[m], 1e-8, 1e-10),
-                "h={}: {} vs {}",
-                grid.values()[m],
-                merged.scores[m],
-                naive.scores[m]
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_merged_ll_matches_sequential_merged_ll() {
-        let (x, y) = paper_dgp(200, 206);
-        let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
-        let seq = cv_profile_merged_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-        let par = cv_profile_merged_ll_par(&x, &y, &grid, &Epanechnikov).unwrap();
-        assert_eq!(seq.included, par.included);
-        for m in 0..grid.len() {
-            assert!(approx_eq(seq.scores[m], par.scores[m], 1e-12, 1e-14));
-        }
-    }
-
-    #[test]
     fn local_linear_cv_is_zero_on_exact_lines() {
         // LL reproduces lines exactly, so every LOO residual vanishes and
         // the profile is ~0 wherever enough neighbours exist.
@@ -498,18 +288,12 @@ mod tests {
             let (x, y) = paper_dgp(n, seed);
             let grid = BandwidthGrid::paper_default(&x, k).unwrap();
             let sorted = cv_profile_sorted_ll(&x, &y, &grid, &Epanechnikov).unwrap();
-            let merged = cv_profile_merged_ll(&x, &y, &grid, &Epanechnikov).unwrap();
             let naive = cv_profile_naive_ll(&x, &y, &grid, &Epanechnikov).unwrap();
             for m in 0..k {
                 prop_assert_eq!(sorted.included[m], naive.included[m]);
-                prop_assert_eq!(merged.included[m], naive.included[m]);
                 prop_assert!(
                     approx_eq(sorted.scores[m], naive.scores[m], 1e-6, 1e-9),
                     "h={}: {} vs {}", grid.values()[m], sorted.scores[m], naive.scores[m]
-                );
-                prop_assert!(
-                    approx_eq(merged.scores[m], naive.scores[m], 1e-6, 1e-9),
-                    "merged h={}: {} vs {}", grid.values()[m], merged.scores[m], naive.scores[m]
                 );
             }
         }

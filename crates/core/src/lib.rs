@@ -20,7 +20,7 @@
 //!
 //! * `CV_lc(h)` — the local-constant leave-one-out objective above;
 //!   computed for a whole grid by [`cv::cv_profile_naive`] /
-//!   [`cv::cv_profile_sorted`] / [`cv::cv_profile_merged`] (one
+//!   [`cv::cv_profile_sorted`] / [`cv::cv_profile_prefix`] (one
 //!   [`cv::CvProfile`] entry per `h`), and
 //!   point-wise by the numerical selector's objective. The local-linear
 //!   variant `CV_ll(h)` lives in [`cv::cv_profile_sorted_ll`].
@@ -74,10 +74,12 @@
 //! * [`estimate`] — Nadaraya–Watson and local-linear estimators with
 //!   leave-one-out variants; plus the k-NN baseline (§II's Creel & Zubair
 //!   contrast) and a linear-binning accelerator.
-//! * [`cv`] — the CV profile: naive `O(k·n²)`, sorted `O(n² log n)`,
-//!   merged `O(n log n + n·(n + k))` (one global argsort, no
-//!   per-observation sort), and rayon-parallel (SPMD) strategies;
-//!   local-constant and local-linear.
+//! * [`cv`] — the CV profile: naive `O(k·n²)` (the oracle), sorted
+//!   `O(n² log n)` (the paper's sweep), prefix-moment
+//!   `O(n log n + n·k·(log n + deg²))` (one global argsort, no
+//!   per-neighbour scan) and the streaming incremental engine; every batch
+//!   profile runs sequentially or rayon-parallel (SPMD) through one
+//!   observation fold; local-constant and local-linear.
 //! * [`select`] — grid-search, numerical-optimisation (np-style), and
 //!   rule-of-thumb selectors behind one trait.
 //! * [`density`] — KDE + least-squares CV bandwidths (paper's named

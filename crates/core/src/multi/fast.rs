@@ -146,13 +146,12 @@ fn scores_d1<K: PolynomialKernel + ?Sized>(
     let mut order: Vec<usize> = (0..g).collect();
     order.sort_by(|&a, &b| h_vectors[a][0].total_cmp(&h_vectors[b][0]));
     let hs_sorted: Vec<f64> = order.iter().map(|&i| h_vectors[i][0]).collect();
-    let (scores_sorted, included_sorted) =
-        crate::cv::prefix::prefix_scores_for_bandwidths(x, y, &hs_sorted, kernel)?;
+    let sorted = crate::cv::prefix::profile(x, y, &hs_sorted, kernel, false)?;
     let mut scores = vec![0.0; g];
     let mut included = vec![0usize; g];
     for (rank, &orig) in order.iter().enumerate() {
-        scores[orig] = scores_sorted[rank];
-        included[orig] = included_sorted[rank];
+        scores[orig] = sorted.scores[rank];
+        included[orig] = sorted.included[rank];
     }
     Ok((scores, included))
 }

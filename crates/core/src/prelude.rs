@@ -2,9 +2,9 @@
 
 pub use crate::ci::{confidence_band, ConfidenceBand};
 pub use crate::cv::{
-    cv_profile_merged, cv_profile_merged_par, cv_profile_naive, cv_profile_naive_par,
-    cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par, CvOptimum,
-    CvProfile, IncrementalSelector, SlidingWindowSelector,
+    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_par,
+    cv_profile_sorted, cv_profile_sorted_par, CvOptimum, CvProfile, IncrementalSelector,
+    SlidingWindowSelector,
 };
 pub use crate::density::{Kde, LscvSelector};
 pub use crate::error::{Error, Result};

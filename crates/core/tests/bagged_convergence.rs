@@ -95,7 +95,7 @@ proptest! {
         k in 5usize..40,
     ) {
         let (x, y) = paper_dgp(n, seed);
-        for strategy in [Strategy::SortedSweep, Strategy::MergedSweep, Strategy::PrefixMoments] {
+        for strategy in [Strategy::SortedSweep, Strategy::PrefixMoments] {
             let direct = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(k))
                 .with_strategy(strategy)
                 .select(&x, &y)

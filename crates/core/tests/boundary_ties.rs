@@ -16,13 +16,11 @@
 //!   observations are excluded — any strategy that drops (or double-counts)
 //!   the tie by a strict inequality, or perturbs the arithmetic, disagrees.
 //!
-//! Because the lattice keeps all four strategies' arithmetic exact
+//! Because the lattice keeps all three strategies' arithmetic exact
 //! (including the prefix sweep's midrange-centred moments), the scores are
 //! asserted bitwise-equal, not just approximately.
 
-use kcv_core::cv::{
-    cv_profile_merged, cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile,
-};
+use kcv_core::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{Epanechnikov, PolynomialKernel, Uniform};
 
@@ -41,11 +39,10 @@ fn all_strategies<K: PolynomialKernel + Clone>(
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
-) -> [(&'static str, CvProfile); 4] {
+) -> [(&'static str, CvProfile); 3] {
     [
         ("naive", cv_profile_naive(x, y, grid, kernel).unwrap()),
         ("sorted", cv_profile_sorted(x, y, grid, kernel).unwrap()),
-        ("merged", cv_profile_merged(x, y, grid, kernel).unwrap()),
         ("prefix", cv_profile_prefix(x, y, grid, kernel).unwrap()),
     ]
 }

@@ -75,7 +75,7 @@
 //! per-subsample `cv.bag` phase (one scope per bag, bags spread across
 //! workers) are the canonical examples. [`Snapshot::to_json`] therefore labels the field
 //! `cpu_seconds`, not `seconds`. The workspace convention: top-level
-//! parallel regions (`cv.sweep`, `cv.merge`, `cv.window`, `cv.naive`,
+//! parallel regions (`cv.sweep`, `cv.window`, `cv.naive`,
 //! `cv.multi`, `gpu.launch`) are timed **once on the calling thread**, so their
 //! `cpu_seconds` approximates wall time; phases opened inside worker
 //! closures accumulate CPU time across workers. Wall-clock per strategy is
@@ -154,7 +154,7 @@ pub enum Counter {
     /// the amortised rebuild writes when the key pool compacts/doubles).
     /// A point update touches `O(log n)` nodes, so over a stream of `U`
     /// updates into a window of capacity `W` this stays within
-    /// `U·⌈log₂ W⌉·(deg+3)` — the budget perf gate 18 asserts.
+    /// `U·⌈log₂ W⌉·(deg+3)` — the budget perf gate 14 asserts.
     TreeUpdates = 10,
     /// Completed `reselect()` passes of the incremental CV engine: one
     /// increment per full grid re-selection over the live window. The

@@ -1,4 +1,4 @@
-//! The comparison point the serve bench and perf gate 22 measure against:
+//! The comparison point the serve bench and perf gate 18 measure against:
 //! one global `Mutex` around a plain stream map, every arrival processed
 //! synchronously on the caller's thread with a full
 //! [`SlidingWindowSelector::push`] — no queues, no batching, no
@@ -6,7 +6,7 @@
 //!
 //! Close semantics match [`crate::BandwidthService`] exactly (final
 //! re-selection over the surviving window), so per-stream final bandwidths
-//! are directly comparable — the identity gate 22 asserts.
+//! are directly comparable — the identity gate 18 asserts.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -48,7 +48,7 @@
 //!
 //! The `serve` bench binary (`crates/bench`) replays 256 concurrent
 //! paper-DGP streams × 10⁴ arrivals through 8 shards against a
-//! single-global-lock baseline ([`GlobalLockService`]); perf gates 20–22
+//! single-global-lock baseline ([`GlobalLockService`]); perf gates 16–18
 //! hold the serving contract (schema v7, zero kernel evaluations with
 //! coalescing observed, ≥ 4× throughput at identical per-stream final
 //! bandwidths).
