@@ -2,7 +2,7 @@
 //! `O(k·n²)`; the sorted sweep is `O(n² log n)` (k nearly free); the
 //! prefix-moment sweep drops the per-observation sort and the per-neighbour
 //! scan, answering each (obs, bandwidth) cell from global prefix sums in
-//! `O(log n + deg²)`; the parallel variants divide the per-observation work
+//! `O(deg²)` amortised; the parallel variants divide the per-observation work
 //! across cores (see `bench_parallel` for the sizes where that pays).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

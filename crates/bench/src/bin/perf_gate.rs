@@ -5,9 +5,11 @@
 //! engines' complexity contracts from the JSON itself, as a single named
 //! gate table:
 //!
-//! 1. `prefix` answers every (obs, bandwidth) cell with binary-search window
-//!    queries — counted once per cell, so the count is bounded by
-//!    `n · k · ceil(log2 n)` (a per-neighbour scan has no business here);
+//! 1. `prefix` answers every (obs, bandwidth) cell with one window query —
+//!    a monotone cursor step, seeded by bisection at each fold chunk's
+//!    first observation — counted once per cell, so the count is `n · k`,
+//!    well inside the `n · k · ceil(log2 n)` bound (a per-neighbour scan
+//!    has no business here);
 //! 2. `prefix` and `prefix-par` evaluate the kernel **zero** times — every
 //!    score comes from prefix-sum differencing, never a neighbour visit;
 //! 3. `prefix` actually ran its window machinery (queries > 0);
@@ -46,7 +48,7 @@
 //!     budget; a per-neighbour product scan is `Θ(n)` per cell and fails;
 //! 12. at `n ≥ 2,000` `multi-fast` beats `multi-naive` by ≥ 10× wall time
 //!     while selecting the bit-identical bandwidth **vector** (the
-//!     serialised `bandwidths` arrays compare equal);
+//!     `to_bits` hex arrays `bandwidths_bits` compare equal);
 //! 13. the schema-v6 top-level `streaming` object is present — the two
 //!     replay gates below read it, so a writer that stops measuring the
 //!     streaming engine must fail here, not pass by absence;
@@ -57,7 +59,7 @@
 //!     never a neighbour visit;
 //! 15. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth
-//!     on the final window (the serialised values compare equal);
+//!     on the final window (the `to_bits` hex values compare equal);
 //! 16. the schema-v7 top-level `serving` object is present — the two
 //!     service gates below read it, so a writer that stops measuring the
 //!     sharded service must fail here, not pass by absence;
@@ -69,8 +71,8 @@
 //!     profiles from scratch (kernel evals) fails;
 //! 18. at `n ≥ 2,000` the sharded service beats the single-global-lock
 //!     baseline by ≥ 4× wall time on the identical per-stream traffic
-//!     while the serialised per-stream `final_bandwidths` arrays compare
-//!     bit-identical — the conflated re-selections must cost throughput
+//!     while the per-stream `to_bits` hex arrays (`final_bandwidths_bits`)
+//!     compare equal — the conflated re-selections must cost throughput
 //!     nothing in selection quality.
 //!
 //! Exits non-zero if any gate fails, printing each gate's verdict and then
@@ -82,7 +84,7 @@
 //! Usage: `cargo run -p kcv-bench --features metrics --bin perf_gate --
 //! [--n N] [--k K] [--out results/BENCH_report.json]`
 
-use kcv_bench::json::{array_field, f64_field, strategy_slice, u64_field};
+use kcv_bench::json::{array_field, f64_field, str_field, strategy_slice, u64_field};
 use kcv_bench::report::{collect_report, ReportConfig, REPORT_VERSION};
 use kcv_bench::table::{arg_parse, arg_value};
 use kcv_core::select::bagged::bag_footprint_bound_bytes;
@@ -262,8 +264,8 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let nv_bw = array_field(multi_naive, "bandwidths");
-    let mf_bw = array_field(multi_fast, "bandwidths");
+    let nv_bw = array_field(multi_naive, "bandwidths_bits");
+    let mf_bw = array_field(multi_fast, "bandwidths_bits");
     if n >= 2_000 {
         let ratio = match (
             f64_field(multi_naive, "wall_seconds"),
@@ -329,8 +331,8 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     let st_wall = f64_field(streaming, "wall_seconds").unwrap_or(f64::NAN);
     let st_recompute = f64_field(streaming, "recompute_wall_seconds").unwrap_or(f64::NAN);
     let st_ratio = st_recompute / st_wall;
-    let fb = f64_field(streaming, "final_bandwidth");
-    let rb = f64_field(streaming, "recompute_bandwidth");
+    let fb = str_field(streaming, "final_bandwidth_bits");
+    let rb = str_field(streaming, "recompute_bandwidth_bits");
     gates.push(Gate::pass_if(
         "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
         st_ratio >= 10.0 && fb.is_some() && fb == rb,
@@ -370,8 +372,8 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let sv_bw = array_field(serving, "final_bandwidths");
-    let lk_bw = array_field(serving, "lock_final_bandwidths");
+    let sv_bw = array_field(serving, "final_bandwidths_bits");
+    let lk_bw = array_field(serving, "lock_final_bandwidths_bits");
     if n >= 2_000 {
         let sv_ratio = match (
             f64_field(serving, "lock_wall_seconds"),
@@ -458,7 +460,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "{\"version\":8,\"metrics_enabled\":true,\"strategies\":[\
+    const SAMPLE: &str = "{\"version\":9,\"metrics_enabled\":true,\"strategies\":[\
         {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
         \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
         {\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
@@ -474,16 +476,20 @@ mod tests {
         \"kernel_evals\":0,\"window_queries\":500000,\"bags_run\":10}}},\
         {\"name\":\"multi-naive\",\"bandwidth\":0.125000,\
         \"wall_seconds\":1.500000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000]},\"obs\":{\"counters\":{\
-        \"kernel_evals\":790000000,\"window_queries\":0}}},\
+        \"bandwidths\":[0.125000,0.250000],\
+        \"bandwidths_bits\":[\"3fc0000000000000\",\"3fd0000000000000\"]},\
+        \"obs\":{\"counters\":{\"kernel_evals\":790000000,\"window_queries\":0}}},\
         {\"name\":\"multi-fast\",\"bandwidth\":0.125000,\
         \"wall_seconds\":0.050000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000]},\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000}}}],\
+        \"bandwidths\":[0.125000,0.250000],\
+        \"bandwidths_bits\":[\"3fc0000000000000\",\"3fd0000000000000\"]},\
+        \"obs\":{\"counters\":{\"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000}}}],\
         \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\
         \"inserts\":2000,\"removes\":1500,\"reselects\":32,\
         \"tree_updates\":104000,\"kernel_evals\":0,\
-        \"final_bandwidth\":0.052341000000,\"recompute_bandwidth\":0.052341000000,\
+        \"final_bandwidth\":0.052341000000,\"final_bandwidth_bits\":\"3faacc70867ad8e4\",\
+        \"recompute_bandwidth\":0.052341000000,\
+        \"recompute_bandwidth_bits\":\"3faacc70867ad8e4\",\
         \"wall_seconds\":0.011000000,\"recompute_wall_seconds\":0.420000000},\
         \"serving\":{\"streams\":8,\"arrivals_per_stream\":2000,\"shards\":4,\
         \"window\":256,\"cadence\":50,\"requests_served\":16008,\
@@ -492,7 +498,9 @@ mod tests {
         \"kernel_evals\":0,\"wall_seconds\":0.081000000,\
         \"lock_wall_seconds\":0.840000000,\
         \"final_bandwidths\":[0.052000000000,0.053000000000],\
-        \"lock_final_bandwidths\":[0.052000000000,0.053000000000]}}";
+        \"final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"],\
+        \"lock_final_bandwidths\":[0.052000000000,0.053000000000],\
+        \"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"]}}";
 
     #[test]
     fn strategy_slice_isolates_one_entry() {
@@ -655,7 +663,7 @@ mod tests {
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":8", "\"version\":7");
+        let bad = SAMPLE.replace("\"version\":9", "\"version\":8");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }
@@ -699,7 +707,7 @@ mod tests {
         // First occurrence is multi-naive's vector: any componentwise
         // drift between the serialised arrays must fail, even when the
         // scalar dimension-1 `bandwidth` fields still agree.
-        let bad = SAMPLE.replacen("[0.125000,0.250000]", "[0.125000,0.260000]", 1);
+        let bad = SAMPLE.replacen("\"3fd0000000000000\"]", "\"3fd0a3d70a3d70a4\"]", 1);
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
             fails(&gates),
@@ -778,8 +786,8 @@ mod tests {
     #[test]
     fn streaming_speedup_gate_catches_a_bandwidth_divergence() {
         let bad = SAMPLE.replace(
-            "\"recompute_bandwidth\":0.052341000000",
-            "\"recompute_bandwidth\":0.052999000000",
+            "\"recompute_bandwidth_bits\":\"3faacc70867ad8e4\"",
+            "\"recompute_bandwidth_bits\":\"3fab22af5771001d\"",
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
@@ -841,14 +849,46 @@ mod tests {
         // Conflation must not change any stream's final selection: one
         // component drifting in the baseline's array fails the identity.
         let bad = SAMPLE.replace(
-            "\"lock_final_bandwidths\":[0.052000000000,0.053000000000]",
-            "\"lock_final_bandwidths\":[0.052000000000,0.054000000000]",
+            "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"]",
+            "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3faba5e353f7ced9\"]",
         );
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(
             fails(&gates),
             vec!["sharded service beats the global lock >= 4x at identical bandwidths"]
         );
+    }
+
+    #[test]
+    fn identity_gates_compare_bits_not_rounded_decimals() {
+        // 0.052341 and its successor float print identically at 12
+        // decimals (0.052341000000) but differ in the last bit: each
+        // bit-identity gate must catch a one-ulp drift its decimals hide.
+        let ulp = |v: f64| format!("{:016x}", v.to_bits() + 1);
+        let next = f64::from_bits(0.052341f64.to_bits() + 1);
+        assert_eq!(format!("{next:.12}"), format!("{:.12}", 0.052341));
+        let cases = [
+            (
+                "\"recompute_bandwidth_bits\":\"3faacc70867ad8e4\"".to_string(),
+                format!("\"recompute_bandwidth_bits\":\"{}\"", ulp(0.052341)),
+                "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
+            ),
+            (
+                "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\"".to_string(),
+                format!("\"lock_final_bandwidths_bits\":[\"{}\"", ulp(0.052)),
+                "sharded service beats the global lock >= 4x at identical bandwidths",
+            ),
+            (
+                "[\"3fc0000000000000\",\"3fd0000000000000\"]".to_string(),
+                format!("[\"3fc0000000000000\",\"{}\"]", ulp(0.25)),
+                "multi-fast beats multi-naive >= 10x on the identical optimum",
+            ),
+        ];
+        for (from, to, gate) in cases {
+            let bad = SAMPLE.replacen(&from, &to, 1);
+            assert_ne!(bad, SAMPLE, "{from} not in the sample");
+            assert_eq!(fails(&evaluate_gates(&bad, 2_000, 100)), vec![gate]);
+        }
     }
 
     #[test]

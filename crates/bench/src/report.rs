@@ -13,7 +13,7 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 8)
+//! ## Schema (version 9)
 //!
 //! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
 //! overlapping same-name phase scopes on different rayon workers sum to CPU
@@ -108,9 +108,18 @@
 //! sweep and was deleted, together with the four perf gates that read
 //! those entries (the remaining gates are renumbered 1–18).
 //!
+//! Version 9 writes every bandwidth a bit-identity gate compares twice:
+//! as the `{:.12}` decimal, for readers, and as its `f64::to_bits` in
+//! 16-digit hex, for the gates. The hex fields sit beside their decimals:
+//! `multi.bandwidths_bits`, the streaming `final_bandwidth_bits` and
+//! `recompute_bandwidth_bits`, and the serving `final_bandwidths_bits` and
+//! `lock_final_bandwidths_bits`. Gates 12, 15 and 18 compare the hex, so
+//! two bandwidths that agree to 12 decimals but differ in the last bit
+//! fail.
+//!
 //! ```json
 //! {
-//!   "version": 8,
+//!   "version": 9,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -141,7 +150,8 @@
 //!       "bandwidth": 0.104,
 //!       ...
 //!       "multi": {"dims": 2, "grid_points": 49,
-//!                  "bandwidths": [0.104, 0.088]},
+//!                  "bandwidths": [0.104, 0.088],
+//!                  "bandwidths_bits": ["3fba9fbe76c8b439", "3fb6872b020c49ba"]},
 //!       "obs": {...}
 //!     }
 //!   ],
@@ -156,7 +166,9 @@
 //!     "arrivals": 2000, "window": 500, "cadence": 64,
 //!     "inserts": 2000, "removes": 1500, "reselects": 32,
 //!     "tree_updates": 104000, "kernel_evals": 0,
-//!     "final_bandwidth": 0.052341, "recompute_bandwidth": 0.052341,
+//!     "final_bandwidth": 0.052341, "final_bandwidth_bits": "3faacc70867ad8e4",
+//!     "recompute_bandwidth": 0.052341,
+//!     "recompute_bandwidth_bits": "3faacc70867ad8e4",
 //!     "wall_seconds": 0.011, "recompute_wall_seconds": 0.420
 //!   },
 //!   "serving": {
@@ -167,7 +179,9 @@
 //!     "reselects": 24, "lock_reselects": 328, "kernel_evals": 0,
 //!     "wall_seconds": 0.081, "lock_wall_seconds": 0.840,
 //!     "final_bandwidths": [0.052341, ...],
-//!     "lock_final_bandwidths": [0.052341, ...]
+//!     "final_bandwidths_bits": ["3faacc70867ad8e4", ...],
+//!     "lock_final_bandwidths": [0.052341, ...],
+//!     "lock_final_bandwidths_bits": ["3faacc70867ad8e4", ...]
 //!   }
 //! }
 //! ```
@@ -204,7 +218,9 @@ use std::time::Instant;
 /// 16–18 read; see the module-level schema notes).
 /// Version 8: dropped the `merged`/`merged-par` strategies (the deleted
 /// merge-sweep).
-pub const REPORT_VERSION: u32 = 8;
+/// Version 9: every bandwidth a bit-identity gate compares is also written
+/// as `to_bits` hex (`*_bits` fields beside the decimals).
+pub const REPORT_VERSION: u32 = 9;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 10] = [
@@ -476,10 +492,12 @@ impl PerfReport {
                 let bw: Vec<String> =
                     m.bandwidths.iter().map(|b| format!("{b:.12}")).collect();
                 format!(
-                    "{{\"dims\":{},\"grid_points\":{},\"bandwidths\":[{}]}}",
+                    "{{\"dims\":{},\"grid_points\":{},\"bandwidths\":[{}],\
+                     \"bandwidths_bits\":[{}]}}",
                     m.dims,
                     m.grid_points,
                     bw.join(","),
+                    bits_hex(&m.bandwidths),
                 )
             });
             out.push_str(&format!(
@@ -536,7 +554,8 @@ impl PerfReport {
                 "{{\"arrivals\":{},\"window\":{},\"cadence\":{},\"inserts\":{},\
                  \"removes\":{},\"reselects\":{},\"tree_updates\":{},\
                  \"kernel_evals\":{},\"final_bandwidth\":{:.12},\
-                 \"recompute_bandwidth\":{:.12},\"wall_seconds\":{:.9},\
+                 \"final_bandwidth_bits\":{},\"recompute_bandwidth\":{:.12},\
+                 \"recompute_bandwidth_bits\":{},\"wall_seconds\":{:.9},\
                  \"recompute_wall_seconds\":{:.9}}}",
                 st.arrivals,
                 st.window,
@@ -547,7 +566,9 @@ impl PerfReport {
                 st.tree_updates,
                 st.kernel_evals,
                 st.final_bandwidth,
+                bits_hex(&[st.final_bandwidth]),
                 st.recompute_bandwidth,
+                bits_hex(&[st.recompute_bandwidth]),
                 st.wall_seconds,
                 st.recompute_wall_seconds,
             )),
@@ -567,7 +588,8 @@ impl PerfReport {
                      \"shed_requests\":{},\"reselects\":{},\"lock_reselects\":{},\
                      \"kernel_evals\":{},\"wall_seconds\":{:.9},\
                      \"lock_wall_seconds\":{:.9},\"final_bandwidths\":[{}],\
-                     \"lock_final_bandwidths\":[{}]}}",
+                     \"final_bandwidths_bits\":[{}],\"lock_final_bandwidths\":[{}],\
+                     \"lock_final_bandwidths_bits\":[{}]}}",
                     sv.streams,
                     sv.arrivals_per_stream,
                     sv.shards,
@@ -583,7 +605,9 @@ impl PerfReport {
                     sv.wall_seconds,
                     sv.lock_wall_seconds,
                     fb.join(","),
+                    bits_hex(&sv.final_bandwidths),
                     lb.join(","),
+                    bits_hex(&sv.lock_final_bandwidths),
                 ));
             }
         }
@@ -592,15 +616,23 @@ impl PerfReport {
     }
 }
 
+/// Comma-separated `to_bits` hex strings (`"3fa9…"`) of `values`: the
+/// exact form the bit-identity gates compare, beside the rounded decimals.
+fn bits_hex(values: &[f64]) -> String {
+    let hex: Vec<String> = values.iter().map(|v| format!("\"{:016x}\"", v.to_bits())).collect();
+    hex.join(",")
+}
+
 /// Replays the report's sample as a stream through the sliding-window
 /// incremental engine and measures it against the sampled
 /// recompute-from-scratch prefix baseline (schema v6 `streaming` object).
 ///
 /// The window is `max(n/4, 64)` (capped at `n`) and the re-selection
-/// cadence is 64 arrivals: one incremental `reselect` costs a small
-/// constant factor more than a fresh prefix profile on the same window
-/// (the Fenwick log-factor per cell), so the amortised win over the
-/// recompute-every-arrival policy is roughly `cadence / that factor` —
+/// cadence is 64 arrivals: one incremental `reselect` costs about one
+/// fresh prefix profile on the same window (both run the same cell kernel;
+/// the reselect reads its flat table from the Fenwick tree in
+/// `O(W·log W)` where the fresh run sorts), so the amortised win over the
+/// recompute-every-arrival policy grows roughly linearly in the cadence —
 /// comfortably past perf gate 15's 10× at cadence 64.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {
     use kcv_core::cv::SlidingWindowSelector;
@@ -1004,7 +1036,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":8,"));
+        assert!(json.starts_with("{\"version\":9,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -1165,6 +1197,11 @@ mod tests {
             crate::json::array_field(mfast, "bandwidths"),
             Some("[0.104000000000,0.088000000000]")
         );
+        assert_eq!(
+            crate::json::array_field(mfast, "bandwidths_bits"),
+            Some(format!("[\"{:016x}\",\"{:016x}\"]", 0.104f64.to_bits(), 0.088f64.to_bits())
+                .as_str())
+        );
         assert!(mfast.contains("\"bagged\":null"));
 
         // Bound the scaling slice at the streaming object so the row
@@ -1201,6 +1238,9 @@ mod tests {
         assert_eq!(u64_field(streaming, "kernel_evals"), Some(0));
         assert_eq!(f64_field(streaming, "final_bandwidth"), Some(0.052341));
         assert_eq!(f64_field(streaming, "recompute_bandwidth"), Some(0.052341));
+        let bits = format!("{:016x}", 0.052341f64.to_bits());
+        assert_eq!(str_field(streaming, "final_bandwidth_bits"), Some(bits.as_str()));
+        assert_eq!(str_field(streaming, "recompute_bandwidth_bits"), Some(bits.as_str()));
         assert_eq!(f64_field(streaming, "wall_seconds"), Some(0.011));
         assert_eq!(f64_field(streaming, "recompute_wall_seconds"), Some(0.42));
 
@@ -1227,6 +1267,14 @@ mod tests {
         assert_eq!(
             crate::json::array_field(serving, "final_bandwidths"),
             crate::json::array_field(serving, "lock_final_bandwidths"),
+        );
+        assert_eq!(
+            crate::json::array_field(serving, "final_bandwidths_bits"),
+            Some(format!("[\"{bits}\",\"{bits}\"]").as_str())
+        );
+        assert_eq!(
+            crate::json::array_field(serving, "final_bandwidths_bits"),
+            crate::json::array_field(serving, "lock_final_bandwidths_bits"),
         );
     }
 

@@ -12,12 +12,14 @@
 //!   over its Fenwick range of key slots;
 //! * [`IncrementalSelector::insert`] / [`IncrementalSelector::remove`] fold
 //!   an observation into (out of) the `O(log n)` nodes on its update path;
-//! * [`IncrementalSelector::reselect`] answers every cell exactly as the
-//!   prefix sweep does — two bisections on the **original** sorted keys
-//!   with the bit-identical `d·(1/h) ≤ r` support predicate, then the same
-//!   `O(deg²)` binomial recombination — except the boundary prefix moments
-//!   come from `O(log n)` tree descents instead of a flat table lookup.
-//!   Zero kernel evaluations, like the prefix sweep.
+//! * [`IncrementalSelector::reselect`] first reads the tree into a flat
+//!   slot table — one `O(log n)` descent per slot boundary — and then
+//!   answers every cell with the prefix sweep's own cell kernel
+//!   (`cv::window`): per-bandwidth window cursors on the **original**
+//!   sorted keys with the bit-identical `d·(1/h) ≤ r` support predicate,
+//!   and the precombined kernel polynomial against flat-table rows, plus
+//!   the closed-form duplicate-key term. Zero kernel evaluations, like the
+//!   prefix sweep.
 //!
 //! ## The key pool and amortised folding
 //!
@@ -47,7 +49,7 @@
 //! ## Agreement with the fresh prefix sweep
 //!
 //! Support classification is bit-identical to [`super::prefix`] by
-//! construction: the bisection predicate runs on the original keys, dead
+//! construction: the support predicate runs on the original keys, dead
 //! slots carry an **exactly zero** count (the `m = 0` moment row only ever
 //! accumulates `±1.0`, which Neumaier summation tracks exactly), and a
 //! side whose live count is zero contributes exactly-zero moments just as
@@ -67,12 +69,13 @@
 //!
 //! [`SlidingWindowSelector`] wraps the engine for the streaming use case:
 //! capacity `W`, evict-oldest, and a configurable re-selection cadence that
-//! amortises one `O(k·(log n + deg²)·n_window)` sweep across many `O(log n)`
-//! arrivals — the `streaming` bench binary measures the resulting
+//! amortises one `O(W·log W·(deg+3) + k·W·deg²)` re-selection across many
+//! `O(log W)` arrivals — the `streaming` bench binary measures the resulting
 //! throughput against recompute-from-scratch per arrival.
 
 use std::collections::VecDeque;
 
+use super::window::{LcCell, WindowCursors};
 use super::{CvOptimum, CvProfile};
 use crate::error::{Error, Result};
 use crate::grid::BandwidthGrid;
@@ -136,8 +139,6 @@ pub struct IncrementalSelector<K> {
     pending: Vec<(f64, f64)>,
     /// Total live observations (pooled + pending).
     live_obs: usize,
-    /// Flattened `(max_m+1)²` Pascal triangle, as in the prefix tables.
-    binom: Vec<f64>,
 }
 
 impl<K: PolynomialKernel> IncrementalSelector<K> {
@@ -146,15 +147,6 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
         let deg = kernel.coeffs().len() - 1;
         let max_m = deg + 2;
-        let bw = max_m + 1;
-        let mut binom = vec![0.0; bw * bw];
-        for j in 0..=max_m {
-            binom[j * bw] = 1.0;
-            for m in 1..=j {
-                binom[j * bw + m] =
-                    binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
-            }
-        }
         Self {
             kernel,
             grid,
@@ -163,10 +155,9 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
             keys: Vec::new(),
             ys: Vec::new(),
             dead_slots: 0,
-            tree: vec![NeumaierSum::new(); bw * 2],
+            tree: vec![NeumaierSum::new(); 2 * (max_m + 1)],
             pending: Vec::new(),
             live_obs: 0,
-            binom,
         }
     }
 
@@ -360,8 +351,10 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         self.dead_slots = 0;
 
         let p = self.keys.len();
-        self.tree.clear();
-        self.tree.resize((p + 1) * b, NeumaierSum::new());
+        // A fresh exact-size tree: resizing in place would keep the Vec's
+        // amortised-growth slack (up to 2× per selector), and how much of it
+        // accrues depends on how often folds happen to run.
+        self.tree = vec![NeumaierSum::new(); (p + 1) * b];
         let mut writes = 0u64;
         for s in 0..p {
             let off = (s + 1) * b;
@@ -395,12 +388,32 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         kcv_obs::add(kcv_obs::Counter::TreeUpdates, writes);
     }
 
+    /// Reads the Fenwick tree into a flat slot table: row `t` holds the
+    /// local-constant prefix moments `Σ x'^m` (offset `m`) and `Σ y·x'^m`
+    /// (offset `deg + 1 + m`), `m ≤ deg`, over slots `[0, t)`, for every
+    /// boundary `t = 0..=slots`. One [`prefix_moments`](Self::prefix_moments)
+    /// descent per boundary, `O(W·log W·(deg+3))`, so every row is
+    /// bit-identical to the descent it replaces.
+    fn flat_table(&self, deg: usize) -> Vec<f64> {
+        let w = deg + 1;
+        let mut pref = MomentVec::new(self.max_m);
+        let mut rows = Vec::with_capacity((self.keys.len() + 1) * 2 * w);
+        for t in 0..=self.keys.len() {
+            self.prefix_moments(t, &mut pref);
+            rows.extend_from_slice(&pref.dp[..w]);
+            rows.extend_from_slice(&pref.dq[..w]);
+        }
+        rows
+    }
+
     /// Re-scores the whole bandwidth grid over the current live set —
-    /// `O(k·(log n + deg²))` per live observation, zero kernel evaluations —
-    /// and returns the CV profile. Folds any pending arrivals first, so the
-    /// sweep always runs against a compact, residue-free tree unless only
-    /// removals happened since the last fold (in which case dead slots
-    /// contribute exactly-zero counts and the sweep proceeds in place).
+    /// one flat-table read of the tree, then an amortised `O(deg²)` cell per
+    /// live observation and bandwidth, `O(W·log W·(deg+3) + k·W·deg²)` in
+    /// all, zero kernel evaluations — and returns the CV profile. Folds any
+    /// pending arrivals first, so the sweep always runs against a compact,
+    /// residue-free tree unless only removals happened since the last fold
+    /// (in which case dead slots contribute exactly-zero counts and the
+    /// sweep proceeds in place).
     pub fn reselect(&mut self) -> Result<CvProfile> {
         if !self.pending.is_empty()
             || self.dead_slots > 64.max((self.keys.len() - self.dead_slots) / 2)
@@ -415,104 +428,57 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         kcv_obs::add(kcv_obs::Counter::Reselects, 1);
 
         let coeffs = self.kernel.coeffs();
+        let deg = coeffs.len() - 1;
         let radius = self.kernel.radius();
         let hs = self.grid.values();
+        let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
         let k = hs.len();
-        let mm = self.max_m;
-        let bw = mm + 1;
+        let b = 2 * (deg + 1);
+        let rows = self.flat_table(deg);
+        let row = |t: usize| &rows[t * b..(t + 1) * b];
 
         let mut sq_sums = vec![0.0; k];
         let mut included = vec![0usize; k];
-        let mut npow = vec![0.0; bw];
-        let mut pref_s = MomentVec::new(mm);
-        let mut pref_s1 = MomentVec::new(mm);
-        let mut pref_lo = MomentVec::new(mm);
-        let mut pref_hi = MomentVec::new(mm);
-        let mut w_left = vec![0.0; bw];
-        let mut wy_left = vec![0.0; bw];
-        let mut w_right = vec![0.0; bw];
-        let mut wy_right = vec![0.0; bw];
-
+        let mut cursors = WindowCursors::new(k);
+        let mut cell = LcCell::new(coeffs, deg + 1);
         let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
         for s in 0..self.keys.len() {
             let cnt = self.ys[s].len();
             if cnt == 0 {
                 continue;
             }
-            let xc_i = self.keys[s] - self.center;
             let mut sy_slot = NeumaierSum::new();
             for &v in &self.ys[s] {
                 sy_slot.add(v);
             }
             let sy_slot = sy_slot.value();
-            // Boundary prefixes at the self slot are bandwidth-independent;
-            // hoist them out of the grid loop.
-            self.prefix_moments(s, &mut pref_s);
-            self.prefix_moments(s + 1, &mut pref_s1);
-            npow[0] = 1.0;
-            for m in 1..=mm {
-                npow[m] = npow[m - 1] * (-xc_i);
-            }
-
-            for di in 0..cnt {
-                let yi = self.ys[s][di];
-                let mut lo = s;
-                let mut hi = s + 1;
-                for (m_idx, &h) in hs.iter().enumerate() {
-                    let inv_h = 1.0 / h;
-                    (lo, hi) = support_window_slots(&self.keys, s, inv_h, radius, lo, hi);
-                    queries.incr(1);
-                    self.prefix_moments(lo, &mut pref_lo);
-                    self.prefix_moments(hi, &mut pref_hi);
-
-                    // Exact live counts per side: the m = 0 row only ever
-                    // accumulated ±1.0, so these are integers and a dead or
-                    // removed slot contributes exactly nothing.
-                    let left_cnt = pref_s.dp[0] - pref_lo.dp[0];
-                    let right_cnt = pref_hi.dp[0] - pref_s1.dp[0];
-                    let dup_cnt = (cnt - 1) as f64;
-                    if left_cnt + right_cnt + dup_cnt == 0.0 {
-                        // Empty leave-one-out window: excluded, exactly as a
-                        // fresh prefix run classifies it.
-                        continue;
-                    }
-
-                    for j in 0..=mm {
-                        let row = &self.binom[j * bw..j * bw + j + 1];
-                        let (mut sl, mut syl, mut sr, mut syr) = (0.0, 0.0, 0.0, 0.0);
-                        for (m, &c) in row.iter().enumerate() {
-                            let coeff = c * npow[j - m];
-                            sl += coeff * (pref_s.dp[m] - pref_lo.dp[m]);
-                            syl += coeff * (pref_s.dq[m] - pref_lo.dq[m]);
-                            sr += coeff * (pref_hi.dp[m] - pref_s1.dp[m]);
-                            syr += coeff * (pref_hi.dq[m] - pref_s1.dq[m]);
-                        }
-                        w_left[j] = sl;
-                        wy_left[j] = syl;
-                        w_right[j] = sr;
-                        wy_right[j] = syr;
-                    }
-                    // Same-key neighbours in closed form: (x_l − x_i)^j is
-                    // exactly zero for j > 0 and one for j = 0.
-                    w_right[0] += dup_cnt;
-                    wy_right[0] += sy_slot - yi;
-
-                    let mut hp = 1.0;
-                    let mut num = 0.0;
-                    let mut den = 0.0;
-                    let mut sign = 1.0;
-                    for (j, &cf) in coeffs.iter().enumerate() {
-                        let s_j = w_right[j] + sign * w_left[j];
-                        let sy_j = wy_right[j] + sign * wy_left[j];
-                        num += cf * hp * sy_j;
-                        den += cf * hp * s_j;
-                        hp *= inv_h;
-                        sign = -sign;
-                    }
-                    if den > 0.0 {
-                        let resid = yi - num / den;
-                        sq_sums[m_idx] += resid * resid;
-                        included[m_idx] += 1;
+            // Dead slots are skipped, so s may jump: the cursors still only
+            // step right.
+            cursors.seek(&self.keys, s, &inv_hs, radius);
+            cell.prepare(self.keys[s] - self.center, row(s), row(s + 1));
+            let dup_cnt = (cnt - 1) as f64;
+            for (m, &inv_h) in inv_hs.iter().enumerate() {
+                let (lo, hi) = cursors.window(m);
+                queries.incr(cnt as u64);
+                // Exact live counts per side: the m = 0 row only ever
+                // accumulated ±1.0, so these are integers and a dead or
+                // removed slot contributes exactly nothing.
+                let left_cnt = row(s)[0] - row(lo)[0];
+                let right_cnt = row(hi)[0] - row(s + 1)[0];
+                if left_cnt + right_cnt + dup_cnt == 0.0 {
+                    // Empty leave-one-out window: excluded, exactly as a
+                    // fresh prefix run classifies it.
+                    continue;
+                }
+                let (num, den) = cell.eval(inv_h, row(lo), row(hi));
+                // Same-key neighbours in closed form: each sits at u = 0
+                // with weight c_0 and contributes its own y.
+                let den = den + coeffs[0] * dup_cnt;
+                if den > 0.0 {
+                    for &yi in &self.ys[s] {
+                        let resid = yi - (num + coeffs[0] * (sy_slot - yi)) / den;
+                        sq_sums[m] += resid * resid;
+                        included[m] += 1;
                     }
                 }
             }
@@ -528,44 +494,6 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     }
 }
 
-/// Slot-level twin of the prefix sweep's `support_window`: resolves the
-/// distinct-key slot range `[lo, hi)` in support of the observation at slot
-/// `si` for bandwidth `1/inv_h`, narrowing monotonically from the previous
-/// (smaller-bandwidth) window. Same predicate on the same original keys,
-/// so slot membership matches the fresh prefix sweep's index membership
-/// exactly.
-#[inline]
-fn support_window_slots(
-    keys: &[f64],
-    si: usize,
-    inv_h: f64,
-    radius: f64,
-    lo_prev: usize,
-    hi_prev: usize,
-) -> (usize, usize) {
-    let xi = keys[si];
-    let (mut a, mut b) = (0usize, lo_prev);
-    while a < b {
-        let mid = (a + b) / 2;
-        if (xi - keys[mid]) * inv_h <= radius {
-            b = mid;
-        } else {
-            a = mid + 1;
-        }
-    }
-    let lo = a;
-    let (mut a, mut b) = (hi_prev, keys.len());
-    while a < b {
-        let mid = (a + b) / 2;
-        if (keys[mid] - xi) * inv_h <= radius {
-            a = mid + 1;
-        } else {
-            b = mid;
-        }
-    }
-    (lo, a)
-}
-
 /// A fixed-capacity sliding window over a stream of observations, re-selecting
 /// the bandwidth every `cadence` arrivals through an [`IncrementalSelector`].
 ///
@@ -574,7 +502,7 @@ fn support_window_slots(
 /// cadence fires and at least two observations are live — runs a full
 /// [`IncrementalSelector::reselect`], caching the optimum for
 /// [`current`](Self::current). The amortised per-arrival cost is
-/// `O(log W + (k·(log W + deg²)·W)/cadence)`.
+/// `O(log W + (W·log W·(deg+3) + k·W·deg²)/cadence)`.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowSelector<K> {
     inner: IncrementalSelector<K>,
@@ -814,6 +742,56 @@ mod tests {
             sel.insert(xi, yi).unwrap();
         }
         assert_agrees(&mut sel, &x, &y, &Epanechnikov);
+    }
+
+    #[test]
+    fn flat_table_reads_the_tree_bit_for_bit_with_dead_slots_and_duplicates() {
+        // 40 distinct keys, each held three times; after a fold, every
+        // observation of each fifth key leaves (dead slots) and one copy of
+        // each other key leaves (shrunken duplicate slots).
+        let mut rng = SplitMix64::new(40);
+        let obs: Vec<(f64, f64)> = (0..120)
+            .map(|i| {
+                let key = (i % 40) as f64 / 40.0 + 0.003;
+                (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
+            })
+            .collect();
+        let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
+        let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
+        let mut sel = IncrementalSelector::new(Epanechnikov, grid);
+        for &(xi, yi) in &obs {
+            sel.insert(xi, yi).unwrap();
+        }
+        sel.reselect().unwrap();
+        let mut live = Vec::new();
+        for (i, &(xi, yi)) in obs.iter().enumerate() {
+            if i % 5 == 0 || i < 40 {
+                assert!(sel.remove(xi, yi));
+            } else {
+                live.push((xi, yi));
+            }
+        }
+        assert_eq!(sel.len(), live.len());
+        assert!(sel.dead_slots > 0 && sel.pending.is_empty(), "no dead slots to read");
+
+        let deg = Epanechnikov.coeffs().len() - 1;
+        let b = 2 * (deg + 1);
+        let rows = sel.flat_table(deg);
+        assert_eq!(rows.len(), (sel.keys.len() + 1) * b);
+        let mut pref = MomentVec::new(sel.max_m);
+        for t in 0..=sel.keys.len() {
+            sel.prefix_moments(t, &mut pref);
+            let row = &rows[t * b..(t + 1) * b];
+            for m in 0..=deg {
+                assert_eq!(row[m].to_bits(), pref.dp[m].to_bits(), "row {t}, P_{m}");
+                assert_eq!(row[deg + 1 + m].to_bits(), pref.dq[m].to_bits(), "row {t}, Q_{m}");
+            }
+        }
+
+        // The reselect reads the same unfolded tree (dead slots in place).
+        let (x, y): (Vec<f64>, Vec<f64>) = live.into_iter().unzip();
+        assert_agrees(&mut sel, &x, &y, &Epanechnikov);
+        assert!(sel.dead_slots > 0, "reselect folded the dead slots away");
     }
 
     #[test]

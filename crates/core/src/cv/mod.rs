@@ -16,13 +16,17 @@
 //! |---|---|---|---|
 //! | [`naive`] | oracle | `O(k·n²)` | any kernel |
 //! | [`sorted`] | the paper's reproduction | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
-//! | [`prefix`] | production, batch | `O(n log n + n·k·(log n + deg²))` total (window queries over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | production, streaming | `O(log n)` insert/remove, `O(k·(log n + deg²)·n)` reselect (Fenwick moment tree) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`prefix`] | production, batch | `O(n log n + n·k·deg²)` amortised total (window cursors over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`incremental`] | production, streaming | `O(log n)` insert/remove, `O(n·log n·(deg+3) + k·n·deg²)` reselect (Fenwick moment tree read into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
 //!
 //! `sorted` is the paper's first contribution; `prefix` drops the
 //! per-observation sort and the per-neighbour scan, answering each
 //! `(observation, bandwidth)` cell from compensated global moment prefix
-//! sums. Every batch profile — the local-constant ones above and the
+//! sums. `prefix` and `incremental` share one cell kernel (private module
+//! `window`): monotone per-bandwidth window cursors and the kernel
+//! polynomial precombined about each observation.
+//!
+//! Every batch profile — the local-constant ones above and the
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
 //! observations through one observation fold, sequentially or split across host
 //! cores (the `_par` entry points; the paper's SPMD parallelisation, whose
@@ -42,6 +46,7 @@ pub mod naive;
 pub mod prefix;
 pub mod sorted;
 pub mod sorted_ll;
+mod window;
 
 pub use incremental::{IncrementalSelector, SlidingWindowSelector};
 pub use naive::{cv_profile_naive, cv_profile_naive_par, cv_score_single};

@@ -21,18 +21,25 @@
 //! ```
 //!
 //! so one `O(n log n)` argsort plus one `O(n·deg)` prefix-building pass
-//! replaces the entire `n²` term, and each `(observation, bandwidth)` cell
-//! then costs one support-window resolution (two binary searches on the
-//! bit-identical `d/h ≤ r` predicate, `O(log n)`) plus an `O(deg²)`
-//! binomial assembly:
+//! replaces the entire `n²` term. Each `(observation, bandwidth)` cell then
+//! costs `O(1)` amortised window work and a fixed `O(deg²)`-flop assembly
+//! (the shared cell kernel in `cv::window`):
+//!
+//! * the support window comes from a per-bandwidth cursor that only steps
+//!   right as the observation index grows, on the bit-identical `d/h ≤ r`
+//!   predicate — the fast-sum-updating sweep of Langrené & Warin (2018).
+//!   Bisection only seeds the cursors at a fold chunk's first observation;
+//! * the kernel polynomial is expanded about `x_i` once per observation,
+//!   so a cell is one Horner evaluation in `1/h` of the `deg + 1`
+//!   per-moment coefficients and two dot products against prefix
+//!   differences.
 //!
 //! ```text
-//! O(n log n + n·k·(log n + deg²))
+//! O(n log n + n·k·deg²) amortised, plus O(k·log n) seeding per fold chunk
 //! ```
 //!
-//! versus the sorted sweep's `O(n² log n + n·k·deg)` — this is the
-//! fast-sum-updating idea of Langrené & Warin (2018) pushed one step
-//! further, to closed-form leave-one-out CV over the whole grid.
+//! versus the sorted sweep's `O(n² log n + n·k·deg)` — closed-form
+//! leave-one-out CV over the whole grid with no per-neighbour work.
 //!
 //! ## Bit-identical classification, documented-tolerance scores
 //!
@@ -72,6 +79,7 @@
 //! the general-position fallback.
 
 use super::fold::fold_observations;
+use super::window::{pascal, LcCell, WindowCursors};
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
@@ -94,14 +102,13 @@ struct PrefixTables {
     /// Midrange-centred copy of `xs` (moment assembly runs on these for
     /// conditioning; see the module docs).
     xc: Vec<f64>,
-    /// Flattened `(max_m+1) × (n+1)` prefix sums: `px[m·(n+1) + t]` is
-    /// `Σ_{l<t} xc[l]^m` (so `px[m·(n+1)] = 0` and range sums are
-    /// differences of two entries).
-    px: Vec<f64>,
-    /// Same layout, `y`-weighted: `Σ_{l<t} ys[l]·xc[l]^m`.
-    py: Vec<f64>,
-    /// Flattened `(max_m+1) × (max_m+1)` Pascal triangle:
-    /// `binom[j·(max_m+1) + m] = C(j, m)` for `m ≤ j`.
+    /// Row-major `(n+1) × 2(max_m+1)` prefix rows: row `t` holds
+    /// `Σ_{l<t} xc[l]^m` at offset `m`, then `Σ_{l<t} ys[l]·xc[l]^m` at
+    /// offset `max_m + 1 + m` (so row 0 is all zero and range sums are
+    /// differences of two rows).
+    rows: Vec<f64>,
+    /// Flattened `(max_m+1) × (max_m+1)` Pascal triangle
+    /// ([`super::window::pascal`]).
     binom: Vec<f64>,
     /// Highest prefix moment stored (`deg` for local-constant, `deg + 2`
     /// for local-linear).
@@ -112,7 +119,7 @@ struct PrefixTables {
 
 impl PrefixTables {
     /// Argsorts `(x, y)` globally and builds the compensated prefix-moment
-    /// tables up to moment `max_m`.
+    /// rows up to moment `max_m`.
     fn build(x: &[f64], y: &[f64], max_m: usize) -> Self {
         let (xs, ys) = {
             let _sort = kcv_obs::phase("cv.argsort");
@@ -126,39 +133,36 @@ impl PrefixTables {
         let center = 0.5 * (xs[0] + xs[n - 1]);
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
 
-        let stride = n + 1;
-        let mut px = vec![0.0; (max_m + 1) * stride];
-        let mut py = vec![0.0; (max_m + 1) * stride];
-        let mut accx = vec![NeumaierSum::new(); max_m + 1];
-        let mut accy = vec![NeumaierSum::new(); max_m + 1];
-        for t in 0..n {
+        let w = max_m + 1;
+        let mut rows = vec![0.0; (n + 1) * 2 * w];
+        let mut accx = vec![NeumaierSum::new(); w];
+        let mut accy = vec![NeumaierSum::new(); w];
+        for (t, row) in rows.chunks_exact_mut(2 * w).skip(1).enumerate() {
             let v = xc[t];
             let yv = ys[t];
             let mut pw = 1.0;
-            for m in 0..=max_m {
+            for m in 0..w {
                 accx[m].add(pw);
                 accy[m].add(yv * pw);
-                px[m * stride + t + 1] = accx[m].value();
-                py[m * stride + t + 1] = accy[m].value();
+                row[m] = accx[m].value();
+                row[w + m] = accy[m].value();
                 pw *= v;
             }
         }
 
-        let bw = max_m + 1;
-        let mut binom = vec![0.0; bw * bw];
-        for j in 0..=max_m {
-            binom[j * bw] = 1.0;
-            for m in 1..=j {
-                binom[j * bw + m] =
-                    binom[(j - 1) * bw + m - 1] + if m < j { binom[(j - 1) * bw + m] } else { 0.0 };
-            }
-        }
-
-        Self { xs, ys, xc, px, py, binom, max_m, n }
+        Self { xs, ys, xc, rows, binom: pascal(max_m), max_m, n }
     }
 
-    /// Writes the windowed moments over sorted index range `[a, b)` into
-    /// `w`/`wy` for every `j = 0..=max_m`:
+    /// Prefix row `t` (`0 ≤ t ≤ n`).
+    #[inline]
+    fn row(&self, t: usize) -> &[f64] {
+        let b = 2 * (self.max_m + 1);
+        &self.rows[t * b..(t + 1) * b]
+    }
+
+    /// Writes the windowed moments over the sorted index range between
+    /// prefix rows `row_a` and `row_b` into `w`/`wy` for every
+    /// `j = 0..=max_m`:
     ///
     /// ```text
     /// w[j]  = Σ_{l∈[a,b)} (xc[l] − xc[i])^j
@@ -167,14 +171,19 @@ impl PrefixTables {
     ///
     /// via the binomial expansion over prefix differences. `npow[t]` must
     /// hold `(−xc[i])^t`. `O(max_m²)` — independent of the window size.
-    fn window_moments(&self, a: usize, b: usize, npow: &[f64], scratch: &mut MomentScratch) {
-        let stride = self.n + 1;
-        for m in 0..=self.max_m {
-            scratch.dp[m] = self.px[m * stride + b] - self.px[m * stride + a];
-            scratch.dq[m] = self.py[m * stride + b] - self.py[m * stride + a];
-        }
+    fn window_moments(
+        &self,
+        row_a: &[f64],
+        row_b: &[f64],
+        npow: &[f64],
+        scratch: &mut MomentScratch,
+    ) {
         let bw = self.max_m + 1;
-        for j in 0..=self.max_m {
+        for m in 0..bw {
+            scratch.dp[m] = row_b[m] - row_a[m];
+            scratch.dq[m] = row_b[bw + m] - row_a[bw + m];
+        }
+        for j in 0..bw {
             let row = &self.binom[j * bw..j * bw + j + 1];
             let mut s = 0.0;
             let mut sy = 0.0;
@@ -189,7 +198,8 @@ impl PrefixTables {
     }
 }
 
-/// Per-side workspace for one binomial assembly (all `max_m + 1` long).
+/// Per-side workspace for one local-linear binomial assembly (all
+/// `max_m + 1` long).
 #[derive(Debug, Clone)]
 struct MomentScratch {
     /// Prefix differences `P_m[b] − P_m[a]`.
@@ -209,117 +219,57 @@ impl MomentScratch {
     }
 }
 
-/// Per-observation workspace for the prefix sweep: powers of `−xc[i]` plus
-/// one [`MomentScratch`] per window side. No `n`-sized buffers anywhere.
-struct PrefixScratch {
+/// Everything one observation step reads: the shared tables, the kernel
+/// polynomial and the ascending bandwidth list with its inverses.
+struct Sweep<'a> {
+    t: PrefixTables,
+    coeffs: &'a [f64],
+    radius: f64,
+    hs: &'a [f64],
+    /// `1.0 / h` per bandwidth, the factor of the support predicate.
+    inv_hs: Vec<f64>,
+}
+
+/// Per-worker workspace of the local-constant step: window cursors plus
+/// the precombined kernel polynomial. No `n`-sized buffers anywhere.
+struct LcScratch {
+    cursors: WindowCursors,
+    cell: LcCell,
+}
+
+/// Per-worker workspace of the local-linear step: window cursors, powers
+/// of `−xc[i]` and one [`MomentScratch`] per window side.
+struct LlScratch {
+    cursors: WindowCursors,
     npow: Vec<f64>,
     left: MomentScratch,
     right: MomentScratch,
 }
 
-impl PrefixScratch {
-    fn new(max_m: usize) -> Self {
-        Self {
-            npow: vec![0.0; max_m + 1],
-            left: MomentScratch::new(max_m),
-            right: MomentScratch::new(max_m),
-        }
-    }
-}
-
-/// Resolves the support window `[lo, hi)` of the observation at sorted
-/// position `si` for bandwidth `1/inv_h`, narrowing monotonically from the
-/// previous (smaller-bandwidth) window: `lo` is searched in `[0, lo_prev]`,
-/// `hi` in `[hi_prev, n]`. The predicate is the bit-identical
-/// `d·(1/h) ≤ r` every other strategy uses, evaluated on the original
-/// sorted coordinates, so the returned membership set matches
-/// naive/sorted exactly. Costs at most `~2·⌈log₂ n⌉` probes.
-#[inline]
-fn support_window(
-    xs: &[f64],
-    si: usize,
-    inv_h: f64,
-    radius: f64,
-    lo_prev: usize,
-    hi_prev: usize,
-) -> (usize, usize) {
-    let xi = xs[si];
-    // Leftmost l with (xi − xs[l])·inv_h ≤ r; l = si trivially qualifies.
-    let (mut a, mut b) = (0usize, lo_prev);
-    while a < b {
-        let mid = (a + b) / 2;
-        if (xi - xs[mid]) * inv_h <= radius {
-            b = mid;
-        } else {
-            a = mid + 1;
-        }
-    }
-    let lo = a;
-    // One past the rightmost l with (xs[l] − xi)·inv_h ≤ r.
-    let (mut a, mut b) = (hi_prev, xs.len());
-    while a < b {
-        let mid = (a + b) / 2;
-        if (xs[mid] - xi) * inv_h <= radius {
-            a = mid + 1;
-        } else {
-            b = mid;
-        }
-    }
-    (lo, a)
-}
-
 /// Adds the contribution of the observation at sorted position `si` —
 /// `(Y_i − ĝ_{-i}(X_i))² M(X_i)` at every grid bandwidth — into
-/// `sq_sums`/`included`, local-constant form. Per bandwidth: one window
-/// query + `O(deg²)` assembly; no per-neighbour work at all.
-#[allow(clippy::too_many_arguments)]
+/// `sq_sums`/`included`, local-constant form. Per bandwidth: an amortised
+/// `O(1)` cursor step and one precombined cell; no per-neighbour work.
 fn accumulate_observation_prefix(
     si: usize,
-    t: &PrefixTables,
-    coeffs: &[f64],
-    radius: f64,
-    hs: &[f64],
-    scratch: &mut PrefixScratch,
+    sw: &Sweep<'_>,
+    scratch: &mut LcScratch,
     sq_sums: &mut [f64],
     included: &mut [usize],
 ) {
-    let n = t.n;
+    let t = &sw.t;
     let yi = t.ys[si];
-    let neg_xi = -t.xc[si];
-    scratch.npow[0] = 1.0;
-    for m in 1..=t.max_m {
-        scratch.npow[m] = scratch.npow[m - 1] * neg_xi;
-    }
+    scratch.cursors.seek(&t.xs, si, &sw.inv_hs, sw.radius);
+    scratch.cell.prepare(t.xc[si], t.row(si), t.row(si + 1));
 
-    let mut lo = si;
-    let mut hi = si + 1;
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (m, &h) in hs.iter().enumerate() {
-        let inv_h = 1.0 / h;
-        (lo, hi) = support_window(&t.xs, si, inv_h, radius, lo, hi);
+    for (m, &inv_h) in sw.inv_hs.iter().enumerate() {
+        let (lo, hi) = scratch.cursors.window(m);
         queries.incr(1);
-        skipped.incr((n - (hi - lo)) as u64);
-
-        // Window moments on each side of i; the split excludes i itself.
-        t.window_moments(lo, si, &scratch.npow, &mut scratch.left);
-        t.window_moments(si + 1, hi, &scratch.npow, &mut scratch.right);
-
-        // d = x_i − x_l on the left, x_l − x_i on the right, so
-        // S_j = W_j^right + (−1)^j · W_j^left; then the usual
-        // N/D = Σ_j c_j h^{-j} · {SY_j, S_j} assembly.
-        let mut hp = 1.0;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        let mut sign = 1.0;
-        for (j, &cf) in coeffs.iter().enumerate() {
-            let s_j = scratch.right.w[j] + sign * scratch.left.w[j];
-            let sy_j = scratch.right.wy[j] + sign * scratch.left.wy[j];
-            num += cf * hp * sy_j;
-            den += cf * hp * s_j;
-            hp *= inv_h;
-            sign = -sign;
-        }
+        skipped.incr((t.n - (hi - lo)) as u64);
+        // The split at si excludes i itself from both sides.
+        let (num, den) = scratch.cell.eval(inv_h, t.row(lo), t.row(hi));
         if den > 0.0 {
             let resid = yi - num / den;
             sq_sums[m] += resid * resid;
@@ -331,38 +281,35 @@ fn accumulate_observation_prefix(
 /// Local-linear twin of [`accumulate_observation_prefix`]: assembles the
 /// five signed moments `S_0..S_2, T_0..T_1` of [`super::sorted_ll`] from
 /// window moments up to `deg + 2` (`|e|^q·e^j` is `±e^{q+j}` by side) and
-/// feeds `solve_local_linear`.
-#[allow(clippy::too_many_arguments)]
+/// feeds `solve_local_linear`. Shares the cursors and hoisted self rows
+/// with the local-constant step but keeps its own binomial assembly.
 fn accumulate_observation_prefix_ll(
     si: usize,
-    t: &PrefixTables,
-    coeffs: &[f64],
-    radius: f64,
-    hs: &[f64],
-    scratch: &mut PrefixScratch,
+    sw: &Sweep<'_>,
+    scratch: &mut LlScratch,
     sq_sums: &mut [f64],
     included: &mut [usize],
 ) {
-    let n = t.n;
+    let t = &sw.t;
     let yi = t.ys[si];
     let neg_xi = -t.xc[si];
     scratch.npow[0] = 1.0;
     for m in 1..=t.max_m {
         scratch.npow[m] = scratch.npow[m - 1] * neg_xi;
     }
+    scratch.cursors.seek(&t.xs, si, &sw.inv_hs, sw.radius);
+    let (row_si, row_si1) = (t.row(si), t.row(si + 1));
 
-    let mut lo = si;
-    let mut hi = si + 1;
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (m, &h) in hs.iter().enumerate() {
-        let inv_h = 1.0 / h;
-        (lo, hi) = support_window(&t.xs, si, inv_h, radius, lo, hi);
+    for (m, (&h, &inv_h)) in sw.hs.iter().zip(&sw.inv_hs).enumerate() {
+        let (lo, hi) = scratch.cursors.window(m);
         queries.incr(1);
-        skipped.incr((n - (hi - lo)) as u64);
+        skipped.incr((t.n - (hi - lo)) as u64);
 
-        t.window_moments(lo, si, &scratch.npow, &mut scratch.left);
-        t.window_moments(si + 1, hi, &scratch.npow, &mut scratch.right);
+        // Window moments on each side of i; the split excludes i itself.
+        t.window_moments(t.row(lo), row_si, &scratch.npow, &mut scratch.left);
+        t.window_moments(row_si1, t.row(hi), &scratch.npow, &mut scratch.right);
 
         // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
         // right and (−1)^q·e^{q+j} on the left, so
@@ -375,7 +322,7 @@ fn accumulate_observation_prefix_ll(
         let mut t0 = 0.0;
         let mut t1 = 0.0;
         let mut sign = 1.0;
-        for (q, &cq) in coeffs.iter().enumerate() {
+        for (q, &cq) in sw.coeffs.iter().enumerate() {
             let c = cq * hp;
             s0 += c * (scratch.right.w[q] + sign * scratch.left.w[q]);
             s1 += c * (scratch.right.w[q + 1] + sign * scratch.left.w[q + 1]);
@@ -397,11 +344,11 @@ fn accumulate_observation_prefix_ll(
 /// Shared by the public entry points below and by the d = 1 dispatch of the
 /// multivariate fast engine (`crate::multi::fast`).
 ///
-/// `hs` must be non-decreasing — the support windows narrow monotonically
-/// from one bandwidth to the next, so an out-of-order list would resolve
-/// wrong windows. Callers with an arbitrary bandwidth list sort it (with an
-/// index map) first; callers holding a [`BandwidthGrid`] are ascending by
-/// construction.
+/// `hs` must be non-decreasing — the cursors are seeded by bisections that
+/// narrow monotonically from one bandwidth to the next, so an out-of-order
+/// list would resolve wrong windows. Callers with an arbitrary bandwidth
+/// list sort it (with an index map) first; callers holding a
+/// [`BandwidthGrid`] are ascending by construction.
 pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -410,7 +357,20 @@ pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     parallel: bool,
 ) -> Result<CvProfile> {
     let deg = kernel.coeffs().len() - 1;
-    fold_prefix(x, y, hs, kernel, deg, parallel, accumulate_observation_prefix)
+    let k = hs.len();
+    fold_prefix(
+        x,
+        y,
+        hs,
+        kernel,
+        deg,
+        parallel,
+        || LcScratch {
+            cursors: WindowCursors::new(k),
+            cell: LcCell::new(kernel.coeffs(), deg + 1),
+        },
+        accumulate_observation_prefix,
+    )
 }
 
 /// The local-linear prefix-moment profile over the ascending list `hs`.
@@ -422,48 +382,64 @@ fn profile_ll<K: PolynomialKernel + ?Sized>(
     parallel: bool,
 ) -> Result<CvProfile> {
     // The slope term weights offsets quadratically: local-linear needs
-    // moments up to deg + 2, but the per-cell cost stays O(log n + deg²).
-    let deg = kernel.coeffs().len() - 1;
-    fold_prefix(x, y, hs, kernel, deg + 2, parallel, accumulate_observation_prefix_ll)
+    // moments up to deg + 2.
+    let max_m = kernel.coeffs().len() + 1;
+    let k = hs.len();
+    fold_prefix(
+        x,
+        y,
+        hs,
+        kernel,
+        max_m,
+        parallel,
+        || LlScratch {
+            cursors: WindowCursors::new(k),
+            npow: vec![0.0; max_m + 1],
+            left: MomentScratch::new(max_m),
+            right: MomentScratch::new(max_m),
+        },
+        accumulate_observation_prefix_ll,
+    )
 }
 
 /// Builds the moment tables up to `max_m` and folds `step` over every
 /// observation against them. Generic over the step, so each form's
 /// per-observation code is compiled into the fold's loop rather than called
 /// through a function pointer.
-fn fold_prefix<K, F>(
+#[allow(clippy::too_many_arguments)]
+fn fold_prefix<K, S, F>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
     kernel: &K,
     max_m: usize,
     parallel: bool,
+    new_scratch: impl Fn() -> S + Sync + Send,
     step: F,
 ) -> Result<CvProfile>
 where
     K: PolynomialKernel + ?Sized,
-    F: Fn(usize, &PrefixTables, &[f64], f64, &[f64], &mut PrefixScratch, &mut [f64], &mut [usize])
-        + Sync
-        + Send,
+    S: Send,
+    F: Fn(usize, &Sweep<'_>, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
 {
     validate_sample(x, y, 2)?;
     debug_assert!(hs.windows(2).all(|w| w[0] <= w[1]), "bandwidths must be non-decreasing");
-    let coeffs = kernel.coeffs();
-    let radius = kernel.radius();
-    let t = PrefixTables::build(x, y, max_m);
+    let sw = Sweep {
+        t: PrefixTables::build(x, y, max_m),
+        coeffs: kernel.coeffs(),
+        radius: kernel.radius(),
+        hs,
+        inv_hs: hs.iter().map(|&h| 1.0 / h).collect(),
+    };
 
     let _window = kcv_obs::phase("cv.window");
-    Ok(fold_observations(
-        t.n,
-        hs,
-        parallel,
-        || PrefixScratch::new(t.max_m),
-        |si, scratch, sq, inc| step(si, &t, coeffs, radius, hs, scratch, sq, inc),
-    ))
+    Ok(fold_observations(sw.t.n, hs, parallel, new_scratch, |si, scratch, sq, inc| {
+        step(si, &sw, scratch, sq, inc)
+    }))
 }
 
 /// Computes the CV profile with the prefix-moment sweep, sequentially:
-/// `O(n log n + n·k·(log n + deg²))` total — no per-neighbour scan.
+/// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan.
 pub fn cv_profile_prefix<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -691,6 +667,86 @@ mod tests {
         assert_eq!(prefix.included, sorted.included);
         for m in 0..grid.len() {
             assert!(approx_eq(prefix.scores[m], sorted.scores[m], 1e-7, 1e-9));
+        }
+    }
+
+    /// Every cursor window equals a fresh, un-narrowed bisection, whether
+    /// the cursors were seeded at the first observation or mid-sample (a
+    /// parallel fold chunk's first observation) and then stepped forward.
+    #[test]
+    fn cursor_windows_match_bisection_oracle() {
+        use crate::cv::window::{support_window, WindowCursors};
+        let mut rng = SplitMix64::new(41);
+        let random: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
+        let duplicates: Vec<f64> =
+            (0..300).map(|_| (rng.next_f64() * 12.0).floor() / 12.0).collect();
+        let lattice: Vec<f64> = (0..64).map(|j| j as f64 / 16.0).collect();
+        let samples = [("random", random), ("duplicates", duplicates), ("lattice", lattice)];
+        for (name, mut xs) in samples {
+            xs.sort_by(f64::total_cmp);
+            let n = xs.len();
+            let mut hs = BandwidthGrid::paper_default(&xs, 40).unwrap().values().to_vec();
+            // Power-of-two bandwidths put lattice neighbours exactly on the
+            // support boundary.
+            hs.extend([0.0625, 0.125, 0.25, 0.5]);
+            hs.sort_by(f64::total_cmp);
+            let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
+            for start in [0, n / 3, n - 1] {
+                let mut cursors = WindowCursors::new(hs.len());
+                for si in start..n {
+                    cursors.seek(&xs, si, &inv_hs, 1.0);
+                    for (m, &inv_h) in inv_hs.iter().enumerate() {
+                        assert_eq!(
+                            cursors.window(m),
+                            support_window(&xs, si, inv_h, 1.0, si, si + 1),
+                            "{name}: start {start}, observation {si}, h = {}",
+                            hs[m]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The precombined assembly against the naive oracle where the
+    /// coefficients `(−x_i)^{j−m}` are large: a translated design (the
+    /// midrange centring must absorb the shift) and a cluster with a far
+    /// outlier (most points sit far from the midrange).
+    #[test]
+    fn precombined_assembly_matches_naive_on_shifted_designs() {
+        let (x, y) = paper_dgp(120, 43);
+        let translated: Vec<f64> = x.iter().map(|&v| v + 1e4).collect();
+        let mut clustered = x.clone();
+        clustered[0] = 4.0;
+        for (name, x) in [("translated", translated), ("outlier", clustered)] {
+            let grid = BandwidthGrid::linear(0.05, 1.0, 30).unwrap();
+            for kernel in polynomial_kernels() {
+                let prefix = cv_profile_prefix(&x, &y, &grid, &*kernel).unwrap();
+                let naive = cv_profile_naive(&x, &y, &grid, &*kernel).unwrap();
+                let deg = kernel.coeffs().len() - 1;
+                let tol = match deg {
+                    0..=2 => 1e-6,
+                    3..=4 => 1e-4,
+                    _ => 1e-2,
+                };
+                assert_eq!(prefix.included, naive.included, "{name} {}", kernel.name());
+                for m in 0..grid.len() {
+                    assert!(
+                        approx_eq(prefix.scores[m], naive.scores[m], tol, 1e-9),
+                        "{name} {} h={}: {} vs {}",
+                        kernel.name(),
+                        grid.values()[m],
+                        prefix.scores[m],
+                        naive.scores[m]
+                    );
+                }
+                assert_eq!(
+                    prefix.argmin().unwrap().index,
+                    naive.argmin().unwrap().index,
+                    "{name} {}",
+                    kernel.name()
+                );
+            }
         }
     }
 

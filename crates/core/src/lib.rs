@@ -76,7 +76,7 @@
 //!   contrast) and a linear-binning accelerator.
 //! * [`cv`] — the CV profile: naive `O(k·n²)` (the oracle), sorted
 //!   `O(n² log n)` (the paper's sweep), prefix-moment
-//!   `O(n log n + n·k·(log n + deg²))` (one global argsort, no
+//!   `O(n log n + n·k·deg²)` amortised (one global argsort, no
 //!   per-neighbour scan) and the streaming incremental engine; every batch
 //!   profile runs sequentially or rayon-parallel (SPMD) through one
 //!   observation fold; local-constant and local-linear.

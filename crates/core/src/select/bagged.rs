@@ -1,7 +1,7 @@
 //! Bagged cross-validated bandwidth selection for samples far past the
 //! paper's ceiling (Barreiro-Ures, Cao & Francisco-Fernández).
 //!
-//! Every strategy in this crate — even the `O(n log n + n·k·(log n + deg²))`
+//! Every strategy in this crate — even the `O(n log n + n·k·deg²)`
 //! prefix-moment sweep — still touches all `n` observations per selection,
 //! so at `n` in the millions a single full-data CV pass dominates the run.
 //! Barreiro-Ures et al. ("Bagging cross-validated bandwidth selection in
@@ -73,9 +73,9 @@ pub enum BagEngine {
     /// The paper's per-observation sort + ascending sweep, `O(r² log r)`.
     SortedSweep,
     /// Window queries over compensated moment prefix sums,
-    /// `O(r log r + r·k·(log r + deg²))` — the default: it keeps each bag
+    /// `O(r log r + r·k·deg²)` — the default: it keeps each bag
     /// at the Langrené & Warin fast-sum-updating cost, so the whole bagged
-    /// run is `O(B·r·k·polylog r)`.
+    /// run is `O(B·r·(log r + k·deg²))`.
     #[default]
     PrefixMoments,
 }

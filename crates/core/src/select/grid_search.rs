@@ -23,9 +23,9 @@ pub enum Strategy {
     #[default]
     SortedSweep,
     /// One global argsort plus compensated prefix sums of `x^m`/`y·x^m`,
-    /// then per `(observation, bandwidth)` cell a binary-search support
-    /// window and an `O(deg²)` binomial assembly:
-    /// `O(n log n + n·k·(log n + deg²))` total — no per-neighbour scan at
+    /// then per `(observation, bandwidth)` cell an amortised `O(1)` cursor
+    /// step to the support window and an `O(deg²)` polynomial evaluation:
+    /// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan at
     /// all. Requires a one-dimensional regressor.
     PrefixMoments,
 }
@@ -103,7 +103,7 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
 
     /// Sequential prefix-moment grid search ([`Strategy::PrefixMoments`]):
     /// the per-neighbour scan replaced by window queries over global
-    /// compensated moment prefix sums — `O(n log n + n·k·(log n + deg²))`
+    /// compensated moment prefix sums — `O(n log n + n·k·deg²)` amortised
     /// instead of the sorted sweep's `O(n² log n)`.
     ///
     /// # Examples

@@ -23,7 +23,7 @@
 //!   re-selection boundaries funds a **single** cadence `reselect()` at
 //!   the end of the burst — under load this is where the service's
 //!   throughput over a global-lock stream map comes from, because the
-//!   `O(W·k·(log W + deg²))` re-selection dominates the `O(log W)`
+//!   `O(W·log W·(deg+3) + k·W·deg²)` re-selection dominates the `O(log W)`
 //!   per-arrival tree update. With `conflate` off the worker re-selects
 //!   exactly when a sequential
 //!   [`SlidingWindowSelector::push`](kcv_core::cv::incremental::SlidingWindowSelector::push)
