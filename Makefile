@@ -5,7 +5,7 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify build test test-metrics doc clippy perf-gate multi-smoke bench-report scaling streaming serve clean
+.PHONY: verify build test test-metrics doc clippy perf-gate multi-smoke perfbench-smoke bench-report scaling streaming serve clean
 
 ## The full PR gate: build, tests with metrics off AND on, docs, lints,
 ## the counter-based performance gate, and the d = 2 multivariate smoke.
@@ -38,6 +38,19 @@ clippy:
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
 		--bin perf_gate -- --n 2000 --k 100
+
+## The repository benchmark's own smoke tests (perfbench/tests/smoke.rs),
+## untraced and traced: the two BENCHMARK.json workloads at smoke size plus
+## the two tests pinning BENCHMARK.json and workloads.json to the metric
+## table. serve_steady_smoke is left out: its open loop paces arrivals by
+## the wall clock, so its checks depend on host timing, and serve-steady
+## is not a BENCHMARK.json workload.
+PERFBENCH_SMOKE = oneshot_smoke serve_burst_smoke \
+	workloads_json_is_the_describe_output benchmark_json_lists_exactly_the_metric_table
+perfbench-smoke:
+	$(CARGO) test $(FLAGS) --release --manifest-path perfbench/Cargo.toml -- $(PERFBENCH_SMOKE)
+	$(CARGO) test $(FLAGS) --release --manifest-path perfbench/Cargo.toml --features metrics \
+		-- $(PERFBENCH_SMOKE)
 
 ## d = 2 smoke of the beyond-the-paper "Multi fast" program: the fast
 ## full-grid selector must reproduce the naive full-grid oracle's optimum

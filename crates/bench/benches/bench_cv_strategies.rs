@@ -3,7 +3,9 @@
 //! prefix-moment sweep drops the per-observation sort and the per-neighbour
 //! scan, answering each (obs, bandwidth) cell from global prefix sums in
 //! `O(deg²)` amortised; the parallel variants divide the per-observation work
-//! across cores (see `bench_parallel` for the sizes where that pays).
+//! across cores (see `bench_parallel` for the sizes where that pays). The
+//! `prefix_by_kernel` group times the prefix sweep once per kernel degree,
+//! so every kernel width the cell kernel is compiled for is measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcv_core::cv::{
@@ -11,7 +13,7 @@ use kcv_core::cv::{
     cv_profile_sorted_par,
 };
 use kcv_core::grid::BandwidthGrid;
-use kcv_core::kernels::Epanechnikov;
+use kcv_core::kernels::{Epanechnikov, PolynomialKernel, Quartic, Triangular, Triweight, Uniform};
 use kcv_data::{Dgp, PaperDgp};
 use kcv_gpu::{select_bandwidth_gpu, select_bandwidth_gpu_windowed, GpuConfig};
 use std::hint::black_box;
@@ -60,6 +62,22 @@ fn bench_strategies(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("prefix", k), &k, |b, _| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
+        });
+    }
+    group.finish();
+
+    // One prefix profile per shipped kernel degree (0, 1, 2, 4, 6) at the
+    // benchmark's one-shot size: each kernel runs a different width
+    // instantiation of the cell kernel.
+    let mut group = c.benchmark_group("prefix_by_kernel");
+    group.sample_size(10);
+    let s = PaperDgp.sample(20_000, 45);
+    let grid = BandwidthGrid::paper_default(&s.x, 100).unwrap();
+    let kernels: [&dyn PolynomialKernel; 5] =
+        [&Uniform, &Triangular, &Epanechnikov, &Quartic, &Triweight];
+    for kernel in kernels {
+        group.bench_function(kernel.name(), |b| {
+            b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, kernel).unwrap())
         });
     }
     group.finish();

@@ -75,7 +75,7 @@
 
 use std::collections::VecDeque;
 
-use super::window::{LcCell, WindowCursors};
+use super::window::{dispatch_width, LcCell, Row, WindowCursors};
 use super::{CvOptimum, CvProfile};
 use crate::error::{Error, Result};
 use crate::grid::BandwidthGrid;
@@ -88,37 +88,12 @@ fn lowbit(i: usize) -> usize {
     i & i.wrapping_neg()
 }
 
-/// Prefix-moment vectors at one slot boundary: `dp[m] = Σ x'^m`,
-/// `dq[m] = Σ y·x'^m` over the slots below the boundary.
+/// The kernel-independent state of an [`IncrementalSelector`]: the key
+/// pool, the pending run and the Fenwick moment tree (see the module docs).
+/// Kept apart from the kernel type so the width-generic re-selection sweep
+/// ([`reselect_pool`]) compiles once per kernel width, not once per kernel.
 #[derive(Debug, Clone)]
-struct MomentVec {
-    dp: Vec<f64>,
-    dq: Vec<f64>,
-}
-
-impl MomentVec {
-    fn new(max_m: usize) -> Self {
-        Self { dp: vec![0.0; max_m + 1], dq: vec![0.0; max_m + 1] }
-    }
-
-    fn clear(&mut self) {
-        self.dp.fill(0.0);
-        self.dq.fill(0.0);
-    }
-}
-
-/// The incremental prefix-moment selector: a dynamic observation multiset
-/// with `O(log n)` insert/remove and full-grid re-selection with zero
-/// kernel evaluations (see the module docs).
-///
-/// The bandwidth grid and centring shift are fixed at construction; the
-/// observation set evolves through [`insert`](Self::insert) /
-/// [`remove`](Self::remove), and [`reselect`](Self::reselect) scores the
-/// current live set over the whole grid.
-#[derive(Debug, Clone)]
-pub struct IncrementalSelector<K> {
-    kernel: K,
-    grid: BandwidthGrid,
+struct KeyPool {
     center: f64,
     /// Highest stored moment (`deg + 2`, matching the prefix tables'
     /// local-linear capacity; the local-constant sweep uses `j ≤ deg`).
@@ -141,15 +116,9 @@ pub struct IncrementalSelector<K> {
     live_obs: usize,
 }
 
-impl<K: PolynomialKernel> IncrementalSelector<K> {
-    /// Creates an empty selector scoring over `grid` (ascending by
-    /// construction), centred at `0.0`.
-    pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
-        let deg = kernel.coeffs().len() - 1;
-        let max_m = deg + 2;
+impl KeyPool {
+    fn new(max_m: usize) -> Self {
         Self {
-            kernel,
-            grid,
             center: 0.0,
             max_m,
             keys: Vec::new(),
@@ -159,37 +128,6 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
             pending: Vec::new(),
             live_obs: 0,
         }
-    }
-
-    /// Sets the centring shift for the stored moments (conditioning only —
-    /// scores round differently, classification and selection semantics are
-    /// unchanged). Must be called before any insert.
-    ///
-    /// # Panics
-    /// If observations have already been inserted.
-    pub fn with_center(mut self, center: f64) -> Self {
-        assert!(
-            self.live_obs == 0 && self.keys.is_empty(),
-            "with_center must be called on an empty selector"
-        );
-        assert!(center.is_finite(), "center must be finite");
-        self.center = center;
-        self
-    }
-
-    /// Number of live observations.
-    pub fn len(&self) -> usize {
-        self.live_obs
-    }
-
-    /// True when no live observation is held.
-    pub fn is_empty(&self) -> bool {
-        self.live_obs == 0
-    }
-
-    /// The bandwidth grid every `reselect` scores.
-    pub fn grid(&self) -> &BandwidthGrid {
-        &self.grid
     }
 
     /// Block width of one tree node (`2·(max_m+1)` compensated sums).
@@ -226,40 +164,9 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         kcv_obs::add(kcv_obs::Counter::TreeUpdates, visited);
     }
 
-    /// Accumulates the prefix moments of slots `[0, t)` into `out`
-    /// (`O(log n)` node-block reads).
-    fn prefix_moments(&self, t: usize, out: &mut MomentVec) {
-        let mm = self.max_m;
-        let b = self.block();
-        out.clear();
-        let mut i = t;
-        while i > 0 {
-            let off = i * b;
-            for m in 0..=mm {
-                out.dp[m] += self.tree[off + m].value();
-                out.dq[m] += self.tree[off + mm + 1 + m].value();
-            }
-            i -= lowbit(i);
-        }
-    }
-
-    /// Inserts one observation in `O(log n)`: a Fenwick point update when
-    /// `x` is already pooled, otherwise an append to the pending run
-    /// (folded into the pool amortised-`O(1)`; see the module docs).
-    ///
-    /// Non-finite `x` or `y` is rejected with [`Error::NonFiniteData`]
-    /// **before** any tree mutation: a failed `insert` leaves the selector
-    /// state (pool, pending run, live count, every compensated moment)
-    /// exactly as it was, so a stream may drop the bad arrival and
-    /// continue.
-    pub fn insert(&mut self, x: f64, y: f64) -> Result<()> {
-        if !x.is_finite() {
-            return Err(Error::NonFiniteData { which: "x", index: 0 });
-        }
-        if !y.is_finite() {
-            return Err(Error::NonFiniteData { which: "y", index: 0 });
-        }
-        let _update = kcv_obs::phase("cv.update");
+    /// Inserts one validated observation (see
+    /// [`IncrementalSelector::insert`]).
+    fn insert(&mut self, x: f64, y: f64) {
         if let Some(s) = self.pool_slot(x) {
             if self.ys[s].is_empty() {
                 self.dead_slots -= 1;
@@ -274,15 +181,11 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         if self.pending.len() > 64.max(self.keys.len() / 8) {
             self.fold();
         }
-        Ok(())
     }
 
-    /// Removes one observation matching `(x, y)` exactly, returning whether
-    /// one was found. Pooled removals are `O(log n)` Fenwick point updates;
-    /// a slot whose last observation leaves stays in the pool as a dead
-    /// slot (count exactly zero) until the next fold compacts it.
-    pub fn remove(&mut self, x: f64, y: f64) -> bool {
-        let _update = kcv_obs::phase("cv.update");
+    /// Removes one observation matching `(x, y)` exactly (see
+    /// [`IncrementalSelector::remove`]).
+    fn remove(&mut self, x: f64, y: f64) -> bool {
         if let Some(s) = self.pool_slot(x) {
             let Some(at) = self.ys[s].iter().position(|&v| v == y) else {
                 return false;
@@ -303,6 +206,16 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
             return true;
         }
         false
+    }
+
+    /// Folds before a re-selection when arrivals are pending or dead slots
+    /// outnumber half the live ones (see [`IncrementalSelector::reselect`]).
+    fn fold_if_stale(&mut self) {
+        if !self.pending.is_empty()
+            || self.dead_slots > 64.max((self.keys.len() - self.dead_slots) / 2)
+        {
+            self.fold();
+        }
     }
 
     /// Merges the pending run into the pool, drops dead slots, and rebuilds
@@ -388,22 +301,184 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         kcv_obs::add(kcv_obs::Counter::TreeUpdates, writes);
     }
 
-    /// Reads the Fenwick tree into a flat slot table: row `t` holds the
-    /// local-constant prefix moments `Σ x'^m` (offset `m`) and `Σ y·x'^m`
-    /// (offset `deg + 1 + m`), `m ≤ deg`, over slots `[0, t)`, for every
-    /// boundary `t = 0..=slots`. One [`prefix_moments`](Self::prefix_moments)
-    /// descent per boundary, `O(W·log W·(deg+3))`, so every row is
-    /// bit-identical to the descent it replaces.
-    fn flat_table(&self, deg: usize) -> Vec<f64> {
-        let w = deg + 1;
-        let mut pref = MomentVec::new(self.max_m);
-        let mut rows = Vec::with_capacity((self.keys.len() + 1) * 2 * w);
-        for t in 0..=self.keys.len() {
-            self.prefix_moments(t, &mut pref);
-            rows.extend_from_slice(&pref.dp[..w]);
-            rows.extend_from_slice(&pref.dq[..w]);
+    /// The prefix moments `Σ x'^m` (`p[m]`) and `Σ y·x'^m` (`q[m]`),
+    /// `m < W`, of slots `[0, t)`: one `O(log n)` Fenwick descent.
+    fn prefix_row<const W: usize>(&self, t: usize) -> Row<W> {
+        let mm = self.max_m;
+        let b = self.block();
+        let mut row = Row::ZERO;
+        let mut i = t;
+        while i > 0 {
+            let off = i * b;
+            for m in 0..W {
+                row.p[m] += self.tree[off + m].value();
+                row.q[m] += self.tree[off + mm + 1 + m].value();
+            }
+            i -= lowbit(i);
         }
-        rows
+        row
+    }
+
+    /// Reads the Fenwick tree into a flat slot table: row `t` holds the
+    /// local-constant prefix moments ([`prefix_row`](Self::prefix_row)) of
+    /// slots `[0, t)` for every boundary `t = 0..=slots`, one descent each,
+    /// `O(W·log W·(deg+3))`.
+    fn flat_table<const W: usize>(&self) -> Vec<Row<W>> {
+        (0..=self.keys.len()).map(|t| self.prefix_row(t)).collect()
+    }
+}
+
+/// [`IncrementalSelector::reselect`]'s sweep at table width `W = deg + 1`:
+/// one flat-table read of the tree, then one fused cursor-and-cell pass per
+/// live slot, plus the closed-form duplicate-key term.
+fn reselect_pool<const W: usize>(
+    pool: &KeyPool,
+    coeffs: &'static [f64],
+    radius: f64,
+    hs: &[f64],
+) -> CvProfile {
+    let _reselect = kcv_obs::phase("cv.reselect");
+    kcv_obs::add(kcv_obs::Counter::Reselects, 1);
+    let n = pool.live_obs;
+    let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
+    let k = hs.len();
+    let rows = pool.flat_table::<W>();
+
+    let mut sq_sums = vec![0.0; k];
+    let mut included = vec![0usize; k];
+    let mut cursors = WindowCursors::new(k);
+    let mut cell = LcCell::<W>::new(coeffs);
+    let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
+    let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
+    for (s, ys) in pool.ys.iter().enumerate() {
+        let cnt = ys.len();
+        if cnt == 0 {
+            continue;
+        }
+        let mut sy_slot = NeumaierSum::new();
+        for &v in ys {
+            sy_slot.add(v);
+        }
+        let sy_slot = sy_slot.value();
+        cell.prepare(pool.keys[s] - pool.center, &rows[s], &rows[s + 1]);
+        let dup_cnt = (cnt - 1) as f64;
+        // Dead slots are skipped, so s may jump: the cursors still only
+        // step right.
+        cursors.sweep(&pool.keys, s, &inv_hs, radius, |m, inv_h, lo, hi| {
+            // Exact live counts per side: the m = 0 row only ever
+            // accumulated ±1.0, so these are integers and a dead or removed
+            // slot contributes exactly nothing.
+            let left_cnt = rows[s].p[0] - rows[lo].p[0];
+            let right_cnt = rows[hi].p[0] - rows[s + 1].p[0];
+            let in_window = left_cnt + right_cnt + dup_cnt;
+            queries.incr(cnt as u64);
+            skipped.incr(cnt as u64 * (n - 1).saturating_sub(in_window as usize) as u64);
+            if in_window == 0.0 {
+                // Empty leave-one-out window: excluded, exactly as a fresh
+                // prefix run classifies it.
+                return;
+            }
+            let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
+            // Same-key neighbours in closed form: each sits at u = 0 with
+            // weight c_0 and contributes its own y.
+            let den = den + coeffs[0] * dup_cnt;
+            if den > 0.0 {
+                for &yi in ys {
+                    let resid = yi - (num + coeffs[0] * (sy_slot - yi)) / den;
+                    sq_sums[m] += resid * resid;
+                    included[m] += 1;
+                }
+            }
+        });
+    }
+    // The counters flush to the recorder when they fall out of scope.
+    let scores = sq_sums.into_iter().map(|v| v / n as f64).collect();
+    CvProfile { bandwidths: hs.to_vec(), scores, included, n }
+}
+
+/// The incremental prefix-moment selector: a dynamic observation multiset
+/// with `O(log n)` insert/remove and full-grid re-selection with zero
+/// kernel evaluations (see the module docs).
+///
+/// The bandwidth grid and centring shift are fixed at construction; the
+/// observation set evolves through [`insert`](Self::insert) /
+/// [`remove`](Self::remove), and [`reselect`](Self::reselect) scores the
+/// current live set over the whole grid.
+#[derive(Debug, Clone)]
+pub struct IncrementalSelector<K> {
+    kernel: K,
+    grid: BandwidthGrid,
+    pool: KeyPool,
+}
+
+impl<K: PolynomialKernel> IncrementalSelector<K> {
+    /// Creates an empty selector scoring over `grid` (ascending by
+    /// construction), centred at `0.0`.
+    pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
+        // Moments up to deg + 2 = coeffs.len() + 1.
+        let max_m = kernel.coeffs().len() + 1;
+        Self { kernel, grid, pool: KeyPool::new(max_m) }
+    }
+
+    /// Sets the centring shift for the stored moments (conditioning only —
+    /// scores round differently, classification and selection semantics are
+    /// unchanged). Must be called before any insert.
+    ///
+    /// # Panics
+    /// If observations have already been inserted.
+    pub fn with_center(mut self, center: f64) -> Self {
+        assert!(
+            self.pool.live_obs == 0 && self.pool.keys.is_empty(),
+            "with_center must be called on an empty selector"
+        );
+        assert!(center.is_finite(), "center must be finite");
+        self.pool.center = center;
+        self
+    }
+
+    /// Number of live observations.
+    pub fn len(&self) -> usize {
+        self.pool.live_obs
+    }
+
+    /// True when no live observation is held.
+    pub fn is_empty(&self) -> bool {
+        self.pool.live_obs == 0
+    }
+
+    /// The bandwidth grid every `reselect` scores.
+    pub fn grid(&self) -> &BandwidthGrid {
+        &self.grid
+    }
+
+    /// Inserts one observation in `O(log n)`: a Fenwick point update when
+    /// `x` is already pooled, otherwise an append to the pending run
+    /// (folded into the pool amortised-`O(1)`; see the module docs).
+    ///
+    /// Non-finite `x` or `y` is rejected with [`Error::NonFiniteData`]
+    /// **before** any tree mutation: a failed `insert` leaves the selector
+    /// state (pool, pending run, live count, every compensated moment)
+    /// exactly as it was, so a stream may drop the bad arrival and
+    /// continue.
+    pub fn insert(&mut self, x: f64, y: f64) -> Result<()> {
+        if !x.is_finite() {
+            return Err(Error::NonFiniteData { which: "x", index: 0 });
+        }
+        if !y.is_finite() {
+            return Err(Error::NonFiniteData { which: "y", index: 0 });
+        }
+        let _update = kcv_obs::phase("cv.update");
+        self.pool.insert(x, y);
+        Ok(())
+    }
+
+    /// Removes one observation matching `(x, y)` exactly, returning whether
+    /// one was found. Pooled removals are `O(log n)` Fenwick point updates;
+    /// a slot whose last observation leaves stays in the pool as a dead
+    /// slot (count exactly zero) until the next fold compacts it.
+    pub fn remove(&mut self, x: f64, y: f64) -> bool {
+        let _update = kcv_obs::phase("cv.update");
+        self.pool.remove(x, y)
     }
 
     /// Re-scores the whole bandwidth grid over the current live set —
@@ -414,78 +489,20 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     /// residue-free tree unless only removals happened since the last fold
     /// (in which case dead slots contribute exactly-zero counts and the
     /// sweep proceeds in place).
+    ///
+    /// # Errors
+    /// [`Error::SampleTooSmall`] below two live observations;
+    /// [`Error::KernelDegreeTooHigh`] for a kernel above
+    /// [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE).
     pub fn reselect(&mut self) -> Result<CvProfile> {
-        if !self.pending.is_empty()
-            || self.dead_slots > 64.max((self.keys.len() - self.dead_slots) / 2)
-        {
-            self.fold();
-        }
-        let n = self.live_obs;
+        self.pool.fold_if_stale();
+        let n = self.pool.live_obs;
         if n < 2 {
             return Err(Error::SampleTooSmall { n, required: 2 });
         }
-        let _reselect = kcv_obs::phase("cv.reselect");
-        kcv_obs::add(kcv_obs::Counter::Reselects, 1);
-
         let coeffs = self.kernel.coeffs();
-        let deg = coeffs.len() - 1;
-        let radius = self.kernel.radius();
-        let hs = self.grid.values();
-        let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
-        let k = hs.len();
-        let b = 2 * (deg + 1);
-        let rows = self.flat_table(deg);
-        let row = |t: usize| &rows[t * b..(t + 1) * b];
-
-        let mut sq_sums = vec![0.0; k];
-        let mut included = vec![0usize; k];
-        let mut cursors = WindowCursors::new(k);
-        let mut cell = LcCell::new(coeffs, deg + 1);
-        let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
-        for s in 0..self.keys.len() {
-            let cnt = self.ys[s].len();
-            if cnt == 0 {
-                continue;
-            }
-            let mut sy_slot = NeumaierSum::new();
-            for &v in &self.ys[s] {
-                sy_slot.add(v);
-            }
-            let sy_slot = sy_slot.value();
-            // Dead slots are skipped, so s may jump: the cursors still only
-            // step right.
-            cursors.seek(&self.keys, s, &inv_hs, radius);
-            cell.prepare(self.keys[s] - self.center, row(s), row(s + 1));
-            let dup_cnt = (cnt - 1) as f64;
-            for (m, &inv_h) in inv_hs.iter().enumerate() {
-                let (lo, hi) = cursors.window(m);
-                queries.incr(cnt as u64);
-                // Exact live counts per side: the m = 0 row only ever
-                // accumulated ±1.0, so these are integers and a dead or
-                // removed slot contributes exactly nothing.
-                let left_cnt = row(s)[0] - row(lo)[0];
-                let right_cnt = row(hi)[0] - row(s + 1)[0];
-                if left_cnt + right_cnt + dup_cnt == 0.0 {
-                    // Empty leave-one-out window: excluded, exactly as a
-                    // fresh prefix run classifies it.
-                    continue;
-                }
-                let (num, den) = cell.eval(inv_h, row(lo), row(hi));
-                // Same-key neighbours in closed form: each sits at u = 0
-                // with weight c_0 and contributes its own y.
-                let den = den + coeffs[0] * dup_cnt;
-                if den > 0.0 {
-                    for &yi in &self.ys[s] {
-                        let resid = yi - (num + coeffs[0] * (sy_slot - yi)) / den;
-                        sq_sums[m] += resid * resid;
-                        included[m] += 1;
-                    }
-                }
-            }
-        }
-        // `queries` flushes to the recorder when it falls out of scope.
-        let scores = sq_sums.into_iter().map(|v| v / n as f64).collect();
-        Ok(CvProfile { bandwidths: hs.to_vec(), scores, included, n })
+        let (pool, radius, hs) = (&self.pool, self.kernel.radius(), self.grid.values());
+        dispatch_width!(coeffs, 0, reselect_pool(pool, coeffs, radius, hs))
     }
 
     /// [`reselect`](Self::reselect) followed by the paper's raw argmin.
@@ -772,26 +789,34 @@ mod tests {
             }
         }
         assert_eq!(sel.len(), live.len());
-        assert!(sel.dead_slots > 0 && sel.pending.is_empty(), "no dead slots to read");
+        let pool = &sel.pool;
+        assert!(pool.dead_slots > 0 && pool.pending.is_empty(), "no dead slots to read");
 
-        let deg = Epanechnikov.coeffs().len() - 1;
-        let b = 2 * (deg + 1);
-        let rows = sel.flat_table(deg);
-        assert_eq!(rows.len(), (sel.keys.len() + 1) * b);
-        let mut pref = MomentVec::new(sel.max_m);
-        for t in 0..=sel.keys.len() {
-            sel.prefix_moments(t, &mut pref);
-            let row = &rows[t * b..(t + 1) * b];
-            for m in 0..=deg {
-                assert_eq!(row[m].to_bits(), pref.dp[m].to_bits(), "row {t}, P_{m}");
-                assert_eq!(row[deg + 1 + m].to_bits(), pref.dq[m].to_bits(), "row {t}, Q_{m}");
+        // Oracle: a full-width Fenwick descent per boundary, as each cell
+        // once ran it, truncated to the local-constant moments.
+        let rows = pool.flat_table::<3>();
+        assert_eq!(rows.len(), pool.keys.len() + 1);
+        let (mm, b) = (pool.max_m, pool.block());
+        for (t, row) in rows.iter().enumerate() {
+            let (mut dp, mut dq) = (vec![0.0; mm + 1], vec![0.0; mm + 1]);
+            let mut i = t;
+            while i > 0 {
+                for m in 0..=mm {
+                    dp[m] += pool.tree[i * b + m].value();
+                    dq[m] += pool.tree[i * b + mm + 1 + m].value();
+                }
+                i -= lowbit(i);
+            }
+            for m in 0..3 {
+                assert_eq!(row.p[m].to_bits(), dp[m].to_bits(), "row {t}, P_{m}");
+                assert_eq!(row.q[m].to_bits(), dq[m].to_bits(), "row {t}, Q_{m}");
             }
         }
 
         // The reselect reads the same unfolded tree (dead slots in place).
         let (x, y): (Vec<f64>, Vec<f64>) = live.into_iter().unzip();
         assert_agrees(&mut sel, &x, &y, &Epanechnikov);
-        assert!(sel.dead_slots > 0, "reselect folded the dead slots away");
+        assert!(sel.pool.dead_slots > 0, "reselect folded the dead slots away");
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use prefix::{
 };
 pub use sorted::{cv_profile_sorted, cv_profile_sorted_par};
 pub use sorted_ll::{cv_profile_naive_ll, cv_profile_sorted_ll, cv_profile_sorted_ll_par};
+pub use window::MAX_KERNEL_DEGREE;
 
 use crate::error::{Error, Result};
 

@@ -32,7 +32,9 @@
 //! * the kernel polynomial is expanded about `x_i` once per observation,
 //!   so a cell is one Horner evaluation in `1/h` of the `deg + 1`
 //!   per-moment coefficients and two dot products against prefix
-//!   differences.
+//!   differences;
+//! * each observation is one pass over the bandwidths: step cursor `m`,
+//!   then score cell `m` against the rows it just found.
 //!
 //! ```text
 //! O(n log n + n·k·deg²) amortised, plus O(k·log n) seeding per fold chunk
@@ -40,6 +42,14 @@
 //!
 //! versus the sorted sweep's `O(n² log n + n·k·deg)` — closed-form
 //! leave-one-out CV over the whole grid with no per-neighbour work.
+//!
+//! The prefix rows are fixed-size arrays of the kernel width
+//! (`W = deg + 1` local-constant, `deg + 3` local-linear). Each profile
+//! resolves `W` from the kernel's coefficient count once and runs a sweep
+//! compiled for that width, so the per-cell loops have constant trip
+//! counts. The sweeps are compiled for degrees up to
+//! [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE) `= 7`; a higher-degree
+//! kernel returns [`Error::KernelDegreeTooHigh`](crate::Error).
 //!
 //! ## Bit-identical classification, documented-tolerance scores
 //!
@@ -79,7 +89,7 @@
 //! the general-position fallback.
 
 use super::fold::fold_observations;
-use super::window::{pascal, LcCell, WindowCursors};
+use super::window::{dispatch_width, pascal, LcCell, Row, WindowCursors};
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
@@ -90,9 +100,9 @@ use crate::util::NeumaierSum;
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
-/// coordinates `x'`, for `m = 0..=max_m`. Built once (`O(n log n)` argsort
-/// + `O(n·max_m)` pass), shared read-only by every observation.
-struct PrefixTables {
+/// coordinates `x'`, for `m < W`. Built once (`O(n log n)` argsort +
+/// `O(n·W)` pass), shared read-only by every observation.
+struct PrefixTables<const W: usize> {
     /// `x` sorted ascending (original values — the support predicate runs
     /// on these so boundary classification is bit-identical to the other
     /// strategies).
@@ -102,25 +112,18 @@ struct PrefixTables {
     /// Midrange-centred copy of `xs` (moment assembly runs on these for
     /// conditioning; see the module docs).
     xc: Vec<f64>,
-    /// Row-major `(n+1) × 2(max_m+1)` prefix rows: row `t` holds
-    /// `Σ_{l<t} xc[l]^m` at offset `m`, then `Σ_{l<t} ys[l]·xc[l]^m` at
-    /// offset `max_m + 1 + m` (so row 0 is all zero and range sums are
-    /// differences of two rows).
-    rows: Vec<f64>,
-    /// Flattened `(max_m+1) × (max_m+1)` Pascal triangle
-    /// ([`super::window::pascal`]).
-    binom: Vec<f64>,
-    /// Highest prefix moment stored (`deg` for local-constant, `deg + 2`
-    /// for local-linear).
-    max_m: usize,
+    /// `n + 1` prefix rows: row `t` holds `Σ_{l<t} xc[l]^m` in `p[m]` and
+    /// `Σ_{l<t} ys[l]·xc[l]^m` in `q[m]` (so row 0 is all zero and range
+    /// sums are differences of two rows).
+    rows: Vec<Row<W>>,
     /// Sample size.
     n: usize,
 }
 
-impl PrefixTables {
+impl<const W: usize> PrefixTables<W> {
     /// Argsorts `(x, y)` globally and builds the compensated prefix-moment
-    /// rows up to moment `max_m`.
-    fn build(x: &[f64], y: &[f64], max_m: usize) -> Self {
+    /// rows.
+    fn build(x: &[f64], y: &[f64]) -> Self {
         let (xs, ys) = {
             let _sort = kcv_obs::phase("cv.argsort");
             let perm = argsort(x);
@@ -133,97 +136,69 @@ impl PrefixTables {
         let center = 0.5 * (xs[0] + xs[n - 1]);
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
 
-        let w = max_m + 1;
-        let mut rows = vec![0.0; (n + 1) * 2 * w];
-        let mut accx = vec![NeumaierSum::new(); w];
-        let mut accy = vec![NeumaierSum::new(); w];
-        for (t, row) in rows.chunks_exact_mut(2 * w).skip(1).enumerate() {
-            let v = xc[t];
-            let yv = ys[t];
+        let mut rows = Vec::with_capacity(n + 1);
+        rows.push(Row::ZERO);
+        let mut accx = [NeumaierSum::new(); W];
+        let mut accy = [NeumaierSum::new(); W];
+        for (&v, &yv) in xc.iter().zip(&ys) {
+            let mut row = Row::ZERO;
             let mut pw = 1.0;
-            for m in 0..w {
+            for m in 0..W {
                 accx[m].add(pw);
                 accy[m].add(yv * pw);
-                row[m] = accx[m].value();
-                row[w + m] = accy[m].value();
+                row.p[m] = accx[m].value();
+                row.q[m] = accy[m].value();
                 pw *= v;
             }
+            rows.push(row);
         }
 
-        Self { xs, ys, xc, rows, binom: pascal(max_m), max_m, n }
+        Self { xs, ys, xc, rows, n }
     }
+}
 
-    /// Prefix row `t` (`0 ≤ t ≤ n`).
-    #[inline]
-    fn row(&self, t: usize) -> &[f64] {
-        let b = 2 * (self.max_m + 1);
-        &self.rows[t * b..(t + 1) * b]
-    }
+/// One side's binomially assembled window moments for the local-linear
+/// step: `w[j] = Σ (xc[l] − xc[i])^j` and `wy[j] = Σ ys[l]·(xc[l] − xc[i])^j`
+/// over the sorted index range between two prefix rows.
+#[derive(Debug, Clone, Copy)]
+struct WindowMoments<const W: usize> {
+    w: [f64; W],
+    wy: [f64; W],
+}
 
-    /// Writes the windowed moments over the sorted index range between
-    /// prefix rows `row_a` and `row_b` into `w`/`wy` for every
-    /// `j = 0..=max_m`:
-    ///
-    /// ```text
-    /// w[j]  = Σ_{l∈[a,b)} (xc[l] − xc[i])^j
-    /// wy[j] = Σ_{l∈[a,b)} ys[l]·(xc[l] − xc[i])^j
-    /// ```
-    ///
-    /// via the binomial expansion over prefix differences. `npow[t]` must
-    /// hold `(−xc[i])^t`. `O(max_m²)` — independent of the window size.
-    fn window_moments(
-        &self,
-        row_a: &[f64],
-        row_b: &[f64],
-        npow: &[f64],
-        scratch: &mut MomentScratch,
-    ) {
-        let bw = self.max_m + 1;
-        for m in 0..bw {
-            scratch.dp[m] = row_b[m] - row_a[m];
-            scratch.dq[m] = row_b[bw + m] - row_a[bw + m];
+impl<const W: usize> WindowMoments<W> {
+    /// Assembles the moments between prefix rows `row_a` and `row_b` via
+    /// the binomial expansion over prefix differences. `npow[t]` must hold
+    /// `(−xc[i])^t`. `O(W²)` — independent of the window size.
+    #[inline(always)]
+    fn assemble(binom: &[[f64; W]; W], row_a: &Row<W>, row_b: &Row<W>, npow: &[f64; W]) -> Self {
+        let mut dp = [0.0; W];
+        let mut dq = [0.0; W];
+        for m in 0..W {
+            dp[m] = row_b.p[m] - row_a.p[m];
+            dq[m] = row_b.q[m] - row_a.q[m];
         }
-        for j in 0..bw {
-            let row = &self.binom[j * bw..j * bw + j + 1];
+        let mut out = Self { w: [0.0; W], wy: [0.0; W] };
+        for j in 0..W {
             let mut s = 0.0;
             let mut sy = 0.0;
-            for (m, &c) in row.iter().enumerate() {
+            for (m, &c) in binom[j][..=j].iter().enumerate() {
                 let coeff = c * npow[j - m];
-                s += coeff * scratch.dp[m];
-                sy += coeff * scratch.dq[m];
+                s += coeff * dp[m];
+                sy += coeff * dq[m];
             }
-            scratch.w[j] = s;
-            scratch.wy[j] = sy;
+            out.w[j] = s;
+            out.wy[j] = sy;
         }
-    }
-}
-
-/// Per-side workspace for one local-linear binomial assembly (all
-/// `max_m + 1` long).
-#[derive(Debug, Clone)]
-struct MomentScratch {
-    /// Prefix differences `P_m[b] − P_m[a]`.
-    dp: Vec<f64>,
-    /// Prefix differences `Q_m[b] − Q_m[a]`.
-    dq: Vec<f64>,
-    /// Assembled `w[j]` window moments.
-    w: Vec<f64>,
-    /// Assembled `y`-weighted `wy[j]` window moments.
-    wy: Vec<f64>,
-}
-
-impl MomentScratch {
-    fn new(max_m: usize) -> Self {
-        let z = vec![0.0; max_m + 1];
-        Self { dp: z.clone(), dq: z.clone(), w: z.clone(), wy: z }
+        out
     }
 }
 
 /// Everything one observation step reads: the shared tables, the kernel
 /// polynomial and the ascending bandwidth list with its inverses.
-struct Sweep<'a> {
-    t: PrefixTables,
-    coeffs: &'a [f64],
+struct Sweep<'a, const W: usize> {
+    t: PrefixTables<W>,
+    coeffs: &'static [f64],
     radius: f64,
     hs: &'a [f64],
     /// `1.0 / h` per bandwidth, the factor of the support predicate.
@@ -232,84 +207,82 @@ struct Sweep<'a> {
 
 /// Per-worker workspace of the local-constant step: window cursors plus
 /// the precombined kernel polynomial. No `n`-sized buffers anywhere.
-struct LcScratch {
+struct LcScratch<const W: usize> {
     cursors: WindowCursors,
-    cell: LcCell,
+    cell: LcCell<W>,
 }
 
-/// Per-worker workspace of the local-linear step: window cursors, powers
-/// of `−xc[i]` and one [`MomentScratch`] per window side.
-struct LlScratch {
+/// Per-worker workspace of the local-linear step: window cursors and the
+/// Pascal triangle of the table width.
+struct LlScratch<const W: usize> {
     cursors: WindowCursors,
-    npow: Vec<f64>,
-    left: MomentScratch,
-    right: MomentScratch,
+    binom: [[f64; W]; W],
 }
 
 /// Adds the contribution of the observation at sorted position `si` —
 /// `(Y_i − ĝ_{-i}(X_i))² M(X_i)` at every grid bandwidth — into
-/// `sq_sums`/`included`, local-constant form. Per bandwidth: an amortised
-/// `O(1)` cursor step and one precombined cell; no per-neighbour work.
-fn accumulate_observation_prefix(
+/// `sq_sums`/`included`, local-constant form. One pass over the
+/// bandwidths: an amortised `O(1)` cursor step and one precombined cell
+/// each; no per-neighbour work.
+fn accumulate_observation_prefix<const W: usize>(
     si: usize,
-    sw: &Sweep<'_>,
-    scratch: &mut LcScratch,
+    sw: &Sweep<'_, W>,
+    scratch: &mut LcScratch<W>,
     sq_sums: &mut [f64],
     included: &mut [usize],
 ) {
     let t = &sw.t;
     let yi = t.ys[si];
-    scratch.cursors.seek(&t.xs, si, &sw.inv_hs, sw.radius);
-    scratch.cell.prepare(t.xc[si], t.row(si), t.row(si + 1));
+    scratch.cell.prepare(t.xc[si], &t.rows[si], &t.rows[si + 1]);
+    let cell = &scratch.cell;
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (m, &inv_h) in sw.inv_hs.iter().enumerate() {
-        let (lo, hi) = scratch.cursors.window(m);
+    scratch.cursors.sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
         queries.incr(1);
         skipped.incr((t.n - (hi - lo)) as u64);
         // The split at si excludes i itself from both sides.
-        let (num, den) = scratch.cell.eval(inv_h, t.row(lo), t.row(hi));
+        let (num, den) = cell.eval(inv_h, &t.rows[lo], &t.rows[hi]);
         if den > 0.0 {
             let resid = yi - num / den;
             sq_sums[m] += resid * resid;
             included[m] += 1;
         }
-    }
+    });
 }
 
-/// Local-linear twin of [`accumulate_observation_prefix`]: assembles the
-/// five signed moments `S_0..S_2, T_0..T_1` of [`super::sorted_ll`] from
-/// window moments up to `deg + 2` (`|e|^q·e^j` is `±e^{q+j}` by side) and
-/// feeds `solve_local_linear`. Shares the cursors and hoisted self rows
-/// with the local-constant step but keeps its own binomial assembly.
-fn accumulate_observation_prefix_ll(
+/// Local-linear twin of [`accumulate_observation_prefix`] over tables of
+/// width `W = deg + 3`: assembles the five signed moments `S_0..S_2,
+/// T_0..T_1` of [`super::sorted_ll`] from window moments up to `deg + 2`
+/// (`|e|^q·e^j` is `±e^{q+j}` by side) and feeds `solve_local_linear`.
+/// Shares the cursor sweep with the local-constant step but keeps its own
+/// binomial assembly.
+fn accumulate_observation_prefix_ll<const W: usize>(
     si: usize,
-    sw: &Sweep<'_>,
-    scratch: &mut LlScratch,
+    sw: &Sweep<'_, W>,
+    scratch: &mut LlScratch<W>,
     sq_sums: &mut [f64],
     included: &mut [usize],
 ) {
     let t = &sw.t;
     let yi = t.ys[si];
     let neg_xi = -t.xc[si];
-    scratch.npow[0] = 1.0;
-    for m in 1..=t.max_m {
-        scratch.npow[m] = scratch.npow[m - 1] * neg_xi;
+    let mut npow = [1.0; W];
+    for m in 1..W {
+        npow[m] = npow[m - 1] * neg_xi;
     }
-    scratch.cursors.seek(&t.xs, si, &sw.inv_hs, sw.radius);
-    let (row_si, row_si1) = (t.row(si), t.row(si + 1));
+    let (row_si, row_si1) = (&t.rows[si], &t.rows[si + 1]);
+    let binom = &scratch.binom;
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (m, (&h, &inv_h)) in sw.hs.iter().zip(&sw.inv_hs).enumerate() {
-        let (lo, hi) = scratch.cursors.window(m);
+    scratch.cursors.sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
         queries.incr(1);
         skipped.incr((t.n - (hi - lo)) as u64);
 
         // Window moments on each side of i; the split excludes i itself.
-        t.window_moments(t.row(lo), row_si, &scratch.npow, &mut scratch.left);
-        t.window_moments(row_si1, t.row(hi), &scratch.npow, &mut scratch.right);
+        let left = WindowMoments::assemble(binom, &t.rows[lo], row_si, &npow);
+        let right = WindowMoments::assemble(binom, row_si1, &t.rows[hi], &npow);
 
         // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
         // right and (−1)^q·e^{q+j} on the left, so
@@ -324,20 +297,20 @@ fn accumulate_observation_prefix_ll(
         let mut sign = 1.0;
         for (q, &cq) in sw.coeffs.iter().enumerate() {
             let c = cq * hp;
-            s0 += c * (scratch.right.w[q] + sign * scratch.left.w[q]);
-            s1 += c * (scratch.right.w[q + 1] + sign * scratch.left.w[q + 1]);
-            s2 += c * (scratch.right.w[q + 2] + sign * scratch.left.w[q + 2]);
-            t0 += c * (scratch.right.wy[q] + sign * scratch.left.wy[q]);
-            t1 += c * (scratch.right.wy[q + 1] + sign * scratch.left.wy[q + 1]);
+            s0 += c * (right.w[q] + sign * left.w[q]);
+            s1 += c * (right.w[q + 1] + sign * left.w[q + 1]);
+            s2 += c * (right.w[q + 2] + sign * left.w[q + 2]);
+            t0 += c * (right.wy[q] + sign * left.wy[q]);
+            t1 += c * (right.wy[q + 1] + sign * left.wy[q + 1]);
             hp *= inv_h;
             sign = -sign;
         }
-        if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], h) {
+        if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], sw.hs[m]) {
             let r = yi - g;
             sq_sums[m] += r * r;
             included[m] += 1;
         }
-    }
+    });
 }
 
 /// The local-constant prefix-moment profile over the bandwidth list `hs`.
@@ -349,6 +322,10 @@ fn accumulate_observation_prefix_ll(
 /// list would resolve wrong windows. Callers with an arbitrary bandwidth
 /// list sort it (with an index map) first; callers holding a
 /// [`BandwidthGrid`] are ascending by construction.
+///
+/// # Errors
+/// As the public entry points, plus [`crate::Error::KernelDegreeTooHigh`]
+/// for a kernel above [`super::MAX_KERNEL_DEGREE`].
 pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -356,21 +333,24 @@ pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     kernel: &K,
     parallel: bool,
 ) -> Result<CvProfile> {
-    let deg = kernel.coeffs().len() - 1;
-    let k = hs.len();
-    fold_prefix(
-        x,
-        y,
-        hs,
-        kernel,
-        deg,
-        parallel,
-        || LcScratch {
-            cursors: WindowCursors::new(k),
-            cell: LcCell::new(kernel.coeffs(), deg + 1),
-        },
-        accumulate_observation_prefix,
-    )
+    let (coeffs, radius) = (kernel.coeffs(), kernel.radius());
+    validate_sample(x, y, 2)?;
+    dispatch_width!(coeffs, 0, profile_lc(x, y, hs, coeffs, radius, parallel))
+}
+
+/// [`profile`] at table width `W = deg + 1`.
+fn profile_lc<const W: usize>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    coeffs: &'static [f64],
+    radius: f64,
+    parallel: bool,
+) -> CvProfile {
+    let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
+    let new_scratch =
+        || LcScratch { cursors: WindowCursors::new(hs.len()), cell: LcCell::new(coeffs) };
+    sw.fold(parallel, new_scratch, accumulate_observation_prefix)
 }
 
 /// The local-linear prefix-moment profile over the ascending list `hs`.
@@ -381,65 +361,68 @@ fn profile_ll<K: PolynomialKernel + ?Sized>(
     kernel: &K,
     parallel: bool,
 ) -> Result<CvProfile> {
+    let (coeffs, radius) = (kernel.coeffs(), kernel.radius());
+    validate_sample(x, y, 2)?;
     // The slope term weights offsets quadratically: local-linear needs
     // moments up to deg + 2.
-    let max_m = kernel.coeffs().len() + 1;
-    let k = hs.len();
-    fold_prefix(
-        x,
-        y,
-        hs,
-        kernel,
-        max_m,
-        parallel,
-        || LlScratch {
-            cursors: WindowCursors::new(k),
-            npow: vec![0.0; max_m + 1],
-            left: MomentScratch::new(max_m),
-            right: MomentScratch::new(max_m),
-        },
-        accumulate_observation_prefix_ll,
-    )
+    dispatch_width!(coeffs, 2, profile_ll_w(x, y, hs, coeffs, radius, parallel))
 }
 
-/// Builds the moment tables up to `max_m` and folds `step` over every
-/// observation against them. Generic over the step, so each form's
-/// per-observation code is compiled into the fold's loop rather than called
-/// through a function pointer.
-#[allow(clippy::too_many_arguments)]
-fn fold_prefix<K, S, F>(
+/// [`profile_ll`] at table width `W = deg + 3`.
+fn profile_ll_w<const W: usize>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
-    kernel: &K,
-    max_m: usize,
+    coeffs: &'static [f64],
+    radius: f64,
     parallel: bool,
-    new_scratch: impl Fn() -> S + Sync + Send,
-    step: F,
-) -> Result<CvProfile>
-where
-    K: PolynomialKernel + ?Sized,
-    S: Send,
-    F: Fn(usize, &Sweep<'_>, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
-{
-    validate_sample(x, y, 2)?;
-    debug_assert!(hs.windows(2).all(|w| w[0] <= w[1]), "bandwidths must be non-decreasing");
-    let sw = Sweep {
-        t: PrefixTables::build(x, y, max_m),
-        coeffs: kernel.coeffs(),
-        radius: kernel.radius(),
-        hs,
-        inv_hs: hs.iter().map(|&h| 1.0 / h).collect(),
-    };
+) -> CvProfile {
+    let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
+    let new_scratch = || LlScratch { cursors: WindowCursors::new(hs.len()), binom: pascal() };
+    sw.fold(parallel, new_scratch, accumulate_observation_prefix_ll)
+}
 
-    let _window = kcv_obs::phase("cv.window");
-    Ok(fold_observations(sw.t.n, hs, parallel, new_scratch, |si, scratch, sq, inc| {
-        step(si, &sw, scratch, sq, inc)
-    }))
+impl<'a, const W: usize> Sweep<'a, W> {
+    /// Builds the moment tables of a validated sample.
+    fn new(x: &[f64], y: &[f64], hs: &'a [f64], coeffs: &'static [f64], radius: f64) -> Self {
+        debug_assert!(hs.windows(2).all(|w| w[0] <= w[1]), "bandwidths must be non-decreasing");
+        Self {
+            t: PrefixTables::build(x, y),
+            coeffs,
+            radius,
+            hs,
+            inv_hs: hs.iter().map(|&h| 1.0 / h).collect(),
+        }
+    }
+
+    /// Folds `step` over every observation against the tables. Generic
+    /// over the step, so each form's per-observation code is compiled into
+    /// the fold's loop rather than called through a function pointer.
+    fn fold<S, F>(
+        &self,
+        parallel: bool,
+        new_scratch: impl Fn() -> S + Sync + Send,
+        step: F,
+    ) -> CvProfile
+    where
+        S: Send,
+        F: Fn(usize, &Self, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
+    {
+        let _window = kcv_obs::phase("cv.window");
+        fold_observations(self.t.n, self.hs, parallel, new_scratch, |si, scratch, sq, inc| {
+            step(si, self, scratch, sq, inc)
+        })
+    }
 }
 
 /// Computes the CV profile with the prefix-moment sweep, sequentially:
 /// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan.
+///
+/// # Errors
+/// On an invalid sample (as [`validate_sample`] with `n ≥ 2`), and
+/// [`Error::KernelDegreeTooHigh`](crate::Error) for a kernel of degree
+/// above [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE). The same holds
+/// for the other three prefix entry points.
 pub fn cv_profile_prefix<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -694,15 +677,19 @@ mod tests {
             for start in [0, n / 3, n - 1] {
                 let mut cursors = WindowCursors::new(hs.len());
                 for si in start..n {
-                    cursors.seek(&xs, si, &inv_hs, 1.0);
-                    for (m, &inv_h) in inv_hs.iter().enumerate() {
+                    let mut visited = 0;
+                    cursors.sweep(&xs, si, &inv_hs, 1.0, |m, inv_h, lo, hi| {
+                        assert_eq!(inv_h, inv_hs[m]);
                         assert_eq!(
-                            cursors.window(m),
+                            (lo, hi),
                             support_window(&xs, si, inv_h, 1.0, si, si + 1),
                             "{name}: start {start}, observation {si}, h = {}",
                             hs[m]
                         );
-                    }
+                        assert_eq!(m, visited, "bandwidths visited out of order");
+                        visited += 1;
+                    });
+                    assert_eq!(visited, hs.len());
                 }
             }
         }

@@ -55,6 +55,16 @@ pub enum Error {
         /// The requirement it violated.
         requirement: &'static str,
     },
+    /// A polynomial kernel's degree is above
+    /// [`MAX_KERNEL_DEGREE`](crate::cv::MAX_KERNEL_DEGREE), the highest the
+    /// moment-window engines (prefix sweep, local-linear prefix sweep,
+    /// incremental re-selection) are compiled for.
+    KernelDegreeTooHigh {
+        /// Degree of the kernel polynomial.
+        degree: usize,
+        /// Highest supported degree.
+        max: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -87,6 +97,9 @@ impl fmt::Display for Error {
             }
             Error::InvalidParameter { name, requirement } => {
                 write!(f, "invalid parameter {name}: must be {requirement}")
+            }
+            Error::KernelDegreeTooHigh { degree, max } => {
+                write!(f, "kernel polynomial of degree {degree} exceeds the supported maximum {max}")
             }
         }
     }
@@ -183,6 +196,7 @@ mod tests {
             Error::DegenerateDomain,
             Error::DimensionMismatch { expected: 2, found: 3 },
             Error::InvalidParameter { name: "capacity", requirement: "at least 2" },
+            Error::KernelDegreeTooHigh { degree: 8, max: 7 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -59,6 +59,14 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
 /// The coefficient vector (with the normalising constant folded in) is what
 /// the sorted-sweep cross-validation consumes. Coefficients are indexed by
 /// power: `coeffs()[j]` multiplies `|u|^j`.
+///
+/// **Degree cap.** The prefix-moment engines (`cv_profile_prefix*`, the
+/// prefix [`SortedGridSearch`](crate::select::SortedGridSearch) strategy,
+/// [`IncrementalSelector`](crate::cv::IncrementalSelector) and everything
+/// built on them) are compiled for degrees up to
+/// [`MAX_KERNEL_DEGREE`](crate::cv::MAX_KERNEL_DEGREE) `= 7`; a
+/// higher-degree kernel gets [`Error::KernelDegreeTooHigh`](crate::Error)
+/// from them. The naive and sorted strategies take any degree.
 pub trait PolynomialKernel: Kernel {
     /// Polynomial coefficients `c_0, c_1, …, c_deg` in `|u|`.
     fn coeffs(&self) -> &'static [f64];

@@ -9,7 +9,7 @@
 
 use kcv_core::cv::{
     cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_par,
-    cv_profile_sorted, cv_profile_sorted_par,
+    cv_profile_sorted, cv_profile_sorted_par, IncrementalSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -234,6 +234,33 @@ fn prefix_parallel_counts_the_same_totals_as_sequential() {
     assert_eq!(par.get(Counter::SortComparisons), seq.get(Counter::SortComparisons));
     assert_eq!(par.get(Counter::LooTermsSkipped), seq.get(Counter::LooTermsSkipped));
     assert_eq!(par.get(Counter::KernelEvals), 0);
+}
+
+#[test]
+fn reselect_counts_the_same_window_work_as_the_prefix_sweep() {
+    // Both engines run the shared cursor-and-cell loop: over distinct keys
+    // a fresh re-selection queries every (observation, bandwidth) cell once
+    // and skips the same out-of-window terms as the prefix sweep.
+    let (x, y) = paper_dgp(300, 66);
+    let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
+
+    let prefix = record(|| {
+        cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
+    });
+    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
+    for (&xi, &yi) in x.iter().zip(&y) {
+        sel.insert(xi, yi).unwrap();
+    }
+    let reselect = record(|| {
+        sel.reselect().unwrap();
+    });
+    let cells = (x.len() * grid.len()) as u64;
+    assert_eq!(prefix.get(Counter::WindowQueries), cells);
+    assert_eq!(reselect.get(Counter::WindowQueries), cells);
+    let skipped = prefix.get(Counter::LooTermsSkipped);
+    assert!(skipped > 0, "small bandwidths must leave terms outside");
+    assert_eq!(reselect.get(Counter::LooTermsSkipped), skipped);
+    assert_eq!(reselect.get(Counter::KernelEvals), 0);
 }
 
 #[test]
