@@ -19,15 +19,6 @@ pub struct GpuConfig {
     /// stores and reduction loads strided instead of coalesced. Results are
     /// identical; only the simulated memory cost changes.
     pub obs_major_residuals: bool,
-    /// Precision of the windowed pipeline's device-resident prefix-moment
-    /// tables ([`crate::select_bandwidth_gpu_windowed`]). `false` (default,
-    /// period-authentic): each table entry is a compensated `(hi, lo)` f32
-    /// pair and the per-cell assembly runs in f32. `true`: the tables are
-    /// stored as true f64 and the assembly accumulates in f64 — the *same*
-    /// 8 bytes per entry either way, so the memory footprint and the gate
-    /// on it are unaffected; only the arithmetic (and the Tesla-era
-    /// authenticity) changes. Ignored by the classic n×n pipeline.
-    pub windowed_f64: bool,
 }
 
 impl Default for GpuConfig {
@@ -38,7 +29,6 @@ impl Default for GpuConfig {
             reduction_threads: spec.max_threads_per_block,
             cost: CostModel::default(),
             obs_major_residuals: false,
-            windowed_f64: false,
             spec,
         }
     }
@@ -53,7 +43,6 @@ impl GpuConfig {
             reduction_threads: 512,
             cost: CostModel::default(),
             obs_major_residuals: false,
-            windowed_f64: false,
             spec,
         }
     }
@@ -61,13 +50,6 @@ impl GpuConfig {
     /// Overrides the main-kernel block size.
     pub fn with_threads_per_block(mut self, t: usize) -> Self {
         self.threads_per_block = t;
-        self
-    }
-
-    /// Switches the windowed pipeline's device tables to true f64 storage
-    /// and accumulation (same device bytes; see [`GpuConfig::windowed_f64`]).
-    pub fn with_windowed_f64(mut self, on: bool) -> Self {
-        self.windowed_f64 = on;
         self
     }
 }

@@ -17,6 +17,16 @@ pub enum GpuError {
         /// Maximum representable in the constant cache.
         max: usize,
     },
+    /// An input value has no finite single-precision counterpart (or a
+    /// bandwidth narrows to zero), so the f32 device cannot hold it.
+    NotF32 {
+        /// Which input array: `"x"`, `"y"` or `"bandwidths"`.
+        array: &'static str,
+        /// Position of the first offending value.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for GpuError {
@@ -29,6 +39,10 @@ impl fmt::Display for GpuError {
                 "{requested} bandwidths exceed the constant-cache limit of {max} \
                  (run the search repeatedly with progressively smaller ranges instead)"
             ),
+            GpuError::NotF32 { array, index, value } => write!(
+                f,
+                "{array}[{index}] = {value:e} is outside the single-precision range of the device"
+            ),
         }
     }
 }
@@ -38,7 +52,7 @@ impl std::error::Error for GpuError {
         match self {
             GpuError::Sim(e) => Some(e),
             GpuError::Core(e) => Some(e),
-            GpuError::TooManyBandwidths { .. } => None,
+            GpuError::TooManyBandwidths { .. } | GpuError::NotF32 { .. } => None,
         }
     }
 }

@@ -23,7 +23,15 @@
 //! *windowed* program (module [`windowed`]' docs): the prefix-moment
 //! strategy on the device, needing only `O(n·(deg+2) + k)` bytes instead of
 //! the `O(n²)` matrices — it selects the same bandwidth while running far
-//! past the paper's n ≈ 23 000 four-gigabyte wall.
+//! past the paper's n ≈ 23 000 four-gigabyte wall. Its prefix tables are
+//! compensated f32 pairs through kernel degree 4 and true f64 from degree 5
+//! on, chosen from the kernel degree alone.
+//!
+//! Both programs run through one shard driver (allocate, launch, reduce per
+//! bandwidth, combine, minimum, account), so the single-device functions
+//! are the `D = 1` case of [`select_bandwidth_multi_gpu`] and
+//! [`select_bandwidth_multi_gpu_windowed`]. Values the f32 device cannot
+//! hold are rejected with [`GpuError::NotF32`].
 //!
 //! ```
 //! use kcv_core::grid::BandwidthGrid;
@@ -42,6 +50,7 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
+mod driver;
 mod error;
 mod gpu_kernel_type;
 mod kernel;
@@ -50,16 +59,14 @@ mod pipeline;
 pub mod windowed;
 
 pub use config::GpuConfig;
+pub use driver::{GpuRun, PipelineReport};
 pub use error::{GpuError, Result};
 pub use gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
 pub use multi_device::{
     required_bytes_per_device, select_bandwidth_multi_gpu,
     select_bandwidth_multi_gpu_windowed, MultiDeviceRun,
 };
-pub use pipeline::{
-    required_device_bytes, select_bandwidth_gpu, select_bandwidth_gpu_kernel, GpuRun,
-    PipelineReport,
-};
+pub use pipeline::{required_device_bytes, select_bandwidth_gpu, select_bandwidth_gpu_kernel};
 pub use windowed::{
     required_device_bytes_windowed, select_bandwidth_gpu_windowed,
     select_bandwidth_gpu_windowed_kernel, WindowedReport, WindowedRun,

@@ -1,32 +1,28 @@
 //! Multi-device execution — the paper's testbed actually had **two** Tesla
 //! S10s ("two Tesla S10 GPUs, each with 240 streaming cores and 4 GB of
-//! device-specific GPU memory", §IV-C) but its program used one. This
-//! module is the natural extension: shard the observations across `D`
-//! devices.
+//! device-specific GPU memory", §IV-C) but its program used one. Both
+//! programs run sharded over `D` devices through the same shard driver as
+//! their single-device entry points, which are the `D = 1` case.
 //!
-//! Each device receives the full `(x, y)` vectors (they are small) and the
-//! whole constant-memory bandwidth grid, but only its shard's rows of the
-//! big matrices: thread `j` of device `d` handles observation
-//! `offset_d + j`. Per-bandwidth partial sums of squared residuals are
-//! reduced on each device and combined on the host — which both
+//! Device `d` answers the observations (for the windowed program, sorted
+//! positions) `[start_d, start_{d+1})`, reduces its per-bandwidth partial
+//! sums on device and ships the `k` sums to the host for the cross-device
+//! combine. Sharding
 //!
 //! 1. cuts device time (shards run concurrently), and
-//! 2. **raises the paper's memory wall**: the dominant `2·n_local·n` f32
-//!    matrices shrink per device, so two 4 GB cards reach ~√2× the sample
-//!    size one card can.
+//! 2. **raises the paper's memory wall** for the classic program: the
+//!    dominant `2·n_local·n` f32 matrices shrink per device, so two 4 GB
+//!    cards reach ~√2× the sample size one card can. The windowed program
+//!    holds the full `O(n·deg)` tables on every device, so for it sharding
+//!    cuts time, not memory.
 
 use crate::config::GpuConfig;
+use crate::driver::{run_shards, GpuRun};
 use crate::error::Result;
 use crate::gpu_kernel_type::GpuKernel;
-use crate::kernel::{main_kernel, MainWorkspace};
-use crate::windowed::{windowed_kernel, TableView, WindowedTables};
-use kcv_core::error::validate_sample;
+use crate::pipeline::Classic;
+use crate::windowed::Windowed;
 use kcv_core::grid::BandwidthGrid;
-use kcv_gpu_sim::{
-    launch_independent_map, min_payload_reduction, sum_reduction, ConstantMemory, LaunchConfig,
-    MemoryPool, ThreadCounters,
-};
-use std::time::Instant;
 
 /// Result of a multi-device run.
 #[derive(Debug, Clone)]
@@ -40,7 +36,7 @@ pub struct MultiDeviceRun {
     /// Number of devices used.
     pub devices: usize,
     /// Simulated seconds: the *maximum* over devices (they run
-    /// concurrently) plus the shared reduction/transfer tail.
+    /// concurrently) plus the final minimum reduction.
     pub total_simulated_seconds: f64,
     /// Peak device memory on the busiest device, bytes.
     pub peak_bytes_per_device: usize,
@@ -60,8 +56,27 @@ pub struct MultiDeviceRun {
     pub host_seconds: f64,
 }
 
-/// Runs the bandwidth search sharded over `devices` identical simulated
-/// GPUs (each configured per `config`).
+impl MultiDeviceRun {
+    fn new((run, devices): (GpuRun, usize)) -> Self {
+        let r = run.report;
+        Self {
+            bandwidth: run.bandwidth,
+            score: run.score,
+            scores: run.scores,
+            devices,
+            total_simulated_seconds: r.total_simulated_seconds,
+            peak_bytes_per_device: r.device_bytes_peak,
+            h2d_bytes: r.h2d_bytes,
+            d2h_bytes: r.d2h_bytes,
+            transfer_seconds: r.transfer_seconds,
+            host_seconds: r.host_seconds,
+        }
+    }
+}
+
+/// Runs the classic bandwidth search sharded over `devices` identical
+/// simulated GPUs (each configured per `config`; `devices` is clamped to
+/// `1..=n`).
 pub fn select_bandwidth_multi_gpu(
     x: &[f64],
     y: &[f64],
@@ -70,167 +85,12 @@ pub fn select_bandwidth_multi_gpu(
     devices: usize,
 ) -> Result<MultiDeviceRun> {
     let kernel = GpuKernel::epanechnikov();
-    let n = validate_sample(x, y, 2)?;
-    let k = grid.len();
-    let max_k = config.spec.max_constant_f32();
-    if k > max_k {
-        return Err(crate::error::GpuError::TooManyBandwidths { requested: k, max: max_k });
-    }
-    let devices = devices.clamp(1, n);
-    let wall = Instant::now();
-    let reduction_threads = config.reduction_threads.min(config.spec.max_threads_per_block);
-
-    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    let y32: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-    let h32: Vec<f32> = grid.values().iter().map(|&v| v as f32).collect();
-
-    // Shard bounds: device d handles observations [starts[d], starts[d+1]).
-    let base = n / devices;
-    let extra = n % devices;
-    let mut starts = Vec::with_capacity(devices + 1);
-    let mut acc = 0usize;
-    starts.push(0);
-    for d in 0..devices {
-        acc += base + usize::from(d < extra);
-        starts.push(acc);
-    }
-
-    let mut device_seconds: Vec<f64> = Vec::with_capacity(devices);
-    let mut peak_bytes = 0usize;
-    let mut h2d_total = 0u64;
-    let mut d2h_total = 0u64;
-    // Per-bandwidth squared-residual totals, summed across devices.
-    let mut sq_totals = vec![0.0f32; k];
-
-    for d in 0..devices {
-        let lo = starts[d];
-        let hi = starts[d + 1];
-        let n_local = hi - lo;
-        if n_local == 0 {
-            device_seconds.push(0.0);
-            continue;
-        }
-        let pool = MemoryPool::for_device(&config.spec);
-        let mut x_dev = pool.alloc::<f32>(n)?;
-        let mut y_dev = pool.alloc::<f32>(n)?;
-        let mut dist_mat = pool.alloc::<f32>(n_local * n)?;
-        let mut y_mat = pool.alloc::<f32>(n_local * n)?;
-        let mut num_mat = pool.alloc::<f32>(n_local * k)?;
-        let mut den_mat = pool.alloc::<f32>(n_local * k)?;
-        let mut sqres_mat = pool.alloc::<f32>(n_local * k)?;
-        let mut partials_dev = pool.alloc::<f32>(k)?;
-        x_dev.copy_from_host(&x32)?;
-        y_dev.copy_from_host(&y32)?;
-        let bandwidths = ConstantMemory::new(&config.spec, &h32)?;
-
-        let (sqres_rows, report) = {
-            let x_view = x_dev.as_slice();
-            let y_view = y_dev.as_slice();
-            let bw_view = bandwidths.as_slice();
-            let workspaces: Vec<MainWorkspace<'_>> = dist_mat
-                .as_mut_slice()
-                .chunks_mut(n)
-                .zip(y_mat.as_mut_slice().chunks_mut(n))
-                .zip(num_mat.as_mut_slice().chunks_mut(k))
-                .zip(den_mat.as_mut_slice().chunks_mut(k))
-                .map(|(((dist, yrow), num), den)| MainWorkspace { dist, yrow, num, den })
-                .collect();
-            let coeffs = kernel.coeffs.as_slice();
-            let radius = kernel.radius;
-            launch_independent_map(
-                &config.spec,
-                &config.cost,
-                LaunchConfig::new(
-                    n_local,
-                    config.threads_per_block.min(config.spec.max_threads_per_block),
-                ),
-                workspaces,
-                // Thread tid of this device handles global observation lo + tid.
-                |tid, ws, c| {
-                    main_kernel(lo + tid, x_view, y_view, bw_view, coeffs, radius, true, ws, c)
-                },
-            )?
-        };
-
-        // Place the residuals bandwidth-major in the device matrix (the
-        // same §IV-B layout as the single-device pipeline) and reduce each
-        // bandwidth's contiguous row into the device partial-sum buffer.
-        {
-            let sqres = sqres_mat.as_mut_slice();
-            for (j, row) in sqres_rows.iter().enumerate() {
-                for (m, &v) in row.iter().enumerate() {
-                    sqres[m * n_local + j] = v;
-                }
-            }
-        }
-        let mut partial_cycles = 0.0;
-        {
-            let sqres = sqres_mat.as_slice();
-            let partials = partials_dev.as_mut_slice();
-            for (m, slot) in partials.iter_mut().enumerate() {
-                let (sum, rep) = sum_reduction(
-                    &config.spec,
-                    &config.cost,
-                    reduction_threads,
-                    &sqres[m * n_local..(m + 1) * n_local],
-                )?;
-                *slot = sum;
-                partial_cycles += rep.simulated_cycles;
-            }
-        }
-        // The k partial sums travel device→host for the cross-device
-        // combine — a real, charged transfer (k·4 bytes per device).
-        let mut partials_host = vec![0.0f32; k];
-        partials_dev.copy_to_host(&mut partials_host)?;
-        for (total, &p) in sq_totals.iter_mut().zip(&partials_host) {
-            *total += p;
-        }
-
-        let transfer =
-            (pool.h2d_bytes() + pool.d2h_bytes()) as f64 / config.spec.transfer_bytes_per_sec;
-        device_seconds
-            .push(report.simulated_seconds + partial_cycles / config.spec.clock_hz + transfer);
-        peak_bytes = peak_bytes.max(pool.peak());
-        h2d_total += pool.h2d_bytes();
-        d2h_total += pool.d2h_bytes();
-    }
-
-    // Host-side combine + final min (charged to one device).
-    let scores: Vec<f32> = sq_totals.iter().map(|&s| s / n as f32).collect();
-    let mut tail_counters = ThreadCounters::default();
-    let ((min_score, best_h), min_report) =
-        min_payload_reduction(&config.spec, &config.cost, reduction_threads, &scores, &h32)?;
-    tail_counters.absorb(&min_report.totals);
-    let tail_seconds = min_report.simulated_cycles / config.spec.clock_hz;
-
-    let busiest = device_seconds.iter().copied().fold(0.0f64, f64::max);
-    Ok(MultiDeviceRun {
-        bandwidth: best_h as f64,
-        score: min_score as f64,
-        scores,
-        devices,
-        total_simulated_seconds: busiest + tail_seconds,
-        peak_bytes_per_device: peak_bytes,
-        h2d_bytes: h2d_total,
-        d2h_bytes: d2h_total,
-        transfer_seconds: (h2d_total + d2h_total) as f64 / config.spec.transfer_bytes_per_sec,
-        host_seconds: wall.elapsed().as_secs_f64(),
-    })
+    run_shards::<Classic>(x, y, grid, config, &kernel, devices).map(MultiDeviceRun::new)
 }
 
 /// Runs the *windowed* (O(n)-memory) program sharded over `devices`
-/// simulated GPUs: device `d` answers the sorted observations
-/// `[starts[d], starts[d+1])` against its own copy of the global prefix
-/// tables, reduces its per-bandwidth partial sums on device, and ships the
-/// `k` partials to the host for the cross-device combine.
-///
-/// Unlike the classic shard (where the dominant `2·n_local·n` matrices
-/// shrink per device), every device here holds the **full** tables — they
-/// are already `O(n·deg)` bytes, so sharding cuts *time*, not memory. The
-/// memory wall is gone either way; this path exists so a saturated device
-/// can split the per-cell work. The tables always use the compensated
-/// `(hi, lo)` f32 pair representation (the single-device path's
-/// [`GpuConfig::windowed_f64`] mode is for precision ablations there).
+/// simulated GPUs (clamped to `1..=n`): every device holds its own copy of
+/// the global prefix tables and answers one shard of the sorted positions.
 pub fn select_bandwidth_multi_gpu_windowed(
     x: &[f64],
     y: &[f64],
@@ -239,178 +99,7 @@ pub fn select_bandwidth_multi_gpu_windowed(
     devices: usize,
 ) -> Result<MultiDeviceRun> {
     let kernel = GpuKernel::epanechnikov();
-    kernel.validate()?;
-    let n = validate_sample(x, y, 2)?;
-    let k = grid.len();
-    let max_k = config.spec.max_constant_f32();
-    if k > max_k {
-        return Err(crate::error::GpuError::TooManyBandwidths { requested: k, max: max_k });
-    }
-    let devices = devices.clamp(1, n);
-    let wall = Instant::now();
-    let deg = kernel.degree();
-    let tpb = config.threads_per_block.min(config.spec.max_threads_per_block);
-    let reduction_threads = config.reduction_threads.min(config.spec.max_threads_per_block);
-
-    let tables = WindowedTables::build(x, y, deg);
-    let h32: Vec<f32> = grid.values().iter().map(|&v| v as f32).collect();
-    let table_len = (deg + 1) * (n + 1);
-    let (px_hi_host, px_lo_host) = WindowedTables::split_pair(&tables.px);
-    let (py_hi_host, py_lo_host) = WindowedTables::split_pair(&tables.py);
-
-    // Shard bounds over *sorted* positions.
-    let base = n / devices;
-    let extra = n % devices;
-    let mut starts = Vec::with_capacity(devices + 1);
-    let mut acc = 0usize;
-    starts.push(0);
-    for d in 0..devices {
-        acc += base + usize::from(d < extra);
-        starts.push(acc);
-    }
-
-    let mut device_seconds: Vec<f64> = Vec::with_capacity(devices);
-    let mut peak_bytes = 0usize;
-    let mut h2d_total = 0u64;
-    let mut d2h_total = 0u64;
-    let mut sq_totals = vec![0.0f32; k];
-
-    for d in 0..devices {
-        let lo = starts[d];
-        let n_local = starts[d + 1] - lo;
-        if n_local == 0 {
-            device_seconds.push(0.0);
-            continue;
-        }
-        let num_blocks = n_local.div_ceil(tpb);
-        let pool = MemoryPool::for_device(&config.spec);
-        let mut xs_dev = pool.alloc::<f32>(n)?;
-        let mut ys_dev = pool.alloc::<f32>(n)?;
-        xs_dev.copy_from_host(&tables.xs32)?;
-        ys_dev.copy_from_host(&tables.ys32)?;
-        let (mut px_hi, mut px_lo, mut py_hi, mut py_lo) = (
-            pool.alloc::<f32>(table_len)?,
-            pool.alloc::<f32>(table_len)?,
-            pool.alloc::<f32>(table_len)?,
-            pool.alloc::<f32>(table_len)?,
-        );
-        px_hi.copy_from_host(&px_hi_host)?;
-        px_lo.copy_from_host(&px_lo_host)?;
-        py_hi.copy_from_host(&py_hi_host)?;
-        py_lo.copy_from_host(&py_lo_host)?;
-        let mut partials_dev = pool.alloc::<f32>(num_blocks * k)?;
-        let mut sums_dev = pool.alloc::<f32>(k)?;
-        let bandwidths = ConstantMemory::new(&config.spec, &h32)?;
-
-        let mut resid_scratch = vec![0.0f32; n_local * k];
-        let report = {
-            let xs_view = xs_dev.as_slice();
-            let ys_view = ys_dev.as_slice();
-            let view = TableView::PairF32 {
-                px_hi: px_hi.as_slice(),
-                px_lo: px_lo.as_slice(),
-                py_hi: py_hi.as_slice(),
-                py_lo: py_lo.as_slice(),
-            };
-            let bw_view = bandwidths.as_slice();
-            let workspaces: Vec<&mut [f32]> = resid_scratch.chunks_mut(k).collect();
-            let coeffs = kernel.coeffs.as_slice();
-            let radius = kernel.radius;
-            let center = tables.center;
-            let binom = tables.binom.as_slice();
-            let (probes, report) = launch_independent_map(
-                &config.spec,
-                &config.cost,
-                LaunchConfig::new(n_local, tpb),
-                workspaces,
-                // Thread tid of this device answers sorted position lo + tid.
-                |tid, resid, c| {
-                    let probes = windowed_kernel(
-                        lo + tid,
-                        xs_view,
-                        ys_view,
-                        &view,
-                        center,
-                        binom,
-                        bw_view,
-                        coeffs,
-                        radius,
-                        deg,
-                        n,
-                        resid,
-                        c,
-                    );
-                    if tid % tpb == 0 {
-                        c.global_coalesced(k as u64);
-                    }
-                    probes
-                },
-            )?;
-            kcv_obs::add(kcv_obs::Counter::WindowQueries, (n_local * k) as u64);
-            kcv_obs::add(kcv_obs::Counter::BinarySearchProbes, probes.iter().sum());
-            report
-        };
-
-        // Block accumulation into the bandwidth-major partial matrix, then
-        // one summation reduction per bandwidth into the k-slot buffer.
-        {
-            let partials = partials_dev.as_mut_slice();
-            for (b, block) in resid_scratch.chunks(tpb * k).enumerate() {
-                for row in block.chunks(k) {
-                    for (m, &v) in row.iter().enumerate() {
-                        partials[m * num_blocks + b] += v;
-                    }
-                }
-            }
-        }
-        let mut partial_cycles = 0.0;
-        {
-            let partials = partials_dev.as_slice();
-            let sums = sums_dev.as_mut_slice();
-            for (m, slot) in sums.iter_mut().enumerate() {
-                let (sum, rep) = sum_reduction(
-                    &config.spec,
-                    &config.cost,
-                    reduction_threads,
-                    &partials[m * num_blocks..(m + 1) * num_blocks],
-                )?;
-                *slot = sum;
-                partial_cycles += rep.simulated_cycles;
-            }
-        }
-        let mut partials_host = vec![0.0f32; k];
-        sums_dev.copy_to_host(&mut partials_host)?;
-        for (total, &p) in sq_totals.iter_mut().zip(&partials_host) {
-            *total += p;
-        }
-
-        let transfer =
-            (pool.h2d_bytes() + pool.d2h_bytes()) as f64 / config.spec.transfer_bytes_per_sec;
-        device_seconds
-            .push(report.simulated_seconds + partial_cycles / config.spec.clock_hz + transfer);
-        peak_bytes = peak_bytes.max(pool.peak());
-        h2d_total += pool.h2d_bytes();
-        d2h_total += pool.d2h_bytes();
-    }
-
-    let scores: Vec<f32> = sq_totals.iter().map(|&s| s / n as f32).collect();
-    let ((min_score, best_h), min_report) =
-        min_payload_reduction(&config.spec, &config.cost, reduction_threads, &scores, &h32)?;
-    let tail_seconds = min_report.simulated_cycles / config.spec.clock_hz;
-
-    let busiest = device_seconds.iter().copied().fold(0.0f64, f64::max);
-    Ok(MultiDeviceRun {
-        bandwidth: best_h as f64,
-        score: min_score as f64,
-        scores,
-        devices,
-        total_simulated_seconds: busiest + tail_seconds,
-        peak_bytes_per_device: peak_bytes,
-        h2d_bytes: h2d_total,
-        d2h_bytes: d2h_total,
-        transfer_seconds: (h2d_total + d2h_total) as f64 / config.spec.transfer_bytes_per_sec,
-        host_seconds: wall.elapsed().as_secs_f64(),
-    })
+    run_shards::<Windowed>(x, y, grid, config, &kernel, devices).map(MultiDeviceRun::new)
 }
 
 /// Per-device memory requirement for a sharded run, in bytes.

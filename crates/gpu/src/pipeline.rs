@@ -1,6 +1,8 @@
 //! The full GPU program, step for step as the paper's §IV describes it:
 //! allocate, copy in, main kernel (fill → sort → sweep → residuals),
-//! per-bandwidth summation reductions, minimum reduction, copy out.
+//! per-bandwidth summation reductions, minimum reduction, copy out. This
+//! module is the allocation and main kernel; the shard driver does the
+//! rest, here on one device.
 //!
 //! §IV-B's *index switch*: the squared residuals are produced "indexed as
 //! k separate groups of n" (bandwidth-major) rather than the n-groups-of-k
@@ -12,59 +14,12 @@
 //! as a measurable ablation of the paper's design choice.
 
 use crate::config::GpuConfig;
-use crate::error::{GpuError, Result};
+use crate::driver::{run_shards, upload, GpuRun, Residuals, Shard, ShardBody};
+use crate::error::Result;
 use crate::gpu_kernel_type::GpuKernel;
 use crate::kernel::{main_kernel, MainWorkspace};
-use kcv_core::error::validate_sample;
 use kcv_core::grid::BandwidthGrid;
-use kcv_gpu_sim::{
-    launch_independent_map, min_payload_reduction, sum_reduction, sum_reduction_strided,
-    ConstantMemory, LaunchConfig, LaunchReport, MemoryPool, ThreadCounters,
-};
-use std::time::Instant;
-
-/// Cost and traffic accounting for one pipeline run.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Sample size.
-    pub n: usize,
-    /// Grid size.
-    pub k: usize,
-    /// Peak device memory allocated (bytes).
-    pub device_bytes_peak: usize,
-    /// Host→device bytes transferred.
-    pub h2d_bytes: u64,
-    /// Device→host bytes transferred.
-    pub d2h_bytes: u64,
-    /// Simulated transfer time (bytes / device transfer bandwidth).
-    pub transfer_seconds: f64,
-    /// Main kernel launch report.
-    pub main_kernel: LaunchReport,
-    /// Aggregate operation counts over the `k` summation reductions and the
-    /// final minimum reduction.
-    pub reduction_totals: ThreadCounters,
-    /// Simulated seconds spent in the reductions.
-    pub reduction_seconds: f64,
-    /// Total simulated device seconds (kernels + reductions + transfers).
-    pub total_simulated_seconds: f64,
-    /// Wall-clock seconds the simulation took on the host.
-    pub host_seconds: f64,
-}
-
-/// Result of the GPU bandwidth selection.
-#[derive(Debug, Clone)]
-pub struct GpuRun {
-    /// The selected (CV-minimal) bandwidth.
-    pub bandwidth: f64,
-    /// The cross-validation score at the optimum.
-    pub score: f64,
-    /// The f32 grid the device searched.
-    pub bandwidths: Vec<f32>,
-    /// The f32 CV score per grid bandwidth (`Σ residual² / n`).
-    pub scores: Vec<f32>,
-    /// Cost accounting.
-    pub report: PipelineReport,
-}
+use kcv_gpu_sim::{launch_independent_map, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool};
 
 /// Runs the paper's GPU program on the simulated device: selects the
 /// CV-optimal Epanechnikov bandwidth for `(x, y)` over `grid`.
@@ -86,165 +41,113 @@ pub fn select_bandwidth_gpu_kernel(
     config: &GpuConfig,
     kernel: &GpuKernel,
 ) -> Result<GpuRun> {
-    kernel.validate()?;
-    let n = validate_sample(x, y, 2)?;
-    let k = grid.len();
-    let max_k = config.spec.max_constant_f32();
-    if k > max_k {
-        return Err(GpuError::TooManyBandwidths { requested: k, max: max_k });
+    Ok(run_shards::<Classic>(x, y, grid, config, kernel, 1)?.0)
+}
+
+/// The classic program's shard body: the §IV-A allocation and the
+/// fill → sort → sweep main kernel, in single precision (the paper's
+/// programs generate and process f32 data).
+pub(crate) struct Classic {
+    x32: Vec<f32>,
+    y32: Vec<f32>,
+}
+
+/// A classic shard's device buffers: the full `x` and `y`, the shard's rows
+/// of the two `n×n` matrices and of the `n×k` sum and residual matrices.
+pub(crate) struct ClassicResident {
+    x: DeviceBuffer<f32>,
+    y: DeviceBuffer<f32>,
+    dist: DeviceBuffer<f32>,
+    y_mat: DeviceBuffer<f32>,
+    num: DeviceBuffer<f32>,
+    den: DeviceBuffer<f32>,
+    sqres: DeviceBuffer<f32>,
+}
+
+impl ShardBody for Classic {
+    type Resident = ClassicResident;
+
+    fn prepare(x: &[f64], y: &[f64], _deg: usize) -> Self {
+        Self {
+            x32: x.iter().map(|&v| v as f32).collect(),
+            y32: y.iter().map(|&v| v as f32).collect(),
+        }
     }
-    let wall_start = Instant::now();
-    let coalesced_layout = !config.obs_major_residuals;
-    // The reduction block must respect the device maximum wherever it is
-    // used; clamp once so the summation and minimum reductions (and the
-    // multi-device path, which mirrors this) cannot diverge.
-    let reduction_threads = config.reduction_threads.min(config.spec.max_threads_per_block);
 
-    // Host-side single-precision inputs (the paper's programs generate and
-    // process f32 data).
-    let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    let y32: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-    let h32: Vec<f32> = grid.values().iter().map(|&v| v as f32).collect();
+    fn allocate(&self, pool: &MemoryPool, shard: &Shard<'_>) -> Result<ClassicResident> {
+        let (n, rows, k) = (self.x32.len(), shard.rows.len(), shard.k);
+        Ok(ClassicResident {
+            x: upload(pool, &self.x32)?,
+            y: upload(pool, &self.y32)?,
+            dist: pool.alloc(rows * n)?,
+            y_mat: pool.alloc(rows * n)?,
+            num: pool.alloc(rows * k)?,
+            den: pool.alloc(rows * k)?,
+            sqres: pool.alloc(rows * k)?,
+        })
+    }
 
-    // §IV-A memory allocation: vectors, two n×n matrices, the n×k sum
-    // matrices, the n×k squared-residual matrix, and the score array. Any
-    // of these can exhaust the device.
-    let pool = MemoryPool::for_device(&config.spec);
-    let mut x_dev = pool.alloc::<f32>(n)?;
-    let mut y_dev = pool.alloc::<f32>(n)?;
-    let mut dist_mat = pool.alloc::<f32>(n * n)?;
-    let mut y_mat = pool.alloc::<f32>(n * n)?;
-    let mut num_mat = pool.alloc::<f32>(n * k)?;
-    let mut den_mat = pool.alloc::<f32>(n * k)?;
-    let mut sqres_mat = pool.alloc::<f32>(n * k)?;
-    let mut scores_dev = pool.alloc::<f32>(k)?;
-
-    // Copy the data in; bandwidths go to constant memory (8 KB cache limit).
-    x_dev.copy_from_host(&x32)?;
-    y_dev.copy_from_host(&y32)?;
-    let bandwidths = ConstantMemory::new(&config.spec, &h32)?;
-
-    // Main kernel: one thread per observation, over each thread's rows. The
-    // squared residuals come back per thread and land in the device matrix
-    // below in whatever physical layout the configuration charges for.
-    let (sqres_rows, main_report) = {
-        let x_view = x_dev.as_slice();
-        let y_view = y_dev.as_slice();
-        let bw_view = bandwidths.as_slice();
-        let workspaces: Vec<MainWorkspace<'_>> = dist_mat
+    fn launch<'r>(
+        &self,
+        resident: &'r mut ClassicResident,
+        shard: &Shard<'_>,
+        bandwidths: &[f32],
+    ) -> Result<(LaunchReport, Residuals<'r>)> {
+        let (n, rows, k, lo) = (self.x32.len(), shard.rows.len(), shard.k, shard.rows.start);
+        let config = shard.config;
+        let coalesced_layout = !config.obs_major_residuals;
+        // Main kernel: one thread per observation of the shard, over each
+        // thread's rows. The squared residuals come back per thread and land
+        // in the device matrix below in whatever physical layout the
+        // configuration charges for.
+        let (x, y) = (resident.x.as_slice(), resident.y.as_slice());
+        let workspaces: Vec<MainWorkspace<'_>> = resident
+            .dist
             .as_mut_slice()
             .chunks_mut(n)
-            .zip(y_mat.as_mut_slice().chunks_mut(n))
-            .zip(num_mat.as_mut_slice().chunks_mut(k))
-            .zip(den_mat.as_mut_slice().chunks_mut(k))
+            .zip(resident.y_mat.as_mut_slice().chunks_mut(n))
+            .zip(resident.num.as_mut_slice().chunks_mut(k))
+            .zip(resident.den.as_mut_slice().chunks_mut(k))
             .map(|(((dist, yrow), num), den)| MainWorkspace { dist, yrow, num, den })
             .collect();
-        let coeffs = kernel.coeffs.as_slice();
-        let radius = kernel.radius;
-        launch_independent_map(
+        let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
+        let (sqres_rows, report) = launch_independent_map(
             &config.spec,
             &config.cost,
-            LaunchConfig::new(n, config.threads_per_block.min(config.spec.max_threads_per_block)),
+            LaunchConfig::new(rows, shard.tpb),
             workspaces,
+            // Thread tid of this device handles observation lo + tid.
             |tid, ws, c| {
-                main_kernel(tid, x_view, y_view, bw_view, coeffs, radius, coalesced_layout, ws, c)
+                main_kernel(lo + tid, x, y, bandwidths, coeffs, radius, coalesced_layout, ws, c)
             },
-        )?
-    };
+        )?;
 
-    // Place each thread's residuals into the *pool-backed* residual matrix
-    // in the physical layout whose stores the kernel charged: bandwidth-
-    // major `[m·n + j]` under the §IV-B index switch (so the per-bandwidth
-    // reductions read consecutive device addresses), observation-major
-    // `[j·k + m]` in the ablation. No host-side shadow copy: the reductions
-    // below read this device memory directly.
-    {
-        let sqres = sqres_mat.as_mut_slice();
+        // Place each thread's residuals into the *pool-backed* residual
+        // matrix in the physical layout whose stores the kernel charged:
+        // bandwidth-major `[m·rows + j]` under the §IV-B index switch (so the
+        // per-bandwidth reductions read consecutive device addresses),
+        // observation-major `[j·k + m]` in the ablation. No host-side shadow
+        // copy: the reductions read this device memory directly.
+        let sqres = resident.sqres.as_mut_slice();
         for (j, row) in sqres_rows.iter().enumerate() {
             for (m, &v) in row.iter().enumerate() {
                 if coalesced_layout {
-                    sqres[m * n + j] = v;
+                    sqres[m * rows + j] = v;
                 } else {
                     sqres[j * k + m] = v;
                 }
             }
         }
+        let values = resident.sqres.as_slice();
+        Ok((report, Residuals { values, bandwidth_major: coalesced_layout }))
     }
-
-    // k summation reductions (one per bandwidth), then the min reduction.
-    let mut reduction_totals = ThreadCounters::default();
-    let mut reduction_cycles = 0.0;
-    {
-        let sqres = sqres_mat.as_slice();
-        let scores_out = scores_dev.as_mut_slice();
-        for m in 0..k {
-            let (sum, report) = if coalesced_layout {
-                sum_reduction(
-                    &config.spec,
-                    &config.cost,
-                    reduction_threads,
-                    &sqres[m * n..(m + 1) * n],
-                )?
-            } else {
-                // Obs-major: bandwidth m's residuals sit at stride k. The
-                // strided reduction charges the scattered loads; the gather
-                // here only adapts the access pattern for the simulator.
-                let column: Vec<f32> = (0..n).map(|j| sqres[j * k + m]).collect();
-                sum_reduction_strided(&config.spec, &config.cost, reduction_threads, &column)?
-            };
-            scores_out[m] = sum / n as f32;
-            reduction_totals.absorb(&report.totals);
-            reduction_cycles += report.simulated_cycles;
-        }
-    }
-    let ((min_score, best_h), min_report) = min_payload_reduction(
-        &config.spec,
-        &config.cost,
-        reduction_threads,
-        scores_dev.as_slice(),
-        bandwidths.as_slice(),
-    )?;
-    reduction_totals.absorb(&min_report.totals);
-    reduction_cycles += min_report.simulated_cycles;
-
-    // Copy the score profile back to the host.
-    let mut scores_host = vec![0.0f32; k];
-    scores_dev.copy_to_host(&mut scores_host)?;
-
-    let transfer_seconds =
-        (pool.h2d_bytes() + pool.d2h_bytes()) as f64 / config.spec.transfer_bytes_per_sec;
-    let reduction_seconds = reduction_cycles / config.spec.clock_hz;
-    let total_simulated_seconds =
-        main_report.simulated_seconds + reduction_seconds + transfer_seconds;
-
-    let report = PipelineReport {
-        n,
-        k,
-        device_bytes_peak: pool.peak(),
-        h2d_bytes: pool.h2d_bytes(),
-        d2h_bytes: pool.d2h_bytes(),
-        transfer_seconds,
-        main_kernel: main_report,
-        reduction_totals,
-        reduction_seconds,
-        total_simulated_seconds,
-        host_seconds: wall_start.elapsed().as_secs_f64(),
-    };
-
-    Ok(GpuRun {
-        bandwidth: best_h as f64,
-        score: min_score as f64,
-        bandwidths: h32,
-        scores: scores_host,
-        report,
-    })
 }
 
 /// Device memory the pipeline needs for a given `(n, k)`, in bytes — useful
 /// for predicting the paper's n ≈ 20 000 wall without running anything.
 pub fn required_device_bytes(n: usize, k: usize) -> usize {
     let f = std::mem::size_of::<f32>();
-    // x, y, two n×n, three n×k (num, den, sqres) + scores.
+    // x, y, two n×n, three n×k (num, den, sqres) + the k sums.
     (2 * n + 2 * n * n + 3 * n * k + k) * f
 }
 
@@ -262,6 +165,8 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next()).collect();
         (x, y)
     }
+
+    use crate::error::GpuError;
 
     #[test]
     fn gpu_profile_matches_f64_cpu_reference() {
@@ -362,7 +267,7 @@ mod tests {
         assert!(r.device_bytes_peak >= 2 * 80 * 80 * 4);
         // H2D: x and y (80 f32 each).
         assert_eq!(r.h2d_bytes, 2 * 80 * 4);
-        // D2H: the k scores.
+        // D2H: the k per-bandwidth sums.
         assert_eq!(r.d2h_bytes, 10 * 4);
         assert!(r.total_simulated_seconds > 0.0);
         assert!(r.main_kernel.totals.flops > 0);

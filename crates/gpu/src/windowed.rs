@@ -16,16 +16,16 @@
 //! * the sorted `x` and co-sorted `y` (`2n` f32),
 //! * the two prefix-moment tables `P_m`/`Q_m` for `m = 0..=deg`
 //!   (`2·(deg+1)·(n+1)` entries at 8 bytes each — see *Precision* below),
-//! * `⌈n/tpb⌉·k` block-partial slots and the `k` scores,
+//! * `⌈n/tpb⌉·k` block-partial slots and the `k` per-bandwidth sums,
 //!
 //! i.e. `O(n·(deg+2) + k)` bytes and **no n×n or n×k matrix anywhere** —
 //! at the paper's k = 50 an n = 100 000 problem needs ~5.6 MB where the
 //! classic layout would demand ~80 GB. One thread per observation answers
 //! its `k` cells with [`kcv_gpu_sim::device_support_window`] bisections
 //! (monotonically narrowing across the ascending bandwidth sweep) and the
-//! binomial assembly; block-level shared-memory accumulation plus the
-//! standard Harris reductions produce the score profile and the argmin on
-//! device.
+//! binomial assembly; block-level shared-memory accumulation feeds the
+//! shard driver's standard Harris reductions, which produce the score
+//! profile and the argmin.
 //!
 //! ## Precision
 //!
@@ -40,80 +40,42 @@
 //! window differences as `(hi_b − hi_a) + (lo_b − lo_a)`, whose error
 //! scales with the *difference* magnitude (~1 ulp of f32), not the prefix
 //! magnitude; the rest of the per-cell assembly runs in plain f32.
-//! [`crate::GpuConfig::windowed_f64`] switches the tables to true f64
-//! storage and f64 assembly — the same 8 bytes per entry, so the memory
-//! footprint (and the perf gate on it) is identical.
 //!
 //! The pair scheme has a degree limit: the per-cell assembly multiplies the
 //! `j`-th window moment by `h^{−j}`, amplifying its ~2⁻²⁴ residual error by
 //! up to `h_min^{−deg}`. Through degree 4 (quartic) the amplified error
 //! stays a few percent of the score at the paper-default grids; at degree
 //! 5+ (e.g. triweight's degree 6, `h^{−6} ≈ 3·10⁷` at the smallest
-//! bandwidths) it reaches O(1) and the profile is unreliable — use the f64
-//! table mode for those kernels (`tests/windowed_agreement.rs` pins both
-//! regimes).
+//! bandwidths) it reaches O(1). Kernels of degree 5 and above therefore
+//! get true f64 tables and f64 assembly, chosen from the kernel degree
+//! alone. An f64 entry takes the same 8 bytes as a pair, so the memory
+//! footprint (and the perf gate on it) does not depend on the precision.
+//! `tests/windowed_agreement.rs` pins both regimes.
 
 use crate::config::GpuConfig;
-use crate::error::{GpuError, Result};
+use crate::driver::{run_shards, upload, GpuRun, PipelineReport, Residuals, Shard, ShardBody};
+use crate::error::Result;
 use crate::gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
-use kcv_core::error::validate_sample;
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::sort::{apply_permutation, argsort};
+use kcv_core::util::NeumaierSum;
 use kcv_gpu_sim::{
-    device_support_window, launch_independent_map, min_payload_reduction, sum_reduction,
-    ConstantMemory, LaunchConfig, LaunchReport, MemoryPool, ThreadCounters,
+    device_support_window, launch_independent_map, DeviceBuffer, LaunchConfig, LaunchReport,
+    MemoryPool, ThreadCounters,
 };
-use std::time::Instant;
 
-/// Cost and traffic accounting for one windowed-pipeline run. Field-for-
-/// field comparable with [`crate::PipelineReport`].
-#[derive(Debug, Clone)]
-pub struct WindowedReport {
-    /// Sample size.
-    pub n: usize,
-    /// Grid size.
-    pub k: usize,
-    /// Device-kernel polynomial degree.
-    pub deg: usize,
-    /// Peak device memory allocated (bytes).
-    pub device_bytes_peak: usize,
-    /// Host→device bytes transferred.
-    pub h2d_bytes: u64,
-    /// Device→host bytes transferred.
-    pub d2h_bytes: u64,
-    /// Simulated transfer time (bytes / device transfer bandwidth).
-    pub transfer_seconds: f64,
-    /// Main (windowed) kernel launch report.
-    pub main_kernel: LaunchReport,
-    /// Aggregate operation counts over the `k` summation reductions and the
-    /// final minimum reduction.
-    pub reduction_totals: ThreadCounters,
-    /// Simulated seconds spent in the reductions.
-    pub reduction_seconds: f64,
-    /// Total simulated device seconds (kernel + reductions + transfers).
-    pub total_simulated_seconds: f64,
-    /// Wall-clock seconds the simulation took on the host.
-    pub host_seconds: f64,
-}
+/// The windowed program's report: the same fields as the classic one.
+pub type WindowedReport = PipelineReport;
 
-/// Result of the windowed GPU bandwidth selection.
-#[derive(Debug, Clone)]
-pub struct WindowedRun {
-    /// The selected (CV-minimal) bandwidth.
-    pub bandwidth: f64,
-    /// The cross-validation score at the optimum.
-    pub score: f64,
-    /// The f32 grid the device searched.
-    pub bandwidths: Vec<f32>,
-    /// The f32 CV score per grid bandwidth (`Σ residual² / n`).
-    pub scores: Vec<f32>,
-    /// Cost accounting.
-    pub report: WindowedReport,
-}
+/// The windowed program's result: the same fields as the classic one.
+pub type WindowedRun = GpuRun;
+
+/// Lowest kernel degree whose windowed tables are stored as true f64 (see
+/// *Precision* in the module docs).
+const F64_TABLE_DEGREE: usize = 5;
 
 /// The host-built global tables the windowed device program uploads:
-/// sorted/centred sample and f64 master prefix moments. Shared with the
-/// multi-device sharded path.
+/// sorted/centred sample and f64 master prefix moments.
 pub(crate) struct WindowedTables {
     /// `x` sorted ascending, as f32 (the device's support predicate runs on
     /// these).
@@ -145,24 +107,18 @@ impl WindowedTables {
         let stride = n + 1;
         let mut px = vec![0.0f64; (deg + 1) * stride];
         let mut py = vec![0.0f64; (deg + 1) * stride];
-        // Neumaier-compensated running sums, one (value, compensation) pair
-        // per moment.
-        let mut sx = vec![(0.0f64, 0.0f64); deg + 1];
-        let mut sy = vec![(0.0f64, 0.0f64); deg + 1];
-        fn neumaier_add(acc: &mut (f64, f64), v: f64) {
-            let t = acc.0 + v;
-            acc.1 += if acc.0.abs() >= v.abs() { (acc.0 - t) + v } else { (v - t) + acc.0 };
-            acc.0 = t;
-        }
+        // Neumaier-compensated running sums, one per moment.
+        let mut sx = vec![NeumaierSum::new(); deg + 1];
+        let mut sy = vec![NeumaierSum::new(); deg + 1];
         for t in 0..n {
             let v = xs[t] - center;
             let yv = ys[t];
             let mut pw = 1.0f64;
             for m in 0..=deg {
-                neumaier_add(&mut sx[m], pw);
-                neumaier_add(&mut sy[m], yv * pw);
-                px[m * stride + t + 1] = sx[m].0 + sx[m].1;
-                py[m * stride + t + 1] = sy[m].0 + sy[m].1;
+                sx[m].add(pw);
+                sy[m].add(yv * pw);
+                px[m * stride + t + 1] = sx[m].value();
+                py[m * stride + t + 1] = sy[m].value();
                 pw *= v;
             }
         }
@@ -204,7 +160,7 @@ impl WindowedTables {
 /// Read-only device views of the uploaded prefix tables, in either
 /// precision mode. Both represent each entry in 8 device bytes.
 pub(crate) enum TableView<'a> {
-    /// Compensated f32 pairs (default, period-authentic).
+    /// Compensated f32 pairs (kernel degree ≤ 4, period-authentic).
     PairF32 {
         /// High f32 words of `P_m`.
         px_hi: &'a [f32],
@@ -215,7 +171,7 @@ pub(crate) enum TableView<'a> {
         /// Low words of `Q_m`.
         py_lo: &'a [f32],
     },
-    /// True f64 tables ([`GpuConfig::windowed_f64`]).
+    /// True f64 tables (kernel degree 5 and above).
     F64 {
         /// `P_m` table.
         px: &'a [f64],
@@ -411,106 +367,106 @@ pub fn select_bandwidth_gpu_windowed_kernel(
     config: &GpuConfig,
     kernel: &GpuKernel,
 ) -> Result<WindowedRun> {
-    kernel.validate()?;
-    let n = validate_sample(x, y, 2)?;
-    let k = grid.len();
-    let max_k = config.spec.max_constant_f32();
-    if k > max_k {
-        return Err(GpuError::TooManyBandwidths { requested: k, max: max_k });
+    Ok(run_shards::<Windowed>(x, y, grid, config, kernel, 1)?.0)
+}
+
+/// The windowed program's shard body: the host-built prefix tables, the
+/// windowed kernel and the block fold.
+pub(crate) struct Windowed {
+    tables: WindowedTables,
+}
+
+/// The device-resident prefix tables, in the precision the kernel degree
+/// calls for; both spend 8 device bytes per entry.
+enum TableBuffers {
+    Pair {
+        px_hi: DeviceBuffer<f32>,
+        px_lo: DeviceBuffer<f32>,
+        py_hi: DeviceBuffer<f32>,
+        py_lo: DeviceBuffer<f32>,
+    },
+    F64 {
+        px: DeviceBuffer<f64>,
+        py: DeviceBuffer<f64>,
+    },
+}
+
+/// A windowed shard's device buffers: the full sorted sample and tables,
+/// and the shard's bandwidth-major block partials.
+pub(crate) struct WindowedResident {
+    xs: DeviceBuffer<f32>,
+    ys: DeviceBuffer<f32>,
+    tables: TableBuffers,
+    partials: DeviceBuffer<f32>,
+}
+
+impl ShardBody for Windowed {
+    type Resident = WindowedResident;
+
+    fn prepare(x: &[f64], y: &[f64], deg: usize) -> Self {
+        Self { tables: WindowedTables::build(x, y, deg) }
     }
-    let wall_start = Instant::now();
-    let deg = kernel.degree();
-    let tpb = config.threads_per_block.min(config.spec.max_threads_per_block);
-    let reduction_threads = config.reduction_threads.min(config.spec.max_threads_per_block);
-    let num_blocks = n.div_ceil(tpb);
 
-    let tables = WindowedTables::build(x, y, deg);
-    let h32: Vec<f32> = grid.values().iter().map(|&v| v as f32).collect();
-
-    // Device allocation: vectors, the two prefix-moment tables (8 bytes per
-    // entry in either precision mode), the block-partial matrix
-    // (bandwidth-major so per-bandwidth reductions read consecutive
-    // addresses), and the score array. No n×n, no n×k.
-    let pool = MemoryPool::for_device(&config.spec);
-    let mut xs_dev = pool.alloc::<f32>(n)?;
-    let mut ys_dev = pool.alloc::<f32>(n)?;
-    xs_dev.copy_from_host(&tables.xs32)?;
-    ys_dev.copy_from_host(&tables.ys32)?;
-    let stride = n + 1;
-    let table_len = (deg + 1) * stride;
-
-    // Both precision modes keep the tables in dedicated device buffers; the
-    // pair mode splits each f64 master entry into (hi, lo) f32 words.
-    enum TableBuffers {
-        Pair {
-            px_hi: kcv_gpu_sim::DeviceBuffer<f32>,
-            px_lo: kcv_gpu_sim::DeviceBuffer<f32>,
-            py_hi: kcv_gpu_sim::DeviceBuffer<f32>,
-            py_lo: kcv_gpu_sim::DeviceBuffer<f32>,
-        },
-        F64 {
-            px: kcv_gpu_sim::DeviceBuffer<f64>,
-            py: kcv_gpu_sim::DeviceBuffer<f64>,
-        },
+    fn allocate(&self, pool: &MemoryPool, shard: &Shard<'_>) -> Result<WindowedResident> {
+        let t = &self.tables;
+        let xs = upload(pool, &t.xs32)?;
+        let ys = upload(pool, &t.ys32)?;
+        let tables = if shard.kernel.degree() >= F64_TABLE_DEGREE {
+            TableBuffers::F64 { px: upload(pool, &t.px)?, py: upload(pool, &t.py)? }
+        } else {
+            // Split each f64 master entry into (hi, lo) f32 words; the host
+            // split is dropped once uploaded.
+            let (hx, lx) = WindowedTables::split_pair(&t.px);
+            let (hy, ly) = WindowedTables::split_pair(&t.py);
+            TableBuffers::Pair {
+                px_hi: upload(pool, &hx)?,
+                px_lo: upload(pool, &lx)?,
+                py_hi: upload(pool, &hy)?,
+                py_lo: upload(pool, &ly)?,
+            }
+        };
+        // Block partials, bandwidth-major so the per-bandwidth reductions
+        // read consecutive addresses.
+        let partials = pool.alloc::<f32>(shard.rows.len().div_ceil(shard.tpb) * shard.k)?;
+        Ok(WindowedResident { xs, ys, tables, partials })
     }
-    let table_buffers = if config.windowed_f64 {
-        let mut px = pool.alloc::<f64>(table_len)?;
-        let mut py = pool.alloc::<f64>(table_len)?;
-        px.copy_from_host(&tables.px)?;
-        py.copy_from_host(&tables.py)?;
-        TableBuffers::F64 { px, py }
-    } else {
-        let (hx, lx) = WindowedTables::split_pair(&tables.px);
-        let (hy, ly) = WindowedTables::split_pair(&tables.py);
-        let mut px_hi = pool.alloc::<f32>(table_len)?;
-        let mut px_lo = pool.alloc::<f32>(table_len)?;
-        let mut py_hi = pool.alloc::<f32>(table_len)?;
-        let mut py_lo = pool.alloc::<f32>(table_len)?;
-        px_hi.copy_from_host(&hx)?;
-        px_lo.copy_from_host(&lx)?;
-        py_hi.copy_from_host(&hy)?;
-        py_lo.copy_from_host(&ly)?;
-        TableBuffers::Pair { px_hi, px_lo, py_hi, py_lo }
-    };
-    let mut partials_dev = pool.alloc::<f32>(num_blocks * k)?;
-    let mut scores_dev = pool.alloc::<f32>(k)?;
-    let bandwidths = ConstantMemory::new(&config.spec, &h32)?;
 
-    // Main kernel: one thread per observation; residual rows come back as
-    // per-thread register values for the block accumulation below.
-    let mut resid_scratch = vec![0.0f32; n * k];
-    let main_report = {
-        let xs_view = xs_dev.as_slice();
-        let ys_view = ys_dev.as_slice();
-        let view = match &table_buffers {
+    fn launch<'r>(
+        &self,
+        resident: &'r mut WindowedResident,
+        shard: &Shard<'_>,
+        bandwidths: &[f32],
+    ) -> Result<(LaunchReport, Residuals<'r>)> {
+        let (rows, k, tpb, lo) = (shard.rows.len(), shard.k, shard.tpb, shard.rows.start);
+        let (t, deg, n) = (&self.tables, shard.kernel.degree(), self.tables.xs32.len());
+        // Main kernel: one thread per sorted position of the shard; residual
+        // rows come back as per-thread register values for the block
+        // accumulation below.
+        let mut resid_scratch = vec![0.0f32; rows * k];
+        let (xs, ys) = (resident.xs.as_slice(), resident.ys.as_slice());
+        let view = match &resident.tables {
             TableBuffers::Pair { px_hi, px_lo, py_hi, py_lo } => TableView::PairF32 {
                 px_hi: px_hi.as_slice(),
                 px_lo: px_lo.as_slice(),
                 py_hi: py_hi.as_slice(),
                 py_lo: py_lo.as_slice(),
             },
-            TableBuffers::F64 { px, py } => {
-                TableView::F64 { px: px.as_slice(), py: py.as_slice() }
-            }
+            TableBuffers::F64 { px, py } => TableView::F64 { px: px.as_slice(), py: py.as_slice() },
         };
-        let bw_view = bandwidths.as_slice();
-        let workspaces: Vec<&mut [f32]> = resid_scratch.chunks_mut(k).collect();
-        let coeffs = kernel.coeffs.as_slice();
-        let radius = kernel.radius;
-        let center = tables.center;
-        let binom = tables.binom.as_slice();
+        let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
         let (probes, report) = launch_independent_map(
-            &config.spec,
-            &config.cost,
-            LaunchConfig::new(n, tpb),
-            workspaces,
-            |tid, resid, c| {
+            &shard.config.spec,
+            &shard.config.cost,
+            LaunchConfig::new(rows, tpb),
+            resid_scratch.chunks_mut(k).collect(),
+            // Thread tid of this device answers sorted position lo + tid.
+            |tid, resid: &mut &mut [f32], c| {
                 let probes = windowed_kernel(
-                    tid, xs_view, ys_view, &view, center, binom, bw_view, coeffs, radius, deg,
+                    lo + tid, xs, ys, &view, t.center, &t.binom, bandwidths, coeffs, radius, deg,
                     n, resid, c,
                 );
-                // Each block's leader flushes the block's accumulated
-                // partial row to the device partial matrix — k consecutive
+                // Each block's leader flushes the block's accumulated partial
+                // row to the device partial matrix — k consecutive
                 // bandwidth-major slots per block, a coalesced store.
                 if tid % tpb == 0 {
                     c.global_coalesced(k as u64);
@@ -518,15 +474,13 @@ pub fn select_bandwidth_gpu_windowed_kernel(
                 probes
             },
         )?;
-        kcv_obs::add(kcv_obs::Counter::WindowQueries, (n * k) as u64);
+        kcv_obs::add(kcv_obs::Counter::WindowQueries, (rows * k) as u64);
         kcv_obs::add(kcv_obs::Counter::BinarySearchProbes, probes.iter().sum());
-        report
-    };
 
-    // Fold each block's thread rows into its bandwidth-major partial slot
-    // (the shared-memory accumulation charged per-cell in the kernel).
-    {
-        let partials = partials_dev.as_mut_slice();
+        // Fold each block's thread rows into its bandwidth-major partial slot
+        // (the shared-memory accumulation charged per-cell in the kernel).
+        let num_blocks = rows.div_ceil(tpb);
+        let partials = resident.partials.as_mut_slice();
         for (b, block) in resid_scratch.chunks(tpb * k).enumerate() {
             for row in block.chunks(k) {
                 for (m, &v) in row.iter().enumerate() {
@@ -534,72 +488,16 @@ pub fn select_bandwidth_gpu_windowed_kernel(
                 }
             }
         }
+        let values = resident.partials.as_slice();
+        Ok((report, Residuals { values, bandwidth_major: true }))
     }
-
-    // k summation reductions over the contiguous per-bandwidth partial
-    // rows, then the min reduction — identical tail to the classic program.
-    let mut reduction_totals = ThreadCounters::default();
-    let mut reduction_cycles = 0.0;
-    {
-        let partials = partials_dev.as_slice();
-        let scores_out = scores_dev.as_mut_slice();
-        for m in 0..k {
-            let row = &partials[m * num_blocks..(m + 1) * num_blocks];
-            let (sum, report) =
-                sum_reduction(&config.spec, &config.cost, reduction_threads, row)?;
-            scores_out[m] = sum / n as f32;
-            reduction_totals.absorb(&report.totals);
-            reduction_cycles += report.simulated_cycles;
-        }
-    }
-    let ((min_score, best_h), min_report) = min_payload_reduction(
-        &config.spec,
-        &config.cost,
-        reduction_threads,
-        scores_dev.as_slice(),
-        bandwidths.as_slice(),
-    )?;
-    reduction_totals.absorb(&min_report.totals);
-    reduction_cycles += min_report.simulated_cycles;
-
-    let mut scores_host = vec![0.0f32; k];
-    scores_dev.copy_to_host(&mut scores_host)?;
-
-    let transfer_seconds =
-        (pool.h2d_bytes() + pool.d2h_bytes()) as f64 / config.spec.transfer_bytes_per_sec;
-    let reduction_seconds = reduction_cycles / config.spec.clock_hz;
-    let total_simulated_seconds =
-        main_report.simulated_seconds + reduction_seconds + transfer_seconds;
-
-    let report = WindowedReport {
-        n,
-        k,
-        deg,
-        device_bytes_peak: pool.peak(),
-        h2d_bytes: pool.h2d_bytes(),
-        d2h_bytes: pool.d2h_bytes(),
-        transfer_seconds,
-        main_kernel: main_report,
-        reduction_totals,
-        reduction_seconds,
-        total_simulated_seconds,
-        host_seconds: wall_start.elapsed().as_secs_f64(),
-    };
-
-    Ok(WindowedRun {
-        bandwidth: best_h as f64,
-        score: min_score as f64,
-        bandwidths: h32,
-        scores: scores_host,
-        report,
-    })
 }
 
 /// Device memory the windowed pipeline needs for a given configuration, in
 /// bytes: `2n` f32 for the sorted sample, `2·(deg+1)·(n+1)` table entries
 /// at 8 bytes each (f32 pair or f64 — identical), the `⌈n/tpb⌉·k` block
-/// partials, and the `k` scores. `O(n·(deg+2) + k)` — **no n² term**, so
-/// the paper's 4 GB wall moves out past n = 10⁸.
+/// partials, and the `k` per-bandwidth sums. `O(n·(deg+2) + k)` — **no n²
+/// term**, so the paper's 4 GB wall moves out past n = 10⁸.
 pub fn required_device_bytes_windowed(
     n: usize,
     k: usize,
@@ -614,6 +512,7 @@ pub fn required_device_bytes_windowed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::GpuError;
     use kcv_core::cv::cv_profile_prefix;
     use kcv_core::kernels::Epanechnikov;
 
@@ -671,28 +570,24 @@ mod tests {
 
     #[test]
     fn f64_table_mode_same_bytes_tighter_scores() {
+        // Triweight (degree 6) runs on f64 tables, which cost the same 8
+        // device bytes per entry as the pairs: the footprint is the pair
+        // formula's.
         let (x, y) = paper_data(400, 9);
         let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
-        let pair = select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap();
-        let wide = select_bandwidth_gpu_windowed(
-            &x,
-            &y,
-            &grid,
-            &GpuConfig::default().with_windowed_f64(true),
-        )
-        .unwrap();
-        assert_eq!(pair.report.device_bytes_peak, wide.report.device_bytes_peak);
-        assert!(
-            (pair.bandwidth - wide.bandwidth).abs() <= grid.step() + 1e-9,
-            "pair {} vs f64 {}",
-            pair.bandwidth,
-            wide.bandwidth
-        );
+        let kernel = GpuKernel::triweight();
+        let wide =
+            select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &GpuConfig::default(), &kernel)
+                .unwrap();
+        assert_eq!(wide.report.deg, 6);
+        assert_eq!(wide.report.device_bytes_peak, required_device_bytes_windowed(400, 25, 6, 512));
         // The f64 tables remove every accumulation error; what remains vs
         // the f64 CPU reference is the f32 quantisation of the inputs
         // themselves (x, y, h stored as f32 on the device), so ~1e-4
-        // relative — far tighter than the classic pipeline's 1e-3 contract.
-        let cpu = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
+        // relative — far tighter than the classic pipeline's 1e-3 contract,
+        // at the degree where the pairs' `h^{−6}`-amplified residual would
+        // reach O(1).
+        let cpu = cv_profile_prefix(&x, &y, &grid, &kcv_core::kernels::Triweight).unwrap();
         for m in 0..grid.len() {
             let err_wide = (wide.scores[m] as f64 - cpu.scores[m]).abs();
             assert!(
@@ -702,6 +597,12 @@ mod tests {
                 cpu.scores[m]
             );
         }
+        let cpu_opt = cpu.argmin().unwrap().bandwidth;
+        assert!(
+            (wide.bandwidth - cpu_opt).abs() <= grid.step() + 1e-9,
+            "f64 {} vs cpu {cpu_opt}",
+            wide.bandwidth
+        );
     }
 
     #[test]
@@ -784,7 +685,7 @@ mod tests {
         // f32 each).
         let table_words = 3 * 81u64;
         assert_eq!(r.h2d_bytes, (2 * 80 + 4 * table_words as usize) as u64 * 4);
-        // D2H: the k scores.
+        // D2H: the k per-bandwidth sums.
         assert_eq!(r.d2h_bytes, 10 * 4);
         assert!(r.transfer_seconds > 0.0);
         assert!(r.total_simulated_seconds > 0.0);

@@ -281,11 +281,6 @@ fn windowed_program_matches_its_fingerprints() {
     for core_kernel in polynomial_kernels() {
         let kernel = GpuKernel::from_core(&*core_kernel);
         let config = GpuConfig::default();
-        let config = if kernel.degree() >= 5 {
-            config.with_windowed_f64(true)
-        } else {
-            config
-        };
         for n in SIZES {
             for seed in SEEDS {
                 let (x, y, grid) = data(n, seed);

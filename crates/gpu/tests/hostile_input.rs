@@ -1,0 +1,100 @@
+//! Hostile input through all six public selection functions: each returns
+//! `Err` (or, for a device count of zero, its documented clamped result)
+//! and never panics.
+
+use kcv_core::grid::BandwidthGrid;
+use kcv_gpu::{
+    select_bandwidth_gpu, select_bandwidth_gpu_kernel, select_bandwidth_gpu_windowed,
+    select_bandwidth_gpu_windowed_kernel, select_bandwidth_multi_gpu,
+    select_bandwidth_multi_gpu_windowed, GpuConfig, GpuError, GpuKernel,
+};
+
+/// Runs every public selection function on one input; returns the selected
+/// bandwidths or errors, in a fixed order.
+fn all_six(
+    x: &[f64],
+    y: &[f64],
+    grid: &BandwidthGrid,
+    devices: usize,
+) -> Vec<Result<f64, GpuError>> {
+    let c = GpuConfig::default();
+    let k = GpuKernel::epanechnikov();
+    vec![
+        select_bandwidth_gpu(x, y, grid, &c).map(|r| r.bandwidth),
+        select_bandwidth_gpu_kernel(x, y, grid, &c, &k).map(|r| r.bandwidth),
+        select_bandwidth_gpu_windowed(x, y, grid, &c).map(|r| r.bandwidth),
+        select_bandwidth_gpu_windowed_kernel(x, y, grid, &c, &k).map(|r| r.bandwidth),
+        select_bandwidth_multi_gpu(x, y, grid, &c, devices).map(|r| r.bandwidth),
+        select_bandwidth_multi_gpu_windowed(x, y, grid, &c, devices).map(|r| r.bandwidth),
+    ]
+}
+
+fn assert_all_err(x: &[f64], y: &[f64], grid: &BandwidthGrid, want: &GpuError) {
+    for (i, result) in all_six(x, y, grid, 2).into_iter().enumerate() {
+        assert_eq!(result.as_ref(), Err(want), "function {i}");
+    }
+}
+
+#[test]
+fn values_outside_f32_range_are_rejected_by_name_and_index() {
+    // 1e300 narrows to f32 infinity; before the check the classic program
+    // scored [0, 0, 0.667, 0.667, 0.667] and the windowed one all zeros.
+    let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
+    let want = GpuError::NotF32 { array: "x", index: 2, value: 1e300 };
+    assert_all_err(&[1e-300, 0.5, 1e300], &[1.0, 2.0, 3.0], &grid, &want);
+    let want = GpuError::NotF32 { array: "y", index: 0, value: -1e39 };
+    assert_all_err(&[0.0, 0.5, 1.0], &[-1e39, 2.0, 3.0], &grid, &want);
+    assert!(want.to_string().contains("y[0]"), "{want}");
+
+    let x = [0.0, 0.5, 1.0];
+    let y = [1.0, 2.0, 3.0];
+    // A bandwidth that underflows to zero, and one that overflows.
+    let grid = BandwidthGrid::from_values(vec![1e-50, 0.5]).unwrap();
+    let want = GpuError::NotF32 { array: "bandwidths", index: 0, value: 1e-50 };
+    assert_all_err(&x, &y, &grid, &want);
+    let grid = BandwidthGrid::from_values(vec![0.5, 1e39]).unwrap();
+    let want = GpuError::NotF32 { array: "bandwidths", index: 1, value: 1e39 };
+    assert_all_err(&x, &y, &grid, &want);
+}
+
+#[test]
+fn non_finite_and_short_samples_are_rejected() {
+    let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
+    let cases: [(&[f64], &[f64]); 6] = [
+        (&[0.0, f64::NAN, 1.0], &[1.0, 2.0, 3.0]),
+        (&[0.0, 0.5, f64::INFINITY], &[1.0, 2.0, 3.0]),
+        (&[0.0, 0.5, 1.0], &[f64::NEG_INFINITY, 2.0, 3.0]),
+        (&[0.5], &[1.0]),
+        (&[], &[]),
+        (&[0.0, 0.5, 1.0], &[1.0, 2.0]),
+    ];
+    for (x, y) in cases {
+        for (i, result) in all_six(x, y, &grid, 2).into_iter().enumerate() {
+            assert!(
+                matches!(result, Err(GpuError::Core(_))),
+                "function {i} on x = {x:?}, y = {y:?}: {result:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn zero_devices_clamp_to_one_device() {
+    let x: Vec<f64> = (0..40).map(|i| f64::from(i) / 39.0).collect();
+    let y: Vec<f64> = x.iter().map(|&v| v * v).collect();
+    let grid = BandwidthGrid::paper_default(&x, 8).unwrap();
+    let c = GpuConfig::default();
+    let one = select_bandwidth_multi_gpu(&x, &y, &grid, &c, 1).unwrap();
+    let zero = select_bandwidth_multi_gpu(&x, &y, &grid, &c, 0).unwrap();
+    assert_eq!(zero.devices, 1);
+    assert_eq!(zero.bandwidth.to_bits(), one.bandwidth.to_bits());
+    assert_eq!(zero.scores, one.scores);
+    let one = select_bandwidth_multi_gpu_windowed(&x, &y, &grid, &c, 1).unwrap();
+    let zero = select_bandwidth_multi_gpu_windowed(&x, &y, &grid, &c, 0).unwrap();
+    assert_eq!(zero.devices, 1);
+    assert_eq!(zero.bandwidth.to_bits(), one.bandwidth.to_bits());
+    assert_eq!(zero.scores, one.scores);
+    // Every function succeeds at devices = 0.
+    let picks = all_six(&x, &y, &grid, 0);
+    assert!(picks.iter().all(|p| p.is_ok()), "{picks:?}");
+}

@@ -15,9 +15,8 @@
 //! that amplification defeats the pair-f32 scheme outright: triweight's
 //! `h^{−6}` factor reaches ~3·10⁷ there, turning the ~2⁻²⁴ pair residual
 //! into an O(1)
-//! score error — those kernels are correct only under the true-f64 table
-//! mode (`GpuConfig::windowed_f64`), which this suite uses for them (and
-//! which costs the same 8 device bytes per entry). Argmins of two
+//! score error — so the program gives those kernels true-f64 tables, chosen
+//! from the kernel degree (at the same 8 device bytes per entry). Argmins of two
 //! different-precision programs may legitimately flip between near-tied
 //! neighbouring grid points, so bandwidth agreement is asserted within one
 //! grid step, and the *quality* of the selection is pinned separately: the
@@ -26,19 +25,19 @@
 
 use kcv_core::cv::cv_profile_prefix;
 use kcv_core::grid::BandwidthGrid;
-use kcv_core::kernels::{polynomial_kernels, Epanechnikov, Uniform};
+use kcv_core::kernels::{polynomial_kernels, Epanechnikov, Triweight, Uniform};
 use kcv_data::{Dgp, PaperDgp};
 use kcv_gpu::{select_bandwidth_gpu_windowed_kernel, GpuConfig, GpuKernel};
 use proptest::prelude::*;
 
-/// Per-degree precision mode and relative score tolerance (see the module
-/// docs): pair-f32 tables hold through degree 4; degree 5+ requires the
-/// true-f64 table mode, where only the f32 input quantisation remains.
-fn mode_for_degree(deg: usize) -> (bool, f64) {
+/// Per-degree relative score tolerance (see the module docs): pair-f32
+/// tables hold through degree 4; degree 5+ runs on true-f64 tables, where
+/// only the f32 input quantisation remains.
+fn mode_for_degree(deg: usize) -> f64 {
     match deg {
-        0..=2 => (false, 2e-3),
-        3..=4 => (false, 5e-2),
-        _ => (true, 1e-4),
+        0..=2 => 2e-3,
+        3..=4 => 5e-2,
+        _ => 1e-4,
     }
 }
 
@@ -59,8 +58,8 @@ proptest! {
         let step = grid.step();
         for kernel in polynomial_kernels() {
             let deg = kernel.coeffs().len() - 1;
-            let (needs_f64_tables, tol) = mode_for_degree(deg);
-            let config = GpuConfig::default().with_windowed_f64(needs_f64_tables);
+            let tol = mode_for_degree(deg);
+            let config = GpuConfig::default();
             let cpu = cv_profile_prefix(&s.x, &s.y, &grid, &*kernel).unwrap();
             let cpu_opt = cpu.argmin().unwrap();
             let gpu = select_bandwidth_gpu_windowed_kernel(
@@ -106,16 +105,16 @@ proptest! {
         n in 30usize..100,
         k in 3usize..15,
     ) {
-        // With true-f64 tables and f64 assembly the only remaining error is
-        // the f32 quantisation of the inputs and bandwidths: 1e-4 relative
-        // holds at every grid point, an order tighter than the pair mode's
-        // quadratic-kernel bound.
+        // Triweight (degree 6) runs on true-f64 tables with f64 assembly,
+        // so the only remaining error is the f32 quantisation of the inputs
+        // and bandwidths: 1e-4 relative holds at every grid point, an order
+        // tighter than the pair mode's quadratic-kernel bound.
         let s = PaperDgp.sample(n, seed);
         let grid = BandwidthGrid::paper_default(&s.x, k).unwrap();
-        let config = GpuConfig::default().with_windowed_f64(true);
-        let cpu = cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov).unwrap();
+        let config = GpuConfig::default();
+        let cpu = cv_profile_prefix(&s.x, &s.y, &grid, &Triweight).unwrap();
         let gpu = select_bandwidth_gpu_windowed_kernel(
-            &s.x, &s.y, &grid, &config, &GpuKernel::epanechnikov(),
+            &s.x, &s.y, &grid, &config, &GpuKernel::triweight(),
         )
         .unwrap();
         for (m, (&ours, &theirs)) in gpu.scores.iter().zip(&cpu.scores).enumerate() {
