@@ -20,7 +20,7 @@ test:
 
 ## The observability layer changes what compiles; test both feature states.
 ## Counters are scoped per `kcv_obs::Recorder`, so the metrics suite runs
-## deliberately multi-threaded — no `exclusive()` serialisation.
+## deliberately multi-threaded — no cross-test serialisation.
 test-metrics:
 	$(CARGO) test $(FLAGS) --workspace --features metrics -q -- --test-threads=8
 

@@ -20,11 +20,11 @@
 //! stream is contiguous, the slice `x[t−w..t]` holds exactly the
 //! multiset the window would hold at arrival `t`.
 //!
-//! The amortisation curve this produces is the tentpole's pitch: one
-//! incremental re-selection costs a small constant factor more than one
-//! fresh prefix profile on the same window (the Fenwick log-factor per
-//! cell), so the speedup over per-arrival recompute grows roughly
-//! linearly in the cadence.
+//! The amortisation curve this produces is the engine's pitch: one
+//! incremental re-selection costs about one fresh prefix profile on the
+//! same window (both run the same cell kernel over a table built in one
+//! compensated pass; the re-selection skips the sort), so the speedup
+//! over per-arrival recompute grows roughly linearly in the cadence.
 //!
 //! Outputs:
 //!

@@ -46,7 +46,7 @@ pub enum Program {
     /// (which is univariate) stays intact.
     MultiFast,
     /// Beyond the paper — "Streaming": the sample replayed as an arrival
-    /// stream through the sliding-window incremental Fenwick engine
+    /// stream through the sliding-window incremental key-pool engine
     /// (`kcv_core::cv::SlidingWindowSelector`): window `max(n/4, 64)`,
     /// re-selection every 64 arrivals over a `k`-point log grid, zero
     /// kernel evaluations on the hot path. The reported selection is the

@@ -322,7 +322,7 @@ pub struct ScalingRow {
 
 /// The streaming replay's settings and measurements (schema v6): one
 /// sliding-window pass of the report's paper-DGP sample through the
-/// incremental Fenwick engine, next to the sampled-and-extrapolated
+/// incremental key-pool engine, next to the sampled-and-extrapolated
 /// recompute-from-scratch baseline (see the module-level schema notes for
 /// the sampling policy).
 #[derive(Debug, Clone, PartialEq)]
@@ -333,7 +333,7 @@ pub struct StreamingInfo {
     pub window: usize,
     /// Re-selection cadence in arrivals.
     pub cadence: usize,
-    /// `insert` operations applied to the moment tree (= arrivals).
+    /// `insert` operations applied to the key pool (= arrivals).
     pub inserts: u64,
     /// `remove` operations applied (evictions: `arrivals − window` once the
     /// window fills).
@@ -341,7 +341,8 @@ pub struct StreamingInfo {
     /// Completed `reselect()` passes (cadence-triggered plus the forced
     /// final one), from the `reselects` counter.
     pub reselects: u64,
-    /// Fenwick node visits, from the `tree_updates` counter. Perf gate 14
+    /// Moment-table rows the re-selections wrote (one per key-pool slot
+    /// per `reselect`), from the `tree_updates` counter. Perf gate 14
     /// holds this under `(inserts+removes)·⌈log₂ window⌉·(deg+3)`.
     pub tree_updates: u64,
     /// Kernel evaluations spent by the whole replay — pinned to zero by
@@ -630,8 +631,8 @@ fn bits_hex(values: &[f64]) -> String {
 /// The window is `max(n/4, 64)` (capped at `n`) and the re-selection
 /// cadence is 64 arrivals: one incremental `reselect` costs about one
 /// fresh prefix profile on the same window (both run the same cell kernel;
-/// the reselect reads its flat table from the Fenwick tree in
-/// `O(W·log W)` where the fresh run sorts), so the amortised win over the
+/// the reselect builds its flat table in one `O(W)` pass over the key
+/// pool where the fresh run sorts), so the amortised win over the
 /// recompute-every-arrival policy grows roughly linearly in the cadence —
 /// comfortably past perf gate 15's 10× at cadence 64.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {
@@ -1373,7 +1374,7 @@ mod tests {
         // the whole stream (no evictions), the 64-arrival cadence never
         // fires before the forced final pass, and the incremental engine
         // answers the grid with zero kernel evaluations inside the
-        // gate-14 tree-update budget.
+        // gate-14 table-row budget.
         let st = report.streaming.as_ref().unwrap();
         assert_eq!(st.window, 60);
         assert_eq!(st.removes, 0);

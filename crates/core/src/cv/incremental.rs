@@ -1,48 +1,41 @@
 //! Incremental prefix-moment CV — the streaming engine.
 //!
 //! [`super::prefix`] answers every `(observation, bandwidth)` cell from
-//! global prefix sums of centred moments, but those tables are immutable:
-//! one inserted or removed observation forces a full `O(n·deg)` rebuild.
-//! This module makes the same representation *dynamic* by storing the
-//! moments in an order-statistic **Fenwick tree** over the sorted distinct
-//! keys of the live sample:
+//! global prefix sums of centred moments over the sorted sample. This
+//! module keeps the sample itself *dynamic* — a sorted **key pool** that
+//! observations enter and leave one at a time — and rebuilds those prefix
+//! sums only when a re-selection asks for them:
 //!
-//! * each tree node holds a block of `2·(max_m + 1)` Neumaier-compensated
-//!   sums — the centred moments `Σ x'^m` and `Σ y·x'^m`, `m ≤ deg + 2` —
-//!   over its Fenwick range of key slots;
-//! * [`IncrementalSelector::insert`] / [`IncrementalSelector::remove`] fold
-//!   an observation into (out of) the `O(log n)` nodes on its update path;
-//! * [`IncrementalSelector::reselect`] first reads the tree into a flat
-//!   slot table — one `O(log n)` descent per slot boundary — and then
-//!   answers every cell with the prefix sweep's own cell kernel
-//!   (`cv::window`): per-bandwidth window cursors on the **original**
-//!   sorted keys with the bit-identical `d·(1/h) ≤ r` support predicate,
-//!   and the precombined kernel polynomial against flat-table rows, plus
-//!   the closed-form duplicate-key term. Zero kernel evaluations, like the
-//!   prefix sweep.
+//! * [`IncrementalSelector::insert`] / [`IncrementalSelector::remove`] are
+//!   a binary search plus a `Vec` edit — no moments are touched;
+//! * [`IncrementalSelector::reselect`] builds a flat slot table in one
+//!   linear compensated pass over the pool — the same row builder the
+//!   prefix sweep runs (`cv::window::moment_rows`), each slot adding
+//!   `cnt·x'^m` and `(Σy)·x'^m` — and then answers every cell with the
+//!   prefix sweep's own cell kernel (`cv::window`): per-bandwidth window
+//!   cursors on the **original** sorted keys with the bit-identical
+//!   `d·(1/h) ≤ r` support predicate, and the precombined kernel
+//!   polynomial against table rows, plus the closed-form duplicate-key
+//!   term. Zero kernel evaluations, like the prefix sweep.
 //!
 //! ## The key pool and amortised folding
 //!
-//! A Fenwick tree indexes *fixed* positions, but a stream of continuous
-//! regressors presents previously unseen keys that belong in the middle of
-//! the sorted order. The engine therefore keeps a **pool** of sorted
-//! distinct keys (duplicate `x` values share one slot, holding the slot's
-//! live `y` values) plus a small sorted **pending** run of not-yet-pooled
-//! arrivals:
+//! A stream of continuous regressors presents previously unseen keys that
+//! belong in the middle of the sorted order. The engine therefore keeps a
+//! **pool** of sorted distinct keys (duplicate `x` values share one slot,
+//! holding the slot's live `y` values) plus a small sorted **pending** run
+//! of not-yet-pooled arrivals:
 //!
-//! * inserting an existing pool key (or removing any pooled observation) is
-//!   a true `O(log n)` Fenwick point update — removals never restructure
-//!   the pool, they only subtract the observation's moments back out and
-//!   possibly leave a *dead* (zero-count) slot behind;
-//! * inserting a brand-new key appends to the pending run (`O(log n)`
-//!   compares); pending runs **fold** into the pool — one `O(n)` merge +
-//!   linear-time tree rebuild that also compacts dead slots and discards
-//!   their rounding residue — when the run outgrows `max(64, slots/8)` or
-//!   at the next `reselect()`, so folding is amortised `O(1)` node writes
-//!   per arrival and never changes `reselect`'s complexity (the rebuild is
-//!   dominated by the sweep it precedes).
+//! * inserting an existing pool key (or removing any pooled observation)
+//!   edits that slot's `y` list in place — removals never restructure the
+//!   pool, they may only leave a *dead* (empty) slot behind;
+//! * inserting a brand-new key goes into the pending run (`O(log n)`
+//!   compares); pending runs **fold** into the pool — one `O(n)` merge that
+//!   also compacts dead slots — when the run outgrows `max(64, slots/8)` or
+//!   at the next `reselect()`, so folding is amortised `O(1)` moves per
+//!   arrival and never changes `reselect`'s complexity.
 //!
-//! Every tree-node visit (point updates and rebuild writes alike) counts
+//! Every table row the re-selection writes (one per pooled slot) counts
 //! into the `tree_updates` counter; perf gate 14 holds the total under
 //! `(inserts + removes)·⌈log₂ W⌉·(deg + 3)` for the streaming replay.
 //!
@@ -50,17 +43,23 @@
 //!
 //! Support classification is bit-identical to [`super::prefix`] by
 //! construction: the support predicate runs on the original keys, dead
-//! slots carry an **exactly zero** count (the `m = 0` moment row only ever
-//! accumulates `±1.0`, which Neumaier summation tracks exactly), and a
-//! side whose live count is zero contributes exactly-zero moments just as
-//! an empty prefix range does. Duplicate-key neighbours are folded in
-//! closed form (`(x_l − x_i)^j = 0` for `j > 0`), so only the *scores*
-//! differ from a fresh [`super::prefix::cv_profile_prefix`] run — by the
-//! regrouping of the same compensated sums, within the PR 4 documented
-//! tolerance — while the selected bandwidth matches bit-for-bit
-//! (`crates/core/tests/incremental_agreement.rs` pins this over random
-//! interleaved insert/remove sequences, duplicate keys, and boundary-tie
-//! lattices for every polynomial kernel).
+//! slots add nothing to the table (their rows repeat the previous one),
+//! and the `m = 0` moments sum integer counts, which compensated summation
+//! holds exactly, so a side whose live count is zero contributes
+//! exactly-zero moments just as an empty prefix range does. Duplicate-key
+//! neighbours are folded in closed form (`(x_l − x_i)^j = 0` for `j > 0`),
+//! so only the *scores* differ from a fresh
+//! [`super::prefix::cv_profile_prefix`] run — by grouping duplicates into
+//! one slot and by the centring shift — while the selected bandwidth
+//! matches bit-for-bit (`crates/core/tests/incremental_agreement.rs` pins
+//! this over random interleaved insert/remove sequences, duplicate keys,
+//! and boundary-tie lattices for every polynomial kernel). On distinct
+//! keys centred at the sample midrange a single-observation slot performs
+//! exactly the prefix pass's operations, so the whole profile matches a
+//! fresh run `to_bits`. The table depends only on the live `y` values at
+//! each key, not on the insert/remove history, so dead slots and shrunken
+//! duplicate slots re-select `to_bits`-identically to a fresh selector fed
+//! only the survivors in their arrival order.
 //!
 //! One intentional difference: the centring shift is **fixed at
 //! construction** ([`IncrementalSelector::with_center`]) instead of the
@@ -69,46 +68,43 @@
 //!
 //! [`SlidingWindowSelector`] wraps the engine for the streaming use case:
 //! capacity `W`, evict-oldest, and a configurable re-selection cadence that
-//! amortises one `O(W·log W·(deg+3) + k·W·deg²)` re-selection across many
-//! `O(log W)` arrivals — the `streaming` bench binary measures the resulting
-//! throughput against recompute-from-scratch per arrival.
+//! amortises one `O(W·(deg+1) + k·W·deg²)` re-selection across many
+//! `O(log W)`-search arrivals — the `streaming` bench binary measures the
+//! resulting throughput against recompute-from-scratch per arrival.
 
 use std::collections::VecDeque;
 
-use super::window::{dispatch_width, LcCell, Row, WindowCursors};
+use super::window::{dispatch_width, moment_rows, LcCell, Row, WindowCursors};
 use super::{CvOptimum, CvProfile};
 use crate::error::{Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::util::NeumaierSum;
 
-/// Lowest set bit of a Fenwick index.
-#[inline]
-fn lowbit(i: usize) -> usize {
-    i & i.wrapping_neg()
+/// The compensated sum of one slot's `y` values.
+fn slot_sum(ys: &[f64]) -> f64 {
+    let mut sum = NeumaierSum::new();
+    for &v in ys {
+        sum.add(v);
+    }
+    sum.value()
 }
 
 /// The kernel-independent state of an [`IncrementalSelector`]: the key
-/// pool, the pending run and the Fenwick moment tree (see the module docs).
-/// Kept apart from the kernel type so the width-generic re-selection sweep
-/// ([`reselect_pool`]) compiles once per kernel width, not once per kernel.
-#[derive(Debug, Clone)]
+/// pool and the pending run (see the module docs). Kept apart from the
+/// kernel type so the width-generic re-selection sweep ([`reselect_pool`])
+/// compiles once per kernel width, not once per kernel.
+#[derive(Debug, Clone, Default)]
 struct KeyPool {
     center: f64,
-    /// Highest stored moment (`deg + 2`, matching the prefix tables'
-    /// local-linear capacity; the local-constant sweep uses `j ≤ deg`).
-    max_m: usize,
     /// Sorted distinct pooled keys (may include dead slots).
     keys: Vec<f64>,
-    /// Live `y` values per pooled slot, parallel to `keys`. A slot with an
-    /// empty list is *dead*: still indexed by the tree, count exactly zero.
+    /// Live `y` values per pooled slot, parallel to `keys`, in arrival
+    /// order. A slot with an empty list is *dead*: still in the pool,
+    /// adding nothing to the table.
     ys: Vec<Vec<f64>>,
     /// Number of dead slots currently in the pool.
     dead_slots: usize,
-    /// Flattened Fenwick tree: node `i` (1-indexed, `i ≤ keys.len()`) owns
-    /// the block `tree[i·B .. (i+1)·B]` with `B = 2·(max_m+1)` — x-moments
-    /// then y-moments.
-    tree: Vec<NeumaierSum>,
     /// Sorted (by key, then arrival) run of inserts whose keys are not yet
     /// pooled.
     pending: Vec<(f64, f64)>,
@@ -117,51 +113,10 @@ struct KeyPool {
 }
 
 impl KeyPool {
-    fn new(max_m: usize) -> Self {
-        Self {
-            center: 0.0,
-            max_m,
-            keys: Vec::new(),
-            ys: Vec::new(),
-            dead_slots: 0,
-            tree: vec![NeumaierSum::new(); 2 * (max_m + 1)],
-            pending: Vec::new(),
-            live_obs: 0,
-        }
-    }
-
-    /// Block width of one tree node (`2·(max_m+1)` compensated sums).
-    fn block(&self) -> usize {
-        2 * (self.max_m + 1)
-    }
-
     /// Pool slot of `x`, if pooled (live or dead).
     fn pool_slot(&self, x: f64) -> Option<usize> {
         let s = self.keys.partition_point(|&k| k < x);
         (s < self.keys.len() && self.keys[s] == x).then_some(s)
-    }
-
-    /// Folds `±(x, y)` into the tree nodes covering slot `s`, counting one
-    /// `tree_updates` per node visited.
-    fn point_update(&mut self, s: usize, x: f64, y: f64, sign: f64) {
-        let mm = self.max_m;
-        let b = self.block();
-        let xc = x - self.center;
-        let p = self.keys.len();
-        let mut visited = 0u64;
-        let mut i = s + 1;
-        while i <= p {
-            let off = i * b;
-            let mut pw = sign;
-            for m in 0..=mm {
-                self.tree[off + m].add(pw);
-                self.tree[off + mm + 1 + m].add(y * pw);
-                pw *= xc;
-            }
-            visited += 1;
-            i += lowbit(i);
-        }
-        kcv_obs::add(kcv_obs::Counter::TreeUpdates, visited);
     }
 
     /// Inserts one validated observation (see
@@ -172,7 +127,6 @@ impl KeyPool {
                 self.dead_slots -= 1;
             }
             self.ys[s].push(y);
-            self.point_update(s, x, y, 1.0);
         } else {
             let at = self.pending.partition_point(|&(k, _)| k <= x);
             self.pending.insert(at, (x, y));
@@ -194,7 +148,6 @@ impl KeyPool {
             if self.ys[s].is_empty() {
                 self.dead_slots += 1;
             }
-            self.point_update(s, x, y, -1.0);
             self.live_obs -= 1;
             return true;
         }
@@ -218,12 +171,9 @@ impl KeyPool {
         }
     }
 
-    /// Merges the pending run into the pool, drops dead slots, and rebuilds
-    /// the tree from freshly recomputed per-slot base moments (linear in
-    /// the pool size; every node write counts into `tree_updates`).
+    /// Merges the pending run into the pool and drops dead slots (linear
+    /// in the pool size).
     fn fold(&mut self) {
-        let mm = self.max_m;
-        let b = self.block();
         let live_slots = self.keys.len() - self.dead_slots;
         // Upper bound: every pending entry is a new distinct key.
         let mut keys = Vec::with_capacity(live_slots + self.pending.len());
@@ -262,75 +212,27 @@ impl KeyPool {
         self.keys = keys;
         self.ys = ys;
         self.dead_slots = 0;
-
-        let p = self.keys.len();
-        // A fresh exact-size tree: resizing in place would keep the Vec's
-        // amortised-growth slack (up to 2× per selector), and how much of it
-        // accrues depends on how often folds happen to run.
-        self.tree = vec![NeumaierSum::new(); (p + 1) * b];
-        let mut writes = 0u64;
-        for s in 0..p {
-            let off = (s + 1) * b;
-            let xc = self.keys[s] - self.center;
-            let cnt = self.ys[s].len() as f64;
-            let mut sy = NeumaierSum::new();
-            for &v in &self.ys[s] {
-                sy.add(v);
-            }
-            let sy = sy.value();
-            let mut pw = 1.0;
-            for m in 0..=mm {
-                self.tree[off + m].add(cnt * pw);
-                self.tree[off + mm + 1 + m].add(sy * pw);
-                pw *= xc;
-            }
-            writes += 1;
-        }
-        // Standard linear Fenwick construction: push each node's total into
-        // its parent once, in index order.
-        for i in 1..=p {
-            let j = i + lowbit(i);
-            if j <= p {
-                for t in 0..b {
-                    let v = self.tree[i * b + t].value();
-                    self.tree[j * b + t].add(v);
-                }
-                writes += 1;
-            }
-        }
-        kcv_obs::add(kcv_obs::Counter::TreeUpdates, writes);
     }
 
-    /// The prefix moments `Σ x'^m` (`p[m]`) and `Σ y·x'^m` (`q[m]`),
-    /// `m < W`, of slots `[0, t)`: one `O(log n)` Fenwick descent.
-    fn prefix_row<const W: usize>(&self, t: usize) -> Row<W> {
-        let mm = self.max_m;
-        let b = self.block();
-        let mut row = Row::ZERO;
-        let mut i = t;
-        while i > 0 {
-            let off = i * b;
-            for m in 0..W {
-                row.p[m] += self.tree[off + m].value();
-                row.q[m] += self.tree[off + mm + 1 + m].value();
-            }
-            i -= lowbit(i);
-        }
-        row
-    }
-
-    /// Reads the Fenwick tree into a flat slot table: row `t` holds the
-    /// local-constant prefix moments ([`prefix_row`](Self::prefix_row)) of
-    /// slots `[0, t)` for every boundary `t = 0..=slots`, one descent each,
-    /// `O(W·log W·(deg+3))`.
+    /// The flat slot table: row `t` holds the local-constant prefix
+    /// moments `Σ cnt·x'^m` (`p[m]`) and `Σ (Σy)·x'^m` (`q[m]`), `m < W`,
+    /// of slots `[0, t)`, for every boundary `t = 0..=slots` — one
+    /// [`moment_rows`] pass, `O(slots·W)`, counting one `tree_updates` per
+    /// slot row.
     fn flat_table<const W: usize>(&self) -> Vec<Row<W>> {
-        (0..=self.keys.len()).map(|t| self.prefix_row(t)).collect()
+        kcv_obs::add(kcv_obs::Counter::TreeUpdates, self.keys.len() as u64);
+        let entries = self
+            .keys
+            .iter()
+            .zip(&self.ys)
+            .map(|(&k, ys)| (k - self.center, ys.len() as f64, slot_sum(ys)));
+        moment_rows(entries)
     }
 }
 
 /// [`IncrementalSelector::reselect`]'s sweep at table width `W = deg + 1`:
-/// one flat-table read of the tree, then one fused cursor-and-cell pass per
-/// live slot, plus the closed-form duplicate-key term.
+/// one flat-table pass over the pool, then one fused cursor-and-cell pass
+/// per live slot, plus the closed-form duplicate-key term.
 fn reselect_pool<const W: usize>(
     pool: &KeyPool,
     coeffs: &'static [f64],
@@ -355,18 +257,14 @@ fn reselect_pool<const W: usize>(
         if cnt == 0 {
             continue;
         }
-        let mut sy_slot = NeumaierSum::new();
-        for &v in ys {
-            sy_slot.add(v);
-        }
-        let sy_slot = sy_slot.value();
+        let sy_slot = slot_sum(ys);
         cell.prepare(pool.keys[s] - pool.center, &rows[s], &rows[s + 1]);
         let dup_cnt = (cnt - 1) as f64;
         // Dead slots are skipped, so s may jump: the cursors still only
         // step right.
         cursors.sweep(&pool.keys, s, &inv_hs, radius, |m, inv_h, lo, hi| {
             // Exact live counts per side: the m = 0 row only ever
-            // accumulated ±1.0, so these are integers and a dead or removed
+            // accumulated integer counts, so these are integers and a dead
             // slot contributes exactly nothing.
             let left_cnt = rows[s].p[0] - rows[lo].p[0];
             let right_cnt = rows[hi].p[0] - rows[s + 1].p[0];
@@ -397,7 +295,7 @@ fn reselect_pool<const W: usize>(
 }
 
 /// The incremental prefix-moment selector: a dynamic observation multiset
-/// with `O(log n)` insert/remove and full-grid re-selection with zero
+/// with binary-search insert/remove and full-grid re-selection with zero
 /// kernel evaluations (see the module docs).
 ///
 /// The bandwidth grid and centring shift are fixed at construction; the
@@ -415,9 +313,7 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     /// Creates an empty selector scoring over `grid` (ascending by
     /// construction), centred at `0.0`.
     pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
-        // Moments up to deg + 2 = coeffs.len() + 1.
-        let max_m = kernel.coeffs().len() + 1;
-        Self { kernel, grid, pool: KeyPool::new(max_m) }
+        Self { kernel, grid, pool: KeyPool::default() }
     }
 
     /// Sets the centring shift for the stored moments (conditioning only —
@@ -451,15 +347,15 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         &self.grid
     }
 
-    /// Inserts one observation in `O(log n)`: a Fenwick point update when
-    /// `x` is already pooled, otherwise an append to the pending run
-    /// (folded into the pool amortised-`O(1)`; see the module docs).
+    /// Inserts one observation: a binary search for `x` in the pool, then
+    /// an append to its slot when `x` is already pooled, otherwise an
+    /// insert into the pending run (folded into the pool amortised-`O(1)`;
+    /// see the module docs).
     ///
     /// Non-finite `x` or `y` is rejected with [`Error::NonFiniteData`]
-    /// **before** any tree mutation: a failed `insert` leaves the selector
-    /// state (pool, pending run, live count, every compensated moment)
-    /// exactly as it was, so a stream may drop the bad arrival and
-    /// continue.
+    /// **before** any mutation: a failed `insert` leaves the selector
+    /// state (pool, pending run, live count) exactly as it was, so a
+    /// stream may drop the bad arrival and continue.
     pub fn insert(&mut self, x: f64, y: f64) -> Result<()> {
         if !x.is_finite() {
             return Err(Error::NonFiniteData { which: "x", index: 0 });
@@ -473,22 +369,22 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     }
 
     /// Removes one observation matching `(x, y)` exactly, returning whether
-    /// one was found. Pooled removals are `O(log n)` Fenwick point updates;
-    /// a slot whose last observation leaves stays in the pool as a dead
-    /// slot (count exactly zero) until the next fold compacts it.
+    /// one was found: a binary search plus a `Vec` edit. A slot whose last
+    /// observation leaves stays in the pool as a dead slot (adding nothing
+    /// to the table) until the next fold compacts it.
     pub fn remove(&mut self, x: f64, y: f64) -> bool {
         let _update = kcv_obs::phase("cv.update");
         self.pool.remove(x, y)
     }
 
     /// Re-scores the whole bandwidth grid over the current live set —
-    /// one flat-table read of the tree, then an amortised `O(deg²)` cell per
-    /// live observation and bandwidth, `O(W·log W·(deg+3) + k·W·deg²)` in
-    /// all, zero kernel evaluations — and returns the CV profile. Folds any
-    /// pending arrivals first, so the sweep always runs against a compact,
-    /// residue-free tree unless only removals happened since the last fold
-    /// (in which case dead slots contribute exactly-zero counts and the
-    /// sweep proceeds in place).
+    /// one compensated prefix pass over the pool into a flat table, then an
+    /// amortised `O(deg²)` cell per live observation and bandwidth,
+    /// `O(W·(deg+1) + k·W·deg²)` in all, zero kernel evaluations — and
+    /// returns the CV profile. Folds any pending arrivals first, so the
+    /// sweep always runs against a compact pool unless only removals
+    /// happened since the last fold (in which case dead slots add nothing
+    /// to the table and the sweep proceeds in place).
     ///
     /// # Errors
     /// [`Error::SampleTooSmall`] below two live observations;
@@ -515,11 +411,11 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
 /// the bandwidth every `cadence` arrivals through an [`IncrementalSelector`].
 ///
 /// [`push`](Self::push) evicts the oldest observation once the window is
-/// full (one `O(log n)` tree update), inserts the arrival, and — when the
-/// cadence fires and at least two observations are live — runs a full
+/// full (one pool removal), inserts the arrival, and — when the cadence
+/// fires and at least two observations are live — runs a full
 /// [`IncrementalSelector::reselect`], caching the optimum for
-/// [`current`](Self::current). The amortised per-arrival cost is
-/// `O(log W + (W·log W·(deg+3) + k·W·deg²)/cadence)`.
+/// [`current`](Self::current). The amortised per-arrival cost is one pool
+/// search and edit plus `O((W·(deg+1) + k·W·deg²)/cadence)`.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowSelector<K> {
     inner: IncrementalSelector<K>,
@@ -727,7 +623,7 @@ mod tests {
     #[test]
     fn removals_after_fold_stay_bit_identical_on_selection() {
         // Insert everything, reselect (folds), then remove a third — the
-        // remove-only path queries the live tree with dead-slot residue.
+        // remove-only path reselects with dead slots in the pool.
         let (x, y) = paper_dgp(300, 32);
         let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
         let mut sel = IncrementalSelector::new(Epanechnikov, grid);
@@ -761,62 +657,80 @@ mod tests {
         assert_agrees(&mut sel, &x, &y, &Epanechnikov);
     }
 
-    #[test]
-    fn flat_table_reads_the_tree_bit_for_bit_with_dead_slots_and_duplicates() {
-        // 40 distinct keys, each held three times; after a fold, every
-        // observation of each fifth key leaves (dead slots) and one copy of
-        // each other key leaves (shrunken duplicate slots).
+    /// Three observations at each of the 40 `keys`, folded by a reselect;
+    /// then every observation of each fifth key leaves (dead slots) and one
+    /// copy of each other key leaves (shrunken duplicate slots). Returns
+    /// the selector, dead slots still pooled, and the survivors in arrival
+    /// order.
+    fn thinned<K: PolynomialKernel>(
+        kernel: K,
+        keys: &[f64],
+    ) -> (IncrementalSelector<K>, Vec<(f64, f64)>) {
         let mut rng = SplitMix64::new(40);
-        let obs: Vec<(f64, f64)> = (0..120)
+        let obs: Vec<(f64, f64)> = (0..3 * keys.len())
             .map(|i| {
-                let key = (i % 40) as f64 / 40.0 + 0.003;
+                let key = keys[i % keys.len()];
                 (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
             })
             .collect();
         let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
         let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-        let mut sel = IncrementalSelector::new(Epanechnikov, grid);
+        let mut sel = IncrementalSelector::new(kernel, grid);
         for &(xi, yi) in &obs {
             sel.insert(xi, yi).unwrap();
         }
         sel.reselect().unwrap();
         let mut live = Vec::new();
         for (i, &(xi, yi)) in obs.iter().enumerate() {
-            if i % 5 == 0 || i < 40 {
+            if i % 5 == 0 || i < keys.len() {
                 assert!(sel.remove(xi, yi));
             } else {
                 live.push((xi, yi));
             }
         }
         assert_eq!(sel.len(), live.len());
-        let pool = &sel.pool;
-        assert!(pool.dead_slots > 0 && pool.pending.is_empty(), "no dead slots to read");
+        assert!(sel.pool.dead_slots > 0 && sel.pool.pending.is_empty(), "no dead slots to read");
+        (sel, live)
+    }
 
-        // Oracle: a full-width Fenwick descent per boundary, as each cell
-        // once ran it, truncated to the local-constant moments.
-        let rows = pool.flat_table::<3>();
-        assert_eq!(rows.len(), pool.keys.len() + 1);
-        let (mm, b) = (pool.max_m, pool.block());
-        for (t, row) in rows.iter().enumerate() {
-            let (mut dp, mut dq) = (vec![0.0; mm + 1], vec![0.0; mm + 1]);
-            let mut i = t;
-            while i > 0 {
-                for m in 0..=mm {
-                    dp[m] += pool.tree[i * b + m].value();
-                    dq[m] += pool.tree[i * b + mm + 1 + m].value();
-                }
-                i -= lowbit(i);
-            }
-            for m in 0..3 {
-                assert_eq!(row.p[m].to_bits(), dp[m].to_bits(), "row {t}, P_{m}");
-                assert_eq!(row.q[m].to_bits(), dq[m].to_bits(), "row {t}, Q_{m}");
-            }
-        }
+    fn lattice_keys() -> Vec<f64> {
+        (0..40).map(|j| j as f64 / 40.0 + 0.003).collect()
+    }
 
-        // The reselect reads the same unfolded tree (dead slots in place).
+    #[test]
+    fn reselect_reads_dead_slots_and_duplicates_in_place() {
+        let (mut sel, live) = thinned(Epanechnikov, &lattice_keys());
         let (x, y): (Vec<f64>, Vec<f64>) = live.into_iter().unzip();
         assert_agrees(&mut sel, &x, &y, &Epanechnikov);
         assert!(sel.pool.dead_slots > 0, "reselect folded the dead slots away");
+    }
+
+    /// Reselects a thinned selector (dead slots in place) and a fresh one
+    /// fed only the survivors, and requires `to_bits`-identical profiles.
+    fn matches_fresh_survivors<K: PolynomialKernel + Clone>(kernel: K, keys: &[f64]) {
+        let (mut sel, live) = thinned(kernel.clone(), keys);
+        let mut fresh = IncrementalSelector::new(kernel, sel.grid().clone());
+        for &(xi, yi) in &live {
+            fresh.insert(xi, yi).unwrap();
+        }
+        let a = sel.reselect().unwrap();
+        assert!(sel.pool.dead_slots > 0, "reselect folded the dead slots away");
+        let b = fresh.reselect().unwrap();
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.included, b.included);
+        let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b), "dead or shrunken slots moved a score");
+    }
+
+    #[test]
+    fn dead_slots_reselect_like_a_fresh_pool_of_survivors() {
+        let mut rng = SplitMix64::new(41);
+        let continuous: Vec<f64> = (0..40).map(|_| rng.next_f64()).collect();
+        for keys in [lattice_keys(), continuous] {
+            matches_fresh_survivors(Epanechnikov, &keys);
+            matches_fresh_survivors(Triweight, &keys);
+            matches_fresh_survivors(Uniform, &keys);
+        }
     }
 
     #[test]
@@ -983,8 +897,8 @@ mod tests {
         assert_eq!(snap.counter("reselects"), 1);
         let updates = snap.counter("tree_updates");
         assert!(updates > 0, "tree updates not counted");
-        // Gate 14's budget at W = n: every insert/remove plus amortised
-        // rebuild writes fit in (U+R)·⌈log₂ W⌉·(deg+3).
+        // Gate 14's budget at W = n: the table rows the reselect writes
+        // fit in (U+R)·⌈log₂ W⌉·(deg+3).
         let ops = (256 + 64) as u64;
         let log2w = (256f64).log2().ceil() as u64;
         let deg = 2u64;

@@ -17,14 +17,15 @@
 //! | [`naive`] | oracle | `O(k·n²)` | any kernel |
 //! | [`sorted`] | the paper's reproduction | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
 //! | [`prefix`] | production, batch | `O(n log n + n·k·deg²)` amortised total (window cursors over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | production, streaming | `O(log n)` insert/remove, `O(n·log n·(deg+3) + k·n·deg²)` reselect (Fenwick moment tree read into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`incremental`] | production, streaming | binary-search insert/remove into a sorted key pool, `O(n·(deg+1) + k·n·deg²)` reselect (one compensated prefix pass over the pool into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
 //!
 //! `sorted` is the paper's first contribution; `prefix` drops the
 //! per-observation sort and the per-neighbour scan, answering each
 //! `(observation, bandwidth)` cell from compensated global moment prefix
-//! sums. `prefix` and `incremental` share one cell kernel (private module
-//! `window`): monotone per-bandwidth window cursors and the kernel
-//! polynomial precombined about each observation.
+//! sums. `prefix` and `incremental` share one compensated prefix-row
+//! builder and one cell kernel (private module `window`): monotone
+//! per-bandwidth window cursors and the kernel polynomial precombined
+//! about each observation.
 //!
 //! Every batch profile — the local-constant ones above and the
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its

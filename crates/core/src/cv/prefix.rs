@@ -89,14 +89,13 @@
 //! the general-position fallback.
 
 use super::fold::fold_observations;
-use super::window::{dispatch_width, pascal, LcCell, Row, WindowCursors};
+use super::window::{dispatch_width, moment_rows, pascal, LcCell, Row, WindowCursors};
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
-use crate::util::NeumaierSum;
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
@@ -114,7 +113,8 @@ struct PrefixTables<const W: usize> {
     xc: Vec<f64>,
     /// `n + 1` prefix rows: row `t` holds `Σ_{l<t} xc[l]^m` in `p[m]` and
     /// `Σ_{l<t} ys[l]·xc[l]^m` in `q[m]` (so row 0 is all zero and range
-    /// sums are differences of two rows).
+    /// sums are differences of two rows), built by [`moment_rows`] from one
+    /// `(xc[l], 1, ys[l])` entry per observation.
     rows: Vec<Row<W>>,
     /// Sample size.
     n: usize,
@@ -136,22 +136,7 @@ impl<const W: usize> PrefixTables<W> {
         let center = 0.5 * (xs[0] + xs[n - 1]);
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
 
-        let mut rows = Vec::with_capacity(n + 1);
-        rows.push(Row::ZERO);
-        let mut accx = [NeumaierSum::new(); W];
-        let mut accy = [NeumaierSum::new(); W];
-        for (&v, &yv) in xc.iter().zip(&ys) {
-            let mut row = Row::ZERO;
-            let mut pw = 1.0;
-            for m in 0..W {
-                accx[m].add(pw);
-                accy[m].add(yv * pw);
-                row.p[m] = accx[m].value();
-                row.q[m] = accy[m].value();
-                pw *= v;
-            }
-            rows.push(row);
-        }
+        let rows = moment_rows(xc.iter().zip(&ys).map(|(&v, &yv)| (v, 1.0, yv)));
 
         Self { xs, ys, xc, rows, n }
     }

@@ -4,8 +4,9 @@
 //! Both engines score a `(observation, bandwidth)` cell from a table of
 //! prefix-moment [`Row`]s: row `t` holds `P_m[t] = Σ_{l<t} x'^m` in `p[m]`
 //! and `Q_m[t] = Σ_{l<t} y·x'^m` in `q[m]`, for `m < W`, over a sorted key
-//! array. A cell needs the support window `[lo, hi)` of the observation at
-//! sorted position `si` and the moment differences on each side of it. This
+//! array, built for both by one compensated pass ([`moment_rows`]). A cell
+//! needs the support window `[lo, hi)` of the observation at sorted
+//! position `si` and the moment differences on each side of it. This
 //! module makes the window `O(1)` amortised per cell and the assembly a
 //! fixed `O(deg²)`-flop polynomial evaluation:
 //!
@@ -40,6 +41,7 @@
 //! [`Error::KernelDegreeTooHigh`].
 
 use crate::error::Error;
+use crate::util::NeumaierSum;
 
 /// Highest polynomial-kernel degree the moment-window engines (prefix
 /// sweep, local-linear prefix sweep, incremental re-selection) are compiled
@@ -57,6 +59,37 @@ pub(crate) struct Row<const W: usize> {
 impl<const W: usize> Row<W> {
     /// The all-zero row (the empty prefix).
     pub(crate) const ZERO: Self = Self { p: [0.0; W], q: [0.0; W] };
+}
+
+/// Builds the compensated prefix rows of a sorted run of key entries
+/// `(x', cnt, sy)` — a centred key, the number of observations at it and
+/// the sum of their `y` — in one `O(len·W)` pass: row `t` holds
+/// `Σ cnt·x'^m` in `p[m]` and `Σ sy·x'^m` in `q[m]` over the first `t`
+/// entries, each accumulated with Neumaier summation, so row 0 is all zero
+/// and range sums are differences of two rows. A single observation is
+/// the entry `(x', 1, y)`. An empty entry (`cnt = sy = 0`) adds signed
+/// zeros, which leave a compensated sum exactly as it was, so its row
+/// repeats the previous one.
+pub(crate) fn moment_rows<const W: usize>(
+    entries: impl ExactSizeIterator<Item = (f64, f64, f64)>,
+) -> Vec<Row<W>> {
+    let mut rows = Vec::with_capacity(entries.len() + 1);
+    rows.push(Row::ZERO);
+    let mut accx = [NeumaierSum::new(); W];
+    let mut accy = [NeumaierSum::new(); W];
+    for (v, cnt, sy) in entries {
+        let mut row = Row::ZERO;
+        let mut pw = 1.0;
+        for m in 0..W {
+            accx[m].add(cnt * pw);
+            accy[m].add(sy * pw);
+            row.p[m] = accx[m].value();
+            row.q[m] = accy[m].value();
+            pw *= v;
+        }
+        rows.push(row);
+    }
+    rows
 }
 
 /// The error for a kernel polynomial with `len` coefficients that

@@ -19,6 +19,6 @@ pub use crate::kernels::{
 };
 pub use crate::select::{
     select_bandwidth, BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome,
-    BandwidthSelector, GridSpec, IncrementalGridSearch, NaiveGridSearch, NumericCvSelector,
-    NumericMethod, RuleOfThumbSelector, Selection, SortedGridSearch, Strategy, ZoomGridSearch,
+    BandwidthSelector, GridSpec, NaiveGridSearch, NumericCvSelector, NumericMethod,
+    RuleOfThumbSelector, Selection, SortedGridSearch, Strategy, ZoomGridSearch,
 };

@@ -10,22 +10,16 @@
 //!   uses: derivative-free numerical minimisation of the (non-concave) CV
 //!   objective, which can land in non-global local minima depending on the
 //!   starting point.
-//! * [`incremental`] — the streaming engine's batch face: build the Fenwick
-//!   moment tree once, answer the whole grid with a single `reselect()` —
-//!   bit-identical selection to the prefix strategy, zero kernel
-//!   evaluations.
 //! * [`rule_of_thumb`] — the ad hoc shortcuts practitioners fall back on to
 //!   avoid CV entirely (Silverman/Scott style plug-ins).
 
 pub mod bagged;
 pub mod grid_search;
-pub mod incremental;
 pub mod numeric;
 pub mod rule_of_thumb;
 
 pub use bagged::{BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome};
 pub use grid_search::{GridSpec, NaiveGridSearch, SortedGridSearch, Strategy, ZoomGridSearch};
-pub use incremental::IncrementalGridSearch;
 pub use numeric::{golden_section_min, nelder_mead_1d, NumericCvSelector, NumericMethod, ScalarMin};
 pub use rule_of_thumb::{scott_bandwidth, silverman_bandwidth, Rule, RuleOfThumbSelector};
 

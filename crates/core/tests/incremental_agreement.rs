@@ -1,4 +1,4 @@
-//! Property tests for the incremental Fenwick moment-tree engine.
+//! Property tests for the incremental key-pool engine.
 //!
 //! The contract under test (DESIGN.md, "incremental" row): after any
 //! interleaved sequence of `insert`/`remove` operations, `reselect()` must
@@ -8,12 +8,16 @@
 //! selected bandwidth. Three hostile regimes are exercised:
 //!
 //! * random continuous keys with interleaved removals and periodic
-//!   reselects (so both the pending-run and the dead-slot-residue query
-//!   paths fire mid-stream);
+//!   reselects (so both the pending-run and the dead-slot query paths fire
+//!   mid-stream);
 //! * duplicate-heavy streams where every key collides (the closed-form
 //!   duplicate path does all the work);
 //! * boundary-tie lattices where `|x_i − x_l| == h·r` holds exactly at many
 //!   cells, hammering the bisection's tie-breaking.
+//!
+//! On distinct keys centred at the sample midrange the re-selection runs
+//! the prefix sweep's own operations, so there the whole profile must
+//! match `to_bits` (`distinct_midrange_keys_match_prefix_bitwise`).
 //!
 //! Knife-edge caveat (shared with `multi_agreement.rs`): when every in-box
 //! neighbour of some observation sits essentially at the support edge, its
@@ -27,8 +31,8 @@
 
 use kcv_core::cv::{cv_profile_prefix, CvProfile, IncrementalSelector};
 use kcv_core::grid::BandwidthGrid;
-use kcv_core::kernels::{polynomial_kernels, PolynomialKernel};
-use kcv_core::util::{approx_eq, SplitMix64};
+use kcv_core::kernels::{polynomial_kernels, EpanechnikovConvolution, PolynomialKernel};
+use kcv_core::util::{approx_eq, min_max, SplitMix64};
 use proptest::prelude::*;
 
 /// Below this minimum positive leave-one-out denominator mass, a grid
@@ -335,6 +339,48 @@ fn pinned_exact_lattice_matches_bitwise() {
                 inc.scores[m],
                 fresh.scores[m]
             );
+        }
+    }
+}
+
+/// On distinct keys every pool slot holds one observation (`cnt = 1`,
+/// `Σy = y`), so with the centring shift at the sample midrange — where the
+/// prefix sweep centres — the re-selection builds the prefix sweep's own
+/// rows and runs its own cells: every score and inclusion count must match
+/// a fresh `cv_profile_prefix` run `to_bits`. Covers every polynomial
+/// kernel plus the degree-6 convolution kernel, the widest width.
+#[test]
+fn distinct_midrange_keys_match_prefix_bitwise() {
+    let mut kernels = polynomial_kernels();
+    kernels.push(Box::new(EpanechnikovConvolution));
+    for kernel in &kernels {
+        for n in [50usize, 400, 2000] {
+            for seed in [3u64, 17, 2024] {
+                let mut rng = SplitMix64::new(seed);
+                let x: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+                let y: Vec<f64> = x
+                    .iter()
+                    .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
+                    .collect();
+                let mut sorted = x.clone();
+                sorted.sort_by(f64::total_cmp);
+                assert!(sorted.windows(2).all(|w| w[0] < w[1]), "keys must be distinct");
+                let (lo, hi) = min_max(&x).unwrap();
+                let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
+                let mut sel =
+                    IncrementalSelector::new(&**kernel, grid.clone()).with_center(0.5 * (lo + hi));
+                for (&xi, &yi) in x.iter().zip(&y) {
+                    sel.insert(xi, yi).unwrap();
+                }
+                let inc = sel.reselect().unwrap();
+                let fresh = cv_profile_prefix(&x, &y, &grid, &**kernel).unwrap();
+                let case = format!("{} n={n} seed={seed}", kernel.name());
+                assert_eq!(inc.n, fresh.n, "{case}");
+                assert_eq!(inc.included, fresh.included, "{case}");
+                for (m, (a, b)) in inc.scores.iter().zip(&fresh.scores).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case} h={}: {a} vs {b}", grid.values()[m]);
+                }
+            }
         }
     }
 }

@@ -20,13 +20,12 @@
 //!
 //! ## Scoped recorders
 //!
-//! Counts land in two places: a process-wide **global aggregate** (what
-//! [`get`]/[`snapshot`] read) and, when one is installed, the innermost
-//! **[`Recorder`]** on the current thread's scope stack. A recorder owns its
+//! Counts land in the innermost **[`Recorder`]** on the current thread's
+//! scope stack; with none installed they are dropped. A recorder owns its
 //! own counter array and phase table, so two instrumented runs in one
 //! process — concurrent tests, a batch-selection service handling parallel
 //! requests — each see exactly their own operations instead of an
-//! interleaved global delta:
+//! interleaved delta:
 //!
 //! ```
 //! use kcv_obs::{add, phase, Counter, LocalCounter, Recorder};
@@ -148,13 +147,14 @@ pub enum Counter {
     /// multivariate path's cost while its `KernelEvals` stays zero on the
     /// d ≤ 2 hot path — the contrast the multivariate perf gates assert.
     DimSweeps = 9,
-    /// Fenwick-tree node visits performed by the incremental CV engine
-    /// (`kcv-core::cv::incremental`): one increment per tree node touched
-    /// while folding an `insert`/`remove` into the moment tree (including
-    /// the amortised rebuild writes when the key pool compacts/doubles).
-    /// A point update touches `O(log n)` nodes, so over a stream of `U`
-    /// updates into a window of capacity `W` this stays within
-    /// `U·⌈log₂ W⌉·(deg+3)` — the budget perf gate 14 asserts.
+    /// Moment-table rows written by the incremental CV engine
+    /// (`kcv-core::cv::incremental`): one increment per key-pool slot row
+    /// its `reselect()` builds in the compensated prefix pass (the name is
+    /// historical — the engine once kept a Fenwick moment tree). Inserts
+    /// and removes write no rows, so over a stream of `U` updates into a
+    /// window of capacity `W` re-selected every `c` arrivals this is about
+    /// `W·U/c`, within the `U·⌈log₂ W⌉·(deg+3)` budget perf gate 14
+    /// asserts whenever `c ≥ W/(⌈log₂ W⌉·(deg+3))`.
     TreeUpdates = 10,
     /// Completed `reselect()` passes of the incremental CV engine: one
     /// increment per full grid re-selection over the live window. The
@@ -342,12 +342,11 @@ mod imp {
     use std::cell::RefCell;
     use std::marker::PhantomData;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
-    /// One counter array plus one phase table. Both the process-wide global
-    /// aggregate and every [`Recorder`] are instances of this shape, so a
-    /// write costs the same wherever it lands.
+    /// One counter array plus one phase table: the storage behind every
+    /// [`Recorder`].
     struct Store {
         counters: [AtomicU64; NUM_COUNTERS],
         phases: Mutex<Vec<PhaseStat>>,
@@ -376,13 +375,6 @@ mod imp {
             self.counters[counter as usize].load(Ordering::Relaxed)
         }
 
-        fn reset(&self) {
-            for c in &self.counters {
-                c.store(0, Ordering::Relaxed);
-            }
-            self.phases.lock().expect("phase registry poisoned").clear();
-        }
-
         fn record_phase(&self, name: &'static str, nanos: u64) {
             let mut ps = self.phases.lock().expect("phase registry poisoned");
             if let Some(p) = ps.iter_mut().find(|p| p.name == name) {
@@ -401,16 +393,9 @@ mod imp {
         }
     }
 
-    /// The process-wide aggregate every write falls through to.
-    fn global() -> &'static Store {
-        static GLOBAL: OnceLock<Store> = OnceLock::new();
-        GLOBAL.get_or_init(Store::new)
-    }
-
     thread_local! {
         /// The scope stack: recorders installed on this thread, innermost
-        /// last. Writes go to the innermost entry (plus the global
-        /// aggregate).
+        /// last. Writes go to the innermost entry.
         static SCOPES: RefCell<Vec<Arc<Store>>> = const { RefCell::new(Vec::new()) };
     }
 
@@ -425,15 +410,9 @@ mod imp {
         ScopeGuard { installed: true, _not_send: PhantomData }
     }
 
-    fn exclusive_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-    }
-
     /// A scoped metric sink: a private counter array and phase table that
     /// receive every instrumentation event issued while the recorder is
-    /// [installed](Recorder::install) (events also fall through to the
-    /// global aggregate). Cloning is shallow — clones share the same
+    /// [installed](Recorder::install). Cloning is shallow — clones share the same
     /// storage, which is how a recorder handle travels into rayon workers.
     #[derive(Clone)]
     pub struct Recorder {
@@ -448,8 +427,8 @@ mod imp {
 
         /// Installs the recorder as the innermost scope on the *current
         /// thread* until the returned guard drops. Nesting is allowed;
-        /// events go to the innermost installed recorder only (plus the
-        /// global aggregate). The guard is `!Send`: it must drop on the
+        /// events go to the innermost installed recorder only. The guard is
+        /// `!Send`: it must drop on the
         /// thread that created it.
         #[must_use = "the recorder only receives events while this guard is alive"]
         pub fn install(&self) -> ScopeGuard {
@@ -500,10 +479,10 @@ mod imp {
     }
 
     /// A `Send + Sync` handle to the innermost recorder installed at
-    /// [`scope`] time (or to nothing, when none was installed). Captured on
-    /// the calling thread and [entered](Scope::enter) inside worker
-    /// closures so parallel strategies attribute counts to the run that
-    /// spawned them.
+    /// [`scope`](crate::scope) time (or to nothing, when none was
+    /// installed). Captured on the calling thread and
+    /// [entered](Scope::enter) inside worker closures so parallel
+    /// strategies attribute counts to the run that spawned them.
     #[derive(Clone)]
     pub struct Scope {
         store: Option<Arc<Store>>,
@@ -536,7 +515,6 @@ mod imp {
     #[inline]
     pub fn add(counter: Counter, n: u64) {
         if n > 0 {
-            global().add(counter, n);
             if let Some(r) = current() {
                 r.add(counter, n);
             }
@@ -546,37 +524,15 @@ mod imp {
     #[inline]
     pub fn record_max(counter: Counter, v: u64) {
         if v > 0 {
-            global().max(counter, v);
             if let Some(r) = current() {
                 r.max(counter, v);
             }
         }
     }
 
-    #[inline]
-    pub fn get(counter: Counter) -> u64 {
-        global().get(counter)
-    }
-
-    pub fn reset() {
-        global().reset();
-    }
-
     pub fn record_phase(name: &'static str, nanos: u64) {
-        global().record_phase(name, nanos);
         if let Some(r) = current() {
             r.record_phase(name, nanos);
-        }
-    }
-
-    pub fn snapshot() -> Snapshot {
-        global().snapshot()
-    }
-
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        match exclusive_lock().lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
         }
     }
 
@@ -639,23 +595,6 @@ mod imp {
 
     #[inline(always)]
     pub fn record_max(_counter: Counter, _v: u64) {}
-
-    #[inline(always)]
-    pub fn get(_counter: Counter) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
-
-    #[inline(always)]
-    pub fn snapshot() -> Snapshot {
-        Snapshot::default()
-    }
-
-    /// With metrics off there is no shared state to guard; hand back a unit.
-    #[inline(always)]
-    pub fn exclusive() {}
 
     /// Inert recorder (metrics disabled): installing it does nothing and
     /// its snapshot is always empty.
@@ -764,9 +703,8 @@ pub use imp::Scope;
 /// [`Scope::enter`]); `!Send`, pops the scope stack on drop.
 pub use imp::ScopeGuard;
 
-/// Adds `n` to a counter: the innermost installed [`Recorder`] on this
-/// thread (if any) and the global aggregate both receive it. A no-op
-/// without the `metrics` feature.
+/// Adds `n` to a counter of the innermost installed [`Recorder`] on this
+/// thread, if any. A no-op without the `metrics` feature.
 #[inline(always)]
 pub fn add(counter: Counter, n: u64) {
     imp::add(counter, n);
@@ -774,46 +712,21 @@ pub fn add(counter: Counter, n: u64) {
 
 /// Raises a **max-semantics** counter (e.g. [`Counter::QueueHighWater`]) to
 /// at least `v`: the innermost installed [`Recorder`] on this thread (if
-/// any) and the global aggregate both take `max(current, v)` instead of
-/// adding. Such counters aggregate across recorders by maximum, not sum. A
+/// any) takes `max(current, v)` instead of adding. Such counters aggregate across recorders by maximum, not sum. A
 /// no-op without the `metrics` feature.
 #[inline(always)]
 pub fn record_max(counter: Counter, v: u64) {
     imp::record_max(counter, v);
 }
 
-/// Current value of a counter in the **global aggregate** (always `0`
-/// without the `metrics` feature). Prefer [`Recorder::get`] for per-run
-/// values — the global aggregate interleaves every instrumented run in the
-/// process.
-#[inline(always)]
-pub fn get(counter: Counter) -> u64 {
-    imp::get(counter)
-}
-
-/// Clears every counter and phase timer in the **global aggregate**.
-/// Installed [`Recorder`]s are unaffected.
-#[inline(always)]
-pub fn reset() {
-    imp::reset();
-}
-
 /// Starts timing a named phase; the scope ends when the returned guard
 /// drops. Nested and concurrent scopes of the same name accumulate — see
 /// the crate-level *Phase-timer semantics* for why concurrent scopes sum
 /// to CPU time. The elapsed time is recorded against the innermost
-/// [`Recorder`] installed *when the guard drops*, plus the global
-/// aggregate.
+/// [`Recorder`] installed *when the guard drops*.
 #[inline(always)]
 pub fn phase(name: &'static str) -> PhaseGuard {
     imp::phase(name)
-}
-
-/// Copies the current **global aggregate** counters and phase timers.
-/// Prefer [`Recorder::snapshot`] for per-run values.
-#[inline(always)]
-pub fn snapshot() -> Snapshot {
-    imp::snapshot()
 }
 
 /// Captures the innermost [`Recorder`] installed on the current thread as
@@ -830,26 +743,6 @@ pub fn scope() -> Scope {
 #[inline(always)]
 pub const fn enabled() -> bool {
     imp::ENABLED
-}
-
-/// Serialises measured sections that assert on exact **global** counter
-/// values.
-///
-/// Deprecated: install a per-run [`Recorder`] instead — its counters are
-/// private to the run, so no cross-run serialization is needed and tests
-/// can run on as many threads as the harness likes. With metrics disabled
-/// this is a unit value.
-#[deprecated(
-    note = "install a per-run `Recorder` instead of serialising on the global aggregate"
-)]
-#[inline(always)]
-#[allow(clippy::unit_arg)] // the no-op imp's guard is a unit by design
-pub fn exclusive() -> impl Drop + Sized {
-    struct Guard<T>(#[allow(dead_code)] T);
-    impl<T> Drop for Guard<T> {
-        fn drop(&mut self) {}
-    }
-    Guard(imp::exclusive())
 }
 
 #[cfg(test)]
@@ -975,23 +868,9 @@ mod tests {
         assert_eq!(totals, vec![500, 1000, 1500, 2000]);
     }
 
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn global_aggregate_still_accumulates() {
-        // The free functions keep working against the global aggregate —
-        // deltas only, since other tests run concurrently against it.
-        let before = get(Counter::GpuSimCycles);
-        add(Counter::GpuSimCycles, 17);
-        assert!(get(Counter::GpuSimCycles) >= before + 17);
-        assert!(snapshot().counter("gpu_sim_cycles") >= before + 17);
-    }
-
     #[cfg(not(feature = "metrics"))]
     #[test]
     fn disabled_metrics_are_inert() {
-        add(Counter::KernelEvals, 99);
-        assert_eq!(get(Counter::KernelEvals), 0);
-        assert!(snapshot().counters.is_empty());
         assert!(!enabled());
 
         let run = Recorder::new();

@@ -404,7 +404,7 @@ fn process_stream_requests<K: PolynomialKernel + Clone>(
     }
 }
 
-/// One tree-update burst: every arrival folds in via `push_deferred`; with
+/// One pool-update burst: every arrival folds in via `push_deferred`; with
 /// conflation the cadence boundaries the burst crossed fund a single
 /// trailing `reselect()`, without it the worker re-selects exactly where a
 /// sequential `push` would have.
