@@ -72,8 +72,10 @@ impl Fnv {
 const SIZES: [usize; 2] = [50, 2000];
 const SEEDS: [u64; 2] = [7, 1013];
 
-/// Fingerprints recorded before the cell kernel was specialised on kernel
-/// width; a mismatch means some score or count changed bits.
+/// Fingerprints of the current arithmetic — the prefix ones recorded
+/// before the cell kernel was specialised on kernel width, the incremental
+/// ones when its table became one prefix pass over the key pool; a
+/// mismatch means some score or count changed bits.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("incremental/epanechnikov", 0x404aae33b4eaa7ae),

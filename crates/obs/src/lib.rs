@@ -149,12 +149,13 @@ pub enum Counter {
     DimSweeps = 9,
     /// Moment-table rows written by the incremental CV engine
     /// (`kcv-core::cv::incremental`): one increment per key-pool slot row
-    /// its `reselect()` builds in the compensated prefix pass (the name is
-    /// historical — the engine once kept a Fenwick moment tree). Inserts
-    /// and removes write no rows, so over a stream of `U` updates into a
-    /// window of capacity `W` re-selected every `c` arrivals this is about
-    /// `W·U/c`, within the `U·⌈log₂ W⌉·(deg+3)` budget perf gate 14
-    /// asserts whenever `c ≥ W/(⌈log₂ W⌉·(deg+3))`.
+    /// its `reselect()` builds in the compensated prefix pass (the
+    /// `tree_updates` name stays because reports and the benchmark read
+    /// it). Inserts and removes write no rows, so a window of capacity `W`
+    /// re-selected every `c` arrivals writes one row per pooled slot (about
+    /// `W`, plus any dead slots not yet folded) per `c` arrivals; perf
+    /// gate 14 holds the total under
+    /// `(inserts + removes)·⌈log₂ W⌉·(deg+3)`.
     TreeUpdates = 10,
     /// Completed `reselect()` passes of the incremental CV engine: one
     /// increment per full grid re-selection over the live window. The
