@@ -296,6 +296,65 @@ fn windowed_program_matches_its_fingerprints() {
     check(cases);
 }
 
+/// Results-only fingerprints of the windowed program: bandwidth, score,
+/// the score profile, device peak, both transfer byte counts and the
+/// kernel degree — no simulated time and no operation counter. A change of
+/// the kernel's cost accounting leaves these alone; a change of any device
+/// result or of the device footprint fails here.
+#[rustfmt::skip]
+const WINDOWED_RESULTS: &[(&str, u64)] = &[
+    ("windowed/epanechnikov/n120/s1013", 0x7b3457951c2931bd),
+    ("windowed/epanechnikov/n120/s7", 0x276aeba3ea0bedea),
+    ("windowed/epanechnikov/n600/s1013", 0x3718193e44e4ca42),
+    ("windowed/epanechnikov/n600/s7", 0x4359e2f805f0e0df),
+    ("windowed/quartic/n120/s1013", 0x3b5b8028551dcd93),
+    ("windowed/quartic/n120/s7", 0x342999d0f2b149bf),
+    ("windowed/quartic/n600/s1013", 0xcc5a67e355e73dcd),
+    ("windowed/quartic/n600/s7", 0x13811c91261cab21),
+    ("windowed/triangular/n120/s1013", 0xe7ec56d4257a41dd),
+    ("windowed/triangular/n120/s7", 0x9a1ace1420190a8f),
+    ("windowed/triangular/n600/s1013", 0x5c01a5a2f92495e4),
+    ("windowed/triangular/n600/s7", 0x005d0674894029d9),
+    ("windowed/triweight/n120/s1013", 0x30e4511a93c2895c),
+    ("windowed/triweight/n120/s7", 0x4f39fe7ff6fae035),
+    ("windowed/triweight/n600/s1013", 0xbeacf44e1ece5058),
+    ("windowed/triweight/n600/s7", 0xe641137955fa1174),
+    ("windowed/uniform/n120/s1013", 0xc6f9271cb608ccb0),
+    ("windowed/uniform/n120/s7", 0x8f933a02ef4a4b6b),
+    ("windowed/uniform/n600/s1013", 0x6278887391e25c80),
+    ("windowed/uniform/n600/s7", 0xe28fa96765bc01f5),
+];
+
+#[test]
+fn windowed_program_results_match_their_fingerprints() {
+    let mut bad = Vec::new();
+    for core_kernel in polynomial_kernels() {
+        let kernel = GpuKernel::from_core(&*core_kernel);
+        let config = GpuConfig::default();
+        for n in SIZES {
+            for seed in SEEDS {
+                let (x, y, grid) = data(n, seed);
+                let run =
+                    select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &kernel).unwrap();
+                let mut h = Fnv::new();
+                h.f64(run.bandwidth);
+                h.f64(run.score);
+                h.f32s(&run.scores);
+                let r = &run.report;
+                h.word(r.device_bytes_peak as u64);
+                h.word(r.h2d_bytes);
+                h.word(r.d2h_bytes);
+                h.word(r.deg as u64);
+                let case = format!("windowed/{}/n{n}/s{seed}", kernel.name);
+                if lookup(WINDOWED_RESULTS, &case) != Some(h.0) {
+                    bad.push(format!("(\"{case}\", 0x{:016x}),", h.0));
+                }
+            }
+        }
+    }
+    assert!(bad.is_empty(), "windowed results changed:\n{}", bad.join("\n"));
+}
+
 type Multi =
     fn(&[f64], &[f64], &BandwidthGrid, &GpuConfig, usize) -> kcv_gpu::Result<MultiDeviceRun>;
 
