@@ -22,9 +22,11 @@
 //!    that sneaks a dense matrix back into the windowed program fails loud;
 //! 6. `gpu-windowed` simulated memory transactions stay
 //!    `O(k · log n)` per observation — ceiling
-//!    `n · k · (2·ceil(log2 n) + 24·(deg + 1))`: two binary searches plus a
-//!    constant number of prefix-table touches per cell. A per-neighbour
-//!    scan (the classic running-sum loop) is `Θ(n)` per cell and fails.
+//!    `n · k · (2·ceil(log2 n) + 24·(deg + 1))`: two edge searches plus a
+//!    constant number of prefix-table touches per cell (the kernel reads
+//!    its two self rows once per thread and one row per edge move). A
+//!    per-neighbour scan (the classic running-sum loop) is `Θ(n)` per cell
+//!    and fails.
 //! 7. `bagged` total work stays ≤ `B ×` one bag's bound — window queries
 //!    at most `bags · bag_size · k` and **zero** kernel evals (prefix
 //!    engine), with `bags`/`bag_size` read from the report itself. The
@@ -193,8 +195,11 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     // The default config runs the quadratic Epanechnikov kernel, so
     // deg = 2: peak ceiling 16·n·(deg+2) = 64n bytes, and the per-cell
     // traffic budget is 2·ceil(log2 n) probe reads + 24·(deg+1) table /
-    // assembly transactions. Both ceilings deliberately carry NO n² term:
-    // the classic pipeline's 8n² residual matrices cannot hide under them.
+    // assembly transactions. A thread reads its two self rows, 8·(deg+1)
+    // words, once, and per cell only the 4·(deg+1)-word row of an edge
+    // that moved, so the kernel spends well under this budget. Both
+    // ceilings deliberately carry NO n² term: the classic pipeline's 8n²
+    // residual matrices cannot hide under them.
     let deg = 2u64;
     let peak_ceiling = 16 * n as u64 * (deg + 2);
     let windowed_peak = field(windowed, "device_bytes_peak");

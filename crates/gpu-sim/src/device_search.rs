@@ -1,33 +1,143 @@
-//! Costed device-side binary search: support-window resolution on the
+//! Costed device-side edge search: support-window resolution on the
 //! globally sorted sample.
 //!
 //! The windowed GPU program (in `kcv-gpu`) answers each
 //! `(observation, bandwidth)` cell from global prefix-moment tables, so the
 //! only data-dependent device work per cell is finding the support window
-//! `[lo, hi)` — two bisections over the sorted `x` with the workspace's
+//! `[lo, hi)` — two edge searches over the sorted `x` with the workspace's
 //! standard predicate `d·(1/h) ≤ r`. This module provides that device
 //! function with its cost accounting: every probe is **one divergent
-//! global-memory read** (threads in a warp bisect different regions, so
+//! global-memory read** (threads in a warp search different regions, so
 //! probes cannot coalesce), one comparison flop, and one branch.
 //!
-//! The search narrows monotonically across an ascending bandwidth sweep:
-//! the support only grows with `h`, so `lo` is bisected in `[0, lo_prev]`
-//! and `hi` in `[hi_prev, n]` — at most `~2·⌈log₂ n⌉` probes per cell, and
-//! far fewer on average once the window stabilises.
+//! A thread's windows nest across an ascending bandwidth sweep, so `lo` is
+//! searched in `[0, lo_prev]` and `hi` in `[hi_prev, n]`. On an evenly
+//! spaced grid an edge moves about as far at one bandwidth as at the one
+//! before, so each search first probes the predicted edge
+//! `prev_edge ∓ prev_step`, then one bracket of `prev_step/8 + 1`
+//! positions on whichever side of the prediction holds the edge, and
+//! bisects what is left. An edge that did not move costs one probe, one
+//! that moved as predicted about `2 + log₂(prev_step/8 + 1)`, and the worst
+//! case is `⌈log₂ n⌉ + 2` probes per side. [`SupportWindow`] carries the
+//! steps from one bandwidth to the next.
 
 use crate::cost::ThreadCounters;
 
+/// One thread's support window `[lo, hi)` across an ascending bandwidth
+/// sweep, with how far each edge moved at the last bandwidth — the
+/// prediction for the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SupportWindow {
+    /// First position in the window.
+    pub lo: usize,
+    /// One past the last position in the window.
+    pub hi: usize,
+    /// How far `lo` moved down at the last bandwidth.
+    lo_step: usize,
+    /// How far `hi` moved up at the last bandwidth.
+    hi_step: usize,
+}
+
+impl SupportWindow {
+    /// The window of the observation at sorted position `si` before the
+    /// first bandwidth: `[si, si + 1)`, neither edge moving.
+    pub fn new(si: usize) -> Self {
+        Self::settled(si, si + 1)
+    }
+
+    fn settled(lo: usize, hi: usize) -> Self {
+        Self { lo, hi, lo_step: 0, hi_step: 0 }
+    }
+
+    /// Widens the window to the support of the observation at `x = xi`
+    /// for bandwidth `1/inv_h`, which must be no smaller than the last
+    /// bandwidth. Returns the probes spent on the `lo` and the `hi` edge;
+    /// each is at most `⌈log₂ n⌉ + 2`.
+    ///
+    /// The predicate is the bit-identical `(xi − xs[l])·inv_h ≤ radius` (and
+    /// its mirror) every CPU strategy uses, evaluated on the original sorted
+    /// coordinates, so the returned membership set matches them exactly at
+    /// equal precision. Charges one divergent global read, one flop, and one
+    /// branch per probe to `c`.
+    pub fn advance(
+        &mut self,
+        xs: &[f32],
+        xi: f32,
+        inv_h: f32,
+        radius: f32,
+        c: &mut ThreadCounters,
+    ) -> [u32; 2] {
+        let mut probes = [0u32; 2];
+        let mut inside = |side: usize, t: usize| {
+            c.global_read(1);
+            c.flop(1);
+            c.branch(1);
+            probes[side] += 1;
+            if side == 0 {
+                (xi - xs[t]) * inv_h <= radius
+            } else {
+                (xs[t] - xi) * inv_h <= radius
+            }
+        };
+        let (lo_prev, hi_prev) = (self.lo, self.hi);
+        // Leftmost l with (xi − xs[l])·inv_h ≤ r; the previous lo still
+        // qualifies at the wider bandwidth.
+        let lo_guess = lo_prev.saturating_sub(self.lo_step);
+        let lo = edge(0, lo_prev, lo_guess, self.lo_step, |t| inside(0, t));
+        // One past the rightmost l with (xs[l] − xi)·inv_h ≤ r.
+        let hi_guess = hi_prev + self.hi_step;
+        let hi = edge(hi_prev, xs.len(), hi_guess, self.hi_step, |t| !inside(1, t));
+        *self = Self { lo, hi, lo_step: lo_prev - lo, hi_step: hi - hi_prev };
+        probes
+    }
+}
+
+/// First position `t` in `[a, b]` with `past(t)`, for a `past` that is
+/// false then true over ascending positions and holds at `b` (or `b` is
+/// one past the end, never probed). Probes `guess` first, then one bracket
+/// of `step/8 + 1` positions on the side of `guess` that holds the edge,
+/// then bisects what is left: at most `⌈log₂(b − a + 1)⌉ + 2` probes.
+fn edge(
+    mut a: usize,
+    mut b: usize,
+    guess: usize,
+    step: usize,
+    mut past: impl FnMut(usize) -> bool,
+) -> usize {
+    let width = step / 8 + 1;
+    let guess = guess.clamp(a, b);
+    let bracket = if guess < b && !past(guess) {
+        a = guess + 1;
+        guess + width
+    } else {
+        b = guess;
+        guess.saturating_sub(width)
+    };
+    let bracket = bracket.clamp(a, b);
+    if bracket < b {
+        if past(bracket) {
+            b = bracket;
+        } else {
+            a = bracket + 1;
+        }
+    }
+    while a < b {
+        let mid = (a + b) / 2;
+        if past(mid) {
+            b = mid;
+        } else {
+            a = mid + 1;
+        }
+    }
+    a
+}
+
 /// Resolves the support window `[lo, hi)` of the observation at `x = xi`
-/// for bandwidth `1/inv_h`, narrowing from the previous (smaller-bandwidth)
-/// window `[lo_prev, hi_prev)`: `lo` is bisected in `[0, lo_prev]`, `hi` in
-/// `[hi_prev, xs.len()]`.
-///
-/// The predicate is the bit-identical `(xi − xs[mid])·inv_h ≤ radius` (and
-/// its mirror) every CPU strategy uses, evaluated on the original sorted
-/// coordinates, so the returned membership set matches them exactly at
-/// equal precision. Charges one divergent global read, one flop, and one
-/// branch per probe to `c`; returns `(lo, hi, probes)` so the caller can
-/// batch the probe count into its observability counters.
+/// for bandwidth `1/inv_h` from the previous (smaller-bandwidth) window
+/// `[lo_prev, hi_prev)` with no record of how its edges moved: the search
+/// of [`SupportWindow::advance`], predicting that neither edge moves.
+/// Returns `(lo, hi, probes)` so the caller can batch the probe count into
+/// its observability counters.
 pub fn device_support_window(
     xs: &[f32],
     xi: f32,
@@ -37,38 +147,9 @@ pub fn device_support_window(
     hi_prev: usize,
     c: &mut ThreadCounters,
 ) -> (usize, usize, u32) {
-    let mut probes = 0u32;
-    // Leftmost l with (xi − xs[l])·inv_h ≤ r; the self position trivially
-    // qualifies, so the previous lo is a valid upper bisection bound.
-    let (mut a, mut b) = (0usize, lo_prev);
-    while a < b {
-        let mid = (a + b) / 2;
-        c.global_read(1);
-        c.flop(1);
-        c.branch(1);
-        probes += 1;
-        if (xi - xs[mid]) * inv_h <= radius {
-            b = mid;
-        } else {
-            a = mid + 1;
-        }
-    }
-    let lo = a;
-    // One past the rightmost l with (xs[l] − xi)·inv_h ≤ r.
-    let (mut a, mut b) = (hi_prev, xs.len());
-    while a < b {
-        let mid = (a + b) / 2;
-        c.global_read(1);
-        c.flop(1);
-        c.branch(1);
-        probes += 1;
-        if (xs[mid] - xi) * inv_h <= radius {
-            a = mid + 1;
-        } else {
-            b = mid;
-        }
-    }
-    (lo, a, probes)
+    let mut window = SupportWindow::settled(lo_prev, hi_prev);
+    let [l, r] = window.advance(xs, xi, inv_h, radius, c);
+    (window.lo, window.hi, l + r)
 }
 
 #[cfg(test)]
@@ -121,6 +202,41 @@ mod tests {
                     probes as usize <= 2 * n.ilog2() as usize + 4,
                     "si={si} h={h}: {probes} probes"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn predicted_edge_search_matches_scan_reference_for_every_thread() {
+        let linear: Vec<f32> = (1..=25).map(|s| s as f32 / 25.0).collect();
+        let geometric: Vec<f32> = (0..)
+            .map(|s| 1e-3 * 1.2f32.powi(s))
+            .take_while(|&h| h < 1.5)
+            .collect();
+        for n in [97usize, 257, 1000, 4000] {
+            // ⌈log₂ n⌉ + 2 probes per side.
+            let worst = (usize::BITS - (n - 1).leading_zeros()) + 2;
+            let uniform = sorted_sample(n, n as u64);
+            // Eighths: nine distinct values, so long runs of ties.
+            let lattice: Vec<f32> = uniform.iter().map(|v| (v * 8.0).round() / 8.0).collect();
+            for (data, xs) in [("uniform", &uniform), ("lattice", &lattice)] {
+                for (name, grid) in [("linear", &linear), ("geometric", &geometric)] {
+                    for si in 0..n {
+                        let xi = xs[si];
+                        let mut window = SupportWindow::new(si);
+                        let mut c = ThreadCounters::default();
+                        let mut total = 0u64;
+                        for &h in grid.iter() {
+                            let probes = window.advance(xs, xi, 1.0 / h, 1.0, &mut c);
+                            let want = scan_window(xs, xi, 1.0 / h, 1.0);
+                            let case = format!("{data} {name} n={n} si={si} h={h}");
+                            assert_eq!((window.lo, window.hi), want, "{case}");
+                            assert!(probes.iter().all(|&p| p <= worst), "{case}: {probes:?}");
+                            total += u64::from(probes[0] + probes[1]);
+                        }
+                        assert_eq!(c.global_reads, total);
+                    }
+                }
             }
         }
     }

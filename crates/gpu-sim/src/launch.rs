@@ -177,6 +177,57 @@ where
     Ok((outputs, report))
 }
 
+/// Launches an independent kernel block by block: `workspaces` holds one
+/// workspace per block, and the threads of a block run one after another
+/// in thread order against it, so a kernel can fold its results into its
+/// block's workspace in a fixed order — the model of a block's
+/// shared-memory accumulator. Blocks run in parallel. Returns each
+/// thread's output in thread order plus the cost report.
+pub fn launch_blocks<W, R, F>(
+    spec: &DeviceSpec,
+    cost: &CostModel,
+    config: LaunchConfig,
+    workspaces: Vec<W>,
+    kernel: F,
+) -> Result<(Vec<R>, LaunchReport)>
+where
+    W: Send,
+    R: Send,
+    F: Fn(usize, &mut W, &mut ThreadCounters) -> R + Sync,
+{
+    config.validate(spec)?;
+    let tpb = config.threads_per_block;
+    let blocks = config.threads.div_ceil(tpb);
+    if workspaces.len() != blocks {
+        return Err(SimError::InvalidLaunch(format!(
+            "{} workspaces for {blocks} blocks",
+            workspaces.len()
+        )));
+    }
+    let _launch = kcv_obs::phase("gpu.launch");
+    let scope = kcv_obs::scope();
+    let start = Instant::now();
+    let per_block: Vec<Vec<(R, ThreadCounters)>> = workspaces
+        .into_par_iter()
+        .enumerate()
+        .map(|(b, mut ws)| {
+            let _in_scope = scope.enter();
+            (b * tpb..config.threads.min((b + 1) * tpb))
+                .map(|tid| {
+                    let mut c = ThreadCounters::default();
+                    let r = kernel(tid, &mut ws, &mut c);
+                    (r, c)
+                })
+                .collect()
+        })
+        .collect();
+    let host_seconds = start.elapsed().as_secs_f64();
+    let (outputs, counters): (Vec<R>, Vec<ThreadCounters>) =
+        per_block.into_iter().flatten().unzip();
+    let report = build_report(&counters, config, spec, cost, host_seconds);
+    Ok((outputs, report))
+}
+
 pub(crate) fn build_report(
     counters: &[ThreadCounters],
     config: LaunchConfig,
@@ -274,6 +325,30 @@ mod tests {
             vec![(), ()],
             |_, _, _| 0u32,
         );
+        assert!(r.is_err());
+    }
+
+    #[test]
+    fn launch_blocks_runs_each_block_in_thread_order() {
+        let (spec, cost) = tesla();
+        // 70 threads in blocks of 32: two full blocks and one of 6.
+        let cfg = LaunchConfig::new(70, 32);
+        let mut seen = vec![Vec::new(); 3];
+        let workspaces: Vec<&mut Vec<usize>> = seen.iter_mut().collect();
+        let (out, report) = launch_blocks(&spec, &cost, cfg, workspaces, |tid, block, c| {
+            block.push(tid);
+            c.flop(1);
+            tid * 2
+        })
+        .unwrap();
+        assert_eq!(out, (0..70).map(|t| t * 2).collect::<Vec<_>>());
+        assert_eq!(seen, [(0..32).collect(), (32..64).collect(), (64..70).collect::<Vec<_>>()]);
+        assert_eq!(report.totals.flops, 70);
+        // The cost model sees the same threads as a thread-parallel launch.
+        let (_, per_thread) = launch_map(&spec, &cost, cfg, |_, c| c.flop(1)).unwrap();
+        assert_eq!(report.simulated_cycles, per_thread.simulated_cycles);
+        // One workspace per block, not per thread.
+        let r = launch_blocks(&spec, &cost, cfg, vec![(); 70], |_, _, _| ());
         assert!(r.is_err());
     }
 

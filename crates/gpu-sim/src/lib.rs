@@ -6,9 +6,11 @@
 //! hinge on:
 //!
 //! * **the programming model** — grids of blocks of threads; independent
-//!   SPMD kernels ([`launch::launch_independent`]) and barrier-synchronised
-//!   cooperative blocks ([`cooperative::CooperativeBlock`]) with
-//!   `__syncthreads`-style phases (plus intra-phase race *detection*);
+//!   SPMD kernels ([`launch::launch_independent`], or block by block with
+//!   a per-block accumulator: [`launch::launch_blocks`]) and
+//!   barrier-synchronised cooperative blocks
+//!   ([`cooperative::CooperativeBlock`]) with `__syncthreads`-style phases
+//!   (plus intra-phase race *detection*);
 //! * **the resource ceilings** — a capacity-enforcing global-memory pool
 //!   (the paper's n ≤ 20 000 wall on 4 GB) and the 8 KB constant-cache
 //!   working set (the ≤ 2 048-bandwidth grid limit);
@@ -59,9 +61,11 @@ pub mod reduce;
 pub use cooperative::{CooperativeBlock, SharedWrites};
 pub use cost::{CostModel, LaunchReport, ThreadCounters};
 pub use device::DeviceSpec;
-pub use device_search::device_support_window;
+pub use device_search::{device_support_window, SupportWindow};
 pub use device_sort::device_sort_with_aux;
 pub use error::{Result, SimError};
-pub use launch::{launch_independent, launch_independent_map, launch_map, LaunchConfig};
+pub use launch::{
+    launch_blocks, launch_independent, launch_independent_map, launch_map, LaunchConfig,
+};
 pub use memory::{ConstantMemory, DeviceBuffer, MemoryPool};
 pub use reduce::{min_payload_reduction, sum_reduction, sum_reduction_strided};

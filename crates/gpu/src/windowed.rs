@@ -8,7 +8,8 @@
 //! proved no per-observation state is needed: with the sample globally
 //! argsorted, every windowed power sum expands binomially into differences
 //! of **global** prefix-moment tables, and each `(observation, bandwidth)`
-//! cell costs two binary searches plus an `O(deg²)` recombination.
+//! cell costs two edge searches plus, for each window edge that moved, one
+//! table row and an `O(deg²)` recombination.
 //!
 //! This module runs exactly that plan on the simulated device. The device
 //! holds only
@@ -21,11 +22,13 @@
 //! i.e. `O(n·(deg+2) + k)` bytes and **no n×n or n×k matrix anywhere** —
 //! at the paper's k = 50 an n = 100 000 problem needs ~5.6 MB where the
 //! classic layout would demand ~80 GB. One thread per observation answers
-//! its `k` cells with [`kcv_gpu_sim::device_support_window`] bisections
-//! (monotonically narrowing across the ascending bandwidth sweep) and the
-//! binomial assembly; block-level shared-memory accumulation feeds the
-//! shard driver's standard Harris reductions, which produce the score
-//! profile and the argmin.
+//! its `k` cells. It reads its two self rows once, then per bandwidth
+//! advances its [`kcv_gpu_sim::SupportWindow`] (each edge search starts at
+//! the edge the previous move predicts; the windows only grow across the
+//! ascending sweep) and reads only the row of an edge that moved. Its
+//! block folds the squared residuals into a shared partial row in thread
+//! order, and the rows feed the shard driver's standard Harris reductions,
+//! which produce the score profile and the argmin.
 //!
 //! ## Precision
 //!
@@ -60,8 +63,8 @@ use kcv_core::grid::BandwidthGrid;
 use kcv_core::sort::{apply_permutation, argsort};
 use kcv_core::util::NeumaierSum;
 use kcv_gpu_sim::{
-    device_support_window, launch_independent_map, DeviceBuffer, LaunchConfig, LaunchReport,
-    MemoryPool, ThreadCounters,
+    launch_blocks, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, SupportWindow,
+    ThreadCounters,
 };
 
 /// The windowed program's report: the same fields as the classic one.
@@ -180,18 +183,63 @@ pub(crate) enum TableView<'a> {
     },
 }
 
+/// One position of both prefix tables, held in a thread's registers:
+/// `P_m` and `Q_m` for `m = 0..=deg`, `4·(deg+1)` words in either
+/// precision.
+#[derive(Clone, Copy)]
+enum Row {
+    /// `[P_hi, P_lo, Q_hi, Q_lo]` per moment.
+    Pair([[f32; 4]; MAX_DEVICE_DEGREE + 1]),
+    /// `[P, Q]` per moment.
+    F64([[f64; 2]; MAX_DEVICE_DEGREE + 1]),
+}
+
+impl TableView<'_> {
+    /// Reads the tables' row at position `t` (stride `n + 1`), charging its
+    /// `4·(deg+1)` divergent words: neighbouring threads read rows at
+    /// different window edges.
+    fn row(&self, t: usize, deg: usize, stride: usize, c: &mut ThreadCounters) -> Row {
+        c.global_read(4 * (deg as u64 + 1));
+        match self {
+            TableView::PairF32 { px_hi, px_lo, py_hi, py_lo } => {
+                let mut row = [[0.0f32; 4]; MAX_DEVICE_DEGREE + 1];
+                for (m, r) in row.iter_mut().enumerate().take(deg + 1) {
+                    let i = m * stride + t;
+                    *r = [px_hi[i], px_lo[i], py_hi[i], py_lo[i]];
+                }
+                Row::Pair(row)
+            }
+            TableView::F64 { px, py } => {
+                let mut row = [[0.0f64; 2]; MAX_DEVICE_DEGREE + 1];
+                for (m, r) in row.iter_mut().enumerate().take(deg + 1) {
+                    *r = [px[m * stride + t], py[m * stride + t]];
+                }
+                Row::F64(row)
+            }
+        }
+    }
+}
+
 /// The windowed main kernel: one thread per observation (sorted position
 /// `si`), answering all `k` of its cells.
 ///
-/// Per bandwidth (ascending, monotonically narrowing bisection bounds):
-/// resolve the support window, difference the prefix tables at its two
-/// boundaries for every moment and both tables, binomially recombine into
-/// the windowed power sums `S_j`/`SY_j` (self observation excluded by
-/// splitting the window at `si`), assemble `N/D` exactly like every other
-/// strategy, and accumulate the squared residual into the block's shared
-/// partial row. Writes the thread's residuals into `resid` (its register
-/// file in the model; the launch driver folds blocks into the device
-/// partial buffer, whose coalesced flush is charged to each block leader).
+/// The thread reads its two self rows `si` and `si + 1` once. Per
+/// bandwidth (ascending) it advances its [`SupportWindow`]: each edge
+/// search starts from the edge the previous bandwidth's move predicts.
+/// The window splits at `si`, which excludes the self observation. A side
+/// whose edge did not move keeps its windowed power sums `S_j`/`SY_j` from
+/// the previous bandwidth. A side whose edge moved reads only the new edge
+/// row, differences it against its self row for every moment of both
+/// tables, and binomially recombines the differences. The thread then
+/// assembles `N/D` exactly like every other strategy and adds the squared
+/// residual to its block's accumulator `acc`, the block's shared partial
+/// row (the launch runs a block's threads in thread order; the block
+/// leader's coalesced flush of the row is charged here).
+///
+/// `kcv-gpu-sim` has no register-file model, so the words a thread keeps
+/// live are not charged. Besides the per-side sums `S_j`/`SY_j`, a thread
+/// keeps its two self rows live across the sweep: `8·(deg+1)` extra words
+/// (24 for the quadratic kernel, 56 at degree 6).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn windowed_kernel(
     si: usize,
@@ -205,7 +253,7 @@ pub(crate) fn windowed_kernel(
     radius: f32,
     deg: usize,
     n: usize,
-    resid: &mut [f32],
+    acc: &mut [f32],
     c: &mut ThreadCounters,
 ) -> u64 {
     debug_assert!(deg <= MAX_DEVICE_DEGREE);
@@ -230,34 +278,28 @@ pub(crate) fn windowed_kernel(
     }
     c.flop(deg as u64);
 
-    // Windowed moments of one side `[a, b)` by prefix differencing +
-    // binomial recombination, in the view's precision. Charges the table
-    // reads (divergent: neighbouring threads straddle different windows)
-    // and the assembly flops.
-    let side = |a: usize, b: usize, w: &mut [f64], wy: &mut [f64], c: &mut ThreadCounters| {
+    // Windowed moments of one side `[a, b)` from its two boundary rows:
+    // prefix differencing + binomial recombination, in the view's
+    // precision. Charges the assembly flops.
+    let side = |a: &Row, b: &Row, w: &mut [f64], wy: &mut [f64], c: &mut ThreadCounters| {
         let mut dp = [0.0f64; MAX_DEVICE_DEGREE + 1];
         let mut dq = [0.0f64; MAX_DEVICE_DEGREE + 1];
         for m in 0..=deg {
-            match view {
-                TableView::PairF32 { px_hi, px_lo, py_hi, py_lo } => {
+            match (a, b) {
+                (Row::Pair(a), Row::Pair(b)) => {
                     // Difference of compensated pairs in f32: the error
                     // tracks the window magnitude, not the prefix magnitude.
-                    dp[m] = ((px_hi[m * stride + b] - px_hi[m * stride + a])
-                        + (px_lo[m * stride + b] - px_lo[m * stride + a]))
-                        as f64;
-                    dq[m] = ((py_hi[m * stride + b] - py_hi[m * stride + a])
-                        + (py_lo[m * stride + b] - py_lo[m * stride + a]))
-                        as f64;
+                    let ([ph_a, pl_a, qh_a, ql_a], [ph_b, pl_b, qh_b, ql_b]) = (a[m], b[m]);
+                    dp[m] = ((ph_b - ph_a) + (pl_b - pl_a)) as f64;
+                    dq[m] = ((qh_b - qh_a) + (ql_b - ql_a)) as f64;
                 }
-                TableView::F64 { px, py } => {
-                    dp[m] = px[m * stride + b] - px[m * stride + a];
-                    dq[m] = py[m * stride + b] - py[m * stride + a];
+                (Row::F64(a), Row::F64(b)) => {
+                    dp[m] = b[m][0] - a[m][0];
+                    dq[m] = b[m][1] - a[m][1];
                 }
+                _ => unreachable!("one view's rows share its precision"),
             }
         }
-        // 8 words per moment either way: 4 boundary entries × (hi + lo), or
-        // 4 f64 entries at 2 words each.
-        c.global_read(8 * (deg as u64 + 1));
         c.flop(6 * (deg as u64 + 1));
         for j in 0..=deg {
             let row = &binom[j * bw..j * bw + j + 1];
@@ -282,23 +324,34 @@ pub(crate) fn windowed_kernel(
         }
     };
 
-    let mut probes_total = 0u64;
-    let (mut lo, mut hi) = (si, si + 1);
+    // The self rows bound the left side [lo, si) and the right side
+    // [si+1, hi); both sides start empty.
+    let self_left = view.row(si, deg, stride, c);
+    let self_right = view.row(si + 1, deg, stride, c);
     let mut wl = [0.0f64; MAX_DEVICE_DEGREE + 1];
     let mut wyl = [0.0f64; MAX_DEVICE_DEGREE + 1];
     let mut wr = [0.0f64; MAX_DEVICE_DEGREE + 1];
     let mut wyr = [0.0f64; MAX_DEVICE_DEGREE + 1];
+    side(&self_left, &self_left, &mut wl, &mut wyl, c);
+    side(&self_right, &self_right, &mut wr, &mut wyr, c);
+
+    let mut probes_total = 0u64;
+    let mut window = SupportWindow::new(si);
     for (m, &h) in bandwidths.iter().enumerate() {
         c.constant_read(1);
         let inv_h = 1.0 / h;
         c.flop(1);
-        let probes;
-        (lo, hi, probes) = device_support_window(xs, xi, inv_h, radius, lo, hi, c);
-        probes_total += probes as u64;
-
-        // Self-exclusion by construction: the window splits at si.
-        side(lo, si, &mut wl, &mut wyl, c);
-        side(si + 1, hi, &mut wr, &mut wyr, c);
+        let (lo_prev, hi_prev) = (window.lo, window.hi);
+        let [l, r] = window.advance(xs, xi, inv_h, radius, c);
+        probes_total += u64::from(l + r);
+        if window.lo != lo_prev {
+            let edge = view.row(window.lo, deg, stride, c);
+            side(&edge, &self_left, &mut wl, &mut wyl, c);
+        }
+        if window.hi != hi_prev {
+            let edge = view.row(window.hi, deg, stride, c);
+            side(&self_right, &edge, &mut wr, &mut wyr, c);
+        }
 
         // d = x_i − x_l on the left, x_l − x_i on the right:
         // S_j = W_j^right + (−1)^j·W_j^left, then the standard
@@ -333,7 +386,7 @@ pub(crate) fn windowed_kernel(
         };
         c.flop(7 * (deg as u64 + 1));
         c.branch(1);
-        resid[m] = if den > 0.0 {
+        acc[m] += if den > 0.0 {
             let r = yi - num / den;
             c.flop(3);
             r * r
@@ -439,10 +492,9 @@ impl ShardBody for Windowed {
     ) -> Result<(LaunchReport, Residuals<'r>)> {
         let (rows, k, tpb, lo) = (shard.rows.len(), shard.k, shard.tpb, shard.rows.start);
         let (t, deg, n) = (&self.tables, shard.kernel.degree(), self.tables.xs32.len());
-        // Main kernel: one thread per sorted position of the shard; residual
-        // rows come back as per-thread register values for the block
-        // accumulation below.
-        let mut resid_scratch = vec![0.0f32; rows * k];
+        // Each block's shared partial row, one after another.
+        let num_blocks = rows.div_ceil(tpb);
+        let mut block_rows = vec![0.0f32; num_blocks * k];
         let (xs, ys) = (resident.xs.as_slice(), resident.ys.as_slice());
         let view = match &resident.tables {
             TableBuffers::Pair { px_hi, px_lo, py_hi, py_lo } => TableView::PairF32 {
@@ -454,16 +506,19 @@ impl ShardBody for Windowed {
             TableBuffers::F64 { px, py } => TableView::F64 { px: px.as_slice(), py: py.as_slice() },
         };
         let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
-        let (probes, report) = launch_independent_map(
+        // Main kernel: one thread per sorted position of the shard, a
+        // block's threads in thread order so each folds its residuals into
+        // the block's row in the same order.
+        let (probes, report) = launch_blocks(
             &shard.config.spec,
             &shard.config.cost,
             LaunchConfig::new(rows, tpb),
-            resid_scratch.chunks_mut(k).collect(),
+            block_rows.chunks_mut(k).collect(),
             // Thread tid of this device answers sorted position lo + tid.
-            |tid, resid: &mut &mut [f32], c| {
+            |tid, acc: &mut &mut [f32], c| {
                 let probes = windowed_kernel(
                     lo + tid, xs, ys, &view, t.center, &t.binom, bandwidths, coeffs, radius, deg,
-                    n, resid, c,
+                    n, acc, c,
                 );
                 // Each block's leader flushes the block's accumulated partial
                 // row to the device partial matrix — k consecutive
@@ -477,15 +532,12 @@ impl ShardBody for Windowed {
         kcv_obs::add(kcv_obs::Counter::WindowQueries, (rows * k) as u64);
         kcv_obs::add(kcv_obs::Counter::BinarySearchProbes, probes.iter().sum());
 
-        // Fold each block's thread rows into its bandwidth-major partial slot
-        // (the shared-memory accumulation charged per-cell in the kernel).
-        let num_blocks = rows.div_ceil(tpb);
+        // The flushes: block b's row lands in slot b of every bandwidth's
+        // row of the partial matrix.
         let partials = resident.partials.as_mut_slice();
-        for (b, block) in resid_scratch.chunks(tpb * k).enumerate() {
-            for row in block.chunks(k) {
-                for (m, &v) in row.iter().enumerate() {
-                    partials[m * num_blocks + b] += v;
-                }
+        for (b, row) in block_rows.chunks(k).enumerate() {
+            for (m, &v) in row.iter().enumerate() {
+                partials[m * num_blocks + b] = v;
             }
         }
         let values = resident.partials.as_slice();
@@ -649,9 +701,10 @@ mod tests {
         let run = select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap();
         let t = &run.report.main_kernel.totals;
         let cells = 1_000u64 * 20;
-        // Per cell: ≤ 2·⌈log₂ n⌉ probes + 16(deg+1) table words; plus the
-        // per-thread xi/yi reads. No O(window) term anywhere.
-        let ceiling = cells * (2 * 10 + 16 * 3) + 2 * 1_000;
+        // Per cell: 2·⌈log₂ n⌉ probes and at most two edge rows of
+        // 4(deg+1) words; per thread: the xi/yi reads and the two self
+        // rows. No O(window) term anywhere.
+        let ceiling = cells * (2 * 10 + 8 * 3) + (2 + 8 * 3) * 1_000;
         assert!(
             t.global_reads <= ceiling,
             "global reads {} exceed per-cell ceiling {ceiling}",
@@ -660,6 +713,54 @@ mod tests {
         // And the whole program touched global memory fewer times than the
         // classic pipeline's two n×n matrix fills alone (2n² stores).
         assert!(t.global_reads + t.global_writes + t.global_coalesced < 2 * 1_000 * 1_000);
+    }
+
+    /// Replays every thread's sweep on the device's f32 inputs: the edge
+    /// moves a scan reference finds, and the probes the device search
+    /// spends.
+    fn edge_moves_and_probes(x: &[f64], grid: &BandwidthGrid, radius: f32) -> (u64, u64) {
+        let xs = WindowedTables::build(x, x, 0).xs32;
+        let (mut moves, mut probes) = (0u64, 0u64);
+        for (si, &xi) in xs.iter().enumerate() {
+            let mut window = SupportWindow::new(si);
+            let (mut lo, mut hi) = (si, si + 1);
+            for &h in grid.values() {
+                let inv_h = 1.0 / h as f32;
+                let scan_lo = xs.iter().position(|&v| (xi - v) * inv_h <= radius).unwrap();
+                let scan_hi = xs.iter().rposition(|&v| (v - xi) * inv_h <= radius).unwrap() + 1;
+                moves += u64::from(scan_lo != lo) + u64::from(scan_hi != hi);
+                (lo, hi) = (scan_lo, scan_hi);
+                let [l, r] = window.advance(&xs, xi, inv_h, radius, &mut ThreadCounters::default());
+                assert_eq!((window.lo, window.hi), (lo, hi));
+                probes += u64::from(l + r);
+            }
+        }
+        (moves, probes)
+    }
+
+    #[test]
+    fn windowed_reads_self_rows_once_and_an_edge_row_per_move() {
+        let n = 1_000u64;
+        let (x, y) = paper_data(n as usize, 7);
+        for kernel in [GpuKernel::epanechnikov(), GpuKernel::triweight()] {
+            let row = 4 * (kernel.degree() as u64 + 1);
+            // The paper grid, and one whose smallest bandwidth already
+            // covers the whole domain.
+            let covering = BandwidthGrid::linear(1.5, 3.0, 6).unwrap();
+            for grid in [BandwidthGrid::paper_default(&x, 20).unwrap(), covering] {
+                let config = GpuConfig::default();
+                let run =
+                    select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &kernel).unwrap();
+                let (moves, probes) = edge_moves_and_probes(&x, &grid, kernel.radius);
+                let reads = run.report.main_kernel.totals.global_reads;
+                assert_eq!(reads, 2 * n + 2 * row * n + row * moves + probes, "{}", kernel.name);
+                if grid.values()[0] >= 1.5 {
+                    // One move per side, at the first bandwidth, for every
+                    // thread not already at that end.
+                    assert_eq!(moves, 2 * (n - 1));
+                }
+            }
+        }
     }
 
     #[test]

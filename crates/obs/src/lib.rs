@@ -117,18 +117,20 @@ pub enum Counter {
     /// (rounded to u64).
     GpuSimCycles = 5,
     /// Support-window resolutions performed by the prefix-moment strategy:
-    /// one per `(observation, bandwidth)` cell (each costs at most
-    /// `~2·⌈log₂ n⌉` binary-search probes into the globally sorted `x`).
+    /// one per `(observation, bandwidth)` cell (on the simulated GPU each
+    /// costs at most `2·(⌈log₂ n⌉ + 2)` edge-search probes into the
+    /// globally sorted `x`).
     /// The prefix strategy touches no per-neighbour terms, so its
     /// `KernelEvals` stays zero while this counter carries its `O(n·k)`
     /// cost — the contrast the perf gate asserts.
     WindowQueries = 6,
-    /// Individual binary-search probes spent resolving support windows —
-    /// the device-side refinement of [`Counter::WindowQueries`]: one query
-    /// costs at most `~2·⌈log₂ n⌉` probes (fewer with monotone narrowing),
-    /// and each probe is one divergent global-memory read on the simulated
-    /// GPU. The windowed GPU program's traffic gate is stated in these
-    /// terms.
+    /// Individual edge-search probes spent resolving support windows — the
+    /// device-side refinement of [`Counter::WindowQueries`]. Each edge
+    /// search probes the edge the previous bandwidth's move predicts, one
+    /// bracket beside it, then bisects the rest: one probe for an edge that
+    /// did not move, at most `⌈log₂ n⌉ + 2` per edge. Each probe is one
+    /// divergent global-memory read on the simulated GPU. The windowed GPU
+    /// program's traffic gate is stated in these terms.
     BinarySearchProbes = 7,
     /// Completed bags in a bagged CV selection (Barreiro-Ures et al.): one
     /// increment per subsample whose per-bag grid search finished. At fixed
