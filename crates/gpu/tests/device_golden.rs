@@ -182,39 +182,39 @@ const GOLDEN: &[(&str, u64)] = &[
     ("multi/d3/n120/s7", 0xd90878c401e102e6),
     ("multi/d3/n600/s1013", 0xf1c363ead4ec5e80),
     ("multi/d3/n600/s7", 0x4e429a8fdb28165a),
-    ("windowed/epanechnikov/n120/s1013", 0x648ee6befb02ec13),
-    ("windowed/epanechnikov/n120/s7", 0x4ffb583c07fd2dd6),
-    ("windowed/epanechnikov/n600/s1013", 0x0f4f9a467b14e182),
-    ("windowed/epanechnikov/n600/s7", 0xdfec4afc1c175db5),
-    ("windowed/quartic/n120/s1013", 0x4120746cabd796d5),
-    ("windowed/quartic/n120/s7", 0x78bd31d21e9f0c56),
-    ("windowed/quartic/n600/s1013", 0x17803b4d007ebf92),
-    ("windowed/quartic/n600/s7", 0xd911f3021520209d),
-    ("windowed/triangular/n120/s1013", 0xf478f69b1f10bde0),
-    ("windowed/triangular/n120/s7", 0x1005d48988fecc73),
-    ("windowed/triangular/n600/s1013", 0x010bdc764c80d99c),
-    ("windowed/triangular/n600/s7", 0xcd555ff48ae655fa),
-    ("windowed/triweight/n120/s1013", 0x0a500afed50a519c),
-    ("windowed/triweight/n120/s7", 0xae52ed2565591fa3),
-    ("windowed/triweight/n600/s1013", 0x7aa8bbf89c47f443),
-    ("windowed/triweight/n600/s7", 0x78695ce07bc60643),
-    ("windowed/uniform/n120/s1013", 0xdbb59e7f95b040f1),
-    ("windowed/uniform/n120/s7", 0x6cd9af2393a33dbd),
-    ("windowed/uniform/n600/s1013", 0xd054f2a16035e51c),
-    ("windowed/uniform/n600/s7", 0x895a214df8a63169),
+    ("windowed/epanechnikov/n120/s1013", 0xdcd0890e75640551),
+    ("windowed/epanechnikov/n120/s7", 0x0b65a499004029ab),
+    ("windowed/epanechnikov/n600/s1013", 0xf26ce3753a468401),
+    ("windowed/epanechnikov/n600/s7", 0x5e6b9f6b3d419e4e),
+    ("windowed/quartic/n120/s1013", 0xe3b13c0c640042d5),
+    ("windowed/quartic/n120/s7", 0x0b7063fd974ee97a),
+    ("windowed/quartic/n600/s1013", 0xf91b73122908dcce),
+    ("windowed/quartic/n600/s7", 0x583ed4f41e39af2c),
+    ("windowed/triangular/n120/s1013", 0x21c5238efcaebed2),
+    ("windowed/triangular/n120/s7", 0xd545330989a8871b),
+    ("windowed/triangular/n600/s1013", 0xd3ad160b829f385d),
+    ("windowed/triangular/n600/s7", 0x2d8276c684627cc0),
+    ("windowed/triweight/n120/s1013", 0x1867abd7caae09c3),
+    ("windowed/triweight/n120/s7", 0x157163808a4cc28b),
+    ("windowed/triweight/n600/s1013", 0xe026dc37a0e4ad9f),
+    ("windowed/triweight/n600/s7", 0xc7f0c8ed1c7a3e68),
+    ("windowed/uniform/n120/s1013", 0xb8196536b1d56ad4),
+    ("windowed/uniform/n120/s7", 0x175d941639bd878d),
+    ("windowed/uniform/n600/s1013", 0x69d9f3b30edcefd1),
+    ("windowed/uniform/n600/s7", 0x61bfcea714e93c0a),
 ];
 
 /// `total_simulated_seconds` of the multi-device cases, as `to_bits`.
 #[rustfmt::skip]
 const MULTI_SECONDS: &[(&str, u64)] = &[
-    ("multi-windowed/d2/n120/s1013", 0x3f5ffc1ed8084a0a),
-    ("multi-windowed/d2/n120/s7", 0x3f600b37aadda64e),
-    ("multi-windowed/d2/n600/s1013", 0x3f8267362fae1a45),
-    ("multi-windowed/d2/n600/s7", 0x3f8263f3f8b0db5d),
-    ("multi-windowed/d3/n120/s1013", 0x3f600db3a72a1fc4),
-    ("multi-windowed/d3/n120/s7", 0x3f600db3a72a1fc4),
-    ("multi-windowed/d3/n600/s1013", 0x3f7a2f717412697b),
-    ("multi-windowed/d3/n600/s7", 0x3f7a2ad1dc0a682f),
+    ("multi-windowed/d2/n120/s1013", 0x3f4cb545d6849f71),
+    ("multi-windowed/d2/n120/s7", 0x3f4d3267afb47567),
+    ("multi-windowed/d2/n600/s1013", 0x3f6cf7261c11a854),
+    ("multi-windowed/d2/n600/s7", 0x3f6d20dc0f219a50),
+    ("multi-windowed/d3/n120/s1013", 0x3f4ceea004ba8c2b),
+    ("multi-windowed/d3/n120/s7", 0x3f4d3267afb47567),
+    ("multi-windowed/d3/n600/s1013", 0x3f64f22dd42e084b),
+    ("multi-windowed/d3/n600/s7", 0x3f651be3c73dfa48),
     ("multi/d2/n120/s1013", 0x3f7ac0ca3de74d5f),
     ("multi/d2/n120/s7", 0x3f7a5f82dd769bff),
     ("multi/d2/n600/s1013", 0x3fc775909810fddb),
