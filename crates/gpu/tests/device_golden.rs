@@ -5,9 +5,10 @@
 //! score and the whole score profile; the simulated seconds (total, main
 //! kernel, reductions, transfers); the device peak and both transfer byte
 //! counts; and the operation counters of the main kernel and the
-//! reductions. The constants were recorded before the single-device and
-//! multi-device programs were folded into one shard driver, so any change
-//! of device work, allocation, transfer or arithmetic order fails here.
+//! reductions, so any change of device work, allocation, transfer or
+//! arithmetic order fails here. The windowed program also has a
+//! results-only table that leaves out every time and counter, so a change
+//! of its cost accounting alone can be told from a change of its results.
 //!
 //! The multi-device runs pin bandwidth, scores, per-device peak and both
 //! byte counts bitwise. Their `total_simulated_seconds` (busiest device
@@ -122,8 +123,12 @@ fn data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, BandwidthGrid) {
     (x, y, grid)
 }
 
-/// Fingerprints recorded before the GPU programs shared one shard driver;
-/// a mismatch means some reported bit changed.
+/// Fingerprints of every reported bit; a mismatch means some reported bit
+/// changed. The `classic/*`, `multi/*` and `multi-windowed/*` entries were
+/// recorded before the GPU programs shared one shard driver. The
+/// `windowed/*` entries were re-recorded when the windowed kernel started
+/// reading each prefix row once per edge move, which moved only its costs
+/// (`WINDOWED_RESULTS` did not change).
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("classic/epanechnikov/bw-major/n120/s1013", 0x773074b1a81f3078),
@@ -204,7 +209,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("windowed/uniform/n600/s7", 0x61bfcea714e93c0a),
 ];
 
-/// `total_simulated_seconds` of the multi-device cases, as `to_bits`.
+/// `total_simulated_seconds` of the multi-device cases, as `to_bits`; the
+/// `multi-windowed/*` entries were re-recorded with the `windowed/*`
+/// fingerprints.
 #[rustfmt::skip]
 const MULTI_SECONDS: &[(&str, u64)] = &[
     ("multi-windowed/d2/n120/s1013", 0x3f4cb545d6849f71),
@@ -352,7 +359,11 @@ fn windowed_program_results_match_their_fingerprints() {
             }
         }
     }
-    assert!(bad.is_empty(), "windowed results changed:\n{}", bad.join("\n"));
+    assert!(
+        bad.is_empty(),
+        "windowed results changed:\n{}",
+        bad.join("\n")
+    );
 }
 
 type Multi =
