@@ -5,11 +5,12 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify build test test-metrics doc clippy perf-gate multi-smoke perfbench-smoke bench-report scaling streaming serve clean
+.PHONY: verify build test test-metrics doc clippy perf-gate perfbench-smoke bench-report scaling streaming serve clean
 
 ## The full PR gate: build, tests with metrics off AND on, docs, lints,
-## the counter-based performance gate, and the d = 2 multivariate smoke.
-verify: build test test-metrics doc clippy perf-gate multi-smoke
+## and the counter-based performance gate. (The d = 2 "Multi fast" check
+## against the naive full-grid oracle is a unit test in kcv-bench.)
+verify: build test test-metrics doc clippy perf-gate
 	@echo "verify: all gates green"
 
 build:
@@ -51,12 +52,6 @@ perfbench-smoke:
 	$(CARGO) test $(FLAGS) --release --manifest-path perfbench/Cargo.toml -- $(PERFBENCH_SMOKE)
 	$(CARGO) test $(FLAGS) --release --manifest-path perfbench/Cargo.toml --features metrics \
 		-- $(PERFBENCH_SMOKE)
-
-## d = 2 smoke of the beyond-the-paper "Multi fast" program: the fast
-## full-grid selector must reproduce the naive full-grid oracle's optimum
-## end to end through the bench program surface.
-multi-smoke:
-	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin multi_smoke
 
 ## The past-the-paper scaling study (EXPERIMENTS.md SCALE): bagged CV at
 ## n = 10^5..10^7 vs the full-data prefix reference, with the binary's own

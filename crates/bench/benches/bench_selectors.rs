@@ -3,11 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcv_core::kernels::Epanechnikov;
-use kcv_core::select::{
-    BandwidthSelector, GridSpec, NumericCvSelector, NumericMethod, Rule, RuleOfThumbSelector,
-    SortedGridSearch,
-};
+use kcv_core::select::{BandwidthSelector, GridSpec, Rule, RuleOfThumbSelector, SortedGridSearch};
 use kcv_data::{Dgp, PaperDgp};
+use kcv_np::{npregbw, NpRegBwOptions};
 use std::hint::black_box;
 
 fn bench_selectors(c: &mut Criterion) {
@@ -19,10 +17,11 @@ fn bench_selectors(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sorted_grid_50", n), &n, |b, _| {
             b.iter(|| grid.select(black_box(&s.x), &s.y).unwrap().bandwidth)
         });
-        let numeric =
-            NumericCvSelector::new(Epanechnikov, NumericMethod::NelderMead { restarts: 2 });
         group.bench_with_input(BenchmarkId::new("numeric_nm2", n), &n, |b, _| {
-            b.iter(|| numeric.select(black_box(&s.x), &s.y).unwrap().bandwidth)
+            b.iter(|| {
+                let options = NpRegBwOptions { nmulti: 2, ..Default::default() };
+                npregbw(black_box(&s.x), &s.y, options).unwrap().bw
+            })
         });
         let rot = RuleOfThumbSelector::new(Epanechnikov, Rule::Silverman);
         group.bench_with_input(BenchmarkId::new("rule_of_thumb", n), &n, |b, _| {

@@ -5,11 +5,11 @@
 //! Usage: `cargo run -p kcv-bench --release --bin experiments --
 //! [--max-n N] [--table2-max-n N] [--reps R] [--nmulti M]`
 
-use kcv_bench::chart::{render_loglog, Series};
+use kcv_bench::chart::render_loglog;
 use kcv_bench::programs::{run_program, Program};
 use kcv_bench::report::{collect_report, ReportConfig};
-use kcv_bench::sweep::{figure1_sweep, table2_sweep, PAPER_TABLE1, TABLE2_BANDWIDTHS, TABLE2_SIZES};
-use kcv_bench::table::{arg_parse, fmt_seconds, render, write_csv};
+use kcv_bench::sweep::{figure1_series, figure1_sweep, table1, table2};
+use kcv_bench::table::arg_parse;
 use kcv_data::{Dgp, PaperDgp};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -29,164 +29,31 @@ fn main() {
     // ---- Figure 1 / Table I -------------------------------------------
     eprintln!("[1/5] Figure 1 / Table I sweep…");
     let rows = figure1_sweep(max_n, 50, reps, nmulti);
-    let sizes: Vec<usize> = {
-        let mut s: Vec<usize> = rows.iter().map(|r| r.n).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    };
-    let get = |n: usize, p: Program| rows.iter().find(|r| r.n == n && r.program == p);
-    let mut csv_rows = Vec::new();
-    let mut table_rows = Vec::new();
-    for &n in &sizes {
-        let wall = |p| get(n, p).map_or(f64::NAN, |r| r.wall_seconds);
-        let sim = get(n, Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN);
-        csv_rows.push(vec![
-            n as f64,
-            wall(Program::RacineHayfield),
-            wall(Program::MulticoreR),
-            wall(Program::SequentialC),
-            wall(Program::PrefixC),
-            wall(Program::CudaGpu),
-            sim,
-            wall(Program::Bagged),
-            wall(Program::MultiFast),
-        ]);
-        table_rows.push(vec![
-            n.to_string(),
-            fmt_seconds(wall(Program::RacineHayfield)),
-            fmt_seconds(wall(Program::MulticoreR)),
-            fmt_seconds(wall(Program::SequentialC)),
-            fmt_seconds(wall(Program::PrefixC)),
-            fmt_seconds(wall(Program::CudaGpu)),
-            fmt_seconds(sim),
-            fmt_seconds(wall(Program::Bagged)),
-            fmt_seconds(wall(Program::MultiFast)),
-        ]);
-    }
-    write_csv(
-        Path::new("results/table1.csv"),
-        &["n", "racine_hayfield", "multicore_r", "sequential_c", "prefix_c", "cuda_wall", "cuda_simulated", "bagged", "multi_fast"],
-        &csv_rows,
-    )
-    .expect("write table1.csv");
-    let headers: Vec<String> = [
-        "n",
-        "Racine&Hayfield",
-        "Multicore R",
-        "Sequential C",
-        "Prefix C",
-        "CUDA wall",
-        "CUDA simulated",
-        "Bagged",
-        "Multi fast",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let _ = writeln!(summary, "TABLE I (measured, seconds)\n{}", render(&headers, &table_rows));
+    summary.push_str(&table1(&rows, Path::new("results/table1.csv")).expect("write table1.csv"));
 
     // Speedup analysis at the largest measured n vs the paper's 7×.
-    if let Some(&n) = sizes.last() {
-        let rh = get(n, Program::RacineHayfield).map_or(f64::NAN, |r| r.wall_seconds);
-        let sc = get(n, Program::SequentialC).map_or(f64::NAN, |r| r.wall_seconds);
-        let pc = get(n, Program::PrefixC).map_or(f64::NAN, |r| r.wall_seconds);
-        let sim = get(n, Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN);
+    if let Some(n) = rows.iter().map(|r| r.n).max() {
+        let get = |p| rows.iter().find(|r| r.n == n && r.program == p);
+        let wall = |p| get(p).map_or(f64::NAN, |r| r.wall_seconds);
+        let sim = get(Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN);
+        let rh = wall(Program::RacineHayfield);
+        let sc = wall(Program::SequentialC);
         let _ = writeln!(
             summary,
             "At n = {n}: sorted grid search beats numerical optimisation by {:.1}×;\n\
              prefix-moments vs sorted sweep: {:.1}×;\n\
              numerical-opt vs simulated GPU time: {:.1}× (paper at n = 20,000: 7.2×).\n",
             rh / sc,
-            sc / pc,
+            sc / wall(Program::PrefixC),
             rh / sim
         );
     }
-    let paper_rows: Vec<Vec<String>> = PAPER_TABLE1
-        .iter()
-        .map(|&(n, a, b, c, d)| {
-            vec![
-                n.to_string(),
-                fmt_seconds(a),
-                fmt_seconds(b),
-                fmt_seconds(c),
-                "-".into(),
-                fmt_seconds(d),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]
-        })
-        .collect();
-    let _ = writeln!(summary, "TABLE I (paper, seconds)\n{}", render(&headers, &paper_rows));
-
-    // ASCII Figure 1.
-    let mut series = Vec::new();
-    for (mark, program) in [
-        ('r', Program::RacineHayfield),
-        ('m', Program::MulticoreR),
-        ('s', Program::SequentialC),
-        ('p', Program::PrefixC),
-        ('g', Program::CudaGpu),
-        ('b', Program::Bagged),
-        ('f', Program::MultiFast),
-    ] {
-        series.push(Series {
-            label: format!("{} (wall)", program.label()),
-            mark,
-            points: rows
-                .iter()
-                .filter(|r| r.program == program)
-                .map(|r| (r.n as f64, r.wall_seconds.max(1e-4)))
-                .collect(),
-        });
-    }
-    series.push(Series {
-        label: "CUDA on GPU (simulated device seconds)".into(),
-        mark: 'G',
-        points: rows
-            .iter()
-            .filter(|r| r.program == Program::CudaGpu)
-            .filter_map(|r| r.simulated_seconds.map(|s| (r.n as f64, s.max(1e-4))))
-            .collect(),
-    });
-    let _ = writeln!(summary, "FIGURE 1 (measured)\n{}", render_loglog(&series, 72, 24));
+    let chart = render_loglog(&figure1_series(&rows), 72, 24);
+    let _ = writeln!(summary, "FIGURE 1 (measured)\n{chart}");
 
     // ---- Table II ------------------------------------------------------
     eprintln!("[2/5] Table II sweeps…");
-    let t2_sizes: Vec<usize> = TABLE2_SIZES.iter().copied().filter(|&n| n <= t2_max_n).collect();
-    let mut t2_headers: Vec<String> = vec!["Bandwidths".into()];
-    t2_headers.extend(t2_sizes.iter().map(|n| n.to_string()));
-    for (label, program, use_sim, path) in [
-        ("PANEL A: Sequential C (wall s)", Program::SequentialC, false, "results/table2a.csv"),
-        ("PANEL B: CUDA (simulated s)", Program::CudaGpu, true, "results/table2b_simulated.csv"),
-    ] {
-        let cells = table2_sweep(program, t2_max_n, 1);
-        let mut t_rows = Vec::new();
-        let mut c_rows = Vec::new();
-        for &k in &TABLE2_BANDWIDTHS {
-            let mut t_row = vec![k.to_string()];
-            let mut c_row = vec![k as f64];
-            for &n in &t2_sizes {
-                let v = cells.iter().find(|c| c.n == n && c.k == k).map(|c| {
-                    if use_sim {
-                        c.simulated_seconds.unwrap_or(f64::NAN)
-                    } else {
-                        c.wall_seconds
-                    }
-                });
-                t_row.push(v.map_or("".into(), fmt_seconds));
-                c_row.push(v.unwrap_or(f64::NAN));
-            }
-            t_rows.push(t_row);
-            c_rows.push(c_row);
-        }
-        let mut csv_headers: Vec<String> = vec!["bandwidths".into()];
-        csv_headers.extend(t2_sizes.iter().map(|n| format!("n{n}")));
-        let refs: Vec<&str> = csv_headers.iter().map(|s| s.as_str()).collect();
-        write_csv(Path::new(path), &refs, &c_rows).expect("write table2 csv");
-        let _ = writeln!(summary, "TABLE II — {label}\n{}", render(&t2_headers, &t_rows));
-    }
+    summary.push_str(&table2("both", t2_max_n, 1).expect("write table2 csv"));
 
     // ---- §IV-C correctness cross-checks --------------------------------
     eprintln!("[3/5] correctness cross-checks…");
@@ -244,8 +111,5 @@ fn main() {
     std::fs::write("results/BENCH_report.json", report.to_json()).expect("write BENCH report");
     std::fs::write("results/summary.txt", &summary).expect("write summary");
     println!("{summary}");
-    eprintln!(
-        "wrote results/summary.txt, results/table1.csv, results/table2a.csv, \
-         results/table2b_simulated.csv, results/BENCH_report.json"
-    );
+    eprintln!("wrote results/summary.txt, results/BENCH_report.json");
 }

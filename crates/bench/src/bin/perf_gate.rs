@@ -466,7 +466,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = "{\"version\":9,\"metrics_enabled\":true,\"strategies\":[\
+    const SAMPLE: &str = "{\"version\":10,\"metrics_enabled\":true,\"strategies\":[\
         {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
         \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
         {\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
@@ -669,7 +669,7 @@ mod tests {
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":9", "\"version\":8");
+        let bad = SAMPLE.replace("\"version\":10", "\"version\":9");
         let gates = evaluate_gates(&bad, 2_000, 100);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }

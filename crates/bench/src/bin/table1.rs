@@ -6,9 +6,8 @@
 //! Defaults keep the run tractable on a laptop (`--max-n 5000`); pass
 //! `--max-n 20000 --reps 5` for the paper's full protocol.
 
-use kcv_bench::programs::Program;
-use kcv_bench::sweep::{figure1_sweep, PAPER_TABLE1};
-use kcv_bench::table::{arg_parse, arg_value, fmt_seconds, render, write_csv};
+use kcv_bench::sweep::{figure1_sweep, table1};
+use kcv_bench::table::{arg_parse, arg_value};
 use std::path::PathBuf;
 
 fn main() {
@@ -24,75 +23,5 @@ fn main() {
          (wall-clock; GPU column also reports simulated Tesla-S10 seconds)"
     );
     let rows = figure1_sweep(max_n, k, reps, nmulti);
-
-    let headers: Vec<String> = vec![
-        "Sample Size".into(),
-        "Racine & Hayfield".into(),
-        "Multicore R".into(),
-        "Sequential C".into(),
-        "CUDA wall".into(),
-        "CUDA simulated".into(),
-    ];
-    let mut table_rows: Vec<Vec<String>> = Vec::new();
-    let mut csv_rows: Vec<Vec<f64>> = Vec::new();
-    let sizes: Vec<usize> = {
-        let mut s: Vec<usize> = rows.iter().map(|r| r.n).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    };
-    for &n in &sizes {
-        let get = |p: Program| rows.iter().find(|r| r.n == n && r.program == p);
-        let cell = |p: Program| {
-            get(p).map_or_else(|| "-".to_string(), |r| fmt_seconds(r.wall_seconds))
-        };
-        let sim = get(Program::CudaGpu)
-            .and_then(|r| r.simulated_seconds)
-            .map_or_else(|| "-".to_string(), fmt_seconds);
-        table_rows.push(vec![
-            n.to_string(),
-            cell(Program::RacineHayfield),
-            cell(Program::MulticoreR),
-            cell(Program::SequentialC),
-            cell(Program::CudaGpu),
-            sim,
-        ]);
-        let wall = |p: Program| get(p).map_or(f64::NAN, |r| r.wall_seconds);
-        csv_rows.push(vec![
-            n as f64,
-            wall(Program::RacineHayfield),
-            wall(Program::MulticoreR),
-            wall(Program::SequentialC),
-            wall(Program::CudaGpu),
-            get(Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN),
-        ]);
-    }
-
-    println!("\nTABLE I (measured) — RUN TIMES BY PROGRAM AND SAMPLE SIZE (seconds)\n");
-    println!("{}", render(&headers, &table_rows));
-
-    println!("TABLE I (paper, for comparison)\n");
-    let paper_rows: Vec<Vec<String>> = PAPER_TABLE1
-        .iter()
-        .map(|&(n, a, b, c, d)| {
-            vec![
-                n.to_string(),
-                fmt_seconds(a),
-                fmt_seconds(b),
-                fmt_seconds(c),
-                fmt_seconds(d),
-                "-".into(),
-            ]
-        })
-        .collect();
-    println!("{}", render(&headers, &paper_rows));
-
-    let path = PathBuf::from(out);
-    write_csv(
-        &path,
-        &["n", "racine_hayfield", "multicore_r", "sequential_c", "cuda_wall", "cuda_simulated"],
-        &csv_rows,
-    )
-    .expect("write CSV");
-    eprintln!("wrote {}", path.display());
+    println!("\n{}", table1(&rows, &PathBuf::from(out)).expect("write CSV"));
 }

@@ -5,84 +5,13 @@
 //! Usage: `cargo run -p kcv-bench --release --bin table2 -- [--panel
 //! a|b|w|both] [--max-n N] [--reps R]`
 
-use kcv_bench::programs::Program;
-use kcv_bench::sweep::{table2_sweep, Table2Cell, TABLE2_BANDWIDTHS, TABLE2_SIZES};
-use kcv_bench::table::{arg_parse, arg_value, fmt_seconds, render, write_csv};
-use std::path::PathBuf;
-
-fn panel(cells: &[Table2Cell], max_n: usize, simulated: bool) -> (String, Vec<Vec<f64>>) {
-    let sizes: Vec<usize> = TABLE2_SIZES.iter().copied().filter(|&n| n <= max_n).collect();
-    let mut headers: Vec<String> = vec!["Bandwidths".into()];
-    headers.extend(sizes.iter().map(|n| n.to_string()));
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for &k in &TABLE2_BANDWIDTHS {
-        let mut row = vec![k.to_string()];
-        let mut csv_row = vec![k as f64];
-        for &n in &sizes {
-            let cell = cells.iter().find(|c| c.n == n && c.k == k);
-            let value = cell.map(|c| {
-                if simulated {
-                    c.simulated_seconds.unwrap_or(f64::NAN)
-                } else {
-                    c.wall_seconds
-                }
-            });
-            row.push(value.map_or("".into(), fmt_seconds));
-            csv_row.push(value.unwrap_or(f64::NAN));
-        }
-        rows.push(row);
-        csv.push(csv_row);
-    }
-    (render(&headers, &rows), csv)
-}
+use kcv_bench::sweep::table2;
+use kcv_bench::table::{arg_parse, arg_value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = arg_value(&args, "--panel").unwrap_or_else(|| "both".into());
     let max_n = arg_parse(&args, "--max-n", 5_000usize);
     let reps = arg_parse(&args, "--reps", 1usize);
-    let sizes: Vec<usize> = TABLE2_SIZES.iter().copied().filter(|&n| n <= max_n).collect();
-    let mut csv_headers: Vec<String> = vec!["bandwidths".into()];
-    csv_headers.extend(sizes.iter().map(|n| format!("n{n}")));
-    let csv_header_refs: Vec<&str> = csv_headers.iter().map(|s| s.as_str()).collect();
-
-    if which == "a" || which == "both" {
-        eprintln!("Table II panel A (Sequential C), n ≤ {max_n}, {reps} reps");
-        let cells = table2_sweep(Program::SequentialC, max_n, reps);
-        let (text, csv) = panel(&cells, max_n, false);
-        println!("\nTABLE II — PANEL A: SEQUENTIAL PROGRAM (wall seconds)\n");
-        println!("{text}");
-        write_csv(&PathBuf::from("results/table2a.csv"), &csv_header_refs, &csv)
-            .expect("write CSV");
-        eprintln!("wrote results/table2a.csv");
-    }
-    if which == "b" || which == "both" {
-        eprintln!("Table II panel B (CUDA on simulated GPU), n ≤ {max_n}, {reps} reps");
-        let cells = table2_sweep(Program::CudaGpu, max_n, reps);
-        let (text_sim, csv_sim) = panel(&cells, max_n, true);
-        let (text_wall, csv_wall) = panel(&cells, max_n, false);
-        println!("\nTABLE II — PANEL B: GPU PROGRAM (simulated Tesla-S10 seconds)\n");
-        println!("{text_sim}");
-        println!("TABLE II — PANEL B': GPU PROGRAM (host wall seconds for the simulation)\n");
-        println!("{text_wall}");
-        write_csv(&PathBuf::from("results/table2b_simulated.csv"), &csv_header_refs, &csv_sim)
-            .expect("write CSV");
-        write_csv(&PathBuf::from("results/table2b_wall.csv"), &csv_header_refs, &csv_wall)
-            .expect("write CSV");
-        eprintln!("wrote results/table2b_simulated.csv, results/table2b_wall.csv");
-    }
-    if which == "w" || which == "both" {
-        eprintln!("Table II panel W (windowed GPU), n ≤ {max_n}, {reps} reps");
-        let cells = table2_sweep(Program::WindowedGpu, max_n, reps);
-        let (text_sim, csv_sim) = panel(&cells, max_n, true);
-        println!(
-            "\nTABLE II — PANEL W: WINDOWED GPU PROGRAM (simulated Tesla-S10 \
-             seconds, O(n·(deg+2)+k) device bytes)\n"
-        );
-        println!("{text_sim}");
-        write_csv(&PathBuf::from("results/table2w_simulated.csv"), &csv_header_refs, &csv_sim)
-            .expect("write CSV");
-        eprintln!("wrote results/table2w_simulated.csv");
-    }
+    println!("{}", table2(&which, max_n, reps).expect("write CSV"));
 }

@@ -6,7 +6,7 @@
 //! |---|---|
 //! | Figure 1 (run times by program and sample size, log-x) | `figure1` |
 //! | Table I (same data, tabulated) | `table1` |
-//! | Table II panels A and B (run time vs bandwidth count) | `table2` |
+//! | Table II panels A, B and W (run time vs bandwidth count) | `table2` |
 //! | §IV-A/§V memory-wall and constant-cache limits | `memory_limit` |
 //! | past-the-paper bagged scaling study (n = 10⁵..10⁷) | `scaling` |
 //! | everything above, written to `results/` | `experiments` |

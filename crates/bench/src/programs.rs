@@ -1,6 +1,5 @@
 //! The four programs of the paper's §IV-C evaluation, behind one interface.
 
-use kcv_core::cv::SlidingWindowSelector;
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
 use kcv_core::select::{BaggedSelector, BandwidthSelector, GridSpec};
@@ -45,16 +44,6 @@ pub enum Program {
     /// Kept out of [`Program::all`] so the §IV-C "seven programs" framing
     /// (which is univariate) stays intact.
     MultiFast,
-    /// Beyond the paper — "Streaming": the sample replayed as an arrival
-    /// stream through the sliding-window incremental key-pool engine
-    /// (`kcv_core::cv::SlidingWindowSelector`): window `max(n/4, 64)`,
-    /// re-selection every 64 arrivals over a `k`-point log grid, zero
-    /// kernel evaluations on the hot path. The reported selection is the
-    /// final window's, so on `n ≤ 4·64` samples (window = whole stream)
-    /// it matches the prefix program on the same grid exactly. Kept out
-    /// of [`Program::all`] for the same reason as `MultiFast`: the §IV-C
-    /// framing is batch.
-    Streaming,
 }
 
 impl Program {
@@ -83,7 +72,6 @@ impl Program {
             Program::WindowedGpu => "Windowed GPU",
             Program::Bagged => "Bagged",
             Program::MultiFast => "Multi fast",
-            Program::Streaming => "Streaming",
         }
     }
 }
@@ -223,32 +211,6 @@ pub fn run_program(
                 evaluations: sel.evaluations,
             })
         }
-        Program::Streaming => {
-            let n = x.len();
-            let window = (n / 4).max(64).min(n);
-            let (lo, hi) = x
-                .iter()
-                .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-            let domain = hi - lo;
-            // Log-spaced grid, matching the scaling study's full-data runs:
-            // a linear paper-default grid would clamp the optimum at its
-            // `domain/k` floor once the window grows large.
-            let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, k)
-                .map_err(|e| e.to_string())?;
-            let mut sel = SlidingWindowSelector::new(Epanechnikov, grid, window, 64)
-                .map_err(|e| e.to_string())?;
-            for (&xi, &yi) in x.iter().zip(y) {
-                sel.push(xi, yi).map_err(|e| e.to_string())?;
-            }
-            let opt = sel.reselect_now().map_err(|e| e.to_string())?;
-            Ok(ProgramResult {
-                bandwidth: opt.bandwidth,
-                score: opt.score,
-                wall_seconds: start.elapsed().as_secs_f64(),
-                simulated_seconds: None,
-                evaluations: k,
-            })
-        }
         Program::MultiFast => {
             // The scalar `bandwidth` column reports dimension 1's choice so
             // the sweep tables stay rectangular; the full per-dimension
@@ -358,37 +320,19 @@ mod tests {
 
     #[test]
     fn multi_fast_program_matches_the_naive_full_grid() {
-        let s = PaperDgp.sample(150, 7);
-        let r = run_program(Program::MultiFast, &s.x, &s.y, 25, 1).unwrap();
-        // k = 25 → a 5×5 lattice.
-        assert_eq!(r.evaluations, 25);
-        let (columns, y2) = multi_dataset(&s.x, &s.y);
-        let grids = multi_grids(&columns, multi_grid_side(25)).unwrap();
-        let naive =
-            kcv_core::multi::select_full_grid_naive(&columns, &y2, &Epanechnikov, &grids)
-                .unwrap();
-        assert_eq!(r.bandwidth, naive.bandwidths[0]);
-        assert!((r.score - naive.score).abs() <= 1e-9 * naive.score.abs());
-    }
-
-    #[test]
-    fn streaming_program_matches_a_fresh_prefix_profile_on_its_window() {
-        // n = 200 ≤ 4·64: the sliding window covers the whole stream, so
-        // the streaming replay must select exactly what a fresh prefix
-        // profile selects on the same log grid.
-        let s = PaperDgp.sample(200, 11);
-        let r = run_program(Program::Streaming, &s.x, &s.y, 20, 1).unwrap();
-        assert_eq!(r.evaluations, 20);
-        let (lo, hi) = s
-            .x
-            .iter()
-            .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
-        let domain = hi - lo;
-        let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, 20).unwrap();
-        let profile =
-            kcv_core::cv::cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov).unwrap();
-        let opt = profile.argmin().unwrap();
-        assert_eq!(r.bandwidth.to_bits(), opt.bandwidth.to_bits());
+        for (n, seed) in [(150, 7), (400, 42)] {
+            let s = PaperDgp.sample(n, seed);
+            let r = run_program(Program::MultiFast, &s.x, &s.y, 25, 1).unwrap();
+            // k = 25 → a 5×5 lattice.
+            assert_eq!(r.evaluations, 25);
+            let (columns, y2) = multi_dataset(&s.x, &s.y);
+            let grids = multi_grids(&columns, multi_grid_side(25)).unwrap();
+            let naive =
+                kcv_core::multi::select_full_grid_naive(&columns, &y2, &Epanechnikov, &grids)
+                    .unwrap();
+            assert_eq!(r.bandwidth, naive.bandwidths[0], "n = {n}, seed = {seed}");
+            assert!((r.score - naive.score).abs() <= 1e-9 * naive.score.abs());
+        }
     }
 
     #[test]

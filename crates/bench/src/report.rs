@@ -13,7 +13,7 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 9)
+//! ## Schema (version 10)
 //!
 //! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
 //! overlapping same-name phase scopes on different rayon workers sum to CPU
@@ -117,9 +117,14 @@
 //! two bandwidths that agree to 12 decimals but differ in the last bit
 //! fail.
 //!
+//! Version 10 drops the `objective_evals` counter from every
+//! `obs.counters` object: nothing incremented it once the numerical
+//! selector it counted was deleted (`kcv_np::npregbw` reports its own
+//! count).
+//!
 //! ```json
 //! {
-//!   "version": 9,
+//!   "version": 10,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -220,7 +225,8 @@ use std::time::Instant;
 /// merge-sweep).
 /// Version 9: every bandwidth a bit-identity gate compares is also written
 /// as `to_bits` hex (`*_bits` fields beside the decimals).
-pub const REPORT_VERSION: u32 = 9;
+/// Version 10: dropped the `objective_evals` counter.
+pub const REPORT_VERSION: u32 = 10;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 10] = [
@@ -1037,7 +1043,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":9,"));
+        assert!(json.starts_with("{\"version\":10,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }

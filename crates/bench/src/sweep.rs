@@ -1,8 +1,15 @@
-//! Shared parameter sweeps used by the `figure1`, `table1`, and `table2`
-//! binaries.
+//! Shared parameter sweeps used by the `figure1`, `table1`, `table2` and
+//! `experiments` binaries, and the builders that turn a sweep into Table I
+//! rows, Table II panels and Figure 1 series, so every binary writes the
+//! same layout.
 
+use crate::chart::Series;
 use crate::programs::{run_program_median, Program};
+use crate::table::{fmt_seconds, render, write_csv};
 use kcv_data::{Dgp, PaperDgp};
+use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
 
 /// The paper's Table I sample sizes.
 pub const TABLE1_SIZES: [usize; 8] = [50, 100, 500, 1_000, 2_000, 5_000, 10_000, 20_000];
@@ -66,6 +73,118 @@ pub fn figure1_sweep(max_n: usize, k: usize, reps: usize, nmulti: usize) -> Vec<
     rows
 }
 
+/// Table I's columns: the CSV header and the display header of each.
+const TABLE1_COLUMNS: [(&str, &str); 9] = [
+    ("n", "n"),
+    ("racine_hayfield", "Racine & Hayfield"),
+    ("multicore_r", "Multicore R"),
+    ("sequential_c", "Sequential C"),
+    ("prefix_c", "Prefix C"),
+    ("cuda_wall", "CUDA wall"),
+    ("cuda_simulated", "CUDA simulated"),
+    ("bagged", "Bagged"),
+    ("multi_fast", "Multi fast"),
+];
+
+/// Builds Table I from a Figure-1 sweep: one row per measured `n` with
+/// each program's median wall seconds and the GPU program's simulated
+/// seconds. Writes the rows as CSV to `csv_path` and returns the measured
+/// table followed by the paper's, rendered in the same columns.
+pub fn table1(rows: &[SweepRow], csv_path: &Path) -> io::Result<String> {
+    let measured = table1_rows(rows);
+    write_csv(csv_path, &TABLE1_COLUMNS.map(|(csv, _)| csv), &measured)?;
+    eprintln!("wrote {}", csv_path.display());
+    let nan = f64::NAN;
+    let paper: Vec<Vec<f64>> = PAPER_TABLE1
+        .iter()
+        .map(|&(n, a, b, c, d)| vec![n as f64, a, b, c, nan, d, nan, nan, nan])
+        .collect();
+    Ok(format!(
+        "TABLE I (measured) — RUN TIMES BY PROGRAM AND SAMPLE SIZE (seconds)\n\n{}\n\
+         TABLE I (paper, for comparison)\n\n{}",
+        render_table1(&measured),
+        render_table1(&paper)
+    ))
+}
+
+/// Table I's rows in [`TABLE1_COLUMNS`] order, `NaN` where a program did
+/// not run.
+fn table1_rows(rows: &[SweepRow]) -> Vec<Vec<f64>> {
+    let mut sizes: Vec<usize> = rows.iter().map(|r| r.n).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    sizes
+        .into_iter()
+        .map(|n| {
+            let get = |p| rows.iter().find(|r| r.n == n && r.program == p);
+            let wall = |p| get(p).map_or(f64::NAN, |r| r.wall_seconds);
+            let sim = get(Program::CudaGpu).and_then(|r| r.simulated_seconds);
+            vec![
+                n as f64,
+                wall(Program::RacineHayfield),
+                wall(Program::MulticoreR),
+                wall(Program::SequentialC),
+                wall(Program::PrefixC),
+                wall(Program::CudaGpu),
+                sim.unwrap_or(f64::NAN),
+                wall(Program::Bagged),
+                wall(Program::MultiFast),
+            ]
+        })
+        .collect()
+}
+
+/// Renders Table I rows as an ASCII table, `-` for a missing cell.
+fn render_table1(rows: &[Vec<f64>]) -> String {
+    let headers: Vec<String> = TABLE1_COLUMNS.iter().map(|(_, h)| h.to_string()).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let mut cells = vec![row[0].to_string()];
+            cells.extend(
+                row[1..].iter().map(|&v| if v.is_nan() { "-".into() } else { fmt_seconds(v) }),
+            );
+            cells
+        })
+        .collect();
+    render(&headers, &cells)
+}
+
+/// Figure 1's series: every program's wall time (the paper's four, the
+/// beyond-the-paper univariate three and "Multi fast") plus the two GPU
+/// programs' simulated device time.
+pub fn figure1_series(rows: &[SweepRow]) -> Vec<Series> {
+    let points = |program: Program, value: &dyn Fn(&SweepRow) -> Option<f64>| {
+        rows.iter()
+            .filter(|r| r.program == program)
+            .filter_map(|r| value(r).map(|s| (r.n as f64, s.max(1e-4))))
+            .collect()
+    };
+    let wall = [
+        ('r', Program::RacineHayfield),
+        ('m', Program::MulticoreR),
+        ('s', Program::SequentialC),
+        ('p', Program::PrefixC),
+        ('g', Program::CudaGpu),
+        ('w', Program::WindowedGpu),
+        ('b', Program::Bagged),
+        ('f', Program::MultiFast),
+    ]
+    .map(|(mark, program)| Series {
+        label: format!("{} (wall)", program.label()),
+        mark,
+        points: points(program, &|r| Some(r.wall_seconds)),
+    });
+    let simulated = [('G', Program::CudaGpu), ('W', Program::WindowedGpu)].map(|(mark, program)| {
+        Series {
+            label: format!("{} (simulated device time)", program.label()),
+            mark,
+            points: points(program, &|r| r.simulated_seconds),
+        }
+    });
+    wall.into_iter().chain(simulated).collect()
+}
+
 /// One measured cell of the Table-II sweep.
 #[derive(Debug, Clone)]
 pub struct Table2Cell {
@@ -100,6 +219,74 @@ pub fn table2_sweep(program: Program, max_n: usize, reps: usize) -> Vec<Table2Ce
     cells
 }
 
+/// Renders one Table-II panel from its cells: one row per bandwidth count,
+/// one column per sample size `n ≤ max_n`, holding the simulated device
+/// seconds when `simulated` and the wall seconds otherwise. Returns the
+/// ASCII table and the CSV rows.
+fn table2_panel(cells: &[Table2Cell], max_n: usize, simulated: bool) -> (String, Vec<Vec<f64>>) {
+    let sizes: Vec<usize> = TABLE2_SIZES.iter().copied().filter(|&n| n <= max_n).collect();
+    let mut headers: Vec<String> = vec!["Bandwidths".into()];
+    headers.extend(sizes.iter().map(|n| n.to_string()));
+    let mut rows = Vec::new();
+    let mut csv = Vec::new();
+    for &k in &TABLE2_BANDWIDTHS {
+        let mut row = vec![k.to_string()];
+        let mut csv_row = vec![k as f64];
+        for &n in &sizes {
+            let cell = cells.iter().find(|c| c.n == n && c.k == k);
+            let value = cell.map(|c| {
+                if simulated {
+                    c.simulated_seconds.unwrap_or(f64::NAN)
+                } else {
+                    c.wall_seconds
+                }
+            });
+            row.push(value.map_or("".into(), fmt_seconds));
+            csv_row.push(value.unwrap_or(f64::NAN));
+        }
+        rows.push(row);
+        csv.push(csv_row);
+    }
+    (render(&headers, &rows), csv)
+}
+
+/// Runs the Table-II panels `which` names (`a`, `b`, `w`, or `both` for
+/// all three) over `n ≤ max_n`, writes each table's CSV under `results/`
+/// and returns the rendered tables. Panel B is written twice: simulated
+/// device seconds and the host wall seconds of the simulation.
+pub fn table2(which: &str, max_n: usize, reps: usize) -> io::Result<String> {
+    let mut csv_headers: Vec<String> = vec!["bandwidths".into()];
+    csv_headers.extend(TABLE2_SIZES.iter().filter(|&&n| n <= max_n).map(|n| format!("n{n}")));
+    let csv_headers: Vec<&str> = csv_headers.iter().map(String::as_str).collect();
+    let run = |panel: &str, program: Program| {
+        (which == panel || which == "both").then(|| {
+            eprintln!("Table II panel {panel} ({}), n ≤ {max_n}, {reps} reps", program.label());
+            table2_sweep(program, max_n, reps)
+        })
+    };
+    let mut text = String::new();
+    let mut emit = |cells: &[Table2Cell], simulated: bool, path: &str, title: &str| {
+        let (table, csv) = table2_panel(cells, max_n, simulated);
+        let _ = writeln!(text, "TABLE II — {title}\n\n{table}");
+        write_csv(Path::new(path), &csv_headers, &csv).map(|()| eprintln!("wrote {path}"))
+    };
+    if let Some(cells) = run("a", Program::SequentialC) {
+        emit(&cells, false, "results/table2a.csv", "PANEL A: SEQUENTIAL PROGRAM (wall seconds)")?;
+    }
+    if let Some(cells) = run("b", Program::CudaGpu) {
+        let title = "PANEL B: GPU PROGRAM (simulated Tesla-S10 seconds)";
+        emit(&cells, true, "results/table2b_simulated.csv", title)?;
+        let title = "PANEL B': GPU PROGRAM (host wall seconds for the simulation)";
+        emit(&cells, false, "results/table2b_wall.csv", title)?;
+    }
+    if let Some(cells) = run("w", Program::WindowedGpu) {
+        let title = "PANEL W: WINDOWED GPU PROGRAM (simulated Tesla-S10 seconds, \
+                     O(n·(deg+2)+k) device bytes)";
+        emit(&cells, true, "results/table2w_simulated.csv", title)?;
+    }
+    Ok(text)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +302,15 @@ mod tests {
             .iter()
             .filter(|r| r.program == Program::CudaGpu || r.program == Program::WindowedGpu)
             .all(|r| r.simulated_seconds.is_some()));
+        // One Table I row per size, every column measured.
+        let table = table1_rows(&rows);
+        assert_eq!(table.len(), 2);
+        assert!(table.iter().all(|r| r.len() == TABLE1_COLUMNS.len()));
+        assert!(table.iter().flatten().all(|v| !v.is_nan()));
+        // Eight wall series and the two GPU programs' simulated series.
+        let series = figure1_series(&rows);
+        assert_eq!(series.len(), 10);
+        assert!(series.iter().all(|s| s.points.len() == 2));
     }
 
     #[test]
@@ -123,5 +319,9 @@ mod tests {
         // n = 50: k ∈ {5,10,50}; n = 100: k ∈ {5,10,50,100}.
         assert_eq!(cells.len(), 7);
         assert!(cells.iter().all(|c| c.k <= c.n));
+        // One panel row per bandwidth count: k, then one column per n.
+        let (_, csv) = table2_panel(&cells, 100, false);
+        assert_eq!(csv.len(), TABLE2_BANDWIDTHS.len());
+        assert!(csv.iter().all(|r| r.len() == 3));
     }
 }

@@ -54,7 +54,8 @@ pub(crate) fn profile<K: Kernel + ?Sized>(
 /// Evaluates `CV_lc(h)` at a single bandwidth, returning the score and the
 /// number of observations with a defined leave-one-out fit.
 ///
-/// This is the objective the numerical-optimisation baselines minimise.
+/// This is the objective `kcv-np`'s numerical-optimisation baseline
+/// minimises; its `cv_objective` is tested against this function.
 pub fn cv_score_single<K: Kernel + ?Sized>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> (f64, usize) {
     debug_assert!(validate_bandwidth(h).is_ok());
     let hs = [h];

@@ -22,7 +22,7 @@
 //!   computed for a whole grid by [`cv::cv_profile_naive`] /
 //!   [`cv::cv_profile_sorted`] / [`cv::cv_profile_prefix`] (one
 //!   [`cv::CvProfile`] entry per `h`), and
-//!   point-wise by the numerical selector's objective. The local-linear
+//!   point-wise by [`cv::cv_score_single`]. The local-linear
 //!   variant `CV_ll(h)` lives in [`cv::cv_profile_sorted_ll`].
 //! * `ĝ_{-i}(X_i)` — the leave-one-out Nadaraya–Watson fit at `X_i`
 //!   ([`estimate::RegressionEstimator::loo_predict`]).
@@ -80,8 +80,9 @@
 //!   per-neighbour scan) and the streaming incremental engine; every batch
 //!   profile runs sequentially or rayon-parallel (SPMD) through one
 //!   observation fold; local-constant and local-linear.
-//! * [`select`] — grid-search, numerical-optimisation (np-style), and
-//!   rule-of-thumb selectors behind one trait.
+//! * [`select`] — grid-search, bagged and rule-of-thumb selectors behind
+//!   one trait (the np-style numerical-optimisation baseline is `kcv-np`'s
+//!   `npregbw`).
 //! * [`density`] — KDE + least-squares CV bandwidths (paper's named
 //!   extension) using the same sorted sweep.
 //! * [`ci`] — leave-one-out cross-validated confidence bands (paper's named

@@ -51,7 +51,7 @@
 //! times the worker count (see [`bag_footprint_bound_bytes`]), both
 //! enforced by `perf_gate`.
 
-use super::grid_search::{GridSpec, Strategy};
+use super::grid_search::GridSpec;
 use super::{BandwidthSelector, Selection};
 use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile};
 use crate::error::{validate_sample, Error, Result};
@@ -63,9 +63,10 @@ use rayon::prelude::*;
 
 /// Which CV engine runs inside each bag.
 ///
-/// Mirrors [`Strategy`] plus the naive profile; per-bag engines always run
-/// their *sequential* variant — the parallelism budget is spent across
-/// bags, not inside them, so `B` bags never spawn nested thread pools.
+/// Mirrors [`Strategy`](super::Strategy) plus the naive profile; per-bag
+/// engines always run their *sequential* variant — the parallelism budget
+/// is spent across bags, not inside them, so `B` bags never spawn nested
+/// thread pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BagEngine {
     /// The naive `O(k·r²)` profile.
@@ -86,15 +87,6 @@ impl BagEngine {
             BagEngine::Naive => "naive",
             BagEngine::SortedSweep => "sorted",
             BagEngine::PrefixMoments => "prefix",
-        }
-    }
-}
-
-impl From<Strategy> for BagEngine {
-    fn from(s: Strategy) -> Self {
-        match s {
-            Strategy::SortedSweep => BagEngine::SortedSweep,
-            Strategy::PrefixMoments => BagEngine::PrefixMoments,
         }
     }
 }
@@ -264,12 +256,6 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
     pub fn with_engine(mut self, engine: BagEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// Selects the per-bag engine from a [`Strategy`] (convenience for
-    /// callers already holding the grid-search enum).
-    pub fn with_strategy(self, strategy: Strategy) -> Self {
-        self.with_engine(strategy.into())
     }
 
     /// Selects the per-bag aggregation rule.

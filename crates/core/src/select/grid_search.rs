@@ -139,12 +139,6 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         Self { kernel, grid, strategy: Strategy::PrefixMoments, parallel: true, min_included: 1 }
     }
 
-    /// Selects the sweep implementation (see [`Strategy`]).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Requires at least `count` observations to have a defined leave-one-out
     /// fit for a bandwidth to be eligible (guards against degenerate tiny
     /// bandwidths on sparse designs; see [`CvProfile::argmin_with_min_included`]).
@@ -368,19 +362,6 @@ mod tests {
         assert_eq!(prefix.bandwidth, naive.bandwidth);
         assert_eq!(prefix.bandwidth, prefix_par.bandwidth);
         assert_eq!(prefix.evaluations, 50);
-    }
-
-    #[test]
-    fn prefix_strategy_via_builder_matches_constructor() {
-        let (x, y) = paper_dgp(120, 39);
-        let spec = GridSpec::PaperDefault(30);
-        let direct = SortedGridSearch::prefix(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let built = SortedGridSearch::new(Epanechnikov, spec)
-            .with_strategy(Strategy::PrefixMoments)
-            .select(&x, &y)
-            .unwrap();
-        assert_eq!(direct.bandwidth, built.bandwidth);
-        assert_eq!(direct.score, built.score);
     }
 
     #[test]

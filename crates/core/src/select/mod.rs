@@ -6,21 +6,15 @@
 //! * [`bagged`] — Barreiro-Ures et al.'s subsampled bagging: run any grid
 //!   strategy on `B` seeded subsamples of size `r ≪ n`, combine, and
 //!   rescale by `(r/n)^{1/5}` — cost independent of `n` at fixed `(B, r)`.
-//! * [`numeric`] — the approach the paper criticises and the R `np` package
-//!   uses: derivative-free numerical minimisation of the (non-concave) CV
-//!   objective, which can land in non-global local minima depending on the
-//!   starting point.
 //! * [`rule_of_thumb`] — the ad hoc shortcuts practitioners fall back on to
 //!   avoid CV entirely (Silverman/Scott style plug-ins).
 
 pub mod bagged;
 pub mod grid_search;
-pub mod numeric;
 pub mod rule_of_thumb;
 
 pub use bagged::{BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome};
 pub use grid_search::{GridSpec, NaiveGridSearch, SortedGridSearch, Strategy, ZoomGridSearch};
-pub use numeric::{golden_section_min, nelder_mead_1d, NumericCvSelector, NumericMethod, ScalarMin};
 pub use rule_of_thumb::{scott_bandwidth, silverman_bandwidth, Rule, RuleOfThumbSelector};
 
 use crate::cv::CvProfile;
@@ -34,10 +28,11 @@ pub struct Selection {
     /// The CV score at the selected bandwidth (`NaN` for rule-of-thumb
     /// selectors, which never evaluate the objective).
     pub score: f64,
-    /// How many single-bandwidth objective evaluations the selector spent.
-    /// For grid searches this is the grid size `k`; for numerical optimisers
-    /// it is the iteration-dependent count the paper's complexity argument
-    /// is about.
+    /// How many single-bandwidth objective evaluations the selector spent:
+    /// the grid size `k` for a grid search (summed over the rounds of a
+    /// zoomed one), `B·k` for `B` bags, and 0 for a rule of thumb. The
+    /// numerical-optimisation baseline, `kcv_np::npregbw`, reports its
+    /// iteration-dependent count in `NpRegBw::evaluations`.
     pub evaluations: usize,
     /// The full CV profile, when the selector computed one (grid searches).
     pub profile: Option<CvProfile>,

@@ -3,8 +3,8 @@
 //! Sheather–Jones and Silverman for the density case).
 //!
 //! These never evaluate the CV objective; they plug sample spread into an
-//! asymptotic formula derived for Gaussian data. They are provided both as
-//! baselines and as cheap initialisers for the numerical optimisers.
+//! asymptotic formula derived for Gaussian data. They are provided as
+//! baselines.
 
 use super::{BandwidthSelector, Selection};
 use crate::error::{validate_sample, Error, Result};

@@ -15,9 +15,6 @@
 //! order, rescale factor exactly 1.0, mean of one element exact).
 
 use kcv_core::prelude::*;
-// Explicit import: both preludes glob-export a `Strategy` (the grid-search
-// enum here, the generation trait in proptest); the named import wins.
-use kcv_core::select::Strategy;
 use proptest::prelude::*;
 
 /// Paper DGP: X ~ U(0,1), Y = 0.5X + 10X² + u, u ~ U(0, 0.5).
@@ -95,13 +92,14 @@ proptest! {
         k in 5usize..40,
     ) {
         let (x, y) = paper_dgp(n, seed);
-        for strategy in [Strategy::SortedSweep, Strategy::PrefixMoments] {
-            let direct = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(k))
-                .with_strategy(strategy)
-                .select(&x, &y)
-                .unwrap();
-            let bagged = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(k), 1, n)
-                .with_strategy(strategy)
+        let spec = GridSpec::PaperDefault(k);
+        for (direct, engine) in [
+            (SortedGridSearch::new(Epanechnikov, spec.clone()), BagEngine::SortedSweep),
+            (SortedGridSearch::prefix(Epanechnikov, spec.clone()), BagEngine::PrefixMoments),
+        ] {
+            let direct = direct.select(&x, &y).unwrap();
+            let bagged = BaggedSelector::new(Epanechnikov, spec.clone(), 1, n)
+                .with_engine(engine)
                 .with_seed(seed)
                 .select(&x, &y)
                 .unwrap();

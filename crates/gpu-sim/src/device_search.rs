@@ -42,11 +42,7 @@ impl SupportWindow {
     /// The window of the observation at sorted position `si` before the
     /// first bandwidth: `[si, si + 1)`, neither edge moving.
     pub fn new(si: usize) -> Self {
-        Self::settled(si, si + 1)
-    }
-
-    fn settled(lo: usize, hi: usize) -> Self {
-        Self { lo, hi, lo_step: 0, hi_step: 0 }
+        Self { lo: si, hi: si + 1, lo_step: 0, hi_step: 0 }
     }
 
     /// Widens the window to the support of the observation at `x = xi`
@@ -132,26 +128,6 @@ fn edge(
     a
 }
 
-/// Resolves the support window `[lo, hi)` of the observation at `x = xi`
-/// for bandwidth `1/inv_h` from the previous (smaller-bandwidth) window
-/// `[lo_prev, hi_prev)` with no record of how its edges moved: the search
-/// of [`SupportWindow::advance`], predicting that neither edge moves.
-/// Returns `(lo, hi, probes)` so the caller can batch the probe count into
-/// its observability counters.
-pub fn device_support_window(
-    xs: &[f32],
-    xi: f32,
-    inv_h: f32,
-    radius: f32,
-    lo_prev: usize,
-    hi_prev: usize,
-    c: &mut ThreadCounters,
-) -> (usize, usize, u32) {
-    let mut window = SupportWindow::settled(lo_prev, hi_prev);
-    let [l, r] = window.advance(xs, xi, inv_h, radius, c);
-    (window.lo, window.hi, l + r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,15 +165,14 @@ mod tests {
         let n = xs.len();
         for si in [0usize, 1, 100, 255, 256] {
             let xi = xs[si];
-            let (mut lo, mut hi) = (si, si + 1);
+            let mut window = SupportWindow::new(si);
             let mut c = ThreadCounters::default();
             for step in 1..=40 {
                 let h = step as f32 * 0.03;
-                let probes;
-                (lo, hi, probes) =
-                    device_support_window(&xs, xi, 1.0 / h, 1.0, lo, hi, &mut c);
+                let [l, r] = window.advance(&xs, xi, 1.0 / h, 1.0, &mut c);
+                let probes = l + r;
                 let (want_lo, want_hi) = scan_window(&xs, xi, 1.0 / h, 1.0);
-                assert_eq!((lo, hi), (want_lo, want_hi), "si={si} h={h}");
+                assert_eq!((window.lo, window.hi), (want_lo, want_hi), "si={si} h={h}");
                 assert!(
                     probes as usize <= 2 * n.ilog2() as usize + 4,
                     "si={si} h={h}: {probes} probes"
@@ -245,7 +220,8 @@ mod tests {
     fn charges_one_divergent_read_flop_and_branch_per_probe() {
         let xs = sorted_sample(100, 4);
         let mut c = ThreadCounters::default();
-        let (_, _, probes) = device_support_window(&xs, xs[50], 1.0 / 0.2, 1.0, 50, 51, &mut c);
+        let [l, r] = SupportWindow::new(50).advance(&xs, xs[50], 1.0 / 0.2, 1.0, &mut c);
+        let probes = l + r;
         assert!(probes > 0);
         assert_eq!(c.global_reads, probes as u64);
         assert_eq!(c.flops, probes as u64);
@@ -257,15 +233,17 @@ mod tests {
         let xs = vec![0.0f32, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0];
         let mut c = ThreadCounters::default();
         // All three ties sit inside any window around 0.5.
-        let (lo, hi, _) = device_support_window(&xs, 0.5, 1.0 / 0.1, 1.0, 3, 4, &mut c);
-        assert_eq!((lo, hi), (2, 5));
+        let mut window = SupportWindow::new(3);
+        window.advance(&xs, 0.5, 1.0 / 0.1, 1.0, &mut c);
+        assert_eq!((window.lo, window.hi), (2, 5));
     }
 
     #[test]
     fn degenerate_window_stays_empty_at_tiny_bandwidth() {
         let xs = vec![0.0f32, 10.0, 20.0];
         let mut c = ThreadCounters::default();
-        let (lo, hi, _) = device_support_window(&xs, 10.0, 1.0 / 0.5, 1.0, 1, 2, &mut c);
-        assert_eq!((lo, hi), (1, 2), "only the observation itself is in support");
+        let mut window = SupportWindow::new(1);
+        window.advance(&xs, 10.0, 1.0 / 0.5, 1.0, &mut c);
+        assert_eq!((window.lo, window.hi), (1, 2), "only the observation itself is in support");
     }
 }

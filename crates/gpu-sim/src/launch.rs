@@ -47,92 +47,13 @@ impl LaunchConfig {
 }
 
 /// Launches an independent (no shared memory, no synchronisation) kernel:
-/// one invocation of `kernel` per thread, each owning one workspace.
-///
-/// `workspaces.len()` must equal `config.threads`. Returns the launch cost
-/// report; side effects happen through the workspaces (which typically hold
-/// `&mut` rows of device buffers).
-pub fn launch_independent<W, F>(
-    spec: &DeviceSpec,
-    cost: &CostModel,
-    config: LaunchConfig,
-    workspaces: Vec<W>,
-    kernel: F,
-) -> Result<LaunchReport>
-where
-    W: Send,
-    F: Fn(usize, &mut W, &mut ThreadCounters) + Sync,
-{
-    config.validate(spec)?;
-    if workspaces.len() != config.threads {
-        return Err(SimError::InvalidLaunch(format!(
-            "{} workspaces for {} threads",
-            workspaces.len(),
-            config.threads
-        )));
-    }
-    let _launch = kcv_obs::phase("gpu.launch");
-    // Simulated kernels may emit observability events (e.g. the device
-    // sort's comparisons); re-install the caller's recorder scope on each
-    // worker so those land in the launching run's recorder.
-    let scope = kcv_obs::scope();
-    let start = Instant::now();
-    let counters: Vec<ThreadCounters> = workspaces
-        .into_par_iter()
-        .enumerate()
-        .map(|(tid, mut ws)| {
-            let _in_scope = scope.enter();
-            let mut c = ThreadCounters::default();
-            kernel(tid, &mut ws, &mut c);
-            c
-        })
-        .collect();
-    let host_seconds = start.elapsed().as_secs_f64();
-    Ok(build_report(&counters, config, spec, cost, host_seconds))
-}
-
-/// Launches an independent kernel that *returns* a value per thread
-/// (convenience for gather-style kernels); returns the outputs in thread
-/// order plus the cost report.
-pub fn launch_map<R, F>(
-    spec: &DeviceSpec,
-    cost: &CostModel,
-    config: LaunchConfig,
-    kernel: F,
-) -> Result<(Vec<R>, LaunchReport)>
-where
-    R: Send,
-    F: Fn(usize, &mut ThreadCounters) -> R + Sync,
-{
-    config.validate(spec)?;
-    let _launch = kcv_obs::phase("gpu.launch");
-    let scope = kcv_obs::scope();
-    let start = Instant::now();
-    let pairs: Vec<(R, ThreadCounters)> = (0..config.threads)
-        .into_par_iter()
-        .map(|tid| {
-            let _in_scope = scope.enter();
-            let mut c = ThreadCounters::default();
-            let r = kernel(tid, &mut c);
-            (r, c)
-        })
-        .collect();
-    let host_seconds = start.elapsed().as_secs_f64();
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut counters = Vec::with_capacity(pairs.len());
-    for (r, c) in pairs {
-        outputs.push(r);
-        counters.push(c);
-    }
-    let report = build_report(&counters, config, spec, cost, host_seconds);
-    Ok((outputs, report))
-}
-
-/// Launches an independent kernel that both mutates a per-thread workspace
-/// *and* returns a value per thread — the shape of a kernel whose stores
-/// land in device buffers while its register-resident results are gathered
-/// by the host-side simulation driver (e.g. per-thread partial sums handed
-/// to a block reduction). Outputs come back in thread order.
+/// one invocation of `kernel` per thread, each owning one workspace
+/// (typically `&mut` rows of device buffers) and returning one value —
+/// the shape of a kernel whose stores land in device buffers while its
+/// register-resident results are gathered by the host-side simulation
+/// driver (e.g. per-thread partial sums handed to a block reduction).
+/// `workspaces.len()` must equal `config.threads`. Outputs come back in
+/// thread order, with the launch cost report.
 pub fn launch_independent_map<W, R, F>(
     spec: &DeviceSpec,
     cost: &CostModel,
@@ -154,6 +75,9 @@ where
         )));
     }
     let _launch = kcv_obs::phase("gpu.launch");
+    // Simulated kernels may emit observability events (e.g. the device
+    // sort's comparisons); re-install the caller's recorder scope on each
+    // worker so those land in the launching run's recorder.
     let scope = kcv_obs::scope();
     let start = Instant::now();
     let pairs: Vec<(R, ThreadCounters)> = workspaces
@@ -167,12 +91,7 @@ where
         })
         .collect();
     let host_seconds = start.elapsed().as_secs_f64();
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut counters = Vec::with_capacity(pairs.len());
-    for (r, c) in pairs {
-        outputs.push(r);
-        counters.push(c);
-    }
+    let (outputs, counters): (Vec<R>, Vec<ThreadCounters>) = pairs.into_iter().unzip();
     let report = build_report(&counters, config, spec, cost, host_seconds);
     Ok((outputs, report))
 }
@@ -266,13 +185,25 @@ mod tests {
         (DeviceSpec::tesla_s10(), CostModel::default())
     }
 
+    /// A workspace-free launch: one unit workspace per thread.
+    fn launch<R: Send>(
+        spec: &DeviceSpec,
+        cost: &CostModel,
+        config: LaunchConfig,
+        kernel: impl Fn(usize, &mut ThreadCounters) -> R + Sync,
+    ) -> Result<(Vec<R>, LaunchReport)> {
+        launch_independent_map(spec, cost, config, vec![(); config.threads], |tid, _, c| {
+            kernel(tid, c)
+        })
+    }
+
     #[test]
     fn kernel_mutates_workspaces_in_parallel() {
         let (spec, cost) = tesla();
         let mut data = vec![0.0f32; 1000];
         let workspaces: Vec<&mut [f32]> = data.chunks_mut(10).collect();
         let cfg = LaunchConfig::new(100, 32);
-        let report = launch_independent(&spec, &cost, cfg, workspaces, |tid, row, c| {
+        let (_, report) = launch_independent_map(&spec, &cost, cfg, workspaces, |tid, row, c| {
             for (j, v) in row.iter_mut().enumerate() {
                 *v = (tid * 10 + j) as f32;
                 c.global_write(1);
@@ -286,10 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn launch_map_collects_in_thread_order() {
+    fn outputs_come_back_in_thread_order() {
         let (spec, cost) = tesla();
         let cfg = LaunchConfig::new(64, 64);
-        let (out, report) = launch_map(&spec, &cost, cfg, |tid, c| {
+        let (out, report) = launch(&spec, &cost, cfg, |tid, c| {
             c.flop(tid as u64);
             tid * 2
         })
@@ -317,7 +248,7 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as f32);
         }
-        // Workspace-count mismatch is rejected like launch_independent.
+        // A workspace count other than the thread count is rejected.
         let r = launch_independent_map(
             &spec,
             &cost,
@@ -345,7 +276,7 @@ mod tests {
         assert_eq!(seen, [(0..32).collect(), (32..64).collect(), (64..70).collect::<Vec<_>>()]);
         assert_eq!(report.totals.flops, 70);
         // The cost model sees the same threads as a thread-parallel launch.
-        let (_, per_thread) = launch_map(&spec, &cost, cfg, |_, c| c.flop(1)).unwrap();
+        let (_, per_thread) = launch(&spec, &cost, cfg, |_, c| c.flop(1)).unwrap();
         assert_eq!(report.simulated_cycles, per_thread.simulated_cycles);
         // One workspace per block, not per thread.
         let r = launch_blocks(&spec, &cost, cfg, vec![(); 70], |_, _, _| ());
@@ -356,13 +287,13 @@ mod tests {
     fn launch_validation() {
         let (spec, cost) = tesla();
         // Zero threads.
-        let r = launch_independent(&spec, &cost, LaunchConfig::new(0, 32), Vec::<()>::new(), |_, _, _| {});
+        let r = launch(&spec, &cost, LaunchConfig::new(0, 32), |_, _| ());
         assert!(r.is_err());
         // Oversized block.
-        let r = launch_map(&spec, &cost, LaunchConfig::new(10, 1024), |_, _| ());
+        let r = launch(&spec, &cost, LaunchConfig::new(10, 1024), |_, _| ());
         assert!(r.is_err());
         // Workspace mismatch.
-        let r = launch_independent(&spec, &cost, LaunchConfig::new(4, 4), vec![(), ()], |_, _, _| {});
+        let r = launch_independent_map(&spec, &cost, LaunchConfig::new(4, 4), vec![(), ()], |_, _, _| ());
         assert!(r.is_err());
     }
 
@@ -370,8 +301,8 @@ mod tests {
     fn divergent_thread_raises_simulated_time() {
         let (spec, cost) = tesla();
         let cfg = LaunchConfig::new(32, 32);
-        let (_, uniform) = launch_map(&spec, &cost, cfg, |_, c| c.flop(100)).unwrap();
-        let (_, divergent) = launch_map(&spec, &cost, cfg, |tid, c| {
+        let (_, uniform) = launch(&spec, &cost, cfg, |_, c| c.flop(100)).unwrap();
+        let (_, divergent) = launch(&spec, &cost, cfg, |tid, c| {
             c.flop(if tid == 0 { 3200 } else { 100 })
         })
         .unwrap();
@@ -384,11 +315,11 @@ mod tests {
         // chain on a multi-SM device.
         let (spec, cost) = tesla();
         let many_blocks =
-            launch_map(&spec, &cost, LaunchConfig::new(960, 32), |_, c| c.flop(1000))
+            launch(&spec, &cost, LaunchConfig::new(960, 32), |_, c| c.flop(1000))
                 .unwrap()
                 .1;
         let one_block =
-            launch_map(&spec, &cost, LaunchConfig::new(960, 512), |_, c| c.flop(1000))
+            launch(&spec, &cost, LaunchConfig::new(960, 512), |_, c| c.flop(1000))
                 .unwrap()
                 .1;
         // 30 blocks of one warp spread over 30 SMs; 2 blocks of 16 warps

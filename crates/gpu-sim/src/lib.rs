@@ -6,8 +6,8 @@
 //! hinge on:
 //!
 //! * **the programming model** — grids of blocks of threads; independent
-//!   SPMD kernels ([`launch::launch_independent`], or block by block with
-//!   a per-block accumulator: [`launch::launch_blocks`]) and
+//!   SPMD kernels ([`launch::launch_independent_map`], or block by block
+//!   with a per-block accumulator: [`launch::launch_blocks`]) and
 //!   barrier-synchronised cooperative blocks
 //!   ([`cooperative::CooperativeBlock`]) with `__syncthreads`-style phases
 //!   (plus intra-phase race *detection*);
@@ -25,17 +25,18 @@
 //! program lives in the `kcv-gpu` crate.
 //!
 //! ```
-//! use kcv_gpu_sim::{launch_map, CostModel, DeviceSpec, LaunchConfig};
+//! use kcv_gpu_sim::{launch_independent_map, CostModel, DeviceSpec, LaunchConfig};
 //!
 //! // Square 1000 numbers, one simulated GPU thread each, and get the
 //! // warp-lockstep cost report.
 //! let spec = DeviceSpec::tesla_s10();
 //! let cost = CostModel::default();
-//! let (squares, report) = launch_map(
+//! let (squares, report) = launch_independent_map(
 //!     &spec,
 //!     &cost,
 //!     LaunchConfig::new(1000, 512),
-//!     |tid, counters| {
+//!     vec![(); 1000], // no per-thread workspace
+//!     |tid, _, counters| {
 //!         counters.flop(1);
 //!         (tid * tid) as u64
 //!     },
@@ -61,11 +62,9 @@ pub mod reduce;
 pub use cooperative::{CooperativeBlock, SharedWrites};
 pub use cost::{CostModel, LaunchReport, ThreadCounters};
 pub use device::DeviceSpec;
-pub use device_search::{device_support_window, SupportWindow};
+pub use device_search::SupportWindow;
 pub use device_sort::device_sort_with_aux;
 pub use error::{Result, SimError};
-pub use launch::{
-    launch_blocks, launch_independent, launch_independent_map, launch_map, LaunchConfig,
-};
+pub use launch::{launch_blocks, launch_independent_map, LaunchConfig};
 pub use memory::{ConstantMemory, DeviceBuffer, MemoryPool};
 pub use reduce::{min_payload_reduction, sum_reduction, sum_reduction_strided};

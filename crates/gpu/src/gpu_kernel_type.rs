@@ -25,47 +25,6 @@ pub struct GpuKernel {
 }
 
 impl GpuKernel {
-    /// The paper's kernel: `0.75(1 − u²)`.
-    pub fn epanechnikov() -> Self {
-        Self { name: "epanechnikov", coeffs: vec![0.75, 0.0, -0.75], radius: 1.0 }
-    }
-
-    /// The Uniform (box) kernel.
-    pub fn uniform() -> Self {
-        Self { name: "uniform", coeffs: vec![0.5], radius: 1.0 }
-    }
-
-    /// The Triangular kernel.
-    pub fn triangular() -> Self {
-        Self { name: "triangular", coeffs: vec![1.0, -1.0], radius: 1.0 }
-    }
-
-    /// The Quartic (biweight) kernel.
-    pub fn quartic() -> Self {
-        Self {
-            name: "quartic",
-            coeffs: vec![15.0 / 16.0, 0.0, -30.0 / 16.0, 0.0, 15.0 / 16.0],
-            radius: 1.0,
-        }
-    }
-
-    /// The Triweight kernel.
-    pub fn triweight() -> Self {
-        Self {
-            name: "triweight",
-            coeffs: vec![
-                35.0 / 32.0,
-                0.0,
-                -105.0 / 32.0,
-                0.0,
-                105.0 / 32.0,
-                0.0,
-                -35.0 / 32.0,
-            ],
-            radius: 1.0,
-        }
-    }
-
     /// Builds a device kernel from any host-side [`PolynomialKernel`]
     /// (coefficients are narrowed to f32, like everything on this device).
     pub fn from_core<K: PolynomialKernel + ?Sized>(kernel: &K) -> Self {
@@ -107,22 +66,13 @@ impl GpuKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcv_core::kernels::{Epanechnikov, Quartic, Triangular, Triweight, Uniform};
-
-    #[test]
-    fn presets_match_core_kernels() {
-        assert_eq!(GpuKernel::epanechnikov(), GpuKernel::from_core(&Epanechnikov));
-        assert_eq!(GpuKernel::uniform(), GpuKernel::from_core(&Uniform));
-        assert_eq!(GpuKernel::triangular(), GpuKernel::from_core(&Triangular));
-        assert_eq!(GpuKernel::quartic(), GpuKernel::from_core(&Quartic));
-        assert_eq!(GpuKernel::triweight(), GpuKernel::from_core(&Triweight));
-    }
+    use kcv_core::kernels::{Epanechnikov, Triweight};
 
     #[test]
     fn degrees_and_validation() {
-        assert_eq!(GpuKernel::epanechnikov().degree(), 2);
-        assert_eq!(GpuKernel::triweight().degree(), 6);
-        assert!(GpuKernel::epanechnikov().validate().is_ok());
+        assert_eq!(GpuKernel::from_core(&Epanechnikov).degree(), 2);
+        assert_eq!(GpuKernel::from_core(&Triweight).degree(), 6);
+        assert!(GpuKernel::from_core(&Epanechnikov).validate().is_ok());
         let too_high = GpuKernel { name: "bad", coeffs: vec![0.0; 9], radius: 1.0 };
         assert!(too_high.validate().is_err());
         let bad_radius = GpuKernel { name: "bad", coeffs: vec![1.0], radius: 0.0 };

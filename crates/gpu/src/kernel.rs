@@ -151,6 +151,7 @@ pub(crate) fn main_kernel(
 mod tests {
     use super::*;
     use crate::gpu_kernel_type::GpuKernel;
+    use kcv_core::kernels::{Epanechnikov, Quartic, Triangular, Triweight, Uniform};
 
     /// Direct f32 reference: leave-one-out polynomial-kernel CV residual²
     /// for one observation and one bandwidth.
@@ -210,11 +211,11 @@ mod tests {
     fn main_kernel_matches_direct_f32_reference_for_every_kernel() {
         let (x, y, hs) = test_data();
         for kernel in [
-            GpuKernel::epanechnikov(),
-            GpuKernel::uniform(),
-            GpuKernel::triangular(),
-            GpuKernel::quartic(),
-            GpuKernel::triweight(),
+            GpuKernel::from_core(&Epanechnikov),
+            GpuKernel::from_core(&Uniform),
+            GpuKernel::from_core(&Triangular),
+            GpuKernel::from_core(&Quartic),
+            GpuKernel::from_core(&Triweight),
         ] {
             for j in [0usize, 7, 39] {
                 let sq = run_main(j, &x, &y, &hs, &kernel);
@@ -237,7 +238,7 @@ mod tests {
         // Two observations share x but not y: LOO at j=0 must use y[1] only.
         let x = [0.5f32, 0.5, 2.0];
         let y = [10.0f32, 20.0, 0.0];
-        let sq = run_main(0, &x, &y, &[0.1], &GpuKernel::epanechnikov());
+        let sq = run_main(0, &x, &y, &[0.1], &GpuKernel::from_core(&Epanechnikov));
         // ĝ_{-0}(0.5) = 20 → residual -10 → 100.
         assert!((sq[0] - 100.0).abs() < 1e-3, "got {}", sq[0]);
     }
@@ -246,7 +247,7 @@ mod tests {
     fn isolated_observation_contributes_zero() {
         let x = [0.0f32, 10.0, 20.0];
         let y = [1.0f32, 2.0, 3.0];
-        let sq = run_main(0, &x, &y, &[0.5, 1.0], &GpuKernel::epanechnikov());
+        let sq = run_main(0, &x, &y, &[0.5, 1.0], &GpuKernel::from_core(&Epanechnikov));
         assert_eq!(sq, vec![0.0, 0.0]);
     }
 
@@ -256,7 +257,7 @@ mod tests {
         // weight that vanishes with d — the subtraction must still be exact.
         let x = [0.3f32, 0.35, 0.4];
         let y = [1.0f32, 2.0, 3.0];
-        let sq = run_main(1, &x, &y, &[0.2], &GpuKernel::uniform());
+        let sq = run_main(1, &x, &y, &[0.2], &GpuKernel::from_core(&Uniform));
         // ĝ_{-1}(0.35) = (1 + 3)/2 = 2 → residual 0.
         assert!(sq[0].abs() < 1e-6, "got {}", sq[0]);
     }

@@ -23,6 +23,7 @@ use crate::gpu_kernel_type::GpuKernel;
 use crate::pipeline::Classic;
 use crate::windowed::Windowed;
 use kcv_core::grid::BandwidthGrid;
+use kcv_core::kernels::Epanechnikov;
 
 /// Result of a multi-device run.
 #[derive(Debug, Clone)]
@@ -84,7 +85,7 @@ pub fn select_bandwidth_multi_gpu(
     config: &GpuConfig,
     devices: usize,
 ) -> Result<MultiDeviceRun> {
-    let kernel = GpuKernel::epanechnikov();
+    let kernel = GpuKernel::from_core(&Epanechnikov);
     run_shards::<Classic>(x, y, grid, config, &kernel, devices).map(MultiDeviceRun::new)
 }
 
@@ -98,7 +99,7 @@ pub fn select_bandwidth_multi_gpu_windowed(
     config: &GpuConfig,
     devices: usize,
 ) -> Result<MultiDeviceRun> {
-    let kernel = GpuKernel::epanechnikov();
+    let kernel = GpuKernel::from_core(&Epanechnikov);
     run_shards::<Windowed>(x, y, grid, config, &kernel, devices).map(MultiDeviceRun::new)
 }
 

@@ -19,6 +19,7 @@ use crate::error::Result;
 use crate::gpu_kernel_type::GpuKernel;
 use crate::kernel::{main_kernel, MainWorkspace};
 use kcv_core::grid::BandwidthGrid;
+use kcv_core::kernels::Epanechnikov;
 use kcv_gpu_sim::{launch_independent_map, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool};
 
 /// Runs the paper's GPU program on the simulated device: selects the
@@ -29,7 +30,7 @@ pub fn select_bandwidth_gpu(
     grid: &BandwidthGrid,
     config: &GpuConfig,
 ) -> Result<GpuRun> {
-    select_bandwidth_gpu_kernel(x, y, grid, config, &GpuKernel::epanechnikov())
+    select_bandwidth_gpu_kernel(x, y, grid, config, &GpuKernel::from_core(&Epanechnikov))
 }
 
 /// [`select_bandwidth_gpu`] with an explicit device kernel — the paper's

@@ -60,6 +60,7 @@ use crate::driver::{run_shards, upload, GpuRun, PipelineReport, Residuals, Shard
 use crate::error::Result;
 use crate::gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
 use kcv_core::grid::BandwidthGrid;
+use kcv_core::kernels::Epanechnikov;
 use kcv_core::sort::{apply_permutation, argsort};
 use kcv_core::util::NeumaierSum;
 use kcv_gpu_sim::{
@@ -409,7 +410,7 @@ pub fn select_bandwidth_gpu_windowed(
     grid: &BandwidthGrid,
     config: &GpuConfig,
 ) -> Result<WindowedRun> {
-    select_bandwidth_gpu_windowed_kernel(x, y, grid, config, &GpuKernel::epanechnikov())
+    select_bandwidth_gpu_windowed_kernel(x, y, grid, config, &GpuKernel::from_core(&Epanechnikov))
 }
 
 /// [`select_bandwidth_gpu_windowed`] with an explicit device kernel.
@@ -566,7 +567,7 @@ mod tests {
     use super::*;
     use crate::error::GpuError;
     use kcv_core::cv::cv_profile_prefix;
-    use kcv_core::kernels::Epanechnikov;
+    use kcv_core::kernels::Triweight;
 
     fn paper_data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
@@ -627,7 +628,7 @@ mod tests {
         // formula's.
         let (x, y) = paper_data(400, 9);
         let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
-        let kernel = GpuKernel::triweight();
+        let kernel = GpuKernel::from_core(&Triweight);
         let wide =
             select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &GpuConfig::default(), &kernel)
                 .unwrap();
@@ -742,7 +743,7 @@ mod tests {
     fn windowed_reads_self_rows_once_and_an_edge_row_per_move() {
         let n = 1_000u64;
         let (x, y) = paper_data(n as usize, 7);
-        for kernel in [GpuKernel::epanechnikov(), GpuKernel::triweight()] {
+        for kernel in [GpuKernel::from_core(&Epanechnikov), GpuKernel::from_core(&Triweight)] {
             let row = 4 * (kernel.degree() as u64 + 1);
             // The paper grid, and one whose smallest bandwidth already
             // covers the whole domain.

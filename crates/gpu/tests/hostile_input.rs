@@ -3,6 +3,7 @@
 //! and never panics.
 
 use kcv_core::grid::BandwidthGrid;
+use kcv_core::kernels::Epanechnikov;
 use kcv_gpu::{
     select_bandwidth_gpu, select_bandwidth_gpu_kernel, select_bandwidth_gpu_windowed,
     select_bandwidth_gpu_windowed_kernel, select_bandwidth_multi_gpu,
@@ -18,7 +19,7 @@ fn all_six(
     devices: usize,
 ) -> Vec<Result<f64, GpuError>> {
     let c = GpuConfig::default();
-    let k = GpuKernel::epanechnikov();
+    let k = GpuKernel::from_core(&Epanechnikov);
     vec![
         select_bandwidth_gpu(x, y, grid, &c).map(|r| r.bandwidth),
         select_bandwidth_gpu_kernel(x, y, grid, &c, &k).map(|r| r.bandwidth),

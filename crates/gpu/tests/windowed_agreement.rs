@@ -114,7 +114,7 @@ proptest! {
         let config = GpuConfig::default();
         let cpu = cv_profile_prefix(&s.x, &s.y, &grid, &Triweight).unwrap();
         let gpu = select_bandwidth_gpu_windowed_kernel(
-            &s.x, &s.y, &grid, &config, &GpuKernel::triweight(),
+            &s.x, &s.y, &grid, &config, &GpuKernel::from_core(&Triweight),
         )
         .unwrap();
         for (m, (&ours, &theirs)) in gpu.scores.iter().zip(&cpu.scores).enumerate() {
@@ -148,7 +148,7 @@ fn windowed_gpu_classifies_boundary_ties_like_the_cpu_strategies() {
     // comparison is 1e-6-relative, not bitwise.
     let cpu = cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap();
     let gpu =
-        select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &GpuKernel::uniform())
+        select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &GpuKernel::from_core(&Uniform))
             .unwrap();
     assert_eq!(cpu.included, vec![5, 5]);
     for (m, (&ours, &theirs)) in gpu.scores.iter().zip(&cpu.scores).enumerate() {
@@ -166,7 +166,7 @@ fn windowed_gpu_classifies_boundary_ties_like_the_cpu_strategies() {
     // CPU strategy's.
     let cpu = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     let gpu = select_bandwidth_gpu_windowed_kernel(
-        &x, &y, &grid, &config, &GpuKernel::epanechnikov(),
+        &x, &y, &grid, &config, &GpuKernel::from_core(&Epanechnikov),
     )
     .unwrap();
     assert_eq!(cpu.included, vec![0, 5]);
@@ -190,8 +190,8 @@ fn windowed_gpu_agrees_at_radius_spanning_bandwidths() {
     let config = GpuConfig::default();
     let grid = BandwidthGrid::from_values(vec![0.125, 1.0]).unwrap();
     for (core_kernel, device_kernel) in [
-        (cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap(), GpuKernel::uniform()),
-        (cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap(), GpuKernel::epanechnikov()),
+        (cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap(), GpuKernel::from_core(&Uniform)),
+        (cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap(), GpuKernel::from_core(&Epanechnikov)),
     ] {
         let gpu =
             select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &device_kernel)

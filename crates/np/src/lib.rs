@@ -34,6 +34,7 @@
 #![warn(rust_2018_idioms)]
 
 mod dens;
+mod nelder_mead;
 mod objective;
 mod reg;
 mod regbw;

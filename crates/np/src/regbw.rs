@@ -1,9 +1,9 @@
 //! `npregbw` — bandwidth selection by numerical optimisation, R-np style.
 
+use crate::nelder_mead::nelder_mead_1d;
 use crate::objective::{cv_objective, cv_objective_parallel, DEGENERATE_PENALTY};
 use kcv_core::error::{validate_sample, Error, Result};
 use kcv_core::kernels::{Epanechnikov, Gaussian, Kernel, Uniform};
-use kcv_core::select::numeric::nelder_mead_1d;
 use kcv_core::util::min_max;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

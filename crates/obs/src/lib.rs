@@ -107,15 +107,12 @@ pub enum Counter {
     /// support excluded them — work the naive evaluation would have spent
     /// multiplying by zero.
     LooTermsSkipped = 2,
-    /// Full `CV_lc(h)` objective evaluations by the numerical-optimisation
-    /// selectors (the paper's Program 1/2 cost unit).
-    ObjectiveEvals = 3,
     /// Simulated global-memory transactions reported by the GPU cost model
     /// (uncoalesced reads + writes + coalesced accesses).
-    MemTransactions = 4,
+    MemTransactions = 3,
     /// Simulated device cycles folded in from `kcv-gpu-sim` launch reports
     /// (rounded to u64).
-    GpuSimCycles = 5,
+    GpuSimCycles = 4,
     /// Support-window resolutions performed by the prefix-moment strategy:
     /// one per `(observation, bandwidth)` cell (on the simulated GPU each
     /// costs at most `2·(⌈log₂ n⌉ + 2)` edge-search probes into the
@@ -123,7 +120,7 @@ pub enum Counter {
     /// The prefix strategy touches no per-neighbour terms, so its
     /// `KernelEvals` stays zero while this counter carries its `O(n·k)`
     /// cost — the contrast the perf gate asserts.
-    WindowQueries = 6,
+    WindowQueries = 5,
     /// Individual edge-search probes spent resolving support windows — the
     /// device-side refinement of [`Counter::WindowQueries`]. Each edge
     /// search probes the edge the previous bandwidth's move predicts, one
@@ -131,7 +128,7 @@ pub enum Counter {
     /// did not move, at most `⌈log₂ n⌉ + 2` per edge. Each probe is one
     /// divergent global-memory read on the simulated GPU. The windowed GPU
     /// program's traffic gate is stated in these terms.
-    BinarySearchProbes = 7,
+    BinarySearchProbes = 6,
     /// Completed bags in a bagged CV selection (Barreiro-Ures et al.): one
     /// increment per subsample whose per-bag grid search finished. At fixed
     /// `(B, r)` the bagged selector's total work is at most `B ×` the
@@ -140,7 +137,7 @@ pub enum Counter {
     /// also runs under a `cv.bag` phase scope; bags execute on rayon
     /// workers, so the phase's `cpu_seconds` sums per-bag CPU time and
     /// legitimately exceeds wall-clock (see *Phase-timer semantics*).
-    BagsRun = 8,
+    BagsRun = 7,
     /// Sorted-axis sweeps performed by the multivariate fast-sum-updating
     /// CV engine (`kcv-core::multi::fast`): one increment per
     /// `(grid point, dimension)` pair, so a full run adds
@@ -148,7 +145,7 @@ pub enum Counter {
     /// (`d` per `(observation, grid point)` cell) this carries the fast
     /// multivariate path's cost while its `KernelEvals` stays zero on the
     /// d ≤ 2 hot path — the contrast the multivariate perf gates assert.
-    DimSweeps = 9,
+    DimSweeps = 8,
     /// Moment-table rows written by the incremental CV engine
     /// (`kcv-core::cv::incremental`): one increment per key-pool slot row
     /// its `reselect()` builds in the compensated prefix pass (the
@@ -158,13 +155,13 @@ pub enum Counter {
     /// `W`, plus any dead slots not yet folded) per `c` arrivals; perf
     /// gate 14 holds the total under
     /// `(inserts + removes)·⌈log₂ W⌉·(deg+3)`.
-    TreeUpdates = 10,
+    TreeUpdates = 9,
     /// Completed `reselect()` passes of the incremental CV engine: one
     /// increment per full grid re-selection over the live window. The
     /// sliding-window amortisation story is `reselects ≪ arrivals`; each
     /// pass runs under a `cv.reselect` phase scope while updates run under
     /// `cv.update`.
-    Reselects = 11,
+    Reselects = 10,
     /// Recorder-scope re-entries performed inside worker closures
     /// ([`Scope::enter`]): the bookkeeping cost of propagating an installed
     /// recorder across a parallel region. Under the vendored rayon's
@@ -173,30 +170,30 @@ pub enum Counter {
     /// per observation — the delta `BENCH_report.json` shows between a
     /// parallel strategy and its sequential twin (whose count is zero: no
     /// scope ever needs re-entering on the calling thread).
-    ScopeEnters = 12,
+    ScopeEnters = 11,
     /// Requests processed by the multi-stream bandwidth service
     /// (`kcv-serve`): one increment per queue entry a shard worker drained
     /// and executed — stream opens, arrivals, and closes alike.
-    RequestsServed = 13,
+    RequestsServed = 12,
     /// Arrivals the service applied as part of a same-stream burst beyond
     /// the first (`burst_len − 1` per coalesced burst): each one rode an
     /// already-drained batch instead of paying its own wakeup, and bursts
     /// that cross re-selection boundaries fund the conflated single
     /// `reselect()` the serving perf gates assert.
-    CoalescedArrivals = 14,
+    CoalescedArrivals = 13,
     /// High-water mark of a shard's bounded request queue (maximum queued
     /// entries observed). **Max-semantics**: recorded via [`record_max`],
     /// so across shards the meaningful aggregate is the maximum, not the
     /// sum — `kcv-serve` merges shard snapshots accordingly.
-    QueueHighWater = 15,
+    QueueHighWater = 14,
     /// Requests rejected with `Overloaded` because a shard's bounded queue
     /// was full — the backpressure contract's visible cost (shed load
     /// instead of unbounded buffering).
-    ShedRequests = 16,
+    ShedRequests = 15,
 }
 
 /// Number of counters (array sizing).
-const NUM_COUNTERS: usize = 17;
+const NUM_COUNTERS: usize = 16;
 
 impl Counter {
     /// Every counter, in serialisation order.
@@ -204,7 +201,6 @@ impl Counter {
         Counter::KernelEvals,
         Counter::SortComparisons,
         Counter::LooTermsSkipped,
-        Counter::ObjectiveEvals,
         Counter::MemTransactions,
         Counter::GpuSimCycles,
         Counter::WindowQueries,
@@ -226,7 +222,6 @@ impl Counter {
             Counter::KernelEvals => "kernel_evals",
             Counter::SortComparisons => "sort_comparisons",
             Counter::LooTermsSkipped => "loo_terms_skipped",
-            Counter::ObjectiveEvals => "objective_evals",
             Counter::MemTransactions => "mem_transactions",
             Counter::GpuSimCycles => "gpu_sim_cycles",
             Counter::WindowQueries => "window_queries",
@@ -821,14 +816,14 @@ mod tests {
         let outer = Recorder::new();
         let inner = Recorder::new();
         let _og = outer.install();
-        add(Counter::ObjectiveEvals, 2);
+        add(Counter::BagsRun, 2);
         {
             let _ig = inner.install();
-            add(Counter::ObjectiveEvals, 40);
+            add(Counter::BagsRun, 40);
         }
-        add(Counter::ObjectiveEvals, 300);
-        assert_eq!(inner.get(Counter::ObjectiveEvals), 40);
-        assert_eq!(outer.get(Counter::ObjectiveEvals), 302);
+        add(Counter::BagsRun, 300);
+        assert_eq!(inner.get(Counter::BagsRun), 40);
+        assert_eq!(outer.get(Counter::BagsRun), 302);
     }
 
     #[cfg(feature = "metrics")]

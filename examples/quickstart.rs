@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use kernelcv::core::diagnostics::{diagnostics, oracle_mse};
-use kernelcv::core::select::{NumericCvSelector, NumericMethod, Rule, RuleOfThumbSelector};
+use kernelcv::core::select::{Rule, RuleOfThumbSelector};
 use kernelcv::prelude::*;
 
 fn main() {
@@ -24,13 +24,12 @@ fn main() {
         grid_selection.bandwidth, grid_selection.score, grid_selection.evaluations
     );
 
-    // 2. The baseline: numerical optimisation of the same objective.
-    let numeric = NumericCvSelector::new(Epanechnikov, NumericMethod::NelderMead { restarts: 3 })
-        .select(&sample.x, &sample.y)
-        .expect("numeric");
+    // 2. The baseline: np-style numerical optimisation of the same objective.
+    let options = NpRegBwOptions { nmulti: 3, ..Default::default() };
+    let numeric = npregbw(&sample.x, &sample.y, options).expect("npregbw");
     println!(
         "numerical optimiser: h = {:.4}  (CV = {:.5}, {} evaluations)",
-        numeric.bandwidth, numeric.score, numeric.evaluations
+        numeric.bw, numeric.fval, numeric.evaluations
     );
 
     // 3. The shortcut practitioners use instead: Silverman's rule.
