@@ -74,7 +74,7 @@
 
 use std::collections::VecDeque;
 
-use super::window::{dispatch_width, moment_rows, LcCell, Row, WindowCursors};
+use super::window::{dispatch_width, moment_rows, with_sentinels, LcCell, Row, WindowCursors};
 use super::{CvOptimum, CvProfile};
 use crate::error::{Error, Result};
 use crate::grid::BandwidthGrid;
@@ -231,8 +231,8 @@ impl KeyPool {
 }
 
 /// [`IncrementalSelector::reselect`]'s sweep at table width `W = deg + 1`:
-/// one flat-table pass over the pool, then one fused cursor-and-cell pass
-/// per live slot, plus the closed-form duplicate-key term.
+/// one flat-table pass and one sentinel-padded key copy of the pool, then
+/// one cursor sweep per live slot, plus the closed-form duplicate-key term.
 fn reselect_pool<const W: usize>(
     pool: &KeyPool,
     coeffs: &'static [f64],
@@ -245,6 +245,7 @@ fn reselect_pool<const W: usize>(
     let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
     let k = hs.len();
     let rows = pool.flat_table::<W>();
+    let keys = with_sentinels(pool.keys.iter().copied());
 
     let mut sq_sums = vec![0.0; k];
     let mut included = vec![0usize; k];
@@ -262,7 +263,7 @@ fn reselect_pool<const W: usize>(
         let dup_cnt = (cnt - 1) as f64;
         // Dead slots are skipped, so s may jump: the cursors still only
         // step right.
-        cursors.sweep(&pool.keys, s, &inv_hs, radius, |m, inv_h, lo, hi| {
+        cursors.sweep(&keys, s, &inv_hs, radius, |m, inv_h, lo, hi| {
             // Exact live counts per side: the m = 0 row only ever
             // accumulated integer counts, so these are integers and a dead
             // slot contributes exactly nothing.
@@ -731,6 +732,32 @@ mod tests {
             matches_fresh_survivors(Triweight, &keys);
             matches_fresh_survivors(Uniform, &keys);
         }
+    }
+
+    /// A sorted run of dead slots between live ones: the sweep's slot
+    /// index jumps over them, and every cursor with it.
+    #[test]
+    fn a_run_of_dead_slots_reselects_like_a_fresh_profile() {
+        let (x, y) = paper_dgp(300, 37);
+        let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
+        let mut sel = IncrementalSelector::new(Epanechnikov, grid);
+        for (&xi, &yi) in x.iter().zip(&y) {
+            sel.insert(xi, yi).unwrap();
+        }
+        sel.reselect().unwrap();
+        let gone = |v: f64| (0.30..0.42).contains(&v) || (0.7..0.71).contains(&v);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for (&xi, &yi) in x.iter().zip(&y) {
+            if gone(xi) {
+                assert!(sel.remove(xi, yi));
+            } else {
+                xs.push(xi);
+                ys.push(yi);
+            }
+        }
+        assert!(sel.pool.dead_slots > 8, "too few dead slots to jump");
+        assert_agrees(&mut sel, &xs, &ys, &Epanechnikov);
+        assert!(sel.pool.dead_slots > 8, "reselect folded the dead slots away");
     }
 
     #[test]

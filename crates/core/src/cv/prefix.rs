@@ -33,8 +33,8 @@
 //!   so a cell is one Horner evaluation in `1/h` of the `deg + 1`
 //!   per-moment coefficients and two dot products against prefix
 //!   differences;
-//! * each observation is one pass over the bandwidths: step cursor `m`,
-//!   then score cell `m` against the rows it just found.
+//! * each observation makes two passes over the bandwidths: one steps
+//!   every cursor a block of keys at a time, one scores every cell.
 //!
 //! ```text
 //! O(n log n + n·k·deg²) amortised, plus O(k·log n) seeding per fold chunk
@@ -51,17 +51,19 @@
 //! [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE) `= 7`; a higher-degree
 //! kernel returns [`Error::KernelDegreeTooHigh`](crate::Error).
 //!
-//! ## Bit-identical classification, documented-tolerance scores
+//! ## Bit-identical windows, documented-tolerance scores
 //!
 //! The window boundaries are found with the *same* support predicate every
 //! other strategy uses — `(x_i − x_l)·(1/h) ≤ r` on the **original**
 //! coordinates, which is monotone along the sorted sample in IEEE
-//! arithmetic — so which neighbours are in-support (and therefore
-//! `included` and the selected bandwidth) agrees with naive/sorted
-//! exactly. The *scores*, however, come from differences of large prefix
-//! sums, which can cancel catastrophically in sparse windows. Two defences
-//! keep the error at the `1e-8`-relative level the tests pin on the paper
-//! DGP:
+//! arithmetic — so which neighbours are in-support agrees with
+//! naive/sorted exactly. `included` counts the *computed* `den > 0`, which
+//! is prefix-differencing noise in a knife-edge window: ROADMAP item 1
+//! measured it (and at n ≤ 50 the argmin) differing from naive's for the
+//! degree-6 kernel; the tests pin both equal on the samples they run.
+//! The *scores* come from differences of large prefix sums, which can
+//! cancel catastrophically in sparse windows. Two defences keep the error
+//! at the `1e-8`-relative level the tests pin on the paper DGP:
 //!
 //! 1. the prefix tables are built over **midrange-centred** coordinates
 //!    `x' = x − (min+max)/2` (halves the magnitude of `x^m` without
@@ -72,8 +74,9 @@
 //!    correctly rounded to one ulp regardless of `n`.
 //!
 //! The residual error grows with the kernel degree (the binomial assembly
-//! cancels more violently the higher the moment): the deg ≤ 2 kernels hold
-//! 1e-8 relative on the paper DGP, the deg-4/deg-6 kernels ~1e-5. One
+//! cancels more violently the higher the moment): the tests hold deg ≤ 2
+//! to 1e-8 relative on the paper DGP, deg 4/6 to 1e-5 at n = 80, and no
+//! tested bound covers every n (ROADMAP item 1: 7.8·10² at n = 30). One
 //! genuine amplifier remains in the *local-linear* variants: a
 //! near-degenerate window (all in-support regressors nearly coincident)
 //! divides by a vanishing design determinant, which magnifies the moment
@@ -89,7 +92,9 @@
 //! the general-position fallback.
 
 use super::fold::fold_observations;
-use super::window::{dispatch_width, moment_rows, pascal, LcCell, Row, WindowCursors};
+use super::window::{
+    dispatch_width, moment_rows, pascal, with_sentinels, LcCell, Row, WindowCursors,
+};
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
 use crate::estimate::local_linear::solve_local_linear;
@@ -104,7 +109,8 @@ use crate::sort::{apply_permutation, argsort};
 struct PrefixTables<const W: usize> {
     /// `x` sorted ascending (original values — the support predicate runs
     /// on these so boundary classification is bit-identical to the other
-    /// strategies).
+    /// strategies), followed by the cursor sweep's `+inf` sentinels
+    /// ([`with_sentinels`]).
     xs: Vec<f64>,
     /// `y` co-sorted with `xs`.
     ys: Vec<f64>,
@@ -127,14 +133,14 @@ impl<const W: usize> PrefixTables<W> {
         let (xs, ys) = {
             let _sort = kcv_obs::phase("cv.argsort");
             let perm = argsort(x);
-            (apply_permutation(x, &perm), apply_permutation(y, &perm))
+            (with_sentinels(perm.iter().map(|&i| x[i])), apply_permutation(y, &perm))
         };
         let _build = kcv_obs::phase("cv.prefix");
-        let n = xs.len();
+        let n = ys.len();
         // Midrange of the sorted sample: exact on symmetric lattices, and
         // the best single shift for bounding |xc|^m.
         let center = 0.5 * (xs[0] + xs[n - 1]);
-        let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
+        let xc: Vec<f64> = xs[..n].iter().map(|&v| v - center).collect();
 
         let rows = moment_rows(xc.iter().zip(&ys).map(|(&v, &yv)| (v, 1.0, yv)));
 
@@ -640,30 +646,47 @@ mod tests {
 
     /// Every cursor window equals a fresh, un-narrowed bisection, whether
     /// the cursors were seeded at the first observation or mid-sample (a
-    /// parallel fold chunk's first observation) and then stepped forward.
+    /// parallel fold chunk's first observation) and then stepped forward,
+    /// and no window ever covers a sentinel.
     #[test]
     fn cursor_windows_match_bisection_oracle() {
-        use crate::cv::window::{support_window, WindowCursors};
+        use crate::cv::window::{support_window, with_sentinels, WindowCursors};
         let mut rng = SplitMix64::new(41);
         let random: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
         let duplicates: Vec<f64> =
             (0..300).map(|_| (rng.next_f64() * 12.0).floor() / 12.0).collect();
         let lattice: Vec<f64> = (0..64).map(|j| j as f64 / 16.0).collect();
-        let samples = [("random", random), ("duplicates", duplicates), ("lattice", lattice)];
+        // Tight clusters of 1, 4, 5, 8 and 100 keys one unit apart: moving
+        // from one cluster to the next, an edge stands still or jumps a
+        // whole cluster, past one or many cursor blocks.
+        let clusters: Vec<f64> = [1, 4, 5, 8, 100, 5, 1]
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &size)| (0..size).map(move |j| c as f64 + 1e-3 * j as f64 / size as f64))
+            .collect();
+        let samples = [
+            ("random", random),
+            ("duplicates", duplicates),
+            ("lattice", lattice),
+            ("clusters", clusters),
+        ];
         for (name, mut xs) in samples {
             xs.sort_by(f64::total_cmp);
             let n = xs.len();
+            let keys = with_sentinels(xs.iter().copied());
             let mut hs = BandwidthGrid::paper_default(&xs, 40).unwrap().values().to_vec();
             // Power-of-two bandwidths put lattice neighbours exactly on the
-            // support boundary.
-            hs.extend([0.0625, 0.125, 0.25, 0.5]);
+            // support boundary; the widest ones hold hi at n from the first
+            // observation, so every block step there reads the sentinels.
+            let range = xs[n - 1] - xs[0];
+            hs.extend([0.0625, 0.125, 0.25, 0.5, 0.002, 2.0 * range, 1e3 * range]);
             hs.sort_by(f64::total_cmp);
             let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
             for start in [0, n / 3, n - 1] {
                 let mut cursors = WindowCursors::new(hs.len());
                 for si in start..n {
                     let mut visited = 0;
-                    cursors.sweep(&xs, si, &inv_hs, 1.0, |m, inv_h, lo, hi| {
+                    cursors.sweep(&keys, si, &inv_hs, 1.0, |m, inv_h, lo, hi| {
                         assert_eq!(inv_h, inv_hs[m]);
                         assert_eq!(
                             (lo, hi),
@@ -671,6 +694,7 @@ mod tests {
                             "{name}: start {start}, observation {si}, h = {}",
                             hs[m]
                         );
+                        assert!(lo <= si && si < hi && hi <= n, "{name}: window covers a sentinel");
                         assert_eq!(m, visited, "bandwidths visited out of order");
                         visited += 1;
                     });
@@ -678,6 +702,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sweep refuses keys without their sentinels.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sentinels")]
+    fn sweep_checks_the_sentinel_tail() {
+        let keys = [0.0, 0.25, 0.5, 0.75, 1.0, f64::INFINITY, f64::INFINITY, f64::INFINITY];
+        let mut cursors = crate::cv::window::WindowCursors::new(1);
+        cursors.sweep(&keys, 0, &[1.0], 1.0, |_, _, _, _| {});
     }
 
     /// The precombined assembly against the naive oracle where the

@@ -17,9 +17,12 @@
 //!   predicate says so. Membership is therefore bit-identical to a fresh
 //!   bisection ([`support_window`]), which only seeds the cursors at the
 //!   first observation of a fold chunk: `O(k·log n)` per chunk.
-//!   [`WindowCursors::sweep`] is one pass over the bandwidths: it steps
-//!   cursor `m` and hands its window straight to the cell, so each window
-//!   is used while its keys are still in cache.
+//!   [`WindowCursors::sweep`] makes two passes over the bandwidths. The
+//!   first steps every cursor by the count of keys in a block of four that
+//!   pass the predicate — exactly the step, along sorted keys — so the
+//!   loads do not wait on each other and the usual one-key move takes one
+//!   block; `+inf` sentinels after the keys ([`with_sentinels`]) fail both
+//!   predicates, so no block needs a clamp. The second scores the cells.
 //! * [`LcCell`] precombines the local-constant kernel polynomial about
 //!   `x_i` once per observation into per-moment coefficients
 //!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}` (with a sign-flipped copy for the
@@ -179,9 +182,34 @@ pub(crate) fn support_window(
     (lo, a)
 }
 
-/// Branch-free cursor steps tried per cell before falling back to a loop
-/// (see [`WindowCursors::sweep`]).
-const STEPS: usize = 3;
+/// Keys a cursor step reads at once. Every swept key array ends in this
+/// many `+inf` sentinels ([`with_sentinels`]), so a block read from any
+/// cursor position `≤ n` stays in bounds.
+const BLOCK: usize = 4;
+
+/// Collects a sorted run of finite keys and appends the [`BLOCK`] `+inf`
+/// sentinels [`WindowCursors::sweep`] reads past its end. Neither support
+/// predicate holds at `+inf`, so no cursor steps onto a sentinel.
+pub(crate) fn with_sentinels(keys: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
+    let mut out = Vec::with_capacity(keys.len() + BLOCK);
+    out.extend(keys);
+    out.extend([f64::INFINITY; BLOCK]);
+    out
+}
+
+/// Advances `at` past the run of keys on which `holds` is true, [`BLOCK`]
+/// keys per step. `holds` must be true on a prefix of the keys from `at`
+/// and false at `+inf`, so a block's count of true keys is its step.
+#[inline(always)]
+fn block_step(keys: &[f64], mut at: usize, holds: impl Fn(f64) -> bool) -> usize {
+    loop {
+        let step: usize = keys[at..at + BLOCK].iter().map(|&v| usize::from(holds(v))).sum();
+        at += step;
+        if step < BLOCK {
+            return at;
+        }
+    }
+}
 
 /// One support window `(lo, hi)` per bandwidth, moved forward monotonically
 /// as the observation index increases (see the module docs).
@@ -201,7 +229,9 @@ impl WindowCursors {
     /// Visits every bandwidth of the key at sorted position `si`, in order,
     /// under the ascending inverse-bandwidth list `inv_hs`
     /// (`inv_hs[m] = 1.0 / h_m`): moves cursor `m` to its support window
-    /// `[lo, hi)` and calls `cell(m, inv_hs[m], lo, hi)`.
+    /// `[lo, hi)` and calls `cell(m, inv_hs[m], lo, hi)`, stepping every
+    /// cursor before scoring any cell. `keys` are the sorted keys followed
+    /// by their sentinels ([`with_sentinels`]).
     ///
     /// When `si` lies after the current position each cursor only steps
     /// right — `O(1)` amortised per cell over a run of increasing `si`.
@@ -217,30 +247,23 @@ impl WindowCursors {
         radius: f64,
         mut cell: impl FnMut(usize, f64, usize, usize),
     ) {
+        let n = keys.len() - BLOCK;
+        debug_assert!(
+            keys[n..].iter().all(|&v| v == f64::INFINITY) && keys[n - 1].is_finite(),
+            "swept keys must end in exactly {BLOCK} +inf sentinels"
+        );
         if !matches!(self.at, Some(prev) if prev < si) {
-            self.seed(keys, si, inv_hs, radius);
+            self.seed(&keys[..n], si, inv_hs, radius);
         }
         self.at = Some(si);
         let xi = keys[si];
-        for (m, (win, &inv_h)) in self.windows.iter_mut().zip(inv_hs).enumerate() {
-            let (lo, hi) = win;
-            // lo ≤ si always ends the left scan: d = 0 at l = si.
-            let left_out = |l: usize| (xi - keys[l]) * inv_h > radius;
-            let right_in = |l: usize| keys.get(l).is_some_and(|&v| (v - xi) * inv_h <= radius);
-            // A cursor moves about one key per observation on average: a
-            // few branch-free steps absorb the usual move, and the loops
-            // only run for the rare longer ones.
-            for _ in 0..STEPS {
-                *lo += usize::from(left_out(*lo));
-                *hi += usize::from(right_in(*hi));
-            }
-            while left_out(*lo) {
-                *lo += 1;
-            }
-            while right_in(*hi) {
-                *hi += 1;
-            }
-            cell(m, inv_h, *lo, *hi);
+        for ((lo, hi), &inv_h) in self.windows.iter_mut().zip(inv_hs) {
+            // lo ≤ si always ends the left step: d = 0 at l = si.
+            *lo = block_step(keys, *lo, |v| (xi - v) * inv_h > radius);
+            *hi = block_step(keys, *hi, |v| (v - xi) * inv_h <= radius);
+        }
+        for (m, (&(lo, hi), &inv_h)) in self.windows.iter().zip(inv_hs).enumerate() {
+            cell(m, inv_h, lo, hi);
         }
     }
 
