@@ -5,7 +5,7 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify build test test-metrics doc clippy perf-gate perfbench-smoke bench-report scaling streaming serve clean
+.PHONY: verify build test test-metrics doc clippy perf-gate perfbench-smoke scaling streaming serve clean
 
 ## The full PR gate: build, tests with metrics off AND on, docs, lints,
 ## and the counter-based performance gate. (The d = 2 "Multi fast" check
@@ -34,8 +34,9 @@ clippy:
 
 ## Counter-based perf gate: 18 named complexity contracts (prefix, windowed
 ## GPU, bagged, multivariate, streaming and serving engines) asserted from
-## one read of results/BENCH_report.json; the list, and why each bound is
-## what it is, lives in crates/bench/src/bin/perf_gate.rs.
+## the collected report, which it also writes to results/BENCH_report.json
+## (the one writer of that file); the list, and why each bound is what it
+## is, lives in crates/bench/src/bin/perf_gate.rs.
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
 		--bin perf_gate -- --n 2000 --k 100
@@ -55,8 +56,8 @@ perfbench-smoke:
 
 ## The past-the-paper scaling study (EXPERIMENTS.md SCALE): bagged CV at
 ## n = 10^5..10^7 vs the full-data prefix reference, with the binary's own
-## acceptance checks as the gate. Writes results/scaling.csv and a
-## schema-v6 BENCH_report.json with the scaling rows (CI uploads both).
+## acceptance checks as the gate. Writes results/scaling.csv (CI uploads
+## it).
 ## Full run (full-data reference up to 10^6) takes ~30 s in release.
 scaling:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin scaling
@@ -79,11 +80,6 @@ streaming:
 ## (CI uploads it). Takes ~45 s in release.
 serve:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics --bin serve
-
-## Regenerate results/BENCH_report.json with live counters (small n).
-bench-report:
-	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
-		--bin experiments -- --max-n 500 --table2-max-n 200 --reps 1 --nmulti 1
 
 clean:
 	$(CARGO) clean

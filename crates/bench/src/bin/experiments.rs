@@ -7,7 +7,6 @@
 
 use kcv_bench::chart::render_loglog;
 use kcv_bench::programs::{run_program, Program};
-use kcv_bench::report::{collect_report, ReportConfig};
 use kcv_bench::sweep::{figure1_series, figure1_sweep, table1, table2};
 use kcv_bench::table::arg_parse;
 use kcv_data::{Dgp, PaperDgp};
@@ -27,7 +26,7 @@ fn main() {
     );
 
     // ---- Figure 1 / Table I -------------------------------------------
-    eprintln!("[1/5] Figure 1 / Table I sweep…");
+    eprintln!("[1/4] Figure 1 / Table I sweep…");
     let rows = figure1_sweep(max_n, 50, reps, nmulti);
     summary.push_str(&table1(&rows, Path::new("results/table1.csv")).expect("write table1.csv"));
 
@@ -52,11 +51,11 @@ fn main() {
     let _ = writeln!(summary, "FIGURE 1 (measured)\n{chart}");
 
     // ---- Table II ------------------------------------------------------
-    eprintln!("[2/5] Table II sweeps…");
+    eprintln!("[2/4] Table II sweeps…");
     summary.push_str(&table2("both", t2_max_n, 1).expect("write table2 csv"));
 
     // ---- §IV-C correctness cross-checks --------------------------------
-    eprintln!("[3/5] correctness cross-checks…");
+    eprintln!("[3/4] correctness cross-checks…");
     let mut agree = 0usize;
     let mut total = 0usize;
     let mut max_spread = 0.0f64;
@@ -82,7 +81,7 @@ fn main() {
     );
 
     // ---- memory ceilings ------------------------------------------------
-    eprintln!("[4/5] memory ceilings…");
+    eprintln!("[4/4] memory ceilings…");
     let spec = kcv_gpu_sim::DeviceSpec::tesla_s10();
     let four_gb = spec.global_mem_bytes;
     let wall_n = (1_000..40_000)
@@ -95,21 +94,8 @@ fn main() {
          Constant cache: 2,048 f32 bandwidths fit, 2,049 rejected (paper: 2,048 max).\n"
     );
 
-    // ---- per-strategy observability report ------------------------------
-    eprintln!("[5/5] per-strategy observability report…");
-    let report_n = max_n.clamp(50, 1_000);
-    let report = collect_report(ReportConfig { n: report_n, k: 50, seed: 42 })
-        .expect("collect BENCH report");
-    let _ = writeln!(
-        summary,
-        "Observability (n = {report_n}, k = 50, metrics {}): per-strategy wall\n\
-         times and op-counters written to results/BENCH_report.json.\n",
-        if kcv_obs::enabled() { "ON" } else { "OFF — rebuild with --features metrics for counters" }
-    );
-
     std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_report.json", report.to_json()).expect("write BENCH report");
     std::fs::write("results/summary.txt", &summary).expect("write summary");
     println!("{summary}");
-    eprintln!("wrote results/summary.txt, results/BENCH_report.json");
+    eprintln!("wrote results/summary.txt");
 }

@@ -1,9 +1,10 @@
-//! Counter-based performance gate over `results/BENCH_report.json`.
+//! Counter-based performance gate, and the one writer of
+//! `results/BENCH_report.json`.
 //!
 //! Collects a fresh per-strategy report at a small fixed `(n, k)` point,
-//! writes it to the report path, then re-reads the file ONCE and asserts the
-//! engines' complexity contracts from the JSON itself, as a single named
-//! gate table:
+//! writes its JSON to the report path for CI, and asserts the engines'
+//! complexity contracts on the collected [`PerfReport`] itself, as a single
+//! named gate table:
 //!
 //! 1. `prefix` answers every (obs, bandwidth) cell with one window query —
 //!    a monotone cursor step, seeded by bisection at each fold chunk's
@@ -14,7 +15,7 @@
 //!    score comes from prefix-sum differencing, never a neighbour visit;
 //! 3. `prefix` actually ran its window machinery (queries > 0);
 //! 4. `prefix` and `prefix-par` select the same bandwidth as the sorted
-//!    sweep;
+//!    sweep, bit for bit (`f64::to_bits`);
 //! 5. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling
 //!    `16 · n · (deg + 2)` bytes (64n at the default quadratic kernel).
 //!    The classic pipeline's two `n×n` matrices sit at `8n²` and blow
@@ -38,9 +39,9 @@
 //!    bag_footprint_bound_bytes`) — each rayon worker holds at most one
 //!    bag's subsample and tables at a time, so keeping every bag's data
 //!    alive at once (or materialising anything `O(n)` per bag) fails.
-//! 9. the report's schema version is exactly [`REPORT_VERSION`] — the
-//!    multivariate gates below read the v5 `multi` object, so a stale
-//!    writer must fail here, not half-pass on missing fields;
+//! 9. the report text written for CI begins with schema version
+//!    [`REPORT_VERSION`] — the one gate that reads the text, so a writer
+//!    that falls out of step with the schema fails here;
 //! 10. `multi-fast` evaluates the kernel **zero** times while its
 //!     dimension sweeps actually ran (`dim_sweeps > 0`) — every product
 //!     weight comes from prefix-moment differencing over the per-dimension
@@ -49,9 +50,9 @@
 //!     `grid_points · n · d · ceil(log2 n)` — the d-per-cell binary-search
 //!     budget; a per-neighbour product scan is `Θ(n)` per cell and fails;
 //! 12. at `n ≥ 2,000` `multi-fast` beats `multi-naive` by ≥ 10× wall time
-//!     while selecting the bit-identical bandwidth **vector** (the
-//!     `to_bits` hex arrays `bandwidths_bits` compare equal);
-//! 13. the schema-v6 top-level `streaming` object is present — the two
+//!     while selecting the bit-identical bandwidth **vector** (every
+//!     component's `to_bits` compares equal);
+//! 13. the `streaming` measurement is present — the two
 //!     replay gates below read it, so a writer that stops measuring the
 //!     streaming engine must fail here, not pass by absence;
 //! 14. the streaming replay never evaluates the kernel and the moment-table
@@ -62,8 +63,8 @@
 //!     and re-selecting on (nearly) every arrival would exceed the budget;
 //! 15. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth
-//!     on the final window (the `to_bits` hex values compare equal);
-//! 16. the schema-v7 top-level `serving` object is present — the two
+//!     on the final window (the `to_bits` values compare equal);
+//! 16. the `serving` measurement is present — the two
 //!     service gates below read it, so a writer that stops measuring the
 //!     sharded service must fail here, not pass by absence;
 //! 17. the sharded service answers every stream from the incremental
@@ -74,23 +75,24 @@
 //!     profiles from scratch (kernel evals) fails;
 //! 18. at `n ≥ 2,000` the sharded service beats the single-global-lock
 //!     baseline by ≥ 4× wall time on the identical per-stream traffic
-//!     while the per-stream `to_bits` hex arrays (`final_bandwidths_bits`)
-//!     compare equal — the conflated re-selections must cost throughput
+//!     while every per-stream final bandwidth's `to_bits` compares equal —
+//!     the conflated re-selections must cost throughput
 //!     nothing in selection quality.
 //!
 //! Exits non-zero if any gate fails, printing each gate's verdict and then
 //! naming the failures, so `make verify` and CI fail if a regression
-//! reintroduces per-observation sorting or per-neighbour scanning. Requires
-//! a `--features metrics` build (the gate refuses to pass on a report with
-//! counters disabled).
+//! reintroduces per-observation sorting or per-neighbour scanning. The
+//! identity gates (4, 12, 15, 18) print the `to_bits` they compared in hex.
+//! Requires a `--features metrics` build (the gate refuses to pass when
+//! counters are compiled out).
 //!
 //! Usage: `cargo run -p kcv-bench --features metrics --bin perf_gate --
 //! [--n N] [--k K] [--out results/BENCH_report.json]`
 
-use kcv_bench::json::{array_field, f64_field, str_field, strategy_slice, u64_field};
-use kcv_bench::report::{collect_report, ReportConfig, REPORT_VERSION};
+use kcv_bench::report::{collect_report, PerfReport, ReportConfig, StrategyPerf, REPORT_VERSION};
 use kcv_bench::table::{arg_parse, arg_value};
 use kcv_core::select::bagged::bag_footprint_bound_bytes;
+use kcv_obs::Counter;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -112,12 +114,25 @@ impl Gate {
     }
 }
 
-/// Evaluates every gate against a report JSON string measured at `(n, k)`.
-/// Pure over its inputs so the table is unit-testable without a metrics
-/// build or a filesystem.
-fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
+/// True when `a` and `b` hold the same values bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().map(|v| v.to_bits()).eq(b.iter().map(|v| v.to_bits()))
+}
+
+/// `f64::to_bits` of each value in 16-digit hex, the evidence the identity
+/// gates print.
+fn hex(values: &[f64]) -> String {
+    let bits: Vec<String> = values.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+    bits.join(",")
+}
+
+/// Evaluates every gate against `report`. `json` is the text written for
+/// CI, read only by gate 9; `metrics` says whether counters were compiled
+/// in. Pure over its inputs so the table is unit-testable without a
+/// metrics build or a filesystem.
+fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     let mut gates = Vec::new();
-    if !json.contains("\"metrics_enabled\":true") {
+    if !metrics {
         gates.push(Gate::pass_if(
             "metrics enabled in report",
             false,
@@ -128,15 +143,16 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         return gates;
     }
 
+    let strategy = |name: &str| report.strategies.iter().find(|s| s.name == name);
     let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
         match (
-            strategy_slice(json, "sorted"),
-            strategy_slice(json, "prefix"),
-            strategy_slice(json, "prefix-par"),
-            strategy_slice(json, "gpu-windowed"),
-            strategy_slice(json, "bagged"),
-            strategy_slice(json, "multi-naive"),
-            strategy_slice(json, "multi-fast"),
+            strategy("sorted"),
+            strategy("prefix"),
+            strategy("prefix-par"),
+            strategy("gpu-windowed"),
+            strategy("bagged"),
+            strategy("multi-naive"),
+            strategy("multi-fast"),
         ) {
             (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
                 (s, p, pp, w, b, mn, mf)
@@ -151,26 +167,27 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
                 return gates;
             }
         };
+    let version = format!("{{\"version\":{REPORT_VERSION},");
+    let head: String = json.chars().take(version.len()).collect();
     gates.push(Gate::pass_if(
         "report schema version matches the gate's",
-        u64_field(json, "version") == Some(u64::from(REPORT_VERSION)),
-        format!("{:?} == Some({REPORT_VERSION})", u64_field(json, "version")),
+        json.starts_with(&version),
+        format!("{head:?} == {version:?}"),
     ));
-    let field = |slice: &str, key: &str| u64_field(slice, key).unwrap_or(0);
+    let ReportConfig { n, k, .. } = report.config;
+    let field = |s: &StrategyPerf, counter: Counter| s.obs.counter(counter.name());
     let log2n = (n as f64).log2().ceil() as u64;
-
-    let sb = f64_field(sorted, "bandwidth");
 
     // --- prefix-moment contract -----------------------------------------
     let query_ceiling = (n * k) as u64 * log2n;
-    let prefix_queries = field(prefix, "window_queries");
+    let prefix_queries = field(prefix, Counter::WindowQueries);
     gates.push(Gate::pass_if(
         "prefix window queries stay within n*k*ceil(log2 n)",
         prefix_queries <= query_ceiling,
         format!("{prefix_queries} <= {query_ceiling}"),
     ));
 
-    let (pe, ppe) = (field(prefix, "kernel_evals"), field(prefix_par, "kernel_evals"));
+    let (pe, ppe) = (field(prefix, Counter::KernelEvals), field(prefix_par, Counter::KernelEvals));
     gates.push(Gate::pass_if(
         "prefix sweeps never evaluate the kernel",
         pe == 0 && ppe == 0,
@@ -183,12 +200,11 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         format!("{prefix_queries} > 0"),
     ));
 
-    let pb = f64_field(prefix, "bandwidth");
-    let ppb = f64_field(prefix_par, "bandwidth");
+    let (sb, pb, ppb) = (sorted.bandwidth, prefix.bandwidth, prefix_par.bandwidth);
     gates.push(Gate::pass_if(
         "prefix strategies select the sorted sweep's bandwidth",
-        sb.is_some() && pb == sb && ppb == sb,
-        format!("prefix {pb:?}, prefix-par {ppb:?} == sorted {sb:?}"),
+        same_bits(&[pb, ppb], &[sb, sb]),
+        format!("prefix {}, prefix-par {} == sorted {}", hex(&[pb]), hex(&[ppb]), hex(&[sb])),
     ));
 
     // --- windowed GPU memory contract ------------------------------------
@@ -202,7 +218,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     // residual matrices cannot hide under them.
     let deg = 2u64;
     let peak_ceiling = 16 * n as u64 * (deg + 2);
-    let windowed_peak = field(windowed, "device_bytes_peak");
+    let windowed_peak = windowed.device_bytes_peak.unwrap_or(0);
     gates.push(Gate::pass_if(
         "windowed peak device bytes stay O(n), no n^2 term",
         windowed_peak > 0 && windowed_peak <= peak_ceiling,
@@ -210,7 +226,7 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     ));
 
     let txn_ceiling = (n * k) as u64 * (2 * log2n + 24 * (deg + 1));
-    let windowed_txns = field(windowed, "mem_transactions");
+    let windowed_txns = field(windowed, Counter::MemTransactions);
     gates.push(Gate::pass_if(
         "windowed mem transactions stay O(k log n) per observation",
         windowed_txns > 0 && windowed_txns <= txn_ceiling,
@@ -221,11 +237,12 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     // Both ceilings are functions of (bags, bag_size, k, workers) read
     // from the report itself — deliberately independent of n, which is
     // the bagged selector's entire value proposition.
-    let bags = field(bagged, "bags");
-    let bag_size = field(bagged, "bag_size");
+    let info = bagged.bagged;
+    let bags = info.map_or(0, |b| b.bags as u64);
+    let bag_size = info.map_or(0, |b| b.bag_size as u64);
     let work_ceiling = bags * bag_size * k as u64;
-    let bagged_queries = field(bagged, "window_queries");
-    let bagged_evals = field(bagged, "kernel_evals");
+    let bagged_queries = field(bagged, Counter::WindowQueries);
+    let bagged_evals = field(bagged, Counter::KernelEvals);
     gates.push(Gate::pass_if(
         "bagged work stays within B x one bag's bound, no n term",
         bags > 0
@@ -238,8 +255,8 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let workers = field(bagged, "workers");
-    let bagged_peak = field(bagged, "host_bytes_peak");
+    let workers = info.map_or(0, |b| b.workers);
+    let bagged_peak = info.map_or(0, |b| b.host_bytes_peak);
     let mem_ceiling = workers * bag_footprint_bound_bytes(bag_size as usize, k);
     gates.push(Gate::pass_if(
         "bagged peak memory stays within workers x one bag's footprint",
@@ -250,17 +267,17 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     // --- multivariate fast-sum-updating contracts -------------------------
     // The d = 2 full-grid selector: every product weight must come from
     // the dimension-recursive prefix-moment tables, never a kernel call.
-    let mf_evals = field(multi_fast, "kernel_evals");
-    let mf_sweeps = field(multi_fast, "dim_sweeps");
+    let mf_evals = field(multi_fast, Counter::KernelEvals);
+    let mf_sweeps = field(multi_fast, Counter::DimSweeps);
     gates.push(Gate::pass_if(
         "multi-fast never evaluates the kernel",
         mf_evals == 0 && mf_sweeps > 0,
         format!("kernel_evals {mf_evals} == 0, dim_sweeps {mf_sweeps} > 0"),
     ));
 
-    let dims = field(multi_fast, "dims");
-    let grid_points = field(multi_fast, "grid_points");
-    let mf_queries = field(multi_fast, "window_queries");
+    let dims = multi_fast.multi.as_ref().map_or(0, |m| m.dims as u64);
+    let grid_points = multi_fast.multi.as_ref().map_or(0, |m| m.grid_points as u64);
+    let mf_queries = field(multi_fast, Counter::WindowQueries);
     let mf_ceiling = grid_points * n as u64 * dims * log2n;
     gates.push(Gate::pass_if(
         "multi-fast window queries stay within g*n*d*ceil(log2 n)",
@@ -270,20 +287,17 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let nv_bw = array_field(multi_naive, "bandwidths_bits");
-    let mf_bw = array_field(multi_fast, "bandwidths_bits");
     if n >= 2_000 {
-        let ratio = match (
-            f64_field(multi_naive, "wall_seconds"),
-            f64_field(multi_fast, "wall_seconds"),
-        ) {
-            (Some(nw), Some(fw)) if fw > 0.0 => nw / fw,
-            _ => 0.0,
-        };
+        let (nw, fw) = (multi_naive.wall_seconds, multi_fast.wall_seconds);
+        let ratio = if fw > 0.0 { nw / fw } else { 0.0 };
+        let [nv_bw, mf_bw] = [multi_naive, multi_fast]
+            .map(|s| s.multi.as_ref().map(|m| m.bandwidths.as_slice()));
+        let identical = matches!((nv_bw, mf_bw), (Some(a), Some(b)) if same_bits(a, b));
+        let show = |bw: Option<&[f64]>| bw.map_or("none".to_string(), |b| format!("[{}]", hex(b)));
         gates.push(Gate::pass_if(
             "multi-fast beats multi-naive >= 10x on the identical optimum",
-            ratio >= 10.0 && nv_bw.is_some() && nv_bw == mf_bw,
-            format!("wall ratio {ratio:.1} >= 10, bandwidths {nv_bw:?} == {mf_bw:?}"),
+            ratio >= 10.0 && identical,
+            format!("wall ratio {ratio:.1} >= 10, bandwidths {} == {}", show(nv_bw), show(mf_bw)),
         ));
     } else {
         gates.push(Gate::skip(
@@ -293,24 +307,13 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
     }
 
     // --- streaming incremental-engine contracts ---------------------------
-    // The replay measurements live in the schema-v6 top-level `streaming`
-    // object. Since v7 it is no longer the report's final entry — the
-    // `serving` object follows it and shares field names (`window`,
-    // `cadence`, `reselects`, `kernel_evals`, `wall_seconds`), so the
-    // slice must stop at the `serving` key, not the end of the document.
-    let streaming = match json.find("\"streaming\":{") {
-        Some(i) => {
-            let end = json[i..].find("\"serving\":").map_or(json.len(), |j| i + j);
-            &json[i..end]
-        }
-        None => {
-            gates.push(Gate::pass_if(
-                "report carries the schema-v6 streaming object",
-                false,
-                "no streaming object in the report".into(),
-            ));
-            return gates;
-        }
+    let Some(st) = &report.streaming else {
+        gates.push(Gate::pass_if(
+            "report carries the schema-v6 streaming object",
+            false,
+            "no streaming object in the report".into(),
+        ));
+        return gates;
     };
     gates.push(Gate::pass_if(
         "report carries the schema-v6 streaming object",
@@ -318,13 +321,9 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         "streaming replay measured".into(),
     ));
 
-    let st = |key: &str| u64_field(streaming, key).unwrap_or(0);
-    let window = st("window");
-    let updates = st("tree_updates");
-    let st_evals = st("kernel_evals");
-    let reselects = st("reselects");
-    let log2w = (window.max(2) as f64).log2().ceil() as u64;
-    let update_ceiling = (st("inserts") + st("removes")) * log2w * (deg + 3);
+    let (updates, st_evals, reselects) = (st.tree_updates, st.kernel_evals, st.reselects);
+    let log2w = (st.window.max(2) as f64).log2().ceil() as u64;
+    let update_ceiling = (st.inserts + st.removes) * log2w * (deg + 3);
     gates.push(Gate::pass_if(
         "streaming replay: zero kernel evals, table rows within the update budget",
         st_evals == 0 && reselects > 0 && updates > 0 && updates <= update_ceiling,
@@ -334,30 +333,22 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let st_wall = f64_field(streaming, "wall_seconds").unwrap_or(f64::NAN);
-    let st_recompute = f64_field(streaming, "recompute_wall_seconds").unwrap_or(f64::NAN);
-    let st_ratio = st_recompute / st_wall;
-    let fb = str_field(streaming, "final_bandwidth_bits");
-    let rb = str_field(streaming, "recompute_bandwidth_bits");
+    let st_ratio = st.recompute_wall_seconds / st.wall_seconds;
+    let (fb, rb) = (st.final_bandwidth, st.recompute_bandwidth);
     gates.push(Gate::pass_if(
         "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
-        st_ratio >= 10.0 && fb.is_some() && fb == rb,
-        format!("wall ratio {st_ratio:.1} >= 10, final {fb:?} == recompute {rb:?}"),
+        st_ratio >= 10.0 && same_bits(&[fb], &[rb]),
+        format!("wall ratio {st_ratio:.1} >= 10, final {} == recompute {}", hex(&[fb]), hex(&[rb])),
     ));
 
     // --- sharded serving contracts ---------------------------------------
-    // The service measurements live in the schema-v7 top-level `serving`
-    // object, the report's final entry.
-    let serving = match json.find("\"serving\":{") {
-        Some(i) => &json[i..],
-        None => {
-            gates.push(Gate::pass_if(
-                "report carries the schema-v7 serving object",
-                false,
-                "no serving object in the report".into(),
-            ));
-            return gates;
-        }
+    let Some(sv) = &report.serving else {
+        gates.push(Gate::pass_if(
+            "report carries the schema-v7 serving object",
+            false,
+            "no serving object in the report".into(),
+        ));
+        return gates;
     };
     gates.push(Gate::pass_if(
         "report carries the schema-v7 serving object",
@@ -365,10 +356,8 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         "sharded service measured".into(),
     ));
 
-    let sv = |key: &str| u64_field(serving, key).unwrap_or(0);
-    let sv_evals = sv("kernel_evals");
-    let sv_served = sv("requests_served");
-    let sv_coalesced = sv("coalesced_arrivals");
+    let (sv_evals, sv_served, sv_coalesced) =
+        (sv.kernel_evals, sv.requests_served, sv.coalesced_arrivals);
     gates.push(Gate::pass_if(
         "serving: zero kernel evals service-wide, bursts coalesced",
         sv_evals == 0 && sv_served > 0 && sv_coalesced > 0,
@@ -378,20 +367,18 @@ fn evaluate_gates(json: &str, n: usize, k: usize) -> Vec<Gate> {
         ),
     ));
 
-    let sv_bw = array_field(serving, "final_bandwidths_bits");
-    let lk_bw = array_field(serving, "lock_final_bandwidths_bits");
     if n >= 2_000 {
-        let sv_ratio = match (
-            f64_field(serving, "lock_wall_seconds"),
-            f64_field(serving, "wall_seconds"),
-        ) {
-            (Some(lw), Some(sw)) if sw > 0.0 => lw / sw,
-            _ => 0.0,
-        };
+        let sv_ratio =
+            if sv.wall_seconds > 0.0 { sv.lock_wall_seconds / sv.wall_seconds } else { 0.0 };
+        let (sv_bw, lk_bw) = (&sv.final_bandwidths, &sv.lock_final_bandwidths);
         gates.push(Gate::pass_if(
             "sharded service beats the global lock >= 4x at identical bandwidths",
-            sv_ratio >= 4.0 && sv_bw.is_some() && sv_bw == lk_bw,
-            format!("wall ratio {sv_ratio:.1} >= 4, bandwidths {sv_bw:?} == {lk_bw:?}"),
+            sv_ratio >= 4.0 && same_bits(sv_bw, lk_bw),
+            format!(
+                "wall ratio {sv_ratio:.1} >= 4, bandwidths [{}] == [{}]",
+                hex(sv_bw),
+                hex(lk_bw)
+            ),
         ));
     } else {
         gates.push(Gate::skip(
@@ -417,6 +404,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let json = report.to_json();
     let path = Path::new(&out);
     if let Some(dir) = path.parent() {
         if std::fs::create_dir_all(dir).is_err() {
@@ -424,22 +412,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if std::fs::write(path, report.to_json()).is_err() {
+    if std::fs::write(path, &json).is_err() {
         eprintln!("perf gate: cannot write {}", path.display());
         return ExitCode::FAILURE;
     }
-    // Assert from the file, not the in-memory report: the gate's contract is
-    // over what downstream tooling will actually read. One read serves every
-    // gate.
-    let json = match std::fs::read_to_string(path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("perf gate: cannot read back {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
 
-    let gates = evaluate_gates(&json, n, k);
+    let gates = evaluate_gates(&report, &json, kcv_obs::enabled());
     let width = gates.iter().map(|g| g.name.len()).max().unwrap_or(0);
     for g in &gates {
         let verdict = match g.ok {
@@ -465,125 +443,170 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcv_bench::report::{BaggedInfo, MultiInfo, ServingInfo, StreamingInfo};
+    use kcv_obs::Snapshot;
+    use Counter::{BagsRun, DimSweeps, KernelEvals, MemTransactions, WindowQueries};
 
-    const SAMPLE: &str = "{\"version\":10,\"metrics_enabled\":true,\"strategies\":[\
-        {\"name\":\"sorted\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":90,\"sort_comparisons\":400000}}},\
-        {\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"window_queries\":200000}}},\
-        {\"name\":\"prefix-par\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"window_queries\":200000}}},\
-        {\"name\":\"gpu-windowed\",\"bandwidth\":0.125000,\
-        \"device_bytes_peak\":58048,\"obs\":{\"counters\":{\
-        \"window_queries\":200000,\"mem_transactions\":5600000}}},\
-        {\"name\":\"bagged\",\"bandwidth\":0.120000,\
-        \"bagged\":{\"bags\":10,\"bag_size\":500,\"combiner\":\"mean\",\
-        \"workers\":8,\"host_bytes_peak\":900000},\"obs\":{\"counters\":{\
-        \"kernel_evals\":0,\"window_queries\":500000,\"bags_run\":10}}},\
-        {\"name\":\"multi-naive\",\"bandwidth\":0.125000,\
-        \"wall_seconds\":1.500000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000],\
-        \"bandwidths_bits\":[\"3fc0000000000000\",\"3fd0000000000000\"]},\
-        \"obs\":{\"counters\":{\"kernel_evals\":790000000,\"window_queries\":0}}},\
-        {\"name\":\"multi-fast\",\"bandwidth\":0.125000,\
-        \"wall_seconds\":0.050000000,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.125000,0.250000],\
-        \"bandwidths_bits\":[\"3fc0000000000000\",\"3fd0000000000000\"]},\
-        \"obs\":{\"counters\":{\"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000}}}],\
-        \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\
-        \"inserts\":2000,\"removes\":1500,\"reselects\":32,\
-        \"tree_updates\":104000,\"kernel_evals\":0,\
-        \"final_bandwidth\":0.052341000000,\"final_bandwidth_bits\":\"3faacc70867ad8e4\",\
-        \"recompute_bandwidth\":0.052341000000,\
-        \"recompute_bandwidth_bits\":\"3faacc70867ad8e4\",\
-        \"wall_seconds\":0.011000000,\"recompute_wall_seconds\":0.420000000},\
-        \"serving\":{\"streams\":8,\"arrivals_per_stream\":2000,\"shards\":4,\
-        \"window\":256,\"cadence\":50,\"requests_served\":16008,\
-        \"coalesced_arrivals\":15200,\"queue_high_water\":812,\
-        \"shed_requests\":0,\"reselects\":24,\"lock_reselects\":328,\
-        \"kernel_evals\":0,\"wall_seconds\":0.081000000,\
-        \"lock_wall_seconds\":0.840000000,\
-        \"final_bandwidths\":[0.052000000000,0.053000000000],\
-        \"final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"],\
-        \"lock_final_bandwidths\":[0.052000000000,0.053000000000],\
-        \"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"]}}";
-
-    #[test]
-    fn strategy_slice_isolates_one_entry() {
-        let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
-        assert!(sorted.contains("\"sort_comparisons\":400000"));
-        assert!(!sorted.contains("\"window_queries\""));
-        let prefix = strategy_slice(SAMPLE, "prefix").unwrap();
-        assert_eq!(u64_field(prefix, "window_queries"), Some(200_000));
-        assert!(strategy_slice(SAMPLE, "gpu-sim").is_none());
+    fn entry(name: &'static str, bandwidth: f64, counters: &[(Counter, u64)]) -> StrategyPerf {
+        StrategyPerf {
+            name,
+            bandwidth,
+            score: 0.5,
+            wall_seconds: 0.1,
+            simulated_seconds: None,
+            device_bytes_peak: None,
+            bagged: None,
+            multi: None,
+            obs: Snapshot {
+                counters: counters.iter().map(|&(c, v)| (c.name(), v)).collect(),
+                phases: Vec::new(),
+            },
+        }
     }
 
-    #[test]
-    fn strategy_slice_distinguishes_prefix_from_prefix_par() {
-        // The needle carries the closing quote, so "prefix" cannot match the
-        // "prefix-par" entry; emission order makes the plain entry first.
-        let prefix = strategy_slice(SAMPLE, "prefix").unwrap();
-        assert!(prefix.contains("\"window_queries\":200000"));
-        assert!(!prefix.contains("prefix-par"));
-        assert!(strategy_slice(SAMPLE, "prefix-par").is_some());
+    /// A report every gate passes at n = 2,000, k = 100: ceil(log2 2000) =
+    /// 11, so the window-query ceiling is 2,200,000, the windowed peak
+    /// ceiling 128,000 bytes and the transaction ceiling 18,800,000.
+    /// Bagged (B = 10, r = 500): work ceiling 500,000 queries; memory
+    /// ceiling 8 × (256·500 + 64·100 + 65,536) = 1,599,488 bytes.
+    /// Multi-fast (g = 100, d = 2): query ceiling 100·2,000·2·11 =
+    /// 4,400,000; wall ratio 1.5/0.05 = 30×. Streaming (W = 500): update
+    /// ceiling (2,000 + 1,500)·9·5 = 157,500; wall ratio 0.42/0.011 = 38×.
+    /// Serving: wall ratio 0.84/0.081 = 10.4×, identical bandwidth arrays.
+    fn fixture() -> PerfReport {
+        let multi = |name, wall_seconds, counters: &[(Counter, u64)]| StrategyPerf {
+            wall_seconds,
+            multi: Some(MultiInfo { dims: 2, grid_points: 100, bandwidths: vec![0.125, 0.25] }),
+            ..entry(name, 0.125, counters)
+        };
+        PerfReport {
+            config: ReportConfig { n: 2_000, k: 100, seed: 42 },
+            strategies: vec![
+                entry("sorted", 0.125, &[(KernelEvals, 90)]),
+                entry("prefix", 0.125, &[(KernelEvals, 0), (WindowQueries, 200_000)]),
+                entry("prefix-par", 0.125, &[(KernelEvals, 0), (WindowQueries, 200_000)]),
+                StrategyPerf {
+                    device_bytes_peak: Some(58_048),
+                    ..entry(
+                        "gpu-windowed",
+                        0.125,
+                        &[(WindowQueries, 200_000), (MemTransactions, 5_600_000)],
+                    )
+                },
+                StrategyPerf {
+                    bagged: Some(BaggedInfo {
+                        bags: 10,
+                        bag_size: 500,
+                        combiner: "mean",
+                        workers: 8,
+                        host_bytes_peak: 900_000,
+                    }),
+                    ..entry(
+                        "bagged",
+                        0.12,
+                        &[(KernelEvals, 0), (WindowQueries, 500_000), (BagsRun, 10)],
+                    )
+                },
+                multi("multi-naive", 1.5, &[(KernelEvals, 790_000_000)]),
+                multi(
+                    "multi-fast",
+                    0.05,
+                    &[(KernelEvals, 0), (DimSweeps, 200), (WindowQueries, 400_000)],
+                ),
+            ],
+            streaming: Some(StreamingInfo {
+                arrivals: 2_000,
+                window: 500,
+                cadence: 64,
+                inserts: 2_000,
+                removes: 1_500,
+                reselects: 32,
+                tree_updates: 104_000,
+                kernel_evals: 0,
+                final_bandwidth: 0.052341,
+                recompute_bandwidth: 0.052341,
+                wall_seconds: 0.011,
+                recompute_wall_seconds: 0.42,
+            }),
+            serving: Some(ServingInfo {
+                streams: 8,
+                arrivals_per_stream: 2_000,
+                shards: 4,
+                window: 256,
+                cadence: 50,
+                requests_served: 16_008,
+                coalesced_arrivals: 15_200,
+                queue_high_water: 812,
+                shed_requests: 0,
+                reselects: 24,
+                lock_reselects: 328,
+                kernel_evals: 0,
+                wall_seconds: 0.081,
+                lock_wall_seconds: 0.84,
+                final_bandwidths: vec![0.052, 0.053],
+                lock_final_bandwidths: vec![0.052, 0.053],
+            }),
+        }
     }
 
-    #[test]
-    fn field_parsers_read_numbers() {
-        let sorted = strategy_slice(SAMPLE, "sorted").unwrap();
-        assert_eq!(u64_field(sorted, "kernel_evals"), Some(90));
-        assert_eq!(f64_field(sorted, "bandwidth"), Some(0.125));
-        assert_eq!(u64_field(sorted, "missing"), None);
+    fn strategy<'a>(report: &'a mut PerfReport, name: &str) -> &'a mut StrategyPerf {
+        report.strategies.iter_mut().find(|s| s.name == name).unwrap()
+    }
+
+    fn set(report: &mut PerfReport, name: &str, counter: Counter, value: u64) {
+        let counters = &mut strategy(report, name).obs.counters;
+        counters.retain(|&(c, _)| c != counter.name());
+        counters.push((counter.name(), value));
+    }
+
+    fn gates(report: &PerfReport) -> Vec<Gate> {
+        evaluate_gates(report, &report.to_json(), true)
+    }
+
+    fn fails(gates: &[Gate]) -> Vec<&'static str> {
+        gates.iter().filter(|g| g.ok == Some(false)).map(|g| g.name).collect()
+    }
+
+    /// The gates `mutate` makes fail on the conforming fixture.
+    fn fails_after(mutate: impl FnOnce(&mut PerfReport)) -> Vec<&'static str> {
+        let mut report = fixture();
+        mutate(&mut report);
+        fails(&gates(&report))
     }
 
     #[test]
     fn all_gates_pass_on_a_conforming_report() {
-        // n = 2,000, k = 100: ceil(log2 2000) = 11, so the window-query
-        // ceiling is 2,200,000, the windowed peak ceiling 128,000 bytes and
-        // the transaction ceiling 18,800,000.
-        // Bagged (B = 10, r = 500): work ceiling 500,000 queries; memory
-        // ceiling 8 × (256·500 + 64·100 + 65,536) = 1,599,488 bytes.
-        // Multi-fast (g = 100, d = 2): query ceiling 100·2,000·2·11 =
-        // 4,400,000; wall ratio 1.5/0.05 = 30×. Streaming (W = 500):
-        // update ceiling (2,000 + 1,500)·9·5 = 157,500; wall ratio
-        // 0.42/0.011 = 38×. Serving: wall ratio 0.84/0.081 = 10.4×,
-        // identical bandwidth arrays.
-        let gates = evaluate_gates(SAMPLE, 2_000, 100);
+        let gates = gates(&fixture());
         assert_eq!(gates.len(), 18);
         assert!(gates.iter().all(|g| g.ok == Some(true)), "{:?}", fails(&gates));
     }
 
     #[test]
     fn kernel_eval_gate_catches_a_scanning_prefix() {
-        let bad = SAMPLE.replace(
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-             \"kernel_evals\":0",
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000,\"obs\":{\"counters\":{\
-             \"kernel_evals\":7",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["prefix sweeps never evaluate the kernel"]);
+        let failed = fails_after(|r| set(r, "prefix", KernelEvals, 7));
+        assert_eq!(failed, vec!["prefix sweeps never evaluate the kernel"]);
     }
 
     #[test]
     fn window_query_gate_catches_a_per_probe_count() {
         // A count above n·k·ceil(log2 n) means queries are being charged per
         // binary-search probe (or per neighbour), not per cell.
-        let bad = SAMPLE.replace("\"window_queries\":200000", "\"window_queries\":2200001");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert!(fails(&gates)
-            .contains(&"prefix window queries stay within n*k*ceil(log2 n)"));
+        let failed = fails_after(|r| set(r, "prefix", WindowQueries, 2_200_001));
+        assert_eq!(failed, vec!["prefix window queries stay within n*k*ceil(log2 n)"]);
+    }
+
+    #[test]
+    fn prefix_gate_refuses_zero_queries() {
+        // A prefix entry that never ran its window machinery must not pass
+        // the query ceiling by vacuity.
+        let failed = fails_after(|r| set(r, "prefix", WindowQueries, 0));
+        assert_eq!(failed, vec!["prefix window machinery actually ran"]);
     }
 
     #[test]
     fn bandwidth_gate_catches_a_prefix_disagreement() {
-        let bad = SAMPLE.replacen(
-            "{\"name\":\"prefix\",\"bandwidth\":0.125000",
-            "{\"name\":\"prefix\",\"bandwidth\":0.250000",
-            1,
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["prefix strategies select the sorted sweep's bandwidth"]);
+        let failed = fails_after(|r| strategy(r, "prefix").bandwidth = 0.25);
+        assert_eq!(failed, vec!["prefix strategies select the sorted sweep's bandwidth"]);
     }
 
     #[test]
@@ -591,9 +614,9 @@ mod tests {
         // 8n² bytes at n = 2,000 is 32 MB — a windowed program that quietly
         // reallocated the classic n×n residual matrices lands here, five
         // hundred times over the 64n = 128,000-byte ceiling.
-        let bad = SAMPLE.replace("\"device_bytes_peak\":58048", "\"device_bytes_peak\":32000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["windowed peak device bytes stay O(n), no n^2 term"]);
+        let failed =
+            fails_after(|r| strategy(r, "gpu-windowed").device_bytes_peak = Some(32_000_000));
+        assert_eq!(failed, vec!["windowed peak device bytes stay O(n), no n^2 term"]);
     }
 
     #[test]
@@ -601,25 +624,25 @@ mod tests {
         // A per-neighbour running-sum loop reads Θ(n) cells per (obs, h)
         // pair: n·k·n = 4·10⁸ transactions at gate scale, far above the
         // n·k·(2·ceil(log2 n) + 72) = 18,800,000 ceiling.
-        let bad = SAMPLE.replace("\"mem_transactions\":5600000", "\"mem_transactions\":400000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["windowed mem transactions stay O(k log n) per observation"]
-        );
+        let failed = fails_after(|r| set(r, "gpu-windowed", MemTransactions, 400_000_000));
+        assert_eq!(failed, vec!["windowed mem transactions stay O(k log n) per observation"]);
     }
 
     #[test]
     fn windowed_gates_refuse_zero_counts() {
         // A report produced without actually running the windowed program
-        // (peak 0, no traffic) must not pass by vacuity.
-        let bad = SAMPLE
-            .replace("\"device_bytes_peak\":58048", "\"device_bytes_peak\":0")
-            .replace("\"mem_transactions\":5600000", "\"mem_transactions\":0");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(failed.contains(&"windowed peak device bytes stay O(n), no n^2 term"));
-        assert!(failed.contains(&"windowed mem transactions stay O(k log n) per observation"));
+        // (no peak, no traffic) must not pass by vacuity.
+        let failed = fails_after(|r| {
+            strategy(r, "gpu-windowed").device_bytes_peak = None;
+            set(r, "gpu-windowed", MemTransactions, 0);
+        });
+        assert_eq!(
+            failed,
+            vec![
+                "windowed peak device bytes stay O(n), no n^2 term",
+                "windowed mem transactions stay O(k log n) per observation"
+            ]
+        );
     }
 
     #[test]
@@ -627,103 +650,86 @@ mod tests {
         // A bagged run that sweeps all n observations per bag does
         // B·n·k = 10·2,000·100 = 2,000,000 queries, four times the
         // B·r·k = 500,000 ceiling.
-        let bad = SAMPLE.replace("\"window_queries\":500000", "\"window_queries\":2000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["bagged work stays within B x one bag's bound, no n term"]);
+        let failed = fails_after(|r| set(r, "bagged", WindowQueries, 2_000_000));
+        assert_eq!(failed, vec!["bagged work stays within B x one bag's bound, no n term"]);
     }
 
     #[test]
     fn bagged_work_gate_catches_a_kernel_evaluating_engine() {
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"window_queries\":500000",
-            "\"kernel_evals\":7,\"window_queries\":500000",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["bagged work stays within B x one bag's bound, no n term"]);
+        let failed = fails_after(|r| set(r, "bagged", KernelEvals, 7));
+        assert_eq!(failed, vec!["bagged work stays within B x one bag's bound, no n term"]);
     }
 
     #[test]
     fn bagged_memory_gate_catches_all_bags_held_alive() {
         // Keeping all 10 bags' data live (or anything O(n)-sized) blows
         // through the 8-worker × 199,936-byte = 1,599,488 ceiling.
-        let bad = SAMPLE.replace("\"host_bytes_peak\":900000", "\"host_bytes_peak\":100000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["bagged peak memory stays within workers x one bag's footprint"]
-        );
+        let failed = fails_after(|r| {
+            strategy(r, "bagged").bagged.as_mut().unwrap().host_bytes_peak = 100_000_000
+        });
+        assert_eq!(failed, vec!["bagged peak memory stays within workers x one bag's footprint"]);
     }
 
     #[test]
     fn bagged_gates_refuse_zero_counts() {
         // A report whose bagged entry never ran (no queries, no peak) must
-        // not pass by vacuity.
-        let bad = SAMPLE
-            .replace("\"window_queries\":500000", "\"window_queries\":0")
-            .replace("\"host_bytes_peak\":900000", "\"host_bytes_peak\":0");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(failed.contains(&"bagged work stays within B x one bag's bound, no n term"));
-        assert!(failed.contains(&"bagged peak memory stays within workers x one bag's footprint"));
+        // not pass by vacuity, nor one that lost its bag dimensions.
+        let expected = vec![
+            "bagged work stays within B x one bag's bound, no n term",
+            "bagged peak memory stays within workers x one bag's footprint",
+        ];
+        let failed = fails_after(|r| {
+            set(r, "bagged", WindowQueries, 0);
+            strategy(r, "bagged").bagged.as_mut().unwrap().host_bytes_peak = 0;
+        });
+        assert_eq!(failed, expected);
+        assert_eq!(fails_after(|r| strategy(r, "bagged").bagged = None), expected);
     }
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
-        let bad = SAMPLE.replace("\"version\":10", "\"version\":9");
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let report = fixture();
+        let stale = report.to_json().replacen("{\"version\":11,", "{\"version\":10,", 1);
+        let gates = evaluate_gates(&report, &stale, true);
         assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
     }
 
     #[test]
     fn multi_kernel_eval_gate_catches_a_product_evaluating_engine() {
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"dim_sweeps\":200",
-            "\"kernel_evals\":7,\"dim_sweeps\":200",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["multi-fast never evaluates the kernel"]);
+        let failed = fails_after(|r| set(r, "multi-fast", KernelEvals, 7));
+        assert_eq!(failed, vec!["multi-fast never evaluates the kernel"]);
     }
 
     #[test]
     fn multi_window_gate_catches_a_per_neighbour_product_scan() {
         // One over the g·n·d·ceil(log2 n) = 100·2,000·2·11 = 4,400,000
         // ceiling: queries charged per neighbour, not per cell.
-        let bad = SAMPLE.replace("\"window_queries\":400000", "\"window_queries\":4400001");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["multi-fast window queries stay within g*n*d*ceil(log2 n)"]
-        );
+        let failed = fails_after(|r| set(r, "multi-fast", WindowQueries, 4_400_001));
+        assert_eq!(failed, vec!["multi-fast window queries stay within g*n*d*ceil(log2 n)"]);
     }
 
     #[test]
     fn multi_speedup_gate_catches_a_slow_fast_path() {
         // Ratio 1.5/1.0 = 1.5× is far under the required 10×.
-        let bad =
-            SAMPLE.replace("\"wall_seconds\":0.050000000", "\"wall_seconds\":1.000000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]
-        );
+        let failed = fails_after(|r| strategy(r, "multi-fast").wall_seconds = 1.0);
+        assert_eq!(failed, vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]);
     }
 
     #[test]
     fn multi_speedup_gate_catches_a_bandwidth_vector_mismatch() {
-        // First occurrence is multi-naive's vector: any componentwise
-        // drift between the serialised arrays must fail, even when the
-        // scalar dimension-1 `bandwidth` fields still agree.
-        let bad = SAMPLE.replacen("\"3fd0000000000000\"]", "\"3fd0a3d70a3d70a4\"]", 1);
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]
-        );
+        // Any componentwise drift between the two vectors must fail, even
+        // when the scalar dimension-1 `bandwidth` fields still agree.
+        let failed = fails_after(|r| {
+            strategy(r, "multi-naive").multi.as_mut().unwrap().bandwidths[1] = 0.26
+        });
+        assert_eq!(failed, vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]);
     }
 
     #[test]
     fn multi_speedup_gate_skips_below_two_thousand() {
-        let gates = evaluate_gates(SAMPLE, 1_000, 100);
+        let mut report = fixture();
+        report.config.n = 1_000;
+        let gates = gates(&report);
         let gate = gates.iter().find(|g| g.name.contains(">= 10x")).unwrap();
         assert_eq!(gate.ok, None);
     }
@@ -732,35 +738,32 @@ mod tests {
     fn multi_gates_refuse_zero_counts() {
         // A report whose multi-fast entry never ran (no sweeps, no
         // queries) must not pass by vacuity.
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"dim_sweeps\":200,\"window_queries\":400000",
-            "\"kernel_evals\":0,\"dim_sweeps\":0,\"window_queries\":0",
+        let failed = fails_after(|r| {
+            set(r, "multi-fast", DimSweeps, 0);
+            set(r, "multi-fast", WindowQueries, 0);
+        });
+        assert_eq!(
+            failed,
+            vec![
+                "multi-fast never evaluates the kernel",
+                "multi-fast window queries stay within g*n*d*ceil(log2 n)"
+            ]
         );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(failed.contains(&"multi-fast never evaluates the kernel"));
-        assert!(failed.contains(&"multi-fast window queries stay within g*n*d*ceil(log2 n)"));
     }
 
     #[test]
     fn streaming_gate_catches_a_missing_object() {
-        // A writer that stops measuring the replay (pre-v6 tail) must fail
-        // gate 13 explicitly, not let gates 14–15 pass by absence.
-        let end = SAMPLE.find(",\"streaming\":{").unwrap();
-        let bad = format!("{}}}", &SAMPLE[..end]);
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["report carries the schema-v6 streaming object"]);
+        // A writer that stops measuring the replay must fail gate 13
+        // explicitly, not let gates 14–15 pass by absence.
+        let failed = fails_after(|r| r.streaming = None);
+        assert_eq!(failed, vec!["report carries the schema-v6 streaming object"]);
     }
 
     #[test]
     fn streaming_update_gate_catches_a_kernel_evaluating_replay() {
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"final_bandwidth\"",
-            "\"kernel_evals\":7,\"final_bandwidth\"",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.streaming.as_mut().unwrap().kernel_evals = 7);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["streaming replay: zero kernel evals, table rows within the update budget"]
         );
     }
@@ -769,10 +772,9 @@ mod tests {
     fn streaming_update_gate_catches_an_over_budget_tree() {
         // One table pass per arrival (or per-moment counting) lands far
         // above the (ins+rem)·ceil(log2 W)·(deg+3) = 157,500 ceiling.
-        let bad = SAMPLE.replace("\"tree_updates\":104000", "\"tree_updates\":1000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.streaming.as_mut().unwrap().tree_updates = 1_000_000);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["streaming replay: zero kernel evals, table rows within the update budget"]
         );
     }
@@ -780,72 +782,50 @@ mod tests {
     #[test]
     fn streaming_speedup_gate_catches_a_slow_replay() {
         // Ratio 0.42/0.2 = 2.1× is far under the required 10×.
-        let bad =
-            SAMPLE.replace("\"wall_seconds\":0.011000000", "\"wall_seconds\":0.200000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.streaming.as_mut().unwrap().wall_seconds = 0.2);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["streaming replay beats per-arrival recompute >= 10x, identical bandwidth"]
         );
     }
 
     #[test]
     fn streaming_speedup_gate_catches_a_bandwidth_divergence() {
-        let bad = SAMPLE.replace(
-            "\"recompute_bandwidth_bits\":\"3faacc70867ad8e4\"",
-            "\"recompute_bandwidth_bits\":\"3fab22af5771001d\"",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.streaming.as_mut().unwrap().recompute_bandwidth = 0.053);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["streaming replay beats per-arrival recompute >= 10x, identical bandwidth"]
         );
     }
 
     #[test]
     fn serving_gate_catches_a_missing_object() {
-        // A writer that stops measuring the sharded service (v6 tail) must
-        // fail gate 16 explicitly, not let gates 17–18 pass by absence.
-        let end = SAMPLE.find(",\"serving\":{").unwrap();
-        let bad = format!("{}}}", &SAMPLE[..end]);
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(fails(&gates), vec!["report carries the schema-v7 serving object"]);
+        // A writer that stops measuring the sharded service must fail gate
+        // 16 explicitly, not let gates 17–18 pass by absence.
+        let failed = fails_after(|r| r.serving = None);
+        assert_eq!(failed, vec!["report carries the schema-v7 serving object"]);
     }
 
     #[test]
     fn serving_gate_catches_a_kernel_evaluating_service() {
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"wall_seconds\":0.081000000",
-            "\"kernel_evals\":7,\"wall_seconds\":0.081000000",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["serving: zero kernel evals service-wide, bursts coalesced"]
-        );
+        let failed = fails_after(|r| r.serving.as_mut().unwrap().kernel_evals = 7);
+        assert_eq!(failed, vec!["serving: zero kernel evals service-wide, bursts coalesced"]);
     }
 
     #[test]
     fn serving_gate_refuses_an_uncoalesced_run() {
         // A worker that re-selects per arrival never merges a burst:
         // coalesced_arrivals == 0 must not pass by vacuity.
-        let bad =
-            SAMPLE.replace("\"coalesced_arrivals\":15200", "\"coalesced_arrivals\":0");
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        assert_eq!(
-            fails(&gates),
-            vec!["serving: zero kernel evals service-wide, bursts coalesced"]
-        );
+        let failed = fails_after(|r| r.serving.as_mut().unwrap().coalesced_arrivals = 0);
+        assert_eq!(failed, vec!["serving: zero kernel evals service-wide, bursts coalesced"]);
     }
 
     #[test]
     fn serving_speedup_gate_catches_a_slow_service() {
         // Ratio 0.84/0.5 = 1.7× is far under the required 4×.
-        let bad =
-            SAMPLE.replace("\"wall_seconds\":0.081000000", "\"wall_seconds\":0.500000000");
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.serving.as_mut().unwrap().wall_seconds = 0.5);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["sharded service beats the global lock >= 4x at identical bandwidths"]
         );
     }
@@ -854,90 +834,65 @@ mod tests {
     fn serving_speedup_gate_catches_a_bandwidth_divergence() {
         // Conflation must not change any stream's final selection: one
         // component drifting in the baseline's array fails the identity.
-        let bad = SAMPLE.replace(
-            "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3fab22d0e5604189\"]",
-            "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\",\"3faba5e353f7ced9\"]",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
+        let failed = fails_after(|r| r.serving.as_mut().unwrap().lock_final_bandwidths[1] = 0.054);
         assert_eq!(
-            fails(&gates),
+            failed,
             vec!["sharded service beats the global lock >= 4x at identical bandwidths"]
         );
     }
 
     #[test]
     fn identity_gates_compare_bits_not_rounded_decimals() {
-        // 0.052341 and its successor float print identically at 12
-        // decimals (0.052341000000) but differ in the last bit: each
-        // bit-identity gate must catch a one-ulp drift its decimals hide.
-        let ulp = |v: f64| format!("{:016x}", v.to_bits() + 1);
-        let next = f64::from_bits(0.052341f64.to_bits() + 1);
-        assert_eq!(format!("{next:.12}"), format!("{:.12}", 0.052341));
-        let cases = [
-            (
-                "\"recompute_bandwidth_bits\":\"3faacc70867ad8e4\"".to_string(),
-                format!("\"recompute_bandwidth_bits\":\"{}\"", ulp(0.052341)),
-                "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
-            ),
-            (
-                "\"lock_final_bandwidths_bits\":[\"3faa9fbe76c8b439\"".to_string(),
-                format!("\"lock_final_bandwidths_bits\":[\"{}\"", ulp(0.052)),
-                "sharded service beats the global lock >= 4x at identical bandwidths",
-            ),
-            (
-                "[\"3fc0000000000000\",\"3fd0000000000000\"]".to_string(),
-                format!("[\"3fc0000000000000\",\"{}\"]", ulp(0.25)),
-                "multi-fast beats multi-naive >= 10x on the identical optimum",
-            ),
-        ];
-        for (from, to, gate) in cases {
-            let bad = SAMPLE.replacen(&from, &to, 1);
-            assert_ne!(bad, SAMPLE, "{from} not in the sample");
-            assert_eq!(fails(&evaluate_gates(&bad, 2_000, 100)), vec![gate]);
+        // A value and its successor float print identically at 12 decimals
+        // but differ in the last bit: each bit-identity gate must catch a
+        // one-ulp drift the report's decimals hide.
+        fn next(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() + 1);
         }
+        fn check(gate: &str, mutate: fn(&mut PerfReport)) {
+            let mut report = fixture();
+            mutate(&mut report);
+            assert_eq!(report.to_json(), fixture().to_json(), "{gate}: decimals differ");
+            assert_eq!(fails(&gates(&report)), vec![gate]);
+        }
+        check("prefix strategies select the sorted sweep's bandwidth", |r| {
+            next(&mut strategy(r, "prefix-par").bandwidth)
+        });
+        check("streaming replay beats per-arrival recompute >= 10x, identical bandwidth", |r| {
+            next(&mut r.streaming.as_mut().unwrap().recompute_bandwidth)
+        });
+        check("sharded service beats the global lock >= 4x at identical bandwidths", |r| {
+            next(&mut r.serving.as_mut().unwrap().lock_final_bandwidths[0])
+        });
+        check("multi-fast beats multi-naive >= 10x on the identical optimum", |r| {
+            next(&mut strategy(r, "multi-fast").multi.as_mut().unwrap().bandwidths[1])
+        });
     }
 
     #[test]
     fn serving_speedup_gate_skips_below_two_thousand() {
-        let gates = evaluate_gates(SAMPLE, 1_000, 100);
+        let mut report = fixture();
+        report.config.n = 1_000;
+        let gates = gates(&report);
         let gate = gates.iter().find(|g| g.name.contains(">= 4x")).unwrap();
         assert_eq!(gate.ok, None);
         assert_eq!(fails(&gates), Vec::<&str>::new());
     }
 
     #[test]
-    fn streaming_slice_stops_at_the_serving_boundary() {
-        // The two objects share field names; corrupting serving's
-        // `kernel_evals` must trip the serving gate, never the streaming
-        // one (which would prove the streaming slice leaked across).
-        let bad = SAMPLE.replace(
-            "\"kernel_evals\":0,\"wall_seconds\":0.081000000",
-            "\"kernel_evals\":9,\"wall_seconds\":0.081000000",
-        );
-        let gates = evaluate_gates(&bad, 2_000, 100);
-        let failed = fails(&gates);
-        assert!(!failed
-            .contains(&"streaming replay: zero kernel evals, table rows within the update budget"));
-        assert!(failed.contains(&"serving: zero kernel evals service-wide, bursts coalesced"));
-    }
-
-    #[test]
     fn disabled_metrics_fail_the_gate() {
-        let off = SAMPLE.replace("\"metrics_enabled\":true", "\"metrics_enabled\":false");
-        let gates = evaluate_gates(&off, 2_000, 100);
+        let report = fixture();
+        let gates = evaluate_gates(&report, &report.to_json(), false);
         assert_eq!(gates.len(), 1);
         assert_eq!(gates[0].ok, Some(false));
     }
 
     #[test]
     fn missing_strategy_entries_fail_the_gate() {
-        let truncated = SAMPLE.replace("{\"name\":\"prefix-par\"", "{\"name\":\"other\"");
-        let gates = evaluate_gates(&truncated, 2_000, 100);
+        let mut report = fixture();
+        report.strategies.retain(|s| s.name != "prefix-par");
+        let gates = gates(&report);
         assert_eq!(gates.len(), 1);
         assert_eq!(gates[0].ok, Some(false));
-    }
-
-    fn fails(gates: &[Gate]) -> Vec<&'static str> {
-        gates.iter().filter(|g| g.ok == Some(false)).map(|g| g.name).collect()
     }
 }

@@ -40,8 +40,6 @@
 //! Outputs:
 //!
 //! * `results/scaling.csv` — the raw table (CI uploads this artifact);
-//! * `results/BENCH_report.json` — a schema-v6 report collected at the
-//!   perf-gate point with the `scaling` array populated;
 //! * stdout — the rendered table plus the two acceptance checks:
 //!   1. the bagged selection at the *largest* n finishes in under the
 //!      full-data prefix time at n = 10⁵ (the ISSUE 7 criterion), and
@@ -55,7 +53,6 @@
 //! [--k 100]`
 
 use kcv_bench::alloc_track;
-use kcv_bench::report::{collect_report, ReportConfig, ScalingRow};
 use kcv_bench::table::{arg_parse, fmt_seconds, render, write_csv};
 use kcv_core::prelude::*;
 use kcv_data::{Dgp, PaperDgp};
@@ -75,6 +72,26 @@ const BANDWIDTH_FACTOR: f64 = 2.0;
 /// (measured ≈ 2·10⁻⁵ — the valley is flat, which is exactly why part 1
 /// cannot be much tighter than the minimizer's own noise).
 const REGRET_TOLERANCE: f64 = 1e-3;
+
+/// One row of the study, one `results/scaling.csv` line. The `full_*`
+/// fields are `None` where the full-data prefix run was skipped.
+struct ScalingRow {
+    n: usize,
+    bags: usize,
+    bag_size: usize,
+    bagged_wall_seconds: f64,
+    /// Measured host-heap peak delta (bytes).
+    bagged_host_bytes_peak: u64,
+    bagged_bandwidth: f64,
+    full_wall_seconds: Option<f64>,
+    full_host_bytes_peak: Option<u64>,
+    full_bandwidth: Option<f64>,
+    /// Full-data CV score at `full_bandwidth`, the grid minimum.
+    full_score: Option<f64>,
+    /// `(CV_n(h_bag) − CV_n(h_full)) / CV_n(h_full)`, the study's quality
+    /// metric (see the module docs).
+    bagged_regret: Option<f64>,
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -185,7 +202,6 @@ fn main() -> ExitCode {
             n,
             bags,
             bag_size,
-            combiner: "mean",
             bagged_wall_seconds,
             bagged_host_bytes_peak,
             bagged_bandwidth: bagged.bandwidth,
@@ -238,20 +254,6 @@ fn main() -> ExitCode {
         &csv_rows,
     ) {
         eprintln!("scaling: cannot write results/scaling.csv: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    eprintln!("scaling: collecting schema-v6 report at the perf-gate point…");
-    let mut report = match collect_report(ReportConfig { n: 2_000, k: 100, seed: 42 }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scaling: report collection failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    report.scaling = rows.clone();
-    if let Err(e) = std::fs::write("results/BENCH_report.json", report.to_json()) {
-        eprintln!("scaling: cannot write results/BENCH_report.json: {e}");
         return ExitCode::FAILURE;
     }
 
@@ -331,7 +333,7 @@ fn main() -> ExitCode {
     }
 
     if ok {
-        println!("scaling: all checks hold; wrote results/scaling.csv and results/BENCH_report.json");
+        println!("scaling: all checks hold; wrote results/scaling.csv");
         ExitCode::SUCCESS
     } else {
         println!("scaling: acceptance check(s) failed");

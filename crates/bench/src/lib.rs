@@ -8,8 +8,9 @@
 //! | Table I (same data, tabulated) | `table1` |
 //! | Table II panels A, B and W (run time vs bandwidth count) | `table2` |
 //! | §IV-A/§V memory-wall and constant-cache limits | `memory_limit` |
-//! | past-the-paper bagged scaling study (n = 10⁵..10⁷) | `scaling` |
-//! | everything above, written to `results/` | `experiments` |
+//! | past-the-paper bagged scaling study (n = 10⁵..10⁷), `results/scaling.csv` | `scaling` |
+//! | Figure 1, Tables I–II, memory limits and cross-checks, written to `results/` | `experiments` |
+//! | the 18 counter-based perf gates and `results/BENCH_report.json` | `perf_gate` |
 //!
 //! Criterion ablation benches live under `benches/`.
 
@@ -18,7 +19,6 @@
 
 pub mod alloc_track;
 pub mod chart;
-pub mod json;
 pub mod programs;
 pub mod report;
 pub mod sweep;

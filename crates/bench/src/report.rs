@@ -13,168 +13,75 @@
 //! snapshots are per-run deltas by construction — immune to any other
 //! instrumented code running concurrently in the process.
 //!
-//! ## Schema (version 10)
+//! `perf_gate` is the one binary that writes `results/BENCH_report.json`,
+//! and it evaluates its gates on the [`PerfReport`] itself, not on the
+//! text: the JSON is for people and CI artifacts.
 //!
-//! Version 2 renamed the per-phase `seconds` field to `cpu_seconds`:
-//! overlapping same-name phase scopes on different rayon workers sum to CPU
-//! time, which legitimately exceeds wall-clock (see the `kcv-obs`
-//! *Phase-timer semantics* rustdoc). Version 3 added the `gpu-windowed`
-//! strategy (the O(n)-memory device program) and the per-strategy
-//! `device_bytes_peak` field (`null` for CPU strategies) that the
-//! windowed-memory perf gate reads. Version 4 adds:
+//! ## Schema (version 11)
 //!
-//! * the `bagged` strategy entry, whose nested `bagged` object (`null` on
-//!   every other strategy) records `bags` (their `N`), `bag_size` (their
-//!   `r`), the `combiner`, the rayon `workers` the bags were chunked over,
-//!   and `host_bytes_peak` — the *measured* host-heap high-water delta of
-//!   the run from the crate's counting allocator (see `alloc_track`), which
-//!   the bagged-memory perf gate divides by `workers`;
-//! * the top-level `scaling` array (empty unless written by the `scaling`
-//!   binary) with one row per past-the-paper sample size;
-//! * an explicit restatement of the version-2 rule because the bagged run
-//!   is the first *multi-bag parallel* strategy in the report: the
-//!   `cv.bag` phase's `cpu_seconds` is the **sum over bags on all
-//!   workers**, so it exceeds the strategy's `wall_seconds` whenever bags
-//!   actually overlapped — that is the parallelism working, not a timer
-//!   bug. Tooling comparing strategies must use `wall_seconds`; phase
-//!   `cpu_seconds` only ever compares against other phase `cpu_seconds`.
+//! * `version`, `metrics_enabled` and `config` (`n`, `k`, `seed`,
+//!   `kernel`).
+//! * `strategies`: one object per [`STRATEGIES`] entry, in that order,
+//!   with the fields of [`StrategyPerf`]. `simulated_seconds` and
+//!   `device_bytes_peak` are `null` on CPU strategies, `bagged`
+//!   ([`BaggedInfo`]) on all but `bagged`, and `multi` ([`MultiInfo`]) on
+//!   all but the two `multi-*` strategies, whose scalar `bandwidth` is
+//!   dimension 1's component. `obs` is that run's counter and phase
+//!   snapshot. Phase times are `cpu_seconds`: same-name scopes on
+//!   different rayon workers sum, so a parallel phase (the bagged
+//!   `cv.bag`) can exceed the strategy's `wall_seconds`. Compare
+//!   strategies by `wall_seconds` only.
+//! * `streaming` ([`StreamingInfo`]): a sliding-window replay of the
+//!   sample against the sampled recompute-from-scratch baseline.
+//! * `serving` ([`ServingInfo`]): the sample replayed as concurrent
+//!   streams through the sharded service and the global-lock baseline.
 //!
-//! Version 5 adds the two multivariate strategies, measured over the
-//! shared `d = 2` dataset of [`crate::programs::multi_dataset`] on a
-//! `⌊√k⌋ × ⌊√k⌋` full bandwidth lattice:
-//!
-//! * `multi-naive` — `kcv_core::multi::select_full_grid_naive`, the
-//!   product-kernel oracle that evaluates `Π_j K(·)` for every
-//!   `(i, l ≠ i, h)` triple;
-//! * `multi-fast` — `kcv_core::multi::select_full_grid`, the
-//!   dimension-recursive fast-sum-updating engine (zero kernel
-//!   evaluations; window queries and `dim_sweeps` counters instead);
-//! * the per-strategy nested `multi` object (`null` on every univariate
-//!   strategy) recording `dims`, `grid_points`, and the full per-dimension
-//!   `bandwidths` array — the scalar `bandwidth` field on those entries is
-//!   dimension 1's component, kept so every entry stays shape-compatible.
-//!   The multivariate perf gates read `multi` to pin the fast engine's
-//!   zero-eval and window-query contracts and its ≥ 10× wall-time win
-//!   over `multi-naive` at gate scale.
-//!
-//! Version 6 adds the streaming replay and the chunk-hook observability:
-//!
-//! * the top-level `streaming` object (after `scaling`): a sliding-window
-//!   replay of the report's own paper-DGP sample through
-//!   `kcv_core::cv::SlidingWindowSelector` (window `max(n/4, 64)`,
-//!   re-selection cadence 64 arrivals, the same `k`-point **log-spaced**
-//!   grid the scaling study's full runs use). `wall_seconds` is the whole
-//!   replay including every cadence-triggered re-selection plus one forced
-//!   final `reselect`; `recompute_wall_seconds` is the extrapolated cost of
-//!   the recompute-from-scratch policy (a fresh prefix profile on the live
-//!   window at *every* arrival) — timing all `n` recomputes would dwarf
-//!   the report, so the baseline is **sampled at the replay's re-selection
-//!   points and the final window** and scaled to per-arrival cost. The
-//!   streaming perf gates pin `kernel_evals == 0`, the
-//!   `tree_updates ≤ (inserts+removes)·⌈log₂ window⌉·(deg+3)` budget, the
-//!   ≥ 10× wall-time win over the recompute baseline, and
-//!   `final_bandwidth == recompute_bandwidth` (serialised form);
-//! * the `scope_enters` counter in every `obs.counters` object: recorder
-//!   scope re-entries inside worker closures. The vendored rayon's
-//!   `fold_with_setup` chunk hook makes each parallel strategy pay one
-//!   entry per worker *chunk* (at most `available_parallelism`) instead of
-//!   one per observation, so a parallel strategy's count is now orders of
-//!   magnitude below its observation count while its sequential twin stays
-//!   at zero — the per-chunk-vs-per-observation delta is directly visible
-//!   in the report, with the per-item counter attribution (`kernel_evals`,
-//!   `window_queries`, …) unchanged.
-//!
-//! Version 7 adds the top-level `serving` object (after `streaming`): the
-//! sharded multi-stream service measurement. The report's paper-DGP sample
-//! is replayed as several concurrent arrival streams (each stream a
-//! rotation of the sample, so the per-stream sequences differ) through
-//! `kcv_serve::BandwidthService` — bounded per-shard queues, burst
-//! coalescing, one conflated re-selection per boundary-crossing burst —
-//! and, identically, through the single-global-lock baseline
-//! (`kcv_serve::GlobalLockService`) that re-selects at **every** cadence
-//! boundary under the lock. The object records both wall times, the
-//! service-side outcome counters (`reselects` vs `lock_reselects`, counted
-//! from the per-stream outcomes, so they are live without `--features
-//! metrics`), the merged shard obs counters (`requests_served`,
-//! `coalesced_arrivals`, `queue_high_water` — max across shards —
-//! `shed_requests`, `kernel_evals`; zero without metrics), and the two
-//! per-stream `final_bandwidths` arrays in stream-id order. Perf gates
-//! 16–18 (numbered 20–22 before version 8) pin the object's presence,
-//! the zero-kernel-eval / coalescing-observed contract, and the ≥ 4×
-//! throughput win at bit-identical serialised final bandwidths.
-//!
-//! Version 8 drops the `merged` and `merged-par` strategy entries: the
-//! merge-sweep was dominated on every measured axis by the prefix-moment
-//! sweep and was deleted, together with the four perf gates that read
-//! those entries (the remaining gates are renumbered 1–18).
-//!
-//! Version 9 writes every bandwidth a bit-identity gate compares twice:
-//! as the `{:.12}` decimal, for readers, and as its `f64::to_bits` in
-//! 16-digit hex, for the gates. The hex fields sit beside their decimals:
-//! `multi.bandwidths_bits`, the streaming `final_bandwidth_bits` and
-//! `recompute_bandwidth_bits`, and the serving `final_bandwidths_bits` and
-//! `lock_final_bandwidths_bits`. Gates 12, 15 and 18 compare the hex, so
-//! two bandwidths that agree to 12 decimals but differ in the last bit
-//! fail.
-//!
-//! Version 10 drops the `objective_evals` counter from every
-//! `obs.counters` object: nothing incremented it once the numerical
-//! selector it counted was deleted (`kcv_np::npregbw` reports its own
-//! count).
+//! Bandwidths and scores are written with 12 decimals, seconds with 9.
+//! The gates that assert bit identity compare `f64::to_bits` on the
+//! struct fields, so the rounding of the text cannot hide a one-ulp drift.
 //!
 //! ```json
 //! {
-//!   "version": 10,
+//!   "version": 11,
 //!   "metrics_enabled": true,
-//!   "config": {"n": 1000, "k": 50, "seed": 42, "kernel": "epanechnikov"},
+//!   "config": {"n": 2000, "k": 100, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
 //!     {
 //!       "name": "naive",
-//!       "bandwidth": 0.104,
-//!       "score": 0.0321,
-//!       "wall_seconds": 0.0124,
+//!       "bandwidth": 0.019970000000,
+//!       "score": 0.032100000000,
+//!       "wall_seconds": 0.512000000,
 //!       "simulated_seconds": null,
 //!       "device_bytes_peak": null,
 //!       "bagged": null,
 //!       "multi": null,
 //!       "obs": {
-//!         "counters": {"kernel_evals": 49950000, "sort_comparisons": 0, ...},
-//!         "phases": {"cv.naive": {"calls": 1, "cpu_seconds": 0.0123}, ...}
+//!         "counters": {"kernel_evals": 399800000, "sort_comparisons": 0, ...},
+//!         "phases": {"cv.naive": {"calls": 1, "cpu_seconds": 0.511000000}, ...}
 //!       }
 //!     },
 //!     {
 //!       "name": "bagged",
-//!       "bandwidth": 0.102,
 //!       ...
 //!       "bagged": {"bags": 10, "bag_size": 500, "combiner": "mean",
-//!                   "workers": 8, "host_bytes_peak": 392704},
-//!       "obs": {...}
+//!                  "workers": 8, "host_bytes_peak": 392704},
+//!       ...
 //!     },
 //!     {
 //!       "name": "multi-fast",
-//!       "bandwidth": 0.104,
 //!       ...
-//!       "multi": {"dims": 2, "grid_points": 49,
-//!                  "bandwidths": [0.104, 0.088],
-//!                  "bandwidths_bits": ["3fba9fbe76c8b439", "3fb6872b020c49ba"]},
-//!       "obs": {...}
+//!       "multi": {"dims": 2, "grid_points": 100,
+//!                 "bandwidths": [0.104000000000, 0.088000000000]},
+//!       ...
 //!     }
-//!   ],
-//!   "scaling": [
-//!     {"n": 10000000, "bags": 25, "bag_size": 2000, "combiner": "mean",
-//!      "bagged_wall_seconds": 0.021, "bagged_host_bytes_peak": 81920000,
-//!      "bagged_bandwidth": 0.0021, "full_wall_seconds": null,
-//!      "full_host_bytes_peak": null, "full_bandwidth": null,
-//!      "full_score": null, "bagged_regret": null}
 //!   ],
 //!   "streaming": {
 //!     "arrivals": 2000, "window": 500, "cadence": 64,
 //!     "inserts": 2000, "removes": 1500, "reselects": 32,
-//!     "tree_updates": 104000, "kernel_evals": 0,
-//!     "final_bandwidth": 0.052341, "final_bandwidth_bits": "3faacc70867ad8e4",
-//!     "recompute_bandwidth": 0.052341,
-//!     "recompute_bandwidth_bits": "3faacc70867ad8e4",
-//!     "wall_seconds": 0.011, "recompute_wall_seconds": 0.420
+//!     "tree_updates": 16000, "kernel_evals": 0,
+//!     "final_bandwidth": 0.052341000000,
+//!     "recompute_bandwidth": 0.052341000000,
+//!     "wall_seconds": 0.011000000, "recompute_wall_seconds": 0.420000000
 //!   },
 //!   "serving": {
 //!     "streams": 8, "arrivals_per_stream": 2000, "shards": 4,
@@ -182,11 +89,9 @@
 //!     "requests_served": 16008, "coalesced_arrivals": 15200,
 //!     "queue_high_water": 812, "shed_requests": 0,
 //!     "reselects": 24, "lock_reselects": 328, "kernel_evals": 0,
-//!     "wall_seconds": 0.081, "lock_wall_seconds": 0.840,
-//!     "final_bandwidths": [0.052341, ...],
-//!     "final_bandwidths_bits": ["3faacc70867ad8e4", ...],
-//!     "lock_final_bandwidths": [0.052341, ...],
-//!     "lock_final_bandwidths_bits": ["3faacc70867ad8e4", ...]
+//!     "wall_seconds": 0.081000000, "lock_wall_seconds": 0.840000000,
+//!     "final_bandwidths": [0.052341000000, ...],
+//!     "lock_final_bandwidths": [0.052341000000, ...]
 //!   }
 //! }
 //! ```
@@ -205,28 +110,18 @@ use std::time::Instant;
 
 /// Current `BENCH_report.json` schema version. Bump on any breaking change
 /// to the JSON layout and describe the change in EXPERIMENTS.md.
-/// Version 2: phase timers serialise as `cpu_seconds` (was `seconds`).
-/// Version 3: added the `gpu-windowed` strategy and the per-strategy
-/// `device_bytes_peak` field.
-/// Version 4: added the `bagged` strategy (nested `bags`/`bag_size`/
-/// `combiner`/`workers`/`host_bytes_peak` object) and the top-level
-/// `scaling` array; documented that multi-bag parallel phase `cpu_seconds`
-/// legitimately exceeds `wall_seconds` (the module-level schema notes).
-/// Version 5: added the `multi-naive`/`multi-fast` strategies (the `d = 2`
-/// full-grid selectors) and the per-strategy nested `multi` object
-/// (`dims`/`grid_points`/`bandwidths`, `null` on univariate strategies).
-/// Version 6: added the top-level `streaming` object (the sliding-window
-/// replay the streaming perf gates read) and the `scope_enters` counter
-/// (the chunk-hook scope-entry delta; see the module-level schema notes).
-/// Version 7: added the top-level `serving` object (the sharded
-/// multi-stream service vs global-lock baseline measurement perf gates
-/// 16–18 read; see the module-level schema notes).
-/// Version 8: dropped the `merged`/`merged-par` strategies (the deleted
-/// merge-sweep).
-/// Version 9: every bandwidth a bit-identity gate compares is also written
-/// as `to_bits` hex (`*_bits` fields beside the decimals).
-/// Version 10: dropped the `objective_evals` counter.
-pub const REPORT_VERSION: u32 = 10;
+///
+/// - 2: phase timers serialise as `cpu_seconds` (was `seconds`).
+/// - 3: added the `gpu-windowed` strategy and `device_bytes_peak`.
+/// - 4: added the `bagged` strategy and the top-level `scaling` array.
+/// - 5: added the `multi-naive`/`multi-fast` strategies and `multi`.
+/// - 6: added the `streaming` object and the `scope_enters` counter.
+/// - 7: added the `serving` object.
+/// - 8: dropped the `merged`/`merged-par` strategies.
+/// - 9: added `to_bits` hex `*_bits` fields beside compared bandwidths.
+/// - 10: dropped the `objective_evals` counter.
+/// - 11: dropped the `scaling` array and the `*_bits` fields.
+pub const REPORT_VERSION: u32 = 11;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 10] = [
@@ -269,16 +164,15 @@ pub struct BaggedInfo {
     pub workers: u64,
     /// Measured host-heap high-water delta of the run, from the crate's
     /// counting allocator ([`crate::alloc_track`]). Only meaningful when
-    /// nothing else allocates concurrently (true in the `perf_gate` and
-    /// `scaling` mains; not under `cargo test`).
+    /// nothing else allocates concurrently (true in the `perf_gate` main;
+    /// not under `cargo test`).
     pub host_bytes_peak: u64,
 }
 
 /// The multivariate strategies' extra dimensions (schema v5): the grid
 /// shape and the full per-dimension bandwidth vector that the scalar
-/// `bandwidth` field (dimension 1's component) cannot carry. The
-/// multivariate perf gates compare `multi-naive`'s and `multi-fast`'s
-/// serialised `bandwidths` arrays for bit identity.
+/// `bandwidth` field (dimension 1's component) cannot carry. Perf gate 12
+/// compares `multi-naive`'s and `multi-fast`'s `bandwidths` bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiInfo {
     /// Number of regressor dimensions `d`.
@@ -287,43 +181,6 @@ pub struct MultiInfo {
     pub grid_points: usize,
     /// The selected per-dimension bandwidth vector.
     pub bandwidths: Vec<f64>,
-}
-
-/// One row of the past-the-paper scaling study (schema v4, written by the
-/// `scaling` binary). The `full_*` fields are `None` where the full-data
-/// prefix run was skipped as infeasible.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Sample size.
-    pub n: usize,
-    /// Bags `B` in the bagged run.
-    pub bags: usize,
-    /// Subsample size `r` per bag.
-    pub bag_size: usize,
-    /// Aggregation rule label.
-    pub combiner: &'static str,
-    /// Bagged selection wall time.
-    pub bagged_wall_seconds: f64,
-    /// Bagged selection measured host-heap peak delta (bytes).
-    pub bagged_host_bytes_peak: u64,
-    /// The bagged (combined, rescaled) bandwidth.
-    pub bagged_bandwidth: f64,
-    /// Full-data prefix wall time, where feasible.
-    pub full_wall_seconds: Option<f64>,
-    /// Full-data prefix measured host-heap peak delta (bytes).
-    pub full_host_bytes_peak: Option<u64>,
-    /// Full-data prefix bandwidth.
-    pub full_bandwidth: Option<f64>,
-    /// Full-data CV score at [`ScalingRow::full_bandwidth`] (the grid
-    /// minimum).
-    pub full_score: Option<f64>,
-    /// Relative full-data CV regret of the bagged bandwidth:
-    /// `(CV_n(h_bag) − CV_n(h_full)) / CV_n(h_full)`. This is the study's
-    /// quality metric — the CV valley is so flat at these `n` that
-    /// bandwidth ratios sit inside the CV minimizer's own `O(n^{−1/10})`
-    /// noise, while the regret says directly how much objective the bagged
-    /// answer gives up.
-    pub bagged_regret: Option<f64>,
 }
 
 /// The streaming replay's settings and measurements (schema v6): one
@@ -372,9 +229,9 @@ pub struct StreamingInfo {
 /// The sharded serving measurement (schema v7): the report's sample
 /// replayed as concurrent streams through `kcv_serve::BandwidthService`
 /// next to the single-global-lock baseline on the identical per-stream
-/// sequences. Perf gate 18 compares the serialised `final_bandwidths`
-/// arrays for bit identity and requires `lock_wall_seconds ≥ 4 ×
-/// wall_seconds` at gate scale.
+/// sequences. Perf gate 18 compares the two `final_bandwidths` arrays bit
+/// for bit and requires `lock_wall_seconds ≥ 4 × wall_seconds` at gate
+/// scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingInfo {
     /// Concurrent arrival streams replayed.
@@ -418,7 +275,7 @@ pub struct ServingInfo {
     /// Per-stream final bandwidths in stream-id order (service).
     pub final_bandwidths: Vec<f64>,
     /// Per-stream final bandwidths in stream-id order (baseline) — perf
-    /// gate 18 pins the serialised arrays equal.
+    /// gate 18 pins the two arrays equal bit for bit.
     pub lock_final_bandwidths: Vec<f64>,
 }
 
@@ -455,9 +312,6 @@ pub struct PerfReport {
     pub config: ReportConfig,
     /// Per-strategy results, in [`STRATEGIES`] order.
     pub strategies: Vec<StrategyPerf>,
-    /// Past-the-paper scaling rows; empty except in reports written by the
-    /// `scaling` binary.
-    pub scaling: Vec<ScalingRow>,
     /// The streaming replay measurement (always collected by
     /// [`collect_report`]; `None` only in hand-built reports).
     pub streaming: Option<StreamingInfo>,
@@ -496,15 +350,11 @@ impl PerfReport {
                 )
             });
             let multi = s.multi.as_ref().map_or("null".to_string(), |m| {
-                let bw: Vec<String> =
-                    m.bandwidths.iter().map(|b| format!("{b:.12}")).collect();
                 format!(
-                    "{{\"dims\":{},\"grid_points\":{},\"bandwidths\":[{}],\
-                     \"bandwidths_bits\":[{}]}}",
+                    "{{\"dims\":{},\"grid_points\":{},\"bandwidths\":[{}]}}",
                     m.dims,
                     m.grid_points,
-                    bw.join(","),
-                    bits_hex(&m.bandwidths),
+                    decimals(&m.bandwidths),
                 )
             });
             out.push_str(&format!(
@@ -519,41 +369,6 @@ impl PerfReport {
                 s.obs.to_json(),
             ));
         }
-        out.push_str("],\"scaling\":[");
-        for (i, r) in self.scaling.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let fw = r
-                .full_wall_seconds
-                .map_or("null".to_string(), |v| format!("{v:.9}"));
-            let fp = r
-                .full_host_bytes_peak
-                .map_or("null".to_string(), |v| v.to_string());
-            let fb = r
-                .full_bandwidth
-                .map_or("null".to_string(), |v| format!("{v:.12}"));
-            let fs = r
-                .full_score
-                .map_or("null".to_string(), |v| format!("{v:.12}"));
-            let rg = r
-                .bagged_regret
-                .map_or("null".to_string(), |v| format!("{v:.12}"));
-            out.push_str(&format!(
-                "{{\"n\":{},\"bags\":{},\"bag_size\":{},\"combiner\":\"{}\",\
-                 \"bagged_wall_seconds\":{:.9},\"bagged_host_bytes_peak\":{},\
-                 \"bagged_bandwidth\":{:.12},\"full_wall_seconds\":{fw},\
-                 \"full_host_bytes_peak\":{fp},\"full_bandwidth\":{fb},\
-                 \"full_score\":{fs},\"bagged_regret\":{rg}}}",
-                r.n,
-                r.bags,
-                r.bag_size,
-                r.combiner,
-                r.bagged_wall_seconds,
-                r.bagged_host_bytes_peak,
-                r.bagged_bandwidth,
-            ));
-        }
         out.push_str("],\"streaming\":");
         match &self.streaming {
             None => out.push_str("null"),
@@ -561,8 +376,7 @@ impl PerfReport {
                 "{{\"arrivals\":{},\"window\":{},\"cadence\":{},\"inserts\":{},\
                  \"removes\":{},\"reselects\":{},\"tree_updates\":{},\
                  \"kernel_evals\":{},\"final_bandwidth\":{:.12},\
-                 \"final_bandwidth_bits\":{},\"recompute_bandwidth\":{:.12},\
-                 \"recompute_bandwidth_bits\":{},\"wall_seconds\":{:.9},\
+                 \"recompute_bandwidth\":{:.12},\"wall_seconds\":{:.9},\
                  \"recompute_wall_seconds\":{:.9}}}",
                 st.arrivals,
                 st.window,
@@ -573,9 +387,7 @@ impl PerfReport {
                 st.tree_updates,
                 st.kernel_evals,
                 st.final_bandwidth,
-                bits_hex(&[st.final_bandwidth]),
                 st.recompute_bandwidth,
-                bits_hex(&[st.recompute_bandwidth]),
                 st.wall_seconds,
                 st.recompute_wall_seconds,
             )),
@@ -583,20 +395,14 @@ impl PerfReport {
         out.push_str(",\"serving\":");
         match &self.serving {
             None => out.push_str("null"),
-            Some(sv) => {
-                let fb: Vec<String> =
-                    sv.final_bandwidths.iter().map(|b| format!("{b:.12}")).collect();
-                let lb: Vec<String> =
-                    sv.lock_final_bandwidths.iter().map(|b| format!("{b:.12}")).collect();
-                out.push_str(&format!(
+            Some(sv) => out.push_str(&format!(
                     "{{\"streams\":{},\"arrivals_per_stream\":{},\"shards\":{},\
                      \"window\":{},\"cadence\":{},\"requests_served\":{},\
                      \"coalesced_arrivals\":{},\"queue_high_water\":{},\
                      \"shed_requests\":{},\"reselects\":{},\"lock_reselects\":{},\
                      \"kernel_evals\":{},\"wall_seconds\":{:.9},\
                      \"lock_wall_seconds\":{:.9},\"final_bandwidths\":[{}],\
-                     \"final_bandwidths_bits\":[{}],\"lock_final_bandwidths\":[{}],\
-                     \"lock_final_bandwidths_bits\":[{}]}}",
+                     \"lock_final_bandwidths\":[{}]}}",
                     sv.streams,
                     sv.arrivals_per_stream,
                     sv.shards,
@@ -611,23 +417,19 @@ impl PerfReport {
                     sv.kernel_evals,
                     sv.wall_seconds,
                     sv.lock_wall_seconds,
-                    fb.join(","),
-                    bits_hex(&sv.final_bandwidths),
-                    lb.join(","),
-                    bits_hex(&sv.lock_final_bandwidths),
-                ));
-            }
+                    decimals(&sv.final_bandwidths),
+                    decimals(&sv.lock_final_bandwidths),
+                )),
         }
         out.push('}');
         out
     }
 }
 
-/// Comma-separated `to_bits` hex strings (`"3fa9…"`) of `values`: the
-/// exact form the bit-identity gates compare, beside the rounded decimals.
-fn bits_hex(values: &[f64]) -> String {
-    let hex: Vec<String> = values.iter().map(|v| format!("\"{:016x}\"", v.to_bits())).collect();
-    hex.join(",")
+/// Comma-separated 12-decimal bandwidths, the body of a JSON array.
+fn decimals(values: &[f64]) -> String {
+    let text: Vec<String> = values.iter().map(|v| format!("{v:.12}")).collect();
+    text.join(",")
 }
 
 /// Replays the report's sample as a stream through the sliding-window
@@ -959,7 +761,7 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
     }
     let streaming = Some(measure_streaming(&s.x, &s.y, config.k)?);
     let serving = Some(measure_serving(&s.x, &s.y)?);
-    Ok(PerfReport { config, strategies, scaling: Vec::new(), streaming, serving })
+    Ok(PerfReport { config, strategies, streaming, serving })
 }
 
 #[cfg(test)]
@@ -1043,7 +845,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":10,"));
+        assert!(json.starts_with("{\"version\":11,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -1054,43 +856,84 @@ mod tests {
         assert!(json.contains("\"multi\":null"));
         assert!(json.contains("\"multi\":{\"dims\":2,\"grid_points\":9,\"bandwidths\":["));
         assert!(json.contains(
-            ",\"scaling\":[],\"streaming\":{\"arrivals\":120,\"window\":64,\"cadence\":64,\
+            "],\"streaming\":{\"arrivals\":120,\"window\":64,\"cadence\":64,\
              \"inserts\":120,\"removes\":56,"
         ));
         assert!(json.contains(",\"serving\":{\"streams\":8,\"arrivals_per_stream\":120,"));
         assert!(json.ends_with("]}}"), "serving's bandwidth arrays close the report");
     }
 
-    /// Schema v6 round-trip: every field written by `to_json` must be
-    /// readable back through the shared `json` helpers, so a future version
-    /// bump that drops or renames a field fails here instead of silently
-    /// producing reports the gate half-reads (ISSUE 7's bugfix satellite).
-    #[test]
-    fn report_json_round_trips_through_the_shared_readers() {
-        use crate::json::{f64_field, str_field, strategy_slice, u64_field};
+    /// The v11 layout, byte for byte: every key, its order, each `null`
+    /// form and each number format.
+    const PINNED_V11: &str = "{\"version\":11,\"metrics_enabled\":METRICS,\
+        \"config\":{\"n\":1000,\"k\":50,\"seed\":7,\"kernel\":\"epanechnikov\"},\
+        \"strategies\":[\
+        {\"name\":\"prefix\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
+        \"wall_seconds\":0.250000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
+        \"bagged\":null,\"multi\":null,\"obs\":{\"counters\":{\"kernel_evals\":0,\
+        \"window_queries\":50000},\"phases\":{\"cv.window\":{\"calls\":1,\
+        \"cpu_seconds\":0.001500000}}}},\
+        {\"name\":\"gpu-windowed\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
+        \"wall_seconds\":0.500000000,\"simulated_seconds\":0.042100000,\
+        \"device_bytes_peak\":58048,\"bagged\":null,\"multi\":null,\
+        \"obs\":{\"counters\":{},\"phases\":{}}},\
+        {\"name\":\"bagged\",\"bandwidth\":0.118000000000,\"score\":0.510000000000,\
+        \"wall_seconds\":0.030000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
+        \"bagged\":{\"bags\":25,\"bag_size\":2000,\"combiner\":\"median\",\"workers\":8,\
+        \"host_bytes_peak\":4300800},\"multi\":null,\"obs\":{\"counters\":{},\"phases\":{}}},\
+        {\"name\":\"multi-fast\",\"bandwidth\":0.104000000000,\"score\":0.490000000000,\
+        \"wall_seconds\":0.010000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
+        \"bagged\":null,\"multi\":{\"dims\":2,\"grid_points\":100,\
+        \"bandwidths\":[0.104000000000,0.088000000000]},\
+        \"obs\":{\"counters\":{},\"phases\":{}}}],\
+        \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\"inserts\":2000,\
+        \"removes\":1500,\"reselects\":32,\"tree_updates\":104000,\"kernel_evals\":0,\
+        \"final_bandwidth\":0.052341000000,\"recompute_bandwidth\":0.052341000000,\
+        \"wall_seconds\":0.011000000,\"recompute_wall_seconds\":0.420000000},\
+        \"serving\":{\"streams\":8,\"arrivals_per_stream\":2000,\"shards\":4,\"window\":256,\
+        \"cadence\":50,\"requests_served\":16008,\"coalesced_arrivals\":15200,\
+        \"queue_high_water\":812,\"shed_requests\":0,\"reselects\":24,\"lock_reselects\":328,\
+        \"kernel_evals\":0,\"wall_seconds\":0.081000000,\"lock_wall_seconds\":0.840000000,\
+        \"final_bandwidths\":[0.052000000000,0.053000000000],\
+        \"lock_final_bandwidths\":[0.054000000000,0.055000000000]}}";
 
-        let obs = Snapshot::default();
-        let report = PerfReport {
+    #[test]
+    fn report_json_is_the_pinned_v11_layout() {
+        let prefix = StrategyPerf {
+            name: "prefix",
+            bandwidth: 0.125,
+            score: 0.5,
+            wall_seconds: 0.25,
+            simulated_seconds: None,
+            device_bytes_peak: None,
+            bagged: None,
+            multi: None,
+            obs: Snapshot {
+                counters: vec![("kernel_evals", 0), ("window_queries", 50_000)],
+                phases: vec![kcv_obs::PhaseStat {
+                    name: "cv.window".into(),
+                    calls: 1,
+                    nanos: 1_500_000,
+                }],
+            },
+        };
+        let quiet = StrategyPerf { obs: Snapshot::default(), ..prefix.clone() };
+        let mut report = PerfReport {
             config: ReportConfig { n: 1_000, k: 50, seed: 7 },
             strategies: vec![
+                prefix,
                 StrategyPerf {
-                    name: "prefix",
-                    bandwidth: 0.125,
-                    score: 0.5,
-                    wall_seconds: 0.25,
-                    simulated_seconds: None,
-                    device_bytes_peak: None,
-                    bagged: None,
-                    multi: None,
-                    obs: obs.clone(),
+                    name: "gpu-windowed",
+                    wall_seconds: 0.5,
+                    simulated_seconds: Some(0.0421),
+                    device_bytes_peak: Some(58_048),
+                    ..quiet.clone()
                 },
                 StrategyPerf {
                     name: "bagged",
                     bandwidth: 0.118,
                     score: 0.51,
                     wall_seconds: 0.03,
-                    simulated_seconds: None,
-                    device_bytes_peak: None,
                     bagged: Some(BaggedInfo {
                         bags: 25,
                         bag_size: 2_000,
@@ -1098,53 +941,19 @@ mod tests {
                         workers: 8,
                         host_bytes_peak: 4_300_800,
                     }),
-                    multi: None,
-                    obs: obs.clone(),
+                    ..quiet.clone()
                 },
                 StrategyPerf {
                     name: "multi-fast",
                     bandwidth: 0.104,
                     score: 0.49,
                     wall_seconds: 0.01,
-                    simulated_seconds: None,
-                    device_bytes_peak: None,
-                    bagged: None,
                     multi: Some(MultiInfo {
                         dims: 2,
                         grid_points: 100,
                         bandwidths: vec![0.104, 0.088],
                     }),
-                    obs,
-                },
-            ],
-            scaling: vec![
-                ScalingRow {
-                    n: 10_000_000,
-                    bags: 25,
-                    bag_size: 2_000,
-                    combiner: "mean",
-                    bagged_wall_seconds: 0.5,
-                    bagged_host_bytes_peak: 81_920_000,
-                    bagged_bandwidth: 0.0021,
-                    full_wall_seconds: None,
-                    full_host_bytes_peak: None,
-                    full_bandwidth: None,
-                    full_score: None,
-                    bagged_regret: None,
-                },
-                ScalingRow {
-                    n: 100_000,
-                    bags: 25,
-                    bag_size: 2_000,
-                    combiner: "mean",
-                    bagged_wall_seconds: 0.4,
-                    bagged_host_bytes_peak: 1_024,
-                    bagged_bandwidth: 0.0084,
-                    full_wall_seconds: Some(12.5),
-                    full_host_bytes_peak: Some(2_400_000),
-                    full_bandwidth: Some(0.0086),
-                    full_score: Some(0.020833),
-                    bagged_regret: Some(0.000019),
+                    ..quiet
                 },
             ],
             streaming: Some(StreamingInfo {
@@ -1176,113 +985,17 @@ mod tests {
                 kernel_evals: 0,
                 wall_seconds: 0.081,
                 lock_wall_seconds: 0.84,
-                final_bandwidths: vec![0.052341, 0.052341],
-                lock_final_bandwidths: vec![0.052341, 0.052341],
+                final_bandwidths: vec![0.052, 0.053],
+                lock_final_bandwidths: vec![0.054, 0.055],
             }),
         };
+        let pinned = PINNED_V11.replace("METRICS", &kcv_obs::enabled().to_string());
+        assert_eq!(report.to_json(), pinned);
+
+        report.streaming = None;
+        report.serving = None;
         let json = report.to_json();
-
-        assert_eq!(u64_field(&json, "version"), Some(u64::from(REPORT_VERSION)));
-        assert_eq!(u64_field(&json, "n"), Some(1_000));
-
-        let prefix = strategy_slice(&json, "prefix").unwrap();
-        assert_eq!(f64_field(prefix, "bandwidth"), Some(0.125));
-        assert!(prefix.contains("\"bagged\":null"));
-
-        let bagged = strategy_slice(&json, "bagged").unwrap();
-        assert_eq!(u64_field(bagged, "bags"), Some(25));
-        assert_eq!(u64_field(bagged, "bag_size"), Some(2_000));
-        assert_eq!(str_field(bagged, "combiner"), Some("median"));
-        assert_eq!(u64_field(bagged, "workers"), Some(8));
-        assert_eq!(u64_field(bagged, "host_bytes_peak"), Some(4_300_800));
-        assert!(bagged.contains("\"multi\":null"));
-
-        let mfast = strategy_slice(&json, "multi-fast").unwrap();
-        assert_eq!(u64_field(mfast, "dims"), Some(2));
-        assert_eq!(u64_field(mfast, "grid_points"), Some(100));
-        assert_eq!(
-            crate::json::array_field(mfast, "bandwidths"),
-            Some("[0.104000000000,0.088000000000]")
-        );
-        assert_eq!(
-            crate::json::array_field(mfast, "bandwidths_bits"),
-            Some(format!("[\"{:016x}\",\"{:016x}\"]", 0.104f64.to_bits(), 0.088f64.to_bits())
-                .as_str())
-        );
-        assert!(mfast.contains("\"bagged\":null"));
-
-        // Bound the scaling slice at the streaming object so the row
-        // lookups below cannot leak into it.
-        let scaling_start = json.find("\"scaling\":[").unwrap();
-        let streaming_start = json.find("\"streaming\":").unwrap();
-        let scaling = &json[scaling_start..streaming_start];
-        let second_row = &scaling[scaling.rfind('{').unwrap()..];
-        assert_eq!(u64_field(scaling, "n"), Some(10_000_000));
-        assert_eq!(f64_field(scaling, "bagged_bandwidth"), Some(0.0021));
-        assert!(scaling.contains("\"full_wall_seconds\":null"));
-        assert_eq!(u64_field(second_row, "n"), Some(100_000));
-        assert_eq!(f64_field(second_row, "full_wall_seconds"), Some(12.5));
-        assert_eq!(u64_field(second_row, "full_host_bytes_peak"), Some(2_400_000));
-        assert_eq!(f64_field(second_row, "full_bandwidth"), Some(0.0086));
-        assert_eq!(f64_field(second_row, "full_score"), Some(0.020833));
-        assert_eq!(f64_field(second_row, "bagged_regret"), Some(0.000019));
-        assert!(scaling.contains("\"full_score\":null"));
-        assert!(scaling.contains("\"bagged_regret\":null"));
-
-        // Bound the streaming slice at the serving object the same way —
-        // the two share field names (`window`, `cadence`, `reselects`,
-        // `kernel_evals`, `wall_seconds`), so an unbounded slice would
-        // read across the boundary.
-        let serving_start = json.find("\"serving\":").unwrap();
-        let streaming = &json[streaming_start..serving_start];
-        assert_eq!(u64_field(streaming, "arrivals"), Some(2_000));
-        assert_eq!(u64_field(streaming, "window"), Some(500));
-        assert_eq!(u64_field(streaming, "cadence"), Some(64));
-        assert_eq!(u64_field(streaming, "inserts"), Some(2_000));
-        assert_eq!(u64_field(streaming, "removes"), Some(1_500));
-        assert_eq!(u64_field(streaming, "reselects"), Some(32));
-        assert_eq!(u64_field(streaming, "tree_updates"), Some(104_000));
-        assert_eq!(u64_field(streaming, "kernel_evals"), Some(0));
-        assert_eq!(f64_field(streaming, "final_bandwidth"), Some(0.052341));
-        assert_eq!(f64_field(streaming, "recompute_bandwidth"), Some(0.052341));
-        let bits = format!("{:016x}", 0.052341f64.to_bits());
-        assert_eq!(str_field(streaming, "final_bandwidth_bits"), Some(bits.as_str()));
-        assert_eq!(str_field(streaming, "recompute_bandwidth_bits"), Some(bits.as_str()));
-        assert_eq!(f64_field(streaming, "wall_seconds"), Some(0.011));
-        assert_eq!(f64_field(streaming, "recompute_wall_seconds"), Some(0.42));
-
-        let serving = &json[serving_start..];
-        assert_eq!(u64_field(serving, "streams"), Some(8));
-        assert_eq!(u64_field(serving, "arrivals_per_stream"), Some(2_000));
-        assert_eq!(u64_field(serving, "shards"), Some(4));
-        assert_eq!(u64_field(serving, "window"), Some(256));
-        assert_eq!(u64_field(serving, "cadence"), Some(50));
-        assert_eq!(u64_field(serving, "requests_served"), Some(16_008));
-        assert_eq!(u64_field(serving, "coalesced_arrivals"), Some(15_200));
-        assert_eq!(u64_field(serving, "queue_high_water"), Some(812));
-        assert_eq!(u64_field(serving, "shed_requests"), Some(0));
-        assert_eq!(u64_field(serving, "reselects"), Some(24));
-        assert_eq!(u64_field(serving, "lock_reselects"), Some(328));
-        assert_eq!(u64_field(serving, "kernel_evals"), Some(0));
-        assert_eq!(f64_field(serving, "wall_seconds"), Some(0.081));
-        assert_eq!(f64_field(serving, "lock_wall_seconds"), Some(0.84));
-        // Gate 18 compares these serialised slices verbatim.
-        assert_eq!(
-            crate::json::array_field(serving, "final_bandwidths"),
-            Some("[0.052341000000,0.052341000000]")
-        );
-        assert_eq!(
-            crate::json::array_field(serving, "final_bandwidths"),
-            crate::json::array_field(serving, "lock_final_bandwidths"),
-        );
-        assert_eq!(
-            crate::json::array_field(serving, "final_bandwidths_bits"),
-            Some(format!("[\"{bits}\",\"{bits}\"]").as_str())
-        );
-        assert_eq!(
-            crate::json::array_field(serving, "final_bandwidths_bits"),
-            crate::json::array_field(serving, "lock_final_bandwidths_bits"),
-        );
+        assert!(json.ends_with("}}}],\"streaming\":null,\"serving\":null}"), "{json}");
     }
 
     #[cfg(feature = "metrics")]
