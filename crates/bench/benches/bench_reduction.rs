@@ -14,7 +14,11 @@ fn bench_reduction(c: &mut Criterion) {
     for &n in &[1_000usize, 20_000] {
         let values: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 0.01).collect();
         group.bench_with_input(BenchmarkId::new("simulated_harris", n), &n, |b, _| {
-            b.iter(|| sum_reduction(&spec, &cost, 512, black_box(&values)).unwrap().0)
+            b.iter(|| {
+                sum_reduction(&spec, &cost, 512, black_box(&values))
+                    .unwrap()
+                    .0
+            })
         });
         group.bench_with_input(BenchmarkId::new("direct_fold", n), &n, |b, _| {
             b.iter(|| black_box(&values).iter().sum::<f32>())

@@ -19,7 +19,10 @@ fn bench_selectors(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("numeric_nm2", n), &n, |b, _| {
             b.iter(|| {
-                let options = NpRegBwOptions { nmulti: 2, ..Default::default() };
+                let options = NpRegBwOptions {
+                    nmulti: 2,
+                    ..Default::default()
+                };
                 npregbw(black_box(&s.x), &s.y, options).unwrap().bw
             })
         });

@@ -118,7 +118,10 @@ mod tests {
         assert!(peak_bytes() >= during);
         drop(block);
         let after = current_bytes();
-        assert!(after + BLOCK / 2 <= during, "live {during} -> {after} after the free");
+        assert!(
+            after + BLOCK / 2 <= during,
+            "live {during} -> {after} after the free"
+        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ fn main() {
     if let Some(n) = rows.iter().map(|r| r.n).max() {
         let get = |p| rows.iter().find(|r| r.n == n && r.program == p);
         let wall = |p| get(p).map_or(f64::NAN, |r| r.wall_seconds);
-        let sim = get(Program::CudaGpu).and_then(|r| r.simulated_seconds).unwrap_or(f64::NAN);
+        let sim = get(Program::CudaGpu)
+            .and_then(|r| r.simulated_seconds)
+            .unwrap_or(f64::NAN);
         let rh = wall(Program::RacineHayfield);
         let sc = wall(Program::SequentialC);
         let _ = writeln!(
@@ -63,9 +65,15 @@ fn main() {
         let s = PaperDgp.sample(400, 9_000 + seed);
         let bw: Vec<f64> = Program::all()
             .iter()
-            .map(|&p| run_program(p, &s.x, &s.y, 50, nmulti).expect("program run").bandwidth)
+            .map(|&p| {
+                run_program(p, &s.x, &s.y, 50, nmulti)
+                    .expect("program run")
+                    .bandwidth
+            })
             .collect();
-        let (lo, hi) = bw.iter().fold((f64::MAX, f64::MIN), |(l, h), &b| (l.min(b), h.max(b)));
+        let (lo, hi) = bw
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(l, h), &b| (l.min(b), h.max(b)));
         max_spread = max_spread.max(hi - lo);
         total += 1;
         if hi - lo < 0.1 {

@@ -46,7 +46,17 @@ fn main() {
         ]);
     }
     let path = PathBuf::from(out);
-    write_csv(&path, &["n", "program", "wall_seconds", "simulated_seconds", "bandwidth"], &csv_rows)
-        .expect("write CSV");
+    write_csv(
+        &path,
+        &[
+            "n",
+            "program",
+            "wall_seconds",
+            "simulated_seconds",
+            "bandwidth",
+        ],
+        &csv_rows,
+    )
+    .expect("write CSV");
     eprintln!("wrote {}", path.display());
 }

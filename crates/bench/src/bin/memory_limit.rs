@@ -58,10 +58,16 @@ fn main() {
         "n".into(),
         "required bytes (k=50)".into(),
         "fits 4 GB?".into(),
-        if allocate { "real allocation".into() } else { "dry-run check".into() },
+        if allocate {
+            "real allocation".into()
+        } else {
+            "dry-run check".into()
+        },
     ];
     let mut rows = Vec::new();
-    for n in [1_000usize, 5_000, 10_000, 20_000, 23_000, 24_000, 25_000, 30_000] {
+    for n in [
+        1_000usize, 5_000, 10_000, 20_000, 23_000, 24_000, 25_000, 30_000,
+    ] {
         let required = required_device_bytes(n, k);
         let fits = required <= spec.global_mem_bytes;
         let pool = MemoryPool::for_device(&spec);
@@ -99,7 +105,10 @@ fn main() {
                        the same two n×n f32 matrices the paper names.\n"
     );
 
-    println!("Constant-memory ceiling ({} B cache working set):", spec.constant_cache_bytes);
+    println!(
+        "Constant-memory ceiling ({} B cache working set):",
+        spec.constant_cache_bytes
+    );
     for k in [2_000usize, 2_048, 2_049, 4_096] {
         let values = vec![0.0f32; k];
         match ConstantMemory::new(&spec, &values) {
@@ -125,8 +134,9 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let config = GpuConfig::default();
-    for n in [1_000usize, 5_000, 10_000, 20_000, 23_000, 24_000, 25_000, 30_000, 50_000, 100_000]
-    {
+    for n in [
+        1_000usize, 5_000, 10_000, 20_000, 23_000, 24_000, 25_000, 30_000, 50_000, 100_000,
+    ] {
         if n > max_windowed_n {
             continue;
         }

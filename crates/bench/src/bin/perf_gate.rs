@@ -106,23 +106,36 @@ struct Gate {
 
 impl Gate {
     fn pass_if(name: &'static str, ok: bool, detail: String) -> Gate {
-        Gate { name, ok: Some(ok), detail }
+        Gate {
+            name,
+            ok: Some(ok),
+            detail,
+        }
     }
 
     fn skip(name: &'static str, detail: String) -> Gate {
-        Gate { name, ok: None, detail }
+        Gate {
+            name,
+            ok: None,
+            detail,
+        }
     }
 }
 
 /// True when `a` and `b` hold the same values bit for bit.
 fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.iter().map(|v| v.to_bits()).eq(b.iter().map(|v| v.to_bits()))
+    a.iter()
+        .map(|v| v.to_bits())
+        .eq(b.iter().map(|v| v.to_bits()))
 }
 
 /// `f64::to_bits` of each value in 16-digit hex, the evidence the identity
 /// gates print.
 fn hex(values: &[f64]) -> String {
-    let bits: Vec<String> = values.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+    let bits: Vec<String> = values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect();
     bits.join(",")
 }
 
@@ -144,29 +157,28 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     }
 
     let strategy = |name: &str| report.strategies.iter().find(|s| s.name == name);
-    let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) =
-        match (
-            strategy("sorted"),
-            strategy("prefix"),
-            strategy("prefix-par"),
-            strategy("gpu-windowed"),
-            strategy("bagged"),
-            strategy("multi-naive"),
-            strategy("multi-fast"),
-        ) {
-            (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
-                (s, p, pp, w, b, mn, mf)
-            }
-            _ => {
-                gates.push(Gate::pass_if(
-                    "report lists sorted/prefix/prefix-par/gpu-windowed/bagged/\
+    let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) = match (
+        strategy("sorted"),
+        strategy("prefix"),
+        strategy("prefix-par"),
+        strategy("gpu-windowed"),
+        strategy("bagged"),
+        strategy("multi-naive"),
+        strategy("multi-fast"),
+    ) {
+        (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
+            (s, p, pp, w, b, mn, mf)
+        }
+        _ => {
+            gates.push(Gate::pass_if(
+                "report lists sorted/prefix/prefix-par/gpu-windowed/bagged/\
                      multi-naive/multi-fast strategies",
-                    false,
-                    "at least one strategy entry is missing from the report".into(),
-                ));
-                return gates;
-            }
-        };
+                false,
+                "at least one strategy entry is missing from the report".into(),
+            ));
+            return gates;
+        }
+    };
     let version = format!("{{\"version\":{REPORT_VERSION},");
     let head: String = json.chars().take(version.len()).collect();
     gates.push(Gate::pass_if(
@@ -187,7 +199,10 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
         format!("{prefix_queries} <= {query_ceiling}"),
     ));
 
-    let (pe, ppe) = (field(prefix, Counter::KernelEvals), field(prefix_par, Counter::KernelEvals));
+    let (pe, ppe) = (
+        field(prefix, Counter::KernelEvals),
+        field(prefix_par, Counter::KernelEvals),
+    );
     gates.push(Gate::pass_if(
         "prefix sweeps never evaluate the kernel",
         pe == 0 && ppe == 0,
@@ -204,7 +219,12 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     gates.push(Gate::pass_if(
         "prefix strategies select the sorted sweep's bandwidth",
         same_bits(&[pb, ppb], &[sb, sb]),
-        format!("prefix {}, prefix-par {} == sorted {}", hex(&[pb]), hex(&[ppb]), hex(&[sb])),
+        format!(
+            "prefix {}, prefix-par {} == sorted {}",
+            hex(&[pb]),
+            hex(&[ppb]),
+            hex(&[sb])
+        ),
     ));
 
     // --- windowed GPU memory contract ------------------------------------
@@ -250,9 +270,7 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
             && bagged_evals == 0
             && bagged_queries > 0
             && bagged_queries <= work_ceiling,
-        format!(
-            "0 < {bagged_queries} <= B*r*k = {work_ceiling}, kernel_evals {bagged_evals} == 0"
-        ),
+        format!("0 < {bagged_queries} <= B*r*k = {work_ceiling}, kernel_evals {bagged_evals} == 0"),
     ));
 
     let workers = info.map_or(0, |b| b.workers);
@@ -276,28 +294,33 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     ));
 
     let dims = multi_fast.multi.as_ref().map_or(0, |m| m.dims as u64);
-    let grid_points = multi_fast.multi.as_ref().map_or(0, |m| m.grid_points as u64);
+    let grid_points = multi_fast
+        .multi
+        .as_ref()
+        .map_or(0, |m| m.grid_points as u64);
     let mf_queries = field(multi_fast, Counter::WindowQueries);
     let mf_ceiling = grid_points * n as u64 * dims * log2n;
     gates.push(Gate::pass_if(
         "multi-fast window queries stay within g*n*d*ceil(log2 n)",
         dims > 0 && grid_points > 0 && mf_queries > 0 && mf_queries <= mf_ceiling,
-        format!(
-            "0 < {mf_queries} <= g({grid_points})*n*d({dims})*ceil(log2 n) = {mf_ceiling}"
-        ),
+        format!("0 < {mf_queries} <= g({grid_points})*n*d({dims})*ceil(log2 n) = {mf_ceiling}"),
     ));
 
     if n >= 2_000 {
         let (nw, fw) = (multi_naive.wall_seconds, multi_fast.wall_seconds);
         let ratio = if fw > 0.0 { nw / fw } else { 0.0 };
-        let [nv_bw, mf_bw] = [multi_naive, multi_fast]
-            .map(|s| s.multi.as_ref().map(|m| m.bandwidths.as_slice()));
+        let [nv_bw, mf_bw] =
+            [multi_naive, multi_fast].map(|s| s.multi.as_ref().map(|m| m.bandwidths.as_slice()));
         let identical = matches!((nv_bw, mf_bw), (Some(a), Some(b)) if same_bits(a, b));
         let show = |bw: Option<&[f64]>| bw.map_or("none".to_string(), |b| format!("[{}]", hex(b)));
         gates.push(Gate::pass_if(
             "multi-fast beats multi-naive >= 10x on the identical optimum",
             ratio >= 10.0 && identical,
-            format!("wall ratio {ratio:.1} >= 10, bandwidths {} == {}", show(nv_bw), show(mf_bw)),
+            format!(
+                "wall ratio {ratio:.1} >= 10, bandwidths {} == {}",
+                show(nv_bw),
+                show(mf_bw)
+            ),
         ));
     } else {
         gates.push(Gate::skip(
@@ -338,7 +361,11 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     gates.push(Gate::pass_if(
         "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
         st_ratio >= 10.0 && same_bits(&[fb], &[rb]),
-        format!("wall ratio {st_ratio:.1} >= 10, final {} == recompute {}", hex(&[fb]), hex(&[rb])),
+        format!(
+            "wall ratio {st_ratio:.1} >= 10, final {} == recompute {}",
+            hex(&[fb]),
+            hex(&[rb])
+        ),
     ));
 
     // --- sharded serving contracts ---------------------------------------
@@ -368,8 +395,11 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     ));
 
     if n >= 2_000 {
-        let sv_ratio =
-            if sv.wall_seconds > 0.0 { sv.lock_wall_seconds / sv.wall_seconds } else { 0.0 };
+        let sv_ratio = if sv.wall_seconds > 0.0 {
+            sv.lock_wall_seconds / sv.wall_seconds
+        } else {
+            0.0
+        };
         let (sv_bw, lk_bw) = (&sv.final_bandwidths, &sv.lock_final_bandwidths);
         gates.push(Gate::pass_if(
             "sharded service beats the global lock >= 4x at identical bandwidths",
@@ -429,7 +459,10 @@ fn main() -> ExitCode {
     }
     let failures: Vec<&Gate> = gates.iter().filter(|g| g.ok == Some(false)).collect();
     if failures.is_empty() {
-        println!("perf gate: all invariants hold (n = {n}, k = {k}, report: {})", path.display());
+        println!(
+            "perf gate: all invariants hold (n = {n}, k = {k}, report: {})",
+            path.display()
+        );
         ExitCode::SUCCESS
     } else {
         println!("perf gate: {} invariant(s) violated:", failures.len());
@@ -476,15 +509,31 @@ mod tests {
     fn fixture() -> PerfReport {
         let multi = |name, wall_seconds, counters: &[(Counter, u64)]| StrategyPerf {
             wall_seconds,
-            multi: Some(MultiInfo { dims: 2, grid_points: 100, bandwidths: vec![0.125, 0.25] }),
+            multi: Some(MultiInfo {
+                dims: 2,
+                grid_points: 100,
+                bandwidths: vec![0.125, 0.25],
+            }),
             ..entry(name, 0.125, counters)
         };
         PerfReport {
-            config: ReportConfig { n: 2_000, k: 100, seed: 42 },
+            config: ReportConfig {
+                n: 2_000,
+                k: 100,
+                seed: 42,
+            },
             strategies: vec![
                 entry("sorted", 0.125, &[(KernelEvals, 90)]),
-                entry("prefix", 0.125, &[(KernelEvals, 0), (WindowQueries, 200_000)]),
-                entry("prefix-par", 0.125, &[(KernelEvals, 0), (WindowQueries, 200_000)]),
+                entry(
+                    "prefix",
+                    0.125,
+                    &[(KernelEvals, 0), (WindowQueries, 200_000)],
+                ),
+                entry(
+                    "prefix-par",
+                    0.125,
+                    &[(KernelEvals, 0), (WindowQueries, 200_000)],
+                ),
                 StrategyPerf {
                     device_bytes_peak: Some(58_048),
                     ..entry(
@@ -550,7 +599,11 @@ mod tests {
     }
 
     fn strategy<'a>(report: &'a mut PerfReport, name: &str) -> &'a mut StrategyPerf {
-        report.strategies.iter_mut().find(|s| s.name == name).unwrap()
+        report
+            .strategies
+            .iter_mut()
+            .find(|s| s.name == name)
+            .unwrap()
     }
 
     fn set(report: &mut PerfReport, name: &str, counter: Counter, value: u64) {
@@ -564,7 +617,11 @@ mod tests {
     }
 
     fn fails(gates: &[Gate]) -> Vec<&'static str> {
-        gates.iter().filter(|g| g.ok == Some(false)).map(|g| g.name).collect()
+        gates
+            .iter()
+            .filter(|g| g.ok == Some(false))
+            .map(|g| g.name)
+            .collect()
     }
 
     /// The gates `mutate` makes fail on the conforming fixture.
@@ -578,7 +635,11 @@ mod tests {
     fn all_gates_pass_on_a_conforming_report() {
         let gates = gates(&fixture());
         assert_eq!(gates.len(), 18);
-        assert!(gates.iter().all(|g| g.ok == Some(true)), "{:?}", fails(&gates));
+        assert!(
+            gates.iter().all(|g| g.ok == Some(true)),
+            "{:?}",
+            fails(&gates)
+        );
     }
 
     #[test]
@@ -592,7 +653,10 @@ mod tests {
         // A count above n·k·ceil(log2 n) means queries are being charged per
         // binary-search probe (or per neighbour), not per cell.
         let failed = fails_after(|r| set(r, "prefix", WindowQueries, 2_200_001));
-        assert_eq!(failed, vec!["prefix window queries stay within n*k*ceil(log2 n)"]);
+        assert_eq!(
+            failed,
+            vec!["prefix window queries stay within n*k*ceil(log2 n)"]
+        );
     }
 
     #[test]
@@ -606,7 +670,10 @@ mod tests {
     #[test]
     fn bandwidth_gate_catches_a_prefix_disagreement() {
         let failed = fails_after(|r| strategy(r, "prefix").bandwidth = 0.25);
-        assert_eq!(failed, vec!["prefix strategies select the sorted sweep's bandwidth"]);
+        assert_eq!(
+            failed,
+            vec!["prefix strategies select the sorted sweep's bandwidth"]
+        );
     }
 
     #[test]
@@ -616,7 +683,10 @@ mod tests {
         // hundred times over the 64n = 128,000-byte ceiling.
         let failed =
             fails_after(|r| strategy(r, "gpu-windowed").device_bytes_peak = Some(32_000_000));
-        assert_eq!(failed, vec!["windowed peak device bytes stay O(n), no n^2 term"]);
+        assert_eq!(
+            failed,
+            vec!["windowed peak device bytes stay O(n), no n^2 term"]
+        );
     }
 
     #[test]
@@ -625,7 +695,10 @@ mod tests {
         // pair: n·k·n = 4·10⁸ transactions at gate scale, far above the
         // n·k·(2·ceil(log2 n) + 72) = 18,800,000 ceiling.
         let failed = fails_after(|r| set(r, "gpu-windowed", MemTransactions, 400_000_000));
-        assert_eq!(failed, vec!["windowed mem transactions stay O(k log n) per observation"]);
+        assert_eq!(
+            failed,
+            vec!["windowed mem transactions stay O(k log n) per observation"]
+        );
     }
 
     #[test]
@@ -651,13 +724,19 @@ mod tests {
         // B·n·k = 10·2,000·100 = 2,000,000 queries, four times the
         // B·r·k = 500,000 ceiling.
         let failed = fails_after(|r| set(r, "bagged", WindowQueries, 2_000_000));
-        assert_eq!(failed, vec!["bagged work stays within B x one bag's bound, no n term"]);
+        assert_eq!(
+            failed,
+            vec!["bagged work stays within B x one bag's bound, no n term"]
+        );
     }
 
     #[test]
     fn bagged_work_gate_catches_a_kernel_evaluating_engine() {
         let failed = fails_after(|r| set(r, "bagged", KernelEvals, 7));
-        assert_eq!(failed, vec!["bagged work stays within B x one bag's bound, no n term"]);
+        assert_eq!(
+            failed,
+            vec!["bagged work stays within B x one bag's bound, no n term"]
+        );
     }
 
     #[test]
@@ -665,9 +744,16 @@ mod tests {
         // Keeping all 10 bags' data live (or anything O(n)-sized) blows
         // through the 8-worker × 199,936-byte = 1,599,488 ceiling.
         let failed = fails_after(|r| {
-            strategy(r, "bagged").bagged.as_mut().unwrap().host_bytes_peak = 100_000_000
+            strategy(r, "bagged")
+                .bagged
+                .as_mut()
+                .unwrap()
+                .host_bytes_peak = 100_000_000
         });
-        assert_eq!(failed, vec!["bagged peak memory stays within workers x one bag's footprint"]);
+        assert_eq!(
+            failed,
+            vec!["bagged peak memory stays within workers x one bag's footprint"]
+        );
     }
 
     #[test]
@@ -680,18 +766,30 @@ mod tests {
         ];
         let failed = fails_after(|r| {
             set(r, "bagged", WindowQueries, 0);
-            strategy(r, "bagged").bagged.as_mut().unwrap().host_bytes_peak = 0;
+            strategy(r, "bagged")
+                .bagged
+                .as_mut()
+                .unwrap()
+                .host_bytes_peak = 0;
         });
         assert_eq!(failed, expected);
-        assert_eq!(fails_after(|r| strategy(r, "bagged").bagged = None), expected);
+        assert_eq!(
+            fails_after(|r| strategy(r, "bagged").bagged = None),
+            expected
+        );
     }
 
     #[test]
     fn version_gate_catches_a_stale_writer() {
         let report = fixture();
-        let stale = report.to_json().replacen("{\"version\":11,", "{\"version\":10,", 1);
+        let stale = report
+            .to_json()
+            .replacen("{\"version\":11,", "{\"version\":10,", 1);
         let gates = evaluate_gates(&report, &stale, true);
-        assert_eq!(fails(&gates), vec!["report schema version matches the gate's"]);
+        assert_eq!(
+            fails(&gates),
+            vec!["report schema version matches the gate's"]
+        );
     }
 
     #[test]
@@ -705,14 +803,20 @@ mod tests {
         // One over the g·n·d·ceil(log2 n) = 100·2,000·2·11 = 4,400,000
         // ceiling: queries charged per neighbour, not per cell.
         let failed = fails_after(|r| set(r, "multi-fast", WindowQueries, 4_400_001));
-        assert_eq!(failed, vec!["multi-fast window queries stay within g*n*d*ceil(log2 n)"]);
+        assert_eq!(
+            failed,
+            vec!["multi-fast window queries stay within g*n*d*ceil(log2 n)"]
+        );
     }
 
     #[test]
     fn multi_speedup_gate_catches_a_slow_fast_path() {
         // Ratio 1.5/1.0 = 1.5× is far under the required 10×.
         let failed = fails_after(|r| strategy(r, "multi-fast").wall_seconds = 1.0);
-        assert_eq!(failed, vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]);
+        assert_eq!(
+            failed,
+            vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]
+        );
     }
 
     #[test]
@@ -720,9 +824,16 @@ mod tests {
         // Any componentwise drift between the two vectors must fail, even
         // when the scalar dimension-1 `bandwidth` fields still agree.
         let failed = fails_after(|r| {
-            strategy(r, "multi-naive").multi.as_mut().unwrap().bandwidths[1] = 0.26
+            strategy(r, "multi-naive")
+                .multi
+                .as_mut()
+                .unwrap()
+                .bandwidths[1] = 0.26
         });
-        assert_eq!(failed, vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]);
+        assert_eq!(
+            failed,
+            vec!["multi-fast beats multi-naive >= 10x on the identical optimum"]
+        );
     }
 
     #[test]
@@ -756,7 +867,10 @@ mod tests {
         // A writer that stops measuring the replay must fail gate 13
         // explicitly, not let gates 14–15 pass by absence.
         let failed = fails_after(|r| r.streaming = None);
-        assert_eq!(failed, vec!["report carries the schema-v6 streaming object"]);
+        assert_eq!(
+            failed,
+            vec!["report carries the schema-v6 streaming object"]
+        );
     }
 
     #[test]
@@ -809,7 +923,10 @@ mod tests {
     #[test]
     fn serving_gate_catches_a_kernel_evaluating_service() {
         let failed = fails_after(|r| r.serving.as_mut().unwrap().kernel_evals = 7);
-        assert_eq!(failed, vec!["serving: zero kernel evals service-wide, bursts coalesced"]);
+        assert_eq!(
+            failed,
+            vec!["serving: zero kernel evals service-wide, bursts coalesced"]
+        );
     }
 
     #[test]
@@ -817,7 +934,10 @@ mod tests {
         // A worker that re-selects per arrival never merges a burst:
         // coalesced_arrivals == 0 must not pass by vacuity.
         let failed = fails_after(|r| r.serving.as_mut().unwrap().coalesced_arrivals = 0);
-        assert_eq!(failed, vec!["serving: zero kernel evals service-wide, bursts coalesced"]);
+        assert_eq!(
+            failed,
+            vec!["serving: zero kernel evals service-wide, bursts coalesced"]
+        );
     }
 
     #[test]
@@ -852,21 +972,29 @@ mod tests {
         fn check(gate: &str, mutate: fn(&mut PerfReport)) {
             let mut report = fixture();
             mutate(&mut report);
-            assert_eq!(report.to_json(), fixture().to_json(), "{gate}: decimals differ");
+            assert_eq!(
+                report.to_json(),
+                fixture().to_json(),
+                "{gate}: decimals differ"
+            );
             assert_eq!(fails(&gates(&report)), vec![gate]);
         }
-        check("prefix strategies select the sorted sweep's bandwidth", |r| {
-            next(&mut strategy(r, "prefix-par").bandwidth)
-        });
-        check("streaming replay beats per-arrival recompute >= 10x, identical bandwidth", |r| {
-            next(&mut r.streaming.as_mut().unwrap().recompute_bandwidth)
-        });
-        check("sharded service beats the global lock >= 4x at identical bandwidths", |r| {
-            next(&mut r.serving.as_mut().unwrap().lock_final_bandwidths[0])
-        });
-        check("multi-fast beats multi-naive >= 10x on the identical optimum", |r| {
-            next(&mut strategy(r, "multi-fast").multi.as_mut().unwrap().bandwidths[1])
-        });
+        check(
+            "prefix strategies select the sorted sweep's bandwidth",
+            |r| next(&mut strategy(r, "prefix-par").bandwidth),
+        );
+        check(
+            "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
+            |r| next(&mut r.streaming.as_mut().unwrap().recompute_bandwidth),
+        );
+        check(
+            "sharded service beats the global lock >= 4x at identical bandwidths",
+            |r| next(&mut r.serving.as_mut().unwrap().lock_final_bandwidths[0]),
+        );
+        check(
+            "multi-fast beats multi-naive >= 10x on the identical optimum",
+            |r| next(&mut strategy(r, "multi-fast").multi.as_mut().unwrap().bandwidths[1]),
+        );
     }
 
     #[test]

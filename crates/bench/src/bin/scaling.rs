@@ -113,7 +113,8 @@ fn main() -> ExitCode {
         // deliberately inherit the full sample's domain so every bag
         // searches the same candidates.
         let (lo, hi) =
-            s.x.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+            s.x.iter()
+                .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
         let domain = hi - lo;
         let grid = match BandwidthGrid::log(domain * 1e-3, domain * 0.3, k) {
             Ok(g) => g,
@@ -124,9 +125,13 @@ fn main() -> ExitCode {
         };
 
         eprintln!("scaling: n = {n}: bagged selection (B = {bags}, r = {bag_size})…");
-        let selector =
-            BaggedSelector::new(Epanechnikov, GridSpec::Explicit(grid.clone()), bags, bag_size)
-                .with_seed(42);
+        let selector = BaggedSelector::new(
+            Epanechnikov,
+            GridSpec::Explicit(grid.clone()),
+            bags,
+            bag_size,
+        )
+        .with_seed(42);
         alloc_track::reset_peak();
         let baseline = alloc_track::current_bytes();
         let start = Instant::now();
@@ -295,7 +300,11 @@ fn main() -> ExitCode {
     let mut ok = true;
 
     let largest = rows.last().unwrap();
-    match rows.iter().find(|r| r.n == 100_000).and_then(|r| r.full_wall_seconds) {
+    match rows
+        .iter()
+        .find(|r| r.n == 100_000)
+        .and_then(|r| r.full_wall_seconds)
+    {
         Some(full_1e5) if rows.len() > 1 => {
             let pass = largest.bagged_wall_seconds < full_1e5;
             println!(
@@ -355,7 +364,8 @@ mod tests {
     fn log_grid_leaves_the_million_point_minimizer_unclamped() {
         let s = PaperDgp.sample(1_000_000, 42);
         let (lo, hi) =
-            s.x.iter().fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+            s.x.iter()
+                .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
         let domain = hi - lo;
         let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, 10).unwrap();
         let (grid_min, grid_max) = (grid.min(), grid.max());

@@ -123,11 +123,15 @@ impl Pair {
         let service = BandwidthService::new(Epanechnikov, grid.clone(), config.clone())
             .map_err(|e| format!("service construction failed: {e}"))?;
         for id in 0..traffic.streams {
-            service.open(id as StreamId).map_err(|e| format!("open({id}) failed: {e}"))?;
+            service
+                .open(id as StreamId)
+                .map_err(|e| format!("open({id}) failed: {e}"))?;
         }
         let start = Instant::now();
         traffic.replay(|id, xi, yi| {
-            service.send_blocking(id, xi, yi).expect("blocking send only fails at shutdown");
+            service
+                .send_blocking(id, xi, yi)
+                .expect("blocking send only fails at shutdown");
         });
         let report = service.shutdown();
         let wall_seconds = start.elapsed().as_secs_f64();
@@ -135,15 +139,22 @@ impl Pair {
         let lock = GlobalLockService::new(Epanechnikov, grid.clone(), config.clone())
             .map_err(|e| format!("baseline construction failed: {e}"))?;
         for id in 0..traffic.streams {
-            lock.open(id as StreamId).map_err(|e| format!("baseline open({id}) failed: {e}"))?;
+            lock.open(id as StreamId)
+                .map_err(|e| format!("baseline open({id}) failed: {e}"))?;
         }
         let start = Instant::now();
         traffic.replay(|id, xi, yi| {
-            lock.send(id, xi, yi).expect("stream is open and finite data never errors");
+            lock.send(id, xi, yi)
+                .expect("stream is open and finite data never errors");
         });
         let lock_outcomes = lock.shutdown();
         let lock_wall_seconds = start.elapsed().as_secs_f64();
-        Ok(Self { report, wall_seconds, lock_outcomes, lock_wall_seconds })
+        Ok(Self {
+            report,
+            wall_seconds,
+            lock_outcomes,
+            lock_wall_seconds,
+        })
     }
 
     fn speedup(&self) -> f64 {
@@ -187,10 +198,9 @@ fn main() -> ExitCode {
 
     eprintln!("serve: sampling {arrivals} paper-DGP arrivals (seed {seed})…");
     let s = PaperDgp.sample(arrivals, seed);
-    let (lo, hi) = s
-        .x
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+    let (lo, hi) =
+        s.x.iter()
+            .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
     let domain = hi - lo;
     let grid = match BandwidthGrid::log(domain * 1e-3, domain * 0.3, k) {
         Ok(g) => g,
@@ -207,7 +217,13 @@ fn main() -> ExitCode {
         queue_capacity: 8192,
         ..ServeConfig::new(shards, window, cadence)
     };
-    let traffic = Traffic { x: &s.x, y: &s.y, streams, arrivals, producers };
+    let traffic = Traffic {
+        x: &s.x,
+        y: &s.y,
+        streams,
+        arrivals,
+        producers,
+    };
 
     let mut pairs = Vec::with_capacity(GATE_PAIRS);
     for pair in 1..=GATE_PAIRS {
@@ -247,10 +263,17 @@ fn main() -> ExitCode {
     let high_water = report.metrics.counter("queue_high_water");
     let shed = report.metrics.counter("shed_requests");
     let kernel_evals = report.metrics.counter("kernel_evals");
-    let headers: Vec<String> = ["service", "wall", "arrivals/s", "p50 lat", "p99 lat", "reselects"]
-        .iter()
-        .map(|h| h.to_string())
-        .collect();
+    let headers: Vec<String> = [
+        "service",
+        "wall",
+        "arrivals/s",
+        "p50 lat",
+        "p99 lat",
+        "reselects",
+    ]
+    .iter()
+    .map(|h| h.to_string())
+    .collect();
     let t_rows = vec![
         vec![
             format!("sharded ({shards})"),
@@ -328,7 +351,10 @@ fn main() -> ExitCode {
     // ---- acceptance checks (gate 18's criteria at bench scale) -----------
     let mut ok = true;
 
-    let ratios: Vec<String> = pairs.iter().map(|p| format!("{:.1}x", p.speedup())).collect();
+    let ratios: Vec<String> = pairs
+        .iter()
+        .map(|p| format!("{:.1}x", p.speedup()))
+        .collect();
     let pass = speedup >= SPEEDUP_FLOOR;
     println!(
         "serve: {} — median {speedup:.1}x vs the global lock over {GATE_PAIRS} pairs \

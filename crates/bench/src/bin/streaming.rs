@@ -63,7 +63,9 @@ struct CadenceRow {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arrivals = arg_parse(&args, "--arrivals", 100_000usize);
-    let window = arg_parse(&args, "--window", 10_000usize).max(2).min(arrivals);
+    let window = arg_parse(&args, "--window", 10_000usize)
+        .max(2)
+        .min(arrivals);
     let k = arg_parse(&args, "--k", 25usize);
     let headline = arg_parse(&args, "--cadence", 500usize).max(1);
     let seed = arg_parse(&args, "--seed", 42u64);
@@ -72,10 +74,9 @@ fn main() -> ExitCode {
     eprintln!("streaming: sampling {arrivals} paper-DGP arrivals (seed {seed})…");
     let s = PaperDgp.sample(arrivals, seed);
 
-    let (lo, hi) = s
-        .x
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+    let (lo, hi) =
+        s.x.iter()
+            .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
     let domain = hi - lo;
     // Log-spaced grid, as everywhere the window is large: a linear
     // paper-default grid would clamp the optimum at its `domain/k` floor.
@@ -131,8 +132,7 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f64() / points.len() as f64 * arrivals as f64;
 
     // ---- cadence sweep ---------------------------------------------------
-    let mut cadences: Vec<usize> =
-        [headline / 2, headline, headline * 2, headline * 4].into();
+    let mut cadences: Vec<usize> = [headline / 2, headline, headline * 2, headline * 4].into();
     cadences.retain(|&c| c >= 1);
     cadences.sort_unstable();
     cadences.dedup();
@@ -140,14 +140,14 @@ fn main() -> ExitCode {
     let mut rows: Vec<CadenceRow> = Vec::new();
     for &cadence in &cadences {
         eprintln!("streaming: replay at cadence {cadence}…");
-        let mut sel =
-            match SlidingWindowSelector::new(Epanechnikov, grid.clone(), window, cadence) {
-                Ok(sel) => sel,
-                Err(e) => {
-                    eprintln!("streaming: bad window/cadence configuration: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        let mut sel = match SlidingWindowSelector::new(Epanechnikov, grid.clone(), window, cadence)
+        {
+            Ok(sel) => sel,
+            Err(e) => {
+                eprintln!("streaming: bad window/cadence configuration: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let mut reselects = 0usize;
         let start = Instant::now();
         for (&xi, &yi) in s.x.iter().zip(&s.y) {
@@ -210,10 +210,17 @@ fn main() -> ExitCode {
     }
 
     // ---- table -----------------------------------------------------------
-    let headers: Vec<String> = ["cadence", "reselects", "wall", "recompute wall", "speedup", "final h"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers: Vec<String> = [
+        "cadence",
+        "reselects",
+        "wall",
+        "recompute wall",
+        "speedup",
+        "final h",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
     let t_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -254,7 +261,11 @@ fn main() -> ExitCode {
             r.cadence,
             r.final_bandwidth,
             recompute_bandwidth,
-            if identical { "bit-identical" } else { "DIVERGED" },
+            if identical {
+                "bit-identical"
+            } else {
+                "DIVERGED"
+            },
         );
         ok &= pass;
     }

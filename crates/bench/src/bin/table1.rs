@@ -23,5 +23,8 @@ fn main() {
          (wall-clock; GPU column also reports simulated Tesla-S10 seconds)"
     );
     let rows = figure1_sweep(max_n, k, reps, nmulti);
-    println!("\n{}", table1(&rows, &PathBuf::from(out)).expect("write CSV"));
+    println!(
+        "\n{}",
+        table1(&rows, &PathBuf::from(out)).expect("write CSV")
+    );
 }

@@ -26,7 +26,11 @@ fn main() {
     // searchable bandwidth (domain/1000, both for the grid and for the
     // optimiser bracket) stays above the nearest-neighbour spacing, so
     // neither method can wander into the degenerate all-excluded region.
-    let sample = SineDgp { frequency: 4.0, noise: 0.35 }.sample(n, 314);
+    let sample = SineDgp {
+        frequency: 4.0,
+        noise: 0.35,
+    }
+    .sample(n, 314);
 
     let grid_sel = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(1_000))
         .select(&sample.x, &sample.y)
@@ -41,7 +45,11 @@ fn main() {
         let bw = npregbw(
             &sample.x,
             &sample.y,
-            NpRegBwOptions { nmulti: 1, seed, ..Default::default() },
+            NpRegBwOptions {
+                nmulti: 1,
+                seed,
+                ..Default::default()
+            },
         )
         .expect("npregbw");
         outcomes.push((bw.bw, bw.fval));
@@ -51,7 +59,10 @@ fn main() {
     // local minima the optimiser lands in.
     let mut clusters: Vec<(f64, f64, usize)> = Vec::new();
     for &(h, f) in &outcomes {
-        match clusters.iter_mut().find(|(ch, _, _)| (h - *ch).abs() < 0.02) {
+        match clusters
+            .iter_mut()
+            .find(|(ch, _, _)| (h - *ch).abs() < 0.02)
+        {
             Some(c) => {
                 c.2 += 1;
                 if f < c.1 {
@@ -64,8 +75,12 @@ fn main() {
     }
     clusters.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-    let headers: Vec<String> =
-        vec!["local minimum h".into(), "CV value".into(), "hit by".into(), "vs grid optimum".into()];
+    let headers: Vec<String> = vec![
+        "local minimum h".into(),
+        "CV value".into(),
+        "hit by".into(),
+        "vs grid optimum".into(),
+    ];
     let rows: Vec<Vec<String>> = clusters
         .iter()
         .map(|&(h, f, count)| {

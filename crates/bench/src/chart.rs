@@ -14,7 +14,10 @@ pub struct Series {
 
 /// Renders series on a log-log grid of `width × height` characters.
 pub fn render_loglog(series: &[Series], width: usize, height: usize) -> String {
-    let all: Vec<(f64, f64)> = series.iter().flat_map(|s| s.points.iter().copied()).collect();
+    let all: Vec<(f64, f64)> = series
+        .iter()
+        .flat_map(|s| s.points.iter().copied())
+        .collect();
     if all.is_empty() {
         return String::from("(no data)\n");
     }
@@ -45,7 +48,11 @@ pub fn render_loglog(series: &[Series], width: usize, height: usize) -> String {
         }
     }
     let mut out = String::new();
-    out.push_str(&format!("run time (s), log scale [{:.2e} .. {:.2e}]\n", 10f64.powf(y0), 10f64.powf(y1)));
+    out.push_str(&format!(
+        "run time (s), log scale [{:.2e} .. {:.2e}]\n",
+        10f64.powf(y0),
+        10f64.powf(y1)
+    ));
     for row in grid {
         out.push('|');
         out.extend(row);
@@ -97,7 +104,11 @@ mod tests {
 
     #[test]
     fn single_point_does_not_panic() {
-        let s = vec![Series { label: "one".into(), mark: '*', points: vec![(50.0, 1.0)] }];
+        let s = vec![Series {
+            label: "one".into(),
+            mark: '*',
+            points: vec![(50.0, 1.0)],
+        }];
         let chart = render_loglog(&s, 20, 10);
         assert!(chart.contains('*'));
     }

@@ -259,7 +259,12 @@ mod tests {
         let mut bandwidths = Vec::new();
         for p in Program::all() {
             let r = run_program(p, &s.x, &s.y, 50, 3).unwrap();
-            assert!(r.bandwidth > 0.0 && r.bandwidth <= 1.0, "{}: {}", p.label(), r.bandwidth);
+            assert!(
+                r.bandwidth > 0.0 && r.bandwidth <= 1.0,
+                "{}: {}",
+                p.label(),
+                r.bandwidth
+            );
             bandwidths.push(r.bandwidth);
         }
         // §IV-C: the programs should produce "optimal bandwidths in similar

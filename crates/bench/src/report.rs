@@ -396,30 +396,30 @@ impl PerfReport {
         match &self.serving {
             None => out.push_str("null"),
             Some(sv) => out.push_str(&format!(
-                    "{{\"streams\":{},\"arrivals_per_stream\":{},\"shards\":{},\
+                "{{\"streams\":{},\"arrivals_per_stream\":{},\"shards\":{},\
                      \"window\":{},\"cadence\":{},\"requests_served\":{},\
                      \"coalesced_arrivals\":{},\"queue_high_water\":{},\
                      \"shed_requests\":{},\"reselects\":{},\"lock_reselects\":{},\
                      \"kernel_evals\":{},\"wall_seconds\":{:.9},\
                      \"lock_wall_seconds\":{:.9},\"final_bandwidths\":[{}],\
                      \"lock_final_bandwidths\":[{}]}}",
-                    sv.streams,
-                    sv.arrivals_per_stream,
-                    sv.shards,
-                    sv.window,
-                    sv.cadence,
-                    sv.requests_served,
-                    sv.coalesced_arrivals,
-                    sv.queue_high_water,
-                    sv.shed_requests,
-                    sv.reselects,
-                    sv.lock_reselects,
-                    sv.kernel_evals,
-                    sv.wall_seconds,
-                    sv.lock_wall_seconds,
-                    decimals(&sv.final_bandwidths),
-                    decimals(&sv.lock_final_bandwidths),
-                )),
+                sv.streams,
+                sv.arrivals_per_stream,
+                sv.shards,
+                sv.window,
+                sv.cadence,
+                sv.requests_served,
+                sv.coalesced_arrivals,
+                sv.queue_high_water,
+                sv.shed_requests,
+                sv.reselects,
+                sv.lock_reselects,
+                sv.kernel_evals,
+                sv.wall_seconds,
+                sv.lock_wall_seconds,
+                decimals(&sv.final_bandwidths),
+                decimals(&sv.lock_final_bandwidths),
+            )),
         }
         out.push('}');
         out
@@ -456,8 +456,7 @@ fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, St
         .iter()
         .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
     let domain = hi - lo;
-    let grid =
-        BandwidthGrid::log(domain * 1e-3, domain * 0.3, k).map_err(|e| e.to_string())?;
+    let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, k).map_err(|e| e.to_string())?;
 
     let recorder = kcv_obs::Recorder::new();
     let scope = recorder.install();
@@ -537,8 +536,7 @@ fn measure_serving(x: &[f64], y: &[f64]) -> Result<ServingInfo, String> {
         .iter()
         .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
     let domain = hi - lo;
-    let grid =
-        BandwidthGrid::log(domain * 1e-3, domain * 0.3, k).map_err(|e| e.to_string())?;
+    let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, k).map_err(|e| e.to_string())?;
     let config = ServeConfig {
         queue_capacity: 2048,
         ..ServeConfig::new(shards, window, cadence)
@@ -568,8 +566,7 @@ fn measure_serving(x: &[f64], y: &[f64]) -> Result<ServingInfo, String> {
     let report = service.shutdown();
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    let lock = GlobalLockService::new(Epanechnikov, grid, config)
-        .map_err(|e| e.to_string())?;
+    let lock = GlobalLockService::new(Epanechnikov, grid, config).map_err(|e| e.to_string())?;
     for s in 0..streams {
         lock.open(s as StreamId).map_err(|e| e.to_string())?;
     }
@@ -578,7 +575,8 @@ fn measure_serving(x: &[f64], y: &[f64]) -> Result<ServingInfo, String> {
         for s in 0..streams {
             for i in chunk_start..(chunk_start + chunk).min(n) {
                 let (xi, yi) = arrival(s, i);
-                lock.send(s as StreamId, xi, yi).map_err(|e| e.to_string())?;
+                lock.send(s as StreamId, xi, yi)
+                    .map_err(|e| e.to_string())?;
             }
         }
     }
@@ -680,9 +678,8 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 )
             }
             "gpu-windowed" => {
-                let run =
-                    select_bandwidth_gpu_windowed(&s.x, &s.y, &grid, &GpuConfig::default())
-                        .map_err(|e| e.to_string())?;
+                let run = select_bandwidth_gpu_windowed(&s.x, &s.y, &grid, &GpuConfig::default())
+                    .map_err(|e| e.to_string())?;
                 (
                     run.bandwidth,
                     run.score,
@@ -706,8 +703,7 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 crate::alloc_track::reset_peak();
                 let baseline = crate::alloc_track::current_bytes();
                 let sel = selector.select(&s.x, &s.y).map_err(|e| e.to_string())?;
-                let host_bytes_peak =
-                    crate::alloc_track::peak_bytes().saturating_sub(baseline);
+                let host_bytes_peak = crate::alloc_track::peak_bytes().saturating_sub(baseline);
                 bagged_info = Some(BaggedInfo {
                     bags,
                     bag_size,
@@ -726,12 +722,7 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 let side = crate::programs::multi_grid_side(config.k);
                 let grids = crate::programs::multi_grids(&columns, side)?;
                 let sel = if name == "multi-naive" {
-                    kcv_core::multi::select_full_grid_naive(
-                        &columns,
-                        &y2,
-                        &Epanechnikov,
-                        &grids,
-                    )
+                    kcv_core::multi::select_full_grid_naive(&columns, &y2, &Epanechnikov, &grids)
                 } else {
                     kcv_core::multi::select_full_grid(&columns, &y2, &Epanechnikov, &grids)
                 }
@@ -761,7 +752,12 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
     }
     let streaming = Some(measure_streaming(&s.x, &s.y, config.k)?);
     let serving = Some(measure_serving(&s.x, &s.y)?);
-    Ok(PerfReport { config, strategies, streaming, serving })
+    Ok(PerfReport {
+        config,
+        strategies,
+        streaming,
+        serving,
+    })
 }
 
 #[cfg(test)]
@@ -770,7 +766,12 @@ mod tests {
 
     #[test]
     fn report_covers_all_strategies_and_serialises() {
-        let report = collect_report(ReportConfig { n: 120, k: 10, seed: 5 }).unwrap();
+        let report = collect_report(ReportConfig {
+            n: 120,
+            k: 10,
+            seed: 5,
+        })
+        .unwrap();
         assert_eq!(report.strategies.len(), STRATEGIES.len());
         for (s, name) in report.strategies.iter().zip(STRATEGIES) {
             assert_eq!(s.name, name);
@@ -786,7 +787,11 @@ mod tests {
         // The windowed program's whole point: a fraction of the classic
         // footprint at the same (n, k).
         assert!(windowed.device_bytes_peak.unwrap() < classic.device_bytes_peak.unwrap() / 2);
-        let bagged = report.strategies.iter().find(|s| s.name == "bagged").unwrap();
+        let bagged = report
+            .strategies
+            .iter()
+            .find(|s| s.name == "bagged")
+            .unwrap();
         let info = bagged.bagged.unwrap();
         assert_eq!(info.bags, 10);
         // n = 120 < 500: bags fall back to the full sample.
@@ -796,19 +801,44 @@ mod tests {
         // Peak is measured under a concurrent test harness, so only
         // presence and plausibility are asserted here (see alloc_track).
         assert!(info.host_bytes_peak > 0);
-        assert!(report.strategies.iter().filter(|s| s.bagged.is_some()).count() == 1);
+        assert!(
+            report
+                .strategies
+                .iter()
+                .filter(|s| s.bagged.is_some())
+                .count()
+                == 1
+        );
 
         // The two multivariate entries share the d = 2 lattice and select
         // the identical bandwidth vector (fast == naive oracle).
-        let mnaive = report.strategies.iter().find(|s| s.name == "multi-naive").unwrap();
-        let mfast = report.strategies.iter().find(|s| s.name == "multi-fast").unwrap();
-        let (ni, fi) = (mnaive.multi.as_ref().unwrap(), mfast.multi.as_ref().unwrap());
+        let mnaive = report
+            .strategies
+            .iter()
+            .find(|s| s.name == "multi-naive")
+            .unwrap();
+        let mfast = report
+            .strategies
+            .iter()
+            .find(|s| s.name == "multi-fast")
+            .unwrap();
+        let (ni, fi) = (
+            mnaive.multi.as_ref().unwrap(),
+            mfast.multi.as_ref().unwrap(),
+        );
         assert_eq!(ni.dims, 2);
         // k = 10 → side 3 → 9 lattice points.
         assert_eq!(ni.grid_points, 9);
         assert_eq!(ni, fi);
         assert_eq!(mnaive.bandwidth, ni.bandwidths[0]);
-        assert!(report.strategies.iter().filter(|s| s.multi.is_some()).count() == 2);
+        assert!(
+            report
+                .strategies
+                .iter()
+                .filter(|s| s.multi.is_some())
+                .count()
+                == 2
+        );
 
         // The streaming replay: n = 120 arrivals into a window of
         // max(n/4, 64) = 64, so 56 evictions, and the final incremental
@@ -822,7 +852,10 @@ mod tests {
         assert_eq!(st.removes, 56);
         assert!(st.wall_seconds >= 0.0);
         assert!(st.recompute_wall_seconds > 0.0);
-        assert_eq!(st.final_bandwidth.to_bits(), st.recompute_bandwidth.to_bits());
+        assert_eq!(
+            st.final_bandwidth.to_bits(),
+            st.recompute_bandwidth.to_bits()
+        );
 
         // The serving replay: 8 streams of all n = 120 arrivals through 4
         // shards and through the global-lock baseline. Whatever the
@@ -836,7 +869,10 @@ mod tests {
         assert_eq!(sv.window, 120);
         assert_eq!(sv.cadence, 50);
         assert_eq!(sv.shed_requests, 0, "blocking sends never shed");
-        assert!(sv.reselects >= 8, "at least each stream's close re-selection");
+        assert!(
+            sv.reselects >= 8,
+            "at least each stream's close re-selection"
+        );
         assert!(sv.lock_reselects >= sv.reselects);
         assert!(sv.wall_seconds > 0.0);
         assert!(sv.lock_wall_seconds > 0.0);
@@ -860,7 +896,10 @@ mod tests {
              \"inserts\":120,\"removes\":56,"
         ));
         assert!(json.contains(",\"serving\":{\"streams\":8,\"arrivals_per_stream\":120,"));
-        assert!(json.ends_with("]}}"), "serving's bandwidth arrays close the report");
+        assert!(
+            json.ends_with("]}}"),
+            "serving's bandwidth arrays close the report"
+        );
     }
 
     /// The v11 layout, byte for byte: every key, its order, each `null`
@@ -917,9 +956,16 @@ mod tests {
                 }],
             },
         };
-        let quiet = StrategyPerf { obs: Snapshot::default(), ..prefix.clone() };
+        let quiet = StrategyPerf {
+            obs: Snapshot::default(),
+            ..prefix.clone()
+        };
         let mut report = PerfReport {
-            config: ReportConfig { n: 1_000, k: 50, seed: 7 },
+            config: ReportConfig {
+                n: 1_000,
+                k: 50,
+                seed: 7,
+            },
             strategies: vec![
                 prefix,
                 StrategyPerf {
@@ -995,7 +1041,10 @@ mod tests {
         report.streaming = None;
         report.serving = None;
         let json = report.to_json();
-        assert!(json.ends_with("}}}],\"streaming\":null,\"serving\":null}"), "{json}");
+        assert!(
+            json.ends_with("}}}],\"streaming\":null,\"serving\":null}"),
+            "{json}"
+        );
     }
 
     #[cfg(feature = "metrics")]
@@ -1105,7 +1154,10 @@ mod tests {
             "tree_updates {} exceeds the update budget",
             st.tree_updates
         );
-        assert_eq!(st.final_bandwidth.to_bits(), st.recompute_bandwidth.to_bits());
+        assert_eq!(
+            st.final_bandwidth.to_bits(),
+            st.recompute_bandwidth.to_bits()
+        );
         // Schema v7 serving replay, measured from the shard workers' own
         // merged recorders: every drained request is counted (8 opens +
         // 8 × 60 arrivals; shutdown closes bypass the queues), the

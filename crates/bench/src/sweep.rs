@@ -141,9 +141,13 @@ fn render_table1(rows: &[Vec<f64>]) -> String {
         .iter()
         .map(|row| {
             let mut cells = vec![row[0].to_string()];
-            cells.extend(
-                row[1..].iter().map(|&v| if v.is_nan() { "-".into() } else { fmt_seconds(v) }),
-            );
+            cells.extend(row[1..].iter().map(|&v| {
+                if v.is_nan() {
+                    "-".into()
+                } else {
+                    fmt_seconds(v)
+                }
+            }));
             cells
         })
         .collect();
@@ -175,13 +179,12 @@ pub fn figure1_series(rows: &[SweepRow]) -> Vec<Series> {
         mark,
         points: points(program, &|r| Some(r.wall_seconds)),
     });
-    let simulated = [('G', Program::CudaGpu), ('W', Program::WindowedGpu)].map(|(mark, program)| {
-        Series {
+    let simulated =
+        [('G', Program::CudaGpu), ('W', Program::WindowedGpu)].map(|(mark, program)| Series {
             label: format!("{} (simulated device time)", program.label()),
             mark,
             points: points(program, &|r| r.simulated_seconds),
-        }
-    });
+        });
     wall.into_iter().chain(simulated).collect()
 }
 
@@ -224,7 +227,11 @@ pub fn table2_sweep(program: Program, max_n: usize, reps: usize) -> Vec<Table2Ce
 /// seconds when `simulated` and the wall seconds otherwise. Returns the
 /// ASCII table and the CSV rows.
 fn table2_panel(cells: &[Table2Cell], max_n: usize, simulated: bool) -> (String, Vec<Vec<f64>>) {
-    let sizes: Vec<usize> = TABLE2_SIZES.iter().copied().filter(|&n| n <= max_n).collect();
+    let sizes: Vec<usize> = TABLE2_SIZES
+        .iter()
+        .copied()
+        .filter(|&n| n <= max_n)
+        .collect();
     let mut headers: Vec<String> = vec!["Bandwidths".into()];
     headers.extend(sizes.iter().map(|n| n.to_string()));
     let mut rows = Vec::new();
@@ -256,11 +263,19 @@ fn table2_panel(cells: &[Table2Cell], max_n: usize, simulated: bool) -> (String,
 /// device seconds and the host wall seconds of the simulation.
 pub fn table2(which: &str, max_n: usize, reps: usize) -> io::Result<String> {
     let mut csv_headers: Vec<String> = vec!["bandwidths".into()];
-    csv_headers.extend(TABLE2_SIZES.iter().filter(|&&n| n <= max_n).map(|n| format!("n{n}")));
+    csv_headers.extend(
+        TABLE2_SIZES
+            .iter()
+            .filter(|&&n| n <= max_n)
+            .map(|n| format!("n{n}")),
+    );
     let csv_headers: Vec<&str> = csv_headers.iter().map(String::as_str).collect();
     let run = |panel: &str, program: Program| {
         (which == panel || which == "both").then(|| {
-            eprintln!("Table II panel {panel} ({}), n ≤ {max_n}, {reps} reps", program.label());
+            eprintln!(
+                "Table II panel {panel} ({}), n ≤ {max_n}, {reps} reps",
+                program.label()
+            );
             table2_sweep(program, max_n, reps)
         })
     };
@@ -271,7 +286,12 @@ pub fn table2(which: &str, max_n: usize, reps: usize) -> io::Result<String> {
         write_csv(Path::new(path), &csv_headers, &csv).map(|()| eprintln!("wrote {path}"))
     };
     if let Some(cells) = run("a", Program::SequentialC) {
-        emit(&cells, false, "results/table2a.csv", "PANEL A: SEQUENTIAL PROGRAM (wall seconds)")?;
+        emit(
+            &cells,
+            false,
+            "results/table2a.csv",
+            "PANEL A: SEQUENTIAL PROGRAM (wall seconds)",
+        )?;
     }
     if let Some(cells) = run("b", Program::CudaGpu) {
         let title = "PANEL B: GPU PROGRAM (simulated Tesla-S10 seconds)";
@@ -297,7 +317,12 @@ mod tests {
         // 2 sizes × (7 univariate programs + the chained Multi fast run).
         assert_eq!(rows.len(), 16);
         assert!(rows.iter().all(|r| r.wall_seconds >= 0.0));
-        assert_eq!(rows.iter().filter(|r| r.program == Program::MultiFast).count(), 2);
+        assert_eq!(
+            rows.iter()
+                .filter(|r| r.program == Program::MultiFast)
+                .count(),
+            2
+        );
         assert!(rows
             .iter()
             .filter(|r| r.program == Program::CudaGpu || r.program == Program::WindowedGpu)

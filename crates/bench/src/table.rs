@@ -42,11 +42,7 @@ pub fn fmt_seconds(s: f64) -> String {
 }
 
 /// Writes a CSV file under `results/`, creating the directory as needed.
-pub fn write_csv(
-    path: &Path,
-    headers: &[&str],
-    rows: &[Vec<f64>],
-) -> io::Result<()> {
+pub fn write_csv(path: &Path, headers: &[&str], rows: &[Vec<f64>]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -100,8 +96,10 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> =
-            ["--max-n", "5000", "--full"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--max-n", "5000", "--full"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(arg_parse(&args, "--max-n", 0usize), 5000);
         assert_eq!(arg_parse(&args, "--reps", 3usize), 3);
         assert!(arg_flag(&args, "--full"));

@@ -137,8 +137,7 @@ pub fn bootstrap_bandwidth_distribution(
                 yb.push(y[idx]);
             }
             let grid = crate::grid::BandwidthGrid::paper_default(&xb, grid_size).ok()?;
-            let profile =
-                crate::cv::cv_profile_sorted(&xb, &yb, &grid, &Epanechnikov).ok()?;
+            let profile = crate::cv::cv_profile_sorted(&xb, &yb, &grid, &Epanechnikov).ok()?;
             profile.argmin().ok().map(|o| o.bandwidth)
         })
         .collect();
@@ -169,8 +168,7 @@ mod tests {
     fn band_brackets_the_point_estimate() {
         let (x, y) = paper_dgp(300, 401);
         let points = [0.25, 0.5, 0.75];
-        let band =
-            bootstrap_band(&x, &y, &Epanechnikov, 0.1, &points, 0.95, 200, 7).unwrap();
+        let band = bootstrap_band(&x, &y, &Epanechnikov, 0.1, &points, 0.95, 200, 7).unwrap();
         for j in 0..points.len() {
             assert!(band.lower[j] <= band.estimates[j] + 1e-9, "point {j}");
             assert!(band.estimates[j] <= band.upper[j] + 1e-9, "point {j}");
@@ -182,8 +180,7 @@ mod tests {
     fn band_mostly_covers_the_truth() {
         let (x, y) = paper_dgp(600, 402);
         let points: Vec<f64> = (2..=18).map(|i| i as f64 / 20.0).collect();
-        let band =
-            bootstrap_band(&x, &y, &Epanechnikov, 0.06, &points, 0.95, 250, 8).unwrap();
+        let band = bootstrap_band(&x, &y, &Epanechnikov, 0.06, &points, 0.95, 250, 8).unwrap();
         let truth = |v: f64| 0.5 * v + 10.0 * v * v + 0.25;
         let covered = points
             .iter()

@@ -143,7 +143,14 @@ pub fn confidence_band<K: Kernel + Clone>(
             }
         }
     }
-    Ok(ConfidenceBand { points: points.to_vec(), estimates, lower, upper, sigma_sq, z })
+    Ok(ConfidenceBand {
+        points: points.to_vec(),
+        estimates,
+        lower,
+        upper,
+        sigma_sq,
+        z,
+    })
 }
 
 #[cfg(test)]

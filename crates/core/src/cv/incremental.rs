@@ -292,7 +292,12 @@ fn reselect_pool<const W: usize>(
     }
     // The counters flush to the recorder when they fall out of scope.
     let scores = sq_sums.into_iter().map(|v| v / n as f64).collect();
-    CvProfile { bandwidths: hs.to_vec(), scores, included, n }
+    CvProfile {
+        bandwidths: hs.to_vec(),
+        scores,
+        included,
+        n,
+    }
 }
 
 /// The incremental prefix-moment selector: a dynamic observation multiset
@@ -314,7 +319,11 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     /// Creates an empty selector scoring over `grid` (ascending by
     /// construction), centred at `0.0`.
     pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
-        Self { kernel, grid, pool: KeyPool::default() }
+        Self {
+            kernel,
+            grid,
+            pool: KeyPool::default(),
+        }
     }
 
     /// Sets the centring shift for the stored moments (conditioning only —
@@ -359,10 +368,16 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
     /// stream may drop the bad arrival and continue.
     pub fn insert(&mut self, x: f64, y: f64) -> Result<()> {
         if !x.is_finite() {
-            return Err(Error::NonFiniteData { which: "x", index: 0 });
+            return Err(Error::NonFiniteData {
+                which: "x",
+                index: 0,
+            });
         }
         if !y.is_finite() {
-            return Err(Error::NonFiniteData { which: "y", index: 0 });
+            return Err(Error::NonFiniteData {
+                which: "y",
+                index: 0,
+            });
         }
         let _update = kcv_obs::phase("cv.update");
         self.pool.insert(x, y);
@@ -523,10 +538,16 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
     /// behaviour operation-for-operation.
     pub fn push_deferred(&mut self, x: f64, y: f64) -> Result<bool> {
         if !x.is_finite() {
-            return Err(Error::NonFiniteData { which: "x", index: 0 });
+            return Err(Error::NonFiniteData {
+                which: "x",
+                index: 0,
+            });
         }
         if !y.is_finite() {
-            return Err(Error::NonFiniteData { which: "y", index: 0 });
+            return Err(Error::NonFiniteData {
+                which: "y",
+                index: 0,
+            });
         }
         if self.window.len() == self.capacity {
             let (ox, oy) = self.window.pop_front().expect("window at capacity");
@@ -606,7 +627,11 @@ mod tests {
         let a = inc.argmin().unwrap();
         let b = fresh.argmin().unwrap();
         assert_eq!(a.index, b.index, "selected index diverged");
-        assert_eq!(a.bandwidth.to_bits(), b.bandwidth.to_bits(), "selection not bit-identical");
+        assert_eq!(
+            a.bandwidth.to_bits(),
+            b.bandwidth.to_bits(),
+            "selection not bit-identical"
+        );
     }
 
     #[test]
@@ -690,7 +715,10 @@ mod tests {
             }
         }
         assert_eq!(sel.len(), live.len());
-        assert!(sel.pool.dead_slots > 0 && sel.pool.pending.is_empty(), "no dead slots to read");
+        assert!(
+            sel.pool.dead_slots > 0 && sel.pool.pending.is_empty(),
+            "no dead slots to read"
+        );
         (sel, live)
     }
 
@@ -703,7 +731,10 @@ mod tests {
         let (mut sel, live) = thinned(Epanechnikov, &lattice_keys());
         let (x, y): (Vec<f64>, Vec<f64>) = live.into_iter().unzip();
         assert_agrees(&mut sel, &x, &y, &Epanechnikov);
-        assert!(sel.pool.dead_slots > 0, "reselect folded the dead slots away");
+        assert!(
+            sel.pool.dead_slots > 0,
+            "reselect folded the dead slots away"
+        );
     }
 
     /// Reselects a thinned selector (dead slots in place) and a fresh one
@@ -715,7 +746,10 @@ mod tests {
             fresh.insert(xi, yi).unwrap();
         }
         let a = sel.reselect().unwrap();
-        assert!(sel.pool.dead_slots > 0, "reselect folded the dead slots away");
+        assert!(
+            sel.pool.dead_slots > 0,
+            "reselect folded the dead slots away"
+        );
         let b = fresh.reselect().unwrap();
         assert_eq!(a.n, b.n);
         assert_eq!(a.included, b.included);
@@ -757,7 +791,10 @@ mod tests {
         }
         assert!(sel.pool.dead_slots > 8, "too few dead slots to jump");
         assert_agrees(&mut sel, &xs, &ys, &Epanechnikov);
-        assert!(sel.pool.dead_slots > 8, "reselect folded the dead slots away");
+        assert!(
+            sel.pool.dead_slots > 8,
+            "reselect folded the dead slots away"
+        );
     }
 
     #[test]
@@ -781,8 +818,7 @@ mod tests {
     fn center_shift_changes_scores_only_within_tolerance() {
         let (x, y) = paper_dgp(200, 35);
         let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-        let mut sel =
-            IncrementalSelector::new(Epanechnikov, grid.clone()).with_center(0.5);
+        let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone()).with_center(0.5);
         for (&xi, &yi) in x.iter().zip(&y) {
             sel.insert(xi, yi).unwrap();
         }
@@ -810,8 +846,7 @@ mod tests {
     fn sliding_window_tracks_the_trailing_observations() {
         let (x, y) = paper_dgp(600, 36);
         let grid = BandwidthGrid::log(0.01, 0.5, 20).unwrap();
-        let mut win =
-            SlidingWindowSelector::new(Epanechnikov, grid.clone(), 200, 50).unwrap();
+        let mut win = SlidingWindowSelector::new(Epanechnikov, grid.clone(), 200, 50).unwrap();
         let mut fired = 0usize;
         for (&xi, &yi) in x.iter().zip(&y) {
             if win.push(xi, yi).unwrap().is_some() {
@@ -840,12 +875,18 @@ mod tests {
         for cap in [0usize, 1] {
             assert!(matches!(
                 SlidingWindowSelector::new(Epanechnikov, grid.clone(), cap, 10),
-                Err(Error::InvalidParameter { name: "capacity", .. })
+                Err(Error::InvalidParameter {
+                    name: "capacity",
+                    ..
+                })
             ));
         }
         assert!(matches!(
             SlidingWindowSelector::new(Epanechnikov, grid.clone(), 10, 0),
-            Err(Error::InvalidParameter { name: "cadence", .. })
+            Err(Error::InvalidParameter {
+                name: "cadence",
+                ..
+            })
         ));
         assert!(SlidingWindowSelector::new(Epanechnikov, grid, 2, 1).is_ok());
     }
@@ -857,8 +898,7 @@ mod tests {
         // matches a fresh prefix run over the intact surviving window.
         let (x, y) = paper_dgp(260, 38);
         let grid = BandwidthGrid::log(0.01, 0.5, 20).unwrap();
-        let mut win =
-            SlidingWindowSelector::new(Epanechnikov, grid.clone(), 100, 40).unwrap();
+        let mut win = SlidingWindowSelector::new(Epanechnikov, grid.clone(), 100, 40).unwrap();
         for (&xi, &yi) in x.iter().zip(&y).take(250) {
             win.push(xi, yi).unwrap();
         }
@@ -896,7 +936,11 @@ mod tests {
         for (&xi, &yi) in x.iter().zip(&y) {
             let via_push = a.push(xi, yi).unwrap();
             let due = b.push_deferred(xi, yi).unwrap();
-            let via_deferred = if due { Some(b.reselect_now().unwrap()) } else { None };
+            let via_deferred = if due {
+                Some(b.reselect_now().unwrap())
+            } else {
+                None
+            };
             assert_eq!(via_push, via_deferred);
         }
         assert_eq!(a.current(), b.current());

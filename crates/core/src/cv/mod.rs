@@ -107,7 +107,12 @@ impl CvProfile {
                 Some(b) => score < b.score,
             };
             if better {
-                best = Some(CvOptimum { index: idx, bandwidth: h, score, included: inc });
+                best = Some(CvOptimum {
+                    index: idx,
+                    bandwidth: h,
+                    score,
+                    included: inc,
+                });
             }
         }
         best.ok_or(Error::NoValidBandwidth)

@@ -56,7 +56,12 @@ pub(crate) fn profile<K: Kernel + ?Sized>(
 ///
 /// This is the objective `kcv-np`'s numerical-optimisation baseline
 /// minimises; its `cv_objective` is tested against this function.
-pub fn cv_score_single<K: Kernel + ?Sized>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> (f64, usize) {
+pub fn cv_score_single<K: Kernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    h: f64,
+    kernel: &K,
+) -> (f64, usize) {
     debug_assert!(validate_bandwidth(h).is_ok());
     let hs = [h];
     let p = fold_observations(

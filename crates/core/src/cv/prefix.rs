@@ -133,7 +133,10 @@ impl<const W: usize> PrefixTables<W> {
         let (xs, ys) = {
             let _sort = kcv_obs::phase("cv.argsort");
             let perm = argsort(x);
-            (with_sentinels(perm.iter().map(|&i| x[i])), apply_permutation(y, &perm))
+            (
+                with_sentinels(perm.iter().map(|&i| x[i])),
+                apply_permutation(y, &perm),
+            )
         };
         let _build = kcv_obs::phase("cv.prefix");
         let n = ys.len();
@@ -144,7 +147,13 @@ impl<const W: usize> PrefixTables<W> {
 
         let rows = moment_rows(xc.iter().zip(&ys).map(|(&v, &yv)| (v, 1.0, yv)));
 
-        Self { xs, ys, xc, rows, n }
+        Self {
+            xs,
+            ys,
+            xc,
+            rows,
+            n,
+        }
     }
 }
 
@@ -169,7 +178,10 @@ impl<const W: usize> WindowMoments<W> {
             dp[m] = row_b.p[m] - row_a.p[m];
             dq[m] = row_b.q[m] - row_a.q[m];
         }
-        let mut out = Self { w: [0.0; W], wy: [0.0; W] };
+        let mut out = Self {
+            w: [0.0; W],
+            wy: [0.0; W],
+        };
         for j in 0..W {
             let mut s = 0.0;
             let mut sy = 0.0;
@@ -229,17 +241,19 @@ fn accumulate_observation_prefix<const W: usize>(
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch.cursors.sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
-        queries.incr(1);
-        skipped.incr((t.n - (hi - lo)) as u64);
-        // The split at si excludes i itself from both sides.
-        let (num, den) = cell.eval(inv_h, &t.rows[lo], &t.rows[hi]);
-        if den > 0.0 {
-            let resid = yi - num / den;
-            sq_sums[m] += resid * resid;
-            included[m] += 1;
-        }
-    });
+    scratch
+        .cursors
+        .sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
+            queries.incr(1);
+            skipped.incr((t.n - (hi - lo)) as u64);
+            // The split at si excludes i itself from both sides.
+            let (num, den) = cell.eval(inv_h, &t.rows[lo], &t.rows[hi]);
+            if den > 0.0 {
+                let resid = yi - num / den;
+                sq_sums[m] += resid * resid;
+                included[m] += 1;
+            }
+        });
 }
 
 /// Local-linear twin of [`accumulate_observation_prefix`] over tables of
@@ -267,41 +281,43 @@ fn accumulate_observation_prefix_ll<const W: usize>(
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch.cursors.sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
-        queries.incr(1);
-        skipped.incr((t.n - (hi - lo)) as u64);
+    scratch
+        .cursors
+        .sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
+            queries.incr(1);
+            skipped.incr((t.n - (hi - lo)) as u64);
 
-        // Window moments on each side of i; the split excludes i itself.
-        let left = WindowMoments::assemble(binom, &t.rows[lo], row_si, &npow);
-        let right = WindowMoments::assemble(binom, row_si1, &t.rows[hi], &npow);
+            // Window moments on each side of i; the split excludes i itself.
+            let left = WindowMoments::assemble(binom, &t.rows[lo], row_si, &npow);
+            let right = WindowMoments::assemble(binom, row_si1, &t.rows[hi], &npow);
 
-        // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
-        // right and (−1)^q·e^{q+j} on the left, so
-        // A_{q,j} = W_{q+j}^right + (−1)^q·W_{q+j}^left (and B likewise
-        // with the y-weighted moments).
-        let mut hp = 1.0;
-        let mut s0 = 0.0;
-        let mut s1 = 0.0;
-        let mut s2 = 0.0;
-        let mut t0 = 0.0;
-        let mut t1 = 0.0;
-        let mut sign = 1.0;
-        for (q, &cq) in sw.coeffs.iter().enumerate() {
-            let c = cq * hp;
-            s0 += c * (right.w[q] + sign * left.w[q]);
-            s1 += c * (right.w[q + 1] + sign * left.w[q + 1]);
-            s2 += c * (right.w[q + 2] + sign * left.w[q + 2]);
-            t0 += c * (right.wy[q] + sign * left.wy[q]);
-            t1 += c * (right.wy[q + 1] + sign * left.wy[q + 1]);
-            hp *= inv_h;
-            sign = -sign;
-        }
-        if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], sw.hs[m]) {
-            let r = yi - g;
-            sq_sums[m] += r * r;
-            included[m] += 1;
-        }
-    });
+            // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
+            // right and (−1)^q·e^{q+j} on the left, so
+            // A_{q,j} = W_{q+j}^right + (−1)^q·W_{q+j}^left (and B likewise
+            // with the y-weighted moments).
+            let mut hp = 1.0;
+            let mut s0 = 0.0;
+            let mut s1 = 0.0;
+            let mut s2 = 0.0;
+            let mut t0 = 0.0;
+            let mut t1 = 0.0;
+            let mut sign = 1.0;
+            for (q, &cq) in sw.coeffs.iter().enumerate() {
+                let c = cq * hp;
+                s0 += c * (right.w[q] + sign * left.w[q]);
+                s1 += c * (right.w[q + 1] + sign * left.w[q + 1]);
+                s2 += c * (right.w[q + 2] + sign * left.w[q + 2]);
+                t0 += c * (right.wy[q] + sign * left.wy[q]);
+                t1 += c * (right.wy[q + 1] + sign * left.wy[q + 1]);
+                hp *= inv_h;
+                sign = -sign;
+            }
+            if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], sw.hs[m]) {
+                let r = yi - g;
+                sq_sums[m] += r * r;
+                included[m] += 1;
+            }
+        });
 }
 
 /// The local-constant prefix-moment profile over the bandwidth list `hs`.
@@ -339,8 +355,10 @@ fn profile_lc<const W: usize>(
     parallel: bool,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch =
-        || LcScratch { cursors: WindowCursors::new(hs.len()), cell: LcCell::new(coeffs) };
+    let new_scratch = || LcScratch {
+        cursors: WindowCursors::new(hs.len()),
+        cell: LcCell::new(coeffs),
+    };
     sw.fold(parallel, new_scratch, accumulate_observation_prefix)
 }
 
@@ -369,14 +387,20 @@ fn profile_ll_w<const W: usize>(
     parallel: bool,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch = || LlScratch { cursors: WindowCursors::new(hs.len()), binom: pascal() };
+    let new_scratch = || LlScratch {
+        cursors: WindowCursors::new(hs.len()),
+        binom: pascal(),
+    };
     sw.fold(parallel, new_scratch, accumulate_observation_prefix_ll)
 }
 
 impl<'a, const W: usize> Sweep<'a, W> {
     /// Builds the moment tables of a validated sample.
     fn new(x: &[f64], y: &[f64], hs: &'a [f64], coeffs: &'static [f64], radius: f64) -> Self {
-        debug_assert!(hs.windows(2).all(|w| w[0] <= w[1]), "bandwidths must be non-decreasing");
+        debug_assert!(
+            hs.windows(2).all(|w| w[0] <= w[1]),
+            "bandwidths must be non-decreasing"
+        );
         Self {
             t: PrefixTables::build(x, y),
             coeffs,
@@ -400,9 +424,13 @@ impl<'a, const W: usize> Sweep<'a, W> {
         F: Fn(usize, &Self, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
     {
         let _window = kcv_obs::phase("cv.window");
-        fold_observations(self.t.n, self.hs, parallel, new_scratch, |si, scratch, sq, inc| {
-            step(si, self, scratch, sq, inc)
-        })
+        fold_observations(
+            self.t.n,
+            self.hs,
+            parallel,
+            new_scratch,
+            |si, scratch, sq, inc| step(si, self, scratch, sq, inc),
+        )
     }
 }
 
@@ -461,7 +489,9 @@ mod tests {
     use crate::cv::{
         cv_profile_naive, cv_profile_sorted, cv_profile_sorted_ll, sorted_ll::cv_profile_naive_ll,
     };
-    use crate::kernels::{polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform};
+    use crate::kernels::{
+        polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform,
+    };
     use crate::util::{approx_eq, SplitMix64};
     use proptest::prelude::*;
 
@@ -601,7 +631,12 @@ mod tests {
         let ys = crate::sort::apply_permutation(&y, &perm);
         let sorted_input = cv_profile_prefix(&xs, &ys, &grid, &Epanechnikov).unwrap();
         for m in 0..grid.len() {
-            assert!(approx_eq(unsorted.scores[m], sorted_input.scores[m], 1e-10, 1e-12));
+            assert!(approx_eq(
+                unsorted.scores[m],
+                sorted_input.scores[m],
+                1e-10,
+                1e-12
+            ));
         }
     }
 
@@ -653,8 +688,9 @@ mod tests {
         use crate::cv::window::{support_window, with_sentinels, WindowCursors};
         let mut rng = SplitMix64::new(41);
         let random: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
-        let duplicates: Vec<f64> =
-            (0..300).map(|_| (rng.next_f64() * 12.0).floor() / 12.0).collect();
+        let duplicates: Vec<f64> = (0..300)
+            .map(|_| (rng.next_f64() * 12.0).floor() / 12.0)
+            .collect();
         let lattice: Vec<f64> = (0..64).map(|j| j as f64 / 16.0).collect();
         // Tight clusters of 1, 4, 5, 8 and 100 keys one unit apart: moving
         // from one cluster to the next, an edge stands still or jumps a
@@ -674,7 +710,10 @@ mod tests {
             xs.sort_by(f64::total_cmp);
             let n = xs.len();
             let keys = with_sentinels(xs.iter().copied());
-            let mut hs = BandwidthGrid::paper_default(&xs, 40).unwrap().values().to_vec();
+            let mut hs = BandwidthGrid::paper_default(&xs, 40)
+                .unwrap()
+                .values()
+                .to_vec();
             // Power-of-two bandwidths put lattice neighbours exactly on the
             // support boundary; the widest ones hold hi at n from the first
             // observation, so every block step there reads the sentinels.
@@ -694,7 +733,10 @@ mod tests {
                             "{name}: start {start}, observation {si}, h = {}",
                             hs[m]
                         );
-                        assert!(lo <= si && si < hi && hi <= n, "{name}: window covers a sentinel");
+                        assert!(
+                            lo <= si && si < hi && hi <= n,
+                            "{name}: window covers a sentinel"
+                        );
                         assert_eq!(m, visited, "bandwidths visited out of order");
                         visited += 1;
                     });
@@ -709,7 +751,16 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "sentinels")]
     fn sweep_checks_the_sentinel_tail() {
-        let keys = [0.0, 0.25, 0.5, 0.75, 1.0, f64::INFINITY, f64::INFINITY, f64::INFINITY];
+        let keys = [
+            0.0,
+            0.25,
+            0.5,
+            0.75,
+            1.0,
+            f64::INFINITY,
+            f64::INFINITY,
+            f64::INFINITY,
+        ];
         let mut cursors = crate::cv::window::WindowCursors::new(1);
         cursors.sweep(&keys, 0, &[1.0], 1.0, |_, _, _, _| {});
     }

@@ -203,7 +203,9 @@ pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
 mod tests {
     use super::*;
     use crate::cv::cv_profile_naive;
-    use crate::kernels::{polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform};
+    use crate::kernels::{
+        polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform,
+    };
     use crate::util::{approx_eq, SplitMix64};
     use proptest::prelude::*;
 
@@ -333,7 +335,12 @@ mod tests {
         y = crate::sort::apply_permutation(&y, &perm);
         let sorted_input = cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
         for m in 0..grid.len() {
-            assert!(approx_eq(unsorted.scores[m], sorted_input.scores[m], 1e-10, 1e-12));
+            assert!(approx_eq(
+                unsorted.scores[m],
+                sorted_input.scores[m],
+                1e-10,
+                1e-12
+            ));
         }
     }
 

@@ -182,7 +182,12 @@ pub fn cv_profile_naive_ll<K: crate::kernels::Kernel + Clone>(
         scores[m] = sum / n as f64;
         included[m] = inc;
     }
-    Ok(CvProfile { bandwidths: grid.values().to_vec(), scores, included, n })
+    Ok(CvProfile {
+        bandwidths: grid.values().to_vec(),
+        scores,
+        included,
+        n,
+    })
 }
 
 #[cfg(test)]

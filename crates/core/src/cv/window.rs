@@ -61,7 +61,10 @@ pub(crate) struct Row<const W: usize> {
 
 impl<const W: usize> Row<W> {
     /// The all-zero row (the empty prefix).
-    pub(crate) const ZERO: Self = Self { p: [0.0; W], q: [0.0; W] };
+    pub(crate) const ZERO: Self = Self {
+        p: [0.0; W],
+        q: [0.0; W],
+    };
 }
 
 /// Builds the compensated prefix rows of a sorted run of key entries
@@ -99,7 +102,10 @@ pub(crate) fn moment_rows<const W: usize>(
 /// [`dispatch_width!`] has no instantiation for.
 pub(crate) fn unsupported_width(len: usize) -> Error {
     match len.checked_sub(1) {
-        Some(degree) => Error::KernelDegreeTooHigh { degree, max: MAX_KERNEL_DEGREE },
+        Some(degree) => Error::KernelDegreeTooHigh {
+            degree,
+            max: MAX_KERNEL_DEGREE,
+        },
         None => Error::InvalidParameter {
             name: "coeffs",
             requirement: "at least one polynomial coefficient",
@@ -203,7 +209,10 @@ pub(crate) fn with_sentinels(keys: impl ExactSizeIterator<Item = f64>) -> Vec<f6
 #[inline(always)]
 fn block_step(keys: &[f64], mut at: usize, holds: impl Fn(f64) -> bool) -> usize {
     loop {
-        let step: usize = keys[at..at + BLOCK].iter().map(|&v| usize::from(holds(v))).sum();
+        let step: usize = keys[at..at + BLOCK]
+            .iter()
+            .map(|&v| usize::from(holds(v)))
+            .sum();
         at += step;
         if step < BLOCK {
             return at;
@@ -223,7 +232,10 @@ pub(crate) struct WindowCursors {
 impl WindowCursors {
     /// Unseeded cursors for `k` bandwidths.
     pub(crate) fn new(k: usize) -> Self {
-        Self { windows: vec![(0, 0); k], at: None }
+        Self {
+            windows: vec![(0, 0); k],
+            at: None,
+        }
     }
 
     /// Visits every bandwidth of the key at sorted position `si`, in order,
@@ -300,7 +312,9 @@ impl<const W: usize> LcCell<W> {
     /// which must hold exactly `W` coefficients.
     pub(crate) fn new(coeffs: &[f64]) -> Self {
         Self {
-            coeffs: coeffs.try_into().expect("kernel width dispatched on coeffs.len()"),
+            coeffs: coeffs
+                .try_into()
+                .expect("kernel width dispatched on coeffs.len()"),
             binom: pascal(),
             right: [[0.0; W]; W],
             left: [[0.0; W]; W],

@@ -53,7 +53,13 @@ pub fn density_band<K: Kernel + Clone>(
         lower.push((f_hat - z * se).max(0.0));
         upper.push(f_hat + z * se);
     }
-    Ok(DensityBand { points: points.to_vec(), densities, lower, upper, z })
+    Ok(DensityBand {
+        points: points.to_vec(),
+        densities,
+        lower,
+        upper,
+        z,
+    })
 }
 
 #[cfg(test)]

@@ -18,10 +18,17 @@ impl<'a, K: Kernel> Kde<'a, K> {
             return Err(Error::SampleTooSmall { n: 0, required: 1 });
         }
         if let Some(i) = x.iter().position(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteData { which: "x", index: i });
+            return Err(Error::NonFiniteData {
+                which: "x",
+                index: i,
+            });
         }
         validate_bandwidth(bandwidth)?;
-        Ok(Self { x, kernel, bandwidth })
+        Ok(Self {
+            x,
+            kernel,
+            bandwidth,
+        })
     }
 
     /// The bandwidth `h`.
@@ -32,7 +39,11 @@ impl<'a, K: Kernel> Kde<'a, K> {
     /// Density estimate at `x0`.
     pub fn evaluate(&self, x0: f64) -> f64 {
         let inv_h = 1.0 / self.bandwidth;
-        let sum: f64 = self.x.iter().map(|&xl| self.kernel.eval((x0 - xl) * inv_h)).sum();
+        let sum: f64 = self
+            .x
+            .iter()
+            .map(|&xl| self.kernel.eval((x0 - xl) * inv_h))
+            .sum();
         sum * inv_h / self.x.len() as f64
     }
 

@@ -34,10 +34,16 @@ impl LscvProfile {
 
 fn validate_x(x: &[f64]) -> Result<usize> {
     if x.len() < 2 {
-        return Err(Error::SampleTooSmall { n: x.len(), required: 2 });
+        return Err(Error::SampleTooSmall {
+            n: x.len(),
+            required: 2,
+        });
     }
     if let Some(i) = x.iter().position(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteData { which: "x", index: i });
+        return Err(Error::NonFiniteData {
+            which: "x",
+            index: i,
+        });
     }
     Ok(x.len())
 }
@@ -73,7 +79,11 @@ pub fn lscv_profile_naive<K: Kernel, C: Kernel>(
         let loo_term = 2.0 * sum_k / (nf * (nf - 1.0) * h);
         scores.push(integral_fhat_sq - loo_term);
     }
-    Ok(LscvProfile { bandwidths: grid.values().to_vec(), scores, n })
+    Ok(LscvProfile {
+        bandwidths: grid.values().to_vec(),
+        scores,
+        n,
+    })
 }
 
 /// Sorted-sweep LSCV profile: `O(n log n + (n + k)·deg)` per observation —
@@ -171,7 +181,11 @@ pub fn lscv_profile_sorted<K: PolynomialKernel, C: PolynomialKernel>(
         })
         .collect();
 
-    Ok(LscvProfile { bandwidths: hs.to_vec(), scores, n })
+    Ok(LscvProfile {
+        bandwidths: hs.to_vec(),
+        scores,
+        n,
+    })
 }
 
 /// LSCV bandwidth selector for the Epanechnikov KDE, using the sorted sweep.
@@ -225,8 +239,7 @@ mod tests {
         let grid = BandwidthGrid::linear(0.05, 1.5, 40).unwrap();
         let sorted =
             lscv_profile_sorted(&x, &grid, &Epanechnikov, &EpanechnikovConvolution).unwrap();
-        let naive =
-            lscv_profile_naive(&x, &grid, &Epanechnikov, &EpanechnikovConvolution).unwrap();
+        let naive = lscv_profile_naive(&x, &grid, &Epanechnikov, &EpanechnikovConvolution).unwrap();
         for m in 0..grid.len() {
             assert!(
                 approx_eq(sorted.scores[m], naive.scores[m], 1e-9, 1e-11),

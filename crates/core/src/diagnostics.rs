@@ -34,7 +34,11 @@ pub fn diagnostics<E: RegressionEstimator>(estimator: &E, y: &[f64]) -> FitDiagn
             fitted_count += 1;
         }
     }
-    let mse = if fitted_count > 0 { ssr / fitted_count as f64 } else { f64::NAN };
+    let mse = if fitted_count > 0 {
+        ssr / fitted_count as f64
+    } else {
+        f64::NAN
+    };
     let ybar = mean(&defined_y);
     let sst: f64 = defined_y.iter().map(|&v| (v - ybar) * (v - ybar)).sum();
     let r_squared = if sst > 0.0 { 1.0 - ssr / sst } else { f64::NAN };
@@ -45,9 +49,19 @@ pub fn diagnostics<E: RegressionEstimator>(estimator: &E, y: &[f64]) -> FitDiagn
         loo_ssr += r * r;
         loo_count += 1;
     }
-    let loo_mse = if loo_count > 0 { loo_ssr / loo_count as f64 } else { f64::NAN };
+    let loo_mse = if loo_count > 0 {
+        loo_ssr / loo_count as f64
+    } else {
+        f64::NAN
+    };
 
-    FitDiagnostics { mse, r_squared, loo_mse, fitted_count, loo_count }
+    FitDiagnostics {
+        mse,
+        r_squared,
+        loo_mse,
+        fitted_count,
+        loo_count,
+    }
 }
 
 /// Mean squared error of the estimator against a known truth function over

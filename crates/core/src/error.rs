@@ -74,7 +74,10 @@ impl fmt::Display for Error {
                 write!(f, "x has {x_len} observations but y has {y_len}")
             }
             Error::SampleTooSmall { n, required } => {
-                write!(f, "sample of {n} observations is below the required {required}")
+                write!(
+                    f,
+                    "sample of {n} observations is below the required {required}"
+                )
             }
             Error::InvalidBandwidth(h) => {
                 write!(f, "bandwidth {h} is not a finite positive number")
@@ -87,7 +90,10 @@ impl fmt::Display for Error {
                 write!(f, "no bandwidth produced a valid cross-validation score")
             }
             Error::OptimiserDiverged { iterations } => {
-                write!(f, "numerical optimiser failed to converge after {iterations} iterations")
+                write!(
+                    f,
+                    "numerical optimiser failed to converge after {iterations} iterations"
+                )
             }
             Error::DegenerateDomain => {
                 write!(f, "regressor is degenerate: all x values are identical")
@@ -99,7 +105,10 @@ impl fmt::Display for Error {
                 write!(f, "invalid parameter {name}: must be {requirement}")
             }
             Error::KernelDegreeTooHigh { degree, max } => {
-                write!(f, "kernel polynomial of degree {degree} exceeds the supported maximum {max}")
+                write!(
+                    f,
+                    "kernel polynomial of degree {degree} exceeds the supported maximum {max}"
+                )
             }
         }
     }
@@ -115,16 +124,28 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Checks equal lengths, a minimum size, and that every value is finite.
 pub fn validate_sample(x: &[f64], y: &[f64], min_n: usize) -> Result<usize> {
     if x.len() != y.len() {
-        return Err(Error::LengthMismatch { x_len: x.len(), y_len: y.len() });
+        return Err(Error::LengthMismatch {
+            x_len: x.len(),
+            y_len: y.len(),
+        });
     }
     if x.len() < min_n {
-        return Err(Error::SampleTooSmall { n: x.len(), required: min_n });
+        return Err(Error::SampleTooSmall {
+            n: x.len(),
+            required: min_n,
+        });
     }
     if let Some(i) = x.iter().position(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteData { which: "x", index: i });
+        return Err(Error::NonFiniteData {
+            which: "x",
+            index: i,
+        });
     }
     if let Some(i) = y.iter().position(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteData { which: "y", index: i });
+        return Err(Error::NonFiniteData {
+            which: "y",
+            index: i,
+        });
     }
     Ok(x.len())
 }
@@ -162,13 +183,25 @@ mod tests {
     #[test]
     fn validate_sample_rejects_nan_x() {
         let err = validate_sample(&[1.0, f64::NAN], &[1.0, 2.0], 1).unwrap_err();
-        assert_eq!(err, Error::NonFiniteData { which: "x", index: 1 });
+        assert_eq!(
+            err,
+            Error::NonFiniteData {
+                which: "x",
+                index: 1
+            }
+        );
     }
 
     #[test]
     fn validate_sample_rejects_infinite_y() {
         let err = validate_sample(&[1.0, 2.0], &[f64::INFINITY, 2.0], 1).unwrap_err();
-        assert_eq!(err, Error::NonFiniteData { which: "y", index: 0 });
+        assert_eq!(
+            err,
+            Error::NonFiniteData {
+                which: "y",
+                index: 0
+            }
+        );
     }
 
     #[test]
@@ -190,12 +223,21 @@ mod tests {
             Error::SampleTooSmall { n: 1, required: 2 },
             Error::InvalidBandwidth(-1.0),
             Error::InvalidGrid("empty"),
-            Error::NonFiniteData { which: "x", index: 0 },
+            Error::NonFiniteData {
+                which: "x",
+                index: 0,
+            },
             Error::NoValidBandwidth,
             Error::OptimiserDiverged { iterations: 100 },
             Error::DegenerateDomain,
-            Error::DimensionMismatch { expected: 2, found: 3 },
-            Error::InvalidParameter { name: "capacity", requirement: "at least 2" },
+            Error::DimensionMismatch {
+                expected: 2,
+                found: 3,
+            },
+            Error::InvalidParameter {
+                name: "capacity",
+                requirement: "at least 2",
+            },
             Error::KernelDegreeTooHigh { degree: 8, max: 7 },
         ];
         for e in errors {

@@ -58,7 +58,15 @@ impl<K: Kernel> BinnedNadarayaWatson<K> {
             response[g] += (1.0 - frac) * yi;
             response[g + 1] += frac * yi;
         }
-        Ok(Self { centres, weight, response, kernel, bandwidth, bin_width, n })
+        Ok(Self {
+            centres,
+            weight,
+            response,
+            kernel,
+            bandwidth,
+            bin_width,
+            n,
+        })
     }
 
     /// The bandwidth `h`.
@@ -110,17 +118,11 @@ impl<K: Kernel> BinnedNadarayaWatson<K> {
     /// Maximum absolute deviation from the exact estimator over `points`
     /// (skipping points where either estimate is undefined) — a cheap
     /// accuracy certificate for a chosen bin count.
-    pub fn max_deviation_from_exact(
-        &self,
-        x: &[f64],
-        y: &[f64],
-        points: &[f64],
-    ) -> Result<f64>
+    pub fn max_deviation_from_exact(&self, x: &[f64], y: &[f64], points: &[f64]) -> Result<f64>
     where
         K: Clone,
     {
-        let exact =
-            super::NadarayaWatson::new(x, y, self.kernel.clone(), self.bandwidth)?;
+        let exact = super::NadarayaWatson::new(x, y, self.kernel.clone(), self.bandwidth)?;
         let mut worst = 0.0f64;
         for &p in points {
             if let (Some(a), Some(b)) = (self.predict(p), exact.predict(p)) {
@@ -219,7 +221,8 @@ mod tests {
         let (x, y) = paper_dgp(10, 305);
         assert!(BinnedNadarayaWatson::new(&x, &y, Epanechnikov, 0.1, 1).is_err());
         assert!(BinnedNadarayaWatson::new(&x, &y, Epanechnikov, 0.0, 10).is_err());
-        assert!(BinnedNadarayaWatson::new(&[1.0, 1.0], &[1.0, 2.0], Epanechnikov, 0.1, 10)
-            .is_err());
+        assert!(
+            BinnedNadarayaWatson::new(&[1.0, 1.0], &[1.0, 2.0], Epanechnikov, 0.1, 10).is_err()
+        );
     }
 }

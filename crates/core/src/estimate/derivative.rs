@@ -88,7 +88,11 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|&v| 4.0 - 3.0 * v).collect();
         for &p in &[0.1, 0.5, 0.9] {
             let fit = local_fit(&x, &y, &Epanechnikov, 0.25, p).unwrap().unwrap();
-            assert!((fit.slope + 3.0).abs() < 1e-10, "slope at {p}: {}", fit.slope);
+            assert!(
+                (fit.slope + 3.0).abs() < 1e-10,
+                "slope at {p}: {}",
+                fit.slope
+            );
             assert!((fit.level - (4.0 - 3.0 * p)).abs() < 1e-10);
         }
     }

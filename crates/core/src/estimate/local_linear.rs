@@ -28,7 +28,12 @@ impl<'a, K: Kernel> LocalLinear<'a, K> {
     pub fn new(x: &'a [f64], y: &'a [f64], kernel: K, bandwidth: f64) -> Result<Self> {
         validate_sample(x, y, 2)?;
         validate_bandwidth(bandwidth)?;
-        Ok(Self { x, y, kernel, bandwidth })
+        Ok(Self {
+            x,
+            y,
+            kernel,
+            bandwidth,
+        })
     }
 
     /// The bandwidth `h`.
@@ -153,7 +158,10 @@ mod tests {
         let ll_err = (ll.predict(0.0).unwrap() - 0.0).abs();
         let nw_err = (nw.predict(0.0).unwrap() - 0.0).abs();
         assert!(ll_err < 1e-10);
-        assert!(nw_err > 0.1, "NW should be biased at the boundary: {nw_err}");
+        assert!(
+            nw_err > 0.1,
+            "NW should be biased at the boundary: {nw_err}"
+        );
     }
 
     #[test]

@@ -93,8 +93,7 @@ impl FittedCurve {
         if self.estimates.is_empty() {
             return 0.0;
         }
-        self.estimates.iter().filter(|e| e.is_some()).count() as f64
-            / self.estimates.len() as f64
+        self.estimates.iter().filter(|e| e.is_some()).count() as f64 / self.estimates.len() as f64
     }
 }
 

@@ -32,7 +32,12 @@ impl<'a, K: Kernel> NadarayaWatson<'a, K> {
     pub fn new(x: &'a [f64], y: &'a [f64], kernel: K, bandwidth: f64) -> Result<Self> {
         validate_sample(x, y, 1)?;
         validate_bandwidth(bandwidth)?;
-        Ok(Self { x, y, kernel, bandwidth })
+        Ok(Self {
+            x,
+            y,
+            kernel,
+            bandwidth,
+        })
     }
 
     /// The bandwidth `h`.
@@ -148,10 +153,7 @@ mod tests {
         let y = [1.0, 2.0, 3.0];
         let fit = NadarayaWatson::new(&x, &y, Epanechnikov, 1.0).unwrap();
         assert_eq!(fit.loo_predict(0), None);
-        assert_eq!(
-            fit.loo_residuals(),
-            vec![None, None, None]
-        );
+        assert_eq!(fit.loo_residuals(), vec![None, None, None]);
         // CV treats excluded points as contributing zero (M(X_i) = 0).
         assert_eq!(fit.cv_score(), 0.0);
     }

@@ -30,8 +30,7 @@ impl BandwidthGrid {
             return Ok(Self { values: vec![min] });
         }
         let step = (max - min) / (count - 1) as f64;
-        let mut values: Vec<f64> =
-            (0..count).map(|i| min + step * i as f64).collect();
+        let mut values: Vec<f64> = (0..count).map(|i| min + step * i as f64).collect();
         // `min + step·(count−1)` can drift an ulp away from (and past) `max`;
         // the grid promises inclusive endpoints, so pin the last value.
         values[count - 1] = max;
@@ -52,8 +51,7 @@ impl BandwidthGrid {
         }
         let (lmin, lmax) = (min.ln(), max.ln());
         let step = (lmax - lmin) / (count - 1) as f64;
-        let mut values: Vec<f64> =
-            (0..count).map(|i| (lmin + step * i as f64).exp()).collect();
+        let mut values: Vec<f64> = (0..count).map(|i| (lmin + step * i as f64).exp()).collect();
         // exp(ln(max)) need not round-trip; pin the endpoint like `linear`.
         values[count - 1] = max;
         Ok(Self { values })
@@ -141,7 +139,9 @@ impl BandwidthGrid {
         } else {
             self.step()
         };
-        let lo = (center - span).max(f64::MIN_POSITIVE.sqrt()).max(center * 1e-6);
+        let lo = (center - span)
+            .max(f64::MIN_POSITIVE.sqrt())
+            .max(center * 1e-6);
         let hi = center + span;
         Self::linear(lo, hi, count)
     }
@@ -250,7 +250,10 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
                 BandwidthGrid::paper_default(&[0.0, bad, 1.0], 10).unwrap_err(),
-                Error::NonFiniteData { which: "x", index: 1 }
+                Error::NonFiniteData {
+                    which: "x",
+                    index: 1
+                }
             );
         }
     }

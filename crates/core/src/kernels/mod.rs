@@ -182,7 +182,11 @@ mod tests {
         for k in all_kernels() {
             let (lo, hi) = integration_range(k.as_ref());
             let total = integrate(|u| k.eval(u), lo, hi, 200_000);
-            assert!((total - 1.0).abs() < 1e-6, "{} integrates to {total}", k.name());
+            assert!(
+                (total - 1.0).abs() < 1e-6,
+                "{} integrates to {total}",
+                k.name()
+            );
         }
     }
 

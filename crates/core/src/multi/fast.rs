@@ -94,7 +94,10 @@ pub fn cv_scores_fast<K: PolynomialKernel + ?Sized>(
 ) -> Result<(Vec<f64>, Vec<usize>)> {
     let d = columns.len();
     if d == 0 {
-        return Err(Error::DimensionMismatch { expected: 1, found: 0 });
+        return Err(Error::DimensionMismatch {
+            expected: 1,
+            found: 0,
+        });
     }
     let n = y.len();
     if n < 2 {
@@ -102,18 +105,30 @@ pub fn cv_scores_fast<K: PolynomialKernel + ?Sized>(
     }
     for col in columns {
         if col.len() != n {
-            return Err(Error::LengthMismatch { x_len: col.len(), y_len: n });
+            return Err(Error::LengthMismatch {
+                x_len: col.len(),
+                y_len: n,
+            });
         }
         if let Some(i) = col.iter().position(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteData { which: "x", index: i });
+            return Err(Error::NonFiniteData {
+                which: "x",
+                index: i,
+            });
         }
     }
     if let Some(i) = y.iter().position(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteData { which: "y", index: i });
+        return Err(Error::NonFiniteData {
+            which: "y",
+            index: i,
+        });
     }
     for hs in h_vectors {
         if hs.len() != d {
-            return Err(Error::DimensionMismatch { expected: d, found: hs.len() });
+            return Err(Error::DimensionMismatch {
+                expected: d,
+                found: hs.len(),
+            });
         }
         for &h in hs {
             validate_bandwidth(h)?;
@@ -175,7 +190,10 @@ impl SweepFrame {
         let perm = argsort(&columns[0]);
         SweepFrame {
             xs1: apply_permutation(&columns[0], &perm),
-            cols: columns[1..].iter().map(|c| apply_permutation(c, &perm)).collect(),
+            cols: columns[1..]
+                .iter()
+                .map(|c| apply_permutation(c, &perm))
+                .collect(),
             yv: apply_permutation(y, &perm),
         }
     }
@@ -185,14 +203,7 @@ impl SweepFrame {
 /// `p` for fixed `inv_h1` — both ends are monotone non-decreasing in `p`,
 /// so the amortised cost over a full sweep is `O(n)`.
 #[inline]
-fn slide_window(
-    xs1: &[f64],
-    p: usize,
-    inv_h1: f64,
-    radius: f64,
-    lo: &mut usize,
-    hi: &mut usize,
-) {
+fn slide_window(xs1: &[f64], p: usize, inv_h1: f64, radius: f64, lo: &mut usize, hi: &mut usize) {
     let xi = xs1[p];
     while (xi - xs1[*lo]) * inv_h1 > radius {
         *lo += 1;
@@ -279,7 +290,18 @@ impl Tables2 {
                 p1 *= x1c[p];
             }
         }
-        Tables2 { frame, xs2, rank2, x1c, x2c, blocks, binom: pascal(deg), deg, bsz, n }
+        Tables2 {
+            frame,
+            xs2,
+            rank2,
+            x1c,
+            x2c,
+            blocks,
+            binom: pascal(deg),
+            deg,
+            bsz,
+            n,
+        }
     }
 
     /// Binary-searches the dimension-2 support window `[a2, b2)` of value
@@ -453,7 +475,14 @@ fn score_grid_point_d2(
             // new one leaves R, and each end of the window slides forward.
             let (lo_prev, hi_prev) = (lo, hi);
             slide_window(xs1, p, inv_h1, radius, &mut lo, &mut hi);
-            fenwick_update(&mut sweep.fen_l, n, bsz2, t.rank2[p - 1], 1.0, block_of(p - 1));
+            fenwick_update(
+                &mut sweep.fen_l,
+                n,
+                bsz2,
+                t.rank2[p - 1],
+                1.0,
+                block_of(p - 1),
+            );
             for q in lo_prev..lo {
                 fenwick_update(&mut sweep.fen_l, n, bsz2, t.rank2[q], -1.0, block_of(q));
             }
@@ -632,11 +661,15 @@ mod tests {
 
     fn dgp(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = SplitMix64::new(seed);
-        let cols: Vec<Vec<f64>> =
-            (0..d).map(|_| (0..n).map(|_| rng.next_f64()).collect()).collect();
+        let cols: Vec<Vec<f64>> = (0..d)
+            .map(|_| (0..n).map(|_| rng.next_f64()).collect())
+            .collect();
         let y: Vec<f64> = (0..n)
             .map(|i| {
-                cols.iter().enumerate().map(|(j, c)| (j + 1) as f64 * c[i]).sum::<f64>()
+                cols.iter()
+                    .enumerate()
+                    .map(|(j, c)| (j + 1) as f64 * c[i])
+                    .sum::<f64>()
                     + 0.1 * rng.next_f64()
             })
             .collect();
@@ -692,7 +725,11 @@ mod tests {
     #[test]
     fn d3_scan_agrees_with_the_naive_oracle() {
         let (cols, y) = dgp(60, 3, 3);
-        let h_vectors = vec![vec![0.2, 0.3, 0.4], vec![0.5, 0.5, 0.5], vec![0.15, 0.4, 0.25]];
+        let h_vectors = vec![
+            vec![0.2, 0.3, 0.4],
+            vec![0.5, 0.5, 0.5],
+            vec![0.15, 0.4, 0.25],
+        ];
         let (fast_s, fast_i) = cv_scores_fast(&cols, &y, &Epanechnikov, &h_vectors).unwrap();
         let (naive_s, naive_i) = naive_oracle(&cols, &y, &h_vectors);
         assert_eq!(fast_i, naive_i);

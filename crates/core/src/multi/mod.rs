@@ -45,7 +45,10 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
         bandwidths: Vec<f64>,
     ) -> Result<Self> {
         if columns.is_empty() {
-            return Err(Error::DimensionMismatch { expected: 1, found: 0 });
+            return Err(Error::DimensionMismatch {
+                expected: 1,
+                found: 0,
+            });
         }
         let n = y.len();
         if n < 2 {
@@ -53,10 +56,16 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
         }
         for col in columns {
             if col.len() != n {
-                return Err(Error::LengthMismatch { x_len: col.len(), y_len: n });
+                return Err(Error::LengthMismatch {
+                    x_len: col.len(),
+                    y_len: n,
+                });
             }
             if let Some(i) = col.iter().position(|v| !v.is_finite()) {
-                return Err(Error::NonFiniteData { which: "x", index: i });
+                return Err(Error::NonFiniteData {
+                    which: "x",
+                    index: i,
+                });
             }
         }
         if bandwidths.len() != columns.len() {
@@ -68,7 +77,12 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
         for &h in &bandwidths {
             crate::error::validate_bandwidth(h)?;
         }
-        Ok(Self { columns, y, kernel, bandwidths })
+        Ok(Self {
+            columns,
+            y,
+            kernel,
+            bandwidths,
+        })
     }
 
     /// Number of regressors `d`.
@@ -109,7 +123,10 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
     /// Predicts `E[Y | X = point]`; `None` on zero weight mass.
     pub fn predict(&self, point: &[f64]) -> Result<Option<f64>> {
         if point.len() != self.dim() {
-            return Err(Error::DimensionMismatch { expected: self.dim(), found: point.len() });
+            return Err(Error::DimensionMismatch {
+                expected: self.dim(),
+                found: point.len(),
+            });
         }
         let mut num = 0.0;
         let mut den = 0.0;
@@ -204,7 +221,10 @@ fn best_index(scores: &[f64], included: &[usize]) -> Option<usize> {
 /// Validates the Cartesian grid, returning the total number of points.
 fn validate_full_grid(d: usize, per_dim_grids: &[Vec<f64>]) -> Result<usize> {
     if per_dim_grids.len() != d {
-        return Err(Error::DimensionMismatch { expected: d, found: per_dim_grids.len() });
+        return Err(Error::DimensionMismatch {
+            expected: d,
+            found: per_dim_grids.len(),
+        });
     }
     let mut total = 1usize;
     for g in per_dim_grids {
@@ -219,7 +239,9 @@ fn validate_full_grid(d: usize, per_dim_grids: &[Vec<f64>]) -> Result<usize> {
             .ok_or(Error::InvalidGrid("grid product overflows"))?;
     }
     if total > 1_000_000 {
-        return Err(Error::InvalidGrid("full grid exceeds 1e6 points; use the multiplier search"));
+        return Err(Error::InvalidGrid(
+            "full grid exceeds 1e6 points; use the multiplier search",
+        ));
     }
     Ok(total)
 }
@@ -251,14 +273,18 @@ pub fn select_multiplier_grid<K: PolynomialKernel + ?Sized>(
         return Err(Error::InvalidGrid("empty multiplier grid"));
     }
     if multipliers.iter().any(|&c| !(c.is_finite() && c > 0.0)) {
-        return Err(Error::InvalidGrid("multipliers must be finite and positive"));
+        return Err(Error::InvalidGrid(
+            "multipliers must be finite and positive",
+        ));
     }
     let base: Vec<f64> = columns
         .iter()
         .map(|col| silverman_bandwidth(col, &kernel))
         .collect::<Result<_>>()?;
-    let h_vectors: Vec<Vec<f64>> =
-        multipliers.iter().map(|&c| base.iter().map(|&b| b * c).collect()).collect();
+    let h_vectors: Vec<Vec<f64>> = multipliers
+        .iter()
+        .map(|&c| base.iter().map(|&b| b * c).collect())
+        .collect();
     let (scores, included) = fast::cv_scores_fast(columns, y, kernel, &h_vectors)?;
     let g = best_index(&scores, &included).ok_or(Error::NoValidBandwidth)?;
     Ok(MultiSelection {
@@ -288,7 +314,9 @@ pub fn select_multiplier_grid_naive<K: Kernel + Clone>(
     let mut best: Option<MultiSelection> = None;
     for &c in multipliers {
         if !(c.is_finite() && c > 0.0) {
-            return Err(Error::InvalidGrid("multipliers must be finite and positive"));
+            return Err(Error::InvalidGrid(
+                "multipliers must be finite and positive",
+            ));
         }
         let hs: Vec<f64> = base.iter().map(|&b| b * c).collect();
         let est = MultiNadarayaWatson::new(columns, y, kernel.clone(), hs.clone())?;
@@ -297,7 +325,11 @@ pub fn select_multiplier_grid_naive<K: Kernel + Clone>(
             continue;
         }
         if best.as_ref().is_none_or(|b| score < b.score) {
-            best = Some(MultiSelection { bandwidths: hs, multiplier: c, score });
+            best = Some(MultiSelection {
+                bandwidths: hs,
+                multiplier: c,
+                score,
+            });
         }
     }
     best.ok_or(Error::NoValidBandwidth)
@@ -318,8 +350,9 @@ pub fn select_full_grid<K: PolynomialKernel + ?Sized>(
     per_dim_grids: &[Vec<f64>],
 ) -> Result<MultiSelection> {
     let total = validate_full_grid(columns.len(), per_dim_grids)?;
-    let h_vectors: Vec<Vec<f64>> =
-        (0..total).map(|idx| decode_grid_point(per_dim_grids, idx)).collect();
+    let h_vectors: Vec<Vec<f64>> = (0..total)
+        .map(|idx| decode_grid_point(per_dim_grids, idx))
+        .collect();
     let (scores, included) = fast::cv_scores_fast(columns, y, kernel, &h_vectors)?;
     let g = best_index(&scores, &included).ok_or(Error::NoValidBandwidth)?;
     Ok(MultiSelection {
@@ -357,9 +390,11 @@ pub fn select_full_grid_naive<K: Kernel + Clone + Sync>(
         .min_by(|a, b| a.1.total_cmp(&b.1));
 
     match best {
-        Some((bandwidths, score, _)) => {
-            Ok(MultiSelection { bandwidths, multiplier: f64::NAN, score })
-        }
+        Some((bandwidths, score, _)) => Ok(MultiSelection {
+            bandwidths,
+            multiplier: f64::NAN,
+            score,
+        }),
         None => Err(Error::NoValidBandwidth),
     }
 }
@@ -419,7 +454,11 @@ mod tests {
         let truth = |a: f64, b: f64| a + 2.0 * b * b + 0.05;
         for &(a, b) in &[(0.3, 0.3), (0.5, 0.7), (0.7, 0.2)] {
             let g = est.predict(&[a, b]).unwrap().unwrap();
-            assert!((g - truth(a, b)).abs() < 0.15, "at ({a},{b}): {g} vs {}", truth(a, b));
+            assert!(
+                (g - truth(a, b)).abs() < 0.15,
+                "at ({a},{b}): {g} vs {}",
+                truth(a, b)
+            );
         }
     }
 
@@ -436,7 +475,9 @@ mod tests {
                 .iter()
                 .map(|col| silverman_bandwidth(col, &Epanechnikov).unwrap() * c)
                 .collect();
-            MultiNadarayaWatson::new(&cols, &y, Epanechnikov, base).unwrap().cv_score()
+            MultiNadarayaWatson::new(&cols, &y, Epanechnikov, base)
+                .unwrap()
+                .cv_score()
         };
         assert!(sel.score <= at(0.25) + 1e-12);
         assert!(sel.score <= at(5.0) + 1e-12);
@@ -454,8 +495,7 @@ mod tests {
         // Any single point of the grid can't beat the full-grid optimum.
         for &h1 in &g1 {
             for &h2 in &g1 {
-                let est =
-                    MultiNadarayaWatson::new(&cols, &y, Gaussian, vec![h1, h2]).unwrap();
+                let est = MultiNadarayaWatson::new(&cols, &y, Gaussian, vec![h1, h2]).unwrap();
                 assert!(full.score <= est.cv_score() + 1e-12);
             }
         }
@@ -482,7 +522,9 @@ mod tests {
         assert!(select_full_grid_naive(&cols, &y, &Gaussian, &[vec![0.1], vec![]]).is_err());
         assert!(select_full_grid_naive(&cols, &y, &Gaussian, &[vec![0.1], vec![-0.1]]).is_err());
         let huge: Vec<f64> = (1..=1_001).map(|i| i as f64 * 1e-3).collect();
-        assert!(select_full_grid_naive(&cols, &y, &Gaussian, &[huge.clone(), huge.clone()]).is_err());
+        assert!(
+            select_full_grid_naive(&cols, &y, &Gaussian, &[huge.clone(), huge.clone()]).is_err()
+        );
         assert!(select_full_grid(&cols, &y, &Epanechnikov, &[vec![0.1]]).is_err());
         assert!(select_full_grid(&cols, &y, &Epanechnikov, &[vec![0.1], vec![]]).is_err());
         assert!(select_full_grid(&cols, &y, &Epanechnikov, &[vec![0.1], vec![-0.1]]).is_err());
@@ -493,8 +535,8 @@ mod tests {
     fn fast_selectors_agree_with_the_naive_variants() {
         let (cols, y) = dgp2(150, 109);
         let grid: Vec<f64> = (1..=5).map(|i| i as f64 * 0.06).collect();
-        let fast = select_full_grid(&cols, &y, &Epanechnikov, &[grid.clone(), grid.clone()])
-            .unwrap();
+        let fast =
+            select_full_grid(&cols, &y, &Epanechnikov, &[grid.clone(), grid.clone()]).unwrap();
         let naive =
             select_full_grid_naive(&cols, &y, &Epanechnikov, &[grid.clone(), grid]).unwrap();
         assert_eq!(fast.bandwidths, naive.bandwidths);
@@ -502,8 +544,7 @@ mod tests {
 
         let multipliers: Vec<f64> = (1..=12).map(|i| i as f64 * 0.4).collect();
         let fast_m = select_multiplier_grid(&cols, &y, &Epanechnikov, &multipliers).unwrap();
-        let naive_m =
-            select_multiplier_grid_naive(&cols, &y, &Epanechnikov, &multipliers).unwrap();
+        let naive_m = select_multiplier_grid_naive(&cols, &y, &Epanechnikov, &multipliers).unwrap();
         assert_eq!(fast_m.bandwidths, naive_m.bandwidths);
         assert_eq!(fast_m.multiplier, naive_m.multiplier);
     }
@@ -514,7 +555,9 @@ mod tests {
         let est = MultiNadarayaWatson::new(&cols, &y, Epanechnikov, vec![0.05, 0.05]).unwrap();
         let (score, included) = est.cv_score_included();
         assert_eq!(score, est.cv_score());
-        let recount = (0..y.len()).filter(|&i| est.loo_predict(i).is_some()).count();
+        let recount = (0..y.len())
+            .filter(|&i| est.loo_predict(i).is_some())
+            .count();
         assert_eq!(included, recount);
         assert!(included < y.len(), "tiny bandwidth should exclude someone");
     }

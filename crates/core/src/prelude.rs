@@ -18,7 +18,7 @@ pub use crate::kernels::{
     Uniform,
 };
 pub use crate::select::{
-    select_bandwidth, BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome,
-    BandwidthSelector, GridSpec, NaiveGridSearch, RuleOfThumbSelector, Selection,
-    SortedGridSearch, Strategy, ZoomGridSearch,
+    select_bandwidth, BagCombiner, BagEngine, BagOutcome, BaggedSelection, BaggedSelector,
+    BandwidthSelector, GridSpec, NaiveGridSearch, RuleOfThumbSelector, Selection, SortedGridSearch,
+    Strategy, ZoomGridSearch,
 };

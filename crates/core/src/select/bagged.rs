@@ -331,7 +331,11 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         let opt = profile.argmin_with_min_included(self.min_included)?;
         kcv_obs::add(kcv_obs::Counter::BagsRun, 1);
         Ok((
-            BagOutcome { bag, bandwidth: opt.bandwidth, score: opt.score },
+            BagOutcome {
+                bag,
+                bandwidth: opt.bandwidth,
+                score: opt.score,
+            },
             profile.len(),
         ))
     }
@@ -343,7 +347,10 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
     pub fn select_bagged(&self, x: &[f64], y: &[f64]) -> Result<BaggedSelection> {
         let n = validate_sample(x, y, 2)?;
         if self.bag_size > n {
-            return Err(Error::SampleTooSmall { n, required: self.bag_size });
+            return Err(Error::SampleTooSmall {
+                n,
+                required: self.bag_size,
+            });
         }
         // One grid resolution from the full sample, shared by every bag —
         // every bag then scores the same candidate bandwidths, so per-bag
@@ -360,7 +367,9 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
                 })
                 .collect()
         } else {
-            (0..self.bags).map(|b| self.run_bag(x, y, &grid, b)).collect()
+            (0..self.bags)
+                .map(|b| self.run_bag(x, y, &grid, b))
+                .collect()
         };
 
         let mut bags = Vec::with_capacity(self.bags);
@@ -465,8 +474,8 @@ mod tests {
     #[test]
     fn bagged_selection_is_deterministic_and_schedule_independent() {
         let (x, y) = paper_dgp(1_200, 11);
-        let selector = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 6, 300)
-            .with_seed(9);
+        let selector =
+            BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 6, 300).with_seed(9);
         let parallel = selector.select_bagged(&x, &y).unwrap();
         let sequential = selector.clone().sequential().select_bagged(&x, &y).unwrap();
         let again = selector.select_bagged(&x, &y).unwrap();
@@ -493,7 +502,10 @@ mod tests {
         // Same DGP, different subsamples: per-bag selections should differ
         // somewhere even if the combined answers land close.
         assert!(
-            a.bags.iter().zip(&b.bags).any(|(p, q)| p.bandwidth != q.bandwidth),
+            a.bags
+                .iter()
+                .zip(&b.bags)
+                .any(|(p, q)| p.bandwidth != q.bandwidth),
             "seeds 1 and 2 produced identical per-bag selections"
         );
     }
@@ -502,8 +514,14 @@ mod tests {
     fn full_size_single_bag_is_bit_identical_to_the_engine() {
         let (x, y) = paper_dgp(400, 13);
         for (engine, reference) in [
-            (BagEngine::SortedSweep, SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(30))),
-            (BagEngine::PrefixMoments, SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(30))),
+            (
+                BagEngine::SortedSweep,
+                SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(30)),
+            ),
+            (
+                BagEngine::PrefixMoments,
+                SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(30)),
+            ),
         ] {
             let bagged = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 1, x.len())
                 .with_engine(engine)
@@ -578,7 +596,13 @@ mod tests {
         let err = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(10), 2, 100)
             .select_bagged(&x, &y)
             .unwrap_err();
-        assert_eq!(err, Error::SampleTooSmall { n: 50, required: 100 });
+        assert_eq!(
+            err,
+            Error::SampleTooSmall {
+                n: 50,
+                required: 100
+            }
+        );
     }
 
     #[test]
@@ -592,7 +616,10 @@ mod tests {
     #[test]
     fn footprint_bound_is_independent_of_n() {
         // The bound is a function of (r, k) only — the memory gate's point.
-        assert_eq!(bag_footprint_bound_bytes(2_000, 50), 256 * 2_000 + 64 * 50 + 65_536);
+        assert_eq!(
+            bag_footprint_bound_bytes(2_000, 50),
+            256 * 2_000 + 64 * 50 + 65_536
+        );
         assert!(bag_workers(25) >= 1);
         assert!(bag_workers(1) == 1);
     }

@@ -93,12 +93,24 @@ pub struct SortedGridSearch<K: PolynomialKernel> {
 impl<K: PolynomialKernel> SortedGridSearch<K> {
     /// Sequential sorted grid search (the paper's Program 3).
     pub fn new(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::SortedSweep, parallel: false, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            strategy: Strategy::SortedSweep,
+            parallel: false,
+            min_included: 1,
+        }
     }
 
     /// Parallel (SPMD) sorted grid search (the algorithm of Program 4).
     pub fn parallel(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::SortedSweep, parallel: true, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            strategy: Strategy::SortedSweep,
+            parallel: true,
+            min_included: 1,
+        }
     }
 
     /// Sequential prefix-moment grid search ([`Strategy::PrefixMoments`]):
@@ -130,13 +142,25 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
     /// assert_eq!(sorted.bandwidth, prefix.bandwidth);
     /// ```
     pub fn prefix(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::PrefixMoments, parallel: false, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            strategy: Strategy::PrefixMoments,
+            parallel: false,
+            min_included: 1,
+        }
     }
 
     /// Parallel prefix-moment grid search (rayon over observations against
     /// the shared read-only prefix tables).
     pub fn prefix_par(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, strategy: Strategy::PrefixMoments, parallel: true, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            strategy: Strategy::PrefixMoments,
+            parallel: true,
+            min_included: 1,
+        }
     }
 
     /// Requires at least `count` observations to have a defined leave-one-out
@@ -220,12 +244,22 @@ pub struct NaiveGridSearch<K: Kernel> {
 impl<K: Kernel> NaiveGridSearch<K> {
     /// Sequential naive grid search.
     pub fn new(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, parallel: false, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            parallel: false,
+            min_included: 1,
+        }
     }
 
     /// Parallel naive grid search.
     pub fn parallel(kernel: K, grid: GridSpec) -> Self {
-        Self { kernel, grid, parallel: true, min_included: 1 }
+        Self {
+            kernel,
+            grid,
+            parallel: true,
+            min_included: 1,
+        }
     }
 
     /// See [`SortedGridSearch::with_min_included`].
@@ -278,7 +312,12 @@ pub struct ZoomGridSearch<K: PolynomialKernel> {
 impl<K: PolynomialKernel> ZoomGridSearch<K> {
     /// `initial` bandwidths per round, `rounds` refinement rounds (≥ 1).
     pub fn new(kernel: K, initial: usize, rounds: usize) -> Self {
-        Self { kernel, initial, rounds: rounds.max(1), parallel: false }
+        Self {
+            kernel,
+            initial,
+            rounds: rounds.max(1),
+            parallel: false,
+        }
     }
 
     /// Uses the parallel sweep inside each round.
@@ -310,7 +349,12 @@ impl<K: PolynomialKernel> BandwidthSelector for ZoomGridSearch<K> {
     }
 
     fn name(&self) -> String {
-        format!("zoom-grid-{}x{}-{}", self.initial, self.rounds, self.kernel.name())
+        format!(
+            "zoom-grid-{}x{}-{}",
+            self.initial,
+            self.rounds,
+            self.kernel.name()
+        )
     }
 }
 
@@ -334,8 +378,12 @@ mod tests {
     fn sorted_and_naive_grid_searches_agree() {
         let (x, y) = paper_dgp(150, 31);
         let spec = GridSpec::PaperDefault(50);
-        let a = SortedGridSearch::new(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let b = NaiveGridSearch::new(Epanechnikov, spec).select(&x, &y).unwrap();
+        let a = SortedGridSearch::new(Epanechnikov, spec.clone())
+            .select(&x, &y)
+            .unwrap();
+        let b = NaiveGridSearch::new(Epanechnikov, spec)
+            .select(&x, &y)
+            .unwrap();
         assert!((a.bandwidth - b.bandwidth).abs() < 1e-12);
         assert_eq!(a.evaluations, 50);
     }
@@ -344,8 +392,12 @@ mod tests {
     fn parallel_variants_agree_with_sequential() {
         let (x, y) = paper_dgp(200, 32);
         let spec = GridSpec::PaperDefault(50);
-        let seq = SortedGridSearch::new(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let par = SortedGridSearch::parallel(Epanechnikov, spec).select(&x, &y).unwrap();
+        let seq = SortedGridSearch::new(Epanechnikov, spec.clone())
+            .select(&x, &y)
+            .unwrap();
+        let par = SortedGridSearch::parallel(Epanechnikov, spec)
+            .select(&x, &y)
+            .unwrap();
         assert!((seq.bandwidth - par.bandwidth).abs() < 1e-12);
     }
 
@@ -353,11 +405,18 @@ mod tests {
     fn prefix_strategy_agrees_with_sorted_and_naive() {
         let (x, y) = paper_dgp(180, 37);
         let spec = GridSpec::PaperDefault(50);
-        let sorted = SortedGridSearch::new(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let prefix = SortedGridSearch::prefix(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let prefix_par =
-            SortedGridSearch::prefix_par(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
-        let naive = NaiveGridSearch::new(Epanechnikov, spec).select(&x, &y).unwrap();
+        let sorted = SortedGridSearch::new(Epanechnikov, spec.clone())
+            .select(&x, &y)
+            .unwrap();
+        let prefix = SortedGridSearch::prefix(Epanechnikov, spec.clone())
+            .select(&x, &y)
+            .unwrap();
+        let prefix_par = SortedGridSearch::prefix_par(Epanechnikov, spec.clone())
+            .select(&x, &y)
+            .unwrap();
+        let naive = NaiveGridSearch::new(Epanechnikov, spec)
+            .select(&x, &y)
+            .unwrap();
         assert_eq!(prefix.bandwidth, sorted.bandwidth);
         assert_eq!(prefix.bandwidth, naive.bandwidth);
         assert_eq!(prefix.bandwidth, prefix_par.bandwidth);
@@ -371,7 +430,9 @@ mod tests {
         let sel = SortedGridSearch::new(Epanechnikov, GridSpec::Explicit(grid))
             .select(&x, &y)
             .unwrap();
-        assert!([0.2, 0.3, 0.4].iter().any(|&h| (h - sel.bandwidth).abs() < 1e-12));
+        assert!([0.2, 0.3, 0.4]
+            .iter()
+            .any(|&h| (h - sel.bandwidth).abs() < 1e-12));
         assert_eq!(sel.evaluations, 3);
     }
 
@@ -392,7 +453,9 @@ mod tests {
         let coarse = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(10))
             .select(&x, &y)
             .unwrap();
-        let zoomed = ZoomGridSearch::new(Epanechnikov, 10, 4).select(&x, &y).unwrap();
+        let zoomed = ZoomGridSearch::new(Epanechnikov, 10, 4)
+            .select(&x, &y)
+            .unwrap();
         // The zoom's final score can only be ≤ the coarse grid's optimum
         // (it starts from the same grid and only ever narrows around minima).
         assert!(zoomed.score <= coarse.score + 1e-12);
@@ -414,7 +477,13 @@ mod tests {
             .select(&x, &y)
             .unwrap();
         // The strict selector can never pick a bandwidth that excluded anyone.
-        assert!(strict.profile.as_ref().unwrap().included[..].iter().max().unwrap() >= &30);
+        assert!(
+            strict.profile.as_ref().unwrap().included[..]
+                .iter()
+                .max()
+                .unwrap()
+                >= &30
+        );
         assert!(strict.bandwidth >= lax.bandwidth);
     }
 

@@ -13,7 +13,7 @@ pub mod bagged;
 pub mod grid_search;
 pub mod rule_of_thumb;
 
-pub use bagged::{BagCombiner, BagEngine, BaggedSelection, BaggedSelector, BagOutcome};
+pub use bagged::{BagCombiner, BagEngine, BagOutcome, BaggedSelection, BaggedSelector};
 pub use grid_search::{GridSpec, NaiveGridSearch, SortedGridSearch, Strategy, ZoomGridSearch};
 pub use rule_of_thumb::{scott_bandwidth, silverman_bandwidth, Rule, RuleOfThumbSelector};
 
@@ -68,8 +68,7 @@ pub fn select_bandwidth(x: &[f64], y: &[f64]) -> Result<f64> {
             // On sparse designs even the widest grid bandwidth may exclude
             // an isolated observation; fall back to the raw objective.
             crate::error::Error::NoValidBandwidth => {
-                SortedGridSearch::parallel(Epanechnikov, GridSpec::PaperDefault(200))
-                    .select(x, y)
+                SortedGridSearch::parallel(Epanechnikov, GridSpec::PaperDefault(200)).select(x, y)
             }
             other => Err(other),
         })?;

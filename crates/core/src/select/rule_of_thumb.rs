@@ -26,7 +26,10 @@ pub fn scott_bandwidth<K: Kernel>(x: &[f64], kernel: &K) -> Result<f64> {
 
 fn spread_rule<K: Kernel>(x: &[f64], kernel: &K, c: f64, robust: bool) -> Result<f64> {
     if x.len() < 2 {
-        return Err(Error::SampleTooSmall { n: x.len(), required: 2 });
+        return Err(Error::SampleTooSmall {
+            n: x.len(),
+            required: 2,
+        });
     }
     let sigma = std_dev(x);
     let spread = if robust {
@@ -80,7 +83,12 @@ impl<K: Kernel> BandwidthSelector for RuleOfThumbSelector<K> {
             Rule::Silverman => silverman_bandwidth(x, &self.kernel)?,
             Rule::Scott => scott_bandwidth(x, &self.kernel)?,
         };
-        Ok(Selection { bandwidth: h, score: f64::NAN, evaluations: 0, profile: None })
+        Ok(Selection {
+            bandwidth: h,
+            score: f64::NAN,
+            evaluations: 0,
+            profile: None,
+        })
     }
 
     fn name(&self) -> String {

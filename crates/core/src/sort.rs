@@ -189,8 +189,11 @@ mod tests {
             .zip(original_a)
             .map(|(x, y)| (x.to_bits(), y.to_bits()))
             .collect();
-        let mut after: Vec<(u64, u64)> =
-            k.iter().zip(&a).map(|(x, y)| (x.to_bits(), y.to_bits())).collect();
+        let mut after: Vec<(u64, u64)> = k
+            .iter()
+            .zip(&a)
+            .map(|(x, y)| (x.to_bits(), y.to_bits()))
+            .collect();
         before.sort_unstable();
         after.sort_unstable();
         assert_eq!(before, after, "pairs were not preserved");

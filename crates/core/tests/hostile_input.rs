@@ -32,7 +32,10 @@ fn batch_entry_points_reject_non_finite_x() {
             let mut x: Vec<f64> = (0..8).map(|i| f64::from(i) / 8.0).collect();
             x[index] = bad;
             let k = &Epanechnikov;
-            assert!(is_bad_x(cv_profile_prefix(&x, &y, &grid, k), index), "{bad} at {index}");
+            assert!(
+                is_bad_x(cv_profile_prefix(&x, &y, &grid, k), index),
+                "{bad} at {index}"
+            );
             assert!(is_bad_x(cv_profile_prefix_par(&x, &y, &grid, k), index));
             assert!(is_bad_x(cv_profile_prefix_ll(&x, &y, &grid, k), index));
             assert!(is_bad_x(cv_profile_prefix_ll_par(&x, &y, &grid, k), index));
@@ -71,5 +74,8 @@ fn streaming_inserts_reject_non_finite_x_and_keep_their_state() {
     assert_eq!(after.included, before.included);
     assert_eq!(after.scores, before.scores);
     let window_after = win.reselect_now().unwrap();
-    assert_eq!(window_after.bandwidth.to_bits(), window_before.bandwidth.to_bits());
+    assert_eq!(
+        window_after.bandwidth.to_bits(),
+        window_before.bandwidth.to_bits()
+    );
 }

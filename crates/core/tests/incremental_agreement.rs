@@ -163,8 +163,11 @@ fn check_agreement(
 ) -> std::result::Result<(), TestCaseError> {
     prop_assert_eq!(inc.n, fresh.n);
     let (rel, abs) = score_tol(kernel.coeffs().len() - 1);
-    let mass: Vec<f64> =
-        inc.bandwidths.iter().map(|&h| min_positive_den(xs, kernel, h)).collect();
+    let mass: Vec<f64> = inc
+        .bandwidths
+        .iter()
+        .map(|&h| min_positive_den(xs, kernel, h))
+        .collect();
     for (m, &mass_m) in mass.iter().enumerate() {
         if mass_m < MASS_FLOOR {
             continue;
@@ -292,7 +295,13 @@ fn pinned_streams_select_bit_identically() {
                     "pinned stream lost mass at h={h}; pick another seed"
                 );
             }
-            assert_eq!(inc.included, fresh.included, "{} seed {}", kernel.name(), seed);
+            assert_eq!(
+                inc.included,
+                fresh.included,
+                "{} seed {}",
+                kernel.name(),
+                seed
+            );
             let a = inc.argmin().unwrap();
             let b = fresh.argmin().unwrap();
             assert_eq!(a.index, b.index, "{} seed {}", kernel.name(), seed);
@@ -364,7 +373,10 @@ fn distinct_midrange_keys_match_prefix_bitwise() {
                     .collect();
                 let mut sorted = x.clone();
                 sorted.sort_by(f64::total_cmp);
-                assert!(sorted.windows(2).all(|w| w[0] < w[1]), "keys must be distinct");
+                assert!(
+                    sorted.windows(2).all(|w| w[0] < w[1]),
+                    "keys must be distinct"
+                );
                 let (lo, hi) = min_max(&x).unwrap();
                 let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
                 let mut sel =
@@ -378,7 +390,12 @@ fn distinct_midrange_keys_match_prefix_bitwise() {
                 assert_eq!(inc.n, fresh.n, "{case}");
                 assert_eq!(inc.included, fresh.included, "{case}");
                 for (m, (a, b)) in inc.scores.iter().zip(&fresh.scores).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{case} h={}: {a} vs {b}", grid.values()[m]);
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{case} h={}: {a} vs {b}",
+                        grid.values()[m]
+                    );
                 }
             }
         }

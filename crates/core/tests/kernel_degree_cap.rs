@@ -58,12 +58,21 @@ impl PolynomialKernel for Poly {
 fn sample(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = SplitMix64::new(seed);
     let x: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
-    let y: Vec<f64> = x.iter().map(|&v| (6.0 * v).sin() + 0.3 * rng.next_f64()).collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|&v| (6.0 * v).sin() + 0.3 * rng.next_f64())
+        .collect();
     (x, y)
 }
 
 fn is_degree_error<T: std::fmt::Debug>(r: kcv_core::Result<T>) -> bool {
-    matches!(r, Err(Error::KernelDegreeTooHigh { degree: 8, max: MAX_KERNEL_DEGREE }))
+    matches!(
+        r,
+        Err(Error::KernelDegreeTooHigh {
+            degree: 8,
+            max: MAX_KERNEL_DEGREE
+        })
+    )
 }
 
 #[test]
@@ -111,7 +120,13 @@ fn streaming_entry_points_reject_a_degree_eight_kernel() {
             Ok(None) => {}
             Ok(Some(opt)) => panic!("degree-8 kernel selected {opt:?}"),
             Err(e) => {
-                assert_eq!(e, Error::KernelDegreeTooHigh { degree: 8, max: MAX_KERNEL_DEGREE });
+                assert_eq!(
+                    e,
+                    Error::KernelDegreeTooHigh {
+                        degree: 8,
+                        max: MAX_KERNEL_DEGREE
+                    }
+                );
                 errors += 1;
             }
         }
@@ -126,9 +141,8 @@ fn a_kernel_without_coefficients_is_rejected() {
     let (x, y) = sample(30, 6);
     let grid = BandwidthGrid::paper_default(&x, 5).unwrap();
     let k = Poly(&[]);
-    let bad = |r: kcv_core::Result<_>| {
-        matches!(r, Err(Error::InvalidParameter { name: "coeffs", .. }))
-    };
+    let bad =
+        |r: kcv_core::Result<_>| matches!(r, Err(Error::InvalidParameter { name: "coeffs", .. }));
     assert!(bad(cv_profile_prefix(&x, &y, &grid, &k)));
     assert!(bad(cv_profile_prefix_ll(&x, &y, &grid, &k)));
     let mut sel = IncrementalSelector::new(k, grid);

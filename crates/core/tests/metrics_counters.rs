@@ -122,7 +122,10 @@ fn parallel_strategies_count_the_same_totals_as_sequential() {
         cv_profile_sorted_par(&x, &y, &grid, &Epanechnikov).unwrap();
     });
     assert_eq!(par.get(Counter::KernelEvals), seq.get(Counter::KernelEvals));
-    assert_eq!(par.get(Counter::SortComparisons), seq.get(Counter::SortComparisons));
+    assert_eq!(
+        par.get(Counter::SortComparisons),
+        seq.get(Counter::SortComparisons)
+    );
 }
 
 fn paper_dgp(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -157,7 +160,10 @@ fn prefix_sweep_sort_comparisons_are_one_global_argsort() {
         "prefix did {prefix_cmps} comparisons, ceiling {}",
         3 * n * log2n
     );
-    assert!(prefix_cmps >= n - 1, "a real sort must compare: {prefix_cmps}");
+    assert!(
+        prefix_cmps >= n - 1,
+        "a real sort must compare: {prefix_cmps}"
+    );
 }
 
 #[test]
@@ -209,11 +215,23 @@ fn prefix_phase_timers_cover_argsort_prefix_and_window() {
         cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     })
     .snapshot();
-    let argsort = snap.phases.iter().find(|p| p.name == "cv.argsort").expect("cv.argsort phase");
+    let argsort = snap
+        .phases
+        .iter()
+        .find(|p| p.name == "cv.argsort")
+        .expect("cv.argsort phase");
     assert_eq!(argsort.calls, 1, "exactly one global argsort");
-    let build = snap.phases.iter().find(|p| p.name == "cv.prefix").expect("cv.prefix phase");
+    let build = snap
+        .phases
+        .iter()
+        .find(|p| p.name == "cv.prefix")
+        .expect("cv.prefix phase");
     assert_eq!(build.calls, 1, "tables built once");
-    let window = snap.phases.iter().find(|p| p.name == "cv.window").expect("cv.window phase");
+    let window = snap
+        .phases
+        .iter()
+        .find(|p| p.name == "cv.window")
+        .expect("cv.window phase");
     assert_eq!(window.calls, 1);
     // The per-observation sort never runs.
     assert!(snap.phases.iter().all(|p| p.name != "cv.sort"));
@@ -230,9 +248,18 @@ fn prefix_parallel_counts_the_same_totals_as_sequential() {
     let par = record(|| {
         cv_profile_prefix_par(&x, &y, &grid, &Epanechnikov).unwrap();
     });
-    assert_eq!(par.get(Counter::WindowQueries), seq.get(Counter::WindowQueries));
-    assert_eq!(par.get(Counter::SortComparisons), seq.get(Counter::SortComparisons));
-    assert_eq!(par.get(Counter::LooTermsSkipped), seq.get(Counter::LooTermsSkipped));
+    assert_eq!(
+        par.get(Counter::WindowQueries),
+        seq.get(Counter::WindowQueries)
+    );
+    assert_eq!(
+        par.get(Counter::SortComparisons),
+        seq.get(Counter::SortComparisons)
+    );
+    assert_eq!(
+        par.get(Counter::LooTermsSkipped),
+        seq.get(Counter::LooTermsSkipped)
+    );
     assert_eq!(par.get(Counter::KernelEvals), 0);
 }
 
@@ -287,9 +314,17 @@ fn phase_timers_cover_sweep_and_sort() {
         cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
     })
     .snapshot();
-    let sweep = snap.phases.iter().find(|p| p.name == "cv.sweep").expect("cv.sweep phase");
+    let sweep = snap
+        .phases
+        .iter()
+        .find(|p| p.name == "cv.sweep")
+        .expect("cv.sweep phase");
     assert_eq!(sweep.calls, 1);
-    let sort = snap.phases.iter().find(|p| p.name == "cv.sort").expect("cv.sort phase");
+    let sort = snap
+        .phases
+        .iter()
+        .find(|p| p.name == "cv.sort")
+        .expect("cv.sort phase");
     assert_eq!(sort.calls, x.len() as u64, "one per-observation sort each");
 }
 

@@ -31,7 +31,9 @@ use proptest::prelude::*;
 /// Random columns on (0,1) with a smooth anisotropic response.
 fn dgp(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut rng = SplitMix64::new(seed);
-    let cols: Vec<Vec<f64>> = (0..d).map(|_| (0..n).map(|_| rng.next_f64()).collect()).collect();
+    let cols: Vec<Vec<f64>> = (0..d)
+        .map(|_| (0..n).map(|_| rng.next_f64()).collect())
+        .collect();
     let y: Vec<f64> = (0..n)
         .map(|i| {
             cols.iter()
@@ -208,7 +210,10 @@ fn duplicate_coordinate_lattice_agrees_exactly() {
     let h_vectors = cartesian(&per_dim);
     let (fast_s, fast_i) = cv_scores_fast(&cols, &y, &Epanechnikov, &h_vectors).unwrap();
     let (naive_s, naive_i) = naive_scores(&cols, &y, &Epanechnikov, &h_vectors);
-    assert_eq!(fast_i, naive_i, "inclusion must be exact on the dyadic lattice");
+    assert_eq!(
+        fast_i, naive_i,
+        "inclusion must be exact on the dyadic lattice"
+    );
     for g in 0..h_vectors.len() {
         assert!(
             approx_eq(fast_s[g], naive_s[g], 1e-12, 1e-14),
@@ -243,7 +248,12 @@ fn boundary_tie_lattice_agrees_for_every_polynomial_kernel() {
                     .cv_score_included()
             })
             .unzip();
-        assert_eq!(fast_i, naive_i, "{}: boundary ties must classify identically", kernel.name());
+        assert_eq!(
+            fast_i,
+            naive_i,
+            "{}: boundary ties must classify identically",
+            kernel.name()
+        );
         let tol = score_tol(kernel.coeffs().len() - 1);
         for g in 0..h_vectors.len() {
             assert!(

@@ -59,11 +59,7 @@ pub fn read_sample_file<P: AsRef<Path>>(path: P) -> io::Result<Sample> {
 }
 
 /// Writes a generic numeric table: header row plus rows of f64 columns.
-pub fn write_table<W: Write>(
-    mut out: W,
-    header: &[&str],
-    rows: &[Vec<f64>],
-) -> io::Result<()> {
+pub fn write_table<W: Write>(mut out: W, header: &[&str], rows: &[Vec<f64>]) -> io::Result<()> {
     out.write_all(header.join(",").as_bytes())?;
     out.write_all(b"\n")?;
     let mut line = String::new();
@@ -128,7 +124,12 @@ mod tests {
     #[test]
     fn table_writer_formats_rows() {
         let mut buf = Vec::new();
-        write_table(&mut buf, &["n", "time"], &[vec![100.0, 0.5], vec![200.0, 1.25]]).unwrap();
+        write_table(
+            &mut buf,
+            &["n", "time"],
+            &[vec![100.0, 0.5], vec![200.0, 1.25]],
+        )
+        .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text, "n,time\n100,0.5\n200,1.25\n");
     }

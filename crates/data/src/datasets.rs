@@ -28,7 +28,8 @@ pub fn cps71_like() -> Sample {
     for _ in 0..n {
         let age = 21.0 + 44.0 * rng.random::<f64>(); // 21–65
         let peak = 13.2;
-        let curve = peak - 0.4 * ((age - 47.0) / 10.0).powi(2) - 0.6 * (-((age - 21.0) / 6.0)).exp();
+        let curve =
+            peak - 0.4 * ((age - 47.0) / 10.0).powi(2) - 0.6 * (-((age - 21.0) / 6.0)).exp();
         let wage = curve + 0.45 * gaussian(&mut rng);
         x.push(age);
         y.push(wage);
@@ -95,13 +96,12 @@ mod tests {
         assert!(s.x.iter().all(|&a| (21.0..=65.0).contains(&a)));
         // Mean log-wage of the 40s cohort exceeds the early-20s cohort.
         let cohort_mean = |lo: f64, hi: f64| {
-            let vals: Vec<f64> = s
-                .x
-                .iter()
-                .zip(&s.y)
-                .filter(|(&a, _)| a >= lo && a < hi)
-                .map(|(_, &w)| w)
-                .collect();
+            let vals: Vec<f64> =
+                s.x.iter()
+                    .zip(&s.y)
+                    .filter(|(&a, _)| a >= lo && a < hi)
+                    .map(|(_, &w)| w)
+                    .collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
         assert!(cohort_mean(40.0, 50.0) > cohort_mean(21.0, 26.0));
@@ -110,21 +110,24 @@ mod tests {
     #[test]
     fn motorcycle_is_quiet_before_impact() {
         let s = motorcycle_like();
-        let pre: Vec<f64> = s
-            .x
-            .iter()
-            .zip(&s.y)
-            .filter(|(&t, _)| t < 13.0)
-            .map(|(_, &a)| a.abs())
-            .collect();
-        let post: Vec<f64> = s
-            .x
-            .iter()
-            .zip(&s.y)
-            .filter(|(&t, _)| (16.0..30.0).contains(&t))
-            .map(|(_, &a)| a.abs())
-            .collect();
+        let pre: Vec<f64> =
+            s.x.iter()
+                .zip(&s.y)
+                .filter(|(&t, _)| t < 13.0)
+                .map(|(_, &a)| a.abs())
+                .collect();
+        let post: Vec<f64> =
+            s.x.iter()
+                .zip(&s.y)
+                .filter(|(&t, _)| (16.0..30.0).contains(&t))
+                .map(|(_, &a)| a.abs())
+                .collect();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        assert!(mean(&pre) < mean(&post), "{} vs {}", mean(&pre), mean(&post));
+        assert!(
+            mean(&pre) < mean(&post),
+            "{} vs {}",
+            mean(&pre),
+            mean(&post)
+        );
     }
 }

@@ -83,7 +83,10 @@ pub struct SineDgp {
 
 impl Default for SineDgp {
     fn default() -> Self {
-        Self { frequency: 3.0, noise: 0.2 }
+        Self {
+            frequency: 3.0,
+            noise: 0.2,
+        }
     }
 }
 
@@ -119,7 +122,10 @@ pub struct StepDgp {
 
 impl Default for StepDgp {
     fn default() -> Self {
-        Self { jump: 2.0, noise: 0.25 }
+        Self {
+            jump: 2.0,
+            noise: 0.25,
+        }
     }
 }
 
@@ -270,13 +276,12 @@ mod tests {
     fn residuals_center_on_truth() {
         for dgp in all_dgps() {
             let s = dgp.sample(50_000, 7);
-            let mean_resid: f64 = s
-                .x
-                .iter()
-                .zip(&s.y)
-                .map(|(&x, &y)| y - dgp.truth(x))
-                .sum::<f64>()
-                / s.len() as f64;
+            let mean_resid: f64 =
+                s.x.iter()
+                    .zip(&s.y)
+                    .map(|(&x, &y)| y - dgp.truth(x))
+                    .sum::<f64>()
+                    / s.len() as f64;
             assert!(
                 mean_resid.abs() < 0.02,
                 "{}: mean residual {mean_resid}",

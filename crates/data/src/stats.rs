@@ -38,7 +38,13 @@ impl SampleStats {
         } else {
             values.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64
         };
-        Some(Self { n, min, max, mean, std_dev: var.sqrt() })
+        Some(Self {
+            n,
+            min,
+            max,
+            mean,
+            std_dev: var.sqrt(),
+        })
     }
 
     /// The domain (max − min).

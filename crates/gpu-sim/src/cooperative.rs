@@ -119,7 +119,10 @@ impl<'a> CooperativeBlock<'a> {
                 }
                 match writer[idx] {
                     Some(prev) if prev != tid => {
-                        return Err(SimError::SharedMemoryRace { index: idx, threads: (prev, tid) });
+                        return Err(SimError::SharedMemoryRace {
+                            index: idx,
+                            threads: (prev, tid),
+                        });
                     }
                     _ => writer[idx] = Some(tid),
                 }

@@ -281,8 +281,15 @@ mod tests {
 
     #[test]
     fn absorb_sums_counts() {
-        let mut a = ThreadCounters { flops: 1, ..Default::default() };
-        let b = ThreadCounters { flops: 2, global_reads: 5, ..Default::default() };
+        let mut a = ThreadCounters {
+            flops: 1,
+            ..Default::default()
+        };
+        let b = ThreadCounters {
+            flops: 2,
+            global_reads: 5,
+            ..Default::default()
+        };
         a.absorb(&b);
         assert_eq!(a.flops, 3);
         assert_eq!(a.global_reads, 5);
@@ -340,7 +347,10 @@ mod tests {
         let (best_tpb, t512) = fastest_timing(&times).expect("non-empty sweep");
         assert_eq!(best_tpb, 512, "fastest block size should be 512: {times:?}");
         for &(tpb, t) in &times {
-            assert!(t512 <= t + 1e-9, "512 should be no slower than {tpb}: {times:?}");
+            assert!(
+                t512 <= t + 1e-9,
+                "512 should be no slower than {tpb}: {times:?}"
+            );
         }
         let t64 = times[1].1;
         assert!(t512 < t64, "512 should strictly beat 64: {times:?}");
@@ -357,7 +367,10 @@ mod tests {
 
     #[test]
     fn fastest_timing_rejects_an_empty_table_and_breaks_ties_upward() {
-        assert!(matches!(fastest_timing(&[]), Err(SimError::InvalidLaunch(_))));
+        assert!(matches!(
+            fastest_timing(&[]),
+            Err(SimError::InvalidLaunch(_))
+        ));
         // Exact tie between 128 and 512: the paper's "maximum possible"
         // preference picks the larger block size.
         let tied = [(64usize, 3.0), (128, 1.0), (512, 1.0)];
@@ -387,7 +400,7 @@ mod tests {
     #[test]
     fn blocks_balance_across_sms() {
         let spec = DeviceSpec::tesla_s10(); // 30 SMs
-        // 30 blocks of one warp → one block per SM → device time = 1 block.
+                                            // 30 blocks of one warp → one block per SM → device time = 1 block.
         let one_per_sm = vec![1.0; 30 * 32];
         let t1 = aggregate_cycles(&one_per_sm, 32, &spec);
         // 31 blocks → one SM gets two.

@@ -42,7 +42,12 @@ impl SupportWindow {
     /// The window of the observation at sorted position `si` before the
     /// first bandwidth: `[si, si + 1)`, neither edge moving.
     pub fn new(si: usize) -> Self {
-        Self { lo: si, hi: si + 1, lo_step: 0, hi_step: 0 }
+        Self {
+            lo: si,
+            hi: si + 1,
+            lo_step: 0,
+            hi_step: 0,
+        }
     }
 
     /// Widens the window to the support of the observation at `x = xi`
@@ -83,7 +88,12 @@ impl SupportWindow {
         // One past the rightmost l with (xs[l] − xi)·inv_h ≤ r.
         let hi_guess = hi_prev + self.hi_step;
         let hi = edge(hi_prev, xs.len(), hi_guess, self.hi_step, |t| !inside(1, t));
-        *self = Self { lo, hi, lo_step: lo_prev - lo, hi_step: hi - hi_prev };
+        *self = Self {
+            lo,
+            hi,
+            lo_step: lo_prev - lo,
+            hi_step: hi - hi_prev,
+        };
         probes
     }
 }
@@ -150,8 +160,9 @@ mod tests {
         let mut state = seed;
         let mut xs: Vec<f32> = (0..n)
             .map(|_| {
-                state =
-                    state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((state >> 11) as f64 / (1u64 << 53) as f64) as f32
             })
             .collect();
@@ -244,6 +255,10 @@ mod tests {
         let mut c = ThreadCounters::default();
         let mut window = SupportWindow::new(1);
         window.advance(&xs, 10.0, 1.0 / 0.5, 1.0, &mut c);
-        assert_eq!((window.lo, window.hi), (1, 2), "only the observation itself is in support");
+        assert_eq!(
+            (window.lo, window.hi),
+            (1, 2),
+            "only the observation itself is in support"
+        );
     }
 }

@@ -82,13 +82,7 @@ fn cmp(counters: &mut ThreadCounters) {
 }
 
 #[inline]
-fn swap_both(
-    keys: &mut [f32],
-    aux: &mut [f32],
-    i: usize,
-    j: usize,
-    counters: &mut ThreadCounters,
-) {
+fn swap_both(keys: &mut [f32], aux: &mut [f32], i: usize, j: usize, counters: &mut ThreadCounters) {
     keys.swap(i, j);
     aux.swap(i, j);
     counters.global_read(4);
@@ -185,14 +179,20 @@ mod tests {
         let mut aux = aux_in.to_vec();
         let mut c = ThreadCounters::default();
         device_sort_with_aux(&mut keys, &mut aux, &mut c);
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "not sorted: {keys:?}");
+        assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "not sorted: {keys:?}"
+        );
         let mut before: Vec<(u32, u32)> = keys_in
             .iter()
             .zip(aux_in)
             .map(|(k, a)| (k.to_bits(), a.to_bits()))
             .collect();
-        let mut after: Vec<(u32, u32)> =
-            keys.iter().zip(&aux).map(|(k, a)| (k.to_bits(), a.to_bits())).collect();
+        let mut after: Vec<(u32, u32)> = keys
+            .iter()
+            .zip(&aux)
+            .map(|(k, a)| (k.to_bits(), a.to_bits()))
+            .collect();
         before.sort_unstable();
         after.sort_unstable();
         assert_eq!(before, after, "pairs not preserved");
@@ -212,7 +212,10 @@ mod tests {
         check(&[], &[]);
         check(&[1.0], &[2.0]);
         check(&[2.0, 1.0], &[1.0, 2.0]);
-        check(&vec![3.0; 100], &(0..100).map(|i| i as f32).collect::<Vec<_>>());
+        check(
+            &vec![3.0; 100],
+            &(0..100).map(|i| i as f32).collect::<Vec<_>>(),
+        );
         let descending: Vec<f32> = (0..300).rev().map(|i| i as f32).collect();
         check(&descending, &vec![0.0; 300]);
     }
@@ -222,12 +225,17 @@ mod tests {
         // Average-case n log n: doubling n should much less than 4× the cost
         // on random data.
         let mk = |n: usize| -> Vec<f32> {
-            (0..n).map(|i| (((i as u64).wrapping_mul(2654435761)) % 100_000) as f32).collect()
+            (0..n)
+                .map(|i| (((i as u64).wrapping_mul(2654435761)) % 100_000) as f32)
+                .collect()
         };
         let c1 = check(&mk(2_000), &vec![0.0; 2_000]);
         let c2 = check(&mk(4_000), &vec![0.0; 4_000]);
         let ratio = c2.branches as f64 / c1.branches as f64;
-        assert!(ratio < 3.0, "comparison ratio {ratio} suggests quadratic behaviour");
+        assert!(
+            ratio < 3.0,
+            "comparison ratio {ratio} suggests quadratic behaviour"
+        );
     }
 
     proptest! {

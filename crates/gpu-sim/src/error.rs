@@ -92,11 +92,24 @@ mod tests {
     #[test]
     fn errors_display() {
         let errs: Vec<SimError> = vec![
-            SimError::OutOfMemory { requested: 10, available: 5, capacity: 100 },
-            SimError::ConstantMemoryExceeded { requested: 9000, capacity: 8192 },
-            SimError::CopyLengthMismatch { device_len: 3, host_len: 4 },
+            SimError::OutOfMemory {
+                requested: 10,
+                available: 5,
+                capacity: 100,
+            },
+            SimError::ConstantMemoryExceeded {
+                requested: 9000,
+                capacity: 8192,
+            },
+            SimError::CopyLengthMismatch {
+                device_len: 3,
+                host_len: 4,
+            },
             SimError::InvalidLaunch("zero threads".into()),
-            SimError::SharedMemoryRace { index: 7, threads: (1, 2) },
+            SimError::SharedMemoryRace {
+                index: 7,
+                threads: (1, 2),
+            },
             SimError::SharedMemoryOutOfBounds { index: 99, len: 10 },
         ];
         for e in errs {

@@ -26,7 +26,10 @@ pub struct LaunchConfig {
 impl LaunchConfig {
     /// One thread per work item with the given block size.
     pub fn new(threads: usize, threads_per_block: usize) -> Self {
-        Self { threads, threads_per_block }
+        Self {
+            threads,
+            threads_per_block,
+        }
     }
 
     fn validate(&self, spec: &DeviceSpec) -> Result<()> {
@@ -273,7 +276,14 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out, (0..70).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(seen, [(0..32).collect(), (32..64).collect(), (64..70).collect::<Vec<_>>()]);
+        assert_eq!(
+            seen,
+            [
+                (0..32).collect(),
+                (32..64).collect(),
+                (64..70).collect::<Vec<_>>()
+            ]
+        );
         assert_eq!(report.totals.flops, 70);
         // The cost model sees the same threads as a thread-parallel launch.
         let (_, per_thread) = launch(&spec, &cost, cfg, |_, c| c.flop(1)).unwrap();
@@ -293,7 +303,13 @@ mod tests {
         let r = launch(&spec, &cost, LaunchConfig::new(10, 1024), |_, _| ());
         assert!(r.is_err());
         // Workspace mismatch.
-        let r = launch_independent_map(&spec, &cost, LaunchConfig::new(4, 4), vec![(), ()], |_, _, _| ());
+        let r = launch_independent_map(
+            &spec,
+            &cost,
+            LaunchConfig::new(4, 4),
+            vec![(), ()],
+            |_, _, _| (),
+        );
         assert!(r.is_err());
     }
 
@@ -314,14 +330,16 @@ mod tests {
         // Same total work split over many blocks beats one serial block
         // chain on a multi-SM device.
         let (spec, cost) = tesla();
-        let many_blocks =
-            launch(&spec, &cost, LaunchConfig::new(960, 32), |_, c| c.flop(1000))
-                .unwrap()
-                .1;
-        let one_block =
-            launch(&spec, &cost, LaunchConfig::new(960, 512), |_, c| c.flop(1000))
-                .unwrap()
-                .1;
+        let many_blocks = launch(&spec, &cost, LaunchConfig::new(960, 32), |_, c| {
+            c.flop(1000)
+        })
+        .unwrap()
+        .1;
+        let one_block = launch(&spec, &cost, LaunchConfig::new(960, 512), |_, c| {
+            c.flop(1000)
+        })
+        .unwrap()
+        .1;
         // 30 blocks of one warp spread over 30 SMs; 2 blocks of 16 warps
         // pile onto 2 SMs.
         assert!(many_blocks.simulated_cycles < one_block.simulated_cycles);

@@ -115,7 +115,11 @@ impl MemoryPool {
     pub fn alloc<T: Copy + Default>(&self, len: usize) -> Result<DeviceBuffer<T>> {
         let bytes = len * std::mem::size_of::<T>();
         self.reserve(bytes)?;
-        Ok(DeviceBuffer { data: vec![T::default(); len], bytes, pool: self.clone() })
+        Ok(DeviceBuffer {
+            data: vec![T::default(); len],
+            bytes,
+            pool: self.clone(),
+        })
     }
 
     /// Dry-run capacity check: would the byte amounts in `plan`, allocated
@@ -174,8 +178,14 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             });
         }
         self.data.copy_from_slice(host);
-        self.pool.inner.h2d_bytes.fetch_add(self.bytes as u64, Ordering::Relaxed);
-        kcv_obs::add(kcv_obs::Counter::MemTransactions, transfer_transactions(self.bytes));
+        self.pool
+            .inner
+            .h2d_bytes
+            .fetch_add(self.bytes as u64, Ordering::Relaxed);
+        kcv_obs::add(
+            kcv_obs::Counter::MemTransactions,
+            transfer_transactions(self.bytes),
+        );
         Ok(())
     }
 
@@ -189,8 +199,14 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             });
         }
         host.copy_from_slice(&self.data);
-        self.pool.inner.d2h_bytes.fetch_add(self.bytes as u64, Ordering::Relaxed);
-        kcv_obs::add(kcv_obs::Counter::MemTransactions, transfer_transactions(self.bytes));
+        self.pool
+            .inner
+            .d2h_bytes
+            .fetch_add(self.bytes as u64, Ordering::Relaxed);
+        kcv_obs::add(
+            kcv_obs::Counter::MemTransactions,
+            transfer_transactions(self.bytes),
+        );
         Ok(())
     }
 
@@ -230,7 +246,9 @@ impl<T: Copy> ConstantMemory<T> {
                 capacity: spec.constant_cache_bytes,
             });
         }
-        Ok(Self { data: values.to_vec() })
+        Ok(Self {
+            data: values.to_vec(),
+        })
     }
 
     /// Number of elements.
@@ -328,7 +346,11 @@ mod tests {
         let err = pool.alloc::<u8>(500).unwrap_err();
         assert_eq!(
             err,
-            SimError::OutOfMemory { requested: 500, available: 400, capacity: 1000 }
+            SimError::OutOfMemory {
+                requested: 500,
+                available: 400,
+                capacity: 1000
+            }
         );
         // A fitting allocation still succeeds afterwards.
         assert!(pool.alloc::<u8>(400).is_ok());
@@ -371,7 +393,10 @@ mod tests {
         let err = ConstantMemory::new(&spec, &too_many).unwrap_err();
         assert_eq!(
             err,
-            SimError::ConstantMemoryExceeded { requested: 2049 * 4, capacity: 8192 }
+            SimError::ConstantMemoryExceeded {
+                requested: 2049 * 4,
+                capacity: 8192
+            }
         );
     }
 

@@ -210,7 +210,9 @@ mod tests {
     #[test]
     fn min_payload_finds_global_minimum() {
         let (spec, cost) = tesla();
-        let scores: Vec<f32> = (0..500).map(|i| ((i as f32) - 271.0).powi(2) + 3.0).collect();
+        let scores: Vec<f32> = (0..500)
+            .map(|i| ((i as f32) - 271.0).powi(2) + 3.0)
+            .collect();
         let payloads: Vec<f32> = (0..500).map(|i| i as f32 * 0.01).collect();
         let ((min, payload), _) =
             min_payload_reduction(&spec, &cost, 256, &scores, &payloads).unwrap();

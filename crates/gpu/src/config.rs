@@ -70,6 +70,8 @@ mod tests {
     fn builders_apply() {
         let c = GpuConfig::default().with_threads_per_block(128);
         assert_eq!(c.threads_per_block, 128);
-        assert!(GpuConfig::modern().spec.global_mem_bytes > GpuConfig::default().spec.global_mem_bytes);
+        assert!(
+            GpuConfig::modern().spec.global_mem_bytes > GpuConfig::default().spec.global_mem_bytes
+        );
     }
 }

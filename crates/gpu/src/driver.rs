@@ -138,7 +138,11 @@ fn check_f32(x: &[f64], y: &[f64], bandwidths: &[f64]) -> Result<()> {
             !narrow.is_finite() || (array == "bandwidths" && narrow == 0.0)
         };
         if let Some(index) = values.iter().position(|&v| bad(v)) {
-            return Err(GpuError::NotF32 { array, index, value: values[index] });
+            return Err(GpuError::NotF32 {
+                array,
+                index,
+                value: values[index],
+            });
         }
     }
     Ok(())
@@ -160,14 +164,21 @@ pub(crate) fn run_shards<B: ShardBody>(
     let k = grid.len();
     let max_k = config.spec.max_constant_f32();
     if k > max_k {
-        return Err(GpuError::TooManyBandwidths { requested: k, max: max_k });
+        return Err(GpuError::TooManyBandwidths {
+            requested: k,
+            max: max_k,
+        });
     }
     check_f32(x, y, grid.values())?;
     let wall_start = Instant::now();
     let devices = devices.clamp(1, n);
-    let tpb = config.threads_per_block.min(config.spec.max_threads_per_block);
+    let tpb = config
+        .threads_per_block
+        .min(config.spec.max_threads_per_block);
     // Clamp once so the summation and minimum reductions cannot diverge.
-    let reduction_threads = config.reduction_threads.min(config.spec.max_threads_per_block);
+    let reduction_threads = config
+        .reduction_threads
+        .min(config.spec.max_threads_per_block);
     let body = B::prepare(x, y, kernel.degree());
     let h32: Vec<f32> = grid.values().iter().map(|&v| v as f32).collect();
 
@@ -184,7 +195,13 @@ pub(crate) fn run_shards<B: ShardBody>(
     // cycles and transfer seconds.
     let mut busiest: Option<(f64, LaunchReport, f64, f64)> = None;
     for d in 0..devices {
-        let shard = Shard { config, kernel, tpb, rows: start(d)..start(d + 1), k };
+        let shard = Shard {
+            config,
+            kernel,
+            tpb,
+            rows: start(d)..start(d + 1),
+            k,
+        };
         let pool = MemoryPool::for_device(&config.spec);
         let mut resident = body.allocate(&pool, &shard)?;
         let mut sums_dev = pool.alloc::<f32>(k)?;
@@ -250,5 +267,14 @@ pub(crate) fn run_shards<B: ShardBody>(
         host_seconds: wall_start.elapsed().as_secs_f64(),
     };
     let (bandwidth, score) = (best_h as f64, min_score as f64);
-    Ok((GpuRun { bandwidth, score, bandwidths: h32, scores, report }, devices))
+    Ok((
+        GpuRun {
+            bandwidth,
+            score,
+            bandwidths: h32,
+            scores,
+            report,
+        },
+        devices,
+    ))
 }

@@ -39,7 +39,11 @@ impl fmt::Display for GpuError {
                 "{requested} bandwidths exceed the constant-cache limit of {max} \
                  (run the search repeatedly with progressively smaller ranges instead)"
             ),
-            GpuError::NotF32 { array, index, value } => write!(
+            GpuError::NotF32 {
+                array,
+                index,
+                value,
+            } => write!(
                 f,
                 "{array}[{index}] = {value:e} is outside the single-precision range of the device"
             ),
@@ -78,7 +82,10 @@ mod tests {
 
     #[test]
     fn displays_and_sources() {
-        let e = GpuError::TooManyBandwidths { requested: 4096, max: 2048 };
+        let e = GpuError::TooManyBandwidths {
+            requested: 4096,
+            max: 2048,
+        };
         assert!(e.to_string().contains("4096"));
         let e: GpuError = kcv_core::Error::DegenerateDomain.into();
         assert!(std::error::Error::source(&e).is_some());

@@ -73,11 +73,23 @@ mod tests {
         assert_eq!(GpuKernel::from_core(&Epanechnikov).degree(), 2);
         assert_eq!(GpuKernel::from_core(&Triweight).degree(), 6);
         assert!(GpuKernel::from_core(&Epanechnikov).validate().is_ok());
-        let too_high = GpuKernel { name: "bad", coeffs: vec![0.0; 9], radius: 1.0 };
+        let too_high = GpuKernel {
+            name: "bad",
+            coeffs: vec![0.0; 9],
+            radius: 1.0,
+        };
         assert!(too_high.validate().is_err());
-        let bad_radius = GpuKernel { name: "bad", coeffs: vec![1.0], radius: 0.0 };
+        let bad_radius = GpuKernel {
+            name: "bad",
+            coeffs: vec![1.0],
+            radius: 0.0,
+        };
         assert!(bad_radius.validate().is_err());
-        let empty = GpuKernel { name: "bad", coeffs: vec![], radius: 1.0 };
+        let empty = GpuKernel {
+            name: "bad",
+            coeffs: vec![],
+            radius: 1.0,
+        };
         assert!(empty.validate().is_err());
     }
 }

@@ -197,7 +197,17 @@ mod tests {
             den: &mut den,
         };
         let mut c = ThreadCounters::default();
-        main_kernel(j, x, y, hs, &kernel.coeffs, kernel.radius, true, &mut ws, &mut c)
+        main_kernel(
+            j,
+            x,
+            y,
+            hs,
+            &kernel.coeffs,
+            kernel.radius,
+            true,
+            &mut ws,
+            &mut c,
+        )
     }
 
     fn test_data() -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -261,5 +271,4 @@ mod tests {
         // ĝ_{-1}(0.35) = (1 + 3)/2 = 2 → residual 0.
         assert!(sq[0].abs() < 1e-6, "got {}", sq[0]);
     }
-
 }

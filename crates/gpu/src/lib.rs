@@ -63,8 +63,8 @@ pub use driver::{GpuRun, PipelineReport};
 pub use error::{GpuError, Result};
 pub use gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
 pub use multi_device::{
-    required_bytes_per_device, select_bandwidth_multi_gpu,
-    select_bandwidth_multi_gpu_windowed, MultiDeviceRun,
+    required_bytes_per_device, select_bandwidth_multi_gpu, select_bandwidth_multi_gpu_windowed,
+    MultiDeviceRun,
 };
 pub use pipeline::{required_device_bytes, select_bandwidth_gpu, select_bandwidth_gpu_kernel};
 pub use windowed::{

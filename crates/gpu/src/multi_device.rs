@@ -119,11 +119,16 @@ mod tests {
     fn paper_data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let x: Vec<f64> = (0..n).map(|_| next()).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next()).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next())
+            .collect();
         (x, y)
     }
 
@@ -134,8 +139,7 @@ mod tests {
         let single = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
         for devices in [1usize, 2, 3, 7] {
             let multi =
-                select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), devices)
-                    .unwrap();
+                select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), devices).unwrap();
             assert_eq!(multi.devices, devices);
             assert_eq!(multi.bandwidth, single.bandwidth, "{devices} devices");
             for m in 0..grid.len() {
@@ -170,10 +174,8 @@ mod tests {
         );
         // On the full 30-SM Tesla at this n, blocks don't saturate the SMs,
         // so sharding is *not* expected to help — also worth pinning down.
-        let one_full =
-            select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), 1).unwrap();
-        let two_full =
-            select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), 2).unwrap();
+        let one_full = select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), 1).unwrap();
+        let two_full = select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), 2).unwrap();
         assert!(
             (two_full.total_simulated_seconds - one_full.total_simulated_seconds).abs()
                 < 0.05 * one_full.total_simulated_seconds
@@ -209,10 +211,17 @@ mod tests {
         let grid = BandwidthGrid::paper_default(&x, 15).unwrap();
         for devices in [1usize, 2, 3] {
             let run =
-                select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), devices)
-                    .unwrap();
-            assert_eq!(run.h2d_bytes, (devices * 2 * 120 * 4) as u64, "{devices} devices");
-            assert_eq!(run.d2h_bytes, (devices * 15 * 4) as u64, "{devices} devices");
+                select_bandwidth_multi_gpu(&x, &y, &grid, &GpuConfig::default(), devices).unwrap();
+            assert_eq!(
+                run.h2d_bytes,
+                (devices * 2 * 120 * 4) as u64,
+                "{devices} devices"
+            );
+            assert_eq!(
+                run.d2h_bytes,
+                (devices * 15 * 4) as u64,
+                "{devices} devices"
+            );
             assert!(run.transfer_seconds > 0.0);
         }
     }
@@ -223,7 +232,10 @@ mod tests {
         // count unclamped — 1024 on a 512-max device errored out.
         let (x, y) = paper_data(90, 19);
         let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
-        let oversized = GpuConfig { reduction_threads: 1024, ..GpuConfig::default() };
+        let oversized = GpuConfig {
+            reduction_threads: 1024,
+            ..GpuConfig::default()
+        };
         assert!(oversized.reduction_threads > oversized.spec.max_threads_per_block);
         let clamped = select_bandwidth_multi_gpu(&x, &y, &grid, &oversized, 2).unwrap();
         let default_run =
@@ -243,14 +255,9 @@ mod tests {
             crate::windowed::select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default())
                 .unwrap();
         for devices in [1usize, 2, 3, 7] {
-            let multi = select_bandwidth_multi_gpu_windowed(
-                &x,
-                &y,
-                &grid,
-                &GpuConfig::default(),
-                devices,
-            )
-            .unwrap();
+            let multi =
+                select_bandwidth_multi_gpu_windowed(&x, &y, &grid, &GpuConfig::default(), devices)
+                    .unwrap();
             assert!(
                 (multi.bandwidth - single.bandwidth).abs() <= grid.step() + 1e-9,
                 "{devices} devices: {} vs {}",
@@ -267,10 +274,7 @@ mod tests {
             }
             // Sharding does not shrink the windowed footprint (full tables
             // everywhere) — but it is O(n), nowhere near the classic shard.
-            assert!(
-                multi.peak_bytes_per_device
-                    < required_bytes_per_device(257, 20, devices) / 4
-            );
+            assert!(multi.peak_bytes_per_device < required_bytes_per_device(257, 20, devices) / 4);
         }
     }
 }

@@ -109,7 +109,12 @@ impl ShardBody for Classic {
             .zip(resident.y_mat.as_mut_slice().chunks_mut(n))
             .zip(resident.num.as_mut_slice().chunks_mut(k))
             .zip(resident.den.as_mut_slice().chunks_mut(k))
-            .map(|(((dist, yrow), num), den)| MainWorkspace { dist, yrow, num, den })
+            .map(|(((dist, yrow), num), den)| MainWorkspace {
+                dist,
+                yrow,
+                num,
+                den,
+            })
             .collect();
         let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
         let (sqres_rows, report) = launch_independent_map(
@@ -119,7 +124,17 @@ impl ShardBody for Classic {
             workspaces,
             // Thread tid of this device handles observation lo + tid.
             |tid, ws, c| {
-                main_kernel(lo + tid, x, y, bandwidths, coeffs, radius, coalesced_layout, ws, c)
+                main_kernel(
+                    lo + tid,
+                    x,
+                    y,
+                    bandwidths,
+                    coeffs,
+                    radius,
+                    coalesced_layout,
+                    ws,
+                    c,
+                )
             },
         )?;
 
@@ -140,7 +155,13 @@ impl ShardBody for Classic {
             }
         }
         let values = resident.sqres.as_slice();
-        Ok((report, Residuals { values, bandwidth_major: coalesced_layout }))
+        Ok((
+            report,
+            Residuals {
+                values,
+                bandwidth_major: coalesced_layout,
+            },
+        ))
     }
 }
 
@@ -159,11 +180,16 @@ mod tests {
     fn paper_data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let x: Vec<f64> = (0..n).map(|_| next()).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next()).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next())
+            .collect();
         (x, y)
     }
 
@@ -223,10 +249,12 @@ mod tests {
     fn invalid_device_kernels_rejected() {
         let (x, y) = paper_data(10, 7);
         let grid = BandwidthGrid::paper_default(&x, 5).unwrap();
-        let bad = GpuKernel { name: "deg9", coeffs: vec![0.1; 10], radius: 1.0 };
-        assert!(
-            select_bandwidth_gpu_kernel(&x, &y, &grid, &GpuConfig::default(), &bad).is_err()
-        );
+        let bad = GpuKernel {
+            name: "deg9",
+            coeffs: vec![0.1; 10],
+            radius: 1.0,
+        };
+        assert!(select_bandwidth_gpu_kernel(&x, &y, &grid, &GpuConfig::default(), &bad).is_err());
     }
 
     #[test]
@@ -234,7 +262,13 @@ mod tests {
         let (x, y) = paper_data(10, 2);
         let grid = BandwidthGrid::linear(0.001, 1.0, 2049).unwrap();
         let err = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap_err();
-        assert_eq!(err, GpuError::TooManyBandwidths { requested: 2049, max: 2048 });
+        assert_eq!(
+            err,
+            GpuError::TooManyBandwidths {
+                requested: 2049,
+                max: 2048
+            }
+        );
     }
 
     #[test]
@@ -253,7 +287,10 @@ mod tests {
         let (x, y) = paper_data(400, 3);
         let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
         let err = select_bandwidth_gpu(&x, &y, &grid, &config).unwrap_err();
-        assert!(matches!(err, GpuError::Sim(kcv_gpu_sim::SimError::OutOfMemory { .. })));
+        assert!(matches!(
+            err,
+            GpuError::Sim(kcv_gpu_sim::SimError::OutOfMemory { .. })
+        ));
     }
 
     #[test]
@@ -272,7 +309,10 @@ mod tests {
         assert_eq!(r.d2h_bytes, 10 * 4);
         assert!(r.total_simulated_seconds > 0.0);
         assert!(r.main_kernel.totals.flops > 0);
-        assert!(r.main_kernel.totals.global_coalesced > 0, "residual writes are coalesced");
+        assert!(
+            r.main_kernel.totals.global_coalesced > 0,
+            "residual writes are coalesced"
+        );
         assert!(r.reduction_totals.syncs > 0);
     }
 
@@ -288,7 +328,10 @@ mod tests {
         let grid = BandwidthGrid::paper_default(&x, 20).unwrap();
         for config in [
             GpuConfig::default(),
-            GpuConfig { obs_major_residuals: true, ..GpuConfig::default() },
+            GpuConfig {
+                obs_major_residuals: true,
+                ..GpuConfig::default()
+            },
         ] {
             let run = select_bandwidth_gpu(&x, &y, &grid, &config).unwrap();
             assert_eq!(run.report.device_bytes_peak, required_device_bytes(150, 20));
@@ -304,8 +347,10 @@ mod tests {
         let (x, y) = paper_data(100, 13);
         let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
         let default_run = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
-        let oversized =
-            GpuConfig { reduction_threads: 1024, ..GpuConfig::default() };
+        let oversized = GpuConfig {
+            reduction_threads: 1024,
+            ..GpuConfig::default()
+        };
         assert!(oversized.reduction_threads > oversized.spec.max_threads_per_block);
         let clamped_run = select_bandwidth_gpu(&x, &y, &grid, &oversized).unwrap();
         assert_eq!(clamped_run.bandwidth, default_run.bandwidth);
@@ -320,8 +365,10 @@ mod tests {
         let (x, y) = paper_data(300, 8);
         let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
         let with_switch = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
-        let ablated_config =
-            GpuConfig { obs_major_residuals: true, ..GpuConfig::default() };
+        let ablated_config = GpuConfig {
+            obs_major_residuals: true,
+            ..GpuConfig::default()
+        };
         let without_switch = select_bandwidth_gpu(&x, &y, &grid, &ablated_config).unwrap();
         assert_eq!(with_switch.scores, without_switch.scores);
         assert_eq!(with_switch.bandwidth, without_switch.bandwidth);

@@ -202,7 +202,12 @@ impl TableView<'_> {
     fn row(&self, t: usize, deg: usize, stride: usize, c: &mut ThreadCounters) -> Row {
         c.global_read(4 * (deg as u64 + 1));
         match self {
-            TableView::PairF32 { px_hi, px_lo, py_hi, py_lo } => {
+            TableView::PairF32 {
+                px_hi,
+                px_lo,
+                py_hi,
+                py_lo,
+            } => {
                 let mut row = [[0.0f32; 4]; MAX_DEVICE_DEGREE + 1];
                 for (m, r) in row.iter_mut().enumerate().take(deg + 1) {
                     let i = m * stride + t;
@@ -458,7 +463,9 @@ impl ShardBody for Windowed {
     type Resident = WindowedResident;
 
     fn prepare(x: &[f64], y: &[f64], deg: usize) -> Self {
-        Self { tables: WindowedTables::build(x, y, deg) }
+        Self {
+            tables: WindowedTables::build(x, y, deg),
+        }
     }
 
     fn allocate(&self, pool: &MemoryPool, shard: &Shard<'_>) -> Result<WindowedResident> {
@@ -466,7 +473,10 @@ impl ShardBody for Windowed {
         let xs = upload(pool, &t.xs32)?;
         let ys = upload(pool, &t.ys32)?;
         let tables = if shard.kernel.degree() >= F64_TABLE_DEGREE {
-            TableBuffers::F64 { px: upload(pool, &t.px)?, py: upload(pool, &t.py)? }
+            TableBuffers::F64 {
+                px: upload(pool, &t.px)?,
+                py: upload(pool, &t.py)?,
+            }
         } else {
             // Split each f64 master entry into (hi, lo) f32 words; the host
             // split is dropped once uploaded.
@@ -482,7 +492,12 @@ impl ShardBody for Windowed {
         // Block partials, bandwidth-major so the per-bandwidth reductions
         // read consecutive addresses.
         let partials = pool.alloc::<f32>(shard.rows.len().div_ceil(shard.tpb) * shard.k)?;
-        Ok(WindowedResident { xs, ys, tables, partials })
+        Ok(WindowedResident {
+            xs,
+            ys,
+            tables,
+            partials,
+        })
     }
 
     fn launch<'r>(
@@ -498,13 +513,21 @@ impl ShardBody for Windowed {
         let mut block_rows = vec![0.0f32; num_blocks * k];
         let (xs, ys) = (resident.xs.as_slice(), resident.ys.as_slice());
         let view = match &resident.tables {
-            TableBuffers::Pair { px_hi, px_lo, py_hi, py_lo } => TableView::PairF32 {
+            TableBuffers::Pair {
+                px_hi,
+                px_lo,
+                py_hi,
+                py_lo,
+            } => TableView::PairF32 {
                 px_hi: px_hi.as_slice(),
                 px_lo: px_lo.as_slice(),
                 py_hi: py_hi.as_slice(),
                 py_lo: py_lo.as_slice(),
             },
-            TableBuffers::F64 { px, py } => TableView::F64 { px: px.as_slice(), py: py.as_slice() },
+            TableBuffers::F64 { px, py } => TableView::F64 {
+                px: px.as_slice(),
+                py: py.as_slice(),
+            },
         };
         let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
         // Main kernel: one thread per sorted position of the shard, a
@@ -518,8 +541,19 @@ impl ShardBody for Windowed {
             // Thread tid of this device answers sorted position lo + tid.
             |tid, acc: &mut &mut [f32], c| {
                 let probes = windowed_kernel(
-                    lo + tid, xs, ys, &view, t.center, &t.binom, bandwidths, coeffs, radius, deg,
-                    n, acc, c,
+                    lo + tid,
+                    xs,
+                    ys,
+                    &view,
+                    t.center,
+                    &t.binom,
+                    bandwidths,
+                    coeffs,
+                    radius,
+                    deg,
+                    n,
+                    acc,
+                    c,
                 );
                 // Each block's leader flushes the block's accumulated partial
                 // row to the device partial matrix — k consecutive
@@ -542,7 +576,13 @@ impl ShardBody for Windowed {
             }
         }
         let values = resident.partials.as_slice();
-        Ok((report, Residuals { values, bandwidth_major: true }))
+        Ok((
+            report,
+            Residuals {
+                values,
+                bandwidth_major: true,
+            },
+        ))
     }
 }
 
@@ -572,11 +612,16 @@ mod tests {
     fn paper_data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let x: Vec<f64> = (0..n).map(|_| next()).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next()).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * next())
+            .collect();
         (x, y)
     }
 
@@ -609,8 +654,7 @@ mod tests {
         let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
         let classic =
             crate::pipeline::select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
-        let windowed =
-            select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap();
+        let windowed = select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap();
         // Two f32 programs with different rounding histories: the argmin
         // must agree up to a near-tie flip one grid step away.
         assert!(
@@ -633,7 +677,10 @@ mod tests {
             select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &GpuConfig::default(), &kernel)
                 .unwrap();
         assert_eq!(wide.report.deg, 6);
-        assert_eq!(wide.report.device_bytes_peak, required_device_bytes_windowed(400, 25, 6, 512));
+        assert_eq!(
+            wide.report.device_bytes_peak,
+            required_device_bytes_windowed(400, 25, 6, 512)
+        );
         // The f64 tables remove every accumulation error; what remains vs
         // the f64 CPU reference is the f32 quantisation of the inputs
         // themselves (x, y, h stored as f32 on the device), so ~1e-4
@@ -728,7 +775,11 @@ mod tests {
             for &h in grid.values() {
                 let inv_h = 1.0 / h as f32;
                 let scan_lo = xs.iter().position(|&v| (xi - v) * inv_h <= radius).unwrap();
-                let scan_hi = xs.iter().rposition(|&v| (v - xi) * inv_h <= radius).unwrap() + 1;
+                let scan_hi = xs
+                    .iter()
+                    .rposition(|&v| (v - xi) * inv_h <= radius)
+                    .unwrap()
+                    + 1;
                 moves += u64::from(scan_lo != lo) + u64::from(scan_hi != hi);
                 (lo, hi) = (scan_lo, scan_hi);
                 let [l, r] = window.advance(&xs, xi, inv_h, radius, &mut ThreadCounters::default());
@@ -743,7 +794,10 @@ mod tests {
     fn windowed_reads_self_rows_once_and_an_edge_row_per_move() {
         let n = 1_000u64;
         let (x, y) = paper_data(n as usize, 7);
-        for kernel in [GpuKernel::from_core(&Epanechnikov), GpuKernel::from_core(&Triweight)] {
+        for kernel in [
+            GpuKernel::from_core(&Epanechnikov),
+            GpuKernel::from_core(&Triweight),
+        ] {
             let row = 4 * (kernel.degree() as u64 + 1);
             // The paper grid, and one whose smallest bandwidth already
             // covers the whole domain.
@@ -754,7 +808,12 @@ mod tests {
                     select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &kernel).unwrap();
                 let (moves, probes) = edge_moves_and_probes(&x, &grid, kernel.radius);
                 let reads = run.report.main_kernel.totals.global_reads;
-                assert_eq!(reads, 2 * n + 2 * row * n + row * moves + probes, "{}", kernel.name);
+                assert_eq!(
+                    reads,
+                    2 * n + 2 * row * n + row * moves + probes,
+                    "{}",
+                    kernel.name
+                );
                 if grid.values()[0] >= 1.5 {
                     // One move per side, at the first bandwidth, for every
                     // thread not already at that end.
@@ -769,7 +828,13 @@ mod tests {
         let (x, y) = paper_data(10, 2);
         let grid = BandwidthGrid::linear(0.001, 1.0, 2049).unwrap();
         let err = select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap_err();
-        assert_eq!(err, GpuError::TooManyBandwidths { requested: 2049, max: 2048 });
+        assert_eq!(
+            err,
+            GpuError::TooManyBandwidths {
+                requested: 2049,
+                max: 2048
+            }
+        );
         let grid = BandwidthGrid::from_values(vec![0.5]).unwrap();
         assert!(
             select_bandwidth_gpu_windowed(&[1.0], &[1.0], &grid, &GpuConfig::default()).is_err()

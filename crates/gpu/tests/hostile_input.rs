@@ -41,9 +41,17 @@ fn values_outside_f32_range_are_rejected_by_name_and_index() {
     // 1e300 narrows to f32 infinity; before the check the classic program
     // scored [0, 0, 0.667, 0.667, 0.667] and the windowed one all zeros.
     let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
-    let want = GpuError::NotF32 { array: "x", index: 2, value: 1e300 };
+    let want = GpuError::NotF32 {
+        array: "x",
+        index: 2,
+        value: 1e300,
+    };
     assert_all_err(&[1e-300, 0.5, 1e300], &[1.0, 2.0, 3.0], &grid, &want);
-    let want = GpuError::NotF32 { array: "y", index: 0, value: -1e39 };
+    let want = GpuError::NotF32 {
+        array: "y",
+        index: 0,
+        value: -1e39,
+    };
     assert_all_err(&[0.0, 0.5, 1.0], &[-1e39, 2.0, 3.0], &grid, &want);
     assert!(want.to_string().contains("y[0]"), "{want}");
 
@@ -51,10 +59,18 @@ fn values_outside_f32_range_are_rejected_by_name_and_index() {
     let y = [1.0, 2.0, 3.0];
     // A bandwidth that underflows to zero, and one that overflows.
     let grid = BandwidthGrid::from_values(vec![1e-50, 0.5]).unwrap();
-    let want = GpuError::NotF32 { array: "bandwidths", index: 0, value: 1e-50 };
+    let want = GpuError::NotF32 {
+        array: "bandwidths",
+        index: 0,
+        value: 1e-50,
+    };
     assert_all_err(&x, &y, &grid, &want);
     let grid = BandwidthGrid::from_values(vec![0.5, 1e39]).unwrap();
-    let want = GpuError::NotF32 { array: "bandwidths", index: 1, value: 1e39 };
+    let want = GpuError::NotF32 {
+        array: "bandwidths",
+        index: 1,
+        value: 1e39,
+    };
     assert_all_err(&x, &y, &grid, &want);
 }
 

@@ -132,7 +132,10 @@ proptest! {
 /// are exact binary fractions in f32 as well as f64, and a support-boundary
 /// tie (`|x_i − x_l| == h·r` exactly) is real rather than float noise.
 fn lattice() -> (Vec<f64>, Vec<f64>) {
-    (vec![0.0, 0.25, 0.5, 0.75, 1.0], vec![1.0, 2.0, -1.0, 0.5, 3.0])
+    (
+        vec![0.0, 0.25, 0.5, 0.75, 1.0],
+        vec![1.0, 2.0, -1.0, 0.5, 3.0],
+    )
 }
 
 #[test]
@@ -147,9 +150,14 @@ fn windowed_gpu_classifies_boundary_ties_like_the_cpu_strategies() {
     // match the CPU up to f32/f64 division rounding (e.g. Σy/3), so the
     // comparison is 1e-6-relative, not bitwise.
     let cpu = cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap();
-    let gpu =
-        select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &GpuKernel::from_core(&Uniform))
-            .unwrap();
+    let gpu = select_bandwidth_gpu_windowed_kernel(
+        &x,
+        &y,
+        &grid,
+        &config,
+        &GpuKernel::from_core(&Uniform),
+    )
+    .unwrap();
     assert_eq!(cpu.included, vec![5, 5]);
     for (m, (&ours, &theirs)) in gpu.scores.iter().zip(&cpu.scores).enumerate() {
         assert!(
@@ -166,12 +174,19 @@ fn windowed_gpu_classifies_boundary_ties_like_the_cpu_strategies() {
     // CPU strategy's.
     let cpu = cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     let gpu = select_bandwidth_gpu_windowed_kernel(
-        &x, &y, &grid, &config, &GpuKernel::from_core(&Epanechnikov),
+        &x,
+        &y,
+        &grid,
+        &config,
+        &GpuKernel::from_core(&Epanechnikov),
     )
     .unwrap();
     assert_eq!(cpu.included, vec![0, 5]);
     assert_eq!(cpu.scores[0], 0.0);
-    assert_eq!(gpu.scores[0], 0.0, "a strict or perturbed predicate leaks boundary weight");
+    assert_eq!(
+        gpu.scores[0], 0.0,
+        "a strict or perturbed predicate leaks boundary weight"
+    );
     assert!(
         rel_close(f64::from(gpu.scores[1]), cpu.scores[1], 1e-6),
         "epanechnikov h=0.5: windowed {} vs CPU {}",
@@ -190,15 +205,24 @@ fn windowed_gpu_agrees_at_radius_spanning_bandwidths() {
     let config = GpuConfig::default();
     let grid = BandwidthGrid::from_values(vec![0.125, 1.0]).unwrap();
     for (core_kernel, device_kernel) in [
-        (cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap(), GpuKernel::from_core(&Uniform)),
-        (cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap(), GpuKernel::from_core(&Epanechnikov)),
+        (
+            cv_profile_prefix(&x, &y, &grid, &Uniform).unwrap(),
+            GpuKernel::from_core(&Uniform),
+        ),
+        (
+            cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap(),
+            GpuKernel::from_core(&Epanechnikov),
+        ),
     ] {
         let gpu =
-            select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &device_kernel)
-                .unwrap();
+            select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &device_kernel).unwrap();
         assert_eq!(core_kernel.included[0], 0);
         assert_eq!(core_kernel.included[1], 5);
-        assert_eq!(gpu.scores[0], 0.0, "{}: empty support must score 0", device_kernel.name);
+        assert_eq!(
+            gpu.scores[0], 0.0,
+            "{}: empty support must score 0",
+            device_kernel.name
+        );
         assert!(
             rel_close(f64::from(gpu.scores[1]), core_kernel.scores[1], 1e-6),
             "{} h=1.0: windowed {} vs CPU {}",

@@ -43,7 +43,10 @@ pub struct NpUDensBwOptions {
 
 impl Default for NpUDensBwOptions {
     fn default() -> Self {
-        Self { bwmethod: DensBwMethod::CvLs { grid_size: 100 }, ckertype: DensKernel::Epanechnikov }
+        Self {
+            bwmethod: DensBwMethod::CvLs { grid_size: 100 },
+            ckertype: DensKernel::Epanechnikov,
+        }
     }
 }
 
@@ -84,7 +87,10 @@ impl NpUDensBw {
 /// Selects an unconditional-density bandwidth for `x`.
 pub fn npudensbw(x: &[f64], options: NpUDensBwOptions) -> Result<NpUDensBw> {
     if x.len() < 2 {
-        return Err(Error::SampleTooSmall { n: x.len(), required: 2 });
+        return Err(Error::SampleTooSmall {
+            n: x.len(),
+            required: 2,
+        });
     }
     let (bw, fval) = match options.bwmethod {
         DensBwMethod::NormalReference => {
@@ -108,7 +114,12 @@ pub fn npudensbw(x: &[f64], options: NpUDensBwOptions) -> Result<NpUDensBw> {
             (h, f)
         }
     };
-    Ok(NpUDensBw { bw, fval, options, n: x.len() })
+    Ok(NpUDensBw {
+        bw,
+        fval,
+        options,
+        n: x.len(),
+    })
 }
 
 /// The fitted density object of [`npudens`].
@@ -130,7 +141,11 @@ pub fn npudens(bws: &NpUDensBw, x: &[f64]) -> Result<NpUDens> {
         DensKernel::Gaussian => eval_all(x, &Gaussian, bws.bw)?,
     };
     let log_likelihood = dens.iter().map(|&d| d.max(1e-300).ln()).sum();
-    Ok(NpUDens { bw: bws.bw, dens, log_likelihood })
+    Ok(NpUDens {
+        bw: bws.bw,
+        dens,
+        log_likelihood,
+    })
 }
 
 fn eval_all<K: Kernel + Clone>(x: &[f64], kernel: &K, h: f64) -> Result<Vec<f64>> {
@@ -166,7 +181,10 @@ mod tests {
         let cv = npudensbw(&x, NpUDensBwOptions::default()).unwrap();
         let nr = npudensbw(
             &x,
-            NpUDensBwOptions { bwmethod: DensBwMethod::NormalReference, ..Default::default() },
+            NpUDensBwOptions {
+                bwmethod: DensBwMethod::NormalReference,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(cv.bw < nr.bw, "cv {} vs reference {}", cv.bw, nr.bw);
@@ -197,7 +215,10 @@ mod tests {
         assert!(dens.dens.iter().all(|&d| d >= 0.0));
         assert!(dens.log_likelihood.is_finite());
         // A wildly oversmoothed density fits the sample worse in likelihood.
-        let wide = NpUDensBw { bw: 10.0, ..bws.clone() };
+        let wide = NpUDensBw {
+            bw: 10.0,
+            ..bws.clone()
+        };
         let dens_wide = npudens(&wide, &x).unwrap();
         assert!(dens.log_likelihood > dens_wide.log_likelihood);
     }

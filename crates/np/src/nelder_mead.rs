@@ -94,8 +94,16 @@ mod tests {
         };
         let from_left = nelder_mead_1d(f, 0.5, 0.2, 0.0, 6.0, 1e-10, 500);
         let from_right = nelder_mead_1d(f, 4.5, 0.2, 0.0, 6.0, 1e-10, 500);
-        assert!((from_left.x - 1.0).abs() < 0.1, "left start → {}", from_left.x);
-        assert!((from_right.x - 4.0).abs() < 0.1, "right start → {}", from_right.x);
+        assert!(
+            (from_left.x - 1.0).abs() < 0.1,
+            "left start → {}",
+            from_left.x
+        );
+        assert!(
+            (from_right.x - 4.0).abs() < 0.1,
+            "right start → {}",
+            from_right.x
+        );
         // The paper's point: the local optimiser's answer depends on the
         // start, and one of them is not the global minimum.
         assert!(from_left.fx > from_right.fx);

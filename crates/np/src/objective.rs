@@ -144,7 +144,10 @@ mod tests {
     fn degenerate_bandwidth_penalised() {
         let x = [0.0, 1.0, 2.0];
         let y = [1.0, 2.0, 3.0];
-        assert_eq!(cv_objective(&x, &y, 0.1, &Epanechnikov, false), DEGENERATE_PENALTY);
+        assert_eq!(
+            cv_objective(&x, &y, 0.1, &Epanechnikov, false),
+            DEGENERATE_PENALTY
+        );
     }
 
     #[test]

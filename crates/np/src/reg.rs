@@ -63,7 +63,12 @@ pub fn npreg(bws: &NpRegBw, x: &[f64], y: &[f64]) -> Result<NpReg> {
         .zip(y)
         .map(|(f, &yi)| f.map(|g| yi - g))
         .collect();
-    Ok(NpReg { bw: bws.bw, fitted, residuals, diagnostics: diag })
+    Ok(NpReg {
+        bw: bws.bw,
+        fitted,
+        residuals,
+        diagnostics: diag,
+    })
 }
 
 #[cfg(test)]
@@ -87,7 +92,11 @@ mod tests {
         let (x, y) = paper_dgp(300, 11);
         let bws = npregbw(&x, &y, NpRegBwOptions::default()).unwrap();
         let fit = npreg(&bws, &x, &y).unwrap();
-        assert!(fit.diagnostics.r_squared > 0.95, "R² {}", fit.diagnostics.r_squared);
+        assert!(
+            fit.diagnostics.r_squared > 0.95,
+            "R² {}",
+            fit.diagnostics.r_squared
+        );
         assert_eq!(fit.fitted.len(), 300);
         // Residuals consistent with fitted values.
         for ((f, r), &yi) in fit.fitted.iter().zip(&fit.residuals).zip(&y) {
@@ -105,7 +114,10 @@ mod tests {
         let bws = npregbw(
             &x,
             &y,
-            NpRegBwOptions { regtype: RegType::Ll, ..Default::default() },
+            NpRegBwOptions {
+                regtype: RegType::Ll,
+                ..Default::default()
+            },
         )
         .unwrap();
         let fit = npreg(&bws, &x, &y).unwrap();

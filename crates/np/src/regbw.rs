@@ -248,8 +248,15 @@ mod tests {
     fn parallel_option_reproduces_sequential_answer() {
         let (x, y) = paper_dgp(100, 2);
         let seq = npregbw(&x, &y, NpRegBwOptions::default()).unwrap();
-        let par = npregbw(&x, &y, NpRegBwOptions { parallel: true, ..Default::default() })
-            .unwrap();
+        let par = npregbw(
+            &x,
+            &y,
+            NpRegBwOptions {
+                parallel: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!((seq.bw - par.bw).abs() < 1e-9);
         assert!((seq.fval - par.fval).abs() < 1e-12);
     }
@@ -263,7 +270,11 @@ mod tests {
         let bw = npregbw(
             &x,
             &y,
-            NpRegBwOptions { nmulti: 12, seed: 9, ..Default::default() },
+            NpRegBwOptions {
+                nmulti: 12,
+                seed: 9,
+                ..Default::default()
+            },
         )
         .unwrap();
         let spread = bw
@@ -285,8 +296,15 @@ mod tests {
     fn gaussian_and_uniform_kernels_work() {
         let (x, y) = paper_dgp(80, 4);
         for k in [CKerType::Gaussian, CKerType::Uniform] {
-            let bw = npregbw(&x, &y, NpRegBwOptions { ckertype: k, ..Default::default() })
-                .unwrap();
+            let bw = npregbw(
+                &x,
+                &y,
+                NpRegBwOptions {
+                    ckertype: k,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
             assert!(bw.bw > 0.0 && bw.bw <= 1.0);
         }
     }
@@ -297,7 +315,10 @@ mod tests {
         let bw = npregbw(
             &x,
             &y,
-            NpRegBwOptions { regtype: RegType::Ll, ..Default::default() },
+            NpRegBwOptions {
+                regtype: RegType::Ll,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(bw.bw > 0.0);

@@ -281,7 +281,10 @@ impl Snapshot {
 
     /// Total nanoseconds of the named phase, `0` when absent.
     pub fn phase_nanos(&self, name: &str) -> u64 {
-        self.phases.iter().find(|p| p.name == name).map_or(0, |p| p.nanos)
+        self.phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.nanos)
     }
 
     /// Serialises the snapshot as a JSON object:
@@ -379,13 +382,20 @@ mod imp {
                 p.calls += 1;
                 p.nanos += nanos;
             } else {
-                ps.push(PhaseStat { name: name.to_string(), calls: 1, nanos });
+                ps.push(PhaseStat {
+                    name: name.to_string(),
+                    calls: 1,
+                    nanos,
+                });
             }
         }
 
         fn snapshot(&self) -> Snapshot {
             Snapshot {
-                counters: Counter::ALL.iter().map(|&c| (c.name(), self.get(c))).collect(),
+                counters: Counter::ALL
+                    .iter()
+                    .map(|&c| (c.name(), self.get(c)))
+                    .collect(),
                 phases: self.phases.lock().expect("phase registry poisoned").clone(),
             }
         }
@@ -405,7 +415,10 @@ mod imp {
 
     fn push_scope(store: Arc<Store>) -> ScopeGuard {
         SCOPES.with(|s| s.borrow_mut().push(store));
-        ScopeGuard { installed: true, _not_send: PhantomData }
+        ScopeGuard {
+            installed: true,
+            _not_send: PhantomData,
+        }
     }
 
     /// A scoped metric sink: a private counter array and phase table that
@@ -420,7 +433,9 @@ mod imp {
     impl Recorder {
         /// Creates a recorder with all counters zero and no phases.
         pub fn new() -> Self {
-            Recorder { store: Arc::new(Store::new()) }
+            Recorder {
+                store: Arc::new(Store::new()),
+            }
         }
 
         /// Installs the recorder as the innermost scope on the *current
@@ -500,7 +515,10 @@ mod imp {
                     crate::add(crate::Counter::ScopeEnters, 1);
                     guard
                 }
-                None => ScopeGuard { installed: false, _not_send: PhantomData },
+                None => ScopeGuard {
+                    installed: false,
+                    _not_send: PhantomData,
+                },
             }
         }
     }
@@ -542,7 +560,10 @@ mod imp {
     }
 
     pub fn phase(name: &'static str) -> PhaseGuard {
-        PhaseGuard { name, start: Instant::now() }
+        PhaseGuard {
+            name,
+            start: Instant::now(),
+        }
     }
 
     impl Drop for PhaseGuard {
@@ -751,7 +772,11 @@ mod tests {
     fn snapshot_json_shape_is_stable() {
         let snap = Snapshot {
             counters: vec![("kernel_evals", 12), ("sort_comparisons", 3)],
-            phases: vec![PhaseStat { name: "cv.sort".into(), calls: 2, nanos: 1_500_000 }],
+            phases: vec![PhaseStat {
+                name: "cv.sort".into(),
+                calls: 2,
+                nanos: 1_500_000,
+            }],
         };
         let json = snap.to_json();
         assert!(json.contains("\"kernel_evals\":12"));

@@ -38,7 +38,12 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
     /// `config` apply (there are no shards or queues to configure).
     pub fn new(kernel: K, grid: BandwidthGrid, config: ServeConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self { kernel, grid, config, streams: Mutex::new(HashMap::new()) })
+        Ok(Self {
+            kernel,
+            grid,
+            config,
+            streams: Mutex::new(HashMap::new()),
+        })
     }
 
     /// Opens a stream under the global lock.
@@ -55,7 +60,13 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
         )?;
         streams.insert(
             stream,
-            StreamState { selector, arrivals: 0, rejected: 0, reselects: 0, optima: Vec::new() },
+            StreamState {
+                selector,
+                arrivals: 0,
+                rejected: 0,
+                reselects: 0,
+                optima: Vec::new(),
+            },
         );
         Ok(())
     }
@@ -65,8 +76,9 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
     /// service exists to avoid.
     pub fn send(&self, stream: StreamId, x: f64, y: f64) -> Result<Option<CvOptimum>> {
         let mut streams = self.streams.lock().expect("stream map poisoned");
-        let state =
-            streams.get_mut(&stream).ok_or(ServeError::UnknownStream(stream))?;
+        let state = streams
+            .get_mut(&stream)
+            .ok_or(ServeError::UnknownStream(stream))?;
         match state.selector.push(x, y) {
             Ok(fired) => {
                 state.arrivals += 1;
@@ -89,7 +101,9 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
     /// contract as the sharded service.
     pub fn close(&self, stream: StreamId) -> Result<StreamOutcome> {
         let mut streams = self.streams.lock().expect("stream map poisoned");
-        let state = streams.remove(&stream).ok_or(ServeError::UnknownStream(stream))?;
+        let state = streams
+            .remove(&stream)
+            .ok_or(ServeError::UnknownStream(stream))?;
         Ok(close_state(state))
     }
 
@@ -135,14 +149,21 @@ mod tests {
     #[test]
     fn baseline_reselects_at_every_cadence_boundary() {
         let grid = BandwidthGrid::log(0.01, 0.5, 10).unwrap();
-        let config = ServeConfig { log_optima: true, ..ServeConfig::new(1, 64, 16) };
+        let config = ServeConfig {
+            log_optima: true,
+            ..ServeConfig::new(1, 64, 16)
+        };
         let svc = GlobalLockService::new(Epanechnikov, grid, config).unwrap();
         svc.open(5).unwrap();
         assert!(matches!(svc.open(5), Err(ServeError::DuplicateStream(5))));
         let mut rng = SplitMix64::new(44);
         let mut fired = 0;
         for _ in 0..80 {
-            if svc.send(5, rng.next_f64(), rng.next_f64()).unwrap().is_some() {
+            if svc
+                .send(5, rng.next_f64(), rng.next_f64())
+                .unwrap()
+                .is_some()
+            {
                 fired += 1;
             }
         }

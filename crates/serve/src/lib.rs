@@ -145,7 +145,14 @@ impl ServeConfig {
     /// `cadence`, a 1 024-deep queue per shard, conflation on, and optima
     /// logging off.
     pub fn new(shards: usize, window: usize, cadence: usize) -> Self {
-        Self { shards, queue_capacity: 1024, window, cadence, conflate: true, log_optima: false }
+        Self {
+            shards,
+            queue_capacity: 1024,
+            window,
+            cadence,
+            conflate: true,
+            log_optima: false,
+        }
     }
 
     /// Validates every field, mirroring the engine's constructor contract.
@@ -267,9 +274,12 @@ mod tests {
     #[test]
     fn config_validation_rejects_zeroes() {
         assert!(ServeConfig::new(0, 64, 16).validate().is_err());
-        assert!(ServeConfig { queue_capacity: 0, ..ServeConfig::new(2, 64, 16) }
-            .validate()
-            .is_err());
+        assert!(ServeConfig {
+            queue_capacity: 0,
+            ..ServeConfig::new(2, 64, 16)
+        }
+        .validate()
+        .is_err());
         assert!(ServeConfig::new(2, 1, 16).validate().is_err());
         assert!(ServeConfig::new(2, 64, 0).validate().is_err());
         assert!(ServeConfig::new(2, 64, 16).validate().is_ok());
@@ -279,11 +289,19 @@ mod tests {
     fn snapshot_merge_sums_except_high_water() {
         let a = Snapshot {
             counters: vec![("reselects", 3), ("queue_high_water", 10)],
-            phases: vec![PhaseStat { name: "serve.batch".into(), calls: 2, nanos: 100 }],
+            phases: vec![PhaseStat {
+                name: "serve.batch".into(),
+                calls: 2,
+                nanos: 100,
+            }],
         };
         let b = Snapshot {
             counters: vec![("reselects", 4), ("queue_high_water", 7)],
-            phases: vec![PhaseStat { name: "serve.batch".into(), calls: 1, nanos: 50 }],
+            phases: vec![PhaseStat {
+                name: "serve.batch".into(),
+                calls: 1,
+                nanos: 50,
+            }],
         };
         let m = merge_snapshots(&[a, b]);
         assert_eq!(m.counter("reselects"), 7);

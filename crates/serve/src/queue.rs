@@ -52,7 +52,10 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
-            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,

@@ -14,9 +14,7 @@ use kcv_core::kernels::PolynomialKernel;
 use kcv_obs::{Counter, Recorder, Snapshot};
 
 use crate::queue::{BoundedQueue, PushError};
-use crate::{
-    merge_snapshots, shard_of, Result, ServeConfig, ServeError, StreamId, StreamOutcome,
-};
+use crate::{merge_snapshots, shard_of, Result, ServeConfig, ServeError, StreamId, StreamOutcome};
 
 /// A single-use reply slot for acknowledged requests (open/close).
 struct OneShot<T> {
@@ -26,7 +24,10 @@ struct OneShot<T> {
 
 impl<T> OneShot<T> {
     fn new() -> Arc<Self> {
-        Arc::new(Self { slot: Mutex::new(None), ready: Condvar::new() })
+        Arc::new(Self {
+            slot: Mutex::new(None),
+            ready: Condvar::new(),
+        })
     }
 
     fn put(&self, value: T) {
@@ -47,9 +48,20 @@ impl<T> OneShot<T> {
 
 /// One queued request to a shard worker.
 enum Request {
-    Open { stream: StreamId, reply: Arc<OneShot<Result<()>>> },
-    Arrival { stream: StreamId, x: f64, y: f64, enqueued: Instant },
-    Close { stream: StreamId, reply: Arc<OneShot<Result<StreamReport>>> },
+    Open {
+        stream: StreamId,
+        reply: Arc<OneShot<Result<()>>>,
+    },
+    Arrival {
+        stream: StreamId,
+        x: f64,
+        y: f64,
+        enqueued: Instant,
+    },
+    Close {
+        stream: StreamId,
+        reply: Arc<OneShot<Result<StreamReport>>>,
+    },
 }
 
 impl Request {
@@ -144,10 +156,18 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
                         move || worker_loop(index, &queue, &recorder, kernel, grid, &config)
                     })
                     .expect("spawn shard worker");
-                Shard { queue, recorder, worker: Some(worker) }
+                Shard {
+                    queue,
+                    recorder,
+                    worker: Some(worker),
+                }
             })
             .collect();
-        Ok(Self { shards, config, _kernel: PhantomData })
+        Ok(Self {
+            shards,
+            config,
+            _kernel: PhantomData,
+        })
     }
 
     /// The configuration the service was started with.
@@ -168,7 +188,10 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
         let reply = OneShot::new();
         shard
             .queue
-            .push(Request::Open { stream, reply: Arc::clone(&reply) })
+            .push(Request::Open {
+                stream,
+                reply: Arc::clone(&reply),
+            })
             .map_err(|_| ServeError::ShuttingDown)?;
         reply.wait()
     }
@@ -181,7 +204,12 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
         let (index, shard) = self.shard(stream);
         shard
             .queue
-            .try_push(Request::Arrival { stream, x, y, enqueued: Instant::now() })
+            .try_push(Request::Arrival {
+                stream,
+                x,
+                y,
+                enqueued: Instant::now(),
+            })
             .map_err(|(_, e)| match e {
                 PushError::Full => ServeError::Overloaded { shard: index },
                 PushError::Closed => ServeError::ShuttingDown,
@@ -195,7 +223,12 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
         let (_, shard) = self.shard(stream);
         shard
             .queue
-            .push(Request::Arrival { stream, x, y, enqueued: Instant::now() })
+            .push(Request::Arrival {
+                stream,
+                x,
+                y,
+                enqueued: Instant::now(),
+            })
             .map_err(|_| ServeError::ShuttingDown)
     }
 
@@ -207,7 +240,10 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
         let reply = OneShot::new();
         shard
             .queue
-            .push(Request::Close { stream, reply: Arc::clone(&reply) })
+            .push(Request::Close {
+                stream,
+                reply: Arc::clone(&reply),
+            })
             .map_err(|_| ServeError::ShuttingDown)?;
         reply.wait()
     }
@@ -242,7 +278,9 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
             unknown_arrivals: 0,
         };
         for shard in &mut self.shards {
-            let Some(worker) = shard.worker.take() else { continue };
+            let Some(worker) = shard.worker.take() else {
+                continue;
+            };
             let out = worker.join().expect("shard worker panicked");
             report.streams.extend(out.reports);
             report.latencies_nanos.extend(out.latencies);
@@ -330,12 +368,21 @@ fn worker_loop<K: PolynomialKernel + Clone>(
         .into_iter()
         .map(|id| {
             let state = streams.remove(&id).expect("listed above");
-            StreamReport { stream: id, shard, outcome: close_state(state, config) }
+            StreamReport {
+                stream: id,
+                shard,
+                outcome: close_state(state, config),
+            }
         })
         .collect();
     kcv_obs::add(Counter::ShedRequests, queue.take_shed());
     drop(scope);
-    ShardOutput { reports, latencies, snapshot: recorder.snapshot(), unknown_arrivals }
+    ShardOutput {
+        reports,
+        latencies,
+        snapshot: recorder.snapshot(),
+        unknown_arrivals,
+    }
 }
 
 /// Applies one stream's slice of a drained batch: opens/closes in place,
@@ -397,7 +444,13 @@ fn process_stream_requests<K: PolynomialKernel + Clone>(
                 while j < requests.len() && matches!(requests[j], Request::Arrival { .. }) {
                     j += 1;
                 }
-                apply_burst(&requests[i..j], streams.get_mut(&id), latencies, unknown_arrivals, config);
+                apply_burst(
+                    &requests[i..j],
+                    streams.get_mut(&id),
+                    latencies,
+                    unknown_arrivals,
+                    config,
+                );
                 i = j;
             }
         }
@@ -420,7 +473,9 @@ fn apply_burst<K: PolynomialKernel + Clone>(
         Some(state) => {
             let mut due_any = false;
             for req in burst {
-                let Request::Arrival { x, y, .. } = req else { unreachable!("burst of arrivals") };
+                let Request::Arrival { x, y, .. } = req else {
+                    unreachable!("burst of arrivals")
+                };
                 match state.selector.push_deferred(*x, *y) {
                     Ok(due) => {
                         state.arrivals += 1;
@@ -445,7 +500,9 @@ fn apply_burst<K: PolynomialKernel + Clone>(
     }
     let done = Instant::now();
     for req in burst {
-        let Request::Arrival { enqueued, .. } = req else { unreachable!("burst of arrivals") };
+        let Request::Arrival { enqueued, .. } = req else {
+            unreachable!("burst of arrivals")
+        };
         latencies.push(done.duration_since(*enqueued).as_nanos() as u64);
     }
 }
@@ -507,7 +564,10 @@ mod tests {
         };
         let service = BandwidthService::new(Epanechnikov, grid(), config).unwrap();
         service.open(7).unwrap();
-        assert!(matches!(service.open(7), Err(ServeError::DuplicateStream(7))));
+        assert!(matches!(
+            service.open(7),
+            Err(ServeError::DuplicateStream(7))
+        ));
         let mut rng = SplitMix64::new(41);
         for _ in 0..80 {
             let x = rng.next_f64();
@@ -523,7 +583,10 @@ mod tests {
         assert_eq!(report.outcome.reselects, 6);
         assert_eq!(report.outcome.optima.len(), 5);
         assert!(report.outcome.final_optimum.is_some());
-        assert!(matches!(service.close(7), Err(ServeError::UnknownStream(7))));
+        assert!(matches!(
+            service.close(7),
+            Err(ServeError::UnknownStream(7))
+        ));
         let report = service.shutdown();
         assert!(report.streams.is_empty());
         assert_eq!(report.unknown_arrivals, 0);
@@ -531,7 +594,10 @@ mod tests {
 
     #[test]
     fn non_finite_arrivals_are_rejected_not_applied() {
-        let config = ServeConfig { conflate: false, ..ServeConfig::new(1, 32, 8) };
+        let config = ServeConfig {
+            conflate: false,
+            ..ServeConfig::new(1, 32, 8)
+        };
         let service = BandwidthService::new(Epanechnikov, grid(), config).unwrap();
         service.open(1).unwrap();
         let mut rng = SplitMix64::new(42);
@@ -539,7 +605,9 @@ mod tests {
             if i % 10 == 3 {
                 service.send_blocking(1, f64::NAN, 1.0).unwrap();
             } else {
-                service.send_blocking(1, rng.next_f64(), rng.next_f64()).unwrap();
+                service
+                    .send_blocking(1, rng.next_f64(), rng.next_f64())
+                    .unwrap();
             }
         }
         let report = service.close(1).unwrap();
@@ -569,7 +637,9 @@ mod tests {
         for id in [11u64, 3, 27, 8] {
             service.open(id).unwrap();
             for _ in 0..20 {
-                service.send_blocking(id, rng.next_f64(), rng.next_f64()).unwrap();
+                service
+                    .send_blocking(id, rng.next_f64(), rng.next_f64())
+                    .unwrap();
             }
         }
         let report = service.shutdown();
@@ -589,7 +659,10 @@ mod tests {
             BandwidthService::new(Epanechnikov, grid(), ServeConfig::new(1, 8, 4)).unwrap();
         let queue = Arc::clone(&service.shards[0].queue);
         queue.close();
-        assert!(matches!(service.send(1, 0.1, 0.2), Err(ServeError::ShuttingDown)));
+        assert!(matches!(
+            service.send(1, 0.1, 0.2),
+            Err(ServeError::ShuttingDown)
+        ));
         assert!(matches!(service.open(1), Err(ServeError::ShuttingDown)));
     }
 }

@@ -39,7 +39,11 @@ fn assert_outcomes_bit_identical(served: &StreamOutcome, oracle: &StreamOutcome,
     assert_eq!(served.arrivals, oracle.arrivals, "{ctx}: arrivals");
     assert_eq!(served.rejected, oracle.rejected, "{ctx}: rejected");
     assert_eq!(served.reselects, oracle.reselects, "{ctx}: reselects");
-    assert_eq!(served.optima.len(), oracle.optima.len(), "{ctx}: fired count");
+    assert_eq!(
+        served.optima.len(),
+        oracle.optima.len(),
+        "{ctx}: fired count"
+    );
     for (i, (s, o)) in served.optima.iter().zip(&oracle.optima).enumerate() {
         assert_eq!(s.index, o.index, "{ctx}: optimum {i} index");
         assert_eq!(
@@ -47,7 +51,11 @@ fn assert_outcomes_bit_identical(served: &StreamOutcome, oracle: &StreamOutcome,
             o.bandwidth.to_bits(),
             "{ctx}: optimum {i} bandwidth not bit-identical"
         );
-        assert_eq!(s.score.to_bits(), o.score.to_bits(), "{ctx}: optimum {i} score");
+        assert_eq!(
+            s.score.to_bits(),
+            o.score.to_bits(),
+            "{ctx}: optimum {i} score"
+        );
         assert_eq!(s.included, o.included, "{ctx}: optimum {i} included");
     }
     match (&served.final_optimum, &oracle.final_optimum) {
@@ -84,13 +92,16 @@ fn interleaved_streams_match_sequential_replay_under_2_4_8_shards() {
         }
         // One RNG per stream so the arrival sequence is a property of the
         // stream, not of the interleaving.
-        let mut rngs: Vec<SplitMix64> =
-            (0..STREAMS).map(|id| SplitMix64::new(100 + id)).collect();
+        let mut rngs: Vec<SplitMix64> = (0..STREAMS).map(|id| SplitMix64::new(100 + id)).collect();
         for round in 0..ARRIVALS {
             // Round-robin, reversing the stream order on odd rounds so the
             // shard queues see shifting interleavings.
             for slot in 0..STREAMS {
-                let id = if round % 2 == 1 { STREAMS - 1 - slot } else { slot };
+                let id = if round % 2 == 1 {
+                    STREAMS - 1 - slot
+                } else {
+                    slot
+                };
                 let (x, y) = paper_arrival(&mut rngs[id as usize]);
                 service.send_blocking(id, x, y).unwrap();
                 oracle.send(id, x, y).unwrap();
@@ -137,7 +148,10 @@ fn conflation_preserves_the_final_bandwidth_and_saves_reselects() {
         log_optima: true,
         ..ServeConfig::new(3, 96, 20)
     };
-    let exact = ServeConfig { conflate: false, ..conflated.clone() };
+    let exact = ServeConfig {
+        conflate: false,
+        ..conflated.clone()
+    };
     let service = BandwidthService::new(Epanechnikov, grid(12), conflated).unwrap();
     let oracle = GlobalLockService::new(Epanechnikov, grid(12), exact).unwrap();
     for id in 0..STREAMS {

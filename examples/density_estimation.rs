@@ -57,8 +57,14 @@ fn main() {
         }
     };
     println!("  density at mode (x=0) / dip (x=1.5):");
-    println!("    LSCV     : {mode_cv:.4} / {dip_cv:.4}  ({})", ratio(mode_cv, dip_cv));
-    println!("    Silverman: {mode_rot:.4} / {dip_rot:.4}  ({})\n", ratio(mode_rot, dip_rot));
+    println!(
+        "    LSCV     : {mode_cv:.4} / {dip_cv:.4}  ({})",
+        ratio(mode_cv, dip_cv)
+    );
+    println!(
+        "    Silverman: {mode_rot:.4} / {dip_rot:.4}  ({})\n",
+        ratio(mode_rot, dip_rot)
+    );
 
     // ASCII densities.
     println!("density estimates (c = LSCV, s = Silverman):");

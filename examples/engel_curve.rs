@@ -59,9 +59,11 @@ fn main() {
     );
 
     // Compare with what the np-style numerical optimiser would return.
-    let np_bw = npregbw(&log_exp, &food_share, NpRegBwOptions::default())
-        .expect("npregbw");
-    println!("np-style optimiser       : h = {:.4} (fval = {:.6})\n", np_bw.bw, np_bw.fval);
+    let np_bw = npregbw(&log_exp, &food_share, NpRegBwOptions::default()).expect("npregbw");
+    println!(
+        "np-style optimiser       : h = {:.4} (fval = {:.6})\n",
+        np_bw.bw, np_bw.fval
+    );
 
     // Fit + 95% confidence band over the *interior* of the expenditure
     // range (the first-order band ignores the boundary bias of the
@@ -107,8 +109,8 @@ fn main() {
     );
 
     // Economics sanity check: food share declines with income (Engel's law).
-    let fit = NadarayaWatson::new(&log_exp, &food_share, Epanechnikov, selection.bandwidth)
-        .expect("fit");
+    let fit =
+        NadarayaWatson::new(&log_exp, &food_share, Epanechnikov, selection.bandwidth).expect("fit");
     let poor = fit.predict(5.0).expect("estimate at 5.0");
     let rich = fit.predict(8.5).expect("estimate at 8.5");
     println!(

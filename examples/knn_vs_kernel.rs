@@ -54,8 +54,7 @@ fn main() {
     println!("k-nearest neighbours  : k = {k_opt} (CV = {knn_cv:.5})\n");
 
     // Compare against the truth in the dense and sparse regions.
-    let kernel_fit =
-        NadarayaWatson::new(&x, &y, Epanechnikov, kernel_sel.bandwidth).expect("fit");
+    let kernel_fit = NadarayaWatson::new(&x, &y, Epanechnikov, kernel_sel.bandwidth).expect("fit");
     let knn_fit = KnnRegression::new(&x, &y, k_opt).expect("knn");
     let dense: Vec<f64> = (10..=40).map(|i| i as f64 / 100.0).collect();
     let sparse: Vec<f64> = (65..=95).map(|i| i as f64 / 100.0).collect();
@@ -84,7 +83,11 @@ fn main() {
         "\nCV comparison: the better leave-one-out score on this design is {}\n\
          (kernel {:.5} vs knn {knn_cv:.5}); both tunings came from one sort per\n\
          observation plus incremental sums — the paper's trick in two guises.",
-        if kernel_sel.score < knn_cv { "the kernel's" } else { "k-NN's" },
+        if kernel_sel.score < knn_cv {
+            "the kernel's"
+        } else {
+            "k-NN's"
+        },
         kernel_sel.score
     );
 }

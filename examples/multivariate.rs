@@ -44,8 +44,8 @@ fn main() {
 
     // Scalar-multiplier shortcut (isotropic rescale of the Silverman base).
     let multipliers: Vec<f64> = (1..=16).map(|i| i as f64 * 0.25).collect();
-    let scalar = select_multiplier_grid(&columns, &y, &Epanechnikov, &multipliers)
-        .expect("multiplier grid");
+    let scalar =
+        select_multiplier_grid(&columns, &y, &Epanechnikov, &multipliers).expect("multiplier grid");
     println!(
         "multiplier shortcut  : h = ({:.3}, {:.3}), CV = {:.5}\n",
         scalar.bandwidths[0], scalar.bandwidths[1], scalar.score
@@ -61,8 +61,8 @@ fn main() {
     );
 
     // Fit at the full-grid optimum and probe the surface.
-    let fit = MultiNadarayaWatson::new(&columns, &y, Epanechnikov, full.bandwidths.clone())
-        .expect("fit");
+    let fit =
+        MultiNadarayaWatson::new(&columns, &y, Epanechnikov, full.bandwidths.clone()).expect("fit");
     println!("probe points (estimate vs truth):");
     for &(a, b) in &[(0.25, 0.25), (0.5, 0.5), (0.75, 0.2), (0.2, 0.8)] {
         let g = fit.predict(&[a, b]).expect("dims").unwrap_or(f64::NAN);

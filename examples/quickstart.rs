@@ -25,7 +25,10 @@ fn main() {
     );
 
     // 2. The baseline: np-style numerical optimisation of the same objective.
-    let options = NpRegBwOptions { nmulti: 3, ..Default::default() };
+    let options = NpRegBwOptions {
+        nmulti: 3,
+        ..Default::default()
+    };
     let numeric = npregbw(&sample.x, &sample.y, options).expect("npregbw");
     println!(
         "numerical optimiser: h = {:.4}  (CV = {:.5}, {} evaluations)",
@@ -36,7 +39,10 @@ fn main() {
     let rot = RuleOfThumbSelector::new(Epanechnikov, Rule::Silverman)
         .select(&sample.x, &sample.y)
         .expect("rule of thumb");
-    println!("Silverman's rule   : h = {:.4}  (never evaluates the objective)", rot.bandwidth);
+    println!(
+        "Silverman's rule   : h = {:.4}  (never evaluates the objective)",
+        rot.bandwidth
+    );
 
     // 4. The paper's GPU program on the simulated Tesla S10.
     let grid = BandwidthGrid::paper_default(&sample.x, 50).expect("grid");
@@ -53,7 +59,12 @@ fn main() {
     let fit = NadarayaWatson::new(&sample.x, &sample.y, Epanechnikov, grid_selection.bandwidth)
         .expect("fit");
     let d = diagnostics(&fit, &sample.y);
-    println!("fit at h = {:.4}: R² = {:.4}, LOO-MSE = {:.5}", fit.bandwidth(), d.r_squared, d.loo_mse);
+    println!(
+        "fit at h = {:.4}: R² = {:.4}, LOO-MSE = {:.5}",
+        fit.bandwidth(),
+        d.r_squared,
+        d.loo_mse
+    );
 
     // Oracle check against the known truth E[Y|X=x] = 0.5x + 10x² + 0.25.
     let points: Vec<f64> = (5..=95).map(|i| i as f64 / 100.0).collect();

@@ -26,12 +26,22 @@ fn main() {
     let ll_profile = cv_profile_sorted_ll(&data.x, &data.y, &grid, &Epanechnikov).expect("ll");
     let lc = lc_profile.argmin().expect("lc argmin");
     let ll = ll_profile.argmin().expect("ll argmin");
-    println!("local-constant: h = {:.2} years (CV = {:.4})", lc.bandwidth, lc.score);
-    println!("local-linear  : h = {:.2} years (CV = {:.4})", ll.bandwidth, ll.score);
+    println!(
+        "local-constant: h = {:.2} years (CV = {:.4})",
+        lc.bandwidth, lc.score
+    );
+    println!(
+        "local-linear  : h = {:.2} years (CV = {:.4})",
+        ll.bandwidth, ll.score
+    );
     let better_ll = ll.score < lc.score;
     println!(
         "→ {} wins on leave-one-out error\n",
-        if better_ll { "local-linear" } else { "local-constant" }
+        if better_ll {
+            "local-linear"
+        } else {
+            "local-constant"
+        }
     );
 
     // Fit both and compare in-sample diagnostics.
@@ -39,8 +49,14 @@ fn main() {
     let lin = LocalLinear::new(&data.x, &data.y, Epanechnikov, ll.bandwidth).expect("ll");
     let d_nw = diagnostics(&nw, &data.y);
     let d_ll = diagnostics(&lin, &data.y);
-    println!("local-constant: R² = {:.3}, LOO-MSE = {:.4}", d_nw.r_squared, d_nw.loo_mse);
-    println!("local-linear  : R² = {:.3}, LOO-MSE = {:.4}\n", d_ll.r_squared, d_ll.loo_mse);
+    println!(
+        "local-constant: R² = {:.3}, LOO-MSE = {:.4}",
+        d_nw.r_squared, d_nw.loo_mse
+    );
+    println!(
+        "local-linear  : R² = {:.3}, LOO-MSE = {:.4}\n",
+        d_ll.r_squared, d_ll.loo_mse
+    );
 
     // Bootstrap band for the local-constant fit across the age range.
     let ages: Vec<f64> = (23..=63).step_by(4).map(|a| a as f64).collect();

@@ -8,7 +8,10 @@ use kernelcv::prelude::*;
 
 fn assert_close(a: f64, b: f64, rel: f64, ctx: &str) {
     let diff = (a - b).abs();
-    assert!(diff <= rel * a.abs().max(b.abs()).max(1e-12), "{ctx}: {a} vs {b}");
+    assert!(
+        diff <= rel * a.abs().max(b.abs()).max(1e-12),
+        "{ctx}: {a} vs {b}"
+    );
 }
 
 #[test]
@@ -18,8 +21,7 @@ fn sequential_and_gpu_programs_agree_on_many_inputs() {
         let sample = PaperDgp.sample(n, seed);
         let grid = BandwidthGrid::paper_default(&sample.x, 50).unwrap();
         let cpu = cv_profile_sorted(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
-        let gpu =
-            select_bandwidth_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default()).unwrap();
+        let gpu = select_bandwidth_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default()).unwrap();
         for m in 0..grid.len() {
             assert_close(
                 gpu.scores[m] as f64,
@@ -47,7 +49,12 @@ fn all_cv_strategies_produce_identical_profiles() {
     let parallel = cv_profile_sorted_par(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
     for m in 0..grid.len() {
         assert_close(naive.scores[m], sorted.scores[m], 1e-9, "naive vs sorted");
-        assert_close(sorted.scores[m], parallel.scores[m], 1e-12, "sorted vs parallel");
+        assert_close(
+            sorted.scores[m],
+            parallel.scores[m],
+            1e-12,
+            "sorted vs parallel",
+        );
         assert_eq!(naive.included[m], sorted.included[m]);
         assert_eq!(sorted.included[m], parallel.included[m]);
     }
@@ -92,7 +99,10 @@ fn grid_search_is_immune_to_restart_seeds_unlike_the_optimiser() {
     let b = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(50))
         .select(&sample.x, &sample.y)
         .unwrap();
-    assert_eq!(a.bandwidth, b.bandwidth, "grid search must be deterministic");
+    assert_eq!(
+        a.bandwidth, b.bandwidth,
+        "grid search must be deterministic"
+    );
 
     // The numerical optimiser's answer can move with the seed (the paper's
     // instability claim); it must never *beat* the dense grid by much while
@@ -104,10 +114,17 @@ fn grid_search_is_immune_to_restart_seeds_unlike_the_optimiser() {
         let np_sel = npregbw(
             &sample.x,
             &sample.y,
-            NpRegBwOptions { nmulti: 1, seed, ..Default::default() },
+            NpRegBwOptions {
+                nmulti: 1,
+                seed,
+                ..Default::default()
+            },
         )
         .unwrap();
-        assert!(fine.score <= np_sel.fval + 1e-6, "seed {seed}: dense grid should be ≥ optimiser");
+        assert!(
+            fine.score <= np_sel.fval + 1e-6,
+            "seed {seed}: dense grid should be ≥ optimiser"
+        );
     }
 }
 
@@ -125,6 +142,11 @@ fn gpu_and_cpu_agree_on_non_uniform_designs() {
     let cpu = cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
     let gpu = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
     for m in 0..grid.len() {
-        assert_close(gpu.scores[m] as f64, cpu.scores[m], 5e-3, &format!("h index {m}"));
+        assert_close(
+            gpu.scores[m] as f64,
+            cpu.scores[m],
+            5e-3,
+            &format!("h index {m}"),
+        );
     }
 }

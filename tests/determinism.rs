@@ -39,22 +39,28 @@ fn gpu_pipeline_is_fully_deterministic() {
     assert_eq!(a.scores, b.scores);
     assert_eq!(a.bandwidth, b.bandwidth);
     assert_eq!(a.report.main_kernel.totals, b.report.main_kernel.totals);
-    assert_eq!(a.report.main_kernel.simulated_cycles, b.report.main_kernel.simulated_cycles);
+    assert_eq!(
+        a.report.main_kernel.simulated_cycles,
+        b.report.main_kernel.simulated_cycles
+    );
 }
 
 #[test]
 fn seeded_facilities_reproduce_exactly() {
     let sample = PaperDgp.sample(150, 703);
     // npregbw restarts.
-    let opts = || NpRegBwOptions { seed: 99, nmulti: 3, ..Default::default() };
+    let opts = || NpRegBwOptions {
+        seed: 99,
+        nmulti: 3,
+        ..Default::default()
+    };
     let a = npregbw(&sample.x, &sample.y, opts()).unwrap();
     let b = npregbw(&sample.x, &sample.y, opts()).unwrap();
     assert_eq!(a.bw, b.bw);
     assert_eq!(a.restart_bws, b.restart_bws);
     // Bootstrap bands.
-    let band = |s| {
-        bootstrap_band(&sample.x, &sample.y, &Epanechnikov, 0.1, &[0.5], 0.9, 32, s).unwrap()
-    };
+    let band =
+        |s| bootstrap_band(&sample.x, &sample.y, &Epanechnikov, 0.1, &[0.5], 0.9, 32, s).unwrap();
     assert_eq!(band(5), band(5));
     assert_ne!(band(5).lower, band(6).lower);
     // Data generation.
@@ -68,8 +74,7 @@ fn grid_search_is_invariant_to_thread_pool_size() {
     let sample = PaperDgp.sample(250, 704);
     let grid = BandwidthGrid::paper_default(&sample.x, 25).unwrap();
     let seq =
-        kernelcv::core::cv::cv_profile_sorted(&sample.x, &sample.y, &grid, &Epanechnikov)
-            .unwrap();
+        kernelcv::core::cv::cv_profile_sorted(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
     let par = cv_profile_sorted_par(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
     assert_eq!(seq.included, par.included);
     let seq_opt = seq.argmin().unwrap();

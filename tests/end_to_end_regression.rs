@@ -28,7 +28,10 @@ fn cv_bandwidth_beats_rule_of_thumb_on_curved_truth() {
         .select(&sample.x, &sample.y)
         .unwrap()
         .bandwidth;
-    assert!(h_cv < h_rot, "CV {h_cv} should be tighter than ROT {h_rot} here");
+    assert!(
+        h_cv < h_rot,
+        "CV {h_cv} should be tighter than ROT {h_rot} here"
+    );
 
     let points: Vec<f64> = (10..=90).map(|i| i as f64 / 100.0).collect();
     let fit_cv = NadarayaWatson::new(&sample.x, &sample.y, Epanechnikov, h_cv).unwrap();
@@ -45,8 +48,16 @@ fn cv_bandwidth_beats_rule_of_thumb_on_curved_truth() {
 fn cv_adapts_bandwidth_to_the_shape_of_the_truth() {
     // Oscillating truth (sine, 6 periods) demands a much smaller bandwidth
     // than a gently curved one at the same noise level.
-    let smooth = SineDgp { frequency: 0.5, noise: 0.2 }.sample(600, 5);
-    let wiggly = SineDgp { frequency: 6.0, noise: 0.2 }.sample(600, 5);
+    let smooth = SineDgp {
+        frequency: 0.5,
+        noise: 0.2,
+    }
+    .sample(600, 5);
+    let wiggly = SineDgp {
+        frequency: 6.0,
+        noise: 0.2,
+    }
+    .sample(600, 5);
     let h_smooth = cv_selected_bandwidth(&smooth.x, &smooth.y);
     let h_wiggly = cv_selected_bandwidth(&wiggly.x, &wiggly.y);
     assert!(
@@ -59,7 +70,10 @@ fn cv_adapts_bandwidth_to_the_shape_of_the_truth() {
 fn step_discontinuity_forces_small_bandwidth() {
     let sample = StepDgp::default().sample(600, 6);
     let h = cv_selected_bandwidth(&sample.x, &sample.y);
-    assert!(h < 0.2, "step truth should force a small bandwidth, got {h}");
+    assert!(
+        h < 0.2,
+        "step truth should force a small bandwidth, got {h}"
+    );
     // The fitted jump should be visible.
     let fit = NadarayaWatson::new(&sample.x, &sample.y, Epanechnikov, h).unwrap();
     let left = fit.predict(0.4).unwrap();
@@ -126,8 +140,8 @@ fn kde_lscv_workflow_recovers_uniform_density() {
 fn confidence_band_tightens_with_sample_size() {
     let width_at = |n: usize| {
         let sample = PaperDgp.sample(n, 11);
-        let band = confidence_band(&sample.x, &sample.y, &Epanechnikov, 0.08, &[0.5], 0.95)
-            .unwrap();
+        let band =
+            confidence_band(&sample.x, &sample.y, &Epanechnikov, 0.08, &[0.5], 0.95).unwrap();
         band.upper[0] - band.lower[0]
     };
     let w_small = width_at(200);

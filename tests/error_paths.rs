@@ -45,13 +45,19 @@ fn non_finite_data_is_caught_before_any_work() {
         SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(10))
             .select(&x, &y)
             .unwrap_err(),
-        Error::NonFiniteData { which: "x", index: 1 }
+        Error::NonFiniteData {
+            which: "x",
+            index: 1
+        }
     ));
     let y_bad = vec![1.0, f64::INFINITY];
     let (x2, _) = tiny();
     assert!(matches!(
         NadarayaWatson::new(&x2, &y_bad, Epanechnikov, 0.5).unwrap_err(),
-        Error::NonFiniteData { which: "y", index: 1 }
+        Error::NonFiniteData {
+            which: "y",
+            index: 1
+        }
     ));
 }
 
@@ -91,7 +97,10 @@ fn gpu_resource_errors_carry_details() {
     let (x, y) = tiny();
     let too_fine = BandwidthGrid::linear(1e-6, 1.0, 3_000).unwrap();
     match select_bandwidth_gpu(&x, &y, &too_fine, &GpuConfig::default()) {
-        Err(GpuError::TooManyBandwidths { requested: 3_000, max: 2_048 }) => {}
+        Err(GpuError::TooManyBandwidths {
+            requested: 3_000,
+            max: 2_048,
+        }) => {}
         other => panic!("unexpected: {other:?}"),
     }
     let mut starved = GpuConfig::default();
@@ -109,8 +118,16 @@ fn error_messages_are_human_readable() {
         Error::SampleTooSmall { n: 1, required: 2 }.to_string(),
         Error::NoValidBandwidth.to_string(),
         Error::DegenerateDomain.to_string(),
-        GpuError::TooManyBandwidths { requested: 9, max: 8 }.to_string(),
-        SimError::SharedMemoryRace { index: 3, threads: (0, 1) }.to_string(),
+        GpuError::TooManyBandwidths {
+            requested: 9,
+            max: 8,
+        }
+        .to_string(),
+        SimError::SharedMemoryRace {
+            index: 3,
+            threads: (0, 1),
+        }
+        .to_string(),
     ];
     for m in messages {
         assert!(m.len() > 15, "terse message: {m}");

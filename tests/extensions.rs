@@ -39,8 +39,15 @@ fn datasets_run_through_the_full_selection_pipeline() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(sel.bandwidth > 0.0, "{name}");
         let fit = NadarayaWatson::new(&data.x, &data.y, Epanechnikov, sel.bandwidth).unwrap();
-        let defined = fit.predict_many(&data.x).iter().filter(|p| p.is_some()).count();
-        assert!(defined as f64 > 0.9 * data.len() as f64, "{name}: {defined} defined");
+        let defined = fit
+            .predict_many(&data.x)
+            .iter()
+            .filter(|p| p.is_some())
+            .count();
+        assert!(
+            defined as f64 > 0.9 * data.len() as f64,
+            "{name}: {defined} defined"
+        );
     }
 }
 
@@ -70,7 +77,9 @@ fn binned_estimator_approximates_exact_on_dataset_scale() {
     let h = 4.0;
     let binned = BinnedNadarayaWatson::new(&data.x, &data.y, Epanechnikov, h, 300).unwrap();
     let ages: Vec<f64> = (25..=60).map(|a| a as f64).collect();
-    let worst = binned.max_deviation_from_exact(&data.x, &data.y, &ages).unwrap();
+    let worst = binned
+        .max_deviation_from_exact(&data.x, &data.y, &ages)
+        .unwrap();
     assert!(worst < 0.05, "max deviation {worst}");
 }
 
@@ -80,14 +89,26 @@ fn bootstrap_and_asymptotic_bands_roughly_agree() {
     let sample = PaperDgp.sample(500, 502);
     let h = 0.08;
     let points = [0.3, 0.5, 0.7];
-    let boot =
-        bootstrap_band(&sample.x, &sample.y, &Epanechnikov, h, &points, 0.95, 300, 9).unwrap();
+    let boot = bootstrap_band(
+        &sample.x,
+        &sample.y,
+        &Epanechnikov,
+        h,
+        &points,
+        0.95,
+        300,
+        9,
+    )
+    .unwrap();
     let asym = confidence_band(&sample.x, &sample.y, &Epanechnikov, h, &points, 0.95).unwrap();
     for j in 0..points.len() {
         let wb = boot.upper[j] - boot.lower[j];
         let wa = asym.upper[j] - asym.lower[j];
         // Same order of magnitude (they estimate the same variance).
-        assert!(wb < 3.0 * wa && wa < 3.0 * wb, "point {j}: bootstrap {wb} vs asymptotic {wa}");
+        assert!(
+            wb < 3.0 * wa && wa < 3.0 * wb,
+            "point {j}: bootstrap {wb} vs asymptotic {wa}"
+        );
     }
 }
 
@@ -113,8 +134,7 @@ fn multi_device_agrees_with_single_device_through_the_facade() {
     let grid = BandwidthGrid::paper_default(&sample.x, 25).unwrap();
     let single = select_bandwidth_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default()).unwrap();
     let dual =
-        select_bandwidth_multi_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default(), 2)
-            .unwrap();
+        select_bandwidth_multi_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default(), 2).unwrap();
     assert_eq!(single.bandwidth, dual.bandwidth);
     assert!(dual.peak_bytes_per_device < single.report.device_bytes_peak);
 }

@@ -10,9 +10,15 @@ fn constant_memory_caps_the_grid_at_2048_bandwidths() {
     let ok_grid = BandwidthGrid::linear(0.001, 1.0, 2_048).unwrap();
     assert!(select_bandwidth_gpu(&sample.x, &sample.y, &ok_grid, &GpuConfig::default()).is_ok());
     let bad_grid = BandwidthGrid::linear(0.001, 1.0, 2_049).unwrap();
-    let err = select_bandwidth_gpu(&sample.x, &sample.y, &bad_grid, &GpuConfig::default())
-        .unwrap_err();
-    assert_eq!(err, GpuError::TooManyBandwidths { requested: 2_049, max: 2_048 });
+    let err =
+        select_bandwidth_gpu(&sample.x, &sample.y, &bad_grid, &GpuConfig::default()).unwrap_err();
+    assert_eq!(
+        err,
+        GpuError::TooManyBandwidths {
+            requested: 2_049,
+            max: 2_048
+        }
+    );
 }
 
 #[test]
