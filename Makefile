@@ -5,13 +5,20 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify build test test-metrics doc clippy perf-gate perfbench-smoke scaling streaming serve clean
+.PHONY: verify fmt build test test-metrics doc clippy perf-gate perfbench-smoke scaling streaming serve clean
 
-## The full PR gate: build, tests with metrics off AND on, docs, lints,
-## and the counter-based performance gate. (The d = 2 "Multi fast" check
-## against the naive full-grid oracle is a unit test in kcv-bench.)
-verify: build test test-metrics doc clippy perf-gate
+## The full PR gate: formatting, build, tests with metrics off AND on,
+## docs, lints, and the counter-based performance gate. (The d = 2 "Multi
+## fast" check against the naive full-grid oracle is a unit test in
+## kcv-bench.)
+verify: fmt build test test-metrics doc clippy perf-gate
 	@echo "verify: all gates green"
+
+## rustfmt over every workspace member. Plain `cargo fmt` (not `--all`,
+## which follows path dependencies into vendor/): the vendored stand-ins
+## and the perfbench/ workspace are outside this workspace.
+fmt:
+	$(CARGO) fmt --check
 
 build:
 	$(CARGO) build $(FLAGS) --workspace --release
