@@ -2,16 +2,14 @@
 //! `O(k·n²)`; the sorted sweep is `O(n² log n)` (k nearly free); the
 //! prefix-moment sweep drops the per-observation sort and the per-neighbour
 //! scan, answering each (obs, bandwidth) cell from global prefix sums in
-//! `O(deg²)` amortised; the parallel variants divide the per-observation work
-//! across cores (see `bench_parallel` for the sizes where that pays). The
+//! `O(deg²)` amortised; `sorted_par` divides the per-observation work across
+//! cores, and the prefix sweep splits its grid across cores by itself from
+//! 65 536 cells (see `bench_parallel` for the sizes where that pays). The
 //! `prefix_by_kernel` group times the prefix sweep once per kernel degree,
 //! so every kernel width the cell kernel is compiled for is measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kcv_core::cv::{
-    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted,
-    cv_profile_sorted_par,
-};
+use kcv_core::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{Epanechnikov, PolynomialKernel, Quartic, Triangular, Triweight, Uniform};
 use kcv_data::{Dgp, PaperDgp};
@@ -40,9 +38,6 @@ fn bench_strategies(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("prefix", n), &n, |b, _| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("prefix_par", n), &n, |b, _| {
-            b.iter(|| cv_profile_prefix_par(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
         });
     }
     group.finish();

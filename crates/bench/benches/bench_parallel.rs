@@ -1,16 +1,17 @@
-//! Does folding observations across cores pay? Sequential vs parallel runs
-//! of the production prefix-moment sweep at n ∈ {2·10⁴, 2·10⁵} and of the
-//! paper's sorted sweep at n = 2·10⁴, all at the paper-default k = 100.
-//! Both parallel variants run through the one observation fold in
-//! `kcv_core::cv`, so the ratio measures the shared fold, not an engine.
+//! Does splitting a profile across cores pay? The paper's sorted sweep at
+//! n = 2·10⁴, sequential vs folded by observation chunks across cores, and
+//! the production prefix-moment sweep at n ∈ {2·10⁴, 2·10⁵}, all at the
+//! paper-default k = 100. The prefix sweep picks its block count itself
+//! (one contiguous bandwidth block per core from 65 536 cells, with a
+//! bit-identical profile), so it has no sequential twin here; its
+//! sequential-vs-split table comes from the `split_crossover_table` test
+//! in `kcv_core::cv::prefix` (see EXPERIMENTS.md SPLIT).
 //!
 //! Run with `cargo bench --offline -p kcv-bench --bench bench_parallel`
 //! (a few minutes: the sorted sweep is `O(n² log n)`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kcv_core::cv::{
-    cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_par,
-};
+use kcv_core::cv::{cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
 use kcv_data::{Dgp, PaperDgp};
@@ -24,9 +25,6 @@ fn bench_parallel(c: &mut Criterion) {
         let grid = BandwidthGrid::paper_default(&s.x, 100).unwrap();
         group.bench_with_input(BenchmarkId::new("prefix", n), &n, |b, _| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("prefix_par", n), &n, |b, _| {
-            b.iter(|| cv_profile_prefix_par(black_box(&s.x), &s.y, &grid, &Epanechnikov).unwrap())
         });
     }
     group.sample_size(3);

@@ -7,15 +7,16 @@
 //! named gate table:
 //!
 //! 1. `prefix` answers every (obs, bandwidth) cell with one window query —
-//!    a monotone cursor step, seeded by bisection at each fold chunk's
+//!    a monotone cursor step, seeded by bisection at each bandwidth block's
 //!    first observation — counted once per cell, so the count is `n · k`,
 //!    well inside the `n · k · ceil(log2 n)` bound (a per-neighbour scan
 //!    has no business here);
-//! 2. `prefix` and `prefix-par` evaluate the kernel **zero** times — every
-//!    score comes from prefix-sum differencing, never a neighbour visit;
+//! 2. `prefix` evaluates the kernel **zero** times — every score comes
+//!    from prefix-sum differencing, never a neighbour visit;
 //! 3. `prefix` actually ran its window machinery (queries > 0);
-//! 4. `prefix` and `prefix-par` select the same bandwidth as the sorted
-//!    sweep, bit for bit (`f64::to_bits`);
+//! 4. `prefix` (split across cores by bandwidth blocks at gate scale)
+//!    selects the same bandwidth as the sorted sweep, bit for bit
+//!    (`f64::to_bits`);
 //! 5. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling
 //!    `16 · n · (deg + 2)` bytes (64n at the default quadratic kernel).
 //!    The classic pipeline's two `n×n` matrices sit at `8n²` and blow
@@ -157,21 +158,18 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
     }
 
     let strategy = |name: &str| report.strategies.iter().find(|s| s.name == name);
-    let (sorted, prefix, prefix_par, windowed, bagged, multi_naive, multi_fast) = match (
+    let (sorted, prefix, windowed, bagged, multi_naive, multi_fast) = match (
         strategy("sorted"),
         strategy("prefix"),
-        strategy("prefix-par"),
         strategy("gpu-windowed"),
         strategy("bagged"),
         strategy("multi-naive"),
         strategy("multi-fast"),
     ) {
-        (Some(s), Some(p), Some(pp), Some(w), Some(b), Some(mn), Some(mf)) => {
-            (s, p, pp, w, b, mn, mf)
-        }
+        (Some(s), Some(p), Some(w), Some(b), Some(mn), Some(mf)) => (s, p, w, b, mn, mf),
         _ => {
             gates.push(Gate::pass_if(
-                "report lists sorted/prefix/prefix-par/gpu-windowed/bagged/\
+                "report lists sorted/prefix/gpu-windowed/bagged/\
                      multi-naive/multi-fast strategies",
                 false,
                 "at least one strategy entry is missing from the report".into(),
@@ -199,14 +197,11 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
         format!("{prefix_queries} <= {query_ceiling}"),
     ));
 
-    let (pe, ppe) = (
-        field(prefix, Counter::KernelEvals),
-        field(prefix_par, Counter::KernelEvals),
-    );
+    let pe = field(prefix, Counter::KernelEvals);
     gates.push(Gate::pass_if(
         "prefix sweeps never evaluate the kernel",
-        pe == 0 && ppe == 0,
-        format!("prefix {pe} == 0, prefix-par {ppe} == 0"),
+        pe == 0,
+        format!("prefix {pe} == 0"),
     ));
 
     gates.push(Gate::pass_if(
@@ -215,16 +210,11 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
         format!("{prefix_queries} > 0"),
     ));
 
-    let (sb, pb, ppb) = (sorted.bandwidth, prefix.bandwidth, prefix_par.bandwidth);
+    let (sb, pb) = (sorted.bandwidth, prefix.bandwidth);
     gates.push(Gate::pass_if(
         "prefix strategies select the sorted sweep's bandwidth",
-        same_bits(&[pb, ppb], &[sb, sb]),
-        format!(
-            "prefix {}, prefix-par {} == sorted {}",
-            hex(&[pb]),
-            hex(&[ppb]),
-            hex(&[sb])
-        ),
+        same_bits(&[pb], &[sb]),
+        format!("prefix {} == sorted {}", hex(&[pb]), hex(&[sb])),
     ));
 
     // --- windowed GPU memory contract ------------------------------------
@@ -529,11 +519,6 @@ mod tests {
                     0.125,
                     &[(KernelEvals, 0), (WindowQueries, 200_000)],
                 ),
-                entry(
-                    "prefix-par",
-                    0.125,
-                    &[(KernelEvals, 0), (WindowQueries, 200_000)],
-                ),
                 StrategyPerf {
                     device_bytes_peak: Some(58_048),
                     ..entry(
@@ -784,7 +769,7 @@ mod tests {
         let report = fixture();
         let stale = report
             .to_json()
-            .replacen("{\"version\":11,", "{\"version\":10,", 1);
+            .replacen("{\"version\":12,", "{\"version\":11,", 1);
         let gates = evaluate_gates(&report, &stale, true);
         assert_eq!(
             fails(&gates),
@@ -981,7 +966,7 @@ mod tests {
         }
         check(
             "prefix strategies select the sorted sweep's bandwidth",
-            |r| next(&mut strategy(r, "prefix-par").bandwidth),
+            |r| next(&mut strategy(r, "prefix").bandwidth),
         );
         check(
             "streaming replay beats per-arrival recompute >= 10x, identical bandwidth",
@@ -1018,7 +1003,7 @@ mod tests {
     #[test]
     fn missing_strategy_entries_fail_the_gate() {
         let mut report = fixture();
-        report.strategies.retain(|s| s.name != "prefix-par");
+        report.strategies.retain(|s| s.name != "prefix");
         let gates = gates(&report);
         assert_eq!(gates.len(), 1);
         assert_eq!(gates[0].ok, Some(false));

@@ -369,8 +369,7 @@ mod tests {
         let domain = hi - lo;
         let grid = BandwidthGrid::log(domain * 1e-3, domain * 0.3, 10).unwrap();
         let (grid_min, grid_max) = (grid.min(), grid.max());
-        let profile =
-            kcv_core::cv::cv_profile_prefix_par(&s.x, &s.y, &grid, &Epanechnikov).unwrap();
+        let profile = kcv_core::cv::cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov).unwrap();
         let opt = profile.argmin().unwrap();
         assert!(
             opt.bandwidth > grid_min && opt.bandwidth < grid_max,

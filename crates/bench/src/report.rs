@@ -17,7 +17,7 @@
 //! and it evaluates its gates on the [`PerfReport`] itself, not on the
 //! text: the JSON is for people and CI artifacts.
 //!
-//! ## Schema (version 11)
+//! ## Schema (version 12)
 //!
 //! * `version`, `metrics_enabled` and `config` (`n`, `k`, `seed`,
 //!   `kernel`).
@@ -42,7 +42,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 11,
+//!   "version": 12,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 2000, "k": 100, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -96,10 +96,7 @@
 //! }
 //! ```
 
-use kcv_core::cv::{
-    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_par, cv_profile_sorted,
-    cv_profile_sorted_par,
-};
+use kcv_core::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
 use kcv_core::select::bagged::{bag_workers, BaggedSelector};
@@ -121,15 +118,16 @@ use std::time::Instant;
 /// - 9: added `to_bits` hex `*_bits` fields beside compared bandwidths.
 /// - 10: dropped the `objective_evals` counter.
 /// - 11: dropped the `scaling` array and the `*_bits` fields.
-pub const REPORT_VERSION: u32 = 11;
+/// - 12: dropped the `prefix-par` strategy (`prefix` splits its grid
+///   across cores itself).
+pub const REPORT_VERSION: u32 = 12;
 
 /// The strategies a report covers, in emission order.
-pub const STRATEGIES: [&str; 10] = [
+pub const STRATEGIES: [&str; 9] = [
     "naive",
     "sorted",
     "parallel",
     "prefix",
-    "prefix-par",
     "gpu-sim",
     "gpu-windowed",
     "bagged",
@@ -661,12 +659,6 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 let o = p.argmin().map_err(|e| e.to_string())?;
                 (o.bandwidth, o.score, None, None)
             }
-            "prefix-par" => {
-                let p = cv_profile_prefix_par(&s.x, &s.y, &grid, &Epanechnikov)
-                    .map_err(|e| e.to_string())?;
-                let o = p.argmin().map_err(|e| e.to_string())?;
-                (o.bandwidth, o.score, None, None)
-            }
             "gpu-sim" => {
                 let run = select_bandwidth_gpu(&s.x, &s.y, &grid, &GpuConfig::default())
                     .map_err(|e| e.to_string())?;
@@ -778,10 +770,10 @@ mod tests {
             assert!(s.bandwidth > 0.0);
             assert!(s.wall_seconds >= 0.0);
         }
-        let classic = &report.strategies[5];
+        let classic = &report.strategies[4];
         assert_eq!(classic.name, "gpu-sim");
         assert!(classic.simulated_seconds.unwrap() > 0.0);
-        let windowed = &report.strategies[6];
+        let windowed = &report.strategies[5];
         assert_eq!(windowed.name, "gpu-windowed");
         assert!(windowed.simulated_seconds.unwrap() > 0.0);
         // The windowed program's whole point: a fraction of the classic
@@ -881,7 +873,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":11,"));
+        assert!(json.starts_with("{\"version\":12,"));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -902,9 +894,9 @@ mod tests {
         );
     }
 
-    /// The v11 layout, byte for byte: every key, its order, each `null`
+    /// The v12 layout, byte for byte: every key, its order, each `null`
     /// form and each number format.
-    const PINNED_V11: &str = "{\"version\":11,\"metrics_enabled\":METRICS,\
+    const PINNED_V12: &str = "{\"version\":12,\"metrics_enabled\":METRICS,\
         \"config\":{\"n\":1000,\"k\":50,\"seed\":7,\"kernel\":\"epanechnikov\"},\
         \"strategies\":[\
         {\"name\":\"prefix\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
@@ -937,7 +929,7 @@ mod tests {
         \"lock_final_bandwidths\":[0.054000000000,0.055000000000]}}";
 
     #[test]
-    fn report_json_is_the_pinned_v11_layout() {
+    fn report_json_is_the_pinned_v12_layout() {
         let prefix = StrategyPerf {
             name: "prefix",
             bandwidth: 0.125,
@@ -1035,7 +1027,7 @@ mod tests {
                 lock_final_bandwidths: vec![0.054, 0.055],
             }),
         };
-        let pinned = PINNED_V11.replace("METRICS", &kcv_obs::enabled().to_string());
+        let pinned = PINNED_V12.replace("METRICS", &kcv_obs::enabled().to_string());
         assert_eq!(report.to_json(), pinned);
 
         report.streaming = None;
@@ -1052,8 +1044,11 @@ mod tests {
     fn report_records_strategy_counters() {
         // No serialization needed: collect_report measures each strategy
         // under its own recorder, so concurrent tests cannot pollute it.
+        // n·k = 66 000 cells: above the prefix engine's split threshold,
+        // so `prefix` (and each bag, were it not already on a worker)
+        // splits its grid across cores.
         let n = 60u64;
-        let k = 8u64;
+        let k = 1_100u64;
         let report = collect_report(ReportConfig {
             n: n as usize,
             k: k as usize,
@@ -1080,9 +1075,6 @@ mod tests {
         let prefix = by_name("prefix");
         assert_eq!(prefix.counter("window_queries"), n * k);
         assert_eq!(prefix.counter("kernel_evals"), 0);
-        let prefix_par = by_name("prefix-par");
-        assert_eq!(prefix_par.counter("window_queries"), n * k);
-        assert_eq!(prefix_par.counter("kernel_evals"), 0);
         // The gpu-sim path reports simulated memory traffic.
         assert!(by_name("gpu-sim").counter("mem_transactions") > 0);
         // The windowed device program answers each (obs, bandwidth) cell
@@ -1094,16 +1086,19 @@ mod tests {
         assert!(windowed.counter("binary_search_probes") > 0);
         // The bagged run (B = 10, r = min(n, 500) = n here) does exactly
         // B × one bag's prefix work — and records one bags_run per bag.
+        // Each bag enters the scope once on its worker and sweeps its
+        // whole grid there: no nested split.
         let bagged = by_name("bagged");
         assert_eq!(bagged.counter("bags_run"), 10);
         assert_eq!(bagged.counter("window_queries"), 10 * n * k);
         assert_eq!(bagged.counter("kernel_evals"), 0);
-        // The multivariate pair share a k = 8 → 2×2 = 4-point d = 2
-        // lattice. The naive oracle walks neighbours (kernel evals > 0);
-        // the fast engine answers every (obs, grid-point) cell from its
+        assert_eq!(bagged.counter("scope_enters"), 10);
+        // The multivariate pair share a k = 1 100 → 33×33 = 1 089-point
+        // d = 2 lattice. The naive oracle walks neighbours (kernel evals >
+        // 0); the fast engine answers every (obs, grid-point) cell from its
         // dimension sweeps — d window queries per cell, one dim-sweep per
         // (grid point, dimension), and zero kernel evaluations.
-        let (g, d) = (4u64, 2u64);
+        let (g, d) = (33 * 33u64, 2u64);
         let mnaive = by_name("multi-naive");
         assert!(mnaive.counter("kernel_evals") > 0);
         assert_eq!(mnaive.counter("dim_sweeps"), 0);
@@ -1117,16 +1112,17 @@ mod tests {
             "windowed traffic {} exceeds the per-cell bound",
             windowed.counter("mem_transactions")
         );
-        // The rayon chunk hook enters the kcv_obs scope once per worker
-        // chunk — at most one per available worker — while the sequential
-        // twins never touch it. Per-item attribution is unchanged: the
-        // parallel sweep still records exactly the sequential sweep's
-        // kernel evaluations.
+        // The parallel sorted sweep enters the kcv_obs scope once per
+        // worker chunk and the prefix sweep once per bandwidth block — at
+        // most one per available worker — while the sequential engines
+        // never touch it. Per-item attribution is unchanged: the parallel
+        // sweep still records exactly the sequential sweep's kernel
+        // evaluations.
         let workers = std::thread::available_parallelism().map_or(1, |w| w.get()) as u64;
-        for seq in ["naive", "sorted", "prefix"] {
+        for seq in ["naive", "sorted"] {
             assert_eq!(by_name(seq).counter("scope_enters"), 0, "{seq}");
         }
-        for par in ["parallel", "prefix-par"] {
+        for par in ["parallel", "prefix"] {
             let enters = by_name(par).counter("scope_enters");
             assert!(
                 (1..=workers.min(n)).contains(&enters),

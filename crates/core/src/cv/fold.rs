@@ -4,19 +4,28 @@
 //! its profile as a sum over observations of per-bandwidth terms
 //! `(Y_i − ĝ_{-i}(X_i))² M(X_i)`. An engine supplies only the step that adds
 //! observation `i`'s terms into `(sq_sums, included)` plus a constructor for
-//! the step's reusable scratch; [`fold_observations`] owns the loop, the
-//! reduction and the `CV = Σ/n` normalisation.
+//! the step's reusable scratch; this module owns the loop, the reduction
+//! and the `CV = Σ/n` normalisation. Every `(observation, bandwidth)` cell
+//! is independent (the paper's SPMD insight), so the fold splits across
+//! host cores along either axis:
 //!
-//! The parallel fold is the paper's SPMD insight ("construct
-//! `(Y_i − ĝ_{-i}(X_i))` for each of the different `i` values in parallel
-//! on a many-core machine") executed on host cores: each rayon worker folds
-//! a contiguous chunk of observations into a private accumulator and the
-//! accumulators are reduced element-wise, so no locking is needed. The
-//! sequential fold runs in observation order on the calling thread, so its
-//! sums are exactly the textbook left-to-right sums.
+//! * [`fold_observations`] with `parallel` set (naive, sorted and their
+//!   local-linear forms): each rayon worker folds a contiguous chunk of
+//!   observations into a private accumulator and the accumulators are
+//!   reduced element-wise. The reduction regroups each bandwidth's sum, so
+//!   the scores move in the last bits with the worker count.
+//! * [`fold_bandwidth_blocks`] (prefix): each worker folds *every*
+//!   observation, in order, into a contiguous block of the bandwidths, and
+//!   the blocks' slices are concatenated. Each bandwidth's sum is the
+//!   textbook left-to-right sum whatever the block count, so the profile is
+//!   bit-identical to the sequential fold.
+//!
+//! The sequential fold (one block) runs in observation order on the calling
+//! thread.
 
 use super::CvProfile;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Element-wise merge for the reduce step. The identity is a bare
 /// `(Vec<f64>, Vec<usize>)` pair: the per-worker scratch lives only in the
@@ -34,9 +43,35 @@ fn merge_partials(
     (sa, ia)
 }
 
+/// Folds every observation `i in 0..n`, in order, into fresh `k`-long
+/// accumulators on the calling thread.
+fn fold_in_order<S, F>(n: usize, k: usize, mut scratch: S, accumulate: &F) -> (Vec<f64>, Vec<usize>)
+where
+    F: Fn(usize, &mut S, &mut [f64], &mut [usize]),
+{
+    let mut sq = vec![0.0; k];
+    let mut inc = vec![0usize; k];
+    for i in 0..n {
+        accumulate(i, &mut scratch, &mut sq, &mut inc);
+    }
+    (sq, inc)
+}
+
+/// The profile over `hs` from its accumulated sums: `scores[m] =
+/// sq_sums[m] / n`.
+fn into_profile(n: usize, hs: &[f64], sq_sums: Vec<f64>, included: Vec<usize>) -> CvProfile {
+    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
+    CvProfile {
+        bandwidths: hs.to_vec(),
+        scores,
+        included,
+        n,
+    }
+}
+
 /// Runs `accumulate(i, scratch, sq_sums, included)` for every observation
-/// `i in 0..n` and returns the profile over `hs` (`scores[m] =
-/// sq_sums[m] / n`), split across host cores when `parallel` is set.
+/// `i in 0..n` and returns the profile over `hs`, split across host cores
+/// by observation chunks when `parallel` is set.
 ///
 /// In parallel the caller's `kcv_obs` recorder scope is re-entered once
 /// per worker chunk (scope stacks are thread-local), so every counter the
@@ -68,21 +103,57 @@ where
             .map(|(sq, inc, _)| (sq, inc))
             .reduce(|| (vec![0.0; k], vec![0usize; k]), merge_partials)
     } else {
-        let mut scratch = new_scratch();
-        let mut sq = vec![0.0; k];
-        let mut inc = vec![0usize; k];
-        for i in 0..n {
-            accumulate(i, &mut scratch, &mut sq, &mut inc);
+        fold_in_order(n, k, new_scratch(), &accumulate)
+    };
+    into_profile(n, hs, sq_sums, included)
+}
+
+/// Cuts `hs` into `blocks` contiguous blocks (clamped to `1..=hs.len()`,
+/// sizes differing by at most one) and, per block, runs `accumulate(i,
+/// scratch, sq_sums, included)` for every observation `i in 0..n` in order;
+/// returns the profile over `hs`. `new_scratch(range)` builds the
+/// workspace of the block `hs[range]`, and the step sees only that block's
+/// accumulators, indexed from 0.
+///
+/// One block runs on the calling thread. More run across host cores, one
+/// block per item of the parallel pass, each re-entering the caller's
+/// `kcv_obs` recorder scope, so every counter the step records attributes
+/// to the run that spawned the workers. Each bandwidth accumulates over the
+/// same observations in the same order at any block count, so the profile
+/// is bit-identical to one block's.
+pub(crate) fn fold_bandwidth_blocks<S, F>(
+    n: usize,
+    hs: &[f64],
+    blocks: usize,
+    new_scratch: impl Fn(Range<usize>) -> S + Sync + Send,
+    accumulate: F,
+) -> CvProfile
+where
+    F: Fn(usize, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
+{
+    let k = hs.len();
+    let blocks = blocks.clamp(1, k.max(1));
+    let run = |range: Range<usize>| fold_in_order(n, range.len(), new_scratch(range), &accumulate);
+    let (sq_sums, included) = if blocks == 1 {
+        run(0..k)
+    } else {
+        let scope = kcv_obs::scope();
+        let parts: Vec<_> = (0..blocks)
+            .into_par_iter()
+            .map(|b| {
+                let _in_scope = scope.enter();
+                run(b * k / blocks..(b + 1) * k / blocks)
+            })
+            .collect();
+        let mut sq = Vec::with_capacity(k);
+        let mut inc = Vec::with_capacity(k);
+        for (s, i) in parts {
+            sq.extend(s);
+            inc.extend(i);
         }
         (sq, inc)
     };
-    let scores = sq_sums.into_iter().map(|s| s / n as f64).collect();
-    CvProfile {
-        bandwidths: hs.to_vec(),
-        scores,
-        included,
-        n,
-    }
+    into_profile(n, hs, sq_sums, included)
 }
 
 #[cfg(test)]
@@ -90,8 +161,7 @@ mod tests {
     use super::*;
     use crate::cv::{
         cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_ll,
-        cv_profile_prefix_ll_par, cv_profile_prefix_par, cv_profile_sorted, cv_profile_sorted_ll,
-        cv_profile_sorted_ll_par, cv_profile_sorted_par,
+        cv_profile_sorted, cv_profile_sorted_ll, cv_profile_sorted_ll_par, cv_profile_sorted_par,
     };
     use crate::error::Result;
     use crate::grid::BandwidthGrid;
@@ -100,13 +170,19 @@ mod tests {
 
     type Profile = fn(&[f64], &[f64], &BandwidthGrid, &Triangular) -> Result<CvProfile>;
 
-    /// Every engine's sequential and parallel entry points, by name.
-    const ENGINES: [(&str, Profile, Profile); 5] = [
+    /// The observation-split engines' sequential and parallel entry points,
+    /// by name.
+    const ENGINES: [(&str, Profile, Profile); 3] = [
         ("naive", cv_profile_naive, cv_profile_naive_par),
         ("sorted", cv_profile_sorted, cv_profile_sorted_par),
-        ("prefix", cv_profile_prefix, cv_profile_prefix_par),
         ("sorted_ll", cv_profile_sorted_ll, cv_profile_sorted_ll_par),
-        ("prefix_ll", cv_profile_prefix_ll, cv_profile_prefix_ll_par),
+    ];
+
+    /// The bandwidth-split engines, which choose their block count
+    /// themselves.
+    const BLOCK_ENGINES: [(&str, Profile); 2] = [
+        ("prefix", cv_profile_prefix),
+        ("prefix_ll", cv_profile_prefix_ll),
     ];
 
     fn paper_dgp(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -147,6 +223,29 @@ mod tests {
         assert_eq!(profile.scores[1].to_bits(), (expect[1] / n).to_bits());
         assert_eq!(profile.included, vec![97, 0]);
         assert_eq!(profile.bandwidths, hs.to_vec());
+    }
+
+    #[test]
+    fn bandwidth_blocks_sum_like_the_sequential_fold() {
+        // Terms that depend on the bandwidth index and do not sum exactly:
+        // any regrouping of a bandwidth's sum would move its last bits.
+        let hs: Vec<f64> = (1..=11).map(|m| m as f64).collect();
+        let n = 89;
+        let term = |i: usize, h: f64| 1.0 / (1.0 + i as f64 * h).sqrt();
+        let step = |i: usize, block: &mut Range<usize>, sq: &mut [f64], inc: &mut [usize]| {
+            for (local, m) in block.clone().enumerate() {
+                sq[local] += term(i, hs[m]);
+                inc[local] += i % (m + 1);
+            }
+        };
+        let one = fold_observations(n, &hs, false, || 0..hs.len(), step);
+        for blocks in [0, 1, 2, 3, 4, 7, 11, 16] {
+            let split = fold_bandwidth_blocks(n, &hs, blocks, |r| r, step);
+            let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split), bits(&one), "{blocks} blocks");
+            assert_eq!(split.included, one.included, "{blocks} blocks");
+            assert_eq!(split.bandwidths, hs, "{blocks} blocks");
+        }
     }
 
     #[test]
@@ -192,11 +291,13 @@ mod tests {
 
     #[test]
     fn parallel_profiles_are_bitwise_deterministic() {
-        // Chunking is fixed by the worker count and the reduction runs in
-        // chunk order, so repeated runs agree to the last bit.
+        // Observation chunks are fixed by the worker count and reduced in
+        // chunk order, and bandwidth blocks are concatenated in order, so
+        // repeated runs agree to the last bit.
         let (x, y) = paper_dgp(150, 24);
         let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-        for (name, _, par) in ENGINES {
+        let parallel = ENGINES.iter().map(|&(name, _, par)| (name, par));
+        for (name, par) in parallel.chain(BLOCK_ENGINES) {
             let a = par(&x, &y, &grid, &Triangular).unwrap();
             let b = par(&x, &y, &grid, &Triangular).unwrap();
             let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
@@ -209,9 +310,10 @@ mod tests {
     fn local_constant_engines_agree_on_the_optimum() {
         let (x, y) = paper_dgp(200, 23);
         let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
-        let indices: Vec<usize> = ENGINES[..3]
+        let indices: Vec<usize> = ENGINES[..2]
             .iter()
             .flat_map(|&(_, seq, par)| [seq, par])
+            .chain([BLOCK_ENGINES[0].1])
             .map(|f| {
                 f(&x, &y, &grid, &Triangular)
                     .unwrap()

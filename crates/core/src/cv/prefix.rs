@@ -28,7 +28,7 @@
 //! * the support window comes from a per-bandwidth cursor that only steps
 //!   right as the observation index grows, on the bit-identical `d/h ≤ r`
 //!   predicate — the fast-sum-updating sweep of Langrené & Warin (2018).
-//!   Bisection only seeds the cursors at a fold chunk's first observation;
+//!   Bisection only seeds the cursors at the first observation;
 //! * the kernel polynomial is expanded about `x_i` once per observation,
 //!   so a cell is one Horner evaluation in `1/h` of the `deg + 1`
 //!   per-moment coefficients and two dot products against prefix
@@ -37,11 +37,29 @@
 //!   every cursor a block of keys at a time, one scores every cell.
 //!
 //! ```text
-//! O(n log n + n·k·deg²) amortised, plus O(k·log n) seeding per fold chunk
+//! O(n log n + n·k·deg²) amortised, plus O(k·log n) cursor seeding
 //! ```
 //!
 //! versus the sorted sweep's `O(n² log n + n·k·deg)` — closed-form
 //! leave-one-out CV over the whole grid with no per-neighbour work.
+//!
+//! ## Splitting the grid across cores
+//!
+//! Every cell is independent, so the sweep parallelises along either
+//! axis. Splitting the *observations* (the paper's SPMD layout) makes each
+//! worker reseed all `k` cursors and regroups every bandwidth's sum in the
+//! reduction, which moves the last bits of the scores. This engine splits
+//! the *bandwidths* instead: the argsort and the tables are built once on
+//! the calling thread, the ascending grid is cut into one contiguous block
+//! per core, and each block runs the sequential step above — its own
+//! cursors and cell, over all `n` observations in order — into its own
+//! slice of the profile (the private `cv::fold` module). Each bandwidth's
+//! sum is then the same left-to-right sum as on one thread, so the profile is
+//! `to_bits`-identical to the sequential sweep at any core count, and each
+//! core keeps only its block's cursors (`2·k/cores` row streams) live.
+//! Below `SPLIT_MIN_CELLS` (`n·k` = 65 536) starting the workers costs
+//! more than the second core saves, and the profile stays on the calling
+//! thread.
 //!
 //! The prefix rows are fixed-size arrays of the kernel width
 //! (`W = deg + 1` local-constant, `deg + 3` local-linear). Each profile
@@ -91,7 +109,7 @@
 //! one-dimensional `x` — and a polynomial kernel; the sorted sweep remains
 //! the general-position fallback.
 
-use super::fold::fold_observations;
+use super::fold::fold_bandwidth_blocks;
 use super::window::{
     dispatch_width, moment_rows, pascal, with_sentinels, LcCell, Row, WindowCursors,
 };
@@ -101,6 +119,24 @@ use crate::estimate::local_linear::solve_local_linear;
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
+use std::ops::Range;
+
+/// Cells (`n·k`) below which a profile stays on the calling thread: under
+/// it, starting the block workers costs more than the second core saves.
+/// Picked by measurement on a 2-core host (EXPERIMENTS.md SPLIT).
+const SPLIT_MIN_CELLS: usize = 65_536;
+
+/// The number of bandwidth blocks a profile of `n` observations over `k`
+/// bandwidths runs in: one below [`SPLIT_MIN_CELLS`], else one per
+/// available core, at most `k`.
+fn block_count(n: usize, k: usize) -> usize {
+    if n.saturating_mul(k) < SPLIT_MIN_CELLS {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .min(k)
+}
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
@@ -198,7 +234,8 @@ impl<const W: usize> WindowMoments<W> {
 }
 
 /// Everything one observation step reads: the shared tables, the kernel
-/// polynomial and the ascending bandwidth list with its inverses.
+/// polynomial and the ascending bandwidth list with its inverses. Built
+/// once on the calling thread and read by every bandwidth block.
 struct Sweep<'a, const W: usize> {
     t: PrefixTables<W>,
     coeffs: &'static [f64],
@@ -208,25 +245,29 @@ struct Sweep<'a, const W: usize> {
     inv_hs: Vec<f64>,
 }
 
-/// Per-worker workspace of the local-constant step: window cursors plus
-/// the precombined kernel polynomial. No `n`-sized buffers anywhere.
+/// Per-block workspace of the local-constant step: the block's range of
+/// the bandwidth list, its window cursors and the precombined kernel
+/// polynomial. No `n`-sized buffers anywhere.
 struct LcScratch<const W: usize> {
+    block: Range<usize>,
     cursors: WindowCursors,
     cell: LcCell<W>,
 }
 
-/// Per-worker workspace of the local-linear step: window cursors and the
-/// Pascal triangle of the table width.
+/// Per-block workspace of the local-linear step: the block's range of the
+/// bandwidth list, its window cursors and the Pascal triangle of the table
+/// width.
 struct LlScratch<const W: usize> {
+    block: Range<usize>,
     cursors: WindowCursors,
     binom: [[f64; W]; W],
 }
 
 /// Adds the contribution of the observation at sorted position `si` —
-/// `(Y_i − ĝ_{-i}(X_i))² M(X_i)` at every grid bandwidth — into
-/// `sq_sums`/`included`, local-constant form. One pass over the
-/// bandwidths: an amortised `O(1)` cursor step and one precombined cell
-/// each; no per-neighbour work.
+/// `(Y_i − ĝ_{-i}(X_i))² M(X_i)` at every bandwidth of the scratch's block
+/// — into the block's `sq_sums`/`included`, local-constant form. One pass
+/// over the block: an amortised `O(1)` cursor step and one precombined
+/// cell each; no per-neighbour work.
 fn accumulate_observation_prefix<const W: usize>(
     si: usize,
     sw: &Sweep<'_, W>,
@@ -241,9 +282,12 @@ fn accumulate_observation_prefix<const W: usize>(
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch
-        .cursors
-        .sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
+    scratch.cursors.sweep(
+        &t.xs,
+        si,
+        &sw.inv_hs[scratch.block.clone()],
+        sw.radius,
+        |m, inv_h, lo, hi| {
             queries.incr(1);
             skipped.incr((t.n - (hi - lo)) as u64);
             // The split at si excludes i itself from both sides.
@@ -253,7 +297,8 @@ fn accumulate_observation_prefix<const W: usize>(
                 sq_sums[m] += resid * resid;
                 included[m] += 1;
             }
-        });
+        },
+    );
 }
 
 /// Local-linear twin of [`accumulate_observation_prefix`] over tables of
@@ -278,12 +323,16 @@ fn accumulate_observation_prefix_ll<const W: usize>(
     }
     let (row_si, row_si1) = (&t.rows[si], &t.rows[si + 1]);
     let binom = &scratch.binom;
+    let hs = &sw.hs[scratch.block.clone()];
 
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch
-        .cursors
-        .sweep(&t.xs, si, &sw.inv_hs, sw.radius, |m, inv_h, lo, hi| {
+    scratch.cursors.sweep(
+        &t.xs,
+        si,
+        &sw.inv_hs[scratch.block.clone()],
+        sw.radius,
+        |m, inv_h, lo, hi| {
             queries.incr(1);
             skipped.incr((t.n - (hi - lo)) as u64);
 
@@ -312,17 +361,19 @@ fn accumulate_observation_prefix_ll<const W: usize>(
                 hp *= inv_h;
                 sign = -sign;
             }
-            if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], sw.hs[m]) {
+            if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], hs[m]) {
                 let r = yi - g;
                 sq_sums[m] += r * r;
                 included[m] += 1;
             }
-        });
+        },
+    );
 }
 
-/// The local-constant prefix-moment profile over the bandwidth list `hs`.
-/// Shared by the public entry points below and by the d = 1 dispatch of the
-/// multivariate fast engine (`crate::multi::fast`).
+/// The local-constant prefix-moment profile over the bandwidth list `hs`,
+/// split into bandwidth blocks across host cores by work size
+/// ([`block_count`]). Shared by the public entry points below and by the
+/// d = 1 dispatch of the multivariate fast engine (`crate::multi::fast`).
 ///
 /// `hs` must be non-decreasing — the cursors are seeded by bisections that
 /// narrow monotonically from one bandwidth to the next, so an out-of-order
@@ -338,43 +389,58 @@ pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     y: &[f64],
     hs: &[f64],
     kernel: &K,
-    parallel: bool,
+) -> Result<CvProfile> {
+    profile_in_blocks(x, y, hs, kernel, block_count(x.len(), hs.len()))
+}
+
+/// [`profile`] in exactly `blocks` contiguous bandwidth blocks (clamped to
+/// `1..=k`); the profile is bit-identical at every count. One block runs on
+/// the calling thread, the form for callers that already run on parallel
+/// workers, such as bagged selection's bags.
+pub(crate) fn profile_in_blocks<K: PolynomialKernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    blocks: usize,
 ) -> Result<CvProfile> {
     let (coeffs, radius) = (kernel.coeffs(), kernel.radius());
     validate_sample(x, y, 2)?;
-    dispatch_width!(coeffs, 0, profile_lc(x, y, hs, coeffs, radius, parallel))
+    dispatch_width!(coeffs, 0, profile_lc(x, y, hs, coeffs, radius, blocks))
 }
 
-/// [`profile`] at table width `W = deg + 1`.
+/// [`profile_in_blocks`] at table width `W = deg + 1`.
 fn profile_lc<const W: usize>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
     coeffs: &'static [f64],
     radius: f64,
-    parallel: bool,
+    blocks: usize,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch = || LcScratch {
-        cursors: WindowCursors::new(hs.len()),
+    let new_scratch = |block: Range<usize>| LcScratch {
+        cursors: WindowCursors::new(block.len()),
         cell: LcCell::new(coeffs),
+        block,
     };
-    sw.fold(parallel, new_scratch, accumulate_observation_prefix)
+    sw.fold(blocks, new_scratch, accumulate_observation_prefix)
 }
 
-/// The local-linear prefix-moment profile over the ascending list `hs`.
+/// The local-linear prefix-moment profile over the ascending list `hs`, in
+/// `blocks` contiguous bandwidth blocks as [`profile_in_blocks`].
 fn profile_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
     kernel: &K,
-    parallel: bool,
+    blocks: usize,
 ) -> Result<CvProfile> {
     let (coeffs, radius) = (kernel.coeffs(), kernel.radius());
     validate_sample(x, y, 2)?;
     // The slope term weights offsets quadratically: local-linear needs
     // moments up to deg + 2.
-    dispatch_width!(coeffs, 2, profile_ll_w(x, y, hs, coeffs, radius, parallel))
+    dispatch_width!(coeffs, 2, profile_ll_w(x, y, hs, coeffs, radius, blocks))
 }
 
 /// [`profile_ll`] at table width `W = deg + 3`.
@@ -384,14 +450,15 @@ fn profile_ll_w<const W: usize>(
     hs: &[f64],
     coeffs: &'static [f64],
     radius: f64,
-    parallel: bool,
+    blocks: usize,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch = || LlScratch {
-        cursors: WindowCursors::new(hs.len()),
+    let new_scratch = |block: Range<usize>| LlScratch {
+        cursors: WindowCursors::new(block.len()),
         binom: pascal(),
+        block,
     };
-    sw.fold(parallel, new_scratch, accumulate_observation_prefix_ll)
+    sw.fold(blocks, new_scratch, accumulate_observation_prefix_ll)
 }
 
 impl<'a, const W: usize> Sweep<'a, W> {
@@ -410,77 +477,61 @@ impl<'a, const W: usize> Sweep<'a, W> {
         }
     }
 
-    /// Folds `step` over every observation against the tables. Generic
-    /// over the step, so each form's per-observation code is compiled into
-    /// the fold's loop rather than called through a function pointer.
+    /// Folds `step` over every observation against the tables, once per
+    /// bandwidth block. Generic over the step, so each form's
+    /// per-observation code is compiled into the fold's loop rather than
+    /// called through a function pointer.
     fn fold<S, F>(
         &self,
-        parallel: bool,
-        new_scratch: impl Fn() -> S + Sync + Send,
+        blocks: usize,
+        new_scratch: impl Fn(Range<usize>) -> S + Sync + Send,
         step: F,
     ) -> CvProfile
     where
-        S: Send,
         F: Fn(usize, &Self, &mut S, &mut [f64], &mut [usize]) + Sync + Send,
     {
         let _window = kcv_obs::phase("cv.window");
-        fold_observations(
+        fold_bandwidth_blocks(
             self.t.n,
             self.hs,
-            parallel,
+            blocks,
             new_scratch,
             |si, scratch, sq, inc| step(si, self, scratch, sq, inc),
         )
     }
 }
 
-/// Computes the CV profile with the prefix-moment sweep, sequentially:
-/// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan.
+/// Computes the CV profile with the prefix-moment sweep:
+/// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan. The
+/// argsort and table build run on the calling thread; from
+/// `SPLIT_MIN_CELLS = 65 536` cells the grid is cut into one contiguous
+/// block per core, each swept over every observation in order, so the
+/// profile is bit-identical to the sequential sweep at any core count.
 ///
 /// # Errors
 /// On an invalid sample (as [`validate_sample`] with `n ≥ 2`), and
 /// [`Error::KernelDegreeTooHigh`](crate::Error) for a kernel of degree
 /// above [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE). The same holds
-/// for the other three prefix entry points.
+/// for [`cv_profile_prefix_ll`].
 pub fn cv_profile_prefix<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    profile(x, y, grid.values(), kernel, false)
+    profile(x, y, grid.values(), kernel)
 }
 
-/// Parallel prefix-moment CV profile: the argsort and table build run once
-/// on the calling thread, then observations fold across cores against the
-/// shared read-only tables.
-pub fn cv_profile_prefix_par<K: PolynomialKernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-) -> Result<CvProfile> {
-    profile(x, y, grid.values(), kernel, true)
-}
-
-/// Local-linear CV profile via the prefix-moment sweep, sequential.
+/// Local-linear CV profile via the prefix-moment sweep, split across cores
+/// by bandwidth blocks as [`cv_profile_prefix`].
 pub fn cv_profile_prefix_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    profile_ll(x, y, grid.values(), kernel, false)
-}
-
-/// Local-linear prefix-moment CV profile, parallel over observations.
-pub fn cv_profile_prefix_ll_par<K: PolynomialKernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-) -> Result<CvProfile> {
-    profile_ll(x, y, grid.values(), kernel, true)
+    let hs = grid.values();
+    profile_ll(x, y, hs, kernel, block_count(x.len(), hs.len()))
 }
 
 #[cfg(test)]
@@ -490,7 +541,8 @@ mod tests {
         cv_profile_naive, cv_profile_sorted, cv_profile_sorted_ll, sorted_ll::cv_profile_naive_ll,
     };
     use crate::kernels::{
-        polynomial_kernels, Epanechnikov, Quartic, Triangular, Triweight, Uniform,
+        polynomial_kernels, Epanechnikov, EpanechnikovConvolution, Quartic, Triangular, Triweight,
+        Uniform,
     };
     use crate::util::{approx_eq, SplitMix64};
     use proptest::prelude::*;
@@ -680,9 +732,8 @@ mod tests {
     }
 
     /// Every cursor window equals a fresh, un-narrowed bisection, whether
-    /// the cursors were seeded at the first observation or mid-sample (a
-    /// parallel fold chunk's first observation) and then stepped forward,
-    /// and no window ever covers a sentinel.
+    /// the cursors were seeded at the first observation or mid-sample and
+    /// then stepped forward, and no window ever covers a sentinel.
     #[test]
     fn cursor_windows_match_bisection_oracle() {
         use crate::cv::window::{support_window, with_sentinels, WindowCursors};
@@ -743,6 +794,153 @@ mod tests {
                     assert_eq!(visited, hs.len());
                 }
             }
+        }
+    }
+
+    /// Every polynomial kernel the crate ships, one per instantiated width.
+    fn all_widths() -> [&'static dyn PolynomialKernel; 6] {
+        [
+            &Uniform,
+            &Triangular,
+            &Epanechnikov,
+            &Quartic,
+            &Triweight,
+            &EpanechnikovConvolution,
+        ]
+    }
+
+    /// Asserts that every block count — dividing `k`, not dividing it,
+    /// equal to it and above it — gives the one-block profile's score bits
+    /// and inclusion counts, local-constant and local-linear, for every
+    /// kernel width.
+    fn assert_blocks_bit_identical(case: &str, x: &[f64], y: &[f64], hs: &[f64]) {
+        let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let k = hs.len();
+        for kernel in all_widths() {
+            let one_lc = profile_in_blocks(x, y, hs, kernel, 1).unwrap();
+            let one_ll = profile_ll(x, y, hs, kernel, 1).unwrap();
+            for blocks in [2, 3, 7, k, k + 5] {
+                let lc = profile_in_blocks(x, y, hs, kernel, blocks).unwrap();
+                let ll = profile_ll(x, y, hs, kernel, blocks).unwrap();
+                for (form, one, split) in [("lc", &one_lc, &lc), ("ll", &one_ll, &ll)] {
+                    let at = format!("{case} {form} {} in {blocks} blocks", kernel.name());
+                    assert_eq!(bits(split), bits(one), "{at}");
+                    assert_eq!(split.included, one.included, "{at}");
+                    assert_eq!(split.bandwidths, hs, "{at}");
+                    assert_eq!(split.n, x.len(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bandwidth_blocks_are_bit_identical_on_the_paper_dgp() {
+        for (n, k) in [
+            (2, 1),
+            (2, 3),
+            (3, 3),
+            (17, 3),
+            (17, 100),
+            (400, 37),
+            (400, 100),
+        ] {
+            let (x, y) = paper_dgp(n, 300 + n as u64);
+            let hs = BandwidthGrid::paper_default(&x, k)
+                .unwrap()
+                .values()
+                .to_vec();
+            assert_blocks_bit_identical(&format!("n = {n}, k = {k}"), &x, &y, &hs);
+        }
+    }
+
+    /// The boundary-tie lattice: spacing 0.25 with exact binary `y`, so
+    /// power-of-two bandwidths put neighbours exactly on the support edge,
+    /// plus bandwidths that include nobody and everybody.
+    #[test]
+    fn bandwidth_blocks_are_bit_identical_on_boundary_ties() {
+        let x = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let y = [1.0, 2.0, -1.0, 0.5, 3.0];
+        for hs in [
+            vec![0.25, 0.5],
+            vec![0.125, 1.0],
+            vec![0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0, 2.0, 4.0],
+        ] {
+            assert_blocks_bit_identical(&format!("lattice {hs:?}"), &x, &y, &hs);
+        }
+    }
+
+    /// Splitting pays only from [`SPLIT_MIN_CELLS`]: below it a profile
+    /// stays on the calling thread, above it each core gets a block.
+    #[test]
+    fn block_count_follows_the_work_size() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(block_count(500, 100), 1);
+        assert_eq!(block_count(SPLIT_MIN_CELLS - 1, 1), 1);
+        assert_eq!(block_count(SPLIT_MIN_CELLS, 1), 1);
+        assert_eq!(block_count(SPLIT_MIN_CELLS, 100), cores.min(100));
+        assert_eq!(block_count(usize::MAX, 3), cores.min(3));
+    }
+
+    /// Sequential versus split profile wall time and cost per cell across
+    /// `n` at the paper-default k = 100 (Epanechnikov; median and
+    /// interquartile range of alternating runs, 21 up to n = 2·10⁴, fewer
+    /// above): the measurement behind [`SPLIT_MIN_CELLS`]. The last column
+    /// splits into twice as many blocks as cores. A timing table, not a
+    /// check, so it runs only on request:
+    /// `cargo test --release -p kcv-core --lib split_crossover_table --
+    /// --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run on request in release"]
+    fn split_crossover_table() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        println!(
+            "| n | cells | sequential ms | split in {cores} ms | speed-up | \
+             ns/cell seq | ns/cell split | split in {} ms |",
+            2 * cores
+        );
+        println!("|---|---|---|---|---|---|---|---|");
+        let sizes = [
+            20, 80, 160, 320, 640, 1000, 2000, 20_000, 200_000, 1_000_000,
+        ];
+        for n in sizes {
+            let reps = match n {
+                0..=20_000 => 21,
+                20_001..=200_000 => 5,
+                _ => 3,
+            };
+            let (x, y) = paper_dgp(n, 7);
+            let hs = BandwidthGrid::paper_default(&x, 100)
+                .unwrap()
+                .values()
+                .to_vec();
+            let time = |blocks: usize| {
+                let start = std::time::Instant::now();
+                std::hint::black_box(
+                    profile_in_blocks(&x, &y, &hs, &Epanechnikov, blocks).unwrap(),
+                );
+                start.elapsed().as_secs_f64() * 1e3
+            };
+            let mut runs = [vec![], vec![], vec![]];
+            for _ in 0..reps {
+                for (blocks, samples) in [1, cores, 2 * cores].into_iter().zip(&mut runs) {
+                    samples.push(time(blocks));
+                }
+            }
+            let [one, split, twice] = runs.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                (v[reps / 2], v[reps / 4], v[3 * reps / 4])
+            });
+            let cells = (n * hs.len()) as f64;
+            let ms = |(m, lo, hi): (f64, f64, f64)| format!("{m:.3} ({lo:.3}–{hi:.3})");
+            println!(
+                "| {n} | {cells} | {} | {} | {:.2} | {:.1} | {:.1} | {} |",
+                ms(one),
+                ms(split),
+                one.0 / split.0,
+                one.0 * 1e6 / cells,
+                split.0 * 1e6 / cells,
+                ms(twice)
+            );
         }
     }
 

@@ -53,7 +53,7 @@
 
 use super::grid_search::GridSpec;
 use super::{BandwidthSelector, Selection};
-use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, CvProfile};
+use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, prefix, CvProfile};
 use crate::error::{validate_sample, Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
@@ -63,10 +63,12 @@ use rayon::prelude::*;
 
 /// Which CV engine runs inside each bag.
 ///
-/// Mirrors [`Strategy`](super::Strategy) plus the naive profile; per-bag
-/// engines always run their *sequential* variant — the parallelism budget
-/// is spent across bags, not inside them, so `B` bags never spawn nested
-/// thread pools.
+/// Mirrors [`Strategy`](super::Strategy) plus the naive profile. While
+/// the bags run in parallel, each bag's engine runs on its worker's thread
+/// — the parallelism budget is spent across bags, not inside them, so `B`
+/// bags never spawn nested workers. Bags run one after another (see
+/// [`BaggedSelector::sequential`]) let the prefix engine split its grid
+/// across cores as it does outside a bag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BagEngine {
     /// The naive `O(k·r²)` profile.
@@ -273,8 +275,9 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         self
     }
 
-    /// Runs bags sequentially on the calling thread (identical output —
-    /// useful for tracing a single bag or benchmarking the parallel win).
+    /// Runs bags one after another on the calling thread (identical output
+    /// — useful for tracing a single bag or benchmarking the parallel win).
+    /// Each bag's prefix sweep may then split its own grid across cores.
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
         self
@@ -310,10 +313,21 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         (bx, by)
     }
 
-    fn bag_profile(&self, x: &[f64], y: &[f64], grid: &BandwidthGrid) -> Result<CvProfile> {
+    /// One bag's profile; `nested` bags already run on a parallel worker,
+    /// so their prefix sweep stays on that worker's thread.
+    fn bag_profile(
+        &self,
+        x: &[f64],
+        y: &[f64],
+        grid: &BandwidthGrid,
+        nested: bool,
+    ) -> Result<CvProfile> {
         match self.engine {
             BagEngine::Naive => cv_profile_naive(x, y, grid, &self.kernel),
             BagEngine::SortedSweep => cv_profile_sorted(x, y, grid, &self.kernel),
+            BagEngine::PrefixMoments if nested => {
+                prefix::profile_in_blocks(x, y, grid.values(), &self.kernel, 1)
+            }
             BagEngine::PrefixMoments => cv_profile_prefix(x, y, grid, &self.kernel),
         }
     }
@@ -324,10 +338,11 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         y: &[f64],
         grid: &BandwidthGrid,
         bag: usize,
+        nested: bool,
     ) -> Result<(BagOutcome, usize)> {
         let _bag_phase = kcv_obs::phase("cv.bag");
         let (bx, by) = self.bag_sample(x, y, bag);
-        let profile = self.bag_profile(&bx, &by, grid)?;
+        let profile = self.bag_profile(&bx, &by, grid, nested)?;
         let opt = profile.argmin_with_min_included(self.min_included)?;
         kcv_obs::add(kcv_obs::Counter::BagsRun, 1);
         Ok((
@@ -363,12 +378,12 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
                 .into_par_iter()
                 .map(|b| {
                     let _in_scope = scope.enter();
-                    self.run_bag(x, y, &grid, b)
+                    self.run_bag(x, y, &grid, b, true)
                 })
                 .collect()
         } else {
             (0..self.bags)
-                .map(|b| self.run_bag(x, y, &grid, b))
+                .map(|b| self.run_bag(x, y, &grid, b, false))
                 .collect()
         };
 

@@ -113,10 +113,12 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         }
     }
 
-    /// Sequential prefix-moment grid search ([`Strategy::PrefixMoments`]):
-    /// the per-neighbour scan replaced by window queries over global
+    /// Prefix-moment grid search ([`Strategy::PrefixMoments`]): the
+    /// per-neighbour scan replaced by window queries over global
     /// compensated moment prefix sums — `O(n log n + n·k·deg²)` amortised
-    /// instead of the sorted sweep's `O(n² log n)`.
+    /// instead of the sorted sweep's `O(n² log n)`. Large profiles split
+    /// the grid into one block per core, with bit-identical scores (see
+    /// [`cv_profile_prefix`](crate::cv::cv_profile_prefix)).
     ///
     /// # Examples
     ///
@@ -151,18 +153,6 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         }
     }
 
-    /// Parallel prefix-moment grid search (rayon over observations against
-    /// the shared read-only prefix tables).
-    pub fn prefix_par(kernel: K, grid: GridSpec) -> Self {
-        Self {
-            kernel,
-            grid,
-            strategy: Strategy::PrefixMoments,
-            parallel: true,
-            min_included: 1,
-        }
-    }
-
     /// Requires at least `count` observations to have a defined leave-one-out
     /// fit for a bandwidth to be eligible (guards against degenerate tiny
     /// bandwidths on sparse designs; see [`CvProfile::argmin_with_min_included`]).
@@ -176,9 +166,7 @@ impl<K: PolynomialKernel> SortedGridSearch<K> {
         let grid = self.grid.resolve(x)?;
         match self.strategy {
             Strategy::SortedSweep => sorted::profile(x, y, &grid, &self.kernel, self.parallel),
-            Strategy::PrefixMoments => {
-                prefix::profile(x, y, grid.values(), &self.kernel, self.parallel)
-            }
+            Strategy::PrefixMoments => prefix::profile(x, y, grid.values(), &self.kernel),
         }
     }
 }
@@ -219,15 +207,16 @@ impl<K: PolynomialKernel> BandwidthSelector for SortedGridSearch<K> {
     }
 
     fn name(&self) -> String {
-        format!(
-            "{}-grid-{}-{}",
-            match self.strategy {
-                Strategy::SortedSweep => "sorted",
-                Strategy::PrefixMoments => "prefix",
-            },
-            if self.parallel { "par" } else { "seq" },
-            self.kernel.name()
-        )
+        match self.strategy {
+            Strategy::SortedSweep => format!(
+                "sorted-grid-{}-{}",
+                if self.parallel { "par" } else { "seq" },
+                self.kernel.name()
+            ),
+            // The prefix sweep picks its core count by work size, with a
+            // bit-identical result at any count: no seq/par segment.
+            Strategy::PrefixMoments => format!("prefix-grid-{}", self.kernel.name()),
+        }
     }
 }
 
@@ -411,15 +400,11 @@ mod tests {
         let prefix = SortedGridSearch::prefix(Epanechnikov, spec.clone())
             .select(&x, &y)
             .unwrap();
-        let prefix_par = SortedGridSearch::prefix_par(Epanechnikov, spec.clone())
-            .select(&x, &y)
-            .unwrap();
         let naive = NaiveGridSearch::new(Epanechnikov, spec)
             .select(&x, &y)
             .unwrap();
         assert_eq!(prefix.bandwidth, sorted.bandwidth);
         assert_eq!(prefix.bandwidth, naive.bandwidth);
-        assert_eq!(prefix.bandwidth, prefix_par.bandwidth);
         assert_eq!(prefix.evaluations, 50);
     }
 
@@ -499,11 +484,7 @@ mod tests {
         );
         assert_eq!(
             SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(5)).name(),
-            "prefix-grid-seq-epanechnikov"
-        );
-        assert_eq!(
-            SortedGridSearch::prefix_par(Epanechnikov, GridSpec::PaperDefault(5)).name(),
-            "prefix-grid-par-epanechnikov"
+            "prefix-grid-epanechnikov"
         );
     }
 }

@@ -9,9 +9,13 @@
 //! `included[m]` over the whole profile and compares the hash with a
 //! constant recorded before the kernel was restructured.
 //!
-//! Only sequential profiles are pinned: a parallel fold's reduction order
-//! depends on the core count. The sequential-versus-parallel suites in
-//! `cv::fold` cover those.
+//! The prefix profiles are pinned at any core count: the prefix engine
+//! splits large grids (here the n = 2000 cases) into one bandwidth block
+//! per core, and every bandwidth still sums its observations in order, so
+//! the split profile is bit-identical to one thread's (the block-count
+//! suite in `cv::prefix` checks that directly). Observation-split folds
+//! (`_par` entry points of the other engines) are not pinned: their
+//! reduction order depends on the core count.
 
 use kcv_core::cv::{cv_profile_prefix, cv_profile_prefix_ll, CvProfile, IncrementalSelector};
 use kcv_core::grid::BandwidthGrid;

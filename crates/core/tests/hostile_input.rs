@@ -7,8 +7,7 @@
 //! selectors must leave their state untouched.
 
 use kcv_core::cv::{
-    cv_profile_prefix, cv_profile_prefix_ll, cv_profile_prefix_ll_par, cv_profile_prefix_par,
-    IncrementalSelector, SlidingWindowSelector,
+    cv_profile_prefix, cv_profile_prefix_ll, IncrementalSelector, SlidingWindowSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -26,6 +25,9 @@ fn is_bad_x<T: std::fmt::Debug>(r: kcv_core::Result<T>, index: usize) -> bool {
 #[test]
 fn batch_entry_points_reject_non_finite_x() {
     let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
+    // 8 · 8192 cells: large enough for the prefix engines to split the
+    // grid across cores.
+    let wide = BandwidthGrid::linear(0.1, 1.0, 8192).unwrap();
     let y: Vec<f64> = (0..8).map(f64::from).collect();
     for bad in BAD {
         for index in [0, 5, 7] {
@@ -36,9 +38,9 @@ fn batch_entry_points_reject_non_finite_x() {
                 is_bad_x(cv_profile_prefix(&x, &y, &grid, k), index),
                 "{bad} at {index}"
             );
-            assert!(is_bad_x(cv_profile_prefix_par(&x, &y, &grid, k), index));
+            assert!(is_bad_x(cv_profile_prefix(&x, &y, &wide, k), index));
             assert!(is_bad_x(cv_profile_prefix_ll(&x, &y, &grid, k), index));
-            assert!(is_bad_x(cv_profile_prefix_ll_par(&x, &y, &grid, k), index));
+            assert!(is_bad_x(cv_profile_prefix_ll(&x, &y, &wide, k), index));
             let search = SortedGridSearch::prefix(Epanechnikov, GridSpec::Explicit(grid.clone()));
             assert!(search.select(&x, &y).is_err(), "{bad} at {index}");
             let bagged = BaggedSelector::new(Epanechnikov, GridSpec::Explicit(grid.clone()), 2, 4)

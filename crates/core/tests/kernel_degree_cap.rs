@@ -5,8 +5,8 @@
 //! with no coefficients at all is an `Error::InvalidParameter`.
 
 use kcv_core::cv::{
-    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_ll, cv_profile_prefix_ll_par,
-    cv_profile_prefix_par, IncrementalSelector, SlidingWindowSelector, MAX_KERNEL_DEGREE,
+    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_ll, IncrementalSelector,
+    SlidingWindowSelector, MAX_KERNEL_DEGREE,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{horner, Kernel, PolynomialKernel};
@@ -86,11 +86,14 @@ fn the_cap_is_seven() {
 fn batch_entry_points_reject_a_degree_eight_kernel() {
     let (x, y) = sample(60, 3);
     let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
+    // 60 · 1100 cells: large enough for the prefix engines to split the
+    // grid across cores.
+    let wide = BandwidthGrid::paper_default(&x, 1100).unwrap();
     let k = Poly(&DEG8);
     assert!(is_degree_error(cv_profile_prefix(&x, &y, &grid, &k)));
-    assert!(is_degree_error(cv_profile_prefix_par(&x, &y, &grid, &k)));
+    assert!(is_degree_error(cv_profile_prefix(&x, &y, &wide, &k)));
     assert!(is_degree_error(cv_profile_prefix_ll(&x, &y, &grid, &k)));
-    assert!(is_degree_error(cv_profile_prefix_ll_par(&x, &y, &grid, &k)));
+    assert!(is_degree_error(cv_profile_prefix_ll(&x, &y, &wide, &k)));
     let search = SortedGridSearch::prefix(k, GridSpec::PaperDefault(10));
     assert!(is_degree_error(search.select(&x, &y)));
     // The naive oracle has no degree cap.

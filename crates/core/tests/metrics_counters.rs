@@ -8,11 +8,12 @@
 #![cfg(feature = "metrics")]
 
 use kcv_core::cv::{
-    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_par,
-    cv_profile_sorted, cv_profile_sorted_par, IncrementalSelector,
+    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_sorted,
+    cv_profile_sorted_par, IncrementalSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
+use kcv_core::select::{BaggedSelector, GridSpec};
 use kcv_core::sort::sort_with_aux;
 use kcv_core::util::SplitMix64;
 use kcv_obs::{Counter, Recorder};
@@ -237,30 +238,105 @@ fn prefix_phase_timers_cover_argsort_prefix_and_window() {
     assert!(snap.phases.iter().all(|p| p.name != "cv.sort"));
 }
 
-#[test]
-fn prefix_parallel_counts_the_same_totals_as_sequential() {
-    let (x, y) = paper_dgp(200, 64);
-    let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
+/// The block count the prefix engine splits an above-threshold profile
+/// over `k` bandwidths into: one block per available core, at most `k`.
+fn split_blocks(k: usize) -> u64 {
+    std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .min(k) as u64
+}
 
-    let seq = record(|| {
+#[test]
+fn prefix_split_counts_the_same_totals_as_a_calling_thread_reselect() {
+    // 800 · 100 cells: above the split threshold, so the profile runs in
+    // one bandwidth block per core. The incremental re-selection runs the
+    // same cursor-and-cell loop on the calling thread.
+    let (x, y) = paper_dgp(800, 64);
+    let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
+
+    let split = record(|| {
         cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     });
-    let par = record(|| {
-        cv_profile_prefix_par(&x, &y, &grid, &Epanechnikov).unwrap();
+    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
+    for (&xi, &yi) in x.iter().zip(&y) {
+        sel.insert(xi, yi).unwrap();
+    }
+    let one = record(|| {
+        sel.reselect().unwrap();
     });
     assert_eq!(
-        par.get(Counter::WindowQueries),
-        seq.get(Counter::WindowQueries)
+        split.get(Counter::WindowQueries),
+        (x.len() * grid.len()) as u64
     );
     assert_eq!(
-        par.get(Counter::SortComparisons),
-        seq.get(Counter::SortComparisons)
+        split.get(Counter::WindowQueries),
+        one.get(Counter::WindowQueries)
     );
     assert_eq!(
-        par.get(Counter::LooTermsSkipped),
-        seq.get(Counter::LooTermsSkipped)
+        split.get(Counter::LooTermsSkipped),
+        one.get(Counter::LooTermsSkipped)
     );
-    assert_eq!(par.get(Counter::KernelEvals), 0);
+    assert_eq!(split.get(Counter::KernelEvals), 0);
+    // One scope entry per block; none when there is one core.
+    let blocks = split_blocks(grid.len());
+    let enters = if blocks > 1 { blocks } else { 0 };
+    assert_eq!(split.get(Counter::ScopeEnters), enters);
+    assert_eq!(one.get(Counter::ScopeEnters), 0);
+}
+
+#[test]
+fn prefix_below_the_split_threshold_stays_on_the_calling_thread() {
+    // The report's streaming replay recomputes 500-point windows over
+    // k = 100 bandwidths: 50 000 cells, under the 65 536-cell threshold.
+    let (x, y) = paper_dgp(500, 65);
+    let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
+    let run = record(|| {
+        cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
+    });
+    assert_eq!(run.get(Counter::ScopeEnters), 0);
+    assert_eq!(run.get(Counter::WindowQueries), 500 * 100);
+    // 656 · 100 = 65 600 cells is over it: the same engine splits.
+    let (x, y) = paper_dgp(656, 65);
+    let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
+    let run = record(|| {
+        cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
+    });
+    let blocks = split_blocks(grid.len());
+    assert_eq!(
+        run.get(Counter::ScopeEnters),
+        if blocks > 1 { blocks } else { 0 }
+    );
+}
+
+#[test]
+fn bagged_bags_on_workers_do_not_split_their_grids() {
+    // Bags of 700 over k = 100: 70 000 cells each, above the split
+    // threshold. On parallel workers each bag enters the caller's scope
+    // once and sweeps its grid on that worker; run one after another,
+    // each bag's sweep splits instead. The work is the same either way.
+    let (x, y) = paper_dgp(2_000, 67);
+    let (bags, bag_size, k) = (4u64, 700u64, 100usize);
+    let selector = BaggedSelector::new(
+        Epanechnikov,
+        GridSpec::PaperDefault(k),
+        bags as usize,
+        bag_size as usize,
+    );
+    let parallel = record(|| {
+        selector.select_bagged(&x, &y).unwrap();
+    });
+    let sequential = record(|| {
+        selector.clone().sequential().select_bagged(&x, &y).unwrap();
+    });
+    let cells = bags * bag_size * k as u64;
+    assert_eq!(parallel.get(Counter::WindowQueries), cells);
+    assert_eq!(sequential.get(Counter::WindowQueries), cells);
+    assert_eq!(parallel.get(Counter::ScopeEnters), bags);
+    let blocks = split_blocks(k);
+    assert_eq!(
+        sequential.get(Counter::ScopeEnters),
+        if blocks > 1 { bags * blocks } else { 0 }
+    );
 }
 
 #[test]
@@ -338,10 +414,12 @@ fn concurrent_instrumented_runs_see_only_their_own_counters() {
     let (xa, ya) = paper_dgp(300, 71);
     let grid_a = BandwidthGrid::paper_default(&xa, 20).unwrap();
     let (xb, yb) = paper_dgp(250, 72);
-    let grid_b = BandwidthGrid::paper_default(&xb, 30).unwrap();
+    // 250 · 300 cells: above the threshold where the prefix sweep splits
+    // its grid across cores.
+    let grid_b = BandwidthGrid::paper_default(&xb, 300).unwrap();
 
     // Sequential baselines, one recorder per run. Run A uses the parallel
-    // sorted sweep and run B the parallel prefix sweep, so the test also
+    // sorted sweep and run B the split prefix sweep, so the test also
     // covers scope propagation into rayon workers.
     let key = |r: &Recorder| {
         (
@@ -357,7 +435,7 @@ fn concurrent_instrumented_runs_see_only_their_own_counters() {
     };
     let run_b = || {
         record(|| {
-            cv_profile_prefix_par(&xb, &yb, &grid_b, &Epanechnikov).unwrap();
+            cv_profile_prefix(&xb, &yb, &grid_b, &Epanechnikov).unwrap();
         })
     };
     let baseline_a = key(&run_a());
