@@ -145,13 +145,8 @@ where
                 run(b * k / blocks..(b + 1) * k / blocks)
             })
             .collect();
-        let mut sq = Vec::with_capacity(k);
-        let mut inc = Vec::with_capacity(k);
-        for (s, i) in parts {
-            sq.extend(s);
-            inc.extend(i);
-        }
-        (sq, inc)
+        let (sq, inc): (Vec<Vec<f64>>, Vec<Vec<usize>>) = parts.into_iter().unzip();
+        (sq.concat(), inc.concat())
     };
     into_profile(n, hs, sq_sums, included)
 }
