@@ -1113,16 +1113,14 @@ mod tests {
             windowed.counter("mem_transactions")
         );
         // The parallel sorted sweep enters the kcv_obs scope once per
-        // worker chunk and the prefix sweep once per bandwidth block — at
-        // most one per available worker — while the sequential engines
-        // never touch it. Per-item attribution is unchanged: the parallel
-        // sweep still records exactly the sequential sweep's kernel
-        // evaluations.
+        // worker chunk and the naive and prefix profiles once per bandwidth
+        // block — at most one per available worker — while the sequential
+        // sweep never touches it. Per-item attribution is unchanged: the
+        // parallel sweep still records exactly the sequential sweep's
+        // kernel evaluations.
         let workers = std::thread::available_parallelism().map_or(1, |w| w.get()) as u64;
-        for seq in ["naive", "sorted"] {
-            assert_eq!(by_name(seq).counter("scope_enters"), 0, "{seq}");
-        }
-        for par in ["parallel", "prefix"] {
+        assert_eq!(by_name("sorted").counter("scope_enters"), 0);
+        for par in ["parallel", "naive", "prefix"] {
             let enters = by_name(par).counter("scope_enters");
             assert!(
                 (1..=workers.min(n)).contains(&enters),
@@ -1133,6 +1131,20 @@ mod tests {
             by_name("parallel").counter("kernel_evals"),
             sorted.counter("kernel_evals")
         );
+        // The simulated programs enter the scope once per main-kernel block
+        // and never per simulated thread or per reduction barrier.
+        let config = GpuConfig::default();
+        let tpb = config
+            .threads_per_block
+            .min(config.spec.max_threads_per_block) as u64;
+        for gpu in ["gpu-sim", "gpu-windowed"] {
+            let enters = by_name(gpu).counter("scope_enters");
+            assert!(
+                enters <= n.div_ceil(tpb),
+                "{gpu}: {enters} scope entries for {} blocks",
+                n.div_ceil(tpb)
+            );
+        }
         // Schema v6 streaming replay, measured under its own recorder:
         // with n = 60 < the 64-observation window floor the window covers
         // the whole stream (no evictions), the 64-arrival cadence never

@@ -9,16 +9,20 @@
 //! is independent (the paper's SPMD insight), so the fold splits across
 //! host cores along either axis:
 //!
-//! * [`fold_observations`] with `parallel` set (naive, sorted and their
-//!   local-linear forms): each rayon worker folds a contiguous chunk of
-//!   observations into a private accumulator and the accumulators are
-//!   reduced element-wise. The reduction regroups each bandwidth's sum, so
-//!   the scores move in the last bits with the worker count.
-//! * [`fold_bandwidth_blocks`] (prefix): each worker folds *every*
-//!   observation, in order, into a contiguous block of the bandwidths, and
-//!   the blocks' slices are concatenated. Each bandwidth's sum is the
-//!   textbook left-to-right sum whatever the block count, so the profile is
-//!   bit-identical to the sequential fold.
+//! * [`fold_bandwidth_blocks`] (naive and prefix, local-constant and
+//!   local-linear): each worker folds *every* observation, in order, into a
+//!   contiguous block of the bandwidths, and the blocks' slices are
+//!   concatenated. Each bandwidth's sum is the textbook left-to-right sum
+//!   whatever the block count, so the profile is bit-identical to the
+//!   sequential fold. The engines take the block count from the work size
+//!   ([`block_count`]); no caller chooses it.
+//! * [`fold_observations`] with `parallel` set (the sorted sweep's SPMD
+//!   form, `cv_profile_sorted_par`): one sort per observation serves every
+//!   bandwidth, so that engine splits by observation. Each rayon worker
+//!   folds a contiguous chunk of observations into a private accumulator
+//!   and the accumulators are reduced element-wise. The reduction regroups
+//!   each bandwidth's sum, so the scores move in the last bits with the
+//!   worker count.
 //!
 //! The sequential fold (one block) runs in observation order on the calling
 //! thread.
@@ -26,6 +30,25 @@
 use super::CvProfile;
 use rayon::prelude::*;
 use std::ops::Range;
+
+/// Cells (`n·k`) below which a bandwidth-split profile stays on the calling
+/// thread: under it, starting the block workers costs more than the second
+/// core saves. Picked by measurement of the prefix engine on a 2-core host
+/// (EXPERIMENTS.md SPLIT); a naive cell costs `n` kernel evaluations, so
+/// the naive engine clears it with room to spare.
+pub(crate) const SPLIT_MIN_CELLS: usize = 65_536;
+
+/// The number of bandwidth blocks a profile of `n` observations over `k`
+/// bandwidths runs in: one below [`SPLIT_MIN_CELLS`], else one per
+/// available core, at most `k`.
+pub(crate) fn block_count(n: usize, k: usize) -> usize {
+    if n.saturating_mul(k) < SPLIT_MIN_CELLS {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .min(k)
+}
 
 /// Element-wise merge for the reduce step. The identity is a bare
 /// `(Vec<f64>, Vec<usize>)` pair: the per-worker scratch lives only in the
@@ -155,8 +178,8 @@ where
 mod tests {
     use super::*;
     use crate::cv::{
-        cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_prefix_ll,
-        cv_profile_sorted, cv_profile_sorted_ll, cv_profile_sorted_ll_par, cv_profile_sorted_par,
+        cv_profile_naive, cv_profile_prefix, cv_profile_prefix_ll, cv_profile_sorted,
+        cv_profile_sorted_par, naive,
     };
     use crate::error::Result;
     use crate::grid::BandwidthGrid;
@@ -165,17 +188,15 @@ mod tests {
 
     type Profile = fn(&[f64], &[f64], &BandwidthGrid, &Triangular) -> Result<CvProfile>;
 
-    /// The observation-split engines' sequential and parallel entry points,
+    /// The observation-split engine's sequential and parallel entry points,
     /// by name.
-    const ENGINES: [(&str, Profile, Profile); 3] = [
-        ("naive", cv_profile_naive, cv_profile_naive_par),
-        ("sorted", cv_profile_sorted, cv_profile_sorted_par),
-        ("sorted_ll", cv_profile_sorted_ll, cv_profile_sorted_ll_par),
-    ];
+    const ENGINES: [(&str, Profile, Profile); 1] =
+        [("sorted", cv_profile_sorted, cv_profile_sorted_par)];
 
     /// The bandwidth-split engines, which choose their block count
     /// themselves.
-    const BLOCK_ENGINES: [(&str, Profile); 2] = [
+    const BLOCK_ENGINES: [(&str, Profile); 3] = [
+        ("naive", cv_profile_naive),
         ("prefix", cv_profile_prefix),
         ("prefix_ll", cv_profile_prefix_ll),
     ];
@@ -267,21 +288,17 @@ mod tests {
     #[test]
     fn parallel_naive_matches_sequential_naive_for_gaussian() {
         // The naive engine is the only one that serves non-polynomial
-        // kernels, so its parallel fold is checked on one too.
+        // kernels, so its bandwidth split is checked on one too.
         let (x, y) = paper_dgp(200, 20);
-        let grid = BandwidthGrid::linear(0.01, 0.5, 12).unwrap();
-        let a = cv_profile_naive(&x, &y, &grid, &Gaussian).unwrap();
-        let b = cv_profile_naive_par(&x, &y, &grid, &Gaussian).unwrap();
-        assert_eq!(a.included, b.included);
-        for m in 0..grid.len() {
-            assert!(
-                approx_eq(a.scores[m], b.scores[m], 1e-12, 1e-14),
-                "h={}: {} vs {}",
-                grid.values()[m],
-                a.scores[m],
-                b.scores[m]
-            );
-        }
+        let hs = BandwidthGrid::linear(0.01, 0.5, 12)
+            .unwrap()
+            .values()
+            .to_vec();
+        let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let one = naive::profile_in_blocks(&x, &y, &hs, &Gaussian, 1).unwrap();
+        let split = naive::profile_in_blocks(&x, &y, &hs, &Gaussian, 2).unwrap();
+        assert_eq!(bits(&split), bits(&one));
+        assert_eq!(split.included, one.included);
     }
 
     #[test]
@@ -305,10 +322,10 @@ mod tests {
     fn local_constant_engines_agree_on_the_optimum() {
         let (x, y) = paper_dgp(200, 23);
         let grid = BandwidthGrid::paper_default(&x, 50).unwrap();
-        let indices: Vec<usize> = ENGINES[..2]
+        let indices: Vec<usize> = ENGINES
             .iter()
             .flat_map(|&(_, seq, par)| [seq, par])
-            .chain([BLOCK_ENGINES[0].1])
+            .chain([BLOCK_ENGINES[0].1, BLOCK_ENGINES[1].1])
             .map(|f| {
                 f(&x, &y, &grid, &Triangular)
                     .unwrap()

@@ -29,12 +29,14 @@
 //!
 //! Every batch profile — the local-constant ones above and the
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
-//! observations through one observation fold. `naive`, `sorted` and
-//! `sorted_ll` run it sequentially or split by observation chunks across
-//! host cores (the `_par` entry points; the paper's SPMD parallelisation,
-//! whose simulated-GPU form lives in the `kcv-gpu` crate). `prefix` has no
-//! `_par` twin: from 65 536 cells it splits its grid into one contiguous
-//! bandwidth block per core, with scores bit-identical to one thread.
+//! observations through one observation fold. `naive` and `prefix` (both
+//! forms) choose the split themselves: from 65 536 cells they cut the grid
+//! into one contiguous bandwidth block per core, with scores bit-identical
+//! to one thread. `sorted` shares one per-observation sort across the whole
+//! grid, so it splits by observation chunks instead, and only on request
+//! ([`cv_profile_sorted_par`]: the paper's SPMD parallelisation, whose
+//! simulated-GPU form lives in the `kcv-gpu` crate); `sorted_ll` runs on
+//! the calling thread.
 //!
 //! Exactness caveat: `sorted` classifies *and* scores bit-comparably to
 //! `naive` (1e-9-level agreement); `prefix` shares the bit-identical
@@ -53,10 +55,10 @@ pub mod sorted_ll;
 mod window;
 
 pub use incremental::{IncrementalSelector, SlidingWindowSelector};
-pub use naive::{cv_profile_naive, cv_profile_naive_par, cv_score_single};
+pub use naive::{cv_profile_naive, cv_score_single};
 pub use prefix::{cv_profile_prefix, cv_profile_prefix_ll};
 pub use sorted::{cv_profile_sorted, cv_profile_sorted_par};
-pub use sorted_ll::{cv_profile_naive_ll, cv_profile_sorted_ll, cv_profile_sorted_ll_par};
+pub use sorted_ll::{cv_profile_naive_ll, cv_profile_sorted_ll};
 pub use window::MAX_KERNEL_DEGREE;
 
 use crate::error::{Error, Result};

@@ -4,51 +4,73 @@
 //! This is the reference implementation (and the only option for kernels,
 //! like the Gaussian or Cosine, that are not polynomial in `|u|`). The
 //! sorted sweep is tested against it.
+//!
+//! Every `(observation, bandwidth)` cell is independent, and no work is
+//! shared across bandwidths, so a large profile splits its grid into one
+//! contiguous bandwidth block per core (`cv::fold`, the prefix engine's
+//! rule): each bandwidth still sums its observations in order, and the
+//! scores are bit-identical to one thread at any core count.
 
-use super::fold::fold_observations;
+use super::fold::{block_count, fold_bandwidth_blocks};
 use super::CvProfile;
 use crate::error::{validate_bandwidth, validate_sample, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::Kernel;
 
 /// Computes the CV profile by direct evaluation of Eqs. (1)–(2) at every
-/// grid bandwidth.
+/// grid bandwidth. From 65 536 cells the grid is cut into one contiguous
+/// block per core, with scores bit-identical to one thread.
 pub fn cv_profile_naive<K: Kernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
 ) -> Result<CvProfile> {
-    profile(x, y, grid.values(), kernel, false)
+    profile(x, y, grid.values(), kernel)
 }
 
-/// Parallel naive CV profile — the analogue of the paper's "Multicore R"
-/// Program 2: the `O(k·n²)` objective, split across cores by observation.
-pub fn cv_profile_naive_par<K: Kernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-) -> Result<CvProfile> {
-    profile(x, y, grid.values(), kernel, true)
-}
-
+/// [`cv_profile_naive`] over the bandwidth list `hs`, split into bandwidth
+/// blocks by work size.
 pub(crate) fn profile<K: Kernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     hs: &[f64],
     kernel: &K,
-    parallel: bool,
 ) -> Result<CvProfile> {
-    let n = validate_sample(x, y, 2)?;
+    profile_in_blocks(x, y, hs, kernel, block_count(x.len(), hs.len()))
+}
+
+/// [`profile`] in exactly `blocks` contiguous bandwidth blocks (clamped to
+/// `1..=k`); the profile is bit-identical at every count. One block runs on
+/// the calling thread, the form for callers that already run on parallel
+/// workers, such as bagged selection's bags.
+pub(crate) fn profile_in_blocks<K: Kernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    blocks: usize,
+) -> Result<CvProfile> {
+    validate_sample(x, y, 2)?;
     let _sweep = kcv_obs::phase("cv.naive");
-    Ok(fold_observations(
-        n,
+    Ok(fold_profile(x, y, hs, kernel, blocks))
+}
+
+/// The naive profile of a validated sample over `hs`, in `blocks` blocks.
+fn fold_profile<K: Kernel + ?Sized>(
+    x: &[f64],
+    y: &[f64],
+    hs: &[f64],
+    kernel: &K,
+    blocks: usize,
+) -> CvProfile {
+    fold_bandwidth_blocks(
+        x.len(),
         hs,
-        parallel,
-        || (),
-        |i, _, sq, inc| accumulate_observation(i, x, y, hs, kernel, sq, inc),
-    ))
+        blocks,
+        |block| block,
+        |i, block, sq, inc| accumulate_observation(i, x, y, &hs[block.clone()], kernel, sq, inc),
+    )
 }
 
 /// Evaluates `CV_lc(h)` at a single bandwidth, returning the score and the
@@ -63,14 +85,7 @@ pub fn cv_score_single<K: Kernel + ?Sized>(
     kernel: &K,
 ) -> (f64, usize) {
     debug_assert!(validate_bandwidth(h).is_ok());
-    let hs = [h];
-    let p = fold_observations(
-        x.len(),
-        &hs,
-        false,
-        || (),
-        |i, _, sq, inc| accumulate_observation(i, x, y, &hs, kernel, sq, inc),
-    );
+    let p = fold_profile(x, y, &[h], kernel, 1);
     (p.scores[0], p.included[0])
 }
 
@@ -190,6 +205,64 @@ mod tests {
             let (s, inc) = cv_score_single(&x, &y, h, &Epanechnikov);
             assert_eq!(s, profile.scores[m]);
             assert_eq!(inc, profile.included[m]);
+        }
+    }
+
+    /// Asserts that every block count — one, dividing `k`, not dividing
+    /// it, equal to it and above it — gives each bandwidth's one-bandwidth
+    /// fold ([`cv_score_single`]) bit for bit, for a compactly supported
+    /// and an everywhere-positive kernel.
+    fn assert_blocks_bit_identical(case: &str, x: &[f64], y: &[f64], hs: &[f64]) {
+        let k = hs.len();
+        let kernels: [&dyn Kernel; 2] = [&Epanechnikov, &Gaussian];
+        for kernel in kernels {
+            let single: Vec<(f64, usize)> = hs
+                .iter()
+                .map(|&h| cv_score_single(x, y, h, kernel))
+                .collect();
+            for blocks in [1, 2, 3, 7, k, k + 5] {
+                let at = format!("{case} {} in {blocks} blocks", kernel.name());
+                let p = profile_in_blocks(x, y, hs, kernel, blocks).unwrap();
+                for (m, &(score, included)) in single.iter().enumerate() {
+                    assert_eq!(
+                        p.scores[m].to_bits(),
+                        score.to_bits(),
+                        "{at}, h = {}",
+                        hs[m]
+                    );
+                    assert_eq!(p.included[m], included, "{at}, h = {}", hs[m]);
+                }
+                assert_eq!(p.bandwidths, hs, "{at}");
+                assert_eq!(p.n, x.len(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn bandwidth_blocks_are_bit_identical_on_the_paper_dgp() {
+        for (n, k) in [(2, 1), (2, 3), (3, 3), (17, 3), (17, 100), (150, 37)] {
+            let (x, y) = paper_dgp(n, 300 + n as u64);
+            let hs = BandwidthGrid::paper_default(&x, k)
+                .unwrap()
+                .values()
+                .to_vec();
+            assert_blocks_bit_identical(&format!("n = {n}, k = {k}"), &x, &y, &hs);
+        }
+    }
+
+    /// The boundary-tie lattice: spacing 0.25 with exact binary `y`, so
+    /// power-of-two bandwidths put neighbours exactly on the support edge,
+    /// plus bandwidths that include nobody and everybody.
+    #[test]
+    fn bandwidth_blocks_are_bit_identical_on_boundary_ties() {
+        let x = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let y = [1.0, 2.0, -1.0, 0.5, 3.0];
+        for hs in [
+            vec![0.25, 0.5],
+            vec![0.125, 1.0],
+            vec![0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0, 2.0, 4.0],
+        ] {
+            assert_blocks_bit_identical(&format!("lattice {hs:?}"), &x, &y, &hs);
         }
     }
 

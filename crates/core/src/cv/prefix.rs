@@ -109,7 +109,7 @@
 //! one-dimensional `x` — and a polynomial kernel; the sorted sweep remains
 //! the general-position fallback.
 
-use super::fold::fold_bandwidth_blocks;
+use super::fold::{block_count, fold_bandwidth_blocks};
 use super::window::{
     dispatch_width, moment_rows, pascal, with_sentinels, LcCell, Row, WindowCursors,
 };
@@ -120,23 +120,6 @@ use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
 use std::ops::Range;
-
-/// Cells (`n·k`) below which a profile stays on the calling thread: under
-/// it, starting the block workers costs more than the second core saves.
-/// Picked by measurement on a 2-core host (EXPERIMENTS.md SPLIT).
-const SPLIT_MIN_CELLS: usize = 65_536;
-
-/// The number of bandwidth blocks a profile of `n` observations over `k`
-/// bandwidths runs in: one below [`SPLIT_MIN_CELLS`], else one per
-/// available core, at most `k`.
-fn block_count(n: usize, k: usize) -> usize {
-    if n.saturating_mul(k) < SPLIT_MIN_CELLS {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map_or(1, |c| c.get())
-        .min(k)
-}
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
@@ -537,6 +520,7 @@ pub fn cv_profile_prefix_ll<K: PolynomialKernel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cv::fold::SPLIT_MIN_CELLS;
     use crate::cv::{
         cv_profile_naive, cv_profile_sorted, cv_profile_sorted_ll, sorted_ll::cv_profile_naive_ll,
     };
@@ -885,8 +869,9 @@ mod tests {
     /// `n` at the paper-default k = 100 (Epanechnikov; median and
     /// interquartile range of alternating runs, 21 up to n = 2·10⁴, fewer
     /// above): the measurement behind [`SPLIT_MIN_CELLS`]. The last column
-    /// splits into twice as many blocks as cores. A timing table, not a
-    /// check, so it runs only on request:
+    /// splits into twice as many blocks as cores. Naive rows follow, at
+    /// `n·k` around the same threshold, which the naive engine shares. A
+    /// timing table, not a check, so it runs only on request:
     /// `cargo test --release -p kcv-core --lib split_crossover_table --
     /// --ignored --nocapture`.
     #[test]
@@ -894,15 +879,20 @@ mod tests {
     fn split_crossover_table() {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         println!(
-            "| n | cells | sequential ms | split in {cores} ms | speed-up | \
+            "| engine | n | cells | sequential ms | split in {cores} ms | speed-up | \
              ns/cell seq | ns/cell split | split in {} ms |",
             2 * cores
         );
-        println!("|---|---|---|---|---|---|---|---|");
-        let sizes = [
+        println!("|---|---|---|---|---|---|---|---|---|");
+        let prefix_sizes = [
             20, 80, 160, 320, 640, 1000, 2000, 20_000, 200_000, 1_000_000,
         ];
-        for n in sizes {
+        let naive_sizes = [80, 160, 320, 640, 656, 1000];
+        let runs = prefix_sizes
+            .map(|n| ("prefix", n))
+            .into_iter()
+            .chain(naive_sizes.map(|n| ("naive", n)));
+        for (engine, n) in runs {
             let reps = match n {
                 0..=20_000 => 21,
                 20_001..=200_000 => 5,
@@ -915,9 +905,11 @@ mod tests {
                 .to_vec();
             let time = |blocks: usize| {
                 let start = std::time::Instant::now();
-                std::hint::black_box(
-                    profile_in_blocks(&x, &y, &hs, &Epanechnikov, blocks).unwrap(),
-                );
+                std::hint::black_box(match engine {
+                    "prefix" => profile_in_blocks(&x, &y, &hs, &Epanechnikov, blocks),
+                    _ => crate::cv::naive::profile_in_blocks(&x, &y, &hs, &Epanechnikov, blocks),
+                })
+                .unwrap();
                 start.elapsed().as_secs_f64() * 1e3
             };
             let mut runs = [vec![], vec![], vec![]];
@@ -933,7 +925,7 @@ mod tests {
             let cells = (n * hs.len()) as f64;
             let ms = |(m, lo, hi): (f64, f64, f64)| format!("{m:.3} ({lo:.3}–{hi:.3})");
             println!(
-                "| {n} | {cells} | {} | {} | {:.2} | {:.1} | {:.1} | {} |",
+                "| {engine} | {n} | {cells} | {} | {} | {:.2} | {:.1} | {:.1} | {} |",
                 ms(one),
                 ms(split),
                 one.0 / split.0,

@@ -115,32 +115,12 @@ fn accumulate_observation_ll(
     }
 }
 
-/// Local-linear CV profile via the sorted sweep, sequential.
+/// Local-linear CV profile via the sorted sweep, on the calling thread.
 pub fn cv_profile_sorted_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
     kernel: &K,
-) -> Result<CvProfile> {
-    profile(x, y, grid, kernel, false)
-}
-
-/// Local-linear CV profile via the sorted sweep, parallel over observations.
-pub fn cv_profile_sorted_ll_par<K: PolynomialKernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-) -> Result<CvProfile> {
-    profile(x, y, grid, kernel, true)
-}
-
-fn profile<K: PolynomialKernel + ?Sized>(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    kernel: &K,
-    parallel: bool,
 ) -> Result<CvProfile> {
     let n = validate_sample(x, y, 2)?;
     let coeffs = kernel.coeffs();
@@ -149,7 +129,7 @@ fn profile<K: PolynomialKernel + ?Sized>(
     Ok(fold_observations(
         n,
         hs,
-        parallel,
+        false,
         || (),
         |i, _, sq, inc| accumulate_observation_ll(i, x, y, coeffs, radius, hs, sq, inc),
     ))

@@ -53,7 +53,7 @@
 
 use super::grid_search::GridSpec;
 use super::{BandwidthSelector, Selection};
-use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, prefix, CvProfile};
+use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, naive, prefix, CvProfile};
 use crate::error::{validate_sample, Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
@@ -67,8 +67,8 @@ use rayon::prelude::*;
 /// the bags run in parallel, each bag's engine runs on its worker's thread
 /// — the parallelism budget is spent across bags, not inside them, so `B`
 /// bags never spawn nested workers. Bags run one after another (see
-/// [`BaggedSelector::sequential`]) let the prefix engine split its grid
-/// across cores as it does outside a bag.
+/// [`BaggedSelector::sequential`]) let the naive and prefix engines split
+/// their grids across cores as they do outside a bag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BagEngine {
     /// The naive `O(k·r²)` profile.
@@ -314,7 +314,7 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
     }
 
     /// One bag's profile; `nested` bags already run on a parallel worker,
-    /// so their prefix sweep stays on that worker's thread.
+    /// so their naive or prefix profile stays on that worker's thread.
     fn bag_profile(
         &self,
         x: &[f64],
@@ -323,6 +323,9 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         nested: bool,
     ) -> Result<CvProfile> {
         match self.engine {
+            BagEngine::Naive if nested => {
+                naive::profile_in_blocks(x, y, grid.values(), &self.kernel, 1)
+            }
             BagEngine::Naive => cv_profile_naive(x, y, grid, &self.kernel),
             BagEngine::SortedSweep => cv_profile_sorted(x, y, grid, &self.kernel),
             BagEngine::PrefixMoments if nested => {

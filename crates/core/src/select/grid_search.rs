@@ -221,32 +221,22 @@ impl<K: PolynomialKernel> BandwidthSelector for SortedGridSearch<K> {
 }
 
 /// Grid search with the naive `O(k·n²)` profile — works with any kernel
-/// (Gaussian, Cosine, …).
+/// (Gaussian, Cosine, …). Large profiles split the grid into one block per
+/// core, with bit-identical scores (see
+/// [`cv_profile_naive`](crate::cv::cv_profile_naive)).
 #[derive(Debug, Clone)]
 pub struct NaiveGridSearch<K: Kernel> {
     kernel: K,
     grid: GridSpec,
-    parallel: bool,
     min_included: usize,
 }
 
 impl<K: Kernel> NaiveGridSearch<K> {
-    /// Sequential naive grid search.
+    /// Naive grid search.
     pub fn new(kernel: K, grid: GridSpec) -> Self {
         Self {
             kernel,
             grid,
-            parallel: false,
-            min_included: 1,
-        }
-    }
-
-    /// Parallel naive grid search.
-    pub fn parallel(kernel: K, grid: GridSpec) -> Self {
-        Self {
-            kernel,
-            grid,
-            parallel: true,
             min_included: 1,
         }
     }
@@ -260,7 +250,7 @@ impl<K: Kernel> NaiveGridSearch<K> {
     /// Computes the full CV profile without selecting.
     pub fn profile(&self, x: &[f64], y: &[f64]) -> Result<CvProfile> {
         let grid = self.grid.resolve(x)?;
-        naive::profile(x, y, grid.values(), &self.kernel, self.parallel)
+        naive::profile(x, y, grid.values(), &self.kernel)
     }
 }
 
@@ -278,11 +268,9 @@ impl<K: Kernel> BandwidthSelector for NaiveGridSearch<K> {
     }
 
     fn name(&self) -> String {
-        format!(
-            "naive-grid-{}-{}",
-            if self.parallel { "par" } else { "seq" },
-            self.kernel.name()
-        )
+        // Like the prefix sweep, the naive profile picks its core count by
+        // work size with a bit-identical result: no seq/par segment.
+        format!("naive-grid-{}", self.kernel.name())
     }
 }
 
@@ -295,7 +283,6 @@ pub struct ZoomGridSearch<K: PolynomialKernel> {
     kernel: K,
     initial: usize,
     rounds: usize,
-    parallel: bool,
 }
 
 impl<K: PolynomialKernel> ZoomGridSearch<K> {
@@ -305,14 +292,7 @@ impl<K: PolynomialKernel> ZoomGridSearch<K> {
             kernel,
             initial,
             rounds: rounds.max(1),
-            parallel: false,
         }
-    }
-
-    /// Uses the parallel sweep inside each round.
-    pub fn parallel(mut self) -> Self {
-        self.parallel = true;
-        self
     }
 }
 
@@ -322,7 +302,7 @@ impl<K: PolynomialKernel> BandwidthSelector for ZoomGridSearch<K> {
         let mut evaluations = 0usize;
         let mut last: Option<(CvProfile, crate::cv::CvOptimum)> = None;
         for _ in 0..self.rounds {
-            let profile = sorted::profile(x, y, &grid, &self.kernel, self.parallel)?;
+            let profile = sorted::cv_profile_sorted(x, y, &grid, &self.kernel)?;
             evaluations += profile.len();
             let opt = profile.argmin()?;
             grid = grid.refine_around(opt.bandwidth, self.initial)?;
@@ -479,8 +459,8 @@ mod tests {
             "sorted-grid-seq-epanechnikov"
         );
         assert_eq!(
-            NaiveGridSearch::parallel(Gaussian, GridSpec::PaperDefault(5)).name(),
-            "naive-grid-par-gaussian"
+            NaiveGridSearch::new(Gaussian, GridSpec::PaperDefault(5)).name(),
+            "naive-grid-gaussian"
         );
         assert_eq!(
             SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(5)).name(),

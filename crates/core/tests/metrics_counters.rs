@@ -8,8 +8,8 @@
 #![cfg(feature = "metrics")]
 
 use kcv_core::cv::{
-    cv_profile_naive, cv_profile_naive_par, cv_profile_prefix, cv_profile_sorted,
-    cv_profile_sorted_par, IncrementalSelector,
+    cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par,
+    IncrementalSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -103,19 +103,23 @@ fn sweep_skip_count_complements_absorbed_terms() {
 
 #[test]
 fn parallel_strategies_count_the_same_totals_as_sequential() {
+    // 64 · 1 024 cells: at the split threshold, so the naive profile runs
+    // in one bandwidth block per core and still evaluates the kernel for
+    // every (i, l≠i, h) triple exactly once.
+    let (x, y) = paper_dgp(64, 66);
+    let grid = BandwidthGrid::paper_default(&x, 1_024).unwrap();
+    let (n, k) = (x.len() as u64, grid.len() as u64);
+    let split_naive = record(|| {
+        cv_profile_naive(&x, &y, &grid, &Epanechnikov).unwrap();
+    });
+    assert_eq!(split_naive.get(Counter::KernelEvals), k * n * (n - 1));
+    // One scope entry per block; none when there is one core.
+    let blocks = split_blocks(grid.len());
+    let enters = if blocks > 1 { blocks } else { 0 };
+    assert_eq!(split_naive.get(Counter::ScopeEnters), enters);
+
     let (x, y) = tiny_fixture();
     let grid = BandwidthGrid::from_values(vec![0.4, 0.8]).unwrap();
-
-    let seq_naive = record(|| {
-        cv_profile_naive(&x, &y, &grid, &Epanechnikov).unwrap();
-    })
-    .get(Counter::KernelEvals);
-
-    let par_naive = record(|| {
-        cv_profile_naive_par(&x, &y, &grid, &Epanechnikov).unwrap();
-    });
-    assert_eq!(par_naive.get(Counter::KernelEvals), seq_naive);
-
     let seq = record(|| {
         cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap();
     });

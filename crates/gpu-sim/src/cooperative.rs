@@ -9,12 +9,16 @@
 //! simulator detects intra-phase write conflicts and reports them as
 //! [`SimError::SharedMemoryRace`] instead of silently producing one of the
 //! racy outcomes.
+//!
+//! A block's threads run one after another, in thread order, on the calling
+//! thread: a phase is a few shared-memory operations per thread, far less
+//! than starting a host worker costs, and the buffered writes make the
+//! result independent of the order anyway.
 
 use crate::cost::{CostModel, LaunchReport, ThreadCounters};
 use crate::device::DeviceSpec;
 use crate::error::{Result, SimError};
 use crate::launch::{build_report, LaunchConfig};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Buffered shared-memory writes from one thread within one phase.
@@ -81,23 +85,19 @@ impl<'a> CooperativeBlock<'a> {
     }
 
     /// Runs one barrier phase: `body(tid, shared, counters, writes)` for
-    /// every thread against the current shared snapshot, then applies the
-    /// buffered writes and charges one `__syncthreads` per thread.
+    /// every thread, in thread order on the calling thread, against the
+    /// current shared snapshot, then applies the buffered writes and charges
+    /// one `__syncthreads` per thread.
     ///
     /// Returns an error if two different threads wrote the same cell (data
     /// race) or any write was out of bounds.
     pub fn step<F>(&mut self, body: F) -> Result<()>
     where
-        F: Fn(usize, &[f32], &mut ThreadCounters, &mut SharedWrites) + Sync,
+        F: Fn(usize, &[f32], &mut ThreadCounters, &mut SharedWrites),
     {
         let shared = &self.shared;
-        // Re-install the caller's recorder scope on each worker so any
-        // observability events the body emits land in the caller's run.
-        let scope = kcv_obs::scope();
         let results: Vec<(ThreadCounters, SharedWrites)> = (0..self.threads)
-            .into_par_iter()
             .map(|tid| {
-                let _in_scope = scope.enter();
                 let mut c = ThreadCounters::default();
                 let mut w = SharedWrites::default();
                 body(tid, shared, &mut c, &mut w);
@@ -186,6 +186,23 @@ mod tests {
             })
             .unwrap();
         assert_eq!(block.shared(), &[0.0, 42.0, 1.0]);
+    }
+
+    #[test]
+    fn phases_run_on_the_calling_thread() {
+        let (spec, cost) = tesla();
+        let mut block = CooperativeBlock::new(&spec, &cost, 64, 64).unwrap();
+        let ids = std::sync::Mutex::new(Vec::new());
+        block
+            .step(|tid, _s, _c, w| {
+                ids.lock().unwrap().push(std::thread::current().id());
+                w.write(tid, 1.0);
+            })
+            .unwrap();
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 64);
+        let caller = std::thread::current().id();
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

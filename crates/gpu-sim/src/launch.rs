@@ -2,11 +2,13 @@
 //! coordination — the model for the paper's main bandwidth kernel ("this
 //! main kernel does not use shared memory or coordination across threads").
 //!
-//! Each simulated thread receives its thread id, a caller-prepared private
-//! workspace (typically the thread's rows of the global-memory matrices),
-//! and a [`ThreadCounters`] to report its operations. Threads run truly in
-//! parallel on host cores via rayon; the cost model then replays the counts
-//! through the warp/SM schedule of the target [`DeviceSpec`].
+//! Each simulated thread receives its thread id, its block's
+//! caller-prepared workspace (for instance the block's group of per-thread
+//! rows of the global-memory matrices, or a block accumulator), and a
+//! [`ThreadCounters`] to report its operations. Blocks run in parallel on
+//! host cores via rayon, one pass per launch; a block's threads run in
+//! thread order on the block's worker. The cost model then replays the
+//! counts through the warp/SM schedule of the target [`DeviceSpec`].
 
 use crate::cost::{aggregate_cycles, CostModel, LaunchReport, ThreadCounters};
 use crate::device::DeviceSpec;
@@ -49,62 +51,16 @@ impl LaunchConfig {
     }
 }
 
-/// Launches an independent (no shared memory, no synchronisation) kernel:
-/// one invocation of `kernel` per thread, each owning one workspace
-/// (typically `&mut` rows of device buffers) and returning one value —
-/// the shape of a kernel whose stores land in device buffers while its
-/// register-resident results are gathered by the host-side simulation
-/// driver (e.g. per-thread partial sums handed to a block reduction).
-/// `workspaces.len()` must equal `config.threads`. Outputs come back in
-/// thread order, with the launch cost report.
-pub fn launch_independent_map<W, R, F>(
-    spec: &DeviceSpec,
-    cost: &CostModel,
-    config: LaunchConfig,
-    workspaces: Vec<W>,
-    kernel: F,
-) -> Result<(Vec<R>, LaunchReport)>
-where
-    W: Send,
-    R: Send,
-    F: Fn(usize, &mut W, &mut ThreadCounters) -> R + Sync,
-{
-    config.validate(spec)?;
-    if workspaces.len() != config.threads {
-        return Err(SimError::InvalidLaunch(format!(
-            "{} workspaces for {} threads",
-            workspaces.len(),
-            config.threads
-        )));
-    }
-    let _launch = kcv_obs::phase("gpu.launch");
-    // Simulated kernels may emit observability events (e.g. the device
-    // sort's comparisons); re-install the caller's recorder scope on each
-    // worker so those land in the launching run's recorder.
-    let scope = kcv_obs::scope();
-    let start = Instant::now();
-    let pairs: Vec<(R, ThreadCounters)> = workspaces
-        .into_par_iter()
-        .enumerate()
-        .map(|(tid, mut ws)| {
-            let _in_scope = scope.enter();
-            let mut c = ThreadCounters::default();
-            let r = kernel(tid, &mut ws, &mut c);
-            (r, c)
-        })
-        .collect();
-    let host_seconds = start.elapsed().as_secs_f64();
-    let (outputs, counters): (Vec<R>, Vec<ThreadCounters>) = pairs.into_iter().unzip();
-    let report = build_report(&counters, config, spec, cost, host_seconds);
-    Ok((outputs, report))
-}
-
-/// Launches an independent kernel block by block: `workspaces` holds one
-/// workspace per block, and the threads of a block run one after another
-/// in thread order against it, so a kernel can fold its results into its
-/// block's workspace in a fixed order — the model of a block's
-/// shared-memory accumulator. Blocks run in parallel. Returns each
-/// thread's output in thread order plus the cost report.
+/// Launches an independent (no shared memory, no synchronisation) kernel
+/// block by block: `workspaces` holds one workspace per block, and the
+/// threads of a block run one after another in thread order against it, so
+/// a kernel can fold its results into its block's workspace in a fixed
+/// order — the model of a block's shared-memory accumulator — or index a
+/// per-thread part of it by `tid % threads_per_block`. Blocks run in
+/// parallel, each re-entering the caller's `kcv_obs` recorder scope once,
+/// so events a kernel emits (e.g. the device sort's comparisons) land in
+/// the launching run's recorder. Returns each thread's output in thread
+/// order plus the cost report.
 pub fn launch_blocks<W, R, F>(
     spec: &DeviceSpec,
     cost: &CostModel,
@@ -188,14 +144,15 @@ mod tests {
         (DeviceSpec::tesla_s10(), CostModel::default())
     }
 
-    /// A workspace-free launch: one unit workspace per thread.
+    /// A workspace-free launch: one unit workspace per block.
     fn launch<R: Send>(
         spec: &DeviceSpec,
         cost: &CostModel,
         config: LaunchConfig,
         kernel: impl Fn(usize, &mut ThreadCounters) -> R + Sync,
     ) -> Result<(Vec<R>, LaunchReport)> {
-        launch_independent_map(spec, cost, config, vec![(); config.threads], |tid, _, c| {
+        let blocks = config.threads.div_ceil(config.threads_per_block);
+        launch_blocks(spec, cost, config, vec![(); blocks], |tid, _, c| {
             kernel(tid, c)
         })
     }
@@ -204,15 +161,22 @@ mod tests {
     fn kernel_mutates_workspaces_in_parallel() {
         let (spec, cost) = tesla();
         let mut data = vec![0.0f32; 1000];
-        let workspaces: Vec<&mut [f32]> = data.chunks_mut(10).collect();
+        // 100 threads of 10 cells in blocks of 32: each block's workspace
+        // is its group of per-thread rows.
+        let workspaces: Vec<Vec<&mut [f32]>> = data
+            .chunks_mut(10 * 32)
+            .map(|block| block.chunks_mut(10).collect())
+            .collect();
         let cfg = LaunchConfig::new(100, 32);
-        let (_, report) = launch_independent_map(&spec, &cost, cfg, workspaces, |tid, row, c| {
-            for (j, v) in row.iter_mut().enumerate() {
+        let (out, report) = launch_blocks(&spec, &cost, cfg, workspaces, |tid, rows, c| {
+            for (j, v) in rows[tid % 32].iter_mut().enumerate() {
                 *v = (tid * 10 + j) as f32;
                 c.global_write(1);
             }
+            tid * 3
         })
         .unwrap();
+        assert_eq!(out, (0..100).map(|t| t * 3).collect::<Vec<_>>());
         assert_eq!(report.totals.global_writes, 1000);
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as f32);
@@ -231,35 +195,6 @@ mod tests {
         assert_eq!(out, (0..64).map(|t| t * 2).collect::<Vec<_>>());
         assert_eq!(report.totals.flops, (0..64).sum::<usize>() as u64);
         assert!(report.simulated_seconds > 0.0);
-    }
-
-    #[test]
-    fn launch_independent_map_mutates_and_returns() {
-        let (spec, cost) = tesla();
-        let mut data = vec![0.0f32; 64];
-        let workspaces: Vec<&mut f32> = data.iter_mut().collect();
-        let cfg = LaunchConfig::new(64, 32);
-        let (out, report) =
-            launch_independent_map(&spec, &cost, cfg, workspaces, |tid, slot, c| {
-                **slot = tid as f32;
-                c.global_write(1);
-                tid * 3
-            })
-            .unwrap();
-        assert_eq!(out, (0..64).map(|t| t * 3).collect::<Vec<_>>());
-        assert_eq!(report.totals.global_writes, 64);
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as f32);
-        }
-        // A workspace count other than the thread count is rejected.
-        let r = launch_independent_map(
-            &spec,
-            &cost,
-            LaunchConfig::new(4, 4),
-            vec![(), ()],
-            |_, _, _| 0u32,
-        );
-        assert!(r.is_err());
     }
 
     #[test]
@@ -285,9 +220,6 @@ mod tests {
             ]
         );
         assert_eq!(report.totals.flops, 70);
-        // The cost model sees the same threads as a thread-parallel launch.
-        let (_, per_thread) = launch(&spec, &cost, cfg, |_, c| c.flop(1)).unwrap();
-        assert_eq!(report.simulated_cycles, per_thread.simulated_cycles);
         // One workspace per block, not per thread.
         let r = launch_blocks(&spec, &cost, cfg, vec![(); 70], |_, _, _| ());
         assert!(r.is_err());
@@ -302,8 +234,8 @@ mod tests {
         // Oversized block.
         let r = launch(&spec, &cost, LaunchConfig::new(10, 1024), |_, _| ());
         assert!(r.is_err());
-        // Workspace mismatch.
-        let r = launch_independent_map(
+        // Workspace mismatch: one block of 4 threads, two workspaces.
+        let r = launch_blocks(
             &spec,
             &cost,
             LaunchConfig::new(4, 4),

@@ -6,9 +6,9 @@
 //! hinge on:
 //!
 //! * **the programming model** — grids of blocks of threads; independent
-//!   SPMD kernels ([`launch::launch_independent_map`], or block by block
-//!   with a per-block accumulator: [`launch::launch_blocks`]) and
-//!   barrier-synchronised cooperative blocks
+//!   SPMD kernels launched block by block ([`launch::launch_blocks`]: each
+//!   block owns one workspace, such as its group of per-thread rows or a
+//!   block accumulator) and barrier-synchronised cooperative blocks
 //!   ([`cooperative::CooperativeBlock`]) with `__syncthreads`-style phases
 //!   (plus intra-phase race *detection*);
 //! * **the resource ceilings** — a capacity-enforcing global-memory pool
@@ -16,8 +16,10 @@
 //!   working set (the ≤ 2 048-bandwidth grid limit);
 //! * **the execution economics** — instrumented device code reports
 //!   operation counts per thread; a warp-lockstep, SM-scheduled cost model
-//!   converts them into simulated cycles/seconds, while rayon executes the
-//!   threads truly in parallel on host cores.
+//!   converts them into simulated cycles/seconds. On the host, a launch's
+//!   blocks run in parallel on rayon workers, one block per item, while a
+//!   cooperative block (a reduction's barrier phases) runs its threads in
+//!   thread order on the calling thread.
 //!
 //! The building blocks the paper's program needs are included: Harris-style
 //! sum and min-with-payload reductions ([`reduce`]) and the per-thread
@@ -25,17 +27,17 @@
 //! program lives in the `kcv-gpu` crate.
 //!
 //! ```
-//! use kcv_gpu_sim::{launch_independent_map, CostModel, DeviceSpec, LaunchConfig};
+//! use kcv_gpu_sim::{launch_blocks, CostModel, DeviceSpec, LaunchConfig};
 //!
-//! // Square 1000 numbers, one simulated GPU thread each, and get the
-//! // warp-lockstep cost report.
+//! // Square 1000 numbers, one simulated GPU thread each, in blocks of 512
+//! // threads, and get the warp-lockstep cost report.
 //! let spec = DeviceSpec::tesla_s10();
 //! let cost = CostModel::default();
-//! let (squares, report) = launch_independent_map(
+//! let (squares, report) = launch_blocks(
 //!     &spec,
 //!     &cost,
 //!     LaunchConfig::new(1000, 512),
-//!     vec![(); 1000], // no per-thread workspace
+//!     vec![(); 2], // no per-block workspace: one unit per block
 //!     |tid, _, counters| {
 //!         counters.flop(1);
 //!         (tid * tid) as u64
@@ -65,6 +67,6 @@ pub use device::DeviceSpec;
 pub use device_search::SupportWindow;
 pub use device_sort::device_sort_with_aux;
 pub use error::{Result, SimError};
-pub use launch::{launch_blocks, launch_independent_map, LaunchConfig};
+pub use launch::{launch_blocks, LaunchConfig};
 pub use memory::{ConstantMemory, DeviceBuffer, MemoryPool};
 pub use reduce::{min_payload_reduction, sum_reduction, sum_reduction_strided};

@@ -20,7 +20,7 @@ use crate::gpu_kernel_type::GpuKernel;
 use crate::kernel::{main_kernel, MainWorkspace};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
-use kcv_gpu_sim::{launch_independent_map, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool};
+use kcv_gpu_sim::{launch_blocks, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool};
 
 /// Runs the paper's GPU program on the simulated device: selects the
 /// CV-optimal Epanechnikov bandwidth for `(x, y)` over `grid`.
@@ -98,11 +98,12 @@ impl ShardBody for Classic {
         let config = shard.config;
         let coalesced_layout = !config.obs_major_residuals;
         // Main kernel: one thread per observation of the shard, over each
-        // thread's rows. The squared residuals come back per thread and land
-        // in the device matrix below in whatever physical layout the
-        // configuration charges for.
-        let (x, y) = (resident.x.as_slice(), resident.y.as_slice());
-        let workspaces: Vec<MainWorkspace<'_>> = resident
+        // thread's rows, launched block by block with each block's group of
+        // rows as its workspace. The squared residuals come back per thread
+        // and land in the device matrix below in whatever physical layout
+        // the configuration charges for.
+        let (x, y, tpb) = (resident.x.as_slice(), resident.y.as_slice(), shard.tpb);
+        let mut rows_of_threads = resident
             .dist
             .as_mut_slice()
             .chunks_mut(n)
@@ -114,16 +115,20 @@ impl ShardBody for Classic {
                 yrow,
                 num,
                 den,
-            })
+            });
+        // A zero block size groups by one, for `launch_blocks` to reject.
+        let group_len = tpb.max(1);
+        let groups: Vec<Vec<MainWorkspace<'_>>> = (0..rows.div_ceil(group_len))
+            .map(|_| rows_of_threads.by_ref().take(group_len).collect())
             .collect();
         let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
-        let (sqres_rows, report) = launch_independent_map(
+        let (sqres_rows, report) = launch_blocks(
             &config.spec,
             &config.cost,
-            LaunchConfig::new(rows, shard.tpb),
-            workspaces,
+            LaunchConfig::new(rows, tpb),
+            groups,
             // Thread tid of this device handles observation lo + tid.
-            |tid, ws, c| {
+            |tid, group, c| {
                 main_kernel(
                     lo + tid,
                     x,
@@ -132,7 +137,7 @@ impl ShardBody for Classic {
                     coeffs,
                     radius,
                     coalesced_layout,
-                    ws,
+                    &mut group[tid % tpb],
                     c,
                 )
             },

@@ -4,7 +4,7 @@
 //! deliverable for a statistics package.
 
 use kernelcv::core::bootstrap::bootstrap_band;
-use kernelcv::core::cv::{cv_profile_sorted_ll_par, cv_profile_sorted_par};
+use kernelcv::core::cv::cv_profile_sorted_par;
 use kernelcv::prelude::*;
 
 #[test]
@@ -24,10 +24,6 @@ fn parallel_cv_profiles_are_bitwise_stable_across_runs() {
             assert!((a - b).abs() <= 1e-15 * a.abs().max(1.0), "{a} vs {b}");
         }
     }
-    let ll_runs: Vec<_> = (0..2)
-        .map(|_| cv_profile_sorted_ll_par(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap())
-        .collect();
-    assert_eq!(ll_runs[0].included, ll_runs[1].included);
 }
 
 #[test]
