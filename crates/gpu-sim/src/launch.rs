@@ -197,6 +197,33 @@ mod tests {
         assert!(report.simulated_seconds > 0.0);
     }
 
+    /// An independent map: each thread owns one slot of its block's group,
+    /// writes it and returns a value, with no thread reading another's slot.
+    #[test]
+    fn launch_independent_map_mutates_and_returns() {
+        let (spec, cost) = tesla();
+        let mut data = vec![0.0f32; 64];
+        let workspaces: Vec<Vec<&mut f32>> = data
+            .chunks_mut(32)
+            .map(|block| block.iter_mut().collect())
+            .collect();
+        let cfg = LaunchConfig::new(64, 32);
+        let (out, report) = launch_blocks(&spec, &cost, cfg, workspaces, |tid, slots, c| {
+            *slots[tid % 32] = tid as f32;
+            c.global_write(1);
+            tid * 3
+        })
+        .unwrap();
+        assert_eq!(out, (0..64).map(|t| t * 3).collect::<Vec<_>>());
+        assert_eq!(report.totals.global_writes, 64);
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(v, i as f32);
+        }
+        // One workspace per thread instead of per block is rejected.
+        let r = launch_blocks(&spec, &cost, cfg, vec![(); 64], |_, _, _| 0u32);
+        assert!(r.is_err());
+    }
+
     #[test]
     fn launch_blocks_runs_each_block_in_thread_order() {
         let (spec, cost) = tesla();
