@@ -19,7 +19,7 @@ use kcv_core::error::validate_sample;
 use kcv_core::grid::BandwidthGrid;
 use kcv_gpu_sim::{
     min_payload_reduction, sum_reduction, sum_reduction_strided, ConstantMemory, DeviceBuffer,
-    LaunchReport, MemoryPool, ThreadCounters,
+    LaunchReport, MemoryPool, SimError, ThreadCounters,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -175,6 +175,11 @@ pub(crate) fn run_shards<B: ShardBody>(
     let tpb = config
         .threads_per_block
         .min(config.spec.max_threads_per_block);
+    // Rejected before `prepare`: the windowed program sizes its block
+    // partials by ⌈rows/tpb⌉. The error is the main launch's own.
+    if tpb == 0 {
+        return Err(SimError::InvalidLaunch("block has zero threads".into()).into());
+    }
     // Clamp once so the summation and minimum reductions cannot diverge.
     let reduction_threads = config
         .reduction_threads

@@ -9,6 +9,7 @@ use kcv_gpu::{
     select_bandwidth_gpu_windowed_kernel, select_bandwidth_multi_gpu,
     select_bandwidth_multi_gpu_windowed, GpuConfig, GpuError, GpuKernel,
 };
+use kcv_gpu_sim::SimError;
 
 /// Runs every public selection function on one input; returns the selected
 /// bandwidths or errors, in a fixed order.
@@ -18,15 +19,25 @@ fn all_six(
     grid: &BandwidthGrid,
     devices: usize,
 ) -> Vec<Result<f64, GpuError>> {
-    let c = GpuConfig::default();
+    all_six_with(x, y, grid, devices, &GpuConfig::default())
+}
+
+/// [`all_six`] under the configuration `c`.
+fn all_six_with(
+    x: &[f64],
+    y: &[f64],
+    grid: &BandwidthGrid,
+    devices: usize,
+    c: &GpuConfig,
+) -> Vec<Result<f64, GpuError>> {
     let k = GpuKernel::from_core(&Epanechnikov);
     vec![
-        select_bandwidth_gpu(x, y, grid, &c).map(|r| r.bandwidth),
-        select_bandwidth_gpu_kernel(x, y, grid, &c, &k).map(|r| r.bandwidth),
-        select_bandwidth_gpu_windowed(x, y, grid, &c).map(|r| r.bandwidth),
-        select_bandwidth_gpu_windowed_kernel(x, y, grid, &c, &k).map(|r| r.bandwidth),
-        select_bandwidth_multi_gpu(x, y, grid, &c, devices).map(|r| r.bandwidth),
-        select_bandwidth_multi_gpu_windowed(x, y, grid, &c, devices).map(|r| r.bandwidth),
+        select_bandwidth_gpu(x, y, grid, c).map(|r| r.bandwidth),
+        select_bandwidth_gpu_kernel(x, y, grid, c, &k).map(|r| r.bandwidth),
+        select_bandwidth_gpu_windowed(x, y, grid, c).map(|r| r.bandwidth),
+        select_bandwidth_gpu_windowed_kernel(x, y, grid, c, &k).map(|r| r.bandwidth),
+        select_bandwidth_multi_gpu(x, y, grid, c, devices).map(|r| r.bandwidth),
+        select_bandwidth_multi_gpu_windowed(x, y, grid, c, devices).map(|r| r.bandwidth),
     ]
 }
 
@@ -114,4 +125,36 @@ fn zero_devices_clamp_to_one_device() {
     // Every function succeeds at devices = 0.
     let picks = all_six(&x, &y, &grid, 0);
     assert!(picks.iter().all(|p| p.is_ok()), "{picks:?}");
+}
+
+#[test]
+fn zero_block_sizes_are_rejected_by_every_program() {
+    let x: Vec<f64> = (0..50).map(|i| f64::from(i) / 49.0).collect();
+    let y: Vec<f64> = x.iter().map(|&v| v * v).collect();
+    let grid = BandwidthGrid::paper_default(&x, 8).unwrap();
+    // A zero main-kernel block: the windowed program sized its block
+    // partials with ⌈n/0⌉ and panicked; every program now returns the
+    // classic program's launch error.
+    let zero_block = GpuConfig::default().with_threads_per_block(0);
+    let want = GpuError::Sim(SimError::InvalidLaunch("block has zero threads".into()));
+    for (i, result) in all_six_with(&x, &y, &grid, 2, &zero_block)
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(result.as_ref(), Err(&want), "function {i}");
+    }
+    // A zero reduction block is rejected by the reductions.
+    let zero_reduction = GpuConfig {
+        reduction_threads: 0,
+        ..GpuConfig::default()
+    };
+    let want = GpuError::Sim(SimError::InvalidLaunch(
+        "reduction needs a power-of-two thread count, got 0".into(),
+    ));
+    for (i, result) in all_six_with(&x, &y, &grid, 2, &zero_reduction)
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(result.as_ref(), Err(&want), "function {i}");
+    }
 }
