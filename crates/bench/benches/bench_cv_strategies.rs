@@ -5,13 +5,21 @@
 //! `O(deg²)` amortised; `sorted_par` divides the per-observation work across
 //! cores, and the prefix sweep splits its grid across cores by itself from
 //! 65 536 cells (see `bench_parallel` for the sizes where that pays). The
-//! `prefix_by_kernel` group times the prefix sweep once per kernel degree,
-//! so every kernel width the cell kernel is compiled for is measured.
+//! `prefix_by_kernel` group times the prefix sweep once per shipped
+//! kernel, and `incremental_by_kernel` one incremental re-selection per
+//! kernel at the serving shape, so every kernel width the shared cell
+//! kernel is compiled for is measured in both engines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kcv_core::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par};
+use kcv_core::cv::{
+    cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par,
+    IncrementalSelector,
+};
 use kcv_core::grid::BandwidthGrid;
-use kcv_core::kernels::{Epanechnikov, PolynomialKernel, Quartic, Triangular, Triweight, Uniform};
+use kcv_core::kernels::{
+    Epanechnikov, EpanechnikovConvolution, PolynomialKernel, Quartic, Triangular, Triweight,
+    Uniform,
+};
 use kcv_data::{Dgp, PaperDgp};
 use kcv_gpu::{select_bandwidth_gpu, select_bandwidth_gpu_windowed, GpuConfig};
 use std::hint::black_box;
@@ -61,18 +69,44 @@ fn bench_strategies(c: &mut Criterion) {
     }
     group.finish();
 
-    // One prefix profile per shipped kernel degree (0, 1, 2, 4, 6) at the
-    // benchmark's one-shot size: each kernel runs a different width
-    // instantiation of the cell kernel.
+    // One prefix profile per shipped kernel (degrees 0, 1, 2, 4, 6 and the
+    // degree-5 convolution) at the benchmark's one-shot size: each kernel
+    // runs a different width instantiation of the cell kernel, and the
+    // even ones (all but triangular and the convolution) its one-Horner
+    // form.
+    let kernels: [&dyn PolynomialKernel; 6] = [
+        &Uniform,
+        &Triangular,
+        &Epanechnikov,
+        &Quartic,
+        &Triweight,
+        &EpanechnikovConvolution,
+    ];
     let mut group = c.benchmark_group("prefix_by_kernel");
     group.sample_size(10);
     let s = PaperDgp.sample(20_000, 45);
     let grid = BandwidthGrid::paper_default(&s.x, 100).unwrap();
-    let kernels: [&dyn PolynomialKernel; 5] =
-        [&Uniform, &Triangular, &Epanechnikov, &Quartic, &Triweight];
     for kernel in kernels {
         group.bench_function(kernel.name(), |b| {
             b.iter(|| cv_profile_prefix(black_box(&s.x), &s.y, &grid, kernel).unwrap())
+        });
+    }
+    group.finish();
+
+    // One incremental re-selection per kernel at the serving shape: a
+    // 512-observation window over the log grid k = 64 that `kcv-serve`
+    // streams re-select on.
+    let mut group = c.benchmark_group("incremental_by_kernel");
+    group.sample_size(50);
+    let s = PaperDgp.sample(512, 46);
+    let grid = BandwidthGrid::log(1e-3, 0.3, 64).unwrap();
+    for kernel in kernels {
+        let mut sel = IncrementalSelector::new(kernel, grid.clone());
+        for (&xi, &yi) in s.x.iter().zip(&s.y) {
+            sel.insert(xi, yi).unwrap();
+        }
+        group.bench_function(kernel.name(), |b| {
+            b.iter(|| black_box(sel.reselect().unwrap()))
         });
     }
     group.finish();

@@ -25,11 +25,51 @@
 //!   predicates, so no block needs a clamp. The second scores the cells.
 //! * [`LcCell`] precombines the local-constant kernel polynomial about
 //!   `x_i` once per observation into per-moment coefficients
-//!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}` (with a sign-flipped copy for the
-//!   left side, where `|u|^j = (−u)^j`). A cell is then one Horner
-//!   evaluation in `1/h` of those coefficients and two short dot products
-//!   against the prefix differences `row[hi] − row[si+1]` and
-//!   `row[si] − row[lo]`; the self rows are hoisted per observation.
+//!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}`, `j ≥ m`. A cell is then, per
+//!   moment, a Horner evaluation of `a_m(u) = Σ_j b[m][j]·u^j` at
+//!   `u = 1/h` for the right side and at `u = −1/h` for the left (where
+//!   `|u|^j = (−u)^j`), and two short dot products against the prefix
+//!   differences `row[hi] − row[si+1]` and `row[si] − row[lo]`; the self
+//!   rows are hoisted per observation.
+//!
+//! ## The trimmed cell, and why its bits are the full cell's
+//!
+//! Written out in full, each Horner runs over all `W` coefficients from a
+//! leading `0·(1/h)`: `4W²` flops beside the dot products' `12W` (36 and
+//! 36 for Epanechnikov, `W = 3`). Most of those terms are exact zeros, and
+//! [`LcCell::eval`] leaves them out:
+//!
+//! * the structural `+0`s `b[m][j]`, `j < m`: their steps keep the
+//!   multiplication by `u` and drop the addition;
+//! * the leading `0·u`: each Horner starts at the top coefficient;
+//! * for a kernel whose odd coefficients are all exactly `0.0` (Uniform,
+//!   Epanechnikov, Quartic, Triweight; derived once from the
+//!   coefficients), the odd terms. The left polynomial
+//!   `(−1)^j·b[m][j]` then equals the right one, so one Horner serves both
+//!   sides: Epanechnikov's Horners fall from 36 flops to 7, Triweight's
+//!   from 196 to 51.
+//!
+//! Triangular and the Epanechnikov convolution keep one Horner per side.
+//! The left one runs over `b` at `−u`, which equals a Horner over the
+//! sign-flipped table `(−1)^j·b[m][j]` at `u` step for step, since
+//! negation is exact and rounding is symmetric; so no left table is kept.
+//!
+//! Every operation left is the full form's, in its order. Dropping an
+//! addition of `±0`, or taking the mirrored step, can only change the sign
+//! of a zero intermediate: a later nonzero addend absorbs it, and a zero
+//! that reaches `num` or `den` never reaches a score, because a zero `den`
+//! fails `den > 0` and excludes the cell either way, and a zero `num` gives
+//! the same squared residual. So `num` and `den` compare equal to the full
+//! form's, with its bits whenever they are nonzero, and every score and
+//! `included` count is unchanged (`cell_kernel_golden.rs` pins them; this
+//! module's tests keep the full form and check the cell and both engines'
+//! profiles against it). A dropped term is not an exact zero in two cases,
+//! and both exclude the cell in either form. A coefficient
+//! `0·(−x_i)^{j−m}` is NaN when the power overflows; then `x_i^{W−1}`
+//! overflows too, in the observation's own moment row, so the top moment's
+//! prefix difference, and `den`, are NaN. And `1/h = +inf` (`h` below
+//! `2^−1024`) makes the leading `0·(1/h)` NaN, so [`LcCell::eval`] returns
+//! NaN there.
 //!
 //! ## Width dispatch
 //!
@@ -297,14 +337,32 @@ pub(crate) struct LcCell<const W: usize> {
     /// Kernel polynomial coefficients `c_0..=c_deg` in `|u|`.
     coeffs: [f64; W],
     binom: [[f64; W]; W],
+    /// Every odd coefficient is exactly zero, so the odd terms of each
+    /// moment's polynomial are zeros and the left side equals the right
+    /// (see the module docs). Derived from the coefficients.
+    even: bool,
     /// `right[m][j] = c_j·C(j,m)·(−x_i)^{j−m}` (zero for `j < m`).
     right: [[f64; W]; W],
-    /// `left[m][j] = (−1)^j·right[m][j]`.
-    left: [[f64; W]; W],
     /// The observation's hoisted self rows: `self_left = row[si]`,
     /// `self_right = row[si + 1]`.
     self_left: Row<W>,
     self_right: Row<W>,
+}
+
+/// Horner's rule for `Σ_{j ≥ m} b[j]·u^j` from the top coefficient, with
+/// the exact-zero terms left out: the `j < m` entries and, when
+/// `skip_odd`, the odd ones are multiplied through (`a·u`) but not added.
+/// Every other step is the full `a·u + b[j]`, in the full Horner's order.
+#[inline(always)]
+fn trimmed_horner<const W: usize>(b: &[f64; W], m: usize, u: f64, skip_odd: bool) -> f64 {
+    let mut a = b[W - 1];
+    for j in (0..W - 1).rev() {
+        a *= u;
+        if j >= m && !(skip_odd && j % 2 == 1) {
+            a += b[j];
+        }
+    }
+    a
 }
 
 impl<const W: usize> LcCell<W> {
@@ -316,8 +374,8 @@ impl<const W: usize> LcCell<W> {
                 .try_into()
                 .expect("kernel width dispatched on coeffs.len()"),
             binom: pascal(),
+            even: coeffs.iter().skip(1).step_by(2).all(|&c| c == 0.0),
             right: [[0.0; W]; W],
-            left: [[0.0; W]; W],
             self_left: Row::ZERO,
             self_right: Row::ZERO,
         }
@@ -332,9 +390,7 @@ impl<const W: usize> LcCell<W> {
         for m in 0..W {
             let mut pw = 1.0; // (−x_i)^{j−m}
             for j in m..W {
-                let b = self.coeffs[j] * self.binom[j][m] * pw;
-                self.right[m][j] = b;
-                self.left[m][j] = if j % 2 == 0 { b } else { -b };
+                self.right[m][j] = self.coeffs[j] * self.binom[j][m] * pw;
                 pw *= neg_xi;
             }
         }
@@ -347,16 +403,294 @@ impl<const W: usize> LcCell<W> {
     /// boundary rows `row_lo = row[lo]` and `row_hi = row[hi]`.
     #[inline(always)]
     pub(crate) fn eval(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+        #[cfg(test)]
+        if tests::REFERENCE_CELL.with(std::cell::Cell::get) {
+            return self.eval_full(inv_h, row_lo, row_hi);
+        }
+        // A bandwidth below 2^-1024 has 1/h = +inf, where the full
+        // Horner's leading 0·(1/h) is NaN and excludes the cell.
+        if inv_h == f64::INFINITY {
+            return (f64::NAN, f64::NAN);
+        }
+        if self.even {
+            self.eval_even(inv_h, row_lo, row_hi)
+        } else {
+            self.eval_general(inv_h, row_lo, row_hi)
+        }
+    }
+
+    /// [`eval`](Self::eval) for an even polynomial: one Horner per moment
+    /// serves both sides.
+    #[inline(always)]
+    fn eval_even(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
         let (sl, sr) = (&self.self_left, &self.self_right);
         let mut num = 0.0;
         let mut den = 0.0;
         for m in 0..W {
-            // Horner in 1/h: a_m(u) = Σ_j b[m][j]·u^j on each side.
-            let ar = self.right[m].iter().rev().fold(0.0, |a, &b| a * inv_h + b);
-            let al = self.left[m].iter().rev().fold(0.0, |a, &b| a * inv_h + b);
+            let a = trimmed_horner(&self.right[m], m, inv_h, true);
+            den += a * (row_hi.p[m] - sr.p[m]) + a * (sl.p[m] - row_lo.p[m]);
+            num += a * (row_hi.q[m] - sr.q[m]) + a * (sl.q[m] - row_lo.q[m]);
+        }
+        (num, den)
+    }
+
+    /// [`eval`](Self::eval) for a polynomial with odd terms: the left side
+    /// is the right polynomial at `−1/h`.
+    #[inline(always)]
+    fn eval_general(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+        let (sl, sr) = (&self.self_left, &self.self_right);
+        let neg_inv_h = -inv_h;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for m in 0..W {
+            let ar = trimmed_horner(&self.right[m], m, inv_h, false);
+            let al = trimmed_horner(&self.right[m], m, neg_inv_h, false);
             den += ar * (row_hi.p[m] - sr.p[m]) + al * (sl.p[m] - row_lo.p[m]);
             num += ar * (row_hi.q[m] - sr.q[m]) + al * (sl.q[m] - row_lo.q[m]);
         }
         (num, den)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cv::prefix::profile_in_blocks;
+    use crate::cv::{CvProfile, IncrementalSelector};
+    use crate::kernels::{
+        Epanechnikov, EpanechnikovConvolution, PolynomialKernel, Quartic, Triangular, Triweight,
+        Uniform,
+    };
+    use crate::util::SplitMix64;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Routes this thread's [`LcCell::eval`] calls to [`LcCell::eval_full`].
+        pub(crate) static REFERENCE_CELL: Cell<bool> = const { Cell::new(false) };
+    }
+
+    impl<const W: usize> LcCell<W> {
+        /// The cell before its Horners were trimmed: one full Horner per
+        /// side over every coefficient, `j < m` zeros and the leading
+        /// `0·(1/h)` included, the left side over its own sign-flipped
+        /// table `left[m][j] = (−1)^j·right[m][j]`.
+        pub(crate) fn eval_full(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+            let mut left = self.right;
+            for (m, row) in left.iter_mut().enumerate() {
+                for (j, b) in row.iter_mut().enumerate().skip(m) {
+                    if j % 2 == 1 {
+                        *b = -*b;
+                    }
+                }
+            }
+            let (sl, sr) = (&self.self_left, &self.self_right);
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (m, (right, left)) in self.right.iter().zip(&left).enumerate() {
+                let ar = right.iter().rev().fold(0.0, |a, &b| a * inv_h + b);
+                let al = left.iter().rev().fold(0.0, |a, &b| a * inv_h + b);
+                den += ar * (row_hi.p[m] - sr.p[m]) + al * (sl.p[m] - row_lo.p[m]);
+                num += ar * (row_hi.q[m] - sr.q[m]) + al * (sl.q[m] - row_lo.q[m]);
+            }
+            (num, den)
+        }
+    }
+
+    /// Every polynomial kernel the crate ships, one per instantiated width.
+    fn kernels() -> [&'static dyn PolynomialKernel; 6] {
+        [
+            &Uniform,
+            &Triangular,
+            &Epanechnikov,
+            &Quartic,
+            &Triweight,
+            &EpanechnikovConvolution,
+        ]
+    }
+
+    /// Runs `f` with this thread's cells on the full (untrimmed) Horners.
+    fn with_full_cell<T>(f: impl FnOnce() -> T) -> T {
+        REFERENCE_CELL.with(|r| r.set(true));
+        let out = f();
+        REFERENCE_CELL.with(|r| r.set(false));
+        out
+    }
+
+    /// Equal values, the same bits when nonzero; a NaN only against a NaN.
+    fn same_result(a: f64, b: f64) -> bool {
+        if a.is_nan() || b.is_nan() {
+            return a.is_nan() && b.is_nan();
+        }
+        a == b && (a == 0.0 || a.to_bits() == b.to_bits())
+    }
+
+    /// Compares the trimmed and full cell of the sorted sample `(xs, ys)`
+    /// (prefix layout: midrange-centred keys, one row per observation) on
+    /// every window `[lo, hi)` around every observation, at every inverse
+    /// bandwidth. An excluded cell (`den` NaN in either form) needs only
+    /// both `den`s NaN.
+    fn cells_agree<const W: usize>(
+        coeffs: &[f64],
+        xs: &[f64],
+        ys: &[f64],
+        inv_hs: &[f64],
+    ) -> std::result::Result<(), String> {
+        let n = xs.len();
+        let center = 0.5 * (xs[0] + xs[n - 1]);
+        let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
+        let rows = moment_rows::<W>(xc.iter().zip(ys).map(|(&v, &yv)| (v, 1.0, yv)));
+        let mut cell = LcCell::<W>::new(coeffs);
+        for si in 0..n {
+            cell.prepare(xc[si], &rows[si], &rows[si + 1]);
+            for lo in 0..=si {
+                for hi in si + 1..=n {
+                    for &inv_h in inv_hs {
+                        let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
+                        let (num_f, den_f) = cell.eval_full(inv_h, &rows[lo], &rows[hi]);
+                        let ctx = format!(
+                            "W={W} si={si} [{lo},{hi}) 1/h={inv_h:e}: \
+                             trimmed ({num:e}, {den:e}), full ({num_f:e}, {den_f:e})"
+                        );
+                        if !same_result(den, den_f) {
+                            return Err(format!("den differs: {ctx}"));
+                        }
+                        if !den.is_nan() && !same_result(num, num_f) {
+                            return Err(format!("num differs: {ctx}"));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn bits(p: &CvProfile) -> (Vec<u64>, Vec<usize>) {
+        (
+            p.scores.iter().map(|s| s.to_bits()).collect(),
+            p.included.clone(),
+        )
+    }
+
+    /// The prefix and incremental profiles of `(x, y)` are `to_bits`-equal
+    /// under the trimmed and the full cell, and every cell agrees.
+    fn trimmed_equals_full(
+        kernel: &'static dyn PolynomialKernel,
+        x: &[f64],
+        y: &[f64],
+        hs: &[f64],
+    ) -> std::result::Result<(), String> {
+        let name = kernel.name();
+        let prefix = || profile_in_blocks(x, y, hs, kernel, 1).unwrap();
+        if bits(&prefix()) != bits(&with_full_cell(prefix)) {
+            return Err(format!("{name}: prefix profile differs"));
+        }
+        let grid = crate::grid::BandwidthGrid::from_values(hs.to_vec()).unwrap();
+        let reselect = || {
+            let mut sel = IncrementalSelector::new(kernel, grid.clone());
+            for (&xi, &yi) in x.iter().zip(y) {
+                sel.insert(xi, yi).unwrap();
+            }
+            sel.reselect().unwrap()
+        };
+        if bits(&reselect()) != bits(&with_full_cell(reselect)) {
+            return Err(format!("{name}: incremental profile differs"));
+        }
+        let mut order: Vec<usize> = (0..x.len()).collect();
+        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
+        let xs: Vec<f64> = order.iter().map(|&i| x[i]).collect();
+        let ys: Vec<f64> = order.iter().map(|&i| y[i]).collect();
+        let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
+        let coeffs = kernel.coeffs();
+        dispatch_width!(coeffs, 0, cells_agree(coeffs, &xs, &ys, &inv_hs))
+            .unwrap()
+            .map_err(|e| format!("{name}: {e}"))
+    }
+
+    /// A sample of `n` observations in one of the layouts the exactness
+    /// argument has to survive, with its ascending bandwidths.
+    fn layout(kind: usize, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut hs = vec![0.02, 0.07, 0.15, 0.3, 0.6, 1.2];
+        let (x, y): (Vec<f64>, Vec<f64>) = match kind {
+            // Observations exactly at the midrange centre, on both zeros
+            // (x' = −0 for x = −0.0, x' = +0 for x = 0.0), and y = ±0.
+            0 => {
+                let mut x = vec![-1.0, 1.0, -0.0, 0.0];
+                let mut y = vec![0.0, -0.0, 0.0, 1.5];
+                for _ in 4..n {
+                    x.push(2.0 * rng.next_f64() - 1.0);
+                    y.push(if rng.next_f64() < 0.3 {
+                        0.0
+                    } else {
+                        rng.next_f64()
+                    });
+                }
+                (x, y)
+            }
+            // Every y zero.
+            1 => ((0..n).map(|_| rng.next_f64()).collect(), vec![0.0; n]),
+            // Duplicate keys on an eighth lattice.
+            2 => (0..n)
+                .map(|i| {
+                    let key = match i {
+                        0 | 1 => i as f64,
+                        _ => (rng.next_f64() * 9.0).floor() / 8.0,
+                    };
+                    (key, rng.next_f64() - 0.5)
+                })
+                .unzip(),
+            // The boundary-tie lattice: d/h lands exactly on the radius.
+            3 => {
+                hs = vec![0.125, 0.25, 0.5, 1.0];
+                (0..n)
+                    .map(|i| ((i % 5) as f64 * 0.25, [1.0, 2.0, -1.0, 0.5, 3.0][i % 5]))
+                    .unzip()
+            }
+            // Extreme scales: the moments under- or overflow at the top
+            // powers (|x'|^6 overflows above ~1e51), and a bandwidth below
+            // 2^-1024 has 1/h = +inf.
+            _ => {
+                let scale = [1e-150, 1e-40, 1e40, 1e60, 1e150][seed as usize % 5];
+                let x: Vec<f64> = (0..n).map(|_| scale * (1.0 + rng.next_f64())).collect();
+                let y: Vec<f64> = (0..n).map(|_| scale * rng.next_f64()).collect();
+                for h in &mut hs {
+                    *h *= scale;
+                }
+                hs.insert(0, 1e-310);
+                (x, y)
+            }
+        };
+        (x, y, hs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The trimmed cell returns the full cell's `num` and `den` (equal,
+        /// the same bits when nonzero) on every window, and both engines'
+        /// profiles are `to_bits`-equal under either cell, for all six
+        /// kernels.
+        #[test]
+        fn trimmed_cell_is_exact(kind in 0usize..5, n in 2usize..24, seed in 0u64..1_000_000) {
+            let (x, y, hs) = layout(kind, n, seed);
+            for kernel in kernels() {
+                let checked = trimmed_equals_full(kernel, &x, &y, &hs);
+                prop_assert!(checked.is_ok(), "layout {kind}, n = {n}, seed {seed}: {:?}", checked);
+            }
+        }
+    }
+
+    #[test]
+    fn odd_coefficients_decide_the_even_form() {
+        let even: Vec<bool> = kernels()
+            .iter()
+            .map(|k| dispatch_width!(k.coeffs(), 0, even_of(k.coeffs())).unwrap())
+            .collect();
+        assert_eq!(even, [true, false, true, true, true, false]);
+    }
+
+    fn even_of<const W: usize>(coeffs: &[f64]) -> bool {
+        LcCell::<W>::new(coeffs).even
     }
 }

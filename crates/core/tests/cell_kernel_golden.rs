@@ -3,9 +3,11 @@
 //! The prefix sweep and the incremental engine score every
 //! `(observation, bandwidth)` cell through one kernel (`cv::window`). Any
 //! restructuring of that kernel — row layout, loop fusion, width
-//! specialisation — must leave the floating-point operations and their
-//! order unchanged, so every score and `included` count stays
-//! `to_bits`-identical. Each case below hashes `scores[m].to_bits()` and
+//! specialisation, dropping terms that are exact zeros — must leave the
+//! result bits unchanged: every score and `included` count stays
+//! `to_bits`-identical. An operation that rounds may not be reordered; one
+//! whose result is exact may go (`cv::window` documents why its trimmed
+//! Horners qualify). Each case below hashes `scores[m].to_bits()` and
 //! `included[m]` over the whole profile and compares the hash with a
 //! constant recorded before the kernel was restructured.
 //!
