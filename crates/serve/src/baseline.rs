@@ -4,9 +4,13 @@
 //! [`SlidingWindowSelector::push`] — no queues, no batching, no
 //! coalescing, a re-selection at **every** cadence boundary.
 //!
-//! Close semantics match [`crate::BandwidthService`] exactly (final
-//! re-selection over the surviving window), so per-stream final bandwidths
-//! are directly comparable — the identity gate 18 asserts.
+//! Close always runs a final re-selection over the surviving window. That
+//! is the reference for [`crate::BandwidthService`]'s close, which returns
+//! the same optimum bit for bit but reuses it, without a re-selection,
+//! when no arrival changed the window since the last one. So per-stream
+//! final bandwidths are directly comparable — the identity gate 18
+//! asserts — and a stream whose last arrival fired a re-selection counts
+//! one more in `reselects` here than in the service.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -97,8 +101,8 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
         }
     }
 
-    /// Closes a stream: final re-selection over the surviving window, same
-    /// contract as the sharded service.
+    /// Closes a stream: final re-selection over the surviving window, the
+    /// optimum the sharded service's close returns.
     pub fn close(&self, stream: StreamId) -> Result<StreamOutcome> {
         let mut streams = self.streams.lock().expect("stream map poisoned");
         let state = streams

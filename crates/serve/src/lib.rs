@@ -33,7 +33,9 @@
 //!   pins this under 2/4/8 shards).
 //! * **Lifecycle** — streams are opened and closed explicitly
 //!   ([`BandwidthService::open`] / [`BandwidthService::close`], the latter
-//!   returning the stream's [`StreamReport`] after a final re-selection);
+//!   returning the stream's [`StreamReport`] after a final re-selection,
+//!   unless the window is unchanged since the last one, whose optimum is
+//!   then returned as it is);
 //!   [`BandwidthService::shutdown`] closes the queues, drains every
 //!   remaining request, closes surviving streams, and returns the merged
 //!   [`ServiceReport`].
@@ -237,14 +239,16 @@ pub fn merge_snapshots(snaps: &[Snapshot]) -> Snapshot {
 /// Per-stream outcome returned by a close (explicit or at shutdown).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
-    /// The stream's final optimum (a fresh re-selection over the surviving
-    /// window at close time), when the window held ≥ 2 observations.
+    /// The stream's final optimum (a re-selection over the surviving
+    /// window at close time, or the last one's optimum when no arrival
+    /// changed the window since), when the window held ≥ 2 observations.
     pub final_optimum: Option<CvOptimum>,
     /// Arrivals applied to the window.
     pub arrivals: u64,
     /// Arrivals rejected (non-finite `x`/`y`); the window was untouched.
     pub rejected: u64,
-    /// Re-selections performed (including the final one).
+    /// Re-selections performed, including a final one run at close (a
+    /// close that reuses an unchanged window's optimum runs none).
     pub reselects: u64,
     /// Every fired optimum in order, when optima logging was on.
     pub optima: Vec<CvOptimum>,

@@ -111,6 +111,11 @@ struct StreamState<K> {
     rejected: u64,
     reselects: u64,
     optima: Vec<CvOptimum>,
+    /// The selector's current optimum scores the window as it is: set by
+    /// a successful re-selection, cleared by every applied arrival and by
+    /// a failed re-selection. Close then returns that optimum instead of
+    /// scoring the same window again.
+    current_is_fresh: bool,
 }
 
 /// What a shard worker returns when it exits.
@@ -233,8 +238,10 @@ impl<K: PolynomialKernel + Clone + Send + 'static> BandwidthService<K> {
     }
 
     /// Closes a stream after all its queued arrivals: runs a final
-    /// re-selection over the surviving window, evicts the selector, and
-    /// returns the stream's report.
+    /// re-selection over the surviving window unless the window is
+    /// unchanged since the last one (then that optimum, bit for bit, is
+    /// the final one), evicts the selector, and returns the stream's
+    /// report.
     pub fn close(&self, stream: StreamId) -> Result<StreamReport> {
         let (_, shard) = self.shard(stream);
         let reply = OneShot::new();
@@ -420,6 +427,7 @@ fn process_stream_requests<K: PolynomialKernel + Clone>(
                             rejected: 0,
                             reselects: 0,
                             optima: Vec::new(),
+                            current_is_fresh: false,
                         });
                     })
                     .map_err(Into::into),
@@ -479,6 +487,7 @@ fn apply_burst<K: PolynomialKernel + Clone>(
                 match state.selector.push_deferred(*x, *y) {
                     Ok(due) => {
                         state.arrivals += 1;
+                        state.current_is_fresh = false;
                         if due {
                             if config.conflate {
                                 due_any = true;
@@ -509,7 +518,9 @@ fn apply_burst<K: PolynomialKernel + Clone>(
 
 fn fire_reselect<K: PolynomialKernel + Clone>(state: &mut StreamState<K>, config: &ServeConfig) {
     let _reselect = kcv_obs::phase("serve.reselect");
-    if let Ok(opt) = state.selector.reselect_now() {
+    let result = state.selector.reselect_now();
+    state.current_is_fresh = result.is_ok();
+    if let Ok(opt) = result {
         state.reselects += 1;
         if config.log_optima {
             state.optima.push(opt);
@@ -518,13 +529,20 @@ fn fire_reselect<K: PolynomialKernel + Clone>(state: &mut StreamState<K>, config
 }
 
 /// Close semantics shared by explicit close and shutdown: a final
-/// re-selection over the surviving window (when ≥ 2 observations live),
-/// then the counters roll up into the outcome.
+/// re-selection over the surviving window (when ≥ 2 observations live)
+/// unless the window is unchanged since the last one, whose optimum is
+/// then the final one; then the counters roll up into the outcome.
+///
+/// Reusing that optimum returns the bits a re-selection would: the pool
+/// and the sweep over it are the same, and the sweep is deterministic.
+/// Only re-selections actually run count in `reselects`.
 fn close_state<K: PolynomialKernel + Clone>(
     mut state: StreamState<K>,
     _config: &ServeConfig,
 ) -> StreamOutcome {
-    let final_optimum = if state.selector.len() >= 2 {
+    let final_optimum = if state.current_is_fresh {
+        state.selector.current()
+    } else if state.selector.len() >= 2 {
         let _reselect = kcv_obs::phase("serve.reselect");
         match state.selector.reselect_now() {
             Ok(opt) => {
@@ -578,9 +596,9 @@ mod tests {
         assert_eq!(report.stream, 7);
         assert_eq!(report.outcome.arrivals, 80);
         assert_eq!(report.outcome.rejected, 0);
-        // 80 arrivals at cadence 16 → 5 cadence firings plus the final
-        // close re-selection.
-        assert_eq!(report.outcome.reselects, 6);
+        // 80 arrivals at cadence 16 → 5 cadence firings; the fifth scored
+        // the final window, so close reuses its optimum.
+        assert_eq!(report.outcome.reselects, 5);
         assert_eq!(report.outcome.optima.len(), 5);
         assert!(report.outcome.final_optimum.is_some());
         assert!(matches!(
@@ -590,6 +608,163 @@ mod tests {
         let report = service.shutdown();
         assert!(report.streams.is_empty());
         assert_eq!(report.unknown_arrivals, 0);
+    }
+
+    /// The optimum a sequential replay of `points` re-selects at close.
+    fn replayed_close(points: &[(f64, f64)], window: usize, cadence: usize) -> CvOptimum {
+        let mut replay = SlidingWindowSelector::new(Epanechnikov, grid(), window, cadence).unwrap();
+        for &(x, y) in points {
+            replay.push(x, y).unwrap();
+        }
+        replay.reselect_now().unwrap()
+    }
+
+    fn paper_points(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| {
+                let x = rng.next_f64();
+                (x, 0.5 * x + 10.0 * x * x + 0.5 * rng.next_f64())
+            })
+            .collect()
+    }
+
+    fn assert_same_optimum(a: &CvOptimum, b: &CvOptimum) {
+        assert_eq!(a.index, b.index);
+        assert_eq!(a.bandwidth.to_bits(), b.bandwidth.to_bits());
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+        assert_eq!(a.included, b.included);
+    }
+
+    /// Sends `points` to a fresh one-stream service and closes the stream.
+    fn close_after(points: &[(f64, f64)], config: ServeConfig) -> StreamOutcome {
+        let service = BandwidthService::new(Epanechnikov, grid(), config).unwrap();
+        service.open(1).unwrap();
+        for &(x, y) in points {
+            service.send_blocking(1, x, y).unwrap();
+        }
+        service.close(1).unwrap().outcome
+    }
+
+    #[test]
+    fn close_after_a_due_reselection_reuses_its_optimum() {
+        let config = ServeConfig {
+            conflate: false,
+            ..ServeConfig::new(1, 48, 16)
+        };
+        // 64 arrivals end on the fourth cadence boundary.
+        let points = paper_points(64, 44);
+        let outcome = close_after(&points, config);
+        assert_eq!(outcome.reselects, 4, "no re-selection beyond the cadence");
+        assert_same_optimum(
+            &outcome.final_optimum.unwrap(),
+            &replayed_close(&points, 48, 16),
+        );
+    }
+
+    #[test]
+    fn close_after_off_cadence_arrivals_reselects() {
+        let config = ServeConfig {
+            conflate: false,
+            ..ServeConfig::new(1, 48, 16)
+        };
+        let points = paper_points(70, 45);
+        let outcome = close_after(&points, config);
+        assert_eq!(outcome.reselects, 5, "four cadence firings and the close");
+        assert_same_optimum(
+            &outcome.final_optimum.unwrap(),
+            &replayed_close(&points, 48, 16),
+        );
+    }
+
+    /// Epanechnikov whose polynomial reads as degree 8 — above the
+    /// engines' cap, so every re-selection fails — while `fail` is set.
+    #[derive(Debug, Clone)]
+    struct Flaky {
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl kcv_core::kernels::Kernel for Flaky {
+        fn eval(&self, u: f64) -> f64 {
+            Epanechnikov.eval(u)
+        }
+        fn support(&self) -> Option<f64> {
+            Some(1.0)
+        }
+        fn roughness(&self) -> f64 {
+            Epanechnikov.roughness()
+        }
+        fn second_moment(&self) -> f64 {
+            Epanechnikov.second_moment()
+        }
+        fn name(&self) -> &'static str {
+            "flaky-epanechnikov"
+        }
+    }
+
+    impl PolynomialKernel for Flaky {
+        fn coeffs(&self) -> &'static [f64] {
+            if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
+                &[0.75, 0.0, -0.75, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+            } else {
+                Epanechnikov.coeffs()
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_reselection_is_never_reused() {
+        use kcv_core::kernels::Kernel;
+        use std::sync::atomic::Ordering;
+
+        let config = ServeConfig {
+            conflate: false,
+            ..ServeConfig::new(1, 48, 16)
+        };
+        let kernel = Flaky {
+            fail: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+        };
+        let mut state = StreamState {
+            selector: SlidingWindowSelector::new(kernel.clone(), grid(), 48, 16).unwrap(),
+            arrivals: 0,
+            rejected: 0,
+            reselects: 0,
+            optima: Vec::new(),
+            current_is_fresh: false,
+        };
+        let points = paper_points(32, 46);
+        let apply = |state: &mut StreamState<Flaky>, points: &[(f64, f64)]| {
+            let burst: Vec<Request> = points
+                .iter()
+                .map(|&(x, y)| Request::Arrival {
+                    stream: 1,
+                    x,
+                    y,
+                    enqueued: Instant::now(),
+                })
+                .collect();
+            apply_burst(&burst, Some(state), &mut Vec::new(), &mut 0, &config);
+        };
+        apply(&mut state, &points[..16]);
+        assert_eq!(state.reselects, 1);
+        assert!(state.current_is_fresh);
+        // The second boundary's re-selection fails: nothing is recorded,
+        // although the selector still holds the first one's optimum.
+        kernel.fail.store(true, Ordering::Relaxed);
+        apply(&mut state, &points[16..]);
+        assert_eq!(state.reselects, 1);
+        assert!(!state.current_is_fresh);
+        assert!(state.selector.current().is_some());
+        // So close scores the window again instead of returning that
+        // stale optimum.
+        kernel.fail.store(false, Ordering::Relaxed);
+        let outcome = close_state(state, &config);
+        assert_eq!(outcome.reselects, 2);
+        assert_eq!(kernel.name(), "flaky-epanechnikov");
+        assert_same_optimum(
+            &outcome.final_optimum.unwrap(),
+            &replayed_close(&points, 48, 16),
+        );
     }
 
     #[test]
