@@ -413,38 +413,32 @@ impl<const W: usize> LcCell<W> {
             return (f64::NAN, f64::NAN);
         }
         if self.even {
-            self.eval_even(inv_h, row_lo, row_hi)
+            self.eval_trimmed::<true>(inv_h, row_lo, row_hi)
         } else {
-            self.eval_general(inv_h, row_lo, row_hi)
+            self.eval_trimmed::<false>(inv_h, row_lo, row_hi)
         }
     }
 
-    /// [`eval`](Self::eval) for an even polynomial: one Horner per moment
-    /// serves both sides.
+    /// [`eval`](Self::eval) over the trimmed Horners: for an `EVEN`
+    /// polynomial one Horner per moment serves both sides, otherwise the
+    /// left side is the right polynomial at `−1/h`.
     #[inline(always)]
-    fn eval_even(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+    fn eval_trimmed<const EVEN: bool>(
+        &self,
+        inv_h: f64,
+        row_lo: &Row<W>,
+        row_hi: &Row<W>,
+    ) -> (f64, f64) {
         let (sl, sr) = (&self.self_left, &self.self_right);
         let mut num = 0.0;
         let mut den = 0.0;
         for m in 0..W {
-            let a = trimmed_horner(&self.right[m], m, inv_h, true);
-            den += a * (row_hi.p[m] - sr.p[m]) + a * (sl.p[m] - row_lo.p[m]);
-            num += a * (row_hi.q[m] - sr.q[m]) + a * (sl.q[m] - row_lo.q[m]);
-        }
-        (num, den)
-    }
-
-    /// [`eval`](Self::eval) for a polynomial with odd terms: the left side
-    /// is the right polynomial at `−1/h`.
-    #[inline(always)]
-    fn eval_general(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
-        let (sl, sr) = (&self.self_left, &self.self_right);
-        let neg_inv_h = -inv_h;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for m in 0..W {
-            let ar = trimmed_horner(&self.right[m], m, inv_h, false);
-            let al = trimmed_horner(&self.right[m], m, neg_inv_h, false);
+            let ar = trimmed_horner(&self.right[m], m, inv_h, EVEN);
+            let al = if EVEN {
+                ar
+            } else {
+                trimmed_horner(&self.right[m], m, -inv_h, false)
+            };
             den += ar * (row_hi.p[m] - sr.p[m]) + al * (sl.p[m] - row_lo.p[m]);
             num += ar * (row_hi.q[m] - sr.q[m]) + al * (sl.q[m] - row_lo.q[m]);
         }
@@ -453,7 +447,7 @@ impl<const W: usize> LcCell<W> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::cv::prefix::profile_in_blocks;
     use crate::cv::{CvProfile, IncrementalSelector};
@@ -467,7 +461,7 @@ pub(crate) mod tests {
 
     thread_local! {
         /// Routes this thread's [`LcCell::eval`] calls to [`LcCell::eval_full`].
-        pub(crate) static REFERENCE_CELL: Cell<bool> = const { Cell::new(false) };
+        pub(super) static REFERENCE_CELL: Cell<bool> = const { Cell::new(false) };
     }
 
     impl<const W: usize> LcCell<W> {
@@ -475,7 +469,7 @@ pub(crate) mod tests {
         /// side over every coefficient, `j < m` zeros and the leading
         /// `0·(1/h)` included, the left side over its own sign-flipped
         /// table `left[m][j] = (−1)^j·right[m][j]`.
-        pub(crate) fn eval_full(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+        pub(super) fn eval_full(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
             let mut left = self.right;
             for (m, row) in left.iter_mut().enumerate() {
                 for (j, b) in row.iter_mut().enumerate().skip(m) {

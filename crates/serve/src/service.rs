@@ -714,7 +714,6 @@ mod tests {
 
     #[test]
     fn a_failed_reselection_is_never_reused() {
-        use kcv_core::kernels::Kernel;
         use std::sync::atomic::Ordering;
 
         let config = ServeConfig {
@@ -760,7 +759,6 @@ mod tests {
         kernel.fail.store(false, Ordering::Relaxed);
         let outcome = close_state(state, &config);
         assert_eq!(outcome.reselects, 2);
-        assert_eq!(kernel.name(), "flaky-epanechnikov");
         assert_same_optimum(
             &outcome.final_optimum.unwrap(),
             &replayed_close(&points, 48, 16),
