@@ -256,7 +256,8 @@ pub struct ServingInfo {
     /// replay uses the blocking send for lossless delivery).
     pub shed_requests: u64,
     /// Service-side re-selections summed over the per-stream outcomes
-    /// (counted by the workers themselves, so live without metrics).
+    /// (counted by the workers themselves, so live without metrics); a
+    /// close that reuses an unchanged window's optimum adds none.
     pub reselects: u64,
     /// Baseline re-selections summed over its per-stream outcomes — one
     /// per cadence boundary per stream, plus each close.
