@@ -19,7 +19,9 @@
 //! (`_par` entry points of the other engines) are not pinned: their
 //! reduction order depends on the core count.
 
-use kcv_core::cv::{cv_profile_prefix, cv_profile_prefix_ll, CvProfile, IncrementalSelector};
+use kcv_core::cv::{
+    cv_profile_prefix, cv_profile_prefix_ll, CvProfile, IncrementalSelector, SlidingWindowSelector,
+};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{
     Epanechnikov, EpanechnikovConvolution, PolynomialKernel, Quartic, Triangular, Triweight,
@@ -79,11 +81,19 @@ const SIZES: [usize; 2] = [50, 2000];
 const SEEDS: [u64; 2] = [7, 1013];
 
 /// Fingerprints of the current arithmetic — the prefix ones recorded
-/// before the cell kernel was specialised on kernel width, the incremental
-/// ones when its table became one prefix pass over the key pool; a
-/// mismatch means some score or count changed bits.
+/// before the cell kernel was specialised on kernel width, the
+/// `incremental/*` ones when its table became one prefix pass over the
+/// sorted keys, the signed-zero and sliding-window ones before the engine
+/// stopped keeping a sorted copy of its sample; a mismatch means some
+/// score or count changed bits.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
+    ("incremental-signed-zero/epanechnikov", 0x20ae08c38f64aaaf),
+    ("incremental-signed-zero/epanechnikov-convolution", 0xc0ffd979d68ea400),
+    ("incremental-signed-zero/quartic", 0x86746f8e856c3e06),
+    ("incremental-signed-zero/triangular", 0x8c7fd806ab6753a0),
+    ("incremental-signed-zero/triweight", 0x83fc4bcabe24c581),
+    ("incremental-signed-zero/uniform", 0x67706147afbf62b6),
     ("incremental/epanechnikov", 0x404aae33b4eaa7ae),
     ("incremental/epanechnikov-convolution", 0x88a641d48ad607d6),
     ("incremental/quartic", 0x5279f819330c117f),
@@ -138,6 +148,12 @@ const GOLDEN: &[(&str, u64)] = &[
     ("prefix_ll/uniform/n2000/s7", 0x16b5a6fcf82c58b4),
     ("prefix_ll/uniform/n50/s1013", 0xe5c0cdbe3ed933ab),
     ("prefix_ll/uniform/n50/s7", 0x5c577ae20a4849b1),
+    ("sliding-window/epanechnikov", 0x6f4476e0e9c27299),
+    ("sliding-window/epanechnikov-convolution", 0x7e8ce9b6cfd253a7),
+    ("sliding-window/quartic", 0xedf964339dac5ce4),
+    ("sliding-window/triangular", 0x620ae4eba1e4c3c3),
+    ("sliding-window/triweight", 0xcda5ac189a8602d8),
+    ("sliding-window/uniform", 0x95c027c59cfeeb4c),
 ];
 
 fn golden(case: &str) -> Option<u64> {
@@ -232,6 +248,104 @@ fn incremental_reselects_match_their_fingerprints() {
         }
         h.profile(&sel.reselect().unwrap());
         cases.push((format!("incremental/{kname}"), h.0));
+    }
+    check(cases);
+}
+
+/// A scripted stream over signed zeros: `+0.0` and `−0.0` keys compare
+/// equal, so they share one key of the sorted order, and `−0.0` responses
+/// sit among the others. Removals first leave only the `−0.0`
+/// observations at the zero key, then empty it; a `−0.0` arrival makes it
+/// live again, and a `+0.0` query then removes that arrival so only a
+/// `+0.0` observation stays.
+#[test]
+fn incremental_signed_zero_reselects_match_their_fingerprints() {
+    let mut rng = SplitMix64::new(31);
+    let obs: Vec<(f64, f64)> = (0..160)
+        .map(|i| {
+            let key = match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => ((i % 16) as f64 - 8.0) / 8.0,
+                _ => 2.0 * rng.next_f64() - 1.0,
+            };
+            let y = if i % 7 == 0 {
+                -0.0
+            } else {
+                key * key + 0.5 * rng.next_f64()
+            };
+            (key, y)
+        })
+        .collect();
+    let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
+    let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
+    let zeros = |sign: f64| {
+        obs.iter()
+            .filter(move |&&(k, _)| k == 0.0 && k.is_sign_negative() == (sign < 0.0))
+            .copied()
+    };
+    let mut cases = Vec::new();
+    for (kname, kernel) in kernels() {
+        let mut sel = IncrementalSelector::new(kernel, grid.clone());
+        for &(xi, yi) in &obs {
+            sel.insert(xi, yi).unwrap();
+        }
+        let mut h = Fnv::new();
+        h.profile(&sel.reselect().unwrap());
+        // Only the −0.0 observations stay at the zero key.
+        for (xi, yi) in zeros(1.0) {
+            assert!(sel.remove(xi, yi));
+        }
+        h.profile(&sel.reselect().unwrap());
+        // The zero key empties, then a −0.0 arrival with a −0.0 response
+        // and a +0.0 one make it live again.
+        for (xi, yi) in zeros(-1.0) {
+            assert!(sel.remove(xi, yi));
+        }
+        h.profile(&sel.reselect().unwrap());
+        sel.insert(-0.0, -0.0).unwrap();
+        sel.insert(0.0, 0.75).unwrap();
+        h.profile(&sel.reselect().unwrap());
+        // A +0.0 query removes the −0.0 arrival: both zeros compare
+        // equal, so the earliest match leaves and only +0.0 stays.
+        assert!(sel.remove(0.0, 0.0));
+        assert!(!sel.remove(0.0, 0.0));
+        h.profile(&sel.reselect().unwrap());
+        cases.push((format!("incremental-signed-zero/{kname}"), h.0));
+    }
+    check(cases);
+}
+
+/// A sliding window over lattice keys held several times each in every
+/// window, with continuous keys between them: every fired optimum (index,
+/// bandwidth, score, included) is hashed.
+#[test]
+fn sliding_window_replays_match_their_fingerprints() {
+    let mut rng = SplitMix64::new(37);
+    let obs: Vec<(f64, f64)> = (0..600)
+        .map(|i| {
+            let key = if i % 4 == 0 {
+                rng.next_f64()
+            } else {
+                (i % 24) as f64 / 24.0
+            };
+            (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
+        })
+        .collect();
+    let grid = BandwidthGrid::log(0.005, 0.5, 40).unwrap();
+    let mut cases = Vec::new();
+    for (kname, kernel) in kernels() {
+        let mut win = SlidingWindowSelector::new(kernel, grid.clone(), 96, 16).unwrap();
+        let mut h = Fnv::new();
+        for &(xi, yi) in &obs {
+            if let Some(opt) = win.push(xi, yi).unwrap() {
+                h.word(opt.index as u64);
+                h.word(opt.bandwidth.to_bits());
+                h.word(opt.score.to_bits());
+                h.word(opt.included as u64);
+            }
+        }
+        cases.push((format!("sliding-window/{kname}"), h.0));
     }
     check(cases);
 }
