@@ -8,12 +8,14 @@
 //! `prefix_by_kernel` group times the prefix sweep once per shipped
 //! kernel, and `incremental_by_kernel` one incremental re-selection per
 //! kernel at the serving shape, so every kernel width the shared cell
-//! kernel is compiled for is measured in both engines.
+//! kernel is compiled for is measured in both engines. `sliding_window`
+//! times one cadence period of a full sliding window (pushes plus one
+//! re-selection) from the serving shape up to W = 10⁵.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcv_core::cv::{
     cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par,
-    IncrementalSelector,
+    IncrementalSelector, SlidingWindowSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{
@@ -107,6 +109,42 @@ fn bench_strategies(c: &mut Criterion) {
         }
         group.bench_function(kernel.name(), |b| {
             b.iter(|| black_box(sel.reselect().unwrap()))
+        });
+    }
+    group.finish();
+
+    // A sliding window's steady state, one cadence period per iteration:
+    // `cadence` pushes into a full window, the last of which re-selects
+    // (evictions, the re-selection's sort and its sweep). The shapes are
+    // the serving window (512, 32), the streaming replay's (10⁴, 64) and a
+    // window ten times larger (10⁵, 10³), on the log grid k = 64.
+    let mut group = c.benchmark_group("sliding_window");
+    group.sample_size(10);
+    let grid = BandwidthGrid::log(1e-3, 0.3, 64).unwrap();
+    for (w, cadence) in [(512usize, 32usize), (10_000, 64), (100_000, 1_000)] {
+        // 2W arrivals, replayed cyclically: W consecutive ones are distinct.
+        let s = PaperDgp.sample(2 * w, 47);
+        let mut arrivals = s.x.iter().copied().zip(s.y.iter().copied()).cycle();
+        let mut win = SlidingWindowSelector::new(Epanechnikov, grid.clone(), w, cadence).unwrap();
+        // Fill the window, then push until the cadence fires so every
+        // iteration ends on its re-selection.
+        for (x, y) in arrivals.by_ref().take(w) {
+            win.push(x, y).unwrap();
+        }
+        for (x, y) in arrivals.by_ref() {
+            if win.push(x, y).unwrap().is_some() {
+                break;
+            }
+        }
+        let id = BenchmarkId::new(format!("w{w}"), format!("c{cadence}"));
+        group.bench_with_input(id, &w, |b, _| {
+            b.iter(|| {
+                let mut fired = None;
+                for (x, y) in arrivals.by_ref().take(cadence) {
+                    fired = win.push(x, y).unwrap();
+                }
+                fired.expect("the cadence fires once per period")
+            })
         });
     }
     group.finish();

@@ -58,9 +58,10 @@
 //!     streaming engine must fail here, not pass by absence;
 //! 14. the streaming replay never evaluates the kernel and the moment-table
 //!     rows its re-selections write (the `tree_updates` counter, one per
-//!     key-pool slot per re-selection) stay within `(inserts + removes) ·
-//!     ceil(log2 W) · (deg + 3)` — every re-selection is answered from one
-//!     compensated prefix pass over the key pool, never a neighbour visit,
+//!     distinct window key per re-selection) stay within `(inserts +
+//!     removes) · ceil(log2 W) · (deg + 3)` — every re-selection is
+//!     answered from one compensated prefix pass over the sorted window,
+//!     never a neighbour visit,
 //!     and re-selecting on (nearly) every arrival would exceed the budget;
 //! 15. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth

@@ -183,7 +183,7 @@ pub struct MultiInfo {
 
 /// The streaming replay's settings and measurements (schema v6): one
 /// sliding-window pass of the report's paper-DGP sample through the
-/// incremental key-pool engine, next to the sampled-and-extrapolated
+/// incremental engine, next to the sampled-and-extrapolated
 /// recompute-from-scratch baseline (see the module-level schema notes for
 /// the sampling policy).
 #[derive(Debug, Clone, PartialEq)]
@@ -194,7 +194,7 @@ pub struct StreamingInfo {
     pub window: usize,
     /// Re-selection cadence in arrivals.
     pub cadence: usize,
-    /// `insert` operations applied to the key pool (= arrivals).
+    /// `insert` operations applied to the window (= arrivals).
     pub inserts: u64,
     /// `remove` operations applied (evictions: `arrivals − window` once the
     /// window fills).
@@ -202,8 +202,8 @@ pub struct StreamingInfo {
     /// Completed `reselect()` passes (cadence-triggered plus the forced
     /// final one), from the `reselects` counter.
     pub reselects: u64,
-    /// Moment-table rows the re-selections wrote (one per key-pool slot
-    /// per `reselect`), from the `tree_updates` counter. Perf gate 14
+    /// Moment-table rows the re-selections wrote (one per distinct key of
+    /// the window per `reselect`), from the `tree_updates` counter. Perf gate 14
     /// holds this under `(inserts+removes)·⌈log₂ window⌉·(deg+3)`.
     pub tree_updates: u64,
     /// Kernel evaluations spent by the whole replay — pinned to zero by
@@ -437,9 +437,8 @@ fn decimals(values: &[f64]) -> String {
 ///
 /// The window is `max(n/4, 64)` (capped at `n`) and the re-selection
 /// cadence is 64 arrivals: one incremental `reselect` costs about one
-/// fresh prefix profile on the same window (both run the same cell kernel;
-/// the reselect builds its flat table in one `O(W)` pass over the key
-/// pool where the fresh run sorts), so the amortised win over the
+/// fresh prefix profile on the same window (both sort the window and run
+/// the same cell kernel), so the amortised win over the
 /// recompute-every-arrival policy grows roughly linearly in the cadence —
 /// comfortably past perf gate 15's 10× at cadence 64.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {

@@ -31,18 +31,25 @@ use super::CvProfile;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Cells (`n·k`) below which a bandwidth-split profile stays on the calling
-/// thread: under it, starting the block workers costs more than the second
-/// core saves. Picked by measurement of the prefix engine on a 2-core host
-/// (EXPERIMENTS.md SPLIT); a naive cell costs `n` kernel evaluations, so
-/// the naive engine clears it with room to spare.
+/// Cells (`n·k`) below which a bandwidth-split prefix profile stays on the
+/// calling thread: under it, starting the block workers costs more than
+/// the second core saves. Picked by measurement of the prefix engine on a
+/// 2-core host (EXPERIMENTS.md SPLIT). The naive engine, whose cell costs
+/// `n − 1` kernel evaluations, has its own threshold in evaluations.
 pub(crate) const SPLIT_MIN_CELLS: usize = 65_536;
 
-/// The number of bandwidth blocks a profile of `n` observations over `k`
-/// bandwidths runs in: one below [`SPLIT_MIN_CELLS`], else one per
-/// available core, at most `k`.
+/// The number of bandwidth blocks a prefix profile of `n` observations
+/// over `k` bandwidths runs in: [`blocks_for`] its `n·k` cells against
+/// [`SPLIT_MIN_CELLS`].
 pub(crate) fn block_count(n: usize, k: usize) -> usize {
-    if n.saturating_mul(k) < SPLIT_MIN_CELLS {
+    blocks_for(n.saturating_mul(k), SPLIT_MIN_CELLS, k)
+}
+
+/// The number of bandwidth blocks a profile of `work` units over `k`
+/// bandwidths runs in: one below `min_work`, else one per available core,
+/// at most `k`.
+pub(crate) fn blocks_for(work: usize, min_work: usize, k: usize) -> usize {
+    if work < min_work {
         return 1;
     }
     std::thread::available_parallelism()

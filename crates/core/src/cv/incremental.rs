@@ -1,272 +1,132 @@
 //! Incremental prefix-moment CV — the streaming engine.
 //!
 //! [`super::prefix`] answers every `(observation, bandwidth)` cell from
-//! global prefix sums of centred moments over the sorted sample. This
-//! module keeps the sample itself *dynamic* — a sorted **key pool** that
-//! observations enter and leave one at a time — and rebuilds those prefix
-//! sums only when a re-selection asks for them:
+//! global prefix sums of moments over the sorted sample. This module keeps
+//! the sample as it arrives — one deque of live observations in arrival
+//! order — and sorts it only when a re-selection asks for those prefix
+//! sums, the way the paper's program sorts and then sweeps:
 //!
-//! * [`IncrementalSelector::insert`] / [`IncrementalSelector::remove`] are
-//!   a binary search plus a `Vec` edit — no moments are touched;
-//! * [`IncrementalSelector::reselect`] builds a flat slot table in one
-//!   linear compensated pass over the pool — the same row builder the
-//!   prefix sweep runs (`cv::window::moment_rows`), each slot adding
-//!   `cnt·x'^m` and `(Σy)·x'^m` — and then answers every cell with the
-//!   prefix sweep's own cell kernel (`cv::window`): per-bandwidth window
-//!   cursors on the **original** sorted keys with the bit-identical
-//!   `d·(1/h) ≤ r` support predicate, and the precombined kernel
-//!   polynomial against table rows, plus the closed-form duplicate-key
-//!   term. Zero kernel evaluations, like the prefix sweep.
+//! * [`IncrementalSelector::insert`] is a `push_back`, `O(1)`;
+//! * [`IncrementalSelector::remove`] deletes the earliest matching
+//!   arrival: `O(1)` for the oldest observation (a sliding window's
+//!   eviction), `O(n)` for any other;
+//! * [`IncrementalSelector::reselect`] makes a stable sort of a copy of the
+//!   sample by key, `O(n log n)`. Equal keys form one *slot*, holding their
+//!   `y` values in arrival order. One linear compensated pass over the
+//!   slots builds a flat table — the same row builder the prefix sweep runs
+//!   (`cv::window::moment_rows`), each slot adding `cnt·x^m` and
+//!   `(Σy)·x^m`. The prefix sweep's own cell kernel (`cv::window`) then
+//!   answers every cell: per-bandwidth window cursors on the distinct keys
+//!   with the bit-identical `d·(1/h) ≤ r` support predicate, the
+//!   precombined kernel polynomial against table rows, plus the closed-form
+//!   duplicate-key term. `O(n log n + n·(deg+1) + k·n·deg²)` in all, and
+//!   zero kernel evaluations, like the prefix sweep.
 //!
-//! ## The key pool and amortised folding
-//!
-//! A stream of continuous regressors presents previously unseen keys that
-//! belong in the middle of the sorted order. The engine therefore keeps a
-//! **pool** of sorted distinct keys (duplicate `x` values share one slot,
-//! holding the slot's live `y` values) plus a small sorted **pending** run
-//! of not-yet-pooled arrivals:
-//!
-//! * inserting an existing pool key (or removing any pooled observation)
-//!   edits that slot's `y` list in place — removals never restructure the
-//!   pool, they may only leave a *dead* (empty) slot behind;
-//! * inserting a brand-new key goes into the pending run (`O(log n)`
-//!   compares); pending runs **fold** into the pool — one `O(n)` merge that
-//!   also compacts dead slots — when the run outgrows `max(64, slots/8)` or
-//!   at the next `reselect()`, so folding is amortised `O(1)` moves per
-//!   arrival and never changes `reselect`'s complexity.
-//!
-//! Every table row the re-selection writes (one per pooled slot) counts
-//! into the `tree_updates` counter; perf gate 14 holds the total under
+//! Every table row the re-selection writes (one per slot) counts into the
+//! `tree_updates` counter; perf gate 14 holds the total under
 //! `(inserts + removes)·⌈log₂ W⌉·(deg + 3)` for the streaming replay.
 //!
 //! ## Agreement with the fresh prefix sweep
 //!
 //! Support classification is bit-identical to [`super::prefix`] by
-//! construction: the support predicate runs on the original keys, dead
-//! slots add nothing to the table (their rows repeat the previous one),
-//! and the `m = 0` moments sum integer counts, which compensated summation
-//! holds exactly, so a side whose live count is zero contributes
-//! exactly-zero moments just as an empty prefix range does. Duplicate-key
-//! neighbours are folded in closed form (`(x_l − x_i)^j = 0` for `j > 0`),
-//! so only the *scores* differ from a fresh
-//! [`super::prefix::cv_profile_prefix`] run — by grouping duplicates into
-//! one slot and by the centring shift — while the selected bandwidth
-//! matches bit-for-bit (`crates/core/tests/incremental_agreement.rs` pins
-//! this over random interleaved insert/remove sequences, duplicate keys,
-//! and boundary-tie lattices for every polynomial kernel). On distinct
-//! keys centred at the sample midrange a single-observation slot performs
-//! exactly the prefix pass's operations, so the whole profile matches a
-//! fresh run `to_bits`. The table depends only on the live `y` values at
-//! each key, not on the insert/remove history, so dead slots and shrunken
-//! duplicate slots re-select `to_bits`-identically to a fresh selector fed
-//! only the survivors in their arrival order.
-//!
-//! One intentional difference: the centring shift is **fixed at
-//! construction** ([`IncrementalSelector::with_center`]) instead of the
-//! sample midrange, which a stream cannot know in advance. Centring only
-//! affects score rounding, never the support classification.
+//! construction: the support predicate runs on the original keys, and the
+//! `m = 0` moments sum integer counts, which compensated summation holds
+//! exactly. Duplicate-key neighbours are folded in closed form
+//! (`(x_l − x_i)^j = 0` for `j > 0`), so only the *scores* differ from a
+//! fresh [`super::prefix::cv_profile_prefix`] run, for two reasons. Duplicates
+//! are grouped into one slot. And the moments are taken about `0.0`, where
+//! the prefix sweep centres at the sample midrange, which a stream cannot
+//! know in advance; centring affects score rounding, never the support
+//! classification. The selected bandwidth matches bit-for-bit
+//! (`crates/core/tests/incremental_agreement.rs` pins this over random
+//! interleaved insert/remove sequences, duplicate keys, and boundary-tie
+//! lattices for every polynomial kernel). On distinct keys whose midrange
+//! is exactly `0.0` a single-observation slot performs exactly the prefix
+//! pass's operations, so the whole profile matches a fresh run `to_bits`.
+//! The table depends only on the live observations in arrival order, not
+//! on the insert/remove history, so a selector after removals re-selects
+//! `to_bits`-identically to a fresh selector fed only the survivors in
+//! their arrival order.
 //!
 //! [`SlidingWindowSelector`] wraps the engine for the streaming use case:
 //! capacity `W`, evict-oldest, and a configurable re-selection cadence that
-//! amortises one `O(W·(deg+1) + k·W·deg²)` re-selection across many
-//! `O(log W)`-search arrivals — the `streaming` bench binary measures the
+//! amortises one `O(W log W + W·(deg+1) + k·W·deg²)` re-selection across
+//! many `O(1)` arrivals — the `streaming` bench binary measures the
 //! resulting throughput against recompute-from-scratch per arrival.
 
 use std::collections::VecDeque;
 
-use super::window::{dispatch_width, moment_rows, with_sentinels, LcCell, Row, WindowCursors};
+use super::window::{dispatch_width, moment_rows, with_sentinels, LcCell, WindowCursors};
 use super::{CvOptimum, CvProfile};
 use crate::error::{Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::util::NeumaierSum;
 
+/// Rejects a non-finite `x` or `y` with [`Error::NonFiniteData`].
+fn check_finite(x: f64, y: f64) -> Result<()> {
+    for (which, v) in [("x", x), ("y", y)] {
+        if !v.is_finite() {
+            return Err(Error::NonFiniteData { which, index: 0 });
+        }
+    }
+    Ok(())
+}
+
 /// The compensated sum of one slot's `y` values.
-fn slot_sum(ys: &[f64]) -> f64 {
+fn slot_sum(slot: &[(f64, f64)]) -> f64 {
     let mut sum = NeumaierSum::new();
-    for &v in ys {
-        sum.add(v);
+    for &(_, y) in slot {
+        sum.add(y);
     }
     sum.value()
 }
 
-/// The kernel-independent state of an [`IncrementalSelector`]: the key
-/// pool and the pending run (see the module docs). Kept apart from the
-/// kernel type so the width-generic re-selection sweep ([`reselect_pool`])
-/// compiles once per kernel width, not once per kernel.
-#[derive(Debug, Clone, Default)]
-struct KeyPool {
-    center: f64,
-    /// Sorted distinct pooled keys (may include dead slots).
-    keys: Vec<f64>,
-    /// Live `y` values per pooled slot, parallel to `keys`, in arrival
-    /// order. A slot with an empty list is *dead*: still in the pool,
-    /// adding nothing to the table.
-    ys: Vec<Vec<f64>>,
-    /// Number of dead slots currently in the pool.
-    dead_slots: usize,
-    /// Sorted (by key, then arrival) run of inserts whose keys are not yet
-    /// pooled.
-    pending: Vec<(f64, f64)>,
-    /// Total live observations (pooled + pending).
-    live_obs: usize,
-}
-
-impl KeyPool {
-    /// Pool slot of `x`, if pooled (live or dead).
-    fn pool_slot(&self, x: f64) -> Option<usize> {
-        let s = self.keys.partition_point(|&k| k < x);
-        (s < self.keys.len() && self.keys[s] == x).then_some(s)
-    }
-
-    /// Inserts one validated observation (see
-    /// [`IncrementalSelector::insert`]).
-    fn insert(&mut self, x: f64, y: f64) {
-        if let Some(s) = self.pool_slot(x) {
-            if self.ys[s].is_empty() {
-                self.dead_slots -= 1;
-            }
-            self.ys[s].push(y);
-        } else {
-            let at = self.pending.partition_point(|&(k, _)| k <= x);
-            self.pending.insert(at, (x, y));
-        }
-        self.live_obs += 1;
-        if self.pending.len() > 64.max(self.keys.len() / 8) {
-            self.fold();
-        }
-    }
-
-    /// Removes one observation matching `(x, y)` exactly (see
-    /// [`IncrementalSelector::remove`]).
-    fn remove(&mut self, x: f64, y: f64) -> bool {
-        if let Some(s) = self.pool_slot(x) {
-            let Some(at) = self.ys[s].iter().position(|&v| v == y) else {
-                return false;
-            };
-            self.ys[s].remove(at);
-            if self.ys[s].is_empty() {
-                self.dead_slots += 1;
-            }
-            self.live_obs -= 1;
-            return true;
-        }
-        let lo = self.pending.partition_point(|&(k, _)| k < x);
-        let hi = self.pending.partition_point(|&(k, _)| k <= x);
-        if let Some(at) = self.pending[lo..hi].iter().position(|&(_, v)| v == y) {
-            self.pending.remove(lo + at);
-            self.live_obs -= 1;
-            return true;
-        }
-        false
-    }
-
-    /// Folds before a re-selection when arrivals are pending or dead slots
-    /// outnumber half the live ones (see [`IncrementalSelector::reselect`]).
-    fn fold_if_stale(&mut self) {
-        if !self.pending.is_empty()
-            || self.dead_slots > 64.max((self.keys.len() - self.dead_slots) / 2)
-        {
-            self.fold();
-        }
-    }
-
-    /// Merges the pending run into the pool and drops dead slots (linear
-    /// in the pool size).
-    fn fold(&mut self) {
-        let live_slots = self.keys.len() - self.dead_slots;
-        // Upper bound: every pending entry is a new distinct key.
-        let mut keys = Vec::with_capacity(live_slots + self.pending.len());
-        let mut ys: Vec<Vec<f64>> = Vec::with_capacity(keys.capacity());
-        let mut pool = self
-            .keys
-            .iter()
-            .zip(std::mem::take(&mut self.ys))
-            .filter(|(_, sy)| !sy.is_empty())
-            .map(|(&k, sy)| (k, sy))
-            .peekable();
-        let mut pend = std::mem::take(&mut self.pending).into_iter().peekable();
-        loop {
-            // Pending keys are never pooled (insert checks the pool first),
-            // so strict comparison fully orders the two runs.
-            let take_pool = match (pool.peek(), pend.peek()) {
-                (Some((pk, _)), Some(&(nk, _))) => *pk < nk,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_pool {
-                let (k, sy) = pool.next().expect("peeked");
-                keys.push(k);
-                ys.push(sy);
-            } else {
-                let (k, v) = pend.next().expect("peeked");
-                if keys.last() == Some(&k) {
-                    ys.last_mut().expect("non-empty").push(v);
-                } else {
-                    keys.push(k);
-                    ys.push(vec![v]);
-                }
-            }
-        }
-        self.keys = keys;
-        self.ys = ys;
-        self.dead_slots = 0;
-    }
-
-    /// The flat slot table: row `t` holds the local-constant prefix
-    /// moments `Σ cnt·x'^m` (`p[m]`) and `Σ (Σy)·x'^m` (`q[m]`), `m < W`,
-    /// of slots `[0, t)`, for every boundary `t = 0..=slots` — one
-    /// [`moment_rows`] pass, `O(slots·W)`, counting one `tree_updates` per
-    /// slot row.
-    fn flat_table<const W: usize>(&self) -> Vec<Row<W>> {
-        kcv_obs::add(kcv_obs::Counter::TreeUpdates, self.keys.len() as u64);
-        let entries = self
-            .keys
-            .iter()
-            .zip(&self.ys)
-            .map(|(&k, ys)| (k - self.center, ys.len() as f64, slot_sum(ys)));
-        moment_rows(entries)
-    }
-}
-
 /// [`IncrementalSelector::reselect`]'s sweep at table width `W = deg + 1`:
-/// one flat-table pass and one sentinel-padded key copy of the pool, then
-/// one cursor sweep per live slot, plus the closed-form duplicate-key term.
-fn reselect_pool<const W: usize>(
-    pool: &KeyPool,
+/// a stable sort of the sample by key, one flat-table pass and one
+/// sentinel-padded copy of the distinct keys, then one cursor sweep per
+/// slot, plus the closed-form duplicate-key term. Takes the kernel as
+/// `coeffs` and `radius` so it compiles once per width, not per kernel.
+fn reselect_sorted<const W: usize>(
+    obs: &VecDeque<(f64, f64)>,
     coeffs: &'static [f64],
     radius: f64,
     hs: &[f64],
 ) -> CvProfile {
     let _reselect = kcv_obs::phase("cv.reselect");
     kcv_obs::add(kcv_obs::Counter::Reselects, 1);
-    let n = pool.live_obs;
+    let n = obs.len();
+    let mut sample: Vec<(f64, f64)> = obs.iter().copied().collect();
+    // Keys are finite (`insert` rejects the rest), so `partial_cmp` is
+    // total here; `±0.0` compare equal and share a slot keyed by the
+    // earlier arrival.
+    sample.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
+    let slots: Vec<&[(f64, f64)]> = sample.chunk_by(|a, b| a.0 == b.0).collect();
+    let sums: Vec<f64> = slots.iter().map(|slot| slot_sum(slot)).collect();
+    kcv_obs::add(kcv_obs::Counter::TreeUpdates, slots.len() as u64);
+    let rows = moment_rows::<W>(
+        slots
+            .iter()
+            .zip(&sums)
+            .map(|(slot, &sy)| (slot[0].0, slot.len() as f64, sy)),
+    );
+    let keys = with_sentinels(slots.iter().map(|slot| slot[0].0));
+
     let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
     let k = hs.len();
-    let rows = pool.flat_table::<W>();
-    let keys = with_sentinels(pool.keys.iter().copied());
-
     let mut sq_sums = vec![0.0; k];
     let mut included = vec![0usize; k];
     let mut cursors = WindowCursors::new(k);
     let mut cell = LcCell::<W>::new(coeffs);
     let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
     let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    for (s, ys) in pool.ys.iter().enumerate() {
-        let cnt = ys.len();
-        if cnt == 0 {
-            continue;
-        }
-        let sy_slot = slot_sum(ys);
-        cell.prepare(pool.keys[s] - pool.center, &rows[s], &rows[s + 1]);
+    for (s, (slot, &sy_slot)) in slots.iter().zip(&sums).enumerate() {
+        let cnt = slot.len();
+        cell.prepare(slot[0].0, &rows[s], &rows[s + 1]);
         let dup_cnt = (cnt - 1) as f64;
-        // Dead slots are skipped, so s may jump: the cursors still only
-        // step right.
         cursors.sweep(&keys, s, &inv_hs, radius, |m, inv_h, lo, hi| {
-            // Exact live counts per side: the m = 0 row only ever
-            // accumulated integer counts, so these are integers and a dead
-            // slot contributes exactly nothing.
+            // Exact counts per side: the m = 0 row only ever accumulated
+            // integer counts, so these are integers.
             let left_cnt = rows[s].p[0] - rows[lo].p[0];
             let right_cnt = rows[hi].p[0] - rows[s + 1].p[0];
             let in_window = left_cnt + right_cnt + dup_cnt;
@@ -282,7 +142,7 @@ fn reselect_pool<const W: usize>(
             // weight c_0 and contributes its own y.
             let den = den + coeffs[0] * dup_cnt;
             if den > 0.0 {
-                for &yi in ys {
+                for &(_, yi) in *slot {
                     let resid = yi - (num + coeffs[0] * (sy_slot - yi)) / den;
                     sq_sums[m] += resid * resid;
                     included[m] += 1;
@@ -301,55 +161,40 @@ fn reselect_pool<const W: usize>(
 }
 
 /// The incremental prefix-moment selector: a dynamic observation multiset
-/// with binary-search insert/remove and full-grid re-selection with zero
-/// kernel evaluations (see the module docs).
+/// with `O(1)` insert and full-grid re-selection with zero kernel
+/// evaluations (see the module docs).
 ///
-/// The bandwidth grid and centring shift are fixed at construction; the
-/// observation set evolves through [`insert`](Self::insert) /
-/// [`remove`](Self::remove), and [`reselect`](Self::reselect) scores the
-/// current live set over the whole grid.
+/// The bandwidth grid is fixed at construction; the observation set
+/// evolves through [`insert`](Self::insert) / [`remove`](Self::remove),
+/// and [`reselect`](Self::reselect) scores the current live set over the
+/// whole grid.
 #[derive(Debug, Clone)]
 pub struct IncrementalSelector<K> {
     kernel: K,
     grid: BandwidthGrid,
-    pool: KeyPool,
+    /// The live observations in arrival order.
+    obs: VecDeque<(f64, f64)>,
 }
 
 impl<K: PolynomialKernel> IncrementalSelector<K> {
     /// Creates an empty selector scoring over `grid` (ascending by
-    /// construction), centred at `0.0`.
+    /// construction).
     pub fn new(kernel: K, grid: BandwidthGrid) -> Self {
         Self {
             kernel,
             grid,
-            pool: KeyPool::default(),
+            obs: VecDeque::new(),
         }
-    }
-
-    /// Sets the centring shift for the stored moments (conditioning only —
-    /// scores round differently, classification and selection semantics are
-    /// unchanged). Must be called before any insert.
-    ///
-    /// # Panics
-    /// If observations have already been inserted.
-    pub fn with_center(mut self, center: f64) -> Self {
-        assert!(
-            self.pool.live_obs == 0 && self.pool.keys.is_empty(),
-            "with_center must be called on an empty selector"
-        );
-        assert!(center.is_finite(), "center must be finite");
-        self.pool.center = center;
-        self
     }
 
     /// Number of live observations.
     pub fn len(&self) -> usize {
-        self.pool.live_obs
+        self.obs.len()
     }
 
     /// True when no live observation is held.
     pub fn is_empty(&self) -> bool {
-        self.pool.live_obs == 0
+        self.obs.is_empty()
     }
 
     /// The bandwidth grid every `reselect` scores.
@@ -357,85 +202,69 @@ impl<K: PolynomialKernel> IncrementalSelector<K> {
         &self.grid
     }
 
-    /// Inserts one observation: a binary search for `x` in the pool, then
-    /// an append to its slot when `x` is already pooled, otherwise an
-    /// insert into the pending run (folded into the pool amortised-`O(1)`;
-    /// see the module docs).
+    /// Appends one observation, `O(1)`.
     ///
     /// Non-finite `x` or `y` is rejected with [`Error::NonFiniteData`]
-    /// **before** any mutation: a failed `insert` leaves the selector
-    /// state (pool, pending run, live count) exactly as it was, so a
-    /// stream may drop the bad arrival and continue.
+    /// **before** any mutation: a failed `insert` leaves the live set
+    /// exactly as it was, so a stream may drop the bad arrival and
+    /// continue.
     pub fn insert(&mut self, x: f64, y: f64) -> Result<()> {
-        if !x.is_finite() {
-            return Err(Error::NonFiniteData {
-                which: "x",
-                index: 0,
-            });
-        }
-        if !y.is_finite() {
-            return Err(Error::NonFiniteData {
-                which: "y",
-                index: 0,
-            });
-        }
+        check_finite(x, y)?;
         let _update = kcv_obs::phase("cv.update");
-        self.pool.insert(x, y);
+        self.obs.push_back((x, y));
         Ok(())
     }
 
-    /// Removes one observation matching `(x, y)` exactly, returning whether
-    /// one was found: a binary search plus a `Vec` edit. A slot whose last
-    /// observation leaves stays in the pool as a dead slot (adding nothing
-    /// to the table) until the next fold compacts it.
+    /// Removes the earliest-arrived observation equal (`==`) to `(x, y)`,
+    /// returning whether one was found: `O(1)` when it is the oldest live
+    /// observation, `O(n)` otherwise.
     pub fn remove(&mut self, x: f64, y: f64) -> bool {
         let _update = kcv_obs::phase("cv.update");
-        self.pool.remove(x, y)
+        match self.obs.iter().position(|&(a, b)| a == x && b == y) {
+            Some(at) => self.obs.remove(at).is_some(),
+            None => false,
+        }
     }
 
-    /// Re-scores the whole bandwidth grid over the current live set —
-    /// one compensated prefix pass over the pool into a flat table, then an
-    /// amortised `O(deg²)` cell per live observation and bandwidth,
-    /// `O(W·(deg+1) + k·W·deg²)` in all, zero kernel evaluations — and
-    /// returns the CV profile. Folds any pending arrivals first, so the
-    /// sweep always runs against a compact pool unless only removals
-    /// happened since the last fold (in which case dead slots add nothing
-    /// to the table and the sweep proceeds in place).
+    /// Re-scores the whole bandwidth grid over the current live set — a
+    /// stable sort by key, one compensated prefix pass over the slots into
+    /// a flat table, then an amortised `O(deg²)` cell per live observation
+    /// and bandwidth, `O(n log n + n·(deg+1) + k·n·deg²)` in all, zero
+    /// kernel evaluations — and returns the CV profile.
     ///
     /// # Errors
     /// [`Error::SampleTooSmall`] below two live observations;
     /// [`Error::KernelDegreeTooHigh`] for a kernel above
     /// [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE).
-    pub fn reselect(&mut self) -> Result<CvProfile> {
-        self.pool.fold_if_stale();
-        let n = self.pool.live_obs;
+    pub fn reselect(&self) -> Result<CvProfile> {
+        let n = self.obs.len();
         if n < 2 {
             return Err(Error::SampleTooSmall { n, required: 2 });
         }
         let coeffs = self.kernel.coeffs();
-        let (pool, radius, hs) = (&self.pool, self.kernel.radius(), self.grid.values());
-        dispatch_width!(coeffs, 0, reselect_pool(pool, coeffs, radius, hs))
+        let (obs, radius, hs) = (&self.obs, self.kernel.radius(), self.grid.values());
+        dispatch_width!(coeffs, 0, reselect_sorted(obs, coeffs, radius, hs))
     }
 
     /// [`reselect`](Self::reselect) followed by the paper's raw argmin.
-    pub fn reselect_optimum(&mut self) -> Result<CvOptimum> {
+    pub fn reselect_optimum(&self) -> Result<CvOptimum> {
         self.reselect()?.argmin()
     }
 }
 
 /// A fixed-capacity sliding window over a stream of observations, re-selecting
-/// the bandwidth every `cadence` arrivals through an [`IncrementalSelector`].
+/// the bandwidth every `cadence` arrivals through an [`IncrementalSelector`]
+/// whose live set is the window.
 ///
 /// [`push`](Self::push) evicts the oldest observation once the window is
-/// full (one pool removal), inserts the arrival, and — when the cadence
-/// fires and at least two observations are live — runs a full
+/// full (a `pop_front`), appends the arrival, and — when the cadence fires
+/// and at least two observations are live — runs a full
 /// [`IncrementalSelector::reselect`], caching the optimum for
-/// [`current`](Self::current). The amortised per-arrival cost is one pool
-/// search and edit plus `O((W·(deg+1) + k·W·deg²)/cadence)`.
+/// [`current`](Self::current). The amortised per-arrival cost is `O(1)`
+/// plus `O((W log W + W·(deg+1) + k·W·deg²)/cadence)`.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowSelector<K> {
     inner: IncrementalSelector<K>,
-    window: VecDeque<(f64, f64)>,
     capacity: usize,
     cadence: usize,
     since_reselect: usize,
@@ -464,9 +293,10 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
                 requirement: "positive (arrivals between re-selections)",
             });
         }
+        let mut inner = IncrementalSelector::new(kernel, grid);
+        inner.obs.reserve_exact(capacity);
         Ok(Self {
-            inner: IncrementalSelector::new(kernel, grid),
-            window: VecDeque::with_capacity(capacity),
+            inner,
             capacity,
             cadence,
             since_reselect: 0,
@@ -474,21 +304,14 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
         })
     }
 
-    /// Sets the moment-centring shift (see
-    /// [`IncrementalSelector::with_center`]). Must precede the first push.
-    pub fn with_center(mut self, center: f64) -> Self {
-        self.inner = self.inner.with_center(center);
-        self
-    }
-
     /// Observations currently in the window.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.inner.len()
     }
 
     /// True when the window holds no observations.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.inner.is_empty()
     }
 
     /// The window capacity `W` fixed at construction.
@@ -499,11 +322,6 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
     /// The re-selection cadence fixed at construction.
     pub fn cadence(&self) -> usize {
         self.cadence
-    }
-
-    /// Arrivals applied since the last re-selection (the cadence clock).
-    pub fn since_reselect(&self) -> usize {
-        self.since_reselect
     }
 
     /// The optimum from the most recent re-selection, if any has run.
@@ -517,10 +335,9 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
     ///
     /// The arrival is validated **before** the oldest observation is
     /// evicted, so a failed `push` (non-finite `x`/`y`,
-    /// [`Error::NonFiniteData`]) leaves the window and the underlying
-    /// selector exactly as they were — the stream may discard the bad
-    /// arrival and keep going, and the next cadence re-selection scores
-    /// the intact surviving window.
+    /// [`Error::NonFiniteData`]) leaves the window exactly as it was — the
+    /// stream may discard the bad arrival and keep going, and the next
+    /// cadence re-selection scores the intact surviving window.
     pub fn push(&mut self, x: f64, y: f64) -> Result<Option<CvOptimum>> {
         if self.push_deferred(x, y)? {
             return self.reselect_now().map(Some);
@@ -537,27 +354,13 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
     /// `reselect_now` exactly when this returns `true` reproduces `push`'s
     /// behaviour operation-for-operation.
     pub fn push_deferred(&mut self, x: f64, y: f64) -> Result<bool> {
-        if !x.is_finite() {
-            return Err(Error::NonFiniteData {
-                which: "x",
-                index: 0,
-            });
-        }
-        if !y.is_finite() {
-            return Err(Error::NonFiniteData {
-                which: "y",
-                index: 0,
-            });
-        }
-        if self.window.len() == self.capacity {
-            let (ox, oy) = self.window.pop_front().expect("window at capacity");
-            let evicted = self.inner.remove(ox, oy);
-            debug_assert!(evicted, "window and selector out of sync");
+        check_finite(x, y)?;
+        if self.inner.len() == self.capacity {
+            self.inner.obs.pop_front();
         }
         self.inner.insert(x, y)?;
-        self.window.push_back((x, y));
         self.since_reselect += 1;
-        Ok(self.since_reselect >= self.cadence && self.window.len() >= 2)
+        Ok(self.since_reselect >= self.cadence && self.inner.len() >= 2)
     }
 
     /// Forces a re-selection immediately (also resets the cadence clock).
@@ -566,12 +369,6 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
         let opt = self.inner.reselect_optimum()?;
         self.last = Some(opt);
         Ok(opt)
-    }
-
-    /// The underlying incremental selector (e.g. for a full-profile
-    /// [`IncrementalSelector::reselect`]).
-    pub fn selector_mut(&mut self) -> &mut IncrementalSelector<K> {
-        &mut self.inner
     }
 }
 
@@ -603,7 +400,7 @@ mod tests {
     }
 
     fn assert_agrees<K: PolynomialKernel>(
-        sel: &mut IncrementalSelector<K>,
+        sel: &IncrementalSelector<K>,
         x: &[f64],
         y: &[f64],
         kernel: &K,
@@ -643,13 +440,13 @@ mod tests {
             sel.insert(xi, yi).unwrap();
         }
         assert_eq!(sel.len(), 400);
-        assert_agrees(&mut sel, &x, &y, &Epanechnikov);
+        assert_agrees(&sel, &x, &y, &Epanechnikov);
     }
 
     #[test]
     fn removals_after_fold_stay_bit_identical_on_selection() {
-        // Insert everything, reselect (folds), then remove a third — the
-        // remove-only path reselects with dead slots in the pool.
+        // Insert everything, reselect, then remove the last third: the
+        // removals reach past the oldest observation.
         let (x, y) = paper_dgp(300, 32);
         let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
         let mut sel = IncrementalSelector::new(Epanechnikov, grid);
@@ -662,7 +459,7 @@ mod tests {
             assert!(sel.remove(xi, yi));
         }
         assert_eq!(sel.len(), keep);
-        assert_agrees(&mut sel, &x[..keep], &y[..keep], &Epanechnikov);
+        assert_agrees(&sel, &x[..keep], &y[..keep], &Epanechnikov);
     }
 
     #[test]
@@ -680,14 +477,13 @@ mod tests {
         for (&xi, &yi) in x.iter().zip(&y) {
             sel.insert(xi, yi).unwrap();
         }
-        assert_agrees(&mut sel, &x, &y, &Epanechnikov);
+        assert_agrees(&sel, &x, &y, &Epanechnikov);
     }
 
-    /// Three observations at each of the 40 `keys`, folded by a reselect;
-    /// then every observation of each fifth key leaves (dead slots) and one
+    /// Three observations at each of the 40 `keys`, then a reselect; then
+    /// every observation of each fifth key leaves (emptied keys) and one
     /// copy of each other key leaves (shrunken duplicate slots). Returns
-    /// the selector, dead slots still pooled, and the survivors in arrival
-    /// order.
+    /// the selector and the survivors in arrival order.
     fn thinned<K: PolynomialKernel>(
         kernel: K,
         keys: &[f64],
@@ -715,10 +511,6 @@ mod tests {
             }
         }
         assert_eq!(sel.len(), live.len());
-        assert!(
-            sel.pool.dead_slots > 0 && sel.pool.pending.is_empty(),
-            "no dead slots to read"
-        );
         (sel, live)
     }
 
@@ -728,33 +520,29 @@ mod tests {
 
     #[test]
     fn reselect_reads_dead_slots_and_duplicates_in_place() {
-        let (mut sel, live) = thinned(Epanechnikov, &lattice_keys());
+        let (sel, live) = thinned(Epanechnikov, &lattice_keys());
         let (x, y): (Vec<f64>, Vec<f64>) = live.into_iter().unzip();
-        assert_agrees(&mut sel, &x, &y, &Epanechnikov);
-        assert!(
-            sel.pool.dead_slots > 0,
-            "reselect folded the dead slots away"
-        );
+        assert_agrees(&sel, &x, &y, &Epanechnikov);
     }
 
-    /// Reselects a thinned selector (dead slots in place) and a fresh one
-    /// fed only the survivors, and requires `to_bits`-identical profiles.
+    /// Reselects a thinned selector and a fresh one fed only the
+    /// survivors, and requires `to_bits`-identical profiles.
     fn matches_fresh_survivors<K: PolynomialKernel + Clone>(kernel: K, keys: &[f64]) {
-        let (mut sel, live) = thinned(kernel.clone(), keys);
+        let (sel, live) = thinned(kernel.clone(), keys);
         let mut fresh = IncrementalSelector::new(kernel, sel.grid().clone());
         for &(xi, yi) in &live {
             fresh.insert(xi, yi).unwrap();
         }
         let a = sel.reselect().unwrap();
-        assert!(
-            sel.pool.dead_slots > 0,
-            "reselect folded the dead slots away"
-        );
         let b = fresh.reselect().unwrap();
         assert_eq!(a.n, b.n);
         assert_eq!(a.included, b.included);
         let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b), "dead or shrunken slots moved a score");
+        assert_eq!(
+            bits(&a),
+            bits(&b),
+            "emptied or shrunken slots moved a score"
+        );
     }
 
     #[test]
@@ -768,8 +556,8 @@ mod tests {
         }
     }
 
-    /// A sorted run of dead slots between live ones: the sweep's slot
-    /// index jumps over them, and every cursor with it.
+    /// A run of emptied keys between live ones: removals from the middle
+    /// of the arrival order, and a window gap the cursors step across.
     #[test]
     fn a_run_of_dead_slots_reselects_like_a_fresh_profile() {
         let (x, y) = paper_dgp(300, 37);
@@ -789,12 +577,9 @@ mod tests {
                 ys.push(yi);
             }
         }
-        assert!(sel.pool.dead_slots > 8, "too few dead slots to jump");
-        assert_agrees(&mut sel, &xs, &ys, &Epanechnikov);
-        assert!(
-            sel.pool.dead_slots > 8,
-            "reselect folded the dead slots away"
-        );
+        assert!(xs.len() + 8 < x.len(), "too few keys emptied");
+        assert_eq!(sel.len(), xs.len());
+        assert_agrees(&sel, &xs, &ys, &Epanechnikov);
     }
 
     #[test]
@@ -809,20 +594,9 @@ mod tests {
             t.insert(xi, yi).unwrap();
             u.insert(xi, yi).unwrap();
         }
-        assert_agrees(&mut q, &x, &y, &Quartic);
-        assert_agrees(&mut t, &x, &y, &Triweight);
-        assert_agrees(&mut u, &x, &y, &Uniform);
-    }
-
-    #[test]
-    fn center_shift_changes_scores_only_within_tolerance() {
-        let (x, y) = paper_dgp(200, 35);
-        let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-        let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone()).with_center(0.5);
-        for (&xi, &yi) in x.iter().zip(&y) {
-            sel.insert(xi, yi).unwrap();
-        }
-        assert_agrees(&mut sel, &x, &y, &Epanechnikov);
+        assert_agrees(&q, &x, &y, &Quartic);
+        assert_agrees(&t, &x, &y, &Triweight);
+        assert_agrees(&u, &x, &y, &Uniform);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`naive`] | oracle | `O(k·n²)` | any kernel |
 //! | [`sorted`] | the paper's reproduction | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
 //! | [`prefix`] | production, batch | `O(n log n + n·k·deg²)` amortised total (window cursors over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | production, streaming | binary-search insert/remove into a sorted key pool, `O(n·(deg+1) + k·n·deg²)` reselect (one compensated prefix pass over the pool into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`incremental`] | production, streaming | `O(1)` insert and oldest-first removal on a deque in arrival order, `O(n log n + n·(deg+1) + k·n·deg²)` reselect (a stable sort, then one compensated prefix pass into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
 //!
 //! `sorted` is the paper's first contribution; `prefix` drops the
 //! per-observation sort and the per-neighbour scan, answering each
@@ -30,9 +30,9 @@
 //! Every batch profile — the local-constant ones above and the
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
 //! observations through one observation fold. `naive` and `prefix` (both
-//! forms) choose the split themselves: from 65 536 cells they cut the grid
-//! into one contiguous bandwidth block per core, with scores bit-identical
-//! to one thread. `sorted` shares one per-observation sort across the whole
+//! forms) choose the split themselves: from 65 536 cells (prefix) or 2¹⁹
+//! kernel evaluations (naive) they cut the grid into one contiguous
+//! bandwidth block per core, with scores bit-identical to one thread. `sorted` shares one per-observation sort across the whole
 //! grid, so it splits by observation chunks instead, and only on request
 //! ([`cv_profile_sorted_par`]: the paper's SPMD parallelisation, whose
 //! simulated-GPU form lives in the `kcv-gpu` crate); `sorted_ll` runs on

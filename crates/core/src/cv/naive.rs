@@ -7,19 +7,29 @@
 //!
 //! Every `(observation, bandwidth)` cell is independent, and no work is
 //! shared across bandwidths, so a large profile splits its grid into one
-//! contiguous bandwidth block per core (`cv::fold`, the prefix engine's
-//! rule): each bandwidth still sums its observations in order, and the
-//! scores are bit-identical to one thread at any core count.
+//! contiguous bandwidth block per core (`cv::fold`): each bandwidth still
+//! sums its observations in order, and the scores are bit-identical to one
+//! thread at any core count.
 
-use super::fold::{block_count, fold_bandwidth_blocks};
+use super::fold::{blocks_for, fold_bandwidth_blocks};
 use super::CvProfile;
 use crate::error::{validate_bandwidth, validate_sample, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::Kernel;
 
+/// Kernel evaluations (`n·(n−1)·k`) below which a naive profile stays on
+/// the calling thread. A naive cell costs `n − 1` evaluations where a
+/// prefix cell costs one window query, so the split pays back its thread
+/// start-up far below the prefix engine's cell threshold. Read off the
+/// naive rows of `split_crossover_table` (EXPERIMENTS.md SPLIT, k = 100 on
+/// a 2-core host): the split breaks even at 3.1·10⁵ evaluations (n = 56)
+/// and wins 1.08× at 6.3·10⁵ (n = 80) and 1.34× at 2.5·10⁶ (n = 160).
+const SPLIT_MIN_EVALS: usize = 1 << 19;
+
 /// Computes the CV profile by direct evaluation of Eqs. (1)–(2) at every
-/// grid bandwidth. From 65 536 cells the grid is cut into one contiguous
-/// block per core, with scores bit-identical to one thread.
+/// grid bandwidth. From 2¹⁹ kernel evaluations (`n·(n−1)·k`) the grid is
+/// cut into one contiguous block per core, with scores bit-identical to
+/// one thread.
 pub fn cv_profile_naive<K: Kernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -38,6 +48,14 @@ pub(crate) fn profile<K: Kernel + ?Sized>(
     kernel: &K,
 ) -> Result<CvProfile> {
     profile_in_blocks(x, y, hs, kernel, block_count(x.len(), hs.len()))
+}
+
+/// The number of bandwidth blocks a naive profile of `n` observations over
+/// `k` bandwidths runs in: [`blocks_for`] its `n·(n−1)·k` kernel
+/// evaluations against [`SPLIT_MIN_EVALS`].
+fn block_count(n: usize, k: usize) -> usize {
+    let evals = n.saturating_mul(n.saturating_sub(1)).saturating_mul(k);
+    blocks_for(evals, SPLIT_MIN_EVALS, k)
 }
 
 /// [`profile`] in exactly `blocks` contiguous bandwidth blocks (clamped to
@@ -140,6 +158,20 @@ mod tests {
             .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
             .collect();
         (x, y)
+    }
+
+    /// The naive split follows its kernel evaluations, not its cells: a
+    /// profile of 8 000 cells (n = 80, k = 100) already splits, one of
+    /// 5 600 cells (n = 56) does not.
+    #[test]
+    fn block_count_follows_the_kernel_evaluations() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(block_count(56, 100), 1);
+        assert_eq!(block_count(80, 100), cores.min(100));
+        assert_eq!(block_count(320, 100), cores.min(100));
+        assert_eq!(block_count(1_000, 1), 1);
+        assert_eq!(block_count(2, 3), 1);
+        assert_eq!(block_count(usize::MAX, 3), cores.min(3));
     }
 
     #[test]

@@ -870,8 +870,8 @@ mod tests {
     /// interquartile range of alternating runs, 21 up to n = 2·10⁴, fewer
     /// above): the measurement behind [`SPLIT_MIN_CELLS`]. The last column
     /// splits into twice as many blocks as cores. Naive rows follow, at
-    /// `n·k` around the same threshold, which the naive engine shares. A
-    /// timing table, not a check, so it runs only on request:
+    /// `n·(n−1)·k` kernel evaluations around the naive engine's own
+    /// threshold. A timing table, not a check, so it runs only on request:
     /// `cargo test --release -p kcv-core --lib split_crossover_table --
     /// --ignored --nocapture`.
     #[test]
@@ -887,7 +887,7 @@ mod tests {
         let prefix_sizes = [
             20, 80, 160, 320, 640, 1000, 2000, 20_000, 200_000, 1_000_000,
         ];
-        let naive_sizes = [80, 160, 320, 640, 656, 1000];
+        let naive_sizes = [10, 14, 20, 28, 40, 56, 80, 160, 320, 1000];
         let runs = prefix_sizes
             .map(|n| ("prefix", n))
             .into_iter()

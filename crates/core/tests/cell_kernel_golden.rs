@@ -208,9 +208,9 @@ fn prefix_ll_profiles_match_their_fingerprints() {
 }
 
 /// A scripted stream: lattice keys held several times each plus continuous
-/// keys, a fold, then removals that empty some slots (dead slots stay in
-/// the pool) and shrink others (duplicates remain), then re-inserts of
-/// pooled keys so no fold runs before the second reselect.
+/// keys, a reselect, then removals that empty some keys and shrink others
+/// (duplicates remain), then re-inserts of a held key before the second
+/// reselect.
 #[test]
 fn incremental_reselects_match_their_fingerprints() {
     let mut rng = SplitMix64::new(29);

@@ -1,4 +1,4 @@
-//! Property tests for the incremental key-pool engine.
+//! Property tests for the incremental engine.
 //!
 //! The contract under test (DESIGN.md, "incremental" row): after any
 //! interleaved sequence of `insert`/`remove` operations, `reselect()` must
@@ -7,15 +7,14 @@
 //! prefix tolerance documented in PR 4, and a bit-for-bit identical
 //! selected bandwidth. Three hostile regimes are exercised:
 //!
-//! * random continuous keys with interleaved removals and periodic
-//!   reselects (so both the pending-run and the dead-slot query paths fire
-//!   mid-stream);
+//! * random continuous keys with interleaved removals (from anywhere in
+//!   the arrival order) and periodic mid-stream reselects;
 //! * duplicate-heavy streams where every key collides (the closed-form
 //!   duplicate path does all the work);
 //! * boundary-tie lattices where `|x_i − x_l| == h·r` holds exactly at many
 //!   cells, hammering the bisection's tie-breaking.
 //!
-//! On distinct keys centred at the sample midrange the re-selection runs
+//! On distinct keys whose midrange is exactly `0.0` the re-selection runs
 //! the prefix sweep's own operations, so there the whole profile must
 //! match `to_bits` (`distinct_midrange_keys_match_prefix_bitwise`).
 //!
@@ -131,8 +130,8 @@ fn replay(
             sel.insert(xi, yi).unwrap();
             live.push((xi, yi));
         }
-        // Periodic mid-stream reselect: folds the pending run and compacts
-        // dead slots, so later operations hit the post-fold query path too.
+        // Periodic mid-stream reselect: a re-selection must leave the live
+        // set as it was for the operations that follow.
         if step % 17 == 16 && live.len() >= 2 {
             sel.reselect().unwrap();
         }
@@ -352,12 +351,13 @@ fn pinned_exact_lattice_matches_bitwise() {
     }
 }
 
-/// On distinct keys every pool slot holds one observation (`cnt = 1`,
-/// `Σy = y`), so with the centring shift at the sample midrange — where the
-/// prefix sweep centres — the re-selection builds the prefix sweep's own
-/// rows and runs its own cells: every score and inclusion count must match
-/// a fresh `cv_profile_prefix` run `to_bits`. Covers every polynomial
-/// kernel plus the degree-6 convolution kernel, the widest width.
+/// On distinct keys every slot holds one observation (`cnt = 1`,
+/// `Σy = y`), and on keys `±u` the sample midrange — where the prefix
+/// sweep centres — is exactly `0.0`, where the incremental engine takes
+/// its moments: the re-selection builds the prefix sweep's own rows and
+/// runs its own cells, so every score and inclusion count must match a
+/// fresh `cv_profile_prefix` run `to_bits`. Covers every polynomial kernel
+/// plus the degree-6 convolution kernel, the widest width.
 #[test]
 fn distinct_midrange_keys_match_prefix_bitwise() {
     let mut kernels = polynomial_kernels();
@@ -366,7 +366,12 @@ fn distinct_midrange_keys_match_prefix_bitwise() {
         for n in [50usize, 400, 2000] {
             for seed in [3u64, 17, 2024] {
                 let mut rng = SplitMix64::new(seed);
-                let x: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+                let x: Vec<f64> = (0..n / 2)
+                    .flat_map(|_| {
+                        let u = rng.next_f64();
+                        [u, -u]
+                    })
+                    .collect();
                 let y: Vec<f64> = x
                     .iter()
                     .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
@@ -378,9 +383,9 @@ fn distinct_midrange_keys_match_prefix_bitwise() {
                     "keys must be distinct"
                 );
                 let (lo, hi) = min_max(&x).unwrap();
+                assert_eq!((0.5 * (lo + hi)).to_bits(), 0f64.to_bits(), "midrange");
                 let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
-                let mut sel =
-                    IncrementalSelector::new(&**kernel, grid.clone()).with_center(0.5 * (lo + hi));
+                let mut sel = IncrementalSelector::new(&**kernel, grid.clone());
                 for (&xi, &yi) in x.iter().zip(&y) {
                     sel.insert(xi, yi).unwrap();
                 }

@@ -147,12 +147,12 @@ pub enum Counter {
     /// d ≤ 2 hot path — the contrast the multivariate perf gates assert.
     DimSweeps = 8,
     /// Moment-table rows written by the incremental CV engine
-    /// (`kcv-core::cv::incremental`): one increment per key-pool slot row
-    /// its `reselect()` builds in the compensated prefix pass (the
-    /// `tree_updates` name stays because reports and the benchmark read
-    /// it). Inserts and removes write no rows, so a window of capacity `W`
-    /// re-selected every `c` arrivals writes one row per pooled slot (about
-    /// `W`, plus any dead slots not yet folded) per `c` arrivals; perf
+    /// (`kcv-core::cv::incremental`): one increment per slot (distinct key
+    /// of the sorted window) its `reselect()` writes in the compensated
+    /// prefix pass (the `tree_updates` name stays because reports and the
+    /// benchmark read it). Inserts and removes write no rows, so a window
+    /// of capacity `W` re-selected every `c` arrivals writes at most `W`
+    /// rows per `c` arrivals; perf
     /// gate 14 holds the total under
     /// `(inserts + removes)·⌈log₂ W⌉·(deg+3)`.
     TreeUpdates = 9,

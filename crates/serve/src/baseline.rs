@@ -75,7 +75,7 @@ impl<K: PolynomialKernel + Clone> GlobalLockService<K> {
         Ok(())
     }
 
-    /// Applies one arrival synchronously: the lock is held across the pool
+    /// Applies one arrival synchronously: the lock is held across the window
     /// update *and* any cadence re-selection — the convoy the sharded
     /// service exists to avoid.
     pub fn send(&self, stream: StreamId, x: f64, y: f64) -> Result<Option<CvOptimum>> {

@@ -18,13 +18,13 @@
 //!   [`BandwidthService::send_blocking`] waits for space when the caller
 //!   prefers lossless replay over latency.
 //! * **Coalescing** — a worker drains whole batches and groups each
-//!   stream's pending arrivals into one pool-update **burst**. With
+//!   stream's pending arrivals into one window-update **burst**. With
 //!   [`ServeConfig::conflate`] on, a burst that crosses one or more
 //!   re-selection boundaries funds a **single** cadence `reselect()` at
 //!   the end of the burst — under load this is where the service's
 //!   throughput over a global-lock stream map comes from, because the
-//!   `O(W·(deg+1) + k·W·deg²)` re-selection dominates the binary-search
-//!   per-arrival pool update. With `conflate` off the worker re-selects
+//!   `O(W log W + W·(deg+1) + k·W·deg²)` re-selection dominates the
+//!   `O(1)` per-arrival window update. With `conflate` off the worker re-selects
 //!   exactly when a sequential
 //!   [`SlidingWindowSelector::push`](kcv_core::cv::incremental::SlidingWindowSelector::push)
 //!   would, so

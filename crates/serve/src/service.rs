@@ -465,7 +465,7 @@ fn process_stream_requests<K: PolynomialKernel + Clone>(
     }
 }
 
-/// One pool-update burst: every arrival folds in via `push_deferred`; with
+/// One window-update burst: every arrival goes in via `push_deferred`; with
 /// conflation the cadence boundaries the burst crossed fund a single
 /// trailing `reselect()`, without it the worker re-selects exactly where a
 /// sequential `push` would have.
@@ -533,7 +533,7 @@ fn fire_reselect<K: PolynomialKernel + Clone>(state: &mut StreamState<K>, config
 /// unless the window is unchanged since the last one, whose optimum is
 /// then the final one; then the counters roll up into the outcome.
 ///
-/// Reusing that optimum returns the bits a re-selection would: the pool
+/// Reusing that optimum returns the bits a re-selection would: the window
 /// and the sweep over it are the same, and the sweep is deterministic.
 /// Only re-selections actually run count in `reselects`.
 fn close_state<K: PolynomialKernel + Clone>(
