@@ -22,8 +22,8 @@
 //!
 //! The amortisation curve this produces is the engine's pitch: one
 //! incremental re-selection costs about one fresh prefix profile on the
-//! same window (both run the same cell kernel over a table built in one
-//! compensated pass; the re-selection skips the sort), so the speedup
+//! same window (both sort the window and run the same cell kernel over a
+//! table built in one compensated pass), so the speedup
 //! over per-arrival recompute grows roughly linearly in the cadence.
 //!
 //! Outputs:
