@@ -84,8 +84,11 @@ const SEEDS: [u64; 2] = [7, 1013];
 /// before the cell kernel was specialised on kernel width, the
 /// `incremental/*` ones when its table became one prefix pass over the
 /// sorted keys, the signed-zero and sliding-window ones before the engine
-/// stopped keeping a sorted copy of its sample; a mismatch means some
-/// score or count changed bits.
+/// stopped keeping a sorted copy of its sample, and the `prefix-lattice`,
+/// `prefix-signed-zero` and `prefix-window` ones (the prefix profiles of
+/// the streaming cases' samples) before the streaming engine re-selected
+/// through the prefix sweep; a mismatch means some score or count changed
+/// bits.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("incremental-signed-zero/epanechnikov", 0x20ae08c38f64aaaf),
@@ -100,6 +103,24 @@ const GOLDEN: &[(&str, u64)] = &[
     ("incremental/triangular", 0x4c3c9184ddbddda7),
     ("incremental/triweight", 0x5cabf011563fbc78),
     ("incremental/uniform", 0x01e831b61b8bf08f),
+    ("prefix-lattice/epanechnikov", 0x73886004652b5697),
+    ("prefix-lattice/epanechnikov-convolution", 0x86e0a6659c61472d),
+    ("prefix-lattice/quartic", 0x5afe29d85012e3c2),
+    ("prefix-lattice/triangular", 0x751106e3612c6594),
+    ("prefix-lattice/triweight", 0xde463bd7beaf0c89),
+    ("prefix-lattice/uniform", 0x0c4b18f02f409232),
+    ("prefix-signed-zero/epanechnikov", 0x21aef270a53b5f71),
+    ("prefix-signed-zero/epanechnikov-convolution", 0xa32a4d9bbd46ea1c),
+    ("prefix-signed-zero/quartic", 0x6a1e0ea489e932b9),
+    ("prefix-signed-zero/triangular", 0x6689b5b9955a0beb),
+    ("prefix-signed-zero/triweight", 0x86742c83c0f653b6),
+    ("prefix-signed-zero/uniform", 0xee92b4de5d17589a),
+    ("prefix-window/epanechnikov", 0x0c0bee87eb769295),
+    ("prefix-window/epanechnikov-convolution", 0x04702261736660fd),
+    ("prefix-window/quartic", 0x9e257fb2240090fa),
+    ("prefix-window/triangular", 0xe52d3b460e9a516c),
+    ("prefix-window/triweight", 0x96dbd91d7a616617),
+    ("prefix-window/uniform", 0xb1846ab2c04243e2),
     ("prefix/epanechnikov-convolution/n2000/s1013", 0xd2cd0887a1a8060f),
     ("prefix/epanechnikov-convolution/n2000/s7", 0x92f14af1146ae3d4),
     ("prefix/epanechnikov-convolution/n50/s1013", 0x5824441cedb22375),
@@ -205,6 +226,176 @@ fn prefix_ll_profiles_match_their_fingerprints() {
     check(batch_cases("prefix_ll", |x, y, g, k| {
         cv_profile_prefix_ll(x, y, g, k)
     }));
+}
+
+/// Removes the earliest arrival equal (`==`) to `(x, y)` from `live`, so
+/// `+0.0` and `−0.0` keys match each other.
+fn remove_first(live: &mut Vec<(f64, f64)>, x: f64, y: f64) {
+    let at = live
+        .iter()
+        .position(|&(a, b)| a == x && b == y)
+        .expect("the observation is live");
+    live.remove(at);
+}
+
+/// A scripted stream of lattice keys held several times each plus
+/// continuous keys, and its two live sets in arrival order: the whole
+/// stream, then the survivors after removals that empty some keys and
+/// shrink others (duplicates remain), with two re-inserts of a held key.
+fn lattice_stream() -> (Vec<(f64, f64)>, Vec<Vec<(f64, f64)>>, BandwidthGrid) {
+    let mut rng = SplitMix64::new(29);
+    let obs: Vec<(f64, f64)> = (0..240)
+        .map(|i| {
+            let key = if i % 3 == 0 {
+                rng.next_f64()
+            } else {
+                (i % 32) as f64 / 32.0
+            };
+            (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
+        })
+        .collect();
+    let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
+    let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
+    let mut live = obs.clone();
+    for (i, &(xi, yi)) in obs.iter().enumerate() {
+        // Every continuous key at i ≡ 0 (mod 9) leaves, and so do the
+        // lattice observations with i % 32 < 3 below i = 200: key 1/32
+        // empties, keys 0 and 2/32 keep one copy each.
+        let lattice_gone = i % 3 != 0 && i % 32 < 3 && i < 200;
+        if (i % 9 == 0) || lattice_gone {
+            remove_first(&mut live, xi, yi);
+        }
+    }
+    for &(xi, yi) in obs.iter().filter(|&&(k, _)| k == 5.0 / 32.0).take(2) {
+        live.push((xi, yi + 0.25));
+    }
+    let sets = vec![obs.clone(), live];
+    (obs, sets, grid)
+}
+
+/// A scripted stream over signed zeros — `+0.0` and `−0.0` keys, which
+/// compare equal, and `−0.0` responses among the others — and its five
+/// live sets in arrival order: the whole stream; only the `−0.0`
+/// observations left at the zero key; the zero key emptied; a `−0.0`
+/// arrival with a `−0.0` response and a `+0.0` one added; and the `−0.0`
+/// arrival removed by a `+0.0` query, so only a `+0.0` observation stays.
+fn signed_zero_stream() -> (Vec<(f64, f64)>, Vec<Vec<(f64, f64)>>, BandwidthGrid) {
+    let mut rng = SplitMix64::new(31);
+    let obs: Vec<(f64, f64)> = (0..160)
+        .map(|i| {
+            let key = match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => ((i % 16) as f64 - 8.0) / 8.0,
+                _ => 2.0 * rng.next_f64() - 1.0,
+            };
+            let y = if i % 7 == 0 {
+                -0.0
+            } else {
+                key * key + 0.5 * rng.next_f64()
+            };
+            (key, y)
+        })
+        .collect();
+    let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
+    let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
+    let zeros = |sign: f64| {
+        obs.iter()
+            .filter(move |&&(k, _)| k == 0.0 && k.is_sign_negative() == (sign < 0.0))
+            .copied()
+    };
+    let mut live = obs.clone();
+    let mut sets = vec![live.clone()];
+    for (xi, yi) in zeros(1.0) {
+        remove_first(&mut live, xi, yi);
+    }
+    sets.push(live.clone());
+    for (xi, yi) in zeros(-1.0) {
+        remove_first(&mut live, xi, yi);
+    }
+    sets.push(live.clone());
+    live.push((-0.0, -0.0));
+    live.push((0.0, 0.75));
+    sets.push(live.clone());
+    remove_first(&mut live, 0.0, 0.0);
+    sets.push(live);
+    (obs, sets, grid)
+}
+
+/// A stream of lattice keys held several times each in every 96-arrival
+/// window, with continuous keys between them, and its grid.
+fn window_stream() -> (Vec<(f64, f64)>, BandwidthGrid) {
+    let mut rng = SplitMix64::new(37);
+    let obs: Vec<(f64, f64)> = (0..600)
+        .map(|i| {
+            let key = if i % 4 == 0 {
+                rng.next_f64()
+            } else {
+                (i % 24) as f64 / 24.0
+            };
+            (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
+        })
+        .collect();
+    (obs, BandwidthGrid::log(0.005, 0.5, 40).unwrap())
+}
+
+/// The window a `capacity`-observation sliding window re-selecting every
+/// `cadence` arrivals holds at each firing over `obs`.
+fn fired_windows(
+    obs: &[(f64, f64)],
+    capacity: usize,
+    cadence: usize,
+) -> impl Iterator<Item = &[(f64, f64)]> {
+    (cadence..=obs.len())
+        .step_by(cadence)
+        .map(move |end| &obs[end.saturating_sub(capacity)..end])
+}
+
+fn prefix_of(
+    sample: &[(f64, f64)],
+    grid: &BandwidthGrid,
+    kernel: &dyn PolynomialKernel,
+) -> CvProfile {
+    let (x, y): (Vec<f64>, Vec<f64>) = sample.iter().copied().unzip();
+    cv_profile_prefix(&x, &y, grid, kernel).unwrap()
+}
+
+/// The prefix profiles of the streaming engine's samples: the lattice and
+/// signed-zero live sets and every window the sliding-window replay fires
+/// on (`W = 96`, cadence 16), each hashed in order per kernel.
+#[test]
+fn prefix_stream_samples_match_their_fingerprints() {
+    let (_, lattice, lattice_grid) = lattice_stream();
+    let (_, signed, signed_grid) = signed_zero_stream();
+    let (obs, window_grid) = window_stream();
+    let mut cases = Vec::new();
+    for (kname, kernel) in kernels() {
+        let mut runs = [
+            (
+                "prefix-lattice",
+                lattice.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                &lattice_grid,
+            ),
+            (
+                "prefix-signed-zero",
+                signed.iter().map(Vec::as_slice).collect(),
+                &signed_grid,
+            ),
+            (
+                "prefix-window",
+                fired_windows(&obs, 96, 16).collect(),
+                &window_grid,
+            ),
+        ];
+        for (engine, samples, grid) in &mut runs {
+            let mut h = Fnv::new();
+            for sample in samples.iter() {
+                h.profile(&prefix_of(sample, grid, kernel));
+            }
+            cases.push((format!("{engine}/{kname}"), h.0));
+        }
+    }
+    check(cases);
 }
 
 /// A scripted stream: lattice keys held several times each plus continuous
