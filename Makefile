@@ -70,8 +70,9 @@ scaling:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin scaling
 
 ## The streaming replay study (EXPERIMENTS.md STREAM): 10^5 paper-DGP
-## arrivals through the sliding-window incremental engine (W = 10^4) at a
-## sweep of re-selection cadences, against the sampled-and-extrapolated
+## arrivals through the sliding window (W = 10^4), each re-selection the
+## prefix sweep over the window, at a sweep of re-selection cadences,
+## against the sampled-and-extrapolated
 ## per-arrival recompute baseline. The binary's own checks (>= 10x at
 ## every cadence >= 64, bit-identical final bandwidth) gate the run;
 ## writes results/streaming.csv (CI uploads it). Takes ~60 s in release.

@@ -6,16 +6,15 @@
 //! cores, and the prefix sweep splits its grid across cores by itself from
 //! 65 536 cells (see `bench_parallel` for the sizes where that pays). The
 //! `prefix_by_kernel` group times the prefix sweep once per shipped
-//! kernel, and `incremental_by_kernel` one incremental re-selection per
-//! kernel at the serving shape, so every kernel width the shared cell
-//! kernel is compiled for is measured in both engines. `sliding_window`
-//! times one cadence period of a full sliding window (pushes plus one
-//! re-selection) from the serving shape up to W = 10⁵.
+//! kernel, so every kernel width the cell kernel is compiled for is
+//! measured. `sliding_window` times one cadence period of a full sliding
+//! window (pushes plus one re-selection, which is the prefix sweep over
+//! the window) from the serving shape up to W = 10⁵.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcv_core::cv::{
     cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par,
-    IncrementalSelector, SlidingWindowSelector,
+    SlidingWindowSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{
@@ -95,27 +94,9 @@ fn bench_strategies(c: &mut Criterion) {
     }
     group.finish();
 
-    // One incremental re-selection per kernel at the serving shape: a
-    // 512-observation window over the log grid k = 64 that `kcv-serve`
-    // streams re-select on.
-    let mut group = c.benchmark_group("incremental_by_kernel");
-    group.sample_size(50);
-    let s = PaperDgp.sample(512, 46);
-    let grid = BandwidthGrid::log(1e-3, 0.3, 64).unwrap();
-    for kernel in kernels {
-        let mut sel = IncrementalSelector::new(kernel, grid.clone());
-        for (&xi, &yi) in s.x.iter().zip(&s.y) {
-            sel.insert(xi, yi).unwrap();
-        }
-        group.bench_function(kernel.name(), |b| {
-            b.iter(|| black_box(sel.reselect().unwrap()))
-        });
-    }
-    group.finish();
-
     // A sliding window's steady state, one cadence period per iteration:
     // `cadence` pushes into a full window, the last of which re-selects
-    // (evictions, the re-selection's sort and its sweep). The shapes are
+    // (evictions, and the re-selection's sort and sweep over the window). The shapes are
     // the serving window (512, 32), the streaming replay's (10⁴, 64) and a
     // window ten times larger (10⁵, 10³), on the log grid k = 64.
     let mut group = c.benchmark_group("sliding_window");

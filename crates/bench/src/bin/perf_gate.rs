@@ -58,19 +58,19 @@
 //!     streaming engine must fail here, not pass by absence;
 //! 14. the streaming replay never evaluates the kernel and the moment-table
 //!     rows its re-selections write (the `tree_updates` counter, one per
-//!     distinct window key per re-selection) stay within `(inserts +
-//!     removes) · ceil(log2 W) · (deg + 3)` — every re-selection is
-//!     answered from one compensated prefix pass over the sorted window,
-//!     never a neighbour visit,
-//!     and re-selecting on (nearly) every arrival would exceed the budget;
+//!     window observation per re-selection) stay within `(inserts +
+//!     removes) · ceil(log2 W) · (deg + 3)` — every re-selection is the
+//!     prefix sweep over the window, one compensated prefix pass and the
+//!     cell sweep, never a neighbour visit, and re-selecting on (nearly)
+//!     every arrival would exceed the budget;
 //! 15. the streaming replay beats the per-arrival recompute-from-scratch
 //!     policy by ≥ 10× wall time while selecting the identical bandwidth
 //!     on the final window (the `to_bits` values compare equal);
 //! 16. the `serving` measurement is present — the two
 //!     service gates below read it, so a writer that stops measuring the
 //!     sharded service must fail here, not pass by absence;
-//! 17. the sharded service answers every stream from the incremental
-//!     engine — **zero** kernel evaluations service-wide — while its
+//! 17. the sharded service answers every stream from its sliding window
+//!     — **zero** kernel evaluations service-wide — while its
 //!     workers actually drained requests and coalesced bursts
 //!     (`requests_served > 0`, `coalesced_arrivals > 0`): a service that
 //!     quietly re-selects per arrival (nothing to coalesce) or recomputes
@@ -320,7 +320,7 @@ fn evaluate_gates(report: &PerfReport, json: &str, metrics: bool) -> Vec<Gate> {
         ));
     }
 
-    // --- streaming incremental-engine contracts ---------------------------
+    // --- streaming sliding-window contracts --------------------------------
     let Some(st) = &report.streaming else {
         gates.push(Gate::pass_if(
             "report carries the schema-v6 streaming object",

@@ -1,5 +1,5 @@
-//! Streaming replay benchmark: the sliding-window incremental engine vs
-//! recompute-from-scratch.
+//! Streaming replay benchmark: the sliding window re-selecting on a cadence
+//! vs recompute-from-scratch.
 //!
 //! Replays `--arrivals` paper-DGP observations (default 10⁵) into a
 //! `--window`-capacity [`SlidingWindowSelector`] (default 10⁴, oldest
@@ -20,11 +20,9 @@
 //! stream is contiguous, the slice `x[t−w..t]` holds exactly the
 //! multiset the window would hold at arrival `t`.
 //!
-//! The amortisation curve this produces is the engine's pitch: one
-//! incremental re-selection costs about one fresh prefix profile on the
-//! same window (both sort the window and run the same cell kernel over a
-//! table built in one compensated pass), so the speedup
-//! over per-arrival recompute grows roughly linearly in the cadence.
+//! The amortisation curve this produces is the window's pitch: one
+//! re-selection *is* a fresh prefix profile of the window, so the speedup
+//! over per-arrival recompute grows linearly in the cadence.
 //!
 //! Outputs:
 //!

@@ -183,7 +183,7 @@ pub struct MultiInfo {
 
 /// The streaming replay's settings and measurements (schema v6): one
 /// sliding-window pass of the report's paper-DGP sample through the
-/// incremental engine, next to the sampled-and-extrapolated
+/// streaming window, next to the sampled-and-extrapolated
 /// recompute-from-scratch baseline (see the module-level schema notes for
 /// the sampling policy).
 #[derive(Debug, Clone, PartialEq)]
@@ -199,11 +199,11 @@ pub struct StreamingInfo {
     /// `remove` operations applied (evictions: `arrivals − window` once the
     /// window fills).
     pub removes: u64,
-    /// Completed `reselect()` passes (cadence-triggered plus the forced
-    /// final one), from the `reselects` counter.
+    /// Completed re-selections (cadence-triggered plus the forced final
+    /// one), from the `reselects` counter.
     pub reselects: u64,
-    /// Moment-table rows the re-selections wrote (one per distinct key of
-    /// the window per `reselect`), from the `tree_updates` counter. Perf gate 14
+    /// Moment-table rows the re-selections wrote (one per window
+    /// observation per re-selection), from the `tree_updates` counter. Perf gate 14
     /// holds this under `(inserts+removes)·⌈log₂ window⌉·(deg+3)`.
     pub tree_updates: u64,
     /// Kernel evaluations spent by the whole replay — pinned to zero by
@@ -431,16 +431,15 @@ fn decimals(values: &[f64]) -> String {
     text.join(",")
 }
 
-/// Replays the report's sample as a stream through the sliding-window
-/// incremental engine and measures it against the sampled
-/// recompute-from-scratch prefix baseline (schema v6 `streaming` object).
+/// Replays the report's sample as a stream through the sliding window and
+/// measures it against the sampled recompute-from-scratch prefix baseline
+/// (schema v6 `streaming` object).
 ///
 /// The window is `max(n/4, 64)` (capped at `n`) and the re-selection
-/// cadence is 64 arrivals: one incremental `reselect` costs about one
-/// fresh prefix profile on the same window (both sort the window and run
-/// the same cell kernel), so the amortised win over the
-/// recompute-every-arrival policy grows roughly linearly in the cadence —
-/// comfortably past perf gate 15's 10× at cadence 64.
+/// cadence is 64 arrivals: one re-selection *is* a fresh prefix profile of
+/// the window, so the amortised win over the recompute-every-arrival
+/// policy grows linearly in the cadence — comfortably past perf gate 15's
+/// 10× at cadence 64.
 fn measure_streaming(x: &[f64], y: &[f64], k: usize) -> Result<StreamingInfo, String> {
     use kcv_core::cv::SlidingWindowSelector;
     let n = x.len();
@@ -833,7 +832,7 @@ mod tests {
         );
 
         // The streaming replay: n = 120 arrivals into a window of
-        // max(n/4, 64) = 64, so 56 evictions, and the final incremental
+        // max(n/4, 64) = 64, so 56 evictions, and the final window
         // selection lands on the same grid value as the fresh prefix
         // recompute over the identical final window.
         let st = report.streaming.as_ref().unwrap();
@@ -1148,7 +1147,7 @@ mod tests {
         // Schema v6 streaming replay, measured under its own recorder:
         // with n = 60 < the 64-observation window floor the window covers
         // the whole stream (no evictions), the 64-arrival cadence never
-        // fires before the forced final pass, and the incremental engine
+        // fires before the forced final pass, and the window
         // answers the grid with zero kernel evaluations inside the
         // gate-14 table-row budget.
         let st = report.streaming.as_ref().unwrap();
@@ -1170,7 +1169,7 @@ mod tests {
         // merged recorders: every drained request is counted (8 opens +
         // 8 × 60 arrivals; shutdown closes bypass the queues), the
         // blocking sends shed nothing, the queues were actually observed,
-        // and the whole service answered from the incremental engine
+        // and the whole service answered from its sliding windows
         // without a single kernel evaluation. Burst shapes (and so
         // `coalesced_arrivals`) are timing-dependent — asserted at gate
         // scale by perf gate 17, not here.

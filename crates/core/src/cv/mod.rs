@@ -9,23 +9,24 @@
 //! with `ĝ_{-i}` the leave-one-out Nadaraya–Watson estimator (Eq. 2) and
 //! `M(X_i)` the indicator that its denominator is non-zero.
 //!
-//! Four evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`,
-//! each kept for one reason:
+//! Three evaluation strategies compute the profile `{CV_lc(h) : h ∈ grid}`,
+//! each kept for one reason, and a sliding window re-selects a stream
+//! through the production one:
 //!
 //! | module | role | complexity | applies to |
 //! |---|---|---|---|
 //! | [`naive`] | oracle | `O(k·n²)` | any kernel |
 //! | [`sorted`] | the paper's reproduction | `O(n² log n)` total (`O(n log n + n·deg + k·deg)` per obs.) | [`PolynomialKernel`]s |
-//! | [`prefix`] | production, batch | `O(n log n + n·k·deg²)` amortised total (window cursors over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
-//! | [`incremental`] | production, streaming | `O(1)` insert and oldest-first removal on a deque in arrival order, `O(n log n + n·(deg+1) + k·n·deg²)` reselect (a stable sort, then one compensated prefix pass into a flat table) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`prefix`] | production | `O(n log n + n·k·deg²)` amortised total (window cursors over prefix moments) | [`PolynomialKernel`]s, 1-D `x` |
+//! | [`incremental`] | streaming window over [`prefix`] | `O(1)` per arrival and eviction on a deque in arrival order; each re-selection is [`cv_profile_prefix`] over the window, `O(W log W + W·k·deg²)` | [`PolynomialKernel`]s, 1-D `x` |
 //!
 //! `sorted` is the paper's first contribution; `prefix` drops the
 //! per-observation sort and the per-neighbour scan, answering each
 //! `(observation, bandwidth)` cell from compensated global moment prefix
-//! sums. `prefix` and `incremental` share one compensated prefix-row
-//! builder and one cell kernel (private module `window`): monotone
+//! sums through one cell kernel (private module `window`): monotone
 //! per-bandwidth window cursors and the kernel polynomial precombined
-//! about each observation.
+//! about each observation. A streaming re-selection is the batch prefix
+//! profile of the window, `to_bits`.
 //!
 //! Every batch profile — the local-constant ones above and the
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
@@ -54,7 +55,7 @@ pub mod sorted;
 pub mod sorted_ll;
 mod window;
 
-pub use incremental::{IncrementalSelector, SlidingWindowSelector};
+pub use incremental::SlidingWindowSelector;
 pub use naive::{cv_profile_naive, cv_score_single};
 pub use prefix::{cv_profile_prefix, cv_profile_prefix_ll};
 pub use sorted::{cv_profile_sorted, cv_profile_sorted_par};

@@ -138,8 +138,8 @@ struct PrefixTables<const W: usize> {
     xc: Vec<f64>,
     /// `n + 1` prefix rows: row `t` holds `Σ_{l<t} xc[l]^m` in `p[m]` and
     /// `Σ_{l<t} ys[l]·xc[l]^m` in `q[m]` (so row 0 is all zero and range
-    /// sums are differences of two rows), built by [`moment_rows`] from one
-    /// `(xc[l], 1, ys[l])` entry per observation.
+    /// sums are differences of two rows), built by [`moment_rows`] from the
+    /// pairs `(xc[l], ys[l])`.
     rows: Vec<Row<W>>,
     /// Sample size.
     n: usize,
@@ -164,7 +164,7 @@ impl<const W: usize> PrefixTables<W> {
         let center = 0.5 * (xs[0] + xs[n - 1]);
         let xc: Vec<f64> = xs[..n].iter().map(|&v| v - center).collect();
 
-        let rows = moment_rows(xc.iter().zip(&ys).map(|(&v, &yv)| (v, 1.0, yv)));
+        let rows = moment_rows(xc.iter().copied().zip(ys.iter().copied()));
 
         Self {
             xs,

@@ -1,10 +1,10 @@
-//! The moment-window cell kernel shared by the prefix sweep
-//! ([`super::prefix`]) and the streaming engine ([`super::incremental`]).
+//! The moment-window cell kernel of the prefix sweep ([`super::prefix`]),
+//! which the streaming window ([`super::incremental`]) re-selects through.
 //!
-//! Both engines score a `(observation, bandwidth)` cell from a table of
+//! The sweep scores a `(observation, bandwidth)` cell from a table of
 //! prefix-moment [`Row`]s: row `t` holds `P_m[t] = Σ_{l<t} x'^m` in `p[m]`
 //! and `Q_m[t] = Σ_{l<t} y·x'^m` in `q[m]`, for `m < W`, over a sorted key
-//! array, built for both by one compensated pass ([`moment_rows`]). A cell
+//! array, built by one compensated pass ([`moment_rows`]). A cell
 //! needs the support window `[lo, hi)` of the observation at sorted
 //! position `si` and the moment differences on each side of it. This
 //! module makes the window `O(1)` amortised per cell and the assembly a
@@ -62,8 +62,8 @@
 //! the same squared residual. So `num` and `den` compare equal to the full
 //! form's, with its bits whenever they are nonzero, and every score and
 //! `included` count is unchanged (`cell_kernel_golden.rs` pins them; this
-//! module's tests keep the full form and check the cell and both engines'
-//! profiles against it). A dropped term is not an exact zero in two cases,
+//! module's tests keep the full form and check the cell, the prefix
+//! profile and the window's re-selection against it). A dropped term is not an exact zero in two cases,
 //! and both exclude the cell in either form. A coefficient
 //! `0·(−x_i)^{j−m}` is NaN when the power overflows; then `x_i^{W−1}`
 //! overflows too, in the observation's own moment row, so the top moment's
@@ -75,9 +75,9 @@
 //!
 //! Rows and cells are fixed-size arrays of a const-generic width `W`
 //! (`deg + 1` for local-constant, `deg + 3` for local-linear), so every
-//! per-cell loop has a compile-time trip count and unrolls. Each engine
-//! resolves `W` from the kernel's `coeffs().len()` exactly once per profile
-//! or re-selection through [`dispatch_width!`]; the width-generic code
+//! per-cell loop has a compile-time trip count and unrolls. Each profile
+//! resolves `W` from the kernel's `coeffs().len()` exactly once through
+//! [`dispatch_width!`]; the width-generic code
 //! below it takes the coefficient slice and support radius, not the kernel
 //! type, so it is compiled once per width. Kernels above
 //! [`MAX_KERNEL_DEGREE`] have no instantiation and get
@@ -86,9 +86,8 @@
 use crate::error::Error;
 use crate::util::NeumaierSum;
 
-/// Highest polynomial-kernel degree the moment-window engines (prefix
-/// sweep, local-linear prefix sweep, incremental re-selection) are compiled
-/// for. Every kernel the crate ships has degree ≤ 6.
+/// Highest polynomial-kernel degree the moment-window sweeps (prefix and
+/// local-linear prefix, and so the streaming window) are compiled for. Every kernel the crate ships has degree ≤ 6.
 pub const MAX_KERNEL_DEGREE: usize = 7;
 
 /// One prefix-moment row of width `W`: `p[m] = Σ x'^m`, `q[m] = Σ y·x'^m`.
@@ -107,28 +106,24 @@ impl<const W: usize> Row<W> {
     };
 }
 
-/// Builds the compensated prefix rows of a sorted run of key entries
-/// `(x', cnt, sy)` — a centred key, the number of observations at it and
-/// the sum of their `y` — in one `O(len·W)` pass: row `t` holds
-/// `Σ cnt·x'^m` in `p[m]` and `Σ sy·x'^m` in `q[m]` over the first `t`
-/// entries, each accumulated with Neumaier summation, so row 0 is all zero
-/// and range sums are differences of two rows. A single observation is
-/// the entry `(x', 1, y)`. An empty entry (`cnt = sy = 0`) adds signed
-/// zeros, which leave a compensated sum exactly as it was, so its row
-/// repeats the previous one.
+/// Builds the compensated prefix rows of a sorted run of observations
+/// `(x', y)` — a centred key and its response — in one `O(len·W)` pass:
+/// row `t` holds `Σ x'^m` in `p[m]` and `Σ y·x'^m` in `q[m]` over the first
+/// `t` observations, each accumulated with Neumaier summation, so row 0 is
+/// all zero and range sums are differences of two rows.
 pub(crate) fn moment_rows<const W: usize>(
-    entries: impl ExactSizeIterator<Item = (f64, f64, f64)>,
+    obs: impl ExactSizeIterator<Item = (f64, f64)>,
 ) -> Vec<Row<W>> {
-    let mut rows = Vec::with_capacity(entries.len() + 1);
+    let mut rows = Vec::with_capacity(obs.len() + 1);
     rows.push(Row::ZERO);
     let mut accx = [NeumaierSum::new(); W];
     let mut accy = [NeumaierSum::new(); W];
-    for (v, cnt, sy) in entries {
+    for (v, y) in obs {
         let mut row = Row::ZERO;
         let mut pw = 1.0;
         for m in 0..W {
-            accx[m].add(cnt * pw);
-            accy[m].add(sy * pw);
+            accx[m].add(pw);
+            accy[m].add(y * pw);
             row.p[m] = accx[m].value();
             row.q[m] = accy[m].value();
             pw *= v;
@@ -450,7 +445,7 @@ impl<const W: usize> LcCell<W> {
 mod tests {
     use super::*;
     use crate::cv::prefix::profile_in_blocks;
-    use crate::cv::{CvProfile, IncrementalSelector};
+    use crate::cv::{CvProfile, SlidingWindowSelector};
     use crate::kernels::{
         Epanechnikov, EpanechnikovConvolution, PolynomialKernel, Quartic, Triangular, Triweight,
         Uniform,
@@ -533,7 +528,7 @@ mod tests {
         let n = xs.len();
         let center = 0.5 * (xs[0] + xs[n - 1]);
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
-        let rows = moment_rows::<W>(xc.iter().zip(ys).map(|(&v, &yv)| (v, 1.0, yv)));
+        let rows = moment_rows::<W>(xc.iter().copied().zip(ys.iter().copied()));
         let mut cell = LcCell::<W>::new(coeffs);
         for si in 0..n {
             cell.prepare(xc[si], &rows[si], &rows[si + 1]);
@@ -566,8 +561,9 @@ mod tests {
         )
     }
 
-    /// The prefix and incremental profiles of `(x, y)` are `to_bits`-equal
-    /// under the trimmed and the full cell, and every cell agrees.
+    /// The prefix profile and the window's re-selection over `(x, y)` are
+    /// `to_bits`-equal under the trimmed and the full cell, and every cell
+    /// agrees.
     fn trimmed_equals_full(
         kernel: &'static dyn PolynomialKernel,
         x: &[f64],
@@ -580,15 +576,28 @@ mod tests {
             return Err(format!("{name}: prefix profile differs"));
         }
         let grid = crate::grid::BandwidthGrid::from_values(hs.to_vec()).unwrap();
+        // A window of half the sample, so the buffer wraps; it re-selects
+        // on the calling thread (a few cells), where the full cell applies.
         let reselect = || {
-            let mut sel = IncrementalSelector::new(kernel, grid.clone());
-            for (&xi, &yi) in x.iter().zip(y) {
-                sel.insert(xi, yi).unwrap();
-            }
-            sel.reselect().unwrap()
+            let cap = (x.len() / 2).max(2);
+            let mut win = SlidingWindowSelector::new(kernel, grid.clone(), cap, 1).unwrap();
+            x.iter()
+                .zip(y)
+                .map(|(&xi, &yi)| {
+                    let opt = win.push(xi, yi)?;
+                    Ok(opt.map(|o| {
+                        (
+                            o.index,
+                            o.bandwidth.to_bits(),
+                            o.score.to_bits(),
+                            o.included,
+                        )
+                    }))
+                })
+                .collect::<Vec<crate::Result<_>>>()
         };
-        if bits(&reselect()) != bits(&with_full_cell(reselect)) {
-            return Err(format!("{name}: incremental profile differs"));
+        if reselect() != with_full_cell(reselect) {
+            return Err(format!("{name}: window re-selection differs"));
         }
         let mut order: Vec<usize> = (0..x.len()).collect();
         order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
@@ -662,8 +671,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The trimmed cell returns the full cell's `num` and `den` (equal,
-        /// the same bits when nonzero) on every window, and both engines'
-        /// profiles are `to_bits`-equal under either cell, for all six
+        /// the same bits when nonzero) on every window, and the prefix profile
+        /// and the window's re-selection are `to_bits`-equal under either cell, for all six
         /// kernels.
         #[test]
         fn trimmed_cell_is_exact(kind in 0usize..5, n in 2usize..24, seed in 0u64..1_000_000) {

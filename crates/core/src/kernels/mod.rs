@@ -62,8 +62,8 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
 ///
 /// **Degree cap.** The prefix-moment engines (`cv_profile_prefix*`, the
 /// prefix [`SortedGridSearch`](crate::select::SortedGridSearch) strategy,
-/// [`IncrementalSelector`](crate::cv::IncrementalSelector) and everything
-/// built on them) are compiled for degrees up to
+/// the streaming [`SlidingWindowSelector`](crate::cv::SlidingWindowSelector)
+/// and everything built on them) are compiled for degrees up to
 /// [`MAX_KERNEL_DEGREE`](crate::cv::MAX_KERNEL_DEGREE) `= 7`; a
 /// higher-degree kernel gets [`Error::KernelDegreeTooHigh`](crate::Error)
 /// from them. The naive and sorted strategies take any degree.

@@ -77,7 +77,8 @@
 //! * [`cv`] — the CV profile: naive `O(k·n²)` (the oracle), sorted
 //!   `O(n² log n)` (the paper's sweep), prefix-moment
 //!   `O(n log n + n·k·deg²)` amortised (one global argsort, no
-//!   per-neighbour scan) and the streaming incremental engine; every batch
+//!   per-neighbour scan) and the sliding window that re-selects through
+//!   it; every batch
 //!   profile runs sequentially or rayon-parallel (SPMD) through one
 //!   observation fold; local-constant and local-linear.
 //! * [`select`] — grid-search, bagged and rule-of-thumb selectors behind

@@ -3,7 +3,7 @@
 pub use crate::ci::{confidence_band, ConfidenceBand};
 pub use crate::cv::{
     cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par, CvOptimum,
-    CvProfile, IncrementalSelector, SlidingWindowSelector,
+    CvProfile, SlidingWindowSelector,
 };
 pub use crate::density::{Kde, LscvSelector};
 pub use crate::error::{Error, Result};

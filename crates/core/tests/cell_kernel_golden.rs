@@ -1,7 +1,9 @@
 //! Bit-level fingerprints of the moment-window cell kernel.
 //!
-//! The prefix sweep and the incremental engine score every
-//! `(observation, bandwidth)` cell through one kernel (`cv::window`). Any
+//! The prefix sweep scores every `(observation, bandwidth)` cell through
+//! one kernel (`cv::window`), and the streaming window re-selects through
+//! the prefix sweep, so its re-selections are checked against prefix
+//! profiles of their windows and those profiles are pinned here. Any
 //! restructuring of that kernel — row layout, loop fusion, width
 //! specialisation, dropping terms that are exact zeros — must leave the
 //! result bits unchanged: every score and `included` count stays
@@ -20,7 +22,7 @@
 //! reduction order depends on the core count.
 
 use kcv_core::cv::{
-    cv_profile_prefix, cv_profile_prefix_ll, CvProfile, IncrementalSelector, SlidingWindowSelector,
+    cv_profile_prefix, cv_profile_prefix_ll, CvOptimum, CvProfile, SlidingWindowSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{
@@ -80,29 +82,14 @@ impl Fnv {
 const SIZES: [usize; 2] = [50, 2000];
 const SEEDS: [u64; 2] = [7, 1013];
 
-/// Fingerprints of the current arithmetic — the prefix ones recorded
-/// before the cell kernel was specialised on kernel width, the
-/// `incremental/*` ones when its table became one prefix pass over the
-/// sorted keys, the signed-zero and sliding-window ones before the engine
-/// stopped keeping a sorted copy of its sample, and the `prefix-lattice`,
-/// `prefix-signed-zero` and `prefix-window` ones (the prefix profiles of
-/// the streaming cases' samples) before the streaming engine re-selected
-/// through the prefix sweep; a mismatch means some score or count changed
-/// bits.
+/// Fingerprints of the current arithmetic — the `prefix/*` and
+/// `prefix_ll/*` ones recorded before the cell kernel was specialised on
+/// kernel width, the `prefix-lattice`, `prefix-signed-zero` and
+/// `prefix-window` ones (the prefix profiles of the streaming cases'
+/// samples) before the sliding window re-selected through the prefix
+/// sweep; a mismatch means some score or count changed bits.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
-    ("incremental-signed-zero/epanechnikov", 0x20ae08c38f64aaaf),
-    ("incremental-signed-zero/epanechnikov-convolution", 0xc0ffd979d68ea400),
-    ("incremental-signed-zero/quartic", 0x86746f8e856c3e06),
-    ("incremental-signed-zero/triangular", 0x8c7fd806ab6753a0),
-    ("incremental-signed-zero/triweight", 0x83fc4bcabe24c581),
-    ("incremental-signed-zero/uniform", 0x67706147afbf62b6),
-    ("incremental/epanechnikov", 0x404aae33b4eaa7ae),
-    ("incremental/epanechnikov-convolution", 0x88a641d48ad607d6),
-    ("incremental/quartic", 0x5279f819330c117f),
-    ("incremental/triangular", 0x4c3c9184ddbddda7),
-    ("incremental/triweight", 0x5cabf011563fbc78),
-    ("incremental/uniform", 0x01e831b61b8bf08f),
     ("prefix-lattice/epanechnikov", 0x73886004652b5697),
     ("prefix-lattice/epanechnikov-convolution", 0x86e0a6659c61472d),
     ("prefix-lattice/quartic", 0x5afe29d85012e3c2),
@@ -169,12 +156,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("prefix_ll/uniform/n2000/s7", 0x16b5a6fcf82c58b4),
     ("prefix_ll/uniform/n50/s1013", 0xe5c0cdbe3ed933ab),
     ("prefix_ll/uniform/n50/s7", 0x5c577ae20a4849b1),
-    ("sliding-window/epanechnikov", 0x6f4476e0e9c27299),
-    ("sliding-window/epanechnikov-convolution", 0x7e8ce9b6cfd253a7),
-    ("sliding-window/quartic", 0xedf964339dac5ce4),
-    ("sliding-window/triangular", 0x620ae4eba1e4c3c3),
-    ("sliding-window/triweight", 0xcda5ac189a8602d8),
-    ("sliding-window/uniform", 0x95c027c59cfeeb4c),
 ];
 
 fn golden(case: &str) -> Option<u64> {
@@ -228,6 +209,9 @@ fn prefix_ll_profiles_match_their_fingerprints() {
     }));
 }
 
+/// Observations `(x, y)` in arrival order.
+type Obs = Vec<(f64, f64)>;
+
 /// Removes the earliest arrival equal (`==`) to `(x, y)` from `live`, so
 /// `+0.0` and `−0.0` keys match each other.
 fn remove_first(live: &mut Vec<(f64, f64)>, x: f64, y: f64) {
@@ -242,7 +226,7 @@ fn remove_first(live: &mut Vec<(f64, f64)>, x: f64, y: f64) {
 /// continuous keys, and its two live sets in arrival order: the whole
 /// stream, then the survivors after removals that empty some keys and
 /// shrink others (duplicates remain), with two re-inserts of a held key.
-fn lattice_stream() -> (Vec<(f64, f64)>, Vec<Vec<(f64, f64)>>, BandwidthGrid) {
+fn lattice_stream() -> (Obs, Vec<Obs>, BandwidthGrid) {
     let mut rng = SplitMix64::new(29);
     let obs: Vec<(f64, f64)> = (0..240)
         .map(|i| {
@@ -279,7 +263,7 @@ fn lattice_stream() -> (Vec<(f64, f64)>, Vec<Vec<(f64, f64)>>, BandwidthGrid) {
 /// observations left at the zero key; the zero key emptied; a `−0.0`
 /// arrival with a `−0.0` response and a `+0.0` one added; and the `−0.0`
 /// arrival removed by a `+0.0` query, so only a `+0.0` observation stays.
-fn signed_zero_stream() -> (Vec<(f64, f64)>, Vec<Vec<(f64, f64)>>, BandwidthGrid) {
+fn signed_zero_stream() -> (Obs, Vec<Obs>, BandwidthGrid) {
     let mut rng = SplitMix64::new(31);
     let obs: Vec<(f64, f64)> = (0..160)
         .map(|i| {
@@ -339,18 +323,6 @@ fn window_stream() -> (Vec<(f64, f64)>, BandwidthGrid) {
     (obs, BandwidthGrid::log(0.005, 0.5, 40).unwrap())
 }
 
-/// The window a `capacity`-observation sliding window re-selecting every
-/// `cadence` arrivals holds at each firing over `obs`.
-fn fired_windows(
-    obs: &[(f64, f64)],
-    capacity: usize,
-    cadence: usize,
-) -> impl Iterator<Item = &[(f64, f64)]> {
-    (cadence..=obs.len())
-        .step_by(cadence)
-        .map(move |end| &obs[end.saturating_sub(capacity)..end])
-}
-
 fn prefix_of(
     sample: &[(f64, f64)],
     grid: &BandwidthGrid,
@@ -360,36 +332,21 @@ fn prefix_of(
     cv_profile_prefix(&x, &y, grid, kernel).unwrap()
 }
 
-/// The prefix profiles of the streaming engine's samples: the lattice and
-/// signed-zero live sets and every window the sliding-window replay fires
-/// on (`W = 96`, cadence 16), each hashed in order per kernel.
+/// The prefix profiles of the streaming cases' live sets — the lattice
+/// stream's two and the signed-zero stream's five — each hashed in order
+/// per kernel.
 #[test]
 fn prefix_stream_samples_match_their_fingerprints() {
     let (_, lattice, lattice_grid) = lattice_stream();
     let (_, signed, signed_grid) = signed_zero_stream();
-    let (obs, window_grid) = window_stream();
     let mut cases = Vec::new();
     for (kname, kernel) in kernels() {
-        let mut runs = [
-            (
-                "prefix-lattice",
-                lattice.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                &lattice_grid,
-            ),
-            (
-                "prefix-signed-zero",
-                signed.iter().map(Vec::as_slice).collect(),
-                &signed_grid,
-            ),
-            (
-                "prefix-window",
-                fired_windows(&obs, 96, 16).collect(),
-                &window_grid,
-            ),
-        ];
-        for (engine, samples, grid) in &mut runs {
+        for (engine, sets, grid) in [
+            ("prefix-lattice", &lattice, &lattice_grid),
+            ("prefix-signed-zero", &signed, &signed_grid),
+        ] {
             let mut h = Fnv::new();
-            for sample in samples.iter() {
+            for sample in sets {
                 h.profile(&prefix_of(sample, grid, kernel));
             }
             cases.push((format!("{engine}/{kname}"), h.0));
@@ -398,145 +355,80 @@ fn prefix_stream_samples_match_their_fingerprints() {
     check(cases);
 }
 
-/// A scripted stream: lattice keys held several times each plus continuous
-/// keys, a reselect, then removals that empty some keys and shrink others
-/// (duplicates remain), then re-inserts of a held key before the second
-/// reselect.
-#[test]
-fn incremental_reselects_match_their_fingerprints() {
-    let mut rng = SplitMix64::new(29);
-    let obs: Vec<(f64, f64)> = (0..240)
-        .map(|i| {
-            let key = if i % 3 == 0 {
-                rng.next_f64()
-            } else {
-                (i % 32) as f64 / 32.0
-            };
-            (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
-        })
-        .collect();
-    let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
-    let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-    let mut cases = Vec::new();
-    for (kname, kernel) in kernels() {
-        let mut sel = IncrementalSelector::new(kernel, grid.clone());
-        for &(xi, yi) in &obs {
-            sel.insert(xi, yi).unwrap();
-        }
-        let mut h = Fnv::new();
-        h.profile(&sel.reselect().unwrap());
-        for (i, &(xi, yi)) in obs.iter().enumerate() {
-            // Every continuous key at i ≡ 0 (mod 9) leaves, and so do the
-            // lattice observations with i % 32 < 3 below i = 200: key 1/32
-            // empties, keys 0 and 2/32 keep one copy each.
-            let lattice_gone = i % 3 != 0 && i % 32 < 3 && i < 200;
-            if (i % 9 == 0) || lattice_gone {
-                assert!(sel.remove(xi, yi));
-            }
-        }
-        for &(xi, yi) in obs.iter().filter(|&&(k, _)| k == 5.0 / 32.0).take(2) {
-            sel.insert(xi, yi + 0.25).unwrap();
-        }
-        h.profile(&sel.reselect().unwrap());
-        cases.push((format!("incremental/{kname}"), h.0));
-    }
-    check(cases);
+fn optimum_bits(opt: kcv_core::Result<CvOptimum>) -> kcv_core::Result<(usize, u64, u64, usize)> {
+    opt.map(|o| {
+        (
+            o.index,
+            o.bandwidth.to_bits(),
+            o.score.to_bits(),
+            o.included,
+        )
+    })
 }
 
-/// A scripted stream over signed zeros: `+0.0` and `−0.0` keys compare
-/// equal, so they share one key of the sorted order, and `−0.0` responses
-/// sit among the others. Removals first leave only the `−0.0`
-/// observations at the zero key, then empty it; a `−0.0` arrival makes it
-/// live again, and a `+0.0` query then removes that arrival so only a
-/// `+0.0` observation stays.
-#[test]
-fn incremental_signed_zero_reselects_match_their_fingerprints() {
-    let mut rng = SplitMix64::new(31);
-    let obs: Vec<(f64, f64)> = (0..160)
-        .map(|i| {
-            let key = match i % 5 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => ((i % 16) as f64 - 8.0) / 8.0,
-                _ => 2.0 * rng.next_f64() - 1.0,
-            };
-            let y = if i % 7 == 0 {
-                -0.0
-            } else {
-                key * key + 0.5 * rng.next_f64()
-            };
-            (key, y)
-        })
-        .collect();
-    let x: Vec<f64> = obs.iter().map(|o| o.0).collect();
-    let grid = BandwidthGrid::paper_default(&x, 30).unwrap();
-    let zeros = |sign: f64| {
-        obs.iter()
-            .filter(move |&&(k, _)| k == 0.0 && k.is_sign_negative() == (sign < 0.0))
-            .copied()
-    };
-    let mut cases = Vec::new();
-    for (kname, kernel) in kernels() {
-        let mut sel = IncrementalSelector::new(kernel, grid.clone());
-        for &(xi, yi) in &obs {
-            sel.insert(xi, yi).unwrap();
+/// Streams `obs` through a `capacity`-observation window re-selecting
+/// every `cadence` arrivals, requires every fired optimum to equal the
+/// optimum of `cv_profile_prefix` over the window's observations `to_bits`,
+/// and returns those window profiles in firing order.
+fn replay_against_prefix(
+    obs: &[(f64, f64)],
+    grid: &BandwidthGrid,
+    kernel: &dyn PolynomialKernel,
+    capacity: usize,
+    cadence: usize,
+) -> Vec<CvProfile> {
+    let mut win = SlidingWindowSelector::new(kernel, grid.clone(), capacity, cadence).unwrap();
+    let mut profiles = Vec::new();
+    for (t, &(xi, yi)) in obs.iter().enumerate() {
+        if let Some(opt) = win.push(xi, yi).unwrap() {
+            let fresh = prefix_of(&obs[(t + 1).saturating_sub(capacity)..=t], grid, kernel);
+            assert_eq!(
+                optimum_bits(Ok(opt)),
+                optimum_bits(fresh.argmin()),
+                "{} arrival {t}",
+                kernel.name()
+            );
+            profiles.push(fresh);
         }
-        let mut h = Fnv::new();
-        h.profile(&sel.reselect().unwrap());
-        // Only the −0.0 observations stay at the zero key.
-        for (xi, yi) in zeros(1.0) {
-            assert!(sel.remove(xi, yi));
-        }
-        h.profile(&sel.reselect().unwrap());
-        // The zero key empties, then a −0.0 arrival with a −0.0 response
-        // and a +0.0 one make it live again.
-        for (xi, yi) in zeros(-1.0) {
-            assert!(sel.remove(xi, yi));
-        }
-        h.profile(&sel.reselect().unwrap());
-        sel.insert(-0.0, -0.0).unwrap();
-        sel.insert(0.0, 0.75).unwrap();
-        h.profile(&sel.reselect().unwrap());
-        // A +0.0 query removes the −0.0 arrival: both zeros compare
-        // equal, so the earliest match leaves and only +0.0 stays.
-        assert!(sel.remove(0.0, 0.0));
-        assert!(!sel.remove(0.0, 0.0));
-        h.profile(&sel.reselect().unwrap());
-        cases.push((format!("incremental-signed-zero/{kname}"), h.0));
     }
-    check(cases);
+    assert!(!profiles.is_empty(), "the cadence never fired");
+    profiles
 }
 
-/// A sliding window over lattice keys held several times each in every
-/// window, with continuous keys between them: every fired optimum (index,
-/// bandwidth, score, included) is hashed.
+/// The lattice stream through a 120-observation window: every key is held
+/// several times in each window, and evictions thin and refill them.
+#[test]
+fn lattice_window_reselects_equal_prefix() {
+    let (obs, _, grid) = lattice_stream();
+    for (_, kernel) in kernels() {
+        replay_against_prefix(&obs, &grid, kernel, 120, 16);
+    }
+}
+
+/// The signed-zero stream through a 64-observation window: `+0.0` and
+/// `−0.0` keys and `−0.0` responses in every window.
+#[test]
+fn signed_zero_window_reselects_equal_prefix() {
+    let (obs, _, grid) = signed_zero_stream();
+    for (_, kernel) in kernels() {
+        replay_against_prefix(&obs, &grid, kernel, 64, 8);
+    }
+}
+
+/// The sliding-window replay (`W = 96`, cadence 16, lattice keys held
+/// several times in every window): every fired optimum equals the prefix
+/// optimum of its window, and the window profiles, hashed in firing order,
+/// match their fingerprints.
 #[test]
 fn sliding_window_replays_match_their_fingerprints() {
-    let mut rng = SplitMix64::new(37);
-    let obs: Vec<(f64, f64)> = (0..600)
-        .map(|i| {
-            let key = if i % 4 == 0 {
-                rng.next_f64()
-            } else {
-                (i % 24) as f64 / 24.0
-            };
-            (key, 0.5 * key + 10.0 * key * key + 0.5 * rng.next_f64())
-        })
-        .collect();
-    let grid = BandwidthGrid::log(0.005, 0.5, 40).unwrap();
+    let (obs, grid) = window_stream();
     let mut cases = Vec::new();
     for (kname, kernel) in kernels() {
-        let mut win = SlidingWindowSelector::new(kernel, grid.clone(), 96, 16).unwrap();
         let mut h = Fnv::new();
-        for &(xi, yi) in &obs {
-            if let Some(opt) = win.push(xi, yi).unwrap() {
-                h.word(opt.index as u64);
-                h.word(opt.bandwidth.to_bits());
-                h.word(opt.score.to_bits());
-                h.word(opt.included as u64);
-            }
+        for profile in replay_against_prefix(&obs, &grid, kernel, 96, 16) {
+            h.profile(&profile);
         }
-        cases.push((format!("sliding-window/{kname}"), h.0));
+        cases.push((format!("prefix-window/{kname}"), h.0));
     }
     check(cases);
 }

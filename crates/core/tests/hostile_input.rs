@@ -2,16 +2,12 @@
 //!
 //! The sweep pads its sorted keys with `+inf` sentinels and relies on no
 //! real key being `+inf` (or NaN, which would break the sort the cursors
-//! step along). The incremental engine's re-selection sorts its live keys
-//! with a comparator that holds only for finite keys, so `insert` and
-//! `push` are the only ways in and must refuse the rest. Every entry point
-//! that reaches the sweep must therefore reject a non-finite `x` by name
-//! and index before any work, and the streaming selectors must leave their
-//! state untouched.
+//! step along). Every entry point that reaches the sweep must therefore
+//! reject a non-finite `x` by name and index before any work, and the
+//! streaming window, whose `push` is its only way in, must leave its state
+//! untouched.
 
-use kcv_core::cv::{
-    cv_profile_prefix, cv_profile_prefix_ll, IncrementalSelector, SlidingWindowSelector,
-};
+use kcv_core::cv::{cv_profile_prefix, cv_profile_prefix_ll, SlidingWindowSelector};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
 use kcv_core::multi::select_full_grid;
@@ -61,78 +57,29 @@ fn streaming_inserts_reject_non_finite_x_and_keep_their_state() {
     let y: Vec<f64> = x.iter().map(|&v| v * v).collect();
     let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
 
-    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
     let mut win = SlidingWindowSelector::new(Epanechnikov, grid, 8, 3).unwrap();
     for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
         win.push(xi, yi).unwrap();
     }
-    let before = sel.reselect().unwrap();
-    let window_before = win.reselect_now().unwrap();
+    let before = win.reselect_now().unwrap();
     for bad in BAD {
-        assert!(is_bad_x(sel.insert(bad, 1.0), 0), "{bad}");
         assert!(is_bad_x(win.push(bad, 1.0), 0), "{bad}");
-    }
-    assert_eq!(sel.len(), x.len());
-    assert_eq!(win.len(), 8);
-    let after = sel.reselect().unwrap();
-    assert_eq!(after.included, before.included);
-    assert_eq!(after.scores, before.scores);
-    let window_after = win.reselect_now().unwrap();
-    assert_eq!(
-        window_after.bandwidth.to_bits(),
-        window_before.bandwidth.to_bits()
-    );
-}
-
-/// `remove` of an observation the selector does not hold, or of a NaN
-/// (which equals nothing), reports `false` and leaves the live set alone;
-/// a non-finite `y` is rejected like a non-finite `x`.
-#[test]
-fn streaming_removes_of_absent_or_nan_observations_change_nothing() {
-    let grid = BandwidthGrid::linear(0.1, 1.0, 5).unwrap();
-    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
-    let mut win = SlidingWindowSelector::new(Epanechnikov, grid, 4, 2).unwrap();
-    for i in 0..6 {
-        let x = f64::from(i) / 6.0;
-        sel.insert(x, x * x).unwrap();
-        win.push(x, x * x).unwrap();
-    }
-    let before = sel.reselect().unwrap();
-    for (x, y) in [
-        (0.5, 7.0),
-        (9.0, 0.0),
-        (f64::NAN, 0.0),
-        (0.0, f64::NAN),
-        (f64::NAN, f64::NAN),
-    ] {
-        assert!(!sel.remove(x, y), "({x}, {y})");
-        assert_eq!(sel.len(), 6);
-    }
-    for bad in BAD {
-        assert!(matches!(
-            sel.insert(0.5, bad),
-            Err(Error::NonFiniteData { which: "y", .. })
-        ));
         assert!(matches!(
             win.push(0.5, bad),
             Err(Error::NonFiniteData { which: "y", .. })
         ));
-        assert!(matches!(
-            sel.insert(bad, bad),
-            Err(Error::NonFiniteData { which: "x", .. })
-        ));
     }
-    assert_eq!((sel.len(), win.len()), (6, 4));
-    let after = sel.reselect().unwrap();
+    assert_eq!(win.len(), 8);
+    let after = win.reselect_now().unwrap();
+    assert_eq!(after.bandwidth.to_bits(), before.bandwidth.to_bits());
+    assert_eq!(after.score.to_bits(), before.score.to_bits());
     assert_eq!(after.included, before.included);
-    assert_eq!(after.scores, before.scores);
 }
 
 /// Keys spanning `1e-300..1e300` on both sides of zero: the moment powers
 /// overflow, but the re-selection's sort and sweep see only finite keys,
-/// so both selectors return a profile or an error, never a panic, and the
-/// live set is unchanged by it.
+/// so the window returns an optimum or an error, never a panic, and the
+/// window is unchanged by it.
 #[test]
 fn streaming_reselects_survive_keys_spanning_the_exponent_range() {
     let keys: Vec<f64> = (-300..=300)
@@ -140,21 +87,15 @@ fn streaming_reselects_survive_keys_spanning_the_exponent_range() {
         .flat_map(|e| [10f64.powi(e), -(10f64.powi(e))])
         .collect();
     let grid = BandwidthGrid::log(1e-300, 1e300, 12).unwrap();
-    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
-    let mut win = SlidingWindowSelector::new(Epanechnikov, grid, 16, 4).unwrap();
-    for (i, &x) in keys.iter().enumerate() {
-        let y = f64::from(i as u32 % 7);
-        sel.insert(x, y).unwrap();
-        let _ = win.push(x, y);
-        assert_eq!(win.len(), (i + 1).min(16));
+    // A window that wraps, and one that holds every key.
+    for capacity in [16, keys.len()] {
+        let mut win = SlidingWindowSelector::new(Epanechnikov, grid.clone(), capacity, 4).unwrap();
+        for (i, &x) in keys.iter().enumerate() {
+            let y = f64::from(i as u32 % 7);
+            let _ = win.push(x, y);
+            assert_eq!(win.len(), (i + 1).min(capacity));
+        }
+        let _ = win.reselect_now();
+        assert_eq!(win.len(), capacity);
     }
-    if let Ok(profile) = sel.reselect() {
-        assert_eq!(profile.n, keys.len());
-        assert_eq!(profile.scores.len(), 12);
-    }
-    let _ = sel.reselect_optimum();
-    let _ = win.reselect_now();
-    assert_eq!((sel.len(), win.len()), (keys.len(), 16));
-    assert!(sel.remove(keys[3], 3.0));
-    assert_eq!(sel.len(), keys.len() - 1);
 }

@@ -1,76 +1,109 @@
-//! Property tests for the incremental engine.
+//! Sliding-window re-selections against the batch prefix profile.
 //!
-//! The contract under test (DESIGN.md, "incremental" row): after any
-//! interleaved sequence of `insert`/`remove` operations, `reselect()` must
-//! agree with a *fresh* `cv_profile_prefix` run over the live multiset —
-//! identical inclusion classification, scores within the degree-scaled
-//! prefix tolerance documented in PR 4, and a bit-for-bit identical
-//! selected bandwidth. Three hostile regimes are exercised:
+//! `SlidingWindowSelector` re-selects by running `cv_profile_prefix` on its
+//! window in arrival order, so every re-selection must equal that batch
+//! profile's optimum `to_bits` — index, bandwidth, score and `included` —
+//! or fail where it fails. The replays below check that at every cadence
+//! firing and once more at the end, for all six polynomial kernels, over
+//! windows that wrap around the deque's buffer:
 //!
-//! * random continuous keys with interleaved removals (from anywhere in
-//!   the arrival order) and periodic mid-stream reselects;
-//! * duplicate-heavy streams where every key collides (the closed-form
-//!   duplicate path does all the work);
-//! * boundary-tie lattices where `|x_i − x_l| == h·r` holds exactly at many
-//!   cells, hammering the bisection's tie-breaking.
+//! * continuous keys, occasionally repeating a key still in the window;
+//! * duplicate-heavy streams where every key collides;
+//! * the `boundary_ties.rs` lattice, where `|x_i − x_l| == h·r` holds
+//!   exactly at many cells;
+//! * `+0.0` and `−0.0` keys, which compare equal, with `−0.0` responses.
 //!
-//! On distinct keys whose midrange is exactly `0.0` the re-selection runs
-//! the prefix sweep's own operations, so there the whole profile must
-//! match `to_bits` (`distinct_midrange_keys_match_prefix_bitwise`).
-//!
-//! Knife-edge caveat (shared with `multi_agreement.rs`): when every in-box
-//! neighbour of some observation sits essentially at the support edge, its
-//! leave-one-out denominator vanishes and the moment-differencing roundoff
-//! is amplified arbitrarily — for the fresh prefix run just as much as for
-//! the incremental engine, and the two need not even agree on the *sign*
-//! of such a denominator. Grid points whose minimum positive denominator
-//! mass falls below a threshold are therefore compared on guarded terms
-//! only; the unconditional bit-for-bit selection claim is pinned on
-//! fixed-seed streams with solid mass everywhere (`pinned_*` tests below).
+//! The shifted-key case pins the window against the naive oracle too: on
+//! keys far from zero the window selects what naive selects.
 
-use kcv_core::cv::{cv_profile_prefix, CvProfile, IncrementalSelector};
+use kcv_core::cv::{cv_profile_naive, cv_profile_prefix, CvOptimum, SlidingWindowSelector};
 use kcv_core::grid::BandwidthGrid;
-use kcv_core::kernels::{polynomial_kernels, EpanechnikovConvolution, PolynomialKernel};
-use kcv_core::util::{approx_eq, min_max, SplitMix64};
+use kcv_core::kernels::{
+    polynomial_kernels, Epanechnikov, EpanechnikovConvolution, PolynomialKernel,
+};
+use kcv_core::util::SplitMix64;
+use kcv_core::Result;
 use proptest::prelude::*;
 
-/// Below this minimum positive leave-one-out denominator mass, a grid
-/// point is knife-edge and only guarded comparisons apply (same threshold
-/// as `multi_agreement.rs`).
-const MASS_FLOOR: f64 = 1e-2;
-
-/// Degree-scaled score tolerance, matching the prefix sweep's documented
-/// accuracy (PR 4) and the in-module agreement tests.
-fn score_tol(deg: usize) -> (f64, f64) {
-    match deg {
-        0..=2 => (1e-8, 1e-10),
-        3..=4 => (1e-5, 1e-7),
-        _ => (1e-2, 1e-4),
-    }
+/// All six polynomial kernels the crate ships.
+fn six_kernels() -> Vec<Box<dyn PolynomialKernel>> {
+    let mut kernels = polynomial_kernels();
+    kernels.push(Box::new(EpanechnikovConvolution));
+    kernels
 }
 
-/// The smallest positive leave-one-out denominator mass across the sample
-/// at one bandwidth, computed directly from kernel weights (the test may
-/// spend kernel evaluations; the engine under test may not).
-fn min_positive_den(xs: &[f64], kernel: &dyn PolynomialKernel, h: f64) -> f64 {
-    let mut min_den = f64::INFINITY;
-    for (i, &xi) in xs.iter().enumerate() {
-        let mut den = 0.0;
-        for (l, &xl) in xs.iter().enumerate() {
-            if l != i {
-                den += kernel.eval((xi - xl) / h);
+/// An optimum as comparable bits, or the error that replaced it.
+fn bits(opt: Result<CvOptimum>) -> Result<(usize, u64, u64, usize)> {
+    opt.map(|o| {
+        (
+            o.index,
+            o.bandwidth.to_bits(),
+            o.score.to_bits(),
+            o.included,
+        )
+    })
+}
+
+/// The batch optimum of the observations `obs`.
+fn batch(
+    obs: &[(f64, f64)],
+    grid: &BandwidthGrid,
+    kernel: &dyn PolynomialKernel,
+) -> Result<CvOptimum> {
+    let (x, y): (Vec<f64>, Vec<f64>) = obs.iter().copied().unzip();
+    cv_profile_prefix(&x, &y, grid, kernel)?.argmin()
+}
+
+/// Streams `obs` through a `capacity`-observation window re-selecting
+/// every `cadence` arrivals and requires every re-selection, and a forced
+/// one after the last arrival, to equal the batch optimum of the window's
+/// observations `to_bits`. Returns the final optimum.
+fn replay(
+    kernel: &dyn PolynomialKernel,
+    grid: &BandwidthGrid,
+    obs: &[(f64, f64)],
+    capacity: usize,
+    cadence: usize,
+) -> std::result::Result<Result<CvOptimum>, TestCaseError> {
+    let mut win = SlidingWindowSelector::new(kernel, grid.clone(), capacity, cadence).unwrap();
+    for (t, &(x, y)) in obs.iter().enumerate() {
+        let window = &obs[(t + 1).saturating_sub(capacity)..=t];
+        match win.push(x, y) {
+            Ok(None) => {}
+            fired => {
+                let (got, want) = (
+                    bits(fired.map(|o| o.unwrap())),
+                    bits(batch(window, grid, kernel)),
+                );
+                prop_assert!(
+                    got == want,
+                    "{} arrival {}: {:?} vs {:?}",
+                    kernel.name(),
+                    t,
+                    got,
+                    want
+                );
             }
         }
-        if den > 0.0 {
-            min_den = min_den.min(den);
-        }
     }
-    min_den
+    let window = &obs[obs.len().saturating_sub(capacity)..];
+    let last = win.reselect_now();
+    if window.len() >= 2 {
+        let (got, want) = (bits(last.clone()), bits(batch(window, grid, kernel)));
+        prop_assert!(
+            got == want,
+            "{} final: {:?} vs {:?}",
+            kernel.name(),
+            got,
+            want
+        );
+    }
+    Ok(last)
 }
 
-/// How the replay draws observations.
+/// How a stream draws observations.
 enum Draw {
-    /// Continuous keys on `[0, 1)` (occasionally duplicating a live key),
+    /// Continuous keys on `[0, 1)`, one in seven repeating a recent key,
     /// paper-DGP responses.
     Continuous,
     /// Keys confined to the lattice `{0, 1/m, …, (m−1)/m}`, paper-DGP
@@ -79,290 +112,153 @@ enum Draw {
     /// Power-of-two lattice keys `{j/16}` with exact-binary responses
     /// `{k/8}`: `|x_i − x_l| == h·r` holds exactly at many cells.
     ExactLattice,
+    /// Keys `±0.0` and a `{j/8}` lattice on `[−1, 1]`, with `−0.0` among
+    /// the responses.
+    SignedZero,
 }
 
-/// Replays a seeded interleaved insert/remove stream against the
-/// incremental selector, mirroring it in a plain `Vec`, then returns the
-/// incremental profile, a fresh prefix run over the surviving multiset,
-/// and the surviving regressors.
-fn replay(
-    kernel: &dyn PolynomialKernel,
-    grid: &BandwidthGrid,
-    seed: u64,
-    n_ops: usize,
-    draw: &Draw,
-) -> (CvProfile, CvProfile, Vec<f64>) {
+/// A seeded stream of `n` observations.
+fn stream(seed: u64, n: usize, draw: &Draw) -> Vec<(f64, f64)> {
     let mut rng = SplitMix64::new(seed);
-    let mut sel = IncrementalSelector::new(kernel, grid.clone());
-    let mut live: Vec<(f64, f64)> = Vec::new();
-    let mut step = 0;
-    // Keep streaming until the op budget is spent AND enough observations
-    // survive for a meaningful profile.
-    while step < n_ops || live.len() < 8 {
+    let mut obs: Vec<(f64, f64)> = Vec::with_capacity(n);
+    for i in 0..n {
         let r = rng.next_f64();
-        if step < n_ops && r < 0.3 && live.len() > 8 {
-            let idx = (rng.next_f64() * live.len() as f64) as usize % live.len();
-            let (xi, yi) = live.swap_remove(idx);
-            assert!(sel.remove(xi, yi), "live observation missing from selector");
-        } else {
-            let (xi, yi) = match draw {
-                Draw::Continuous => {
-                    let xi = if r > 0.85 && !live.is_empty() {
-                        // Duplicate an existing key: exercises pooled-slot
-                        // inserts and the closed-form duplicate scoring.
-                        live[(rng.next_f64() * live.len() as f64) as usize % live.len()].0
-                    } else {
-                        rng.next_f64()
-                    };
-                    (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
-                }
-                Draw::DuplicatePool(m) => {
-                    let j = (rng.next_f64() * *m as f64) as usize % m;
-                    let xi = j as f64 / *m as f64;
-                    (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
-                }
-                Draw::ExactLattice => {
-                    let j = (rng.next_f64() * 17.0) as usize % 17;
-                    let k = (rng.next_f64() * 16.0) as usize % 16;
-                    (j as f64 / 16.0, k as f64 / 8.0)
-                }
-            };
-            sel.insert(xi, yi).unwrap();
-            live.push((xi, yi));
-        }
-        // Periodic mid-stream reselect: a re-selection must leave the live
-        // set as it was for the operations that follow.
-        if step % 17 == 16 && live.len() >= 2 {
-            sel.reselect().unwrap();
-        }
-        step += 1;
+        let next = match draw {
+            Draw::Continuous => {
+                let xi = if r > 6.0 / 7.0 && i > 0 {
+                    obs[i - 1 - (rng.next_f64() * i.min(8) as f64) as usize % i.min(8)].0
+                } else {
+                    rng.next_f64()
+                };
+                (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
+            }
+            Draw::DuplicatePool(m) => {
+                let xi = ((r * *m as f64) as usize % m) as f64 / *m as f64;
+                (xi, 0.5 * xi + 10.0 * xi * xi + 0.5 * rng.next_f64())
+            }
+            Draw::ExactLattice => {
+                let j = (r * 17.0) as usize % 17;
+                let k = (rng.next_f64() * 16.0) as usize % 16;
+                (j as f64 / 16.0, k as f64 / 8.0)
+            }
+            Draw::SignedZero => {
+                let xi = match (r * 4.0) as usize {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((rng.next_f64() * 17.0) as usize % 17) as f64 / 8.0 - 1.0,
+                };
+                let yi = if rng.next_f64() < 0.25 {
+                    -0.0
+                } else {
+                    xi * xi + 0.5 * rng.next_f64()
+                };
+                (xi, yi)
+            }
+        };
+        obs.push(next);
     }
-    let xs: Vec<f64> = live.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = live.iter().map(|p| p.1).collect();
-    let fresh = cv_profile_prefix(&xs, &ys, grid, kernel).unwrap();
-    let inc = sel.reselect().unwrap();
-    (inc, fresh, xs)
-}
-
-/// The shared mass-guarded agreement assertion:
-///
-/// * at solid-mass grid points, inclusion must match exactly and scores
-///   must agree within the documented tolerance;
-/// * the selected bandwidth must be bit-for-bit identical whenever the
-///   fresh profile's optimum is well separated (runner-up beyond the score
-///   tolerance) and every grid point carries solid mass — the generic
-///   case; near-ties fall back to the `multi_agreement.rs`-style check
-///   that the fresh score at the incremental argmin matches the fresh
-///   optimum within tolerance.
-fn check_agreement(
-    kernel: &dyn PolynomialKernel,
-    inc: &CvProfile,
-    fresh: &CvProfile,
-    xs: &[f64],
-) -> std::result::Result<(), TestCaseError> {
-    prop_assert_eq!(inc.n, fresh.n);
-    let (rel, abs) = score_tol(kernel.coeffs().len() - 1);
-    let mass: Vec<f64> = inc
-        .bandwidths
-        .iter()
-        .map(|&h| min_positive_den(xs, kernel, h))
-        .collect();
-    for (m, &mass_m) in mass.iter().enumerate() {
-        if mass_m < MASS_FLOOR {
-            continue;
-        }
-        prop_assert!(
-            inc.included[m] == fresh.included[m],
-            "{}: h={} classification diverged ({} vs {}, mass {})",
-            kernel.name(),
-            inc.bandwidths[m],
-            inc.included[m],
-            fresh.included[m],
-            mass_m
-        );
-        prop_assert!(
-            approx_eq(inc.scores[m], fresh.scores[m], rel, abs),
-            "{}: h={} score {} vs {} (mass {})",
-            kernel.name(),
-            inc.bandwidths[m],
-            inc.scores[m],
-            fresh.scores[m],
-            mass_m
-        );
-    }
-    let (a, b) = match (inc.argmin(), fresh.argmin()) {
-        (Ok(a), Ok(b)) => (a, b),
-        (a, b) => {
-            prop_assert!(
-                a.is_err() && b.is_err(),
-                "argmin availability diverged ({})",
-                kernel.name()
-            );
-            return Ok(());
-        }
-    };
-    let solid_everywhere = mass.iter().all(|&m| m >= MASS_FLOOR);
-    let separated = !fresh
-        .scores
-        .iter()
-        .zip(&fresh.included)
-        .enumerate()
-        .any(|(m, (&s, &i))| m != b.index && i > 0 && approx_eq(s, b.score, rel, abs));
-    if solid_everywhere && separated {
-        prop_assert!(
-            a.index == b.index && a.bandwidth.to_bits() == b.bandwidth.to_bits(),
-            "{}: selection not bit-identical (inc h={} vs fresh h={})",
-            kernel.name(),
-            a.bandwidth,
-            b.bandwidth
-        );
-    } else if mass[a.index] >= MASS_FLOOR && mass[b.index] >= MASS_FLOOR {
-        prop_assert!(
-            approx_eq(fresh.scores[a.index], b.score, rel, abs),
-            "{}: incremental argmin {} not a fresh near-optimum ({} vs {})",
-            kernel.name(),
-            a.bandwidth,
-            fresh.scores[a.index],
-            b.score
-        );
-    }
-    Ok(())
+    obs
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleaved insert/remove streams over continuous keys, all
-    /// polynomial kernels.
+    /// Continuous streams through windows of every size from two up,
+    /// re-selecting at every cadence from each arrival to rarely.
     #[test]
     fn interleaved_streams_agree(
         seed in 0u64..10_000,
-        n_ops in 24usize..120,
+        n in 24usize..120,
+        capacity in 2usize..48,
+        cadence in 1usize..10,
     ) {
         let grid = BandwidthGrid::log(0.05, 1.0, 12).unwrap();
-        for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, n_ops, &Draw::Continuous);
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+        let obs = stream(seed, n, &Draw::Continuous);
+        for kernel in six_kernels() {
+            let _ = replay(&*kernel, &grid, &obs, capacity, cadence)?;
         }
     }
 
-    /// Duplicate-saturated streams: keys confined to a small lattice so the
-    /// closed-form duplicate handling carries the whole profile.
+    /// Duplicate-saturated streams: keys confined to a small lattice.
     #[test]
     fn duplicate_heavy_streams_agree(
         seed in 0u64..10_000,
-        n_ops in 30usize..100,
+        n in 30usize..100,
         pool in 5usize..14,
+        capacity in 8usize..40,
     ) {
         let grid = BandwidthGrid::log(0.08, 1.0, 10).unwrap();
-        for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) =
-                replay(&*kernel, &grid, seed, n_ops, &Draw::DuplicatePool(pool));
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+        let obs = stream(seed, n, &Draw::DuplicatePool(pool));
+        for kernel in six_kernels() {
+            let _ = replay(&*kernel, &grid, &obs, capacity, 3)?;
         }
     }
 
     /// Boundary-tie lattices: `x ∈ {j/16}`, `h ∈ {1/8, 1/4, 1/2}`, so
-    /// `|x_i − x_l| == h·r` holds exactly at many cells and the two
-    /// engines' window bisections must break the tie identically.
+    /// `|x_i − x_l| == h·r` holds exactly at many cells.
     #[test]
     fn boundary_tie_lattices_agree(
         seed in 0u64..10_000,
-        n_ops in 24usize..90,
+        n in 24usize..90,
+        capacity in 4usize..32,
     ) {
         let grid = BandwidthGrid::from_values(vec![0.125, 0.25, 0.5]).unwrap();
-        for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, n_ops, &Draw::ExactLattice);
-            check_agreement(&*kernel, &inc, &fresh, &xs)?;
+        let obs = stream(seed, n, &Draw::ExactLattice);
+        for kernel in six_kernels() {
+            let _ = replay(&*kernel, &grid, &obs, capacity, 5)?;
+        }
+    }
+
+    /// Signed-zero keys and responses: `+0.0` and `−0.0` share one key of
+    /// the sorted order, in whichever arrival order the window holds them.
+    #[test]
+    fn signed_zero_streams_agree(
+        seed in 0u64..10_000,
+        n in 24usize..90,
+        capacity in 4usize..32,
+    ) {
+        let grid = BandwidthGrid::log(0.05, 1.0, 12).unwrap();
+        let obs = stream(seed, n, &Draw::SignedZero);
+        for kernel in six_kernels() {
+            let _ = replay(&*kernel, &grid, &obs, capacity, 4)?;
         }
     }
 }
 
-/// Fixed-seed dense streams (n ≈ 300 after removals): every grid point
-/// carries solid denominator mass, so the full unguarded contract must
-/// hold — identical classification at every bandwidth and a bit-for-bit
-/// identical selected bandwidth, for every polynomial kernel.
+/// Fixed-seed dense streams of 450 arrivals through a 300-observation
+/// window: every firing equals the batch optimum, for every kernel.
 #[test]
 fn pinned_streams_select_bit_identically() {
     let grid = BandwidthGrid::log(0.05, 1.0, 12).unwrap();
     for seed in [7u64, 101, 9001] {
-        for kernel in polynomial_kernels() {
-            let (inc, fresh, xs) = replay(&*kernel, &grid, seed, 450, &Draw::Continuous);
-            for &h in grid.values() {
-                assert!(
-                    min_positive_den(&xs, &*kernel, h) >= MASS_FLOOR,
-                    "pinned stream lost mass at h={h}; pick another seed"
-                );
-            }
-            assert_eq!(
-                inc.included,
-                fresh.included,
-                "{} seed {}",
-                kernel.name(),
-                seed
-            );
-            let a = inc.argmin().unwrap();
-            let b = fresh.argmin().unwrap();
-            assert_eq!(a.index, b.index, "{} seed {}", kernel.name(), seed);
-            assert_eq!(
-                a.bandwidth.to_bits(),
-                b.bandwidth.to_bits(),
-                "{} seed {}: selection not bit-identical",
-                kernel.name(),
-                seed
-            );
+        let obs = stream(seed, 450, &Draw::Continuous);
+        for kernel in six_kernels() {
+            let last = replay(&*kernel, &grid, &obs, 300, 50).unwrap();
+            assert!(last.is_ok(), "{} seed {seed}", kernel.name());
         }
     }
 }
 
-/// The `boundary_ties.rs` design, streamed: power-of-two lattice with
-/// exact-binary responses stays in exact arithmetic at this size, so the
-/// profiles must match bitwise — scores included — after an insert/remove
-/// detour through a key that is later evicted.
+/// The `boundary_ties.rs` design, streamed: a transient observation
+/// arrives first and is evicted, and the window then holds exactly the
+/// power-of-two lattice with exact-binary responses.
 #[test]
 fn pinned_exact_lattice_matches_bitwise() {
-    let x = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let y = [1.0, 2.0, 1.5, 2.5, 2.0];
+    let mut obs = vec![(0.375, 9.0)];
+    obs.extend([(0.0, 1.0), (0.25, 2.0), (0.5, 1.5), (0.75, 2.5), (1.0, 2.0)]);
     let grid = BandwidthGrid::from_values(vec![0.25, 0.5]).unwrap();
-    for kernel in polynomial_kernels() {
-        let mut sel = IncrementalSelector::new(&*kernel, grid.clone());
-        for (&xi, &yi) in x.iter().zip(&y) {
-            sel.insert(xi, yi).unwrap();
-        }
-        // Detour: a transient observation inserted and removed again, so
-        // the final query runs over dead-slot residue.
-        sel.insert(0.375, 9.0).unwrap();
-        sel.reselect().unwrap();
-        assert!(sel.remove(0.375, 9.0));
-        let inc = sel.reselect().unwrap();
-        let fresh = cv_profile_prefix(&x, &y, &grid, &*kernel).unwrap();
-        assert_eq!(inc.included, fresh.included, "{}", kernel.name());
-        for m in 0..grid.len() {
-            assert_eq!(
-                inc.scores[m].to_bits(),
-                fresh.scores[m].to_bits(),
-                "{}: h={} exact-lattice score not bitwise ({} vs {})",
-                kernel.name(),
-                grid.values()[m],
-                inc.scores[m],
-                fresh.scores[m]
-            );
-        }
+    for kernel in six_kernels() {
+        let last = replay(&*kernel, &grid, &obs, 5, 1).unwrap();
+        assert_eq!(bits(last), bits(batch(&obs[1..], &grid, &*kernel)));
     }
 }
 
-/// On distinct keys every slot holds one observation (`cnt = 1`,
-/// `Σy = y`), and on keys `±u` the sample midrange — where the prefix
-/// sweep centres — is exactly `0.0`, where the incremental engine takes
-/// its moments: the re-selection builds the prefix sweep's own rows and
-/// runs its own cells, so every score and inclusion count must match a
-/// fresh `cv_profile_prefix` run `to_bits`. Covers every polynomial kernel
-/// plus the degree-6 convolution kernel, the widest width.
+/// Distinct keys `±u`, whose midrange is exactly `0.0`, filling the
+/// window once: the re-selection equals the batch optimum at n = 50, 400
+/// and 2000.
 #[test]
 fn distinct_midrange_keys_match_prefix_bitwise() {
-    let mut kernels = polynomial_kernels();
-    kernels.push(Box::new(EpanechnikovConvolution));
-    for kernel in &kernels {
+    for kernel in six_kernels() {
         for n in [50usize, 400, 2000] {
             for seed in [3u64, 17, 2024] {
                 let mut rng = SplitMix64::new(seed);
@@ -372,37 +268,43 @@ fn distinct_midrange_keys_match_prefix_bitwise() {
                         [u, -u]
                     })
                     .collect();
-                let y: Vec<f64> = x
+                let obs: Vec<(f64, f64)> = x
                     .iter()
-                    .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
+                    .map(|&v| (v, 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64()))
                     .collect();
-                let mut sorted = x.clone();
-                sorted.sort_by(f64::total_cmp);
-                assert!(
-                    sorted.windows(2).all(|w| w[0] < w[1]),
-                    "keys must be distinct"
-                );
-                let (lo, hi) = min_max(&x).unwrap();
-                assert_eq!((0.5 * (lo + hi)).to_bits(), 0f64.to_bits(), "midrange");
                 let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
-                let mut sel = IncrementalSelector::new(&**kernel, grid.clone());
-                for (&xi, &yi) in x.iter().zip(&y) {
-                    sel.insert(xi, yi).unwrap();
-                }
-                let inc = sel.reselect().unwrap();
-                let fresh = cv_profile_prefix(&x, &y, &grid, &**kernel).unwrap();
-                let case = format!("{} n={n} seed={seed}", kernel.name());
-                assert_eq!(inc.n, fresh.n, "{case}");
-                assert_eq!(inc.included, fresh.included, "{case}");
-                for (m, (a, b)) in inc.scores.iter().zip(&fresh.scores).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{case} h={}: {a} vs {b}",
-                        grid.values()[m]
-                    );
-                }
+                let last = replay(&*kernel, &grid, &obs, n, n).unwrap();
+                assert!(last.is_ok(), "{} n={n} seed={seed}", kernel.name());
             }
         }
+    }
+}
+
+/// Paper-DGP keys shifted by 10⁴ through a `W = 512` window: the final
+/// optimum is the naive oracle's raw argmin (index and `included`) and
+/// the batch prefix optimum `to_bits`. A table of moments taken about
+/// `0.0` instead of the window's midrange misclassifies such windows.
+#[test]
+fn shifted_keys_select_like_naive() {
+    let grid = BandwidthGrid::log(1e-3, 0.3, 64).unwrap();
+    let w = 512;
+    for seed in 1u64..=4 {
+        let mut rng = SplitMix64::new(seed);
+        let x: Vec<f64> = (0..4 * w).map(|_| rng.next_f64()).collect();
+        let obs: Vec<(f64, f64)> = x
+            .iter()
+            .map(|&v| (v + 1e4, 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64()))
+            .collect();
+        let last = replay(&Epanechnikov, &grid, &obs, w, 64).unwrap().unwrap();
+        let (wx, wy): (Vec<f64>, Vec<f64>) = obs[obs.len() - w..].iter().copied().unzip();
+        let naive = cv_profile_naive(&wx, &wy, &grid, &Epanechnikov)
+            .unwrap()
+            .argmin()
+            .unwrap();
+        assert_eq!(
+            (last.index, last.included),
+            (naive.index, naive.included),
+            "seed {seed}"
+        );
     }
 }

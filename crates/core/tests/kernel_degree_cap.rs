@@ -5,8 +5,8 @@
 //! with no coefficients at all is an `Error::InvalidParameter`.
 
 use kcv_core::cv::{
-    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_ll, IncrementalSelector,
-    SlidingWindowSelector, MAX_KERNEL_DEGREE,
+    cv_profile_naive, cv_profile_prefix, cv_profile_prefix_ll, SlidingWindowSelector,
+    MAX_KERNEL_DEGREE,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::{horner, Kernel, PolynomialKernel};
@@ -106,16 +106,6 @@ fn streaming_entry_points_reject_a_degree_eight_kernel() {
     let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
     let k = Poly(&DEG8);
 
-    let mut sel = IncrementalSelector::new(k, grid.clone());
-    for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
-    }
-    assert!(is_degree_error(sel.reselect()));
-    assert!(is_degree_error(sel.reselect_optimum()));
-    // The failed re-selection left the live set intact.
-    assert_eq!(sel.len(), x.len());
-    assert!(sel.remove(x[0], y[0]));
-
     let mut win = SlidingWindowSelector::new(k, grid, 16, 4).unwrap();
     let mut errors = 0;
     for (&xi, &yi) in x.iter().zip(&y) {
@@ -135,8 +125,10 @@ fn streaming_entry_points_reject_a_degree_eight_kernel() {
         }
     }
     assert_eq!(errors, x.len() / 4, "every cadence turn reports the cap");
+    // The failed re-selections left the window intact.
     assert_eq!(win.len(), 16);
     assert!(win.current().is_none());
+    assert!(is_degree_error(win.reselect_now()));
 }
 
 #[test]
@@ -148,11 +140,14 @@ fn a_kernel_without_coefficients_is_rejected() {
         |r: kcv_core::Result<_>| matches!(r, Err(Error::InvalidParameter { name: "coeffs", .. }));
     assert!(bad(cv_profile_prefix(&x, &y, &grid, &k)));
     assert!(bad(cv_profile_prefix_ll(&x, &y, &grid, &k)));
-    let mut sel = IncrementalSelector::new(k, grid);
+    let mut win = SlidingWindowSelector::new(k, grid, x.len(), x.len()).unwrap();
     for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
+        let _ = win.push(xi, yi);
     }
-    assert!(bad(sel.reselect()));
+    assert!(matches!(
+        win.reselect_now(),
+        Err(Error::InvalidParameter { name: "coeffs", .. })
+    ));
 }
 
 #[test]
@@ -173,11 +168,11 @@ fn a_kernel_at_the_cap_runs_every_engine() {
         );
     }
     assert!(cv_profile_prefix_ll(&x, &y, &grid, &k).is_ok());
-    let mut sel = IncrementalSelector::new(k, grid);
+    let mut win = SlidingWindowSelector::new(k, grid, x.len(), x.len()).unwrap();
     for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
+        win.push_deferred(xi, yi).unwrap();
     }
-    let inc = sel.reselect().unwrap();
-    assert_eq!(inc.included, naive.included);
-    assert_eq!(inc.argmin().unwrap().index, naive.argmin().unwrap().index);
+    let opt = win.reselect_now().unwrap();
+    let best = naive.argmin().unwrap();
+    assert_eq!((opt.index, opt.included), (best.index, best.included));
 }

@@ -9,7 +9,7 @@
 
 use kcv_core::cv::{
     cv_profile_naive, cv_profile_prefix, cv_profile_sorted, cv_profile_sorted_par,
-    IncrementalSelector,
+    SlidingWindowSelector,
 };
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
@@ -250,23 +250,34 @@ fn split_blocks(k: usize) -> u64 {
         .min(k) as u64
 }
 
+/// A window holding all of `(x, y)`, ready to re-select over `grid`.
+fn full_window(x: &[f64], y: &[f64], grid: BandwidthGrid) -> SlidingWindowSelector<Epanechnikov> {
+    let mut win = SlidingWindowSelector::new(Epanechnikov, grid, x.len(), x.len()).unwrap();
+    for (&xi, &yi) in x.iter().zip(y) {
+        win.push_deferred(xi, yi).unwrap();
+    }
+    win
+}
+
 #[test]
 fn prefix_split_counts_the_same_totals_as_a_calling_thread_reselect() {
     // 800 · 100 cells: above the split threshold, so the profile runs in
-    // one bandwidth block per core. The incremental re-selection runs the
-    // same cursor-and-cell loop on the calling thread.
+    // one bandwidth block per core. Window re-selections over each half of
+    // the grid (800 · 50 cells, under it) run the same cursor-and-cell
+    // loop on the calling thread.
     let (x, y) = paper_dgp(800, 64);
     let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
 
     let split = record(|| {
         cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     });
-    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
-    for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
-    }
+    let (low, high) = grid.values().split_at(50);
+    let mut halves =
+        [low, high].map(|hs| full_window(&x, &y, BandwidthGrid::from_values(hs.to_vec()).unwrap()));
     let one = record(|| {
-        sel.reselect().unwrap();
+        for win in &mut halves {
+            win.reselect_now().unwrap();
+        }
     });
     assert_eq!(
         split.get(Counter::WindowQueries),
@@ -345,21 +356,19 @@ fn bagged_bags_on_workers_do_not_split_their_grids() {
 
 #[test]
 fn reselect_counts_the_same_window_work_as_the_prefix_sweep() {
-    // Both engines run the shared cursor-and-cell loop: over distinct keys
-    // a fresh re-selection queries every (observation, bandwidth) cell once
-    // and skips the same out-of-window terms as the prefix sweep.
+    // A window re-selection is the prefix sweep over the window: it
+    // queries every (observation, bandwidth) cell once, skips the same
+    // out-of-window terms, and adds one re-selection and one table row
+    // per observation.
     let (x, y) = paper_dgp(300, 66);
     let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
 
     let prefix = record(|| {
         cv_profile_prefix(&x, &y, &grid, &Epanechnikov).unwrap();
     });
-    let mut sel = IncrementalSelector::new(Epanechnikov, grid.clone());
-    for (&xi, &yi) in x.iter().zip(&y) {
-        sel.insert(xi, yi).unwrap();
-    }
+    let mut win = full_window(&x, &y, grid.clone());
     let reselect = record(|| {
-        sel.reselect().unwrap();
+        win.reselect_now().unwrap();
     });
     let cells = (x.len() * grid.len()) as u64;
     assert_eq!(prefix.get(Counter::WindowQueries), cells);
@@ -368,6 +377,9 @@ fn reselect_counts_the_same_window_work_as_the_prefix_sweep() {
     assert!(skipped > 0, "small bandwidths must leave terms outside");
     assert_eq!(reselect.get(Counter::LooTermsSkipped), skipped);
     assert_eq!(reselect.get(Counter::KernelEvals), 0);
+    assert_eq!(reselect.get(Counter::Reselects), 1);
+    assert_eq!(reselect.get(Counter::TreeUpdates), x.len() as u64);
+    assert_eq!(prefix.get(Counter::Reselects), 0);
 }
 
 #[test]

@@ -146,21 +146,19 @@ pub enum Counter {
     /// multivariate path's cost while its `KernelEvals` stays zero on the
     /// d ≤ 2 hot path — the contrast the multivariate perf gates assert.
     DimSweeps = 8,
-    /// Moment-table rows written by the incremental CV engine
-    /// (`kcv-core::cv::incremental`): one increment per slot (distinct key
-    /// of the sorted window) its `reselect()` writes in the compensated
-    /// prefix pass (the `tree_updates` name stays because reports and the
-    /// benchmark read it). Inserts and removes write no rows, so a window
-    /// of capacity `W` re-selected every `c` arrivals writes at most `W`
-    /// rows per `c` arrivals; perf
-    /// gate 14 holds the total under
-    /// `(inserts + removes)·⌈log₂ W⌉·(deg+3)`.
+    /// Moment-table rows written by the streaming window's re-selections
+    /// (`kcv-core::cv::incremental`): each re-selection is the prefix
+    /// sweep over the window, which writes one row per window
+    /// observation, and adds that count (the `tree_updates` name stays
+    /// because reports and the benchmark read it). Arrivals and evictions
+    /// write no rows, so a window of capacity `W` re-selected every `c`
+    /// arrivals writes at most `W` rows per `c` arrivals; perf gate 14
+    /// holds the total under `(inserts + removes)·⌈log₂ W⌉·(deg+3)`.
     TreeUpdates = 9,
-    /// Completed `reselect()` passes of the incremental CV engine: one
-    /// increment per full grid re-selection over the live window. The
-    /// sliding-window amortisation story is `reselects ≪ arrivals`; each
-    /// pass runs under a `cv.reselect` phase scope while updates run under
-    /// `cv.update`.
+    /// Completed re-selections of the streaming window: one increment per
+    /// full grid re-selection over the window. The sliding-window
+    /// amortisation story is `reselects ≪ arrivals`; each runs under the
+    /// prefix sweep's `cv.argsort`, `cv.prefix` and `cv.window` phases.
     Reselects = 10,
     /// Recorder-scope re-entries performed inside worker closures
     /// ([`Scope::enter`]): the bookkeeping cost of propagating an installed

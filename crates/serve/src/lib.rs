@@ -1,6 +1,6 @@
 //! # kcv-serve — the sharded multi-stream bandwidth service
 //!
-//! The ROADMAP's "heavy traffic" front-end over the incremental CV engine:
+//! The ROADMAP's "heavy traffic" front-end over the streaming CV window:
 //! many concurrent arrival streams, each owning a
 //! [`SlidingWindowSelector`](kcv_core::cv::incremental::SlidingWindowSelector),
 //! multiplexed across a fixed set of worker **shards**.
@@ -23,7 +23,8 @@
 //!   re-selection boundaries funds a **single** cadence `reselect()` at
 //!   the end of the burst — under load this is where the service's
 //!   throughput over a global-lock stream map comes from, because the
-//!   `O(W log W + W·(deg+1) + k·W·deg²)` re-selection dominates the
+//!   `O(W log W + k·W·deg²)` re-selection (the prefix sweep over the
+//!   window) dominates the
 //!   `O(1)` per-arrival window update. With `conflate` off the worker re-selects
 //!   exactly when a sequential
 //!   [`SlidingWindowSelector::push`](kcv_core::cv::incremental::SlidingWindowSelector::push)

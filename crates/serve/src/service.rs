@@ -378,7 +378,7 @@ fn worker_loop<K: PolynomialKernel + Clone>(
             StreamReport {
                 stream: id,
                 shard,
-                outcome: close_state(state, config),
+                outcome: close_state(state),
             }
         })
         .collect();
@@ -440,7 +440,7 @@ fn process_stream_requests<K: PolynomialKernel + Clone>(
                     Some(state) => Ok(StreamReport {
                         stream: id,
                         shard,
-                        outcome: close_state(state, config),
+                        outcome: close_state(state),
                     }),
                     None => Err(ServeError::UnknownStream(id)),
                 };
@@ -536,10 +536,7 @@ fn fire_reselect<K: PolynomialKernel + Clone>(state: &mut StreamState<K>, config
 /// Reusing that optimum returns the bits a re-selection would: the window
 /// and the sweep over it are the same, and the sweep is deterministic.
 /// Only re-selections actually run count in `reselects`.
-fn close_state<K: PolynomialKernel + Clone>(
-    mut state: StreamState<K>,
-    _config: &ServeConfig,
-) -> StreamOutcome {
+fn close_state<K: PolynomialKernel + Clone>(mut state: StreamState<K>) -> StreamOutcome {
     let final_optimum = if state.current_is_fresh {
         state.selector.current()
     } else if state.selector.len() >= 2 {
@@ -757,7 +754,7 @@ mod tests {
         // So close scores the window again instead of returning that
         // stale optimum.
         kernel.fail.store(false, Ordering::Relaxed);
-        let outcome = close_state(state, &config);
+        let outcome = close_state(state);
         assert_eq!(outcome.reselects, 2);
         assert_same_optimum(
             &outcome.final_optimum.unwrap(),

@@ -13,7 +13,7 @@
 //! * [`data`] (`kcv-data`) — synthetic DGPs (including the paper's) and
 //!   CSV I/O;
 //! * [`serve`] (`kcv-serve`) — the sharded multi-stream serving front-end
-//!   over the incremental sliding-window engine.
+//!   over the sliding-window engine.
 //!
 //! ```
 //! use kernelcv::prelude::*;
