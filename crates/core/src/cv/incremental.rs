@@ -154,7 +154,9 @@ impl<K: PolynomialKernel> SlidingWindowSelector<K> {
     /// # Errors
     /// As [`cv_profile_prefix`] on the window: [`Error::SampleTooSmall`]
     /// below two observations, [`Error::KernelDegreeTooHigh`] for a kernel
-    /// above [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE).
+    /// above [`MAX_KERNEL_DEGREE`](super::MAX_KERNEL_DEGREE); and
+    /// [`Error::NoValidBandwidth`] when every bandwidth excluded every
+    /// observation.
     pub fn reselect_now(&mut self) -> Result<CvOptimum> {
         self.since_reselect = 0;
         let opt = self.profile()?.argmin()?;
@@ -229,9 +231,8 @@ mod tests {
 
     #[test]
     fn removals_after_fold_stay_bit_identical_on_selection() {
-        // A re-selection, then evictions past it: the window after them
-        // holds the last 300 arrivals and profiles like them, wrapped
-        // around the deque's buffer.
+        // A re-selection, then 100 evictions past it: the window holds
+        // the last 300 arrivals and profiles like them.
         let (x, y) = paper_dgp(400, 32);
         let grid = BandwidthGrid::paper_default(&x, 40).unwrap();
         let mut win = filled(Epanechnikov, grid, &x[..300], &y[..300]);

@@ -576,7 +576,7 @@ mod tests {
             return Err(format!("{name}: prefix profile differs"));
         }
         let grid = crate::grid::BandwidthGrid::from_values(hs.to_vec()).unwrap();
-        // A window of half the sample, so the buffer wraps; it re-selects
+        // A window of half the sample, so arrivals evict; it re-selects
         // on the calling thread (a few cells), where the full cell applies.
         let reselect = || {
             let cap = (x.len() / 2).max(2);

@@ -5,7 +5,7 @@
 //! profile's optimum `to_bits` — index, bandwidth, score and `included` —
 //! or fail where it fails. The replays below check that at every cadence
 //! firing and once more at the end, for all six polynomial kernels, over
-//! windows that wrap around the deque's buffer:
+//! windows that fill and then evict their oldest observation:
 //!
 //! * continuous keys, occasionally repeating a key still in the window;
 //! * duplicate-heavy streams where every key collides;
