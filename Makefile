@@ -5,13 +5,13 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify fmt build test test-metrics doc clippy perf-gate perfbench-smoke scaling streaming serve clean
+.PHONY: verify fmt build test test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve clean
 
 ## The full PR gate: formatting, build, tests with metrics off AND on,
-## docs, lints, and the counter-based performance gate. (The d = 2 "Multi
-## fast" check against the naive full-grid oracle is a unit test in
-## kcv-bench.)
-verify: fmt build test test-metrics doc clippy perf-gate
+## docs, lints, the counter-based performance gate, and one run of every
+## example. (The d = 2 "Multi fast" check against the naive full-grid
+## oracle is a unit test in kcv-bench.)
+verify: fmt build test test-metrics doc clippy perf-gate examples
 	@echo "verify: all gates green"
 
 ## rustfmt over every workspace member. Plain `cargo fmt` (not `--all`,
@@ -47,6 +47,15 @@ clippy:
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
 		--bin perf_gate -- --n 2000 --k 100
+
+## Runs every example under examples/ once in release; `cargo test` only
+## compiles them. An example that panics or exits non-zero fails the target.
+EXAMPLES = $(sort $(basename $(notdir $(wildcard examples/*.rs))))
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "== example $$e"; \
+		$(CARGO) run $(FLAGS) --release -q --example $$e; \
+	done
 
 ## The repository benchmark's own smoke tests (perfbench/tests/smoke.rs),
 ## untraced and traced: the two BENCHMARK.json workloads at smoke size plus

@@ -30,16 +30,6 @@ fn bench_selectors(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rule_of_thumb", n), &n, |b, _| {
             b.iter(|| rot.select(black_box(&s.x), &s.y).unwrap().bandwidth)
         });
-        // The k-NN analogue: CV over 50 neighbour counts via prefix sums.
-        group.bench_with_input(BenchmarkId::new("knn_cv_50", n), &n, |b, _| {
-            b.iter(|| {
-                kcv_core::estimate::knn_cv_profile(black_box(&s.x), &s.y, 50)
-                    .unwrap()
-                    .argmin()
-                    .unwrap()
-                    .0
-            })
-        });
     }
     group.finish();
 }

@@ -47,26 +47,6 @@ impl<'a, K: Kernel> Kde<'a, K> {
         sum * inv_h / self.x.len() as f64
     }
 
-    /// Leave-one-out density estimate at sample point `i`:
-    /// `f̂_{-i}(X_i) = (1/((n−1)h)) Σ_{l≠i} K((X_i − X_l)/h)`.
-    pub fn loo_evaluate(&self, i: usize) -> f64 {
-        assert!(i < self.x.len(), "loo index {i} out of bounds");
-        let n = self.x.len();
-        if n == 1 {
-            return 0.0;
-        }
-        let inv_h = 1.0 / self.bandwidth;
-        let xi = self.x[i];
-        let sum: f64 = self
-            .x
-            .iter()
-            .enumerate()
-            .filter(|(l, _)| *l != i)
-            .map(|(_, &xl)| self.kernel.eval((xi - xl) * inv_h))
-            .sum();
-        sum * inv_h / (n - 1) as f64
-    }
-
     /// Density estimates over `count` evenly spaced points on `[lo, hi]`,
     /// returned as `(points, densities)`.
     pub fn evaluate_grid(&self, lo: f64, hi: f64, count: usize) -> (Vec<f64>, Vec<f64>) {
@@ -114,34 +94,6 @@ mod tests {
         // f̂(0.5) = K(0)/h = 0.75/0.2.
         assert!((kde.evaluate(0.5) - 0.75 / 0.2).abs() < 1e-12);
         assert_eq!(kde.evaluate(2.0), 0.0);
-    }
-
-    #[test]
-    fn loo_excludes_self_mass() {
-        let x = [0.0, 1.0];
-        let kde = Kde::new(&x, Epanechnikov, 0.5).unwrap();
-        // Neither point sees the other within h = 0.5 → LOO density 0.
-        assert_eq!(kde.loo_evaluate(0), 0.0);
-        // But the plain density at X_0 is positive (its own mass).
-        assert!(kde.evaluate(0.0) > 0.0);
-    }
-
-    #[test]
-    fn loo_matches_direct_computation() {
-        let mut rng = SplitMix64::new(62);
-        let x: Vec<f64> = (0..50).map(|_| rng.next_f64()).collect();
-        let h = 0.15;
-        let kde = Kde::new(&x, Epanechnikov, h).unwrap();
-        for i in [0usize, 10, 49] {
-            let mut direct = 0.0;
-            for (l, &xl) in x.iter().enumerate() {
-                if l != i {
-                    direct += Epanechnikov.eval((x[i] - xl) / h);
-                }
-            }
-            direct /= (x.len() - 1) as f64 * h;
-            assert!((kde.loo_evaluate(i) - direct).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -153,16 +153,25 @@ pub fn lscv_profile_sorted<K: PolynomialKernel, C: PolynomialKernel>(
                 }
                 pc += 1;
             }
+            // An exactly-zero power sum is skipped: when only `d = 0`
+            // neighbours are inside the support, `Σ d^j` is 0 for j ≥ 1
+            // while `(1/h)^j` may already be `inf`, and `inf·0` would turn
+            // the cell into NaN. Wherever `(1/h)^j` is finite the skipped
+            // term is ±0, which leaves the `+0.0`-started sum unchanged.
             let mut hp = 1.0;
             let mut acc_k = 0.0;
-            for (j, &c) in k_coeffs.iter().enumerate() {
-                acc_k += c * hp * sk[j];
+            for (&c, &p) in k_coeffs.iter().zip(&sk) {
+                if p != 0.0 {
+                    acc_k += c * hp * p;
+                }
                 hp *= inv_h;
             }
             let mut hp = 1.0;
             let mut acc_c = 0.0;
-            for (j, &c) in c_coeffs.iter().enumerate() {
-                acc_c += c * hp * sc[j];
+            for (&c, &p) in c_coeffs.iter().zip(&sc) {
+                if p != 0.0 {
+                    acc_c += c * hp * p;
+                }
                 hp *= inv_h;
             }
             total_k[m] += acc_k;
@@ -293,6 +302,32 @@ mod tests {
         let (h, profile) = LscvSelector::new(50).select(&x).unwrap();
         assert!(h > 0.0);
         assert_eq!(profile.bandwidths.len(), 50);
+    }
+
+    /// Duplicate keys at a bandwidth so small that `(1/h)^j` overflows:
+    /// only the `d = 0` pairs are inside the support, so every power sum
+    /// but the count is exactly zero and must not meet the infinite power.
+    #[test]
+    fn sorted_scores_duplicate_keys_at_tiny_bandwidths_like_naive() {
+        let x = [0.0, 0.0, 0.5, 0.5, 1.0];
+        let grids = [
+            BandwidthGrid::from_values(vec![1e-300, 1e-150, 0.3]).unwrap(),
+            BandwidthGrid::log(1e-300, 1.0, 8).unwrap(),
+        ];
+        for grid in grids {
+            let sorted =
+                lscv_profile_sorted(&x, &grid, &Epanechnikov, &EpanechnikovConvolution).unwrap();
+            let naive =
+                lscv_profile_naive(&x, &grid, &Epanechnikov, &EpanechnikovConvolution).unwrap();
+            for (m, (&s, &v)) in sorted.scores.iter().zip(&naive.scores).enumerate() {
+                assert!(
+                    s.is_finite() && approx_eq(s, v, 1e-9, 0.0),
+                    "{m}: {s} vs {v}"
+                );
+            }
+            assert_eq!(sorted.argmin().unwrap().0, naive.argmin().unwrap().0);
+            assert_eq!(sorted.argmin().unwrap().0, 0);
+        }
     }
 
     #[test]

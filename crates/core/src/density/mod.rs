@@ -16,10 +16,8 @@
 //! polynomials in `|u|`, so the paper's sorted sweep applies verbatim with
 //! two advancing pointers per observation.
 
-mod ci;
 mod kde;
 mod lscv;
 
-pub use ci::{density_band, DensityBand};
 pub use kde::Kde;
 pub use lscv::{lscv_profile_naive, lscv_profile_sorted, LscvProfile, LscvSelector};

@@ -9,15 +9,9 @@
 //! Both expose plain prediction and the leave-one-out variant that the
 //! cross-validation objective is built on.
 
-mod binning;
-mod derivative;
-mod knn;
 pub(crate) mod local_linear;
 mod nw;
 
-pub use binning::BinnedNadarayaWatson;
-pub use derivative::{local_fit, marginal_effects, LocalFit};
-pub use knn::{knn_cv_profile, KnnCvProfile, KnnRegression};
 pub use local_linear::LocalLinear;
 pub use nw::NadarayaWatson;
 

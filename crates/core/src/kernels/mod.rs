@@ -36,8 +36,7 @@ pub trait Kernel: Send + Sync + std::fmt::Debug {
     /// infinite support (Gaussian).
     fn support(&self) -> Option<f64>;
 
-    /// Roughness `R(K) = ∫ K(u)² du`, used by plug-in rules and confidence
-    /// intervals.
+    /// Roughness `R(K) = ∫ K(u)² du`, used by the plug-in rules.
     fn roughness(&self) -> f64;
 
     /// Second moment `κ₂(K) = ∫ u² K(u) du`.

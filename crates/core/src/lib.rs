@@ -72,8 +72,7 @@
 //! * [`grid`] — bandwidth grids with the paper's defaults and the §IV-A
 //!   zoom refinement.
 //! * [`estimate`] — Nadaraya–Watson and local-linear estimators with
-//!   leave-one-out variants; plus the k-NN baseline (§II's Creel & Zubair
-//!   contrast) and a linear-binning accelerator.
+//!   leave-one-out variants.
 //! * [`cv`] — the CV profile: naive `O(k·n²)` (the oracle), sorted
 //!   `O(n² log n)` (the paper's sweep), prefix-moment
 //!   `O(n log n + n·k·deg²)` amortised (one global argsort, no
@@ -86,14 +85,10 @@
 //!   `npregbw`).
 //! * [`density`] — KDE + least-squares CV bandwidths (paper's named
 //!   extension) using the same sorted sweep.
-//! * [`ci`] — leave-one-out cross-validated confidence bands (paper's named
-//!   extension).
 //! * [`multi`] — multivariate product-kernel regression (paper's §I grid
 //!   "or matrix" remark), selected by the dimension-recursive
 //!   fast-sum-updating CV engine in [`multi::fast`] (zero kernel
 //!   evaluations at d ≤ 2).
-//! * [`bootstrap`] — pairs-bootstrap bands and bandwidth-stability
-//!   diagnostics.
 //! * [`diagnostics`] — fit quality summaries used by tests and benches.
 //!
 //! ## Feature `metrics`
@@ -110,8 +105,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bootstrap;
-pub mod ci;
 pub mod cv;
 pub mod density;
 pub mod diagnostics;

@@ -68,6 +68,12 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
                 });
             }
         }
+        if let Some(i) = y.iter().position(|v| !v.is_finite()) {
+            return Err(Error::NonFiniteData {
+                which: "y",
+                index: i,
+            });
+        }
         if bandwidths.len() != columns.len() {
             return Err(Error::DimensionMismatch {
                 expected: columns.len(),
@@ -376,16 +382,18 @@ pub fn select_full_grid_naive<K: Kernel + Clone + Sync>(
     let total = validate_full_grid(columns.len(), per_dim_grids)?;
     let _phase = kcv_obs::phase("cv.multi");
     let scope = kcv_obs::scope();
-    let best = (0..total)
+    let scored = (0..total)
         .into_par_iter()
         .map(|idx| {
             let _in_scope = scope.enter();
             let hs = decode_grid_point(per_dim_grids, idx);
-            let est = MultiNadarayaWatson::new(columns, y, kernel.clone(), hs.clone())
-                .expect("validated inputs");
+            let est = MultiNadarayaWatson::new(columns, y, kernel.clone(), hs.clone())?;
             let (score, included) = est.cv_score_included();
-            (hs, score, included)
+            Ok((hs, score, included))
         })
+        .collect::<Result<Vec<_>>>()?;
+    let best = scored
+        .into_iter()
         .filter(|(_, _, included)| *included > 0)
         .min_by(|a, b| a.1.total_cmp(&b.1));
 

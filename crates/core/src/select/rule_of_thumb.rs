@@ -31,6 +31,12 @@ fn spread_rule<K: Kernel>(x: &[f64], kernel: &K, c: f64, robust: bool) -> Result
             required: 2,
         });
     }
+    if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+        return Err(Error::NonFiniteData {
+            which: "x",
+            index: i,
+        });
+    }
     let sigma = std_dev(x);
     let spread = if robust {
         let iqr = interquartile_range(x) / 1.34;

@@ -5,14 +5,17 @@
 //! step along). Every entry point that reaches the sweep must therefore
 //! reject a non-finite `x` by name and index before any work, and the
 //! streaming window, whose `push` is its only way in, must leave its state
-//! untouched.
+//! untouched. The naive oracles and the plug-in rules reject the same
+//! inputs with the same typed error as the engines they stand beside.
 
 use kcv_core::cv::{cv_profile_prefix, cv_profile_prefix_ll, SlidingWindowSelector};
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
-use kcv_core::multi::select_full_grid;
+use kcv_core::multi::{
+    select_full_grid, select_full_grid_naive, select_multiplier_grid, select_multiplier_grid_naive,
+};
 use kcv_core::prelude::{BandwidthSelector, GridSpec, SortedGridSearch};
-use kcv_core::select::{BagEngine, BaggedSelector};
+use kcv_core::select::{scott_bandwidth, silverman_bandwidth, BagEngine, BaggedSelector};
 use kcv_core::Error;
 
 const BAD: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
@@ -97,5 +100,54 @@ fn streaming_reselects_survive_keys_spanning_the_exponent_range() {
         }
         let _ = win.reselect_now();
         assert_eq!(win.len(), capacity);
+    }
+}
+
+/// The d-dimensional naive oracles validate like the fast engine: the same
+/// typed error on non-finite x or y and on n < 2, never a panic or an `Ok`.
+#[test]
+fn multivariate_naive_oracles_fail_like_the_fast_engine() {
+    let k = &Epanechnikov;
+    let grids = vec![vec![0.2, 0.4], vec![0.3, 0.6]];
+    let multipliers = [0.5, 1.0, 2.0];
+    let clean = |n: usize| -> (Vec<Vec<f64>>, Vec<f64>) {
+        let a: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+        let b: Vec<f64> = a.iter().map(|v| (v * 7.0).fract()).collect();
+        let y: Vec<f64> = a.iter().zip(&b).map(|(u, v)| u * v).collect();
+        (vec![a, b], y)
+    };
+    let mut cases = Vec::new();
+    for bad in BAD {
+        for index in [0, 5] {
+            let (mut cols, y) = clean(8);
+            cols[1][index] = bad;
+            cases.push((cols, y, Error::NonFiniteData { which: "x", index }));
+            let (cols, mut y) = clean(8);
+            y[index] = bad;
+            cases.push((cols, y, Error::NonFiniteData { which: "y", index }));
+        }
+    }
+    for n in [0, 1] {
+        let (cols, y) = clean(n);
+        cases.push((cols, y, Error::SampleTooSmall { n, required: 2 }));
+    }
+    for (cols, y, expected) in cases {
+        let fast = select_full_grid(&cols, &y, k, &grids).unwrap_err();
+        let naive = select_full_grid_naive(&cols, &y, k, &grids).unwrap_err();
+        assert_eq!(fast, expected);
+        assert_eq!(naive, expected);
+        let fast = select_multiplier_grid(&cols, &y, k, &multipliers).unwrap_err();
+        let naive = select_multiplier_grid_naive(&cols, &y, k, &multipliers).unwrap_err();
+        assert_eq!(fast, expected);
+        assert_eq!(naive, expected);
+    }
+}
+
+#[test]
+fn rules_of_thumb_reject_non_finite_x() {
+    for bad in BAD {
+        let x = [0.1, bad, 0.3];
+        assert!(is_bad_x(silverman_bandwidth(&x, &Epanechnikov), 1), "{bad}");
+        assert!(is_bad_x(scott_bandwidth(&x, &Epanechnikov), 1), "{bad}");
     }
 }

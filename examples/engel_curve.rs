@@ -1,14 +1,13 @@
 //! An applied-econometrics scenario of the kind the paper's introduction
 //! motivates: estimating an Engel curve — the household food budget share
 //! as a function of log total expenditure — without assuming a functional
-//! form, with a cross-validated bandwidth and pointwise confidence bands.
+//! form, with a cross-validated bandwidth.
 //!
 //! The data are synthetic (a Working–Leser curve with heteroskedastic
 //! noise), since real household surveys are not shipped with the repo.
 //!
 //! Run with: `cargo run --release --example engel_curve`
 
-use kernelcv::core::ci::confidence_band;
 use kernelcv::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,52 +64,18 @@ fn main() {
         np_bw.bw, np_bw.fval
     );
 
-    // Fit + 95% confidence band over the *interior* of the expenditure
-    // range (the first-order band ignores the boundary bias of the
-    // local-constant estimator, so we stay a bandwidth away from the edges).
-    let points: Vec<f64> = (0..=30).map(|i| 5.25 + i as f64 * 0.1).collect();
-    let band = confidence_band(
-        &log_exp,
-        &food_share,
-        &Epanechnikov,
-        selection.bandwidth,
-        &points,
-        0.95,
-    )
-    .expect("confidence band");
-
-    println!("log-expenditure   food share ĝ(x)   95% CI             truth");
-    let mut covered = 0usize;
-    let mut defined = 0usize;
-    for (i, &p) in points.iter().enumerate() {
-        if !band.estimates[i].is_finite() {
-            continue;
-        }
-        defined += 1;
-        let truth = engel_truth(p);
-        let inside = band.lower[i] <= truth && truth <= band.upper[i];
-        if inside {
-            covered += 1;
-        }
-        if i % 4 == 0 {
-            println!(
-                "{p:>14.2}   {:>14.4}   [{:.4}, {:.4}]   {truth:.4}{}",
-                band.estimates[i],
-                band.lower[i],
-                band.upper[i],
-                if inside { "" } else { "  <-- outside" }
-            );
-        }
-    }
-    println!(
-        "\nband covered the true curve at {covered}/{defined} evaluation points \
-         (σ̂² = {:.5})",
-        band.sigma_sq
-    );
-
-    // Economics sanity check: food share declines with income (Engel's law).
+    // Fit at the selected bandwidth and compare with the true curve.
     let fit =
         NadarayaWatson::new(&log_exp, &food_share, Epanechnikov, selection.bandwidth).expect("fit");
+    println!("log-expenditure   food share ĝ(x)   truth");
+    for p in (0..=8).map(|i| 5.25 + i as f64 * 0.375) {
+        if let Some(g) = fit.predict(p) {
+            println!("{p:>15.2}   {g:>15.4}   {:.4}", engel_truth(p));
+        }
+    }
+    println!();
+
+    // Economics sanity check: food share declines with income (Engel's law).
     let poor = fit.predict(5.0).expect("estimate at 5.0");
     let rich = fit.predict(8.5).expect("estimate at 8.5");
     println!(

@@ -1,11 +1,9 @@
 //! Local-constant vs local-linear regression on a cps71-style wage–age
 //! dataset (a synthetic lookalike of the survey data the np package ships),
-//! with bandwidths selected by cross-validation for each estimator and a
-//! bootstrap band for the preferred fit.
+//! with bandwidths selected by cross-validation for each estimator.
 //!
 //! Run with: `cargo run --release --example wage_curve`
 
-use kernelcv::core::bootstrap::bootstrap_band;
 use kernelcv::core::cv::{cv_profile_sorted, cv_profile_sorted_ll};
 use kernelcv::core::diagnostics::diagnostics;
 use kernelcv::data::datasets::cps71_like;
@@ -58,24 +56,14 @@ fn main() {
         d_ll.r_squared, d_ll.loo_mse
     );
 
-    // Bootstrap band for the local-constant fit across the age range.
-    let ages: Vec<f64> = (23..=63).step_by(4).map(|a| a as f64).collect();
-    let band = bootstrap_band(
-        &data.x,
-        &data.y,
-        &Epanechnikov,
-        lc.bandwidth,
-        &ages,
-        0.95,
-        400,
-        2024,
-    )
-    .expect("bootstrap");
-    println!("age   E[log wage | age]   95% bootstrap band");
-    for (i, &age) in ages.iter().enumerate() {
+    // Both fits across the age range.
+    println!("age   local-constant   local-linear");
+    for age in (23..=63).step_by(8).map(f64::from) {
+        let fmt = |g: Option<f64>| g.map_or("-".to_string(), |g| format!("{g:.3}"));
         println!(
-            "{age:>3}   {:>17.3}   [{:.3}, {:.3}]",
-            band.estimates[i], band.lower[i], band.upper[i]
+            "{age:>3}   {:>14}   {:>12}",
+            fmt(nw.predict(age)),
+            fmt(lin.predict(age))
         );
     }
 

@@ -5,7 +5,7 @@
 //! Zahran, IPPS 2017). It re-exports the member crates:
 //!
 //! * [`core`] (`kcv-core`) — kernels, estimators, the sorted-sweep CV grid
-//!   search, selectors, KDE-LSCV, confidence bands;
+//!   search, selectors, KDE-LSCV;
 //! * [`gpu_sim`] (`kcv-gpu-sim`) — the SPMD GPU simulator substrate;
 //! * [`gpu`] (`kcv-gpu`) — the paper's CUDA program ported to the
 //!   simulator;

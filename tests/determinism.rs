@@ -3,7 +3,6 @@
 //! trees) and every seeded randomised facility. Reproducibility is a core
 //! deliverable for a statistics package.
 
-use kernelcv::core::bootstrap::bootstrap_band;
 use kernelcv::core::cv::cv_profile_sorted_par;
 use kernelcv::prelude::*;
 
@@ -54,11 +53,6 @@ fn seeded_facilities_reproduce_exactly() {
     let b = npregbw(&sample.x, &sample.y, opts()).unwrap();
     assert_eq!(a.bw, b.bw);
     assert_eq!(a.restart_bws, b.restart_bws);
-    // Bootstrap bands.
-    let band =
-        |s| bootstrap_band(&sample.x, &sample.y, &Epanechnikov, 0.1, &[0.5], 0.9, 32, s).unwrap();
-    assert_eq!(band(5), band(5));
-    assert_ne!(band(5).lower, band(6).lower);
     // Data generation.
     assert_eq!(PaperDgp.sample(100, 1).x, PaperDgp.sample(100, 1).x);
 }

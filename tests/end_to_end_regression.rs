@@ -1,7 +1,6 @@
 //! End-to-end workflows across the crates: data generation → bandwidth
-//! selection → fitting → inference, on several data-generating processes.
+//! selection → fitting → diagnostics, on several data-generating processes.
 
-use kernelcv::core::ci::confidence_band;
 use kernelcv::core::density::{lscv_profile_sorted, Kde};
 use kernelcv::core::diagnostics::{diagnostics, oracle_mse};
 use kernelcv::core::kernels::EpanechnikovConvolution;
@@ -134,23 +133,6 @@ fn kde_lscv_workflow_recovers_uniform_density() {
         let d = kde.evaluate(p);
         assert!((d - 1.0).abs() < 0.2, "density at {p}: {d}");
     }
-}
-
-#[test]
-fn confidence_band_tightens_with_sample_size() {
-    let width_at = |n: usize| {
-        let sample = PaperDgp.sample(n, 11);
-        let band =
-            confidence_band(&sample.x, &sample.y, &Epanechnikov, 0.08, &[0.5], 0.95).unwrap();
-        band.upper[0] - band.lower[0]
-    };
-    let w_small = width_at(200);
-    let w_large = width_at(3_200);
-    // SE scales as 1/√(nh): 16× the data → ~4× tighter.
-    assert!(
-        w_large < w_small / 2.0,
-        "band should tighten: {w_small} → {w_large}"
-    );
 }
 
 #[test]

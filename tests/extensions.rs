@@ -1,11 +1,8 @@
 //! Integration tests for the extension surfaces: local-linear sweep,
-//! canned datasets, binned estimation, bootstrap inference, multi-device
-//! execution, and the np density interface — exercised together through
-//! the public facade.
+//! canned datasets, multi-device execution, and the np density interface —
+//! exercised together through the public facade.
 
-use kernelcv::core::bootstrap::{bootstrap_band, bootstrap_bandwidth_distribution};
 use kernelcv::core::cv::cv_profile_sorted_ll;
-use kernelcv::core::estimate::BinnedNadarayaWatson;
 use kernelcv::data::datasets::{cps71_like, gdp_like, motorcycle_like};
 use kernelcv::gpu::select_bandwidth_multi_gpu;
 use kernelcv::np::{npudensbw, NpUDensBwOptions};
@@ -69,63 +66,6 @@ fn motorcycle_needs_a_much_tighter_bandwidth_than_gdp() {
     let moto = rel_bw(&motorcycle_like());
     let gdp = rel_bw(&gdp_like());
     assert!(moto < gdp, "motorcycle {moto} vs gdp {gdp}");
-}
-
-#[test]
-fn binned_estimator_approximates_exact_on_dataset_scale() {
-    let data = cps71_like();
-    let h = 4.0;
-    let binned = BinnedNadarayaWatson::new(&data.x, &data.y, Epanechnikov, h, 300).unwrap();
-    let ages: Vec<f64> = (25..=60).map(|a| a as f64).collect();
-    let worst = binned
-        .max_deviation_from_exact(&data.x, &data.y, &ages)
-        .unwrap();
-    assert!(worst < 0.05, "max deviation {worst}");
-}
-
-#[test]
-fn bootstrap_and_asymptotic_bands_roughly_agree() {
-    use kernelcv::core::ci::confidence_band;
-    let sample = PaperDgp.sample(500, 502);
-    let h = 0.08;
-    let points = [0.3, 0.5, 0.7];
-    let boot = bootstrap_band(
-        &sample.x,
-        &sample.y,
-        &Epanechnikov,
-        h,
-        &points,
-        0.95,
-        300,
-        9,
-    )
-    .unwrap();
-    let asym = confidence_band(&sample.x, &sample.y, &Epanechnikov, h, &points, 0.95).unwrap();
-    for j in 0..points.len() {
-        let wb = boot.upper[j] - boot.lower[j];
-        let wa = asym.upper[j] - asym.lower[j];
-        // Same order of magnitude (they estimate the same variance).
-        assert!(
-            wb < 3.0 * wa && wa < 3.0 * wb,
-            "point {j}: bootstrap {wb} vs asymptotic {wa}"
-        );
-    }
-}
-
-#[test]
-fn bootstrap_bandwidth_distribution_brackets_the_full_sample_choice() {
-    let sample = PaperDgp.sample(300, 503);
-    let full = SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(50))
-        .select(&sample.x, &sample.y)
-        .unwrap();
-    let hs = bootstrap_bandwidth_distribution(&sample.x, &sample.y, 50, 40, 10).unwrap();
-    let lo = hs[hs.len() / 10];
-    let hi = hs[hs.len() * 9 / 10];
-    assert!(
-        lo <= full.bandwidth && full.bandwidth <= hi,
-        "full-sample h {} outside bootstrap [{lo}, {hi}]",
-        full.bandwidth
-    );
 }
 
 #[test]
