@@ -8,13 +8,15 @@
 //!
 //! 1. `prefix` answers every (obs, bandwidth) cell with one window query —
 //!    a monotone cursor step, seeded by bisection at each bandwidth block's
-//!    first observation — counted once per cell, so the count is `n · k`,
-//!    well inside the `n · k · ceil(log2 n)` bound (a per-neighbour scan
-//!    has no business here);
+//!    first observation, and no step at all for an edge pinned at either
+//!    end of the sample — counted once per cell, pinned or not, so the
+//!    count is `n · k`, well inside the `n · k · ceil(log2 n)` bound (a
+//!    per-neighbour scan has no business here);
 //! 2. `prefix` evaluates the kernel **zero** times — every score comes
 //!    from prefix-sum differencing, never a neighbour visit;
 //! 3. `prefix` actually ran its window machinery (queries > 0);
-//! 4. `prefix` (split across cores by bandwidth blocks at gate scale)
+//! 4. `prefix` (split across cores into interleaved bandwidth blocks at
+//!    gate scale, with pinned edges' sides hoisted per observation)
 //!    selects the same bandwidth as the sorted sweep, bit for bit
 //!    (`f64::to_bits`);
 //! 5. `gpu-windowed` device-memory peak stays `O(n)` — hard ceiling

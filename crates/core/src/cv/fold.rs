@@ -10,9 +10,12 @@
 //! host cores along either axis:
 //!
 //! * [`fold_bandwidth_blocks`] (naive and prefix, local-constant and
-//!   local-linear): each worker folds *every* observation, in order, into a
-//!   contiguous block of the bandwidths, and the blocks' slices are
-//!   concatenated. Each bandwidth's sum is the textbook left-to-right sum
+//!   local-linear): each worker folds *every* observation, in order, into
+//!   one block of the bandwidths, and the blocks' sums are scattered back
+//!   into grid order. The blocks interleave (block `b` of `B` takes
+//!   bandwidths `b, b + B, …`), so each holds a share of the wide-bandwidth
+//!   end, where the prefix sweep's window edges are pinned and its cells
+//!   cost less. Each bandwidth's sum is the textbook left-to-right sum
 //!   whatever the block count, so the profile is bit-identical to the
 //!   sequential fold. The engines take the block count from the work size
 //!   ([`block_count`]); no caller chooses it.
@@ -29,7 +32,7 @@
 
 use super::CvProfile;
 use rayon::prelude::*;
-use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Cells (`n·k`) below which a bandwidth-split prefix profile stays on the
 /// calling thread: under it, starting the block workers costs more than
@@ -52,9 +55,17 @@ pub(crate) fn blocks_for(work: usize, min_work: usize, k: usize) -> usize {
     if work < min_work {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map_or(1, |c| c.get())
-        .min(k)
+    cores().min(k)
+}
+
+/// The host's available parallelism, read once per process.
+/// `std::thread::available_parallelism` reads the cgroup files on every
+/// call (about 24 µs each on a 2-vCPU Linux host), which every split
+/// profile would pay again; a process that changes its own CPU affinity
+/// after the first profile keeps the first count.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
 }
 
 /// Element-wise merge for the reduce step. The identity is a bare
@@ -138,12 +149,19 @@ where
     into_profile(n, hs, sq_sums, included)
 }
 
-/// Cuts `hs` into `blocks` contiguous blocks (clamped to `1..=hs.len()`,
-/// sizes differing by at most one) and, per block, runs `accumulate(i,
-/// scratch, sq_sums, included)` for every observation `i in 0..n` in order;
-/// returns the profile over `hs`. `new_scratch(range)` builds the
-/// workspace of the block `hs[range]`, and the step sees only that block's
-/// accumulators, indexed from 0.
+/// Deals `hs` into `blocks` interleaved blocks (clamped to `1..=hs.len()`):
+/// block `b` takes the bandwidths `b, b + blocks, b + 2·blocks, …`, an
+/// ascending list when `hs` is, and block sizes differ by at most one.
+/// Per block it runs `accumulate(i, scratch, sq_sums, included)` for every
+/// observation `i in 0..n` in order, and it returns the profile over `hs`.
+/// `new_scratch(block)` builds the workspace of the block's bandwidths, and
+/// the step sees only that block's accumulators, indexed from 0; the fold
+/// scatters them back to their places in `hs`.
+///
+/// Interleaving gives every block a share of each end of the grid. At the
+/// wide end most window edges are pinned at the sample's ends and cost
+/// the prefix sweep less (`cv::window`), so contiguous blocks would leave
+/// the narrow-bandwidth block with most of the work.
 ///
 /// One block runs on the calling thread. More run across host cores, one
 /// block per item of the parallel pass, each re-entering the caller's
@@ -155,7 +173,7 @@ pub(crate) fn fold_bandwidth_blocks<S, F>(
     n: usize,
     hs: &[f64],
     blocks: usize,
-    new_scratch: impl Fn(Range<usize>) -> S + Sync + Send,
+    new_scratch: impl Fn(Vec<f64>) -> S + Sync + Send,
     accumulate: F,
 ) -> CvProfile
 where
@@ -163,20 +181,30 @@ where
 {
     let k = hs.len();
     let blocks = blocks.clamp(1, k.max(1));
-    let run = |range: Range<usize>| fold_in_order(n, range.len(), new_scratch(range), &accumulate);
+    let run = |b: usize| {
+        let block: Vec<f64> = hs.iter().copied().skip(b).step_by(blocks).collect();
+        fold_in_order(n, block.len(), new_scratch(block), &accumulate)
+    };
     let (sq_sums, included) = if blocks == 1 {
-        run(0..k)
+        run(0)
     } else {
         let scope = kcv_obs::scope();
         let parts: Vec<_> = (0..blocks)
             .into_par_iter()
             .map(|b| {
                 let _in_scope = scope.enter();
-                run(b * k / blocks..(b + 1) * k / blocks)
+                run(b)
             })
             .collect();
-        let (sq, inc): (Vec<Vec<f64>>, Vec<Vec<usize>>) = parts.into_iter().unzip();
-        (sq.concat(), inc.concat())
+        let mut sq_sums = vec![0.0; k];
+        let mut included = vec![0usize; k];
+        for (b, (sq, inc)) in parts.into_iter().enumerate() {
+            for (j, (s, c)) in sq.into_iter().zip(inc).enumerate() {
+                sq_sums[b + j * blocks] = s;
+                included[b + j * blocks] = c;
+            }
+        }
+        (sq_sums, included)
     };
     into_profile(n, hs, sq_sums, included)
 }
@@ -252,18 +280,19 @@ mod tests {
     fn bandwidth_blocks_sum_like_the_sequential_fold() {
         // Terms that depend on the bandwidth index and do not sum exactly:
         // any regrouping of a bandwidth's sum would move its last bits.
+        // Bandwidth m + 1 at index m, so a step sees its global index.
         let hs: Vec<f64> = (1..=11).map(|m| m as f64).collect();
         let n = 89;
         let term = |i: usize, h: f64| 1.0 / (1.0 + i as f64 * h).sqrt();
-        let step = |i: usize, block: &mut Range<usize>, sq: &mut [f64], inc: &mut [usize]| {
-            for (local, m) in block.clone().enumerate() {
-                sq[local] += term(i, hs[m]);
-                inc[local] += i % (m + 1);
+        let step = |i: usize, block: &mut Vec<f64>, sq: &mut [f64], inc: &mut [usize]| {
+            for (local, &h) in block.iter().enumerate() {
+                sq[local] += term(i, h);
+                inc[local] += i % h as usize;
             }
         };
-        let one = fold_observations(n, &hs, false, || 0..hs.len(), step);
+        let one = fold_observations(n, &hs, false, || hs.clone(), step);
         for blocks in [0, 1, 2, 3, 4, 7, 11, 16] {
-            let split = fold_bandwidth_blocks(n, &hs, blocks, |r| r, step);
+            let split = fold_bandwidth_blocks(n, &hs, blocks, |b| b, step);
             let bits = |p: &CvProfile| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&split), bits(&one), "{blocks} blocks");
             assert_eq!(split.included, one.included, "{blocks} blocks");

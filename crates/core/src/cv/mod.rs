@@ -32,7 +32,7 @@
 //! local-linear ones in [`sorted_ll`] and [`prefix`] — folds its
 //! observations through one observation fold. `naive` and `prefix` (both
 //! forms) choose the split themselves: from 65 536 cells (prefix) or 2¹⁹
-//! kernel evaluations (naive) they cut the grid into one contiguous
+//! kernel evaluations (naive) they deal the grid into one interleaved
 //! bandwidth block per core, with scores bit-identical to one thread. `sorted` shares one per-observation sort across the whole
 //! grid, so it splits by observation chunks instead, and only on request
 //! ([`cv_profile_sorted_par`]: the paper's SPMD parallelisation, whose

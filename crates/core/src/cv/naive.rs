@@ -6,8 +6,8 @@
 //! sorted sweep is tested against it.
 //!
 //! Every `(observation, bandwidth)` cell is independent, and no work is
-//! shared across bandwidths, so a large profile splits its grid into one
-//! contiguous bandwidth block per core (`cv::fold`): each bandwidth still
+//! shared across bandwidths, so a large profile deals its grid into one
+//! interleaved bandwidth block per core (`cv::fold`): each bandwidth still
 //! sums its observations in order, and the scores are bit-identical to one
 //! thread at any core count.
 
@@ -28,7 +28,7 @@ const SPLIT_MIN_EVALS: usize = 1 << 19;
 
 /// Computes the CV profile by direct evaluation of Eqs. (1)–(2) at every
 /// grid bandwidth. From 2¹⁹ kernel evaluations (`n·(n−1)·k`) the grid is
-/// cut into one contiguous block per core, with scores bit-identical to
+/// dealt into one interleaved block per core, with scores bit-identical to
 /// one thread.
 pub fn cv_profile_naive<K: Kernel + ?Sized>(
     x: &[f64],
@@ -58,8 +58,8 @@ fn block_count(n: usize, k: usize) -> usize {
     blocks_for(evals, SPLIT_MIN_EVALS, k)
 }
 
-/// [`profile`] in exactly `blocks` contiguous bandwidth blocks (clamped to
-/// `1..=k`); the profile is bit-identical at every count. One block runs on
+/// [`profile`] in exactly `blocks` interleaved bandwidth blocks (clamped
+/// to `1..=k`); the profile is bit-identical at every count. One block runs on
 /// the calling thread, the form for callers that already run on parallel
 /// workers, such as bagged selection's bags.
 pub(crate) fn profile_in_blocks<K: Kernel + ?Sized>(
@@ -87,7 +87,7 @@ fn fold_profile<K: Kernel + ?Sized>(
         hs,
         blocks,
         |block| block,
-        |i, block, sq, inc| accumulate_observation(i, x, y, &hs[block.clone()], kernel, sq, inc),
+        |i, block, sq, inc| accumulate_observation(i, x, y, block, kernel, sq, inc),
     )
 }
 

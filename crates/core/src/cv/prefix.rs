@@ -34,7 +34,9 @@
 //!   per-moment coefficients and two dot products against prefix
 //!   differences;
 //! * each observation makes two passes over the bandwidths: one steps
-//!   every cursor a block of keys at a time, one scores every cell.
+//!   every live cursor a block of keys at a time, one scores every cell.
+//!   An edge pinned at either end of the sample does not step, and its
+//!   side of the cell is hoisted per observation.
 //!
 //! ```text
 //! O(n log n + n·k·deg²) amortised, plus O(k·log n) cursor seeding
@@ -50,13 +52,19 @@
 //! worker reseed all `k` cursors and regroups every bandwidth's sum in the
 //! reduction, which moves the last bits of the scores. This engine splits
 //! the *bandwidths* instead: the argsort and the tables are built once on
-//! the calling thread, the ascending grid is cut into one contiguous block
-//! per core, and each block runs the sequential step above — its own
+//! the calling thread, the ascending grid is dealt into one interleaved
+//! block per core (block `b` of `B` takes bandwidths `b, b + B, …`, still
+//! ascending), and each block runs the sequential step above — its own
 //! cursors and cell, over all `n` observations in order — into its own
-//! slice of the profile (the private `cv::fold` module). Each bandwidth's
-//! sum is then the same left-to-right sum as on one thread, so the profile is
-//! `to_bits`-identical to the sequential sweep at any core count, and each
-//! core keeps only its block's cursors (`2·k/cores` row streams) live.
+//! sums, which the private `cv::fold` module scatters back into grid
+//! order. Each bandwidth's sum is then the same left-to-right sum as on one
+//! thread, so the profile is `to_bits`-identical to the sequential sweep
+//! at any core count, and each core keeps only its block's cursors
+//! (`2·k/cores` row streams) live. The blocks interleave rather than cut
+//! the grid into contiguous runs because the wide bandwidths' pinned edges
+//! cost less (`cv::window`): contiguous blocks gave the wide-bandwidth core
+//! nearly all of that saving, and the narrow-bandwidth core the wall time
+//! (EXPERIMENTS.md PINNED).
 //! Below `SPLIT_MIN_CELLS` (`n·k` = 65 536) starting the workers costs
 //! more than the second core saves, and the profile stays on the calling
 //! thread.
@@ -111,7 +119,7 @@
 
 use super::fold::{block_count, fold_bandwidth_blocks};
 use super::window::{
-    dispatch_width, moment_rows, pascal, with_sentinels, LcCell, Row, WindowCursors,
+    dispatch_width, moment_rows, pascal, with_sentinels, CellPass, LcCell, Row, WindowCursors,
 };
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
@@ -119,7 +127,6 @@ use crate::estimate::local_linear::solve_local_linear;
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use crate::sort::{apply_permutation, argsort};
-use std::ops::Range;
 
 /// The global moment tables: sample sorted ascending by `x`, plus
 /// compensated prefix sums of `x'^m` and `y·x'^m` over midrange-centred
@@ -217,33 +224,80 @@ impl<const W: usize> WindowMoments<W> {
 }
 
 /// Everything one observation step reads: the shared tables, the kernel
-/// polynomial and the ascending bandwidth list with its inverses. Built
-/// once on the calling thread and read by every bandwidth block.
+/// polynomial and the ascending bandwidth list. Built once on the calling
+/// thread and read by every bandwidth block.
 struct Sweep<'a, const W: usize> {
     t: PrefixTables<W>,
     coeffs: &'static [f64],
     radius: f64,
     hs: &'a [f64],
-    /// `1.0 / h` per bandwidth, the factor of the support predicate.
-    inv_hs: Vec<f64>,
 }
 
-/// Per-block workspace of the local-constant step: the block's range of
-/// the bandwidth list, its window cursors and the precombined kernel
-/// polynomial. No `n`-sized buffers anywhere.
+/// Per-block workspace of the local-constant step: the block's inverse
+/// bandwidths, its window cursors and the precombined kernel polynomial.
+/// No `n`-sized buffers anywhere.
 struct LcScratch<const W: usize> {
-    block: Range<usize>,
+    /// `1.0 / h` per bandwidth of the block, the factor of the support
+    /// predicate.
+    inv_hs: Vec<f64>,
     cursors: WindowCursors,
     cell: LcCell<W>,
 }
 
-/// Per-block workspace of the local-linear step: the block's range of the
-/// bandwidth list, its window cursors and the Pascal triangle of the table
-/// width.
+/// Per-block workspace of the local-linear step: the block's bandwidths
+/// and their inverses, its window cursors and the Pascal triangle of the
+/// table width.
 struct LlScratch<const W: usize> {
-    block: Range<usize>,
+    hs: Vec<f64>,
+    inv_hs: Vec<f64>,
     cursors: WindowCursors,
     binom: [[f64; W]; W],
+}
+
+/// The inverse of every bandwidth in `hs`.
+fn inverses(hs: &[f64]) -> Vec<f64> {
+    hs.iter().map(|&h| 1.0 / h).collect()
+}
+
+/// The cell pass of one observation, local-constant form: scores each
+/// cell and adds `(Y_i − ĝ_{-i}(X_i))² M(X_i)` into the block's sums. A
+/// pinned edge's side is the one [`LcCell::prepare`] hoisted.
+struct LcPass<'s, const W: usize> {
+    rows: &'s [Row<W>],
+    cell: &'s LcCell<W>,
+    yi: f64,
+    sq_sums: &'s mut [f64],
+    included: &'s mut [usize],
+}
+
+impl<const W: usize> CellPass for LcPass<'_, W> {
+    #[inline(always)]
+    fn cell<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &mut self,
+        m: usize,
+        inv_h: f64,
+        lo: usize,
+        hi: usize,
+    ) {
+        let cell = self.cell;
+        // The split at si excludes i itself from both sides.
+        let left = if LO_PINNED {
+            *cell.pinned_left()
+        } else {
+            cell.left_side(&self.rows[lo])
+        };
+        let right = if HI_PINNED {
+            *cell.pinned_right()
+        } else {
+            cell.right_side(&self.rows[hi])
+        };
+        let (num, den) = cell.score(inv_h, &left, &right);
+        if den > 0.0 {
+            let resid = self.yi - num / den;
+            self.sq_sums[m] += resid * resid;
+            self.included[m] += 1;
+        }
+    }
 }
 
 /// Adds the contribution of the observation at sorted position `si` —
@@ -259,37 +313,95 @@ fn accumulate_observation_prefix<const W: usize>(
     included: &mut [usize],
 ) {
     let t = &sw.t;
-    let yi = t.ys[si];
-    scratch.cell.prepare(t.xc[si], &t.rows[si], &t.rows[si + 1]);
-    let cell = &scratch.cell;
+    let rows = &t.rows;
+    scratch
+        .cell
+        .prepare(t.xc[si], &rows[si], &rows[si + 1], &rows[t.n]);
+    let mut pass = LcPass {
+        rows,
+        cell: &scratch.cell,
+        yi: t.ys[si],
+        sq_sums,
+        included,
+    };
+    scratch
+        .cursors
+        .sweep(&t.xs, si, &scratch.inv_hs, sw.radius, &mut pass);
+}
 
-    let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
-    let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch.cursors.sweep(
-        &t.xs,
-        si,
-        &sw.inv_hs[scratch.block.clone()],
-        sw.radius,
-        |m, inv_h, lo, hi| {
-            queries.incr(1);
-            skipped.incr((t.n - (hi - lo)) as u64);
-            // The split at si excludes i itself from both sides.
-            let (num, den) = cell.eval(inv_h, &t.rows[lo], &t.rows[hi]);
-            if den > 0.0 {
-                let resid = yi - num / den;
-                sq_sums[m] += resid * resid;
-                included[m] += 1;
-            }
-        },
-    );
+/// The cell pass of one observation, local-linear form: assembles the
+/// five signed moments `S_0..S_2, T_0..T_1` of [`super::sorted_ll`] from
+/// window moments up to `deg + 2` (`|e|^q·e^j` is `±e^{q+j}` by side) and
+/// feeds `solve_local_linear`. A pinned edge's side is assembled once per
+/// observation.
+struct LlPass<'s, const W: usize> {
+    rows: &'s [Row<W>],
+    row_si: &'s Row<W>,
+    row_si1: &'s Row<W>,
+    binom: &'s [[f64; W]; W],
+    npow: [f64; W],
+    pinned_left: WindowMoments<W>,
+    pinned_right: WindowMoments<W>,
+    coeffs: &'static [f64],
+    hs: &'s [f64],
+    yi: f64,
+    sq_sums: &'s mut [f64],
+    included: &'s mut [usize],
+}
+
+impl<const W: usize> CellPass for LlPass<'_, W> {
+    #[inline(always)]
+    fn cell<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &mut self,
+        m: usize,
+        inv_h: f64,
+        lo: usize,
+        hi: usize,
+    ) {
+        // Window moments on each side of i; the split excludes i itself.
+        let left = if LO_PINNED {
+            self.pinned_left
+        } else {
+            WindowMoments::assemble(self.binom, &self.rows[lo], self.row_si, &self.npow)
+        };
+        let right = if HI_PINNED {
+            self.pinned_right
+        } else {
+            WindowMoments::assemble(self.binom, self.row_si1, &self.rows[hi], &self.npow)
+        };
+
+        // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
+        // right and (−1)^q·e^{q+j} on the left, so
+        // A_{q,j} = W_{q+j}^right + (−1)^q·W_{q+j}^left (and B likewise
+        // with the y-weighted moments).
+        let mut hp = 1.0;
+        let mut s0 = 0.0;
+        let mut s1 = 0.0;
+        let mut s2 = 0.0;
+        let mut t0 = 0.0;
+        let mut t1 = 0.0;
+        let mut sign = 1.0;
+        for (q, &cq) in self.coeffs.iter().enumerate() {
+            let c = cq * hp;
+            s0 += c * (right.w[q] + sign * left.w[q]);
+            s1 += c * (right.w[q + 1] + sign * left.w[q + 1]);
+            s2 += c * (right.w[q + 2] + sign * left.w[q + 2]);
+            t0 += c * (right.wy[q] + sign * left.wy[q]);
+            t1 += c * (right.wy[q + 1] + sign * left.wy[q + 1]);
+            hp *= inv_h;
+            sign = -sign;
+        }
+        if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], self.hs[m]) {
+            let r = self.yi - g;
+            self.sq_sums[m] += r * r;
+            self.included[m] += 1;
+        }
+    }
 }
 
 /// Local-linear twin of [`accumulate_observation_prefix`] over tables of
-/// width `W = deg + 3`: assembles the five signed moments `S_0..S_2,
-/// T_0..T_1` of [`super::sorted_ll`] from window moments up to `deg + 2`
-/// (`|e|^q·e^j` is `±e^{q+j}` by side) and feeds `solve_local_linear`.
-/// Shares the cursor sweep with the local-constant step but keeps its own
-/// binomial assembly.
+/// width `W = deg + 3` ([`LlPass`]). Shares the cursor sweep with the
+/// local-constant step but keeps its own binomial assembly.
 fn accumulate_observation_prefix_ll<const W: usize>(
     si: usize,
     sw: &Sweep<'_, W>,
@@ -298,59 +410,31 @@ fn accumulate_observation_prefix_ll<const W: usize>(
     included: &mut [usize],
 ) {
     let t = &sw.t;
-    let yi = t.ys[si];
+    let rows = &t.rows;
     let neg_xi = -t.xc[si];
     let mut npow = [1.0; W];
     for m in 1..W {
         npow[m] = npow[m - 1] * neg_xi;
     }
-    let (row_si, row_si1) = (&t.rows[si], &t.rows[si + 1]);
+    let (row_si, row_si1) = (&rows[si], &rows[si + 1]);
     let binom = &scratch.binom;
-    let hs = &sw.hs[scratch.block.clone()];
-
-    let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
-    let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-    scratch.cursors.sweep(
-        &t.xs,
-        si,
-        &sw.inv_hs[scratch.block.clone()],
-        sw.radius,
-        |m, inv_h, lo, hi| {
-            queries.incr(1);
-            skipped.incr((t.n - (hi - lo)) as u64);
-
-            // Window moments on each side of i; the split excludes i itself.
-            let left = WindowMoments::assemble(binom, &t.rows[lo], row_si, &npow);
-            let right = WindowMoments::assemble(binom, row_si1, &t.rows[hi], &npow);
-
-            // With e = x_l − x_i (signed): |e|^q·e^j equals e^{q+j} on the
-            // right and (−1)^q·e^{q+j} on the left, so
-            // A_{q,j} = W_{q+j}^right + (−1)^q·W_{q+j}^left (and B likewise
-            // with the y-weighted moments).
-            let mut hp = 1.0;
-            let mut s0 = 0.0;
-            let mut s1 = 0.0;
-            let mut s2 = 0.0;
-            let mut t0 = 0.0;
-            let mut t1 = 0.0;
-            let mut sign = 1.0;
-            for (q, &cq) in sw.coeffs.iter().enumerate() {
-                let c = cq * hp;
-                s0 += c * (right.w[q] + sign * left.w[q]);
-                s1 += c * (right.w[q + 1] + sign * left.w[q + 1]);
-                s2 += c * (right.w[q + 2] + sign * left.w[q + 2]);
-                t0 += c * (right.wy[q] + sign * left.wy[q]);
-                t1 += c * (right.wy[q + 1] + sign * left.wy[q + 1]);
-                hp *= inv_h;
-                sign = -sign;
-            }
-            if let Some(g) = solve_local_linear([s0, s1, s2, t0, t1], hs[m]) {
-                let r = yi - g;
-                sq_sums[m] += r * r;
-                included[m] += 1;
-            }
-        },
-    );
+    let mut pass = LlPass {
+        rows,
+        row_si,
+        row_si1,
+        binom,
+        npow,
+        pinned_left: WindowMoments::assemble(binom, &rows[0], row_si, &npow),
+        pinned_right: WindowMoments::assemble(binom, row_si1, &rows[t.n], &npow),
+        coeffs: sw.coeffs,
+        hs: &scratch.hs,
+        yi: t.ys[si],
+        sq_sums,
+        included,
+    };
+    scratch
+        .cursors
+        .sweep(&t.xs, si, &scratch.inv_hs, sw.radius, &mut pass);
 }
 
 /// The local-constant prefix-moment profile over the bandwidth list `hs`,
@@ -376,8 +460,8 @@ pub(crate) fn profile<K: PolynomialKernel + ?Sized>(
     profile_in_blocks(x, y, hs, kernel, block_count(x.len(), hs.len()))
 }
 
-/// [`profile`] in exactly `blocks` contiguous bandwidth blocks (clamped to
-/// `1..=k`); the profile is bit-identical at every count. One block runs on
+/// [`profile`] in exactly `blocks` interleaved bandwidth blocks (clamped
+/// to `1..=k`); the profile is bit-identical at every count. One block runs on
 /// the calling thread, the form for callers that already run on parallel
 /// workers, such as bagged selection's bags.
 pub(crate) fn profile_in_blocks<K: PolynomialKernel + ?Sized>(
@@ -402,16 +486,16 @@ fn profile_lc<const W: usize>(
     blocks: usize,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch = |block: Range<usize>| LcScratch {
+    let new_scratch = |block: Vec<f64>| LcScratch {
         cursors: WindowCursors::new(block.len()),
         cell: LcCell::new(coeffs),
-        block,
+        inv_hs: inverses(&block),
     };
     sw.fold(blocks, new_scratch, accumulate_observation_prefix)
 }
 
 /// The local-linear prefix-moment profile over the ascending list `hs`, in
-/// `blocks` contiguous bandwidth blocks as [`profile_in_blocks`].
+/// `blocks` interleaved bandwidth blocks as [`profile_in_blocks`].
 fn profile_ll<K: PolynomialKernel + ?Sized>(
     x: &[f64],
     y: &[f64],
@@ -436,10 +520,11 @@ fn profile_ll_w<const W: usize>(
     blocks: usize,
 ) -> CvProfile {
     let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
-    let new_scratch = |block: Range<usize>| LlScratch {
+    let new_scratch = |block: Vec<f64>| LlScratch {
         cursors: WindowCursors::new(block.len()),
         binom: pascal(),
-        block,
+        inv_hs: inverses(&block),
+        hs: block,
     };
     sw.fold(blocks, new_scratch, accumulate_observation_prefix_ll)
 }
@@ -456,7 +541,6 @@ impl<'a, const W: usize> Sweep<'a, W> {
             coeffs,
             radius,
             hs,
-            inv_hs: hs.iter().map(|&h| 1.0 / h).collect(),
         }
     }
 
@@ -467,7 +551,7 @@ impl<'a, const W: usize> Sweep<'a, W> {
     fn fold<S, F>(
         &self,
         blocks: usize,
-        new_scratch: impl Fn(Range<usize>) -> S + Sync + Send,
+        new_scratch: impl Fn(Vec<f64>) -> S + Sync + Send,
         step: F,
     ) -> CvProfile
     where
@@ -487,7 +571,7 @@ impl<'a, const W: usize> Sweep<'a, W> {
 /// Computes the CV profile with the prefix-moment sweep:
 /// `O(n log n + n·k·deg²)` amortised total — no per-neighbour scan. The
 /// argsort and table build run on the calling thread; from
-/// `SPLIT_MIN_CELLS = 65 536` cells the grid is cut into one contiguous
+/// `SPLIT_MIN_CELLS = 65 536` cells the grid is dealt into one interleaved
 /// block per core, each swept over every observation in order, so the
 /// profile is bit-identical to the sequential sweep at any core count.
 ///
@@ -717,7 +801,9 @@ mod tests {
 
     /// Every cursor window equals a fresh, un-narrowed bisection, whether
     /// the cursors were seeded at the first observation or mid-sample and
-    /// then stepped forward, and no window ever covers a sentinel.
+    /// then stepped forward, and no window ever covers a sentinel. After
+    /// every observation the live bounds count the cursors whose left edge
+    /// has left key 0 and whose right edge has not reached key `n`.
     #[test]
     fn cursor_windows_match_bisection_oracle() {
         use crate::cv::window::{support_window, with_sentinels, WindowCursors};
@@ -735,11 +821,18 @@ mod tests {
             .enumerate()
             .flat_map(|(c, &size)| (0..size).map(move |j| c as f64 + 1e-3 * j as f64 / size as f64))
             .collect();
+        // The minimum and the maximum key three times each: an edge pinned
+        // at key 0 or n while the observation sits on a duplicate of it.
+        let extremes: Vec<f64> = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+            .into_iter()
+            .chain((0..60).map(|_| rng.next_f64()))
+            .collect();
         let samples = [
             ("random", random),
             ("duplicates", duplicates),
             ("lattice", lattice),
             ("clusters", clusters),
+            ("extremes", extremes),
         ];
         for (name, mut xs) in samples {
             xs.sort_by(f64::total_cmp);
@@ -752,30 +845,53 @@ mod tests {
             // Power-of-two bandwidths put lattice neighbours exactly on the
             // support boundary; the widest ones hold hi at n from the first
             // observation, so every block step there reads the sentinels.
+            // 1/1e-310 = +inf, so a duplicate of the minimum meets its
+            // left edge at 0·inf = NaN.
             let range = xs[n - 1] - xs[0];
-            hs.extend([0.0625, 0.125, 0.25, 0.5, 0.002, 2.0 * range, 1e3 * range]);
+            hs.extend([
+                1e-310,
+                0.0625,
+                0.125,
+                0.25,
+                0.5,
+                0.002,
+                2.0 * range,
+                1e3 * range,
+            ]);
             hs.sort_by(f64::total_cmp);
             let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
             for start in [0, n / 3, n - 1] {
                 let mut cursors = WindowCursors::new(hs.len());
                 for si in start..n {
                     let mut visited = 0;
-                    cursors.sweep(&keys, si, &inv_hs, 1.0, |m, inv_h, lo, hi| {
+                    let (mut moved_lo, mut short_hi) = (0, 0);
+                    cursors.sweep(&keys, si, &inv_hs, 1.0, &mut |m, inv_h: f64, lo, hi| {
                         assert_eq!(inv_h, inv_hs[m]);
-                        assert_eq!(
-                            (lo, hi),
-                            support_window(&xs, si, inv_h, 1.0, si, si + 1),
-                            "{name}: start {start}, observation {si}, h = {}",
-                            hs[m]
-                        );
-                        assert!(
-                            lo <= si && si < hi && hi <= n,
-                            "{name}: window covers a sentinel"
-                        );
+                        assert!(hi <= n, "{name}: window covers a sentinel");
+                        // At 1/h = +inf no key is in support (d·inf is
+                        // ±inf or NaN), and bisection and step each end
+                        // where their own comparison of NaN puts them; the
+                        // local-constant cell there is NaN either way.
+                        if inv_h.is_finite() {
+                            assert_eq!(
+                                (lo, hi),
+                                support_window(&xs, si, inv_h, 1.0, si, si + 1),
+                                "{name}: start {start}, observation {si}, h = {}",
+                                hs[m]
+                            );
+                            assert!(lo <= si && si < hi, "{name}: window misses si");
+                        }
                         assert_eq!(m, visited, "bandwidths visited out of order");
                         visited += 1;
+                        moved_lo += usize::from(lo > 0);
+                        short_hi += usize::from(hi < n);
                     });
                     assert_eq!(visited, hs.len());
+                    assert_eq!(
+                        cursors.live(),
+                        (moved_lo, short_hi),
+                        "{name}: start {start}, observation {si}: live bounds"
+                    );
                 }
             }
         }
@@ -952,7 +1068,7 @@ mod tests {
             f64::INFINITY,
         ];
         let mut cursors = crate::cv::window::WindowCursors::new(1);
-        cursors.sweep(&keys, 0, &[1.0], 1.0, |_, _, _, _| {});
+        cursors.sweep(&keys, 0, &[1.0], 1.0, &mut |_, _, _, _| {});
     }
 
     /// The precombined assembly against the naive oracle where the

@@ -16,21 +16,56 @@
 //!   observation each cursor steps right while the unchanged `d·(1/h) ≤ r`
 //!   predicate says so. Membership is therefore bit-identical to a fresh
 //!   bisection ([`support_window`]), which only seeds the cursors at the
-//!   first observation of a fold chunk: `O(k·log n)` per chunk.
+//!   first observation of a fold chunk: `O(k·log n)` per chunk. (At
+//!   `1/h = +inf`, `h` below `2^−1024`, no key is in support, and the
+//!   step and the bisection stop where each one's comparison of NaN puts
+//!   them; the local-constant cell there is NaN whatever its window, see
+//!   below.)
 //!   [`WindowCursors::sweep`] makes two passes over the bandwidths. The
-//!   first steps every cursor by the count of keys in a block of four that
-//!   pass the predicate — exactly the step, along sorted keys — so the
-//!   loads do not wait on each other and the usual one-key move takes one
-//!   block; `+inf` sentinels after the keys ([`with_sentinels`]) fail both
-//!   predicates, so no block needs a clamp. The second scores the cells.
+//!   first steps each live cursor (below) by the count of keys in a block
+//!   of four that pass the predicate — exactly the step, along sorted
+//!   keys — so the loads do not wait on each other and the usual one-key
+//!   move takes one block; `+inf` sentinels after the keys
+//!   ([`with_sentinels`]) fail both predicates, so no block needs a clamp.
+//!   The second scores the cells through a [`CellPass`], in at most three
+//!   runs of bandwidths, one per combination of pinned edges.
 //! * [`LcCell`] precombines the local-constant kernel polynomial about
 //!   `x_i` once per observation into per-moment coefficients
-//!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}`, `j ≥ m`. A cell is then, per
-//!   moment, a Horner evaluation of `a_m(u) = Σ_j b[m][j]·u^j` at
-//!   `u = 1/h` for the right side and at `u = −1/h` for the left (where
-//!   `|u|^j = (−u)^j`), and two short dot products against the prefix
-//!   differences `row[hi] − row[si+1]` and `row[si] − row[lo]`; the self
-//!   rows are hoisted per observation.
+//!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}`, `j ≥ m`. A cell differences the
+//!   rows into its two sides, `row[hi] − row[si+1]` and `row[si] − row[lo]`,
+//!   then scores them: per moment, a Horner evaluation of
+//!   `a_m(u) = Σ_j b[m][j]·u^j` at `u = 1/h` for the right side and at
+//!   `u = −1/h` for the left (where `|u|^j = (−u)^j`), and two short dot
+//!   products against the sides. The self rows are hoisted per
+//!   observation.
+//!
+//! ## Pinned edges
+//!
+//! A left edge at key 0 or a right edge at key `n` cannot move any
+//! further, and on a wide grid many do: at n = 2·10⁴ on the paper-default
+//! grid (k = 100) half the left edges sit at 0, half the right edges at
+//! `n`, and a quarter of the cells have both pinned. The cursors keep two
+//! live bounds: cursors `m ≥ lo_live` have `lo = 0` and cursors
+//! `m ≥ hi_live` have `hi = n`. Both sets are suffixes of the ascending
+//! grid, because `d·(1/h)` does not grow with `h` for a fixed `d ≥ 0` (the
+//! reason the seeding can narrow from one bandwidth to the next). As `si`
+//! grows a left edge can only leave key 0 and a right edge can only reach
+//! `n`, so `lo_live` only advances and `hi_live` only shrinks. At each
+//! observation `lo_live` advances while the left step's own predicate,
+//! `(x_i − key_0)·(1/h) > r`, holds at key 0, so `0·inf = NaN` keeps an
+//! edge pinned exactly as the step would; after the steps `hi_live`
+//! shrinks past every cursor that reached `n`, where the `+inf` sentinels
+//! hold it. Only the live prefixes step, and a re-seed recounts both
+//! bounds from the seeded windows.
+//!
+//! A pinned edge's side is a constant of the observation, so
+//! [`LcCell::prepare`] hoists it: `row[n] − row[si+1]`, and
+//! `row[si] − row[0]`, which is `row[si]` itself because row 0 is `+0.0`
+//! and `x − (+0.0)` is `x` for every `x`, `−0.0` included. A pinned run of
+//! cells scores the hoisted side; it is the same difference of the same
+//! rows, so `num` and `den` keep their bits (the module's tests score every
+//! window from key 0 or to key `n` both ways). The local-linear sweep
+//! hoists its pinned sides' moment assembly the same way.
 //!
 //! ## The trimmed cell, and why its bits are the full cell's
 //!
@@ -85,6 +120,7 @@
 
 use crate::error::Error;
 use crate::util::NeumaierSum;
+use std::ops::Range;
 
 /// Highest polynomial-kernel degree the moment-window sweeps (prefix and
 /// local-linear prefix, and so the streaming window) are compiled for. Every kernel the crate ships has degree ≤ 6.
@@ -255,11 +291,48 @@ fn block_step(keys: &[f64], mut at: usize, holds: impl Fn(f64) -> bool) -> usize
     }
 }
 
+/// Scores the cells of one observation for [`WindowCursors::sweep`]: one
+/// call per bandwidth `m` with its window `[lo, hi)`. `LO_PINNED` says that
+/// the window starts at key 0 and `HI_PINNED` that it ends at key `n`. Both
+/// are constant over a run of bandwidths, so in a pinned run a pass can
+/// read a side it hoisted once per observation, with no branch per cell.
+pub(crate) trait CellPass {
+    /// Scores the cell of bandwidth `m`, inverse bandwidth `inv_h`.
+    fn cell<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &mut self,
+        m: usize,
+        inv_h: f64,
+        lo: usize,
+        hi: usize,
+    );
+}
+
+/// A closure ignores the pins: it sees every window as it is, as the
+/// tests that check the windows want.
+#[cfg(test)]
+impl<F: FnMut(usize, f64, usize, usize)> CellPass for F {
+    #[inline(always)]
+    fn cell<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &mut self,
+        m: usize,
+        inv_h: f64,
+        lo: usize,
+        hi: usize,
+    ) {
+        self(m, inv_h, lo, hi);
+    }
+}
+
 /// One support window `(lo, hi)` per bandwidth, moved forward monotonically
-/// as the observation index increases (see the module docs).
+/// as the observation index increases, and the two live bounds past which
+/// an edge is pinned (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct WindowCursors {
     windows: Vec<(usize, usize)>,
+    /// Cursors `m ≥ lo_live` have `lo == 0`.
+    lo_live: usize,
+    /// Cursors `m ≥ hi_live` have `hi == n`.
+    hi_live: usize,
     /// Sorted position the cursors currently describe, if any.
     at: Option<usize>,
 }
@@ -269,16 +342,22 @@ impl WindowCursors {
     pub(crate) fn new(k: usize) -> Self {
         Self {
             windows: vec![(0, 0); k],
+            lo_live: k,
+            hi_live: k,
             at: None,
         }
     }
 
-    /// Visits every bandwidth of the key at sorted position `si`, in order,
-    /// under the ascending inverse-bandwidth list `inv_hs`
-    /// (`inv_hs[m] = 1.0 / h_m`): moves cursor `m` to its support window
-    /// `[lo, hi)` and calls `cell(m, inv_hs[m], lo, hi)`, stepping every
-    /// cursor before scoring any cell. `keys` are the sorted keys followed
-    /// by their sentinels ([`with_sentinels`]).
+    /// Visits every bandwidth of the key at sorted position `si` under the
+    /// ascending inverse-bandwidth list `inv_hs` (`inv_hs[m] = 1.0 / h_m`):
+    /// moves cursor `m` to its support window `[lo, hi)` and calls
+    /// `pass.cell(m, inv_hs[m], lo, hi)`, stepping every cursor before
+    /// scoring any cell. `keys` are the sorted keys followed by their
+    /// sentinels ([`with_sentinels`]).
+    ///
+    /// Only the live cursors step: `lo` for `m < lo_live`, `hi` for
+    /// `m < hi_live`. The cells run in at most three runs of ascending
+    /// `m`, one per combination of pinned edges.
     ///
     /// When `si` lies after the current position each cursor only steps
     /// right — `O(1)` amortised per cell over a run of increasing `si`.
@@ -292,7 +371,7 @@ impl WindowCursors {
         si: usize,
         inv_hs: &[f64],
         radius: f64,
-        mut cell: impl FnMut(usize, f64, usize, usize),
+        pass: &mut impl CellPass,
     ) {
         let n = keys.len() - BLOCK;
         debug_assert!(
@@ -304,24 +383,83 @@ impl WindowCursors {
         }
         self.at = Some(si);
         let xi = keys[si];
-        for ((lo, hi), &inv_h) in self.windows.iter_mut().zip(inv_hs) {
+        // The block step's own predicate at key 0: a cursor it fails keeps
+        // lo = 0, and 0·inf = NaN fails it as the step would.
+        let d0 = xi - keys[0];
+        while self.lo_live < inv_hs.len() && d0 * inv_hs[self.lo_live] > radius {
+            self.lo_live += 1;
+        }
+        let (lo_live, hi_live) = (self.lo_live, self.hi_live);
+        let both = lo_live.min(hi_live);
+        for ((lo, hi), &inv_h) in self.windows[..both].iter_mut().zip(inv_hs) {
             // lo ≤ si always ends the left step: d = 0 at l = si.
             *lo = block_step(keys, *lo, |v| (xi - v) * inv_h > radius);
             *hi = block_step(keys, *hi, |v| (v - xi) * inv_h <= radius);
         }
-        for (m, (&(lo, hi), &inv_h)) in self.windows.iter().zip(inv_hs).enumerate() {
-            cell(m, inv_h, lo, hi);
+        for ((lo, _), &inv_h) in self.windows[both..lo_live].iter_mut().zip(&inv_hs[both..]) {
+            *lo = block_step(keys, *lo, |v| (xi - v) * inv_h > radius);
+        }
+        for ((_, hi), &inv_h) in self.windows[both..hi_live].iter_mut().zip(&inv_hs[both..]) {
+            *hi = block_step(keys, *hi, |v| (v - xi) * inv_h <= radius);
+        }
+        // The +inf sentinels hold a cursor that reached n there.
+        while self.hi_live > 0 && self.windows[self.hi_live - 1].1 == n {
+            self.hi_live -= 1;
+        }
+        let (lo_live, hi_live) = (self.lo_live, self.hi_live);
+        let (a, b) = (lo_live.min(hi_live), lo_live.max(hi_live));
+        self.cells::<false, false>(0..a, inv_hs, pass);
+        if lo_live < hi_live {
+            self.cells::<true, false>(a..b, inv_hs, pass);
+        } else {
+            self.cells::<false, true>(a..b, inv_hs, pass);
+        }
+        self.cells::<true, true>(b..inv_hs.len(), inv_hs, pass);
+        // One window query per cell, pinned or not, and the neighbours
+        // each window leaves out.
+        let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
+        let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
+        for &(lo, hi) in &self.windows {
+            queries.incr(1);
+            skipped.incr((n - (hi - lo)) as u64);
+        }
+    }
+
+    /// Scores the cells of the bandwidths `range`, whose pinned edges are
+    /// `LO_PINNED` and `HI_PINNED`.
+    #[inline(always)]
+    fn cells<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &self,
+        range: Range<usize>,
+        inv_hs: &[f64],
+        pass: &mut impl CellPass,
+    ) {
+        let start = range.start;
+        for (j, (&(lo, hi), &inv_h)) in self.windows[range.clone()]
+            .iter()
+            .zip(&inv_hs[range])
+            .enumerate()
+        {
+            pass.cell::<LO_PINNED, HI_PINNED>(start + j, inv_h, lo, hi);
         }
     }
 
     /// Seeds every cursor at `si` by bisection, each bandwidth narrowing
-    /// from the previous one's window.
+    /// from the previous one's window, and recounts the live bounds.
     fn seed(&mut self, keys: &[f64], si: usize, inv_hs: &[f64], radius: f64) {
         let (mut lo, mut hi) = (si, si + 1);
         for (win, &inv_h) in self.windows.iter_mut().zip(inv_hs) {
             (lo, hi) = support_window(keys, si, inv_h, radius, lo, hi);
             *win = (lo, hi);
         }
+        self.lo_live = self.windows.iter().filter(|w| w.0 > 0).count();
+        self.hi_live = self.windows.iter().filter(|w| w.1 < keys.len()).count();
+    }
+
+    /// The live bounds `(lo_live, hi_live)`.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> (usize, usize) {
+        (self.lo_live, self.hi_live)
     }
 }
 
@@ -342,6 +480,8 @@ pub(crate) struct LcCell<const W: usize> {
     /// `self_right = row[si + 1]`.
     self_left: Row<W>,
     self_right: Row<W>,
+    /// The right side of a window to key `n`, hoisted: `row[n] − self_right`.
+    pinned_right: Row<W>,
 }
 
 /// Horner's rule for `Σ_{j ≥ m} b[j]·u^j` from the top coefficient, with
@@ -360,6 +500,17 @@ fn trimmed_horner<const W: usize>(b: &[f64; W], m: usize, u: f64, skip_odd: bool
     a
 }
 
+/// The row difference `a − b`, entry by entry.
+#[inline(always)]
+fn row_diff<const W: usize>(a: &Row<W>, b: &Row<W>) -> Row<W> {
+    let mut d = Row::ZERO;
+    for m in 0..W {
+        d.p[m] = a.p[m] - b.p[m];
+        d.q[m] = a.q[m] - b.q[m];
+    }
+    d
+}
+
 impl<const W: usize> LcCell<W> {
     /// An empty assembly for the kernel polynomial `coeffs` (in `|u|`),
     /// which must hold exactly `W` coefficients.
@@ -373,14 +524,16 @@ impl<const W: usize> LcCell<W> {
             right: [[0.0; W]; W],
             self_left: Row::ZERO,
             self_right: Row::ZERO,
+            pinned_right: Row::ZERO,
         }
     }
 
     /// Expands the kernel polynomial about the observation with centred
-    /// coordinate `xc_i` and hoists its self rows `row_si = row[si]` and
-    /// `row_si1 = row[si + 1]`.
+    /// coordinate `xc_i`, hoists its self rows `row_si = row[si]` and
+    /// `row_si1 = row[si + 1]`, and the right side of a window to key `n`,
+    /// given the last row `row_n = row[n]`.
     #[inline]
-    pub(crate) fn prepare(&mut self, xc_i: f64, row_si: &Row<W>, row_si1: &Row<W>) {
+    pub(crate) fn prepare(&mut self, xc_i: f64, row_si: &Row<W>, row_si1: &Row<W>, row_n: &Row<W>) {
         let neg_xi = -xc_i;
         for m in 0..W {
             let mut pw = 1.0; // (−x_i)^{j−m}
@@ -391,16 +544,46 @@ impl<const W: usize> LcCell<W> {
         }
         self.self_left = *row_si;
         self.self_right = *row_si1;
+        self.pinned_right = self.right_side(row_n);
+    }
+
+    /// The left side of a window from key 0, `self_left − row[0]`: that is
+    /// `self_left` itself, because row 0 is `+0.0` and `x − (+0.0)` is `x`
+    /// for every `x`, `−0.0` included.
+    #[inline(always)]
+    pub(crate) fn pinned_left(&self) -> &Row<W> {
+        &self.self_left
+    }
+
+    /// The right side of a window to key `n`, hoisted by
+    /// [`prepare`](Self::prepare).
+    #[inline(always)]
+    pub(crate) fn pinned_right(&self) -> &Row<W> {
+        &self.pinned_right
+    }
+
+    /// The moment sums right of the observation, up to `row_hi = row[hi]`.
+    #[inline(always)]
+    pub(crate) fn right_side(&self, row_hi: &Row<W>) -> Row<W> {
+        row_diff(row_hi, &self.self_right)
+    }
+
+    /// The moment sums left of the observation, from `row_lo = row[lo]`.
+    #[inline(always)]
+    pub(crate) fn left_side(&self, row_lo: &Row<W>) -> Row<W> {
+        row_diff(&self.self_left, row_lo)
     }
 
     /// The leave-one-out `(numerator, denominator)` of the Nadaraya–Watson
-    /// fit at bandwidth `1/inv_h` over the window `[lo, hi)`, given its
-    /// boundary rows `row_lo = row[lo]` and `row_hi = row[hi]`.
+    /// fit at bandwidth `1/inv_h` from the moment sums on each side of the
+    /// observation: `left` from [`left_side`](Self::left_side), or
+    /// [`pinned_left`](Self::pinned_left) for a window from key 0, and
+    /// `right` likewise.
     #[inline(always)]
-    pub(crate) fn eval(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+    pub(crate) fn score(&self, inv_h: f64, left: &Row<W>, right: &Row<W>) -> (f64, f64) {
         #[cfg(test)]
         if tests::REFERENCE_CELL.with(std::cell::Cell::get) {
-            return self.eval_full(inv_h, row_lo, row_hi);
+            return self.score_full(inv_h, left, right);
         }
         // A bandwidth below 2^-1024 has 1/h = +inf, where the full
         // Horner's leading 0·(1/h) is NaN and excludes the cell.
@@ -408,23 +591,22 @@ impl<const W: usize> LcCell<W> {
             return (f64::NAN, f64::NAN);
         }
         if self.even {
-            self.eval_trimmed::<true>(inv_h, row_lo, row_hi)
+            self.score_trimmed::<true>(inv_h, left, right)
         } else {
-            self.eval_trimmed::<false>(inv_h, row_lo, row_hi)
+            self.score_trimmed::<false>(inv_h, left, right)
         }
     }
 
-    /// [`eval`](Self::eval) over the trimmed Horners: for an `EVEN`
+    /// [`score`](Self::score) over the trimmed Horners: for an `EVEN`
     /// polynomial one Horner per moment serves both sides, otherwise the
     /// left side is the right polynomial at `−1/h`.
     #[inline(always)]
-    fn eval_trimmed<const EVEN: bool>(
+    fn score_trimmed<const EVEN: bool>(
         &self,
         inv_h: f64,
-        row_lo: &Row<W>,
-        row_hi: &Row<W>,
+        left: &Row<W>,
+        right: &Row<W>,
     ) -> (f64, f64) {
-        let (sl, sr) = (&self.self_left, &self.self_right);
         let mut num = 0.0;
         let mut den = 0.0;
         for m in 0..W {
@@ -434,8 +616,8 @@ impl<const W: usize> LcCell<W> {
             } else {
                 trimmed_horner(&self.right[m], m, -inv_h, false)
             };
-            den += ar * (row_hi.p[m] - sr.p[m]) + al * (sl.p[m] - row_lo.p[m]);
-            num += ar * (row_hi.q[m] - sr.q[m]) + al * (sl.q[m] - row_lo.q[m]);
+            den += ar * right.p[m] + al * left.p[m];
+            num += ar * right.q[m] + al * left.q[m];
         }
         (num, den)
     }
@@ -455,16 +637,23 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Routes this thread's [`LcCell::eval`] calls to [`LcCell::eval_full`].
+        /// Routes this thread's [`LcCell::score`] calls to [`LcCell::score_full`].
         pub(super) static REFERENCE_CELL: Cell<bool> = const { Cell::new(false) };
     }
 
     impl<const W: usize> LcCell<W> {
+        /// The cell of the window `[lo, hi)` from its boundary rows
+        /// `row_lo = row[lo]` and `row_hi = row[hi]`: the rows differenced,
+        /// then [`score`](Self::score)d.
+        pub(super) fn eval(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+            self.score(inv_h, &self.left_side(row_lo), &self.right_side(row_hi))
+        }
+
         /// The cell before its Horners were trimmed: one full Horner per
         /// side over every coefficient, `j < m` zeros and the leading
         /// `0·(1/h)` included, the left side over its own sign-flipped
         /// table `left[m][j] = (−1)^j·right[m][j]`.
-        pub(super) fn eval_full(&self, inv_h: f64, row_lo: &Row<W>, row_hi: &Row<W>) -> (f64, f64) {
+        pub(super) fn score_full(&self, inv_h: f64, sl: &Row<W>, sr: &Row<W>) -> (f64, f64) {
             let mut left = self.right;
             for (m, row) in left.iter_mut().enumerate() {
                 for (j, b) in row.iter_mut().enumerate().skip(m) {
@@ -473,14 +662,13 @@ mod tests {
                     }
                 }
             }
-            let (sl, sr) = (&self.self_left, &self.self_right);
             let mut num = 0.0;
             let mut den = 0.0;
             for (m, (right, left)) in self.right.iter().zip(&left).enumerate() {
                 let ar = right.iter().rev().fold(0.0, |a, &b| a * inv_h + b);
                 let al = left.iter().rev().fold(0.0, |a, &b| a * inv_h + b);
-                den += ar * (row_hi.p[m] - sr.p[m]) + al * (sl.p[m] - row_lo.p[m]);
-                num += ar * (row_hi.q[m] - sr.q[m]) + al * (sl.q[m] - row_lo.q[m]);
+                den += ar * sr.p[m] + al * sl.p[m];
+                num += ar * sr.q[m] + al * sl.q[m];
             }
             (num, den)
         }
@@ -518,7 +706,9 @@ mod tests {
     /// (prefix layout: midrange-centred keys, one row per observation) on
     /// every window `[lo, hi)` around every observation, at every inverse
     /// bandwidth. An excluded cell (`den` NaN in either form) needs only
-    /// both `den`s NaN.
+    /// both `den`s NaN. A window from key 0 or to key `n` is also scored
+    /// from the hoisted side of that edge, which must give the
+    /// row-differenced cell's `num` and `den`.
     fn cells_agree<const W: usize>(
         coeffs: &[f64],
         xs: &[f64],
@@ -531,21 +721,29 @@ mod tests {
         let rows = moment_rows::<W>(xc.iter().copied().zip(ys.iter().copied()));
         let mut cell = LcCell::<W>::new(coeffs);
         for si in 0..n {
-            cell.prepare(xc[si], &rows[si], &rows[si + 1]);
+            cell.prepare(xc[si], &rows[si], &rows[si + 1], &rows[n]);
             for lo in 0..=si {
                 for hi in si + 1..=n {
+                    let (left, right) = (cell.left_side(&rows[lo]), cell.right_side(&rows[hi]));
+                    let hoisted_left = if lo == 0 { *cell.pinned_left() } else { left };
+                    let hoisted_right = if hi == n { *cell.pinned_right() } else { right };
                     for &inv_h in inv_hs {
                         let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
-                        let (num_f, den_f) = cell.eval_full(inv_h, &rows[lo], &rows[hi]);
+                        let (num_f, den_f) = cell.score_full(inv_h, &left, &right);
+                        let (num_p, den_p) = cell.score(inv_h, &hoisted_left, &hoisted_right);
                         let ctx = format!(
                             "W={W} si={si} [{lo},{hi}) 1/h={inv_h:e}: \
-                             trimmed ({num:e}, {den:e}), full ({num_f:e}, {den_f:e})"
+                             trimmed ({num:e}, {den:e}), full ({num_f:e}, {den_f:e}), \
+                             hoisted ({num_p:e}, {den_p:e})"
                         );
                         if !same_result(den, den_f) {
                             return Err(format!("den differs: {ctx}"));
                         }
                         if !den.is_nan() && !same_result(num, num_f) {
                             return Err(format!("num differs: {ctx}"));
+                        }
+                        if !same_result(den, den_p) || !same_result(num, num_p) {
+                            return Err(format!("hoisted side differs: {ctx}"));
                         }
                     }
                 }
