@@ -5,7 +5,7 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify fmt build test test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve clean
+.PHONY: verify fmt build test test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve loc clean
 
 ## The full PR gate: formatting, build, tests with metrics off AND on,
 ## docs, lints, the counter-based performance gate, and one run of every
@@ -47,6 +47,18 @@ clippy:
 perf-gate:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics \
 		--bin perf_gate -- --n 2000 --k 100
+
+## Prints the number of non-test lines of Rust under crates/*/src (the
+## line count ROADMAP.md tracks): each file counts up to its first
+## `#[cfg(test)]` that opens a `mod`. A test-only item outside a test
+## module, such as an impl, does not end the count.
+loc:
+	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
+		FNR == 1 { cut = 0; prev = "" } \
+		!cut && prev ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$$/ && /^[ \t]*(pub(\([a-z]+\))? )?mod / { cut = 1; n-- } \
+		!cut { n++ } \
+		{ prev = $$0 } \
+		END { print n " non-test lines under crates/*/src" }'
 
 ## Runs every example under examples/ once in release; `cargo test` only
 ## compiles them. An example that panics or exits non-zero fails the target.

@@ -137,13 +137,22 @@ pub(crate) fn accumulate_observation(
         }
         absorbed.incr((p - p_before) as u64);
         skipped.incr((m_count - p) as u64);
-        // Assemble N and D from the power sums: Σ_j c_j h^{-j} · S_j.
+        // Assemble N and D from the power sums: Σ_j c_j h^{-j} · S_j. An
+        // exactly-zero power sum is skipped: when only `d = 0` neighbours
+        // are inside the support, `S_j` is 0 for j ≥ 1 while `(1/h)^j` may
+        // already be `inf`, and `inf·0` would turn the cell into NaN.
+        // Wherever `(1/h)^j` is finite the skipped term is ±0, which leaves
+        // the `+0.0`-started sums unchanged.
         let mut hp = 1.0;
         let mut num = 0.0;
         let mut den = 0.0;
         for ((&cf, &s_j), &sy_j) in coeffs.iter().zip(&scratch.s).zip(&scratch.sy) {
-            num += cf * hp * sy_j;
-            den += cf * hp * s_j;
+            if sy_j != 0.0 {
+                num += cf * hp * sy_j;
+            }
+            if s_j != 0.0 {
+                den += cf * hp * s_j;
+            }
             hp *= inv_h;
         }
         if den > 0.0 {

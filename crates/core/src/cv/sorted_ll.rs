@@ -173,7 +173,8 @@ pub fn cv_profile_naive_ll<K: crate::kernels::Kernel + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{Epanechnikov, Quartic, Triangular, Uniform};
+    use crate::cv::cv_profile_prefix_ll;
+    use crate::kernels::{Epanechnikov, Quartic, Triangular, Triweight, Uniform};
     use crate::util::{approx_eq, SplitMix64};
     use proptest::prelude::*;
 
@@ -229,6 +230,46 @@ mod tests {
         check!(Uniform);
         check!(Triangular);
         check!(Quartic);
+    }
+
+    /// Keys near 5·10³ at bandwidths where `(1/h)^j` overflows: the naive
+    /// oracle's kernel weights are all zero there, while the sweeps'
+    /// moments turn NaN or infinite. No strategy may count such a fit.
+    #[test]
+    fn overflowing_bandwidths_exclude_non_finite_fits_like_naive() {
+        let grid = BandwidthGrid::from_values(vec![1e-310, 1e-300, 0.5, 100.0]).unwrap();
+        let y: Vec<f64> = (0..40).map(|i| f64::from(i % 7)).collect();
+        for s in 0..4 {
+            let x: Vec<f64> = (0..40)
+                .map(|i| 1e3 * (0.37 * f64::from(i + s)).sin() + 5e3)
+                .collect();
+            macro_rules! check {
+                ($k:expr) => {{
+                    let naive = cv_profile_naive_ll(&x, &y, &grid, &$k).unwrap();
+                    let best = naive.argmin().unwrap();
+                    for (name, fast) in [
+                        (
+                            "sorted_ll",
+                            cv_profile_sorted_ll(&x, &y, &grid, &$k).unwrap(),
+                        ),
+                        (
+                            "prefix_ll",
+                            cv_profile_prefix_ll(&x, &y, &grid, &$k).unwrap(),
+                        ),
+                    ] {
+                        let tag = format!("{name} {} seed {s}", stringify!($k));
+                        assert_eq!(fast.included, naive.included, "{tag}");
+                        let fast_best = fast.argmin().unwrap();
+                        assert_eq!(fast_best.index, best.index, "{tag}");
+                        assert!(fast_best.score.is_finite(), "{tag}");
+                    }
+                }};
+            }
+            check!(Epanechnikov);
+            check!(Quartic);
+            check!(Triweight);
+            check!(Triangular);
+        }
     }
 
     #[test]

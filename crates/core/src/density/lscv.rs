@@ -222,6 +222,7 @@ impl LscvSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cv::{cv_profile_naive, cv_profile_sorted, cv_profile_sorted_par};
     use crate::kernels::{Gaussian, GaussianConvolution};
     use crate::util::{approx_eq, SplitMix64};
 
@@ -327,6 +328,19 @@ mod tests {
             }
             assert_eq!(sorted.argmin().unwrap().0, naive.argmin().unwrap().0);
             assert_eq!(sorted.argmin().unwrap().0, 0);
+            // The regression sweep assembles its power sums the same way.
+            let y = [1.0, 3.0, 2.0, 5.0, 4.0];
+            let naive = cv_profile_naive(&x, &y, &grid, &Epanechnikov).unwrap();
+            for sorted in [
+                cv_profile_sorted(&x, &y, &grid, &Epanechnikov).unwrap(),
+                cv_profile_sorted_par(&x, &y, &grid, &Epanechnikov).unwrap(),
+            ] {
+                assert_eq!(sorted.included, naive.included);
+                for (m, (&s, &v)) in sorted.scores.iter().zip(&naive.scores).enumerate() {
+                    assert!(approx_eq(s, v, 1e-9, 0.0), "{m}: {s} vs {v}");
+                }
+                assert_eq!(sorted.argmin().unwrap(), naive.argmin().unwrap());
+            }
         }
     }
 

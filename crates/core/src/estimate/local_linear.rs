@@ -12,9 +12,9 @@ const DEGENERACY_REL_TOL: f64 = 1e-12;
 /// weighted least-squares line `Y ≈ a + b(X − x0)` with weights
 /// `K((x0 − X_l)/h)` and reports `a`.
 ///
-/// Provided because the R `np` baseline (`regtype = "ll"`) exposes it; it
-/// removes the boundary bias of Nadaraya–Watson at the cost of possible
-/// degeneracy when all in-window regressors coincide.
+/// It removes the boundary bias of Nadaraya–Watson at the cost of possible
+/// degeneracy when all in-window regressors coincide. Its leave-one-out
+/// fit is the oracle of the local-linear CV sweeps (`cv_profile_naive_ll`).
 #[derive(Debug, Clone)]
 pub struct LocalLinear<'a, K: Kernel> {
     x: &'a [f64],
@@ -68,43 +68,44 @@ impl<'a, K: Kernel> LocalLinear<'a, K> {
         }
         [s0, s1, s2, t0, t1]
     }
-
-    /// Solves the 2×2 weighted least-squares system; `None` on degeneracy.
-    fn solve(m: [f64; 5], h: f64) -> Option<f64> {
-        solve_local_linear(m, h)
-    }
 }
 
 /// Solves the local-linear system given the weighted moments
 /// `[S0, S1, S2, T0, T1]` (see [`LocalLinear`]); `None` when the weight
-/// mass is zero, local-constant fallback when the design is degenerate.
+/// mass is not positive (NaN included) or the solution is not finite,
+/// local-constant fallback when the design is degenerate.
 ///
-/// Shared with the sorted-sweep cross-validation path so both agree exactly
-/// on degeneracy decisions.
+/// Shared with the sorted-sweep and prefix cross-validation paths so every
+/// strategy agrees exactly on degeneracy decisions. Once `(1/h)^j`
+/// overflows, the sweeps' moments turn NaN or infinite where the naive
+/// oracle's kernel weights are all zero; both cases exclude the
+/// observation.
 pub(crate) fn solve_local_linear(m: [f64; 5], h: f64) -> Option<f64> {
     let [s0, s1, s2, t0, t1] = m;
-    if s0 <= 0.0 {
+    if s0.is_nan() || s0 <= 0.0 {
         return None;
     }
     let det = s0 * s2 - s1 * s1;
     // Scale-aware degeneracy check: det has units of K²·x², compare
     // against S0²h² (the natural magnitude when points are spread).
-    if det <= DEGENERACY_REL_TOL * s0 * s0 * h * h {
+    let g = if det <= DEGENERACY_REL_TOL * s0 * s0 * h * h {
         // Fall back to the local-constant estimate when only one
         // distinct x is in the window (standard practice).
-        return Some(t0 / s0);
-    }
-    Some((s2 * t0 - s1 * t1) / det)
+        t0 / s0
+    } else {
+        (s2 * t0 - s1 * t1) / det
+    };
+    g.is_finite().then_some(g)
 }
 
 impl<K: Kernel> RegressionEstimator for LocalLinear<'_, K> {
     fn predict(&self, x0: f64) -> Option<f64> {
-        Self::solve(self.moments(x0, None), self.bandwidth)
+        solve_local_linear(self.moments(x0, None), self.bandwidth)
     }
 
     fn loo_predict(&self, i: usize) -> Option<f64> {
         assert!(i < self.x.len(), "loo index {i} out of bounds");
-        Self::solve(self.moments(self.x[i], Some(i)), self.bandwidth)
+        solve_local_linear(self.moments(self.x[i], Some(i)), self.bandwidth)
     }
 
     fn len(&self) -> usize {

@@ -71,7 +71,8 @@
 //! `(observation, grid point)` cell and the `dim_sweeps` counter counts
 //! one sweep per `(grid point, dimension)` pair.
 
-use crate::error::{validate_bandwidth, Error, Result};
+use super::validate_multi_sample;
+use crate::error::Result;
 use crate::kernels::{horner, PolynomialKernel};
 use crate::sort::{apply_permutation, argsort};
 use rayon::prelude::*;
@@ -92,48 +93,8 @@ pub fn cv_scores_fast<K: PolynomialKernel + ?Sized>(
     kernel: &K,
     h_vectors: &[Vec<f64>],
 ) -> Result<(Vec<f64>, Vec<usize>)> {
+    validate_multi_sample(columns, y, h_vectors.iter().map(Vec::as_slice))?;
     let d = columns.len();
-    if d == 0 {
-        return Err(Error::DimensionMismatch {
-            expected: 1,
-            found: 0,
-        });
-    }
-    let n = y.len();
-    if n < 2 {
-        return Err(Error::SampleTooSmall { n, required: 2 });
-    }
-    for col in columns {
-        if col.len() != n {
-            return Err(Error::LengthMismatch {
-                x_len: col.len(),
-                y_len: n,
-            });
-        }
-        if let Some(i) = col.iter().position(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteData {
-                which: "x",
-                index: i,
-            });
-        }
-    }
-    if let Some(i) = y.iter().position(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteData {
-            which: "y",
-            index: i,
-        });
-    }
-    for hs in h_vectors {
-        if hs.len() != d {
-            return Err(Error::DimensionMismatch {
-                expected: d,
-                found: hs.len(),
-            });
-        }
-        for &h in hs {
-            validate_bandwidth(h)?;
-        }
-    }
     if h_vectors.is_empty() {
         return Ok((Vec::new(), Vec::new()));
     }

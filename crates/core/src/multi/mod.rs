@@ -22,9 +22,63 @@
 
 pub mod fast;
 
-use crate::error::{Error, Result};
+use crate::error::{validate_bandwidth, Error, Result};
 use crate::kernels::{Kernel, PolynomialKernel};
 use crate::select::rule_of_thumb::silverman_bandwidth;
+
+/// Validates a d ≥ 1 regression sample and its bandwidth vectors, in the
+/// order every multivariate entry point reports them: at least one column,
+/// `n ≥ 2`, each column's length and finiteness, finite `y`, then each
+/// vector's dimension and bandwidths.
+pub(crate) fn validate_multi_sample<'h>(
+    columns: &[Vec<f64>],
+    y: &[f64],
+    h_vectors: impl IntoIterator<Item = &'h [f64]>,
+) -> Result<()> {
+    let d = columns.len();
+    if d == 0 {
+        return Err(Error::DimensionMismatch {
+            expected: 1,
+            found: 0,
+        });
+    }
+    let n = y.len();
+    if n < 2 {
+        return Err(Error::SampleTooSmall { n, required: 2 });
+    }
+    for col in columns {
+        if col.len() != n {
+            return Err(Error::LengthMismatch {
+                x_len: col.len(),
+                y_len: n,
+            });
+        }
+        if let Some(i) = col.iter().position(|v| !v.is_finite()) {
+            return Err(Error::NonFiniteData {
+                which: "x",
+                index: i,
+            });
+        }
+    }
+    if let Some(i) = y.iter().position(|v| !v.is_finite()) {
+        return Err(Error::NonFiniteData {
+            which: "y",
+            index: i,
+        });
+    }
+    for hs in h_vectors {
+        if hs.len() != d {
+            return Err(Error::DimensionMismatch {
+                expected: d,
+                found: hs.len(),
+            });
+        }
+        for &h in hs {
+            validate_bandwidth(h)?;
+        }
+    }
+    Ok(())
+}
 
 /// Multivariate product-kernel Nadaraya–Watson estimator.
 #[derive(Debug, Clone)]
@@ -44,45 +98,7 @@ impl<'a, K: Kernel> MultiNadarayaWatson<'a, K> {
         kernel: K,
         bandwidths: Vec<f64>,
     ) -> Result<Self> {
-        if columns.is_empty() {
-            return Err(Error::DimensionMismatch {
-                expected: 1,
-                found: 0,
-            });
-        }
-        let n = y.len();
-        if n < 2 {
-            return Err(Error::SampleTooSmall { n, required: 2 });
-        }
-        for col in columns {
-            if col.len() != n {
-                return Err(Error::LengthMismatch {
-                    x_len: col.len(),
-                    y_len: n,
-                });
-            }
-            if let Some(i) = col.iter().position(|v| !v.is_finite()) {
-                return Err(Error::NonFiniteData {
-                    which: "x",
-                    index: i,
-                });
-            }
-        }
-        if let Some(i) = y.iter().position(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteData {
-                which: "y",
-                index: i,
-            });
-        }
-        if bandwidths.len() != columns.len() {
-            return Err(Error::DimensionMismatch {
-                expected: columns.len(),
-                found: bandwidths.len(),
-            });
-        }
-        for &h in &bandwidths {
-            crate::error::validate_bandwidth(h)?;
-        }
+        validate_multi_sample(columns, y, [bandwidths.as_slice()])?;
         Ok(Self {
             columns,
             y,

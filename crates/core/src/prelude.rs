@@ -13,7 +13,7 @@ pub use crate::kernels::{
     Uniform,
 };
 pub use crate::select::{
-    select_bandwidth, BagCombiner, BagEngine, BagOutcome, BaggedSelection, BaggedSelector,
-    BandwidthSelector, GridSpec, NaiveGridSearch, RuleOfThumbSelector, Selection, SortedGridSearch,
-    Strategy, ZoomGridSearch,
+    select_bandwidth, BagCombiner, BagOutcome, BaggedSelection, BaggedSelector, BandwidthSelector,
+    GridSpec, NaiveGridSearch, RuleOfThumbSelector, Selection, SortedGridSearch, Strategy,
+    ZoomGridSearch,
 };

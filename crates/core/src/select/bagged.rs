@@ -16,8 +16,9 @@
 //! * draw `N` subsamples of size `r ≪ n` without replacement — here
 //!   [`BaggedSelector`]'s `bags` is their `N` and `bag_size` is their `r`;
 //! * on each subsample compute the cross-validated bandwidth
-//!   `ĥ_CV(r)` — here one per-bag grid search with any existing engine
-//!   ([`BagEngine`]: naive / sorted / prefix sweep);
+//!   `ĥ_CV(r)` — here one per-bag grid search with the prefix-moment
+//!   sweep, the fast engine, so the whole run is
+//!   `O(B·r·(log r + k·deg²))`;
 //! * combine the per-bag selections (their `\bar h(r, N)` is the mean;
 //!   a median combiner is provided as a robust alternative —
 //!   [`BagCombiner`]);
@@ -47,51 +48,21 @@
 //! `B ×` the single-bag bound **independent of `n`** (the only `O(n)` work
 //! is the `O(B·r)` index draws — the sparse partial Fisher–Yates in
 //! `vendor/rand` never materialises `0..n`). Bags are embarrassingly
-//! parallel and run on the rayon pool; peak memory is one bag's footprint
-//! times the worker count (see [`bag_footprint_bound_bytes`]), both
-//! enforced by `perf_gate`.
+//! parallel: with more than one bag they run on the rayon pool, each bag's
+//! sweep on its worker's thread, so `B` bags never spawn nested workers (a
+//! single bag splits its own grid across cores as the sweep does outside a
+//! bag). Peak memory is one bag's footprint times the worker count (see
+//! [`bag_footprint_bound_bytes`]), both enforced by `perf_gate`.
 
 use super::grid_search::GridSpec;
 use super::{BandwidthSelector, Selection};
-use crate::cv::{cv_profile_naive, cv_profile_prefix, cv_profile_sorted, naive, prefix, CvProfile};
+use crate::cv::{cv_profile_prefix, prefix};
 use crate::error::{validate_sample, Error, Result};
 use crate::grid::BandwidthGrid;
 use crate::kernels::PolynomialKernel;
 use rand::rngs::StdRng;
 use rand::{seq, SeedableRng};
 use rayon::prelude::*;
-
-/// Which CV engine runs inside each bag.
-///
-/// Mirrors [`Strategy`](super::Strategy) plus the naive profile. While
-/// the bags run in parallel, each bag's engine runs on its worker's thread
-/// — the parallelism budget is spent across bags, not inside them, so `B`
-/// bags never spawn nested workers. Bags run one after another (see
-/// [`BaggedSelector::sequential`]) let the naive and prefix engines split
-/// their grids across cores as they do outside a bag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BagEngine {
-    /// The naive `O(k·r²)` profile.
-    Naive,
-    /// The paper's per-observation sort + ascending sweep, `O(r² log r)`.
-    SortedSweep,
-    /// Window queries over compensated moment prefix sums,
-    /// `O(r log r + r·k·deg²)` — the default: it keeps each bag
-    /// at the Langrené & Warin fast-sum-updating cost, so the whole bagged
-    /// run is `O(B·r·(log r + k·deg²))`.
-    #[default]
-    PrefixMoments,
-}
-
-impl BagEngine {
-    fn label(self) -> &'static str {
-        match self {
-            BagEngine::Naive => "naive",
-            BagEngine::SortedSweep => "sorted",
-            BagEngine::PrefixMoments => "prefix",
-        }
-    }
-}
 
 /// How per-bag bandwidths are aggregated before rescaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,14 +135,14 @@ pub struct BaggedSelection {
 }
 
 /// Bagged CV bandwidth selector: `bags` seeded without-replacement
-/// subsamples of `bag_size`, one grid search per bag (any [`BagEngine`]),
+/// subsamples of `bag_size`, one prefix-sweep grid search per bag,
 /// combined and rescaled by `(bag_size/n)^{1/5}` — see the
 /// [module docs](self) for the derivation and the Barreiro-Ures et al.
 /// notation map.
 ///
-/// Bags run in parallel on the vendored rayon pool by default; each bag
-/// executes under a `cv.bag` phase scope and bumps the `bags_run` counter,
-/// attributed to the caller's `kcv-obs` recorder.
+/// With more than one bag, the bags run in parallel on the vendored rayon
+/// pool; each bag executes under a `cv.bag` phase scope and bumps the
+/// `bags_run` counter, attributed to the caller's `kcv-obs` recorder.
 ///
 /// # Examples
 ///
@@ -221,20 +192,17 @@ pub struct BaggedSelection {
 pub struct BaggedSelector<K: PolynomialKernel> {
     kernel: K,
     grid: GridSpec,
-    engine: BagEngine,
     bags: usize,
     bag_size: usize,
     seed: u64,
     combiner: BagCombiner,
-    parallel: bool,
     min_included: usize,
 }
 
 impl<K: PolynomialKernel> BaggedSelector<K> {
     /// Creates a bagged selector with `bags` subsamples of `bag_size`
-    /// (their `N` and `r`), the prefix-moment engine, the mean combiner,
-    /// seed `0`, and parallel bags. `bags` is clamped to ≥ 1 and
-    /// `bag_size` to ≥ 2. The grid spec is resolved **once from the full
+    /// (their `N` and `r`), the mean combiner and seed `0`. `bags` is
+    /// clamped to ≥ 1 and `bag_size` to ≥ 2. The grid spec is resolved **once from the full
     /// sample** and the resulting grid is shared by every bag — a
     /// [`GridSpec::PaperDefault`] therefore spans the full sample's
     /// domain (not each subsample's), which saves `B − 1` grid
@@ -244,20 +212,12 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         Self {
             kernel,
             grid,
-            engine: BagEngine::default(),
             bags: bags.max(1),
             bag_size: bag_size.max(2),
             seed: 0,
             combiner: BagCombiner::default(),
-            parallel: true,
             min_included: 1,
         }
-    }
-
-    /// Selects the per-bag CV engine.
-    pub fn with_engine(mut self, engine: BagEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Selects the per-bag aggregation rule.
@@ -272,14 +232,6 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
     /// of thread scheduling.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Runs bags one after another on the calling thread (identical output
-    /// — useful for tracing a single bag or benchmarking the parallel win).
-    /// Each bag's prefix sweep may then split its own grid across cores.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -313,39 +265,22 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         (bx, by)
     }
 
-    /// One bag's profile; `nested` bags already run on a parallel worker,
-    /// so their naive or prefix profile stays on that worker's thread.
-    fn bag_profile(
-        &self,
-        x: &[f64],
-        y: &[f64],
-        grid: &BandwidthGrid,
-        nested: bool,
-    ) -> Result<CvProfile> {
-        match self.engine {
-            BagEngine::Naive if nested => {
-                naive::profile_in_blocks(x, y, grid.values(), &self.kernel, 1)
-            }
-            BagEngine::Naive => cv_profile_naive(x, y, grid, &self.kernel),
-            BagEngine::SortedSweep => cv_profile_sorted(x, y, grid, &self.kernel),
-            BagEngine::PrefixMoments if nested => {
-                prefix::profile_in_blocks(x, y, grid.values(), &self.kernel, 1)
-            }
-            BagEngine::PrefixMoments => cv_profile_prefix(x, y, grid, &self.kernel),
-        }
-    }
-
     fn run_bag(
         &self,
         x: &[f64],
         y: &[f64],
         grid: &BandwidthGrid,
         bag: usize,
-        nested: bool,
     ) -> Result<(BagOutcome, usize)> {
         let _bag_phase = kcv_obs::phase("cv.bag");
         let (bx, by) = self.bag_sample(x, y, bag);
-        let profile = self.bag_profile(&bx, &by, grid, nested)?;
+        // Bags that run on parallel workers keep their sweeps on the
+        // worker's thread; a lone bag splits its grid like any sweep.
+        let profile = if self.bags > 1 {
+            prefix::profile_in_blocks(&bx, &by, grid.values(), &self.kernel, 1)?
+        } else {
+            cv_profile_prefix(&bx, &by, grid, &self.kernel)?
+        };
         let opt = profile.argmin_with_min_included(self.min_included)?;
         kcv_obs::add(kcv_obs::Counter::BagsRun, 1);
         Ok((
@@ -375,19 +310,17 @@ impl<K: PolynomialKernel> BaggedSelector<K> {
         // profiles are directly comparable.
         let grid = self.grid.resolve(x)?;
 
-        let outcomes: Vec<Result<(BagOutcome, usize)>> = if self.parallel && self.bags > 1 {
+        let outcomes: Vec<Result<(BagOutcome, usize)>> = if self.bags > 1 {
             let scope = kcv_obs::scope();
             (0..self.bags)
                 .into_par_iter()
                 .map(|b| {
                     let _in_scope = scope.enter();
-                    self.run_bag(x, y, &grid, b, true)
+                    self.run_bag(x, y, &grid, b)
                 })
                 .collect()
         } else {
-            (0..self.bags)
-                .map(|b| self.run_bag(x, y, &grid, b, false))
-                .collect()
+            vec![self.run_bag(x, y, &grid, 0)]
         };
 
         let mut bags = Vec::with_capacity(self.bags);
@@ -433,10 +366,9 @@ impl<K: PolynomialKernel> BandwidthSelector for BaggedSelector<K> {
 
     fn name(&self) -> String {
         format!(
-            "bagged-{}x{}-{}-{}-{}",
+            "bagged-{}x{}-prefix-{}-{}",
             self.bags,
             self.bag_size,
-            self.engine.label(),
             self.combiner.label(),
             self.kernel.name()
         )
@@ -444,8 +376,7 @@ impl<K: PolynomialKernel> BandwidthSelector for BaggedSelector<K> {
 }
 
 /// Documented upper bound, in bytes, on one bag's transient heap
-/// allocation with the default [`BagEngine::PrefixMoments`] engine at
-/// kernel degree ≤ 2.
+/// allocation with the prefix-moment engine at kernel degree ≤ 2.
 ///
 /// Accounting (`r = bag_size`, `k` grid points, 8-byte floats): subsample
 /// copies `2·8r`, the sparse Fisher–Yates index map and index vector
@@ -491,18 +422,21 @@ mod tests {
 
     #[test]
     fn bagged_selection_is_deterministic_and_schedule_independent() {
+        // Bag `b`'s subsample depends only on the seed and `b`: the first
+        // three bags of a six-bag run equal a three-bag run's, whichever
+        // worker ran them.
         let (x, y) = paper_dgp(1_200, 11);
-        let selector =
-            BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 6, 300).with_seed(9);
-        let parallel = selector.select_bagged(&x, &y).unwrap();
-        let sequential = selector.clone().sequential().select_bagged(&x, &y).unwrap();
-        let again = selector.select_bagged(&x, &y).unwrap();
-        assert_eq!(parallel.bandwidth, sequential.bandwidth);
-        assert_eq!(parallel.bandwidth, again.bandwidth);
-        for (a, b) in parallel.bags.iter().zip(&sequential.bags) {
+        let selector = |bags| {
+            BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), bags, 300).with_seed(9)
+        };
+        let six = selector(6).select_bagged(&x, &y).unwrap();
+        let three = selector(3).select_bagged(&x, &y).unwrap();
+        let again = selector(6).select_bagged(&x, &y).unwrap();
+        assert_eq!(six.bandwidth.to_bits(), again.bandwidth.to_bits());
+        for (a, b) in six.bags.iter().zip(&three.bags) {
             assert_eq!(a.bag, b.bag);
-            assert_eq!(a.bandwidth, b.bandwidth);
-            assert_eq!(a.score, b.score);
+            assert_eq!(a.bandwidth.to_bits(), b.bandwidth.to_bits());
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
     }
 
@@ -531,24 +465,14 @@ mod tests {
     #[test]
     fn full_size_single_bag_is_bit_identical_to_the_engine() {
         let (x, y) = paper_dgp(400, 13);
-        for (engine, reference) in [
-            (
-                BagEngine::SortedSweep,
-                SortedGridSearch::new(Epanechnikov, GridSpec::PaperDefault(30)),
-            ),
-            (
-                BagEngine::PrefixMoments,
-                SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(30)),
-            ),
-        ] {
-            let bagged = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 1, x.len())
-                .with_engine(engine)
-                .select(&x, &y)
-                .unwrap();
-            let direct = reference.select(&x, &y).unwrap();
-            assert_eq!(bagged.bandwidth, direct.bandwidth, "{engine:?}");
-            assert_eq!(bagged.score, direct.score, "{engine:?}");
-        }
+        let bagged = BaggedSelector::new(Epanechnikov, GridSpec::PaperDefault(30), 1, x.len())
+            .select(&x, &y)
+            .unwrap();
+        let direct = SortedGridSearch::prefix(Epanechnikov, GridSpec::PaperDefault(30))
+            .select(&x, &y)
+            .unwrap();
+        assert_eq!(bagged.bandwidth.to_bits(), direct.bandwidth.to_bits());
+        assert_eq!(bagged.score.to_bits(), direct.score.to_bits());
     }
 
     #[test]

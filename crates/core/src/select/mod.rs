@@ -3,8 +3,8 @@
 //! * [`grid_search`] — the paper's reliable approach: evaluate `CV_lc(h)` on
 //!   a grid (sorted sweep or naive, sequential or parallel) and take the
 //!   minimum. Guaranteed to return the *grid* optimum.
-//! * [`bagged`] — Barreiro-Ures et al.'s subsampled bagging: run any grid
-//!   strategy on `B` seeded subsamples of size `r ≪ n`, combine, and
+//! * [`bagged`] — Barreiro-Ures et al.'s subsampled bagging: run the
+//!   prefix-sweep grid search on `B` seeded subsamples of size `r ≪ n`, combine, and
 //!   rescale by `(r/n)^{1/5}` — cost independent of `n` at fixed `(B, r)`.
 //! * [`rule_of_thumb`] — the ad hoc shortcuts practitioners fall back on to
 //!   avoid CV entirely (Silverman/Scott style plug-ins).
@@ -13,7 +13,7 @@ pub mod bagged;
 pub mod grid_search;
 pub mod rule_of_thumb;
 
-pub use bagged::{BagCombiner, BagEngine, BagOutcome, BaggedSelection, BaggedSelector};
+pub use bagged::{BagCombiner, BagOutcome, BaggedSelection, BaggedSelector};
 pub use grid_search::{GridSpec, NaiveGridSearch, SortedGridSearch, Strategy, ZoomGridSearch};
 pub use rule_of_thumb::{scott_bandwidth, silverman_bandwidth, Rule, RuleOfThumbSelector};
 

@@ -83,8 +83,8 @@ fn median_combiner_tracks_the_full_data_answer_too() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Bagging with r = n and B = 1 is bit-identical to the underlying
-    /// strategy, for every engine the grid search offers.
+    /// Bagging with r = n and B = 1 is bit-identical to the prefix-sweep
+    /// grid search it runs in its one bag.
     #[test]
     fn prop_full_size_single_bag_is_the_underlying_strategy(
         seed in 0u64..1_000,
@@ -93,19 +93,13 @@ proptest! {
     ) {
         let (x, y) = paper_dgp(n, seed);
         let spec = GridSpec::PaperDefault(k);
-        for (direct, engine) in [
-            (SortedGridSearch::new(Epanechnikov, spec.clone()), BagEngine::SortedSweep),
-            (SortedGridSearch::prefix(Epanechnikov, spec.clone()), BagEngine::PrefixMoments),
-        ] {
-            let direct = direct.select(&x, &y).unwrap();
-            let bagged = BaggedSelector::new(Epanechnikov, spec.clone(), 1, n)
-                .with_engine(engine)
-                .with_seed(seed)
-                .select(&x, &y)
-                .unwrap();
-            prop_assert_eq!(bagged.bandwidth, direct.bandwidth);
-            prop_assert_eq!(bagged.score, direct.score);
-            prop_assert_eq!(bagged.evaluations, direct.evaluations);
-        }
+        let direct = SortedGridSearch::prefix(Epanechnikov, spec.clone()).select(&x, &y).unwrap();
+        let bagged = BaggedSelector::new(Epanechnikov, spec, 1, n)
+            .with_seed(seed)
+            .select(&x, &y)
+            .unwrap();
+        prop_assert_eq!(bagged.bandwidth.to_bits(), direct.bandwidth.to_bits());
+        prop_assert_eq!(bagged.score.to_bits(), direct.score.to_bits());
+        prop_assert_eq!(bagged.evaluations, direct.evaluations);
     }
 }

@@ -15,7 +15,7 @@ use kcv_core::multi::{
     select_full_grid, select_full_grid_naive, select_multiplier_grid, select_multiplier_grid_naive,
 };
 use kcv_core::prelude::{BandwidthSelector, GridSpec, SortedGridSearch};
-use kcv_core::select::{scott_bandwidth, silverman_bandwidth, BagEngine, BaggedSelector};
+use kcv_core::select::{scott_bandwidth, silverman_bandwidth, BaggedSelector};
 use kcv_core::Error;
 
 const BAD: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
@@ -45,8 +45,7 @@ fn batch_entry_points_reject_non_finite_x() {
             assert!(is_bad_x(cv_profile_prefix_ll(&x, &y, &wide, k), index));
             let search = SortedGridSearch::prefix(Epanechnikov, GridSpec::Explicit(grid.clone()));
             assert!(search.select(&x, &y).is_err(), "{bad} at {index}");
-            let bagged = BaggedSelector::new(Epanechnikov, GridSpec::Explicit(grid.clone()), 2, 4)
-                .with_engine(BagEngine::PrefixMoments);
+            let bagged = BaggedSelector::new(Epanechnikov, GridSpec::Explicit(grid.clone()), 2, 4);
             assert!(bagged.select_bagged(&x, &y).is_err(), "{bad} at {index}");
             let d1 = select_full_grid(&[x.clone()], &y, k, &[grid.values().to_vec()]);
             assert!(d1.is_err(), "{bad} at {index}");

@@ -327,30 +327,32 @@ fn prefix_below_the_split_threshold_stays_on_the_calling_thread() {
 fn bagged_bags_on_workers_do_not_split_their_grids() {
     // Bags of 700 over k = 100: 70 000 cells each, above the split
     // threshold. On parallel workers each bag enters the caller's scope
-    // once and sweeps its grid on that worker; run one after another,
-    // each bag's sweep splits instead. The work is the same either way.
+    // once and sweeps its grid on that worker; a lone bag runs on the
+    // calling thread and its sweep splits instead.
     let (x, y) = paper_dgp(2_000, 67);
     let (bags, bag_size, k) = (4u64, 700u64, 100usize);
-    let selector = BaggedSelector::new(
-        Epanechnikov,
-        GridSpec::PaperDefault(k),
-        bags as usize,
-        bag_size as usize,
-    );
+    let selector = |bags| {
+        BaggedSelector::new(
+            Epanechnikov,
+            GridSpec::PaperDefault(k),
+            bags,
+            bag_size as usize,
+        )
+    };
     let parallel = record(|| {
-        selector.select_bagged(&x, &y).unwrap();
+        selector(bags as usize).select_bagged(&x, &y).unwrap();
     });
-    let sequential = record(|| {
-        selector.clone().sequential().select_bagged(&x, &y).unwrap();
+    let lone = record(|| {
+        selector(1).select_bagged(&x, &y).unwrap();
     });
-    let cells = bags * bag_size * k as u64;
-    assert_eq!(parallel.get(Counter::WindowQueries), cells);
-    assert_eq!(sequential.get(Counter::WindowQueries), cells);
+    let cells = bag_size * k as u64;
+    assert_eq!(parallel.get(Counter::WindowQueries), bags * cells);
+    assert_eq!(lone.get(Counter::WindowQueries), cells);
     assert_eq!(parallel.get(Counter::ScopeEnters), bags);
     let blocks = split_blocks(k);
     assert_eq!(
-        sequential.get(Counter::ScopeEnters),
-        if blocks > 1 { bags * blocks } else { 0 }
+        lone.get(Counter::ScopeEnters),
+        if blocks > 1 { blocks } else { 0 }
     );
 }
 

@@ -22,7 +22,5 @@
 pub mod csv;
 pub mod datasets;
 pub mod dgp;
-pub mod stats;
 
 pub use dgp::{Dgp, DopplerDgp, HeteroskedasticDgp, PaperDgp, Sample, SineDgp, StepDgp};
-pub use stats::SampleStats;

@@ -7,41 +7,36 @@
 //! computation. This crate reimplements that *algorithmic* content behind an
 //! R-flavoured interface:
 //!
-//! * [`npregbw`] — bandwidth selection: the `O(n²)`-per-evaluation CV
-//!   objective minimised by Nelder–Mead with `nmulti` restarts
-//!   (sequential ⇒ Program 1; `parallel = true` evaluates the objective
-//!   across cores ⇒ Program 2);
-//! * [`npreg`] — fits the regression at the selected bandwidth and reports
-//!   fitted values, residuals and R², like R's `npreg(bws)`;
+//! * [`npregbw`] — bandwidth selection: the `O(n²)`-per-evaluation
+//!   local-constant Epanechnikov CV objective minimised by Nelder–Mead
+//!   with `nmulti` restarts (sequential ⇒ Program 1; `parallel = true`
+//!   evaluates the objective across cores ⇒ Program 2);
 //! * [`NpRegBw::summary`] — an `np`-style text summary.
+//!
+//! Fitting at the selected bandwidth is `kcv-core`'s `NadarayaWatson`,
+//! and its fit quality is `kcv_core::diagnostics`.
 //!
 //! As the paper (and the np manual itself) note, the CV objective is not
 //! concave, so this selector can return non-global minima depending on the
 //! restart draws — the defect the paper's grid search removes.
 //!
 //! ```
-//! use kcv_np::{npreg, npregbw, NpRegBwOptions};
+//! use kcv_np::{npregbw, NpRegBwOptions};
 //!
 //! let x: Vec<f64> = (0..120).map(|i| i as f64 / 119.0).collect();
 //! let y: Vec<f64> = x.iter().map(|&v| (4.0 * v).sin()).collect();
 //! let bws = npregbw(&x, &y, NpRegBwOptions::default()).unwrap();
-//! let fit = npreg(&bws, &x, &y).unwrap();
-//! assert!(fit.diagnostics.r_squared > 0.9);
+//! assert!(bws.bw > 0.0 && bws.bw <= 1.0);
+//! assert!(bws.restart_fvals.iter().all(|&f| bws.fval <= f));
 //! println!("{}", bws.summary());
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod dens;
 mod nelder_mead;
 mod objective;
-mod reg;
 mod regbw;
 
-pub use dens::{
-    npudens, npudensbw, DensBwMethod, DensKernel, NpUDens, NpUDensBw, NpUDensBwOptions,
-};
 pub use objective::{cv_objective, cv_objective_parallel};
-pub use reg::{npreg, NpReg};
-pub use regbw::{npregbw, BwMethod, CKerType, NpRegBw, NpRegBwOptions, RegType};
+pub use regbw::{npregbw, NpRegBw, NpRegBwOptions};

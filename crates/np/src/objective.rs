@@ -1,9 +1,9 @@
-//! The least-squares CV objective, evaluated the way the R baselines do:
-//! the full `O(n²)` double sum per candidate bandwidth, with a large
-//! penalty when every observation is trimmed (np's behaviour on degenerate
-//! bandwidths).
+//! The local-constant least-squares CV objective, evaluated the way the R
+//! baselines do: the full `O(n²)` double sum per candidate bandwidth, with
+//! a large penalty when every observation is trimmed (np's behaviour on
+//! degenerate bandwidths).
 
-use kcv_core::estimate::{LocalLinear, NadarayaWatson, RegressionEstimator};
+use kcv_core::estimate::{NadarayaWatson, RegressionEstimator};
 use kcv_core::kernels::Kernel;
 use rayon::prelude::*;
 
@@ -11,45 +11,15 @@ use rayon::prelude::*;
 /// leave-one-out fit (mirrors np's `.Machine$double.xmax`-style penalty).
 pub const DEGENERATE_PENALTY: f64 = f64::MAX / 4.0;
 
-/// Local-constant or local-linear objective, sequential.
-pub fn cv_objective<K: Kernel + Clone>(
-    x: &[f64],
-    y: &[f64],
-    h: f64,
-    kernel: &K,
-    local_linear: bool,
-) -> f64 {
-    let n = x.len();
-    let mut sum = 0.0;
-    let mut included = 0usize;
-    if local_linear {
-        let Ok(fit) = LocalLinear::new(x, y, kernel.clone(), h) else {
-            return DEGENERATE_PENALTY;
-        };
-        for (i, &yi) in y.iter().enumerate() {
-            if let Some(g) = fit.loo_predict(i) {
-                let r = yi - g;
-                sum += r * r;
-                included += 1;
-            }
-        }
-    } else {
-        let Ok(fit) = NadarayaWatson::new(x, y, kernel.clone(), h) else {
-            return DEGENERATE_PENALTY;
-        };
-        for (i, &yi) in y.iter().enumerate() {
-            if let Some(g) = fit.loo_predict(i) {
-                let r = yi - g;
-                sum += r * r;
-                included += 1;
-            }
-        }
-    }
-    if included == 0 {
-        DEGENERATE_PENALTY
-    } else {
-        sum / n as f64
-    }
+/// The local-constant objective, sequential — the paper's Program 1.
+pub fn cv_objective<K: Kernel + Clone>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> f64 {
+    let Ok(fit) = NadarayaWatson::new(x, y, kernel.clone(), h) else {
+        return DEGENERATE_PENALTY;
+    };
+    mean_square(
+        (0..x.len()).map(|i| fit.loo_predict(i).map(|g| y[i] - g)),
+        x.len(),
+    )
 }
 
 /// The same objective with the per-observation leave-one-out fits computed
@@ -59,42 +29,30 @@ pub fn cv_objective_parallel<K: Kernel + Clone + Sync>(
     y: &[f64],
     h: f64,
     kernel: &K,
-    local_linear: bool,
 ) -> f64 {
-    let n = x.len();
-    let fold = |residuals: Vec<Option<f64>>| -> f64 {
-        let mut sum = 0.0;
-        let mut included = 0usize;
-        for r in residuals.into_iter().flatten() {
-            sum += r * r;
-            included += 1;
-        }
-        if included == 0 {
-            DEGENERATE_PENALTY
-        } else {
-            sum / n as f64
-        }
+    let Ok(fit) = NadarayaWatson::new(x, y, kernel.clone(), h) else {
+        return DEGENERATE_PENALTY;
     };
-    if local_linear {
-        let Ok(fit) = LocalLinear::new(x, y, kernel.clone(), h) else {
-            return DEGENERATE_PENALTY;
-        };
-        fold(
-            (0..n)
-                .into_par_iter()
-                .map(|i| fit.loo_predict(i).map(|g| y[i] - g))
-                .collect(),
-        )
+    let residuals: Vec<Option<f64>> = (0..x.len())
+        .into_par_iter()
+        .map(|i| fit.loo_predict(i).map(|g| y[i] - g))
+        .collect();
+    mean_square(residuals, x.len())
+}
+
+/// `Σ r² / n` over the defined leave-one-out residuals, summed in
+/// observation order; the penalty when none is defined.
+fn mean_square(residuals: impl IntoIterator<Item = Option<f64>>, n: usize) -> f64 {
+    let mut sum = 0.0;
+    let mut included = 0usize;
+    for r in residuals.into_iter().flatten() {
+        sum += r * r;
+        included += 1;
+    }
+    if included == 0 {
+        DEGENERATE_PENALTY
     } else {
-        let Ok(fit) = NadarayaWatson::new(x, y, kernel.clone(), h) else {
-            return DEGENERATE_PENALTY;
-        };
-        fold(
-            (0..n)
-                .into_par_iter()
-                .map(|i| fit.loo_predict(i).map(|g| y[i] - g))
-                .collect(),
-        )
+        sum / n as f64
     }
 }
 
@@ -119,7 +77,7 @@ mod tests {
     fn matches_core_objective_for_local_constant() {
         let (x, y) = paper_dgp(80, 1);
         for &h in &[0.05, 0.1, 0.3, 0.9] {
-            let ours = cv_objective(&x, &y, h, &Epanechnikov, false);
+            let ours = cv_objective(&x, &y, h, &Epanechnikov);
             let (core, _) = cv_score_single(&x, &y, h, &Epanechnikov);
             assert!((ours - core).abs() < 1e-12, "h={h}: {ours} vs {core}");
         }
@@ -128,15 +86,13 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (x, y) = paper_dgp(120, 2);
-        for ll in [false, true] {
-            for &h in &[0.05, 0.2, 0.6] {
-                let s = cv_objective(&x, &y, h, &Gaussian, ll);
-                let p = cv_objective_parallel(&x, &y, h, &Gaussian, ll);
-                assert!(
-                    (s - p).abs() <= 1e-12 * s.abs().max(1.0),
-                    "ll={ll} h={h}: {s} vs {p}"
-                );
-            }
+        for &h in &[0.05, 0.2, 0.6] {
+            let s = cv_objective(&x, &y, h, &Gaussian);
+            let p = cv_objective_parallel(&x, &y, h, &Gaussian);
+            assert!(
+                (s - p).abs() <= 1e-12 * s.abs().max(1.0),
+                "h={h}: {s} vs {p}"
+            );
         }
     }
 
@@ -144,19 +100,6 @@ mod tests {
     fn degenerate_bandwidth_penalised() {
         let x = [0.0, 1.0, 2.0];
         let y = [1.0, 2.0, 3.0];
-        assert_eq!(
-            cv_objective(&x, &y, 0.1, &Epanechnikov, false),
-            DEGENERATE_PENALTY
-        );
-    }
-
-    #[test]
-    fn local_linear_objective_prefers_reasonable_bandwidths() {
-        let (x, y) = paper_dgp(150, 3);
-        let mid = cv_objective(&x, &y, 0.1, &Epanechnikov, true);
-        let wide = cv_objective(&x, &y, 1.0, &Epanechnikov, true);
-        // Local-linear handles curvature better than NW but still prefers
-        // a sub-domain bandwidth on this strongly curved DGP.
-        assert!(mid < wide, "mid {mid} vs wide {wide}");
+        assert_eq!(cv_objective(&x, &y, 0.1, &Epanechnikov), DEGENERATE_PENALTY);
     }
 }

@@ -3,53 +3,25 @@
 use crate::nelder_mead::nelder_mead_1d;
 use crate::objective::{cv_objective, cv_objective_parallel, DEGENERATE_PENALTY};
 use kcv_core::error::{validate_sample, Error, Result};
-use kcv_core::kernels::{Epanechnikov, Gaussian, Kernel, Uniform};
+use kcv_core::kernels::Epanechnikov;
 use kcv_core::util::min_max;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Regression type, as np's `regtype`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegType {
-    /// Local constant (Nadaraya–Watson) — np's default `"lc"`.
-    Lc,
-    /// Local linear — np's `"ll"`.
-    Ll,
-}
+/// Convergence tolerance of each restart, as a fraction of the log-bandwidth
+/// search bracket.
+const TOL: f64 = 1e-6;
 
-/// Continuous kernel type, as np's `ckertype` (subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CKerType {
-    /// The Epanechnikov kernel (the paper's choice).
-    Epanechnikov,
-    /// The Gaussian kernel (np's default).
-    Gaussian,
-    /// The Uniform kernel.
-    Uniform,
-}
-
-/// Bandwidth-selection method, as np's `bwmethod`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BwMethod {
-    /// Least-squares cross-validation (`"cv.ls"`), the paper's objective.
-    CvLs,
-}
+/// Iteration cap per restart (np's `itmax`).
+const ITMAX: usize = 300;
 
 /// Options for [`npregbw`], mirroring the R signature's relevant knobs.
+/// The objective is always local-constant LSCV with the Epanechnikov
+/// kernel, as in the paper's experiments.
 #[derive(Debug, Clone)]
 pub struct NpRegBwOptions {
-    /// Regression type (default local constant, like np).
-    pub regtype: RegType,
-    /// Kernel (default Epanechnikov, matching the paper's experiments).
-    pub ckertype: CKerType,
-    /// Selection method.
-    pub bwmethod: BwMethod,
     /// Number of random-restart optimisations (np's `nmulti`).
     pub nmulti: usize,
-    /// Convergence tolerance (fraction of the search bracket).
-    pub tol: f64,
-    /// Iteration cap per restart (np's `itmax`).
-    pub itmax: usize,
     /// Evaluate the CV objective across cores (the paper's Program 2).
     pub parallel: bool,
     /// Seed for the restart draws (np uses R's RNG state).
@@ -59,12 +31,7 @@ pub struct NpRegBwOptions {
 impl Default for NpRegBwOptions {
     fn default() -> Self {
         Self {
-            regtype: RegType::Lc,
-            ckertype: CKerType::Epanechnikov,
-            bwmethod: BwMethod::CvLs,
             nmulti: 5,
-            tol: 1e-6,
-            itmax: 300,
             parallel: false,
             seed: 42,
         }
@@ -94,15 +61,6 @@ pub struct NpRegBw {
 impl NpRegBw {
     /// An np-style text summary.
     pub fn summary(&self) -> String {
-        let kernel = match self.options.ckertype {
-            CKerType::Epanechnikov => "Epanechnikov",
-            CKerType::Gaussian => "Second-Order Gaussian",
-            CKerType::Uniform => "Uniform",
-        };
-        let regtype = match self.options.regtype {
-            RegType::Lc => "Local-Constant",
-            RegType::Ll => "Local-Linear",
-        };
         format!(
             "Regression Data ({} observations, 1 variable(s)):\n\n\
              Bandwidth Selection Method: Least Squares Cross-Validation\n\
@@ -110,8 +68,8 @@ impl NpRegBw {
              Bandwidth Type: Fixed\n\
              Objective Function Value: {:.6e} (achieved on multistart {} of {})\n\n\
              Exp. Var. Name: x  Bandwidth: {:.6}\n\n\
-             Continuous Kernel Type: {kernel}\n\
-             Regression Type: {regtype}\n\
+             Continuous Kernel Type: Epanechnikov\n\
+             Regression Type: Local-Constant\n\
              No. Continuous Explanatory Vars.: 1\n",
             self.n,
             self.fval,
@@ -122,21 +80,6 @@ impl NpRegBw {
             self.restart_fvals.len(),
             self.bw,
         )
-    }
-}
-
-fn objective_at<K: Kernel + Clone + Sync>(
-    x: &[f64],
-    y: &[f64],
-    h: f64,
-    kernel: &K,
-    local_linear: bool,
-    parallel: bool,
-) -> f64 {
-    if parallel {
-        cv_objective_parallel(x, y, h, kernel, local_linear)
-    } else {
-        cv_objective(x, y, h, kernel, local_linear)
     }
 }
 
@@ -151,45 +94,38 @@ pub fn npregbw(x: &[f64], y: &[f64], options: NpRegBwOptions) -> Result<NpRegBw>
         return Err(Error::DegenerateDomain);
     }
     let (lo, hi) = (domain / 1000.0, domain);
-    let local_linear = options.regtype == RegType::Ll;
 
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut evaluations = 0usize;
     let mut restart_fvals = Vec::with_capacity(options.nmulti.max(1));
     let mut restart_bws = Vec::with_capacity(options.nmulti.max(1));
 
-    // Dispatch once on the kernel type; each arm runs the same multistart.
     // Like np, the search is over the *log* bandwidth: h is a scale
     // parameter, log-space makes the objective better conditioned and keeps
     // the optimiser from stalling against the h > 0 boundary.
     let (log_lo, log_hi) = (lo.ln(), hi.ln());
-    macro_rules! run_with {
-        ($kernel:expr) => {{
-            let kernel = $kernel;
-            for _ in 0..options.nmulti.max(1) {
-                let t: f64 = rng.random();
-                let t0 = log_lo + t * (log_hi - log_lo);
-                let result = nelder_mead_1d(
-                    |log_h| {
-                        evaluations += 1;
-                        objective_at(x, y, log_h.exp(), &kernel, local_linear, options.parallel)
-                    },
-                    t0,
-                    (log_hi - log_lo) * 0.1,
-                    log_lo,
-                    log_hi,
-                    options.tol * (log_hi - log_lo),
-                    options.itmax,
-                );
-                restart_fvals.push(result.fx);
-                restart_bws.push(result.x.exp());
-            }
-        }};
-    }
-    match options.ckertype {
-        CKerType::Epanechnikov => run_with!(Epanechnikov),
-        CKerType::Gaussian => run_with!(Gaussian),
-        CKerType::Uniform => run_with!(Uniform),
+    for _ in 0..options.nmulti.max(1) {
+        let t: f64 = rng.random();
+        let t0 = log_lo + t * (log_hi - log_lo);
+        let result = nelder_mead_1d(
+            |log_h| {
+                evaluations += 1;
+                let h = log_h.exp();
+                if options.parallel {
+                    cv_objective_parallel(x, y, h, &Epanechnikov)
+                } else {
+                    cv_objective(x, y, h, &Epanechnikov)
+                }
+            },
+            t0,
+            (log_hi - log_lo) * 0.1,
+            log_lo,
+            log_hi,
+            TOL * (log_hi - log_lo),
+            ITMAX,
+        );
+        restart_fvals.push(result.fx);
+        restart_bws.push(result.x.exp());
     }
 
     let best = restart_fvals
@@ -290,38 +226,6 @@ mod tests {
         for &f in &bw.restart_fvals {
             assert!(bw.fval <= f + 1e-15);
         }
-    }
-
-    #[test]
-    fn gaussian_and_uniform_kernels_work() {
-        let (x, y) = paper_dgp(80, 4);
-        for k in [CKerType::Gaussian, CKerType::Uniform] {
-            let bw = npregbw(
-                &x,
-                &y,
-                NpRegBwOptions {
-                    ckertype: k,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(bw.bw > 0.0 && bw.bw <= 1.0);
-        }
-    }
-
-    #[test]
-    fn local_linear_regtype_works() {
-        let (x, y) = paper_dgp(80, 5);
-        let bw = npregbw(
-            &x,
-            &y,
-            NpRegBwOptions {
-                regtype: RegType::Ll,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(bw.bw > 0.0);
     }
 
     #[test]

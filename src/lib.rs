@@ -11,7 +11,7 @@
 //!   simulator;
 //! * [`np`] (`kcv-np`) — the R-`np`-style numerical-optimisation baseline;
 //! * [`data`] (`kcv-data`) — synthetic DGPs (including the paper's) and
-//!   CSV I/O;
+//!   canned datasets;
 //! * [`serve`] (`kcv-serve`) — the sharded multi-stream serving front-end
 //!   over the sliding-window engine.
 //!
@@ -39,6 +39,6 @@ pub mod prelude {
     pub use kcv_core::prelude::*;
     pub use kcv_data::{Dgp, PaperDgp, Sample};
     pub use kcv_gpu::{select_bandwidth_gpu, GpuConfig};
-    pub use kcv_np::{npreg, npregbw, NpRegBwOptions};
+    pub use kcv_np::{npregbw, NpRegBwOptions};
     pub use kcv_serve::{BandwidthService, ServeConfig};
 }

@@ -113,10 +113,9 @@ fn local_linear_beats_nw_at_boundaries_on_sloped_truth() {
 fn full_np_style_workflow() {
     let sample = PaperDgp.sample(400, 9);
     let bws = npregbw(&sample.x, &sample.y, NpRegBwOptions::default()).unwrap();
-    let fit = npreg(&bws, &sample.x, &sample.y).unwrap();
-    assert!(fit.diagnostics.r_squared > 0.95);
+    let fit = NadarayaWatson::new(&sample.x, &sample.y, Epanechnikov, bws.bw).unwrap();
+    assert!(diagnostics(&fit, &sample.y).r_squared > 0.95);
     assert!(bws.summary().contains("Least Squares Cross-Validation"));
-    assert!(fit.summary().contains("R-squared"));
 }
 
 #[test]

@@ -1,25 +1,26 @@
 //! Integration tests for the extension surfaces: local-linear sweep,
-//! canned datasets, multi-device execution, and the np density interface —
-//! exercised together through the public facade.
+//! canned datasets and multi-device execution — exercised together through
+//! the public facade.
 
-use kernelcv::core::cv::cv_profile_sorted_ll;
+use kernelcv::core::cv::{cv_profile_naive_ll, cv_profile_sorted_ll};
 use kernelcv::data::datasets::{cps71_like, gdp_like, motorcycle_like};
 use kernelcv::gpu::select_bandwidth_multi_gpu;
-use kernelcv::np::{npudensbw, NpUDensBwOptions};
 use kernelcv::prelude::*;
 
 #[test]
-fn local_linear_sweep_agrees_with_np_local_linear_objective() {
+fn local_linear_sweep_agrees_with_the_naive_local_linear_oracle() {
     let sample = PaperDgp.sample(150, 501);
     let grid = BandwidthGrid::paper_default(&sample.x, 20).unwrap();
     let sorted = cv_profile_sorted_ll(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
+    let naive = cv_profile_naive_ll(&sample.x, &sample.y, &grid, &Epanechnikov).unwrap();
     for (m, &h) in grid.values().iter().enumerate() {
-        let np_obj = kernelcv::np::cv_objective(&sample.x, &sample.y, h, &Epanechnikov, true);
+        let oracle = naive.scores[m];
         assert!(
-            (sorted.scores[m] - np_obj).abs() <= 1e-8 * np_obj.abs().max(1e-9),
-            "h={h}: sweep {} vs np objective {np_obj}",
+            (sorted.scores[m] - oracle).abs() <= 1e-8 * oracle.abs().max(1e-9),
+            "h={h}: sweep {} vs naive {oracle}",
             sorted.scores[m]
         );
+        assert_eq!(sorted.included[m], naive.included[m], "h={h}");
     }
 }
 
@@ -77,13 +78,4 @@ fn multi_device_agrees_with_single_device_through_the_facade() {
         select_bandwidth_multi_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default(), 2).unwrap();
     assert_eq!(single.bandwidth, dual.bandwidth);
     assert!(dual.peak_bytes_per_device < single.report.device_bytes_peak);
-}
-
-#[test]
-fn np_density_interface_selects_sane_bandwidths_for_uniform_data() {
-    let sample = PaperDgp.sample(400, 505);
-    let bw = npudensbw(&sample.x, NpUDensBwOptions::default()).unwrap();
-    // X ~ U(0,1): the LSCV bandwidth should be a moderate fraction of the
-    // domain (a uniform density rewards wide smoothing, but ≤ domain).
-    assert!(bw.bw > 0.01 && bw.bw <= 1.0, "h = {}", bw.bw);
 }
