@@ -5,13 +5,13 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify fmt build test test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve loc clean
+.PHONY: verify fmt build test test-release test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve loc clean
 
 ## The full PR gate: formatting, build, tests with metrics off AND on,
-## docs, lints, the counter-based performance gate, and one run of every
-## example. (The d = 2 "Multi fast" check against the naive full-grid
-## oracle is a unit test in kcv-bench.)
-verify: fmt build test test-metrics doc clippy perf-gate examples
+## the core suite in release, docs, lints, the counter-based performance
+## gate, and one run of every example. (The d = 2 "Multi fast" check
+## against the naive full-grid oracle is a unit test in kcv-bench.)
+verify: fmt build test test-release test-metrics doc clippy perf-gate examples
 	@echo "verify: all gates green"
 
 ## rustfmt over every workspace member. Plain `cargo fmt` (not `--all`,
@@ -25,6 +25,11 @@ build:
 
 test:
 	$(CARGO) test $(FLAGS) --workspace -q
+
+## The core suite as it ships, optimised: the prefix sweep's AVX2 lanes
+## are unsafe code, and debug builds do not run what release builds run.
+test-release:
+	$(CARGO) test $(FLAGS) --release -p kcv-core -q
 
 ## The observability layer changes what compiles; test both feature states.
 ## Counters are scoped per `kcv_obs::Recorder`, so the metrics suite runs

@@ -36,7 +36,9 @@
 //! * each observation makes two passes over the bandwidths: one steps
 //!   every live cursor a block of keys at a time, one scores every cell.
 //!   An edge pinned at either end of the sample does not step, and its
-//!   side of the cell is hoisted per observation.
+//!   side of the cell is hoisted per observation. Where the host has AVX2
+//!   both passes run four bandwidths at a time in lanes, to the same bits
+//!   (`cv::window`, Lanes); the local-linear cell stays scalar.
 //!
 //! ```text
 //! O(n log n + n·k·deg²) amortised, plus O(k·log n) cursor seeding
@@ -119,7 +121,8 @@
 
 use super::fold::{block_count, fold_bandwidth_blocks};
 use super::window::{
-    dispatch_width, moment_rows, pascal, with_sentinels, CellPass, LcCell, Row, WindowCursors,
+    dispatch_width, moment_rows, pascal, with_sentinels, CellPass, CellRun, LcCell, Row,
+    SentinelKeys, WindowCursors,
 };
 use super::CvProfile;
 use crate::error::{validate_sample, Result};
@@ -137,7 +140,7 @@ struct PrefixTables<const W: usize> {
     /// on these so boundary classification is bit-identical to the other
     /// strategies), followed by the cursor sweep's `+inf` sentinels
     /// ([`with_sentinels`]).
-    xs: Vec<f64>,
+    xs: SentinelKeys,
     /// `y` co-sorted with `xs`.
     ys: Vec<f64>,
     /// Midrange-centred copy of `xs` (moment assembly runs on these for
@@ -146,7 +149,9 @@ struct PrefixTables<const W: usize> {
     /// `n + 1` prefix rows: row `t` holds `Σ_{l<t} xc[l]^m` in `p[m]` and
     /// `Σ_{l<t} ys[l]·xc[l]^m` in `q[m]` (so row 0 is all zero and range
     /// sums are differences of two rows), built by [`moment_rows`] from the
-    /// pairs `(xc[l], ys[l])`.
+    /// pairs `(xc[l], ys[l])`. The cell lanes gather from these rows at
+    /// the cursors' window edges, which are at most `n`, with no bounds
+    /// check, so [`build`](Self::build) asserts the length.
     rows: Vec<Row<W>>,
     /// Sample size.
     n: usize,
@@ -165,13 +170,15 @@ impl<const W: usize> PrefixTables<W> {
             )
         };
         let _build = kcv_obs::phase("cv.prefix");
-        let n = ys.len();
+        let n = xs.n();
+        let keys = xs.keys();
         // Midrange of the sorted sample: exact on symmetric lattices, and
         // the best single shift for bounding |xc|^m.
-        let center = 0.5 * (xs[0] + xs[n - 1]);
-        let xc: Vec<f64> = xs[..n].iter().map(|&v| v - center).collect();
+        let center = 0.5 * (keys[0] + keys[n - 1]);
+        let xc: Vec<f64> = keys.iter().map(|&v| v - center).collect();
 
         let rows = moment_rows(xc.iter().copied().zip(ys.iter().copied()));
+        assert_eq!(rows.len(), n + 1, "one prefix row per key, and row 0");
 
         Self {
             xs,
@@ -229,27 +236,21 @@ impl<const W: usize> WindowMoments<W> {
 struct Sweep<'a, const W: usize> {
     t: PrefixTables<W>,
     coeffs: &'static [f64],
-    radius: f64,
     hs: &'a [f64],
 }
 
-/// Per-block workspace of the local-constant step: the block's inverse
-/// bandwidths, its window cursors and the precombined kernel polynomial.
-/// No `n`-sized buffers anywhere.
+/// Per-block workspace of the local-constant step: the window cursors of
+/// the block's bandwidths and the precombined kernel polynomial. No
+/// `n`-sized buffers anywhere.
 struct LcScratch<const W: usize> {
-    /// `1.0 / h` per bandwidth of the block, the factor of the support
-    /// predicate.
-    inv_hs: Vec<f64>,
     cursors: WindowCursors,
     cell: LcCell<W>,
 }
 
-/// Per-block workspace of the local-linear step: the block's bandwidths
-/// and their inverses, its window cursors and the Pascal triangle of the
-/// table width.
+/// Per-block workspace of the local-linear step: the block's bandwidths,
+/// their window cursors and the Pascal triangle of the table width.
 struct LlScratch<const W: usize> {
     hs: Vec<f64>,
-    inv_hs: Vec<f64>,
     cursors: WindowCursors,
     binom: [[f64; W]; W],
 }
@@ -261,7 +262,9 @@ fn inverses(hs: &[f64]) -> Vec<f64> {
 
 /// The cell pass of one observation, local-constant form: scores each
 /// cell and adds `(Y_i − ĝ_{-i}(X_i))² M(X_i)` into the block's sums. A
-/// pinned edge's side is the one [`LcCell::prepare`] hoisted.
+/// pinned edge's side is the one [`LcCell::prepare`] hoisted. A run of
+/// cells is scored four at a time in lanes where the host has AVX2
+/// ([`LcCell::score_quads`]), and its `k mod 4` tail one at a time.
 struct LcPass<'s, const W: usize> {
     rows: &'s [Row<W>],
     cell: &'s LcCell<W>,
@@ -298,6 +301,28 @@ impl<const W: usize> CellPass for LcPass<'_, W> {
             self.included[m] += 1;
         }
     }
+
+    #[inline(always)]
+    fn run<const LO_PINNED: bool, const HI_PINNED: bool>(&mut self, run: CellRun<'_>) {
+        let range = run.range();
+        // SAFETY: only `WindowCursors::sweep` builds a run, and its edges
+        // are at most the count n of the keys it swept. This pass's rows
+        // are the prefix rows of those keys (`accumulate_observation_prefix`
+        // sweeps `t.xs` with `t.rows`), and `PrefixTables::build` asserted
+        // n + 1 of them.
+        let done = unsafe {
+            self.cell.score_quads::<LO_PINNED, HI_PINNED>(
+                self.rows,
+                self.yi,
+                run,
+                &mut self.sq_sums[range.clone()],
+                &mut self.included[range],
+            )
+        };
+        for (m, inv_h, lo, hi) in run.cells(done) {
+            self.cell::<LO_PINNED, HI_PINNED>(m, inv_h, lo, hi);
+        }
+    }
 }
 
 /// Adds the contribution of the observation at sorted position `si` —
@@ -324,9 +349,7 @@ fn accumulate_observation_prefix<const W: usize>(
         sq_sums,
         included,
     };
-    scratch
-        .cursors
-        .sweep(&t.xs, si, &scratch.inv_hs, sw.radius, &mut pass);
+    scratch.cursors.sweep(&t.xs, si, &mut pass);
 }
 
 /// The cell pass of one observation, local-linear form: assembles the
@@ -432,9 +455,7 @@ fn accumulate_observation_prefix_ll<const W: usize>(
         sq_sums,
         included,
     };
-    scratch
-        .cursors
-        .sweep(&t.xs, si, &scratch.inv_hs, sw.radius, &mut pass);
+    scratch.cursors.sweep(&t.xs, si, &mut pass);
 }
 
 /// The local-constant prefix-moment profile over the bandwidth list `hs`,
@@ -485,11 +506,10 @@ fn profile_lc<const W: usize>(
     radius: f64,
     blocks: usize,
 ) -> CvProfile {
-    let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
+    let sw = Sweep::<W>::new(x, y, hs, coeffs);
     let new_scratch = |block: Vec<f64>| LcScratch {
-        cursors: WindowCursors::new(block.len()),
+        cursors: WindowCursors::new(inverses(&block), radius),
         cell: LcCell::new(coeffs),
-        inv_hs: inverses(&block),
     };
     sw.fold(blocks, new_scratch, accumulate_observation_prefix)
 }
@@ -519,11 +539,10 @@ fn profile_ll_w<const W: usize>(
     radius: f64,
     blocks: usize,
 ) -> CvProfile {
-    let sw = Sweep::<W>::new(x, y, hs, coeffs, radius);
+    let sw = Sweep::<W>::new(x, y, hs, coeffs);
     let new_scratch = |block: Vec<f64>| LlScratch {
-        cursors: WindowCursors::new(block.len()),
+        cursors: WindowCursors::new(inverses(&block), radius),
         binom: pascal(),
-        inv_hs: inverses(&block),
         hs: block,
     };
     sw.fold(blocks, new_scratch, accumulate_observation_prefix_ll)
@@ -531,7 +550,7 @@ fn profile_ll_w<const W: usize>(
 
 impl<'a, const W: usize> Sweep<'a, W> {
     /// Builds the moment tables of a validated sample.
-    fn new(x: &[f64], y: &[f64], hs: &'a [f64], coeffs: &'static [f64], radius: f64) -> Self {
+    fn new(x: &[f64], y: &[f64], hs: &'a [f64], coeffs: &'static [f64]) -> Self {
         debug_assert!(
             hs.windows(2).all(|w| w[0] <= w[1]),
             "bandwidths must be non-decreasing"
@@ -539,7 +558,6 @@ impl<'a, const W: usize> Sweep<'a, W> {
         Self {
             t: PrefixTables::build(x, y),
             coeffs,
-            radius,
             hs,
         }
     }
@@ -803,10 +821,15 @@ mod tests {
     /// the cursors were seeded at the first observation or mid-sample and
     /// then stepped forward, and no window ever covers a sentinel. After
     /// every observation the live bounds count the cursors whose left edge
-    /// has left key 0 and whose right edge has not reached key `n`.
+    /// has left key 0 and whose right edge has not reached key `n`. The
+    /// lane steps and the scalar steps give the same windows and live
+    /// bounds, on grids of every length mod 4 dealt into 1, 2 and 3
+    /// interleaved blocks as a profile deals them, and each sample steps
+    /// at least four cursors at once in each live run: both edges, the left
+    /// edge only and the right edge only.
     #[test]
     fn cursor_windows_match_bisection_oracle() {
-        use crate::cv::window::{support_window, with_sentinels, WindowCursors};
+        use crate::cv::window::{support_window, with_scalar, with_sentinels, WindowCursors};
         let mut rng = SplitMix64::new(41);
         let random: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
         let duplicates: Vec<f64> = (0..300)
@@ -838,7 +861,7 @@ mod tests {
             xs.sort_by(f64::total_cmp);
             let n = xs.len();
             let keys = with_sentinels(xs.iter().copied());
-            let mut hs = BandwidthGrid::paper_default(&xs, 40)
+            let mut grid = BandwidthGrid::paper_default(&xs, 40)
                 .unwrap()
                 .values()
                 .to_vec();
@@ -848,7 +871,7 @@ mod tests {
             // 1/1e-310 = +inf, so a duplicate of the minimum meets its
             // left edge at 0·inf = NaN.
             let range = xs[n - 1] - xs[0];
-            hs.extend([
+            grid.extend([
                 1e-310,
                 0.0625,
                 0.125,
@@ -858,42 +881,80 @@ mod tests {
                 2.0 * range,
                 1e3 * range,
             ]);
-            hs.sort_by(f64::total_cmp);
-            let inv_hs: Vec<f64> = hs.iter().map(|&h| 1.0 / h).collect();
-            for start in [0, n / 3, n - 1] {
-                let mut cursors = WindowCursors::new(hs.len());
-                for si in start..n {
-                    let mut visited = 0;
-                    let (mut moved_lo, mut short_hi) = (0, 0);
-                    cursors.sweep(&keys, si, &inv_hs, 1.0, &mut |m, inv_h: f64, lo, hi| {
-                        assert_eq!(inv_h, inv_hs[m]);
-                        assert!(hi <= n, "{name}: window covers a sentinel");
-                        // At 1/h = +inf no key is in support (d·inf is
-                        // ±inf or NaN), and bisection and step each end
-                        // where their own comparison of NaN puts them; the
-                        // local-constant cell there is NaN either way.
-                        if inv_h.is_finite() {
-                            assert_eq!(
-                                (lo, hi),
-                                support_window(&xs, si, inv_h, 1.0, si, si + 1),
-                                "{name}: start {start}, observation {si}, h = {}",
-                                hs[m]
+            // Widest runs of live cursors seen: both edges, left, right.
+            let mut widest = [0usize; 3];
+            // 48 bandwidths, then one, two and three more.
+            for extra in [&[][..], &[0.03], &[0.03, 0.3], &[0.03, 0.3, 3.0]] {
+                let mut hs: Vec<f64> = grid.iter().chain(extra).copied().collect();
+                hs.sort_by(f64::total_cmp);
+                for blocks in 1..=3 {
+                    for b in 0..blocks {
+                        let block: Vec<f64> = hs.iter().copied().skip(b).step_by(blocks).collect();
+                        let inv_hs: Vec<f64> = block.iter().map(|&h| 1.0 / h).collect();
+                        for start in [0, n / 3, n - 1] {
+                            // Every window and live bound from `start` on.
+                            let trace = || {
+                                let mut cursors = WindowCursors::new(inv_hs.clone(), 1.0);
+                                let mut seen = vec![];
+                                for si in start..n {
+                                    let mut windows = vec![];
+                                    cursors.sweep(&keys, si, &mut |m, inv_h: f64, lo, hi| {
+                                        assert_eq!(inv_h, inv_hs[m]);
+                                        assert_eq!(m, windows.len(), "bandwidths out of order");
+                                        windows.push((lo, hi));
+                                    });
+                                    seen.push((windows, cursors.live()));
+                                }
+                                seen
+                            };
+                            let lanes = trace();
+                            let at = format!("{name}: k = {}, block {b} of {blocks}", hs.len());
+                            assert!(
+                                lanes == with_scalar(true, false, trace),
+                                "{at}, start {start}: lane and scalar steps differ"
                             );
-                            assert!(lo <= si && si < hi, "{name}: window misses si");
+                            for (si, (windows, live)) in (start..n).zip(&lanes) {
+                                let at = format!("{at}, start {start}, observation {si}");
+                                assert_eq!(windows.len(), block.len());
+                                for (m, &(lo, hi)) in windows.iter().enumerate() {
+                                    assert!(hi <= n, "{at}: window covers a sentinel");
+                                    // At 1/h = +inf no key is in support
+                                    // (d·inf is ±inf or NaN), and bisection
+                                    // and step each end where their own
+                                    // comparison of NaN puts them; the
+                                    // local-constant cell there is NaN
+                                    // either way.
+                                    if inv_hs[m].is_finite() {
+                                        assert_eq!(
+                                            (lo, hi),
+                                            support_window(&xs, si, inv_hs[m], 1.0, si, si + 1),
+                                            "{at}, h = {}",
+                                            block[m]
+                                        );
+                                        assert!(lo <= si && si < hi, "{at}: window misses si");
+                                    }
+                                }
+                                let moved_lo = windows.iter().filter(|w| w.0 > 0).count();
+                                let short_hi = windows.iter().filter(|w| w.1 < n).count();
+                                assert_eq!(*live, (moved_lo, short_hi), "{at}: live bounds");
+                                let (lo_live, hi_live) = *live;
+                                let runs = [
+                                    lo_live.min(hi_live),
+                                    lo_live.saturating_sub(hi_live),
+                                    hi_live.saturating_sub(lo_live),
+                                ];
+                                for (w, r) in widest.iter_mut().zip(runs) {
+                                    *w = (*w).max(r);
+                                }
+                            }
                         }
-                        assert_eq!(m, visited, "bandwidths visited out of order");
-                        visited += 1;
-                        moved_lo += usize::from(lo > 0);
-                        short_hi += usize::from(hi < n);
-                    });
-                    assert_eq!(visited, hs.len());
-                    assert_eq!(
-                        cursors.live(),
-                        (moved_lo, short_hi),
-                        "{name}: start {start}, observation {si}: live bounds"
-                    );
+                    }
                 }
             }
+            assert!(
+                widest.iter().all(|&w| w >= 4),
+                "{name}: widest live runs (both, left, right) {widest:?}"
+            );
         }
     }
 
@@ -1052,23 +1113,68 @@ mod tests {
         }
     }
 
-    /// The sweep refuses keys without their sentinels.
+    /// The local-constant profile's cost per kernel width on one core,
+    /// scalar against lanes (n = 2·10⁴, paper-default k = 100, one block
+    /// on the calling thread; median and interquartile range of 15
+    /// alternating runs): the scalar step and cell, the lane cells alone,
+    /// and both passes in lanes. The measurement behind each width's
+    /// choice of cell. A timing table, not a check, so it runs only on
+    /// request: `cargo test --release -p kcv-core --lib lanes_by_kernel_table
+    /// -- --ignored --nocapture`.
     #[test]
-    #[cfg(debug_assertions)]
+    #[ignore = "timing table; run on request in release"]
+    fn lanes_by_kernel_table() {
+        use crate::cv::window::with_scalar;
+        let reps = 15;
+        let (x, y) = paper_dgp(20_000, 45);
+        let hs = BandwidthGrid::paper_default(&x, 100)
+            .unwrap()
+            .values()
+            .to_vec();
+        println!("| kernel | W | scalar ms | lane cells ms | both lanes ms | both / scalar |");
+        println!("|---|---|---|---|---|---|");
+        for kernel in all_widths() {
+            let time = |(step, cell): (bool, bool)| {
+                with_scalar(step, cell, || {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(profile_in_blocks(&x, &y, &hs, kernel, 1)).unwrap();
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+            };
+            let paths = [(true, true), (true, false), (false, false)];
+            let mut runs = [vec![], vec![], vec![]];
+            for _ in 0..reps {
+                for (path, samples) in paths.into_iter().zip(&mut runs) {
+                    samples.push(time(path));
+                }
+            }
+            let [scalar, cells, both] = runs.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                (v[reps / 2], v[reps / 4], v[3 * reps / 4])
+            });
+            let ms = |(m, lo, hi): (f64, f64, f64)| format!("{m:.2} ({lo:.2}–{hi:.2})");
+            println!(
+                "| {} | {} | {} | {} | {} | {:.2} |",
+                kernel.name(),
+                kernel.coeffs().len(),
+                ms(scalar),
+                ms(cells),
+                ms(both),
+                both.0 / scalar.0
+            );
+        }
+    }
+
+    /// The cursors refuse a bandwidth whose step predicates hold at the
+    /// `+inf` sentinel tail, which would step a cursor past the keys: a
+    /// negative `1/h`, or an infinite radius.
+    #[test]
     #[should_panic(expected = "sentinels")]
     fn sweep_checks_the_sentinel_tail() {
-        let keys = [
-            0.0,
-            0.25,
-            0.5,
-            0.75,
-            1.0,
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::INFINITY,
-        ];
-        let mut cursors = crate::cv::window::WindowCursors::new(1);
-        cursors.sweep(&keys, 0, &[1.0], 1.0, &mut |_, _, _, _| {});
+        use crate::cv::window::WindowCursors;
+        let refused = std::panic::catch_unwind(|| WindowCursors::new(vec![1.0], f64::INFINITY));
+        assert!(refused.is_err(), "an infinite radius passes the +inf keys");
+        WindowCursors::new(vec![4.0, 2.0, -1.0], 1.0);
     }
 
     /// The precombined assembly against the naive oracle where the

@@ -26,9 +26,10 @@
 //!   of four that pass the predicate — exactly the step, along sorted
 //!   keys — so the loads do not wait on each other and the usual one-key
 //!   move takes one block; `+inf` sentinels after the keys
-//!   ([`with_sentinels`]) fail both predicates, so no block needs a clamp.
+//!   ([`SentinelKeys`]) fail both predicates, so no block needs a clamp.
 //!   The second scores the cells through a [`CellPass`], in at most three
-//!   runs of bandwidths, one per combination of pinned edges.
+//!   runs of bandwidths, one per combination of pinned edges. Both passes
+//!   run four bandwidths at a time where the host has AVX2 (see Lanes).
 //! * [`LcCell`] precombines the local-constant kernel polynomial about
 //!   `x_i` once per observation into per-moment coefficients
 //!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}`, `j ≥ m`. A cell differences the
@@ -106,6 +107,53 @@
 //! `2^−1024`) makes the leading `0·(1/h)` NaN, so [`LcCell::eval`] returns
 //! NaN there.
 //!
+//! ## Lanes
+//!
+//! Every cell is independent, so on a host with AVX2 (detected once per
+//! process) the sweep runs both passes four bandwidths at a time, in
+//! 256-bit lanes (the private `lanes` module):
+//!
+//! * the cursor pass steps four cursors of a live edge per iteration: a
+//!   gather (`_mm256_i64gather_pd`) per key of the block reads each lane's
+//!   block of four keys at its own cursor, the unchanged predicate is
+//!   counted per lane, and the iteration repeats while any lane counted
+//!   four. A lane that has stopped counts 0 in a repeat, because its
+//!   predicate holds on a prefix of the keys from its cursor, so every
+//!   cursor ends where the scalar step ends it;
+//! * the local-constant cell pass ([`LcCell::score_quads`]) scores four
+//!   cells per iteration: their sides gathered from the rows at the window
+//!   edges and differenced against the self rows, or a pinned run's
+//!   hoisted side broadcast; the trimmed Horners at the four `1/h`, with
+//!   the same skipped terms; `num` and `den`; and `den > 0` as a lane mask
+//!   on the accumulation.
+//!
+//! The bits are the scalar code's. Each lane runs the scalar code's IEEE
+//! operations on the same operands in the same order: `mul`, `add`, `sub`
+//! and `div` only, never a fused multiply-add (nor does Rust contract the
+//! scalar `a·b + c`), and `−1/h` as a sign flip. So each lane's `num`,
+//! `den`, residual and square are the scalar cell's, and its comparisons
+//! are the scalar ones (ordered: false on NaN). The accumulation differs
+//! only for an excluded cell, whose lane adds `+0.0` where the scalar cell
+//! adds nothing: `s + 0.0` is `s` for every sum `s` but `−0.0` (a NaN keeps
+//! its payload), and a sum that starts at `+0.0` and adds squares is never
+//! `−0.0`. A lane at `1/h = +inf` is masked out, as the scalar cell
+//! returns NaN there. The module's tests compare the two paths' windows,
+//! live bounds, profile bits and `included` counts.
+//!
+//! The scalar code still runs where AVX2 is absent and on other
+//! architectures (the whole sweep, as before the lanes), for the `k mod 4`
+//! tail of every run, for the seeding bisections, and for the local-linear
+//! cell (the local-linear sweep steps its cursors in lanes). The lanes win
+//! at every kernel width (EXPERIMENTS.md LANES), so no width opts out.
+//!
+//! The gathers do no bounds check. Their reads stay in bounds because
+//! every swept key array ends in four `+inf` keys (only
+//! [`with_sentinels`] builds a [`SentinelKeys`]); because
+//! [`WindowCursors::new`] refuses a bandwidth whose predicates hold at
+//! `+inf`, so a block's true keys lie before the sentinels and no cursor
+//! passes `n`; and because the prefix tables assert their `n + 1` rows, so
+//! every window edge indexes a row.
+//!
 //! ## Width dispatch
 //!
 //! Rows and cells are fixed-size arrays of a const-generic width `W`
@@ -121,6 +169,9 @@
 use crate::error::Error;
 use crate::util::NeumaierSum;
 use std::ops::Range;
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// Highest polynomial-kernel degree the moment-window sweeps (prefix and
 /// local-linear prefix, and so the streaming window) are compiled for. Every kernel the crate ships has degree ≤ 6.
@@ -260,18 +311,49 @@ pub(crate) fn support_window(
 }
 
 /// Keys a cursor step reads at once. Every swept key array ends in this
-/// many `+inf` sentinels ([`with_sentinels`]), so a block read from any
+/// many `+inf` sentinels ([`SentinelKeys`]), so a block read from any
 /// cursor position `≤ n` stays in bounds.
 const BLOCK: usize = 4;
 
-/// Collects a sorted run of finite keys and appends the [`BLOCK`] `+inf`
-/// sentinels [`WindowCursors::sweep`] reads past its end. Neither support
-/// predicate holds at `+inf`, so no cursor steps onto a sentinel.
-pub(crate) fn with_sentinels(keys: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
+/// A sorted run of keys followed by [`BLOCK`] `+inf` sentinels: the key
+/// array [`WindowCursors::sweep`] steps its cursors along. Only
+/// [`with_sentinels`] builds one, so the tail is there by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct SentinelKeys(Vec<f64>);
+
+impl SentinelKeys {
+    /// The number of keys before the sentinels.
+    pub(crate) fn n(&self) -> usize {
+        self.0.len() - BLOCK
+    }
+
+    /// The sorted keys, without the sentinels.
+    pub(crate) fn keys(&self) -> &[f64] {
+        &self.0[..self.n()]
+    }
+}
+
+/// Collects a sorted run of keys and appends the [`BLOCK`] `+inf`
+/// sentinels [`WindowCursors::sweep`] reads past its end.
+pub(crate) fn with_sentinels(keys: impl ExactSizeIterator<Item = f64>) -> SentinelKeys {
     let mut out = Vec::with_capacity(keys.len() + BLOCK);
     out.extend(keys);
     out.extend([f64::INFINITY; BLOCK]);
-    out
+    SentinelKeys(out)
+}
+
+/// The step predicate of a cursor at key `v` for the observation at key
+/// `xi`: for the right edge (`RIGHT`) that `v` is in support,
+/// `(v − x_i)·(1/h) ≤ r`; for the left edge that `v` lies left of it,
+/// `(x_i − v)·(1/h) > r`. Each holds on a prefix of the sorted keys from
+/// its cursor.
+#[inline(always)]
+fn holds<const RIGHT: bool>(xi: f64, v: f64, inv_h: f64, radius: f64) -> bool {
+    if RIGHT {
+        (v - xi) * inv_h <= radius
+    } else {
+        (xi - v) * inv_h > radius
+    }
 }
 
 /// Advances `at` past the run of keys on which `holds` is true, [`BLOCK`]
@@ -291,11 +373,38 @@ fn block_step(keys: &[f64], mut at: usize, holds: impl Fn(f64) -> bool) -> usize
     }
 }
 
-/// Scores the cells of one observation for [`WindowCursors::sweep`]: one
-/// call per bandwidth `m` with its window `[lo, hi)`. `LO_PINNED` says that
-/// the window starts at key 0 and `HI_PINNED` that it ends at key `n`. Both
-/// are constant over a run of bandwidths, so in a pinned run a pass can
-/// read a side it hoisted once per observation, with no branch per cell.
+/// Steps every cursor of one edge, `edges[m]` that of inverse bandwidth
+/// `inv_hs[m]`, past the keys on which its predicate holds: four cursors
+/// at a time in lanes where the host has AVX2, the rest one at a time.
+#[inline(always)]
+fn step_edges<const RIGHT: bool>(
+    keys: &SentinelKeys,
+    edges: &mut [usize],
+    inv_hs: &[f64],
+    xi: f64,
+    radius: f64,
+) {
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if lanes::enabled(lanes::Pass::Step) {
+        // SAFETY: AVX2 is present. Every cursor is at most `keys.n()`: it
+        // was seeded by bisection over these keys (`sweep` reseeds when the
+        // key count changes) and has stepped only past keys on which its
+        // predicate holds. `WindowCursors::new` checked that both
+        // predicates fail at the `+inf` sentinels for every `inv_h`.
+        done = unsafe { lanes::step_edges::<RIGHT>(keys, edges, inv_hs, xi, radius) };
+    }
+    for (at, &inv_h) in edges[done..].iter_mut().zip(&inv_hs[done..]) {
+        *at = block_step(&keys.0, *at, |v| holds::<RIGHT>(xi, v, inv_h, radius));
+    }
+}
+
+/// Scores the cells of one observation for [`WindowCursors::sweep`], in
+/// runs of ascending bandwidths. `LO_PINNED` says that every window of a
+/// run starts at key 0 and `HI_PINNED` that it ends at key `n`, so in a
+/// pinned run a pass can read a side it hoisted once per observation, with
+/// no branch per cell.
 pub(crate) trait CellPass {
     /// Scores the cell of bandwidth `m`, inverse bandwidth `inv_h`.
     fn cell<const LO_PINNED: bool, const HI_PINNED: bool>(
@@ -305,6 +414,49 @@ pub(crate) trait CellPass {
         lo: usize,
         hi: usize,
     );
+
+    /// Scores the cells of a run: by default one [`cell`](Self::cell)
+    /// each, in order.
+    #[inline(always)]
+    fn run<const LO_PINNED: bool, const HI_PINNED: bool>(&mut self, run: CellRun<'_>) {
+        for (m, inv_h, lo, hi) in run.cells(0) {
+            self.cell::<LO_PINNED, HI_PINNED>(m, inv_h, lo, hi);
+        }
+    }
+}
+
+/// A run of cells of one observation: the bandwidths `start..start + len`,
+/// the `j`-th with inverse bandwidth `inv_hs[j]` and window
+/// `[lo[j], hi[j])`. Only [`WindowCursors::sweep`] builds one, so every
+/// edge is at most the count `n` of the keys it swept.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRun<'a> {
+    start: usize,
+    inv_hs: &'a [f64],
+    lo: &'a [usize],
+    hi: &'a [usize],
+}
+
+impl CellRun<'_> {
+    /// The bandwidths of the run, as indices into the sweep's list.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.start..self.start + self.inv_hs.len()
+    }
+
+    /// `(m, 1/h, lo, hi)` of each cell of the run from its `skip`-th on.
+    #[inline(always)]
+    pub(crate) fn cells(
+        &self,
+        skip: usize,
+    ) -> impl Iterator<Item = (usize, f64, usize, usize)> + '_ {
+        let cells = self.inv_hs[skip..]
+            .iter()
+            .zip(&self.lo[skip..])
+            .zip(&self.hi[skip..]);
+        (self.start + skip..)
+            .zip(cells)
+            .map(|(m, ((&inv_h, &lo), &hi))| (m, inv_h, lo, hi))
+    }
 }
 
 /// A closure ignores the pins: it sees every window as it is, as the
@@ -323,37 +475,87 @@ impl<F: FnMut(usize, f64, usize, usize)> CellPass for F {
     }
 }
 
-/// One support window `(lo, hi)` per bandwidth, moved forward monotonically
-/// as the observation index increases, and the two live bounds past which
-/// an edge is pinned (see the module docs).
+#[cfg(test)]
+thread_local! {
+    /// Keeps this thread's cursor steps (`.0`) and cells (`.1`) off the
+    /// lanes.
+    static SCALAR: std::cell::Cell<(bool, bool)> = const { std::cell::Cell::new((false, false)) };
+}
+
+/// Runs `f` with this thread's cursor steps (`step`) and local-constant
+/// cells (`cell`) on the scalar path, where set.
+#[cfg(test)]
+pub(crate) fn with_scalar<T>(step: bool, cell: bool, f: impl FnOnce() -> T) -> T {
+    let before = SCALAR.with(|s| s.replace((step, cell)));
+    let out = f();
+    SCALAR.with(|s| s.set(before));
+    out
+}
+
+/// Whether this thread keeps `pass` scalar: by [`with_scalar`], and the
+/// cells also under the full (untrimmed) reference cell.
+#[cfg(all(test, target_arch = "x86_64"))]
+fn scalar_forced(pass: lanes::Pass) -> bool {
+    let (step, cell) = SCALAR.with(std::cell::Cell::get);
+    match pass {
+        lanes::Pass::Step => step,
+        lanes::Pass::Cell => cell || tests::REFERENCE_CELL.with(std::cell::Cell::get),
+    }
+}
+
+/// One support window `[lo[m], hi[m])` per bandwidth, moved forward
+/// monotonically as the observation index increases, and the two live
+/// bounds past which an edge is pinned (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct WindowCursors {
-    windows: Vec<(usize, usize)>,
-    /// Cursors `m ≥ lo_live` have `lo == 0`.
+    /// `1.0 / h` per bandwidth, ascending `h`: the factor of the support
+    /// predicate.
+    inv_hs: Vec<f64>,
+    radius: f64,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    /// Cursors `m ≥ lo_live` have `lo[m] == 0`.
     lo_live: usize,
-    /// Cursors `m ≥ hi_live` have `hi == n`.
+    /// Cursors `m ≥ hi_live` have `hi[m] == n`.
     hi_live: usize,
-    /// Sorted position the cursors currently describe, if any.
-    at: Option<usize>,
+    /// Sorted position and key count the cursors currently describe, if
+    /// any.
+    at: Option<(usize, usize)>,
 }
 
 impl WindowCursors {
-    /// Unseeded cursors for `k` bandwidths.
-    pub(crate) fn new(k: usize) -> Self {
+    /// Unseeded cursors for the ascending inverse-bandwidth list `inv_hs`
+    /// (`inv_hs[m] = 1.0 / h_m`) and support radius `radius`.
+    ///
+    /// # Panics
+    /// If a step predicate holds at `+inf` for some bandwidth (a negative
+    /// `1/h`, or an infinite radius): the sentinels stop every cursor at
+    /// the key count `n` only when neither predicate holds there. (For a
+    /// key `x_i`, `+inf − x_i` and `x_i − +inf` are `±inf` as for
+    /// `x_i = 0`, or NaN, which fails both.)
+    pub(crate) fn new(inv_hs: Vec<f64>, radius: f64) -> Self {
+        let inf = f64::INFINITY;
+        assert!(
+            inv_hs.iter().all(|&inv_h| {
+                !holds::<false>(0.0, inf, inv_h, radius) && !holds::<true>(0.0, inf, inv_h, radius)
+            }),
+            "the support predicates must fail at the +inf sentinels"
+        );
+        let k = inv_hs.len();
         Self {
-            windows: vec![(0, 0); k],
+            inv_hs,
+            radius,
+            lo: vec![0; k],
+            hi: vec![0; k],
             lo_live: k,
             hi_live: k,
             at: None,
         }
     }
 
-    /// Visits every bandwidth of the key at sorted position `si` under the
-    /// ascending inverse-bandwidth list `inv_hs` (`inv_hs[m] = 1.0 / h_m`):
-    /// moves cursor `m` to its support window `[lo, hi)` and calls
-    /// `pass.cell(m, inv_hs[m], lo, hi)`, stepping every cursor before
-    /// scoring any cell. `keys` are the sorted keys followed by their
-    /// sentinels ([`with_sentinels`]).
+    /// Visits every bandwidth of the key at sorted position `si`: moves
+    /// cursor `m` to its support window `[lo, hi)` and scores the cells
+    /// through `pass`, stepping every cursor before scoring any cell.
     ///
     /// Only the live cursors step: `lo` for `m < lo_live`, `hi` for
     /// `m < hi_live`. The cells run in at most three runs of ascending
@@ -362,64 +564,45 @@ impl WindowCursors {
     /// When `si` lies after the current position each cursor only steps
     /// right — `O(1)` amortised per cell over a run of increasing `si`.
     /// Otherwise (fresh cursors, as at the first observation of a fold
-    /// chunk) they are first seeded by [`support_window`], `O(k·log n)`,
-    /// after which the steps are no-ops.
+    /// chunk, or keys of another length) they are first seeded by
+    /// [`support_window`], `O(k·log n)`, after which the steps are no-ops.
     #[inline(always)]
-    pub(crate) fn sweep(
-        &mut self,
-        keys: &[f64],
-        si: usize,
-        inv_hs: &[f64],
-        radius: f64,
-        pass: &mut impl CellPass,
-    ) {
-        let n = keys.len() - BLOCK;
-        debug_assert!(
-            keys[n..].iter().all(|&v| v == f64::INFINITY) && keys[n - 1].is_finite(),
-            "swept keys must end in exactly {BLOCK} +inf sentinels"
-        );
-        if !matches!(self.at, Some(prev) if prev < si) {
-            self.seed(&keys[..n], si, inv_hs, radius);
+    pub(crate) fn sweep(&mut self, keys: &SentinelKeys, si: usize, pass: &mut impl CellPass) {
+        let n = keys.n();
+        if !matches!(self.at, Some((prev, prev_n)) if prev < si && prev_n == n) {
+            self.seed(keys.keys(), si);
         }
-        self.at = Some(si);
-        let xi = keys[si];
-        // The block step's own predicate at key 0: a cursor it fails keeps
+        self.at = Some((si, n));
+        let xi = keys.keys()[si];
+        let (inv_hs, radius) = (&self.inv_hs[..], self.radius);
+        // The step's own predicate at key 0: a cursor it fails keeps
         // lo = 0, and 0·inf = NaN fails it as the step would.
-        let d0 = xi - keys[0];
-        while self.lo_live < inv_hs.len() && d0 * inv_hs[self.lo_live] > radius {
+        let key0 = keys.keys()[0];
+        while self.lo_live < inv_hs.len() && holds::<false>(xi, key0, inv_hs[self.lo_live], radius)
+        {
             self.lo_live += 1;
         }
-        let (lo_live, hi_live) = (self.lo_live, self.hi_live);
-        let both = lo_live.min(hi_live);
-        for ((lo, hi), &inv_h) in self.windows[..both].iter_mut().zip(inv_hs) {
-            // lo ≤ si always ends the left step: d = 0 at l = si.
-            *lo = block_step(keys, *lo, |v| (xi - v) * inv_h > radius);
-            *hi = block_step(keys, *hi, |v| (v - xi) * inv_h <= radius);
-        }
-        for ((lo, _), &inv_h) in self.windows[both..lo_live].iter_mut().zip(&inv_hs[both..]) {
-            *lo = block_step(keys, *lo, |v| (xi - v) * inv_h > radius);
-        }
-        for ((_, hi), &inv_h) in self.windows[both..hi_live].iter_mut().zip(&inv_hs[both..]) {
-            *hi = block_step(keys, *hi, |v| (v - xi) * inv_h <= radius);
-        }
+        // lo ≤ si always ends a left step: d = 0 at l = si.
+        step_edges::<false>(keys, &mut self.lo[..self.lo_live], inv_hs, xi, radius);
+        step_edges::<true>(keys, &mut self.hi[..self.hi_live], inv_hs, xi, radius);
         // The +inf sentinels hold a cursor that reached n there.
-        while self.hi_live > 0 && self.windows[self.hi_live - 1].1 == n {
+        while self.hi_live > 0 && self.hi[self.hi_live - 1] == n {
             self.hi_live -= 1;
         }
         let (lo_live, hi_live) = (self.lo_live, self.hi_live);
         let (a, b) = (lo_live.min(hi_live), lo_live.max(hi_live));
-        self.cells::<false, false>(0..a, inv_hs, pass);
+        self.cells::<false, false>(0..a, pass);
         if lo_live < hi_live {
-            self.cells::<true, false>(a..b, inv_hs, pass);
+            self.cells::<true, false>(a..b, pass);
         } else {
-            self.cells::<false, true>(a..b, inv_hs, pass);
+            self.cells::<false, true>(a..b, pass);
         }
-        self.cells::<true, true>(b..inv_hs.len(), inv_hs, pass);
+        self.cells::<true, true>(b..inv_hs.len(), pass);
         // One window query per cell, pinned or not, and the neighbours
         // each window leaves out.
         let mut queries = kcv_obs::LocalCounter::new(kcv_obs::Counter::WindowQueries);
         let mut skipped = kcv_obs::LocalCounter::new(kcv_obs::Counter::LooTermsSkipped);
-        for &(lo, hi) in &self.windows {
+        for (&lo, &hi) in self.lo.iter().zip(&self.hi) {
             queries.incr(1);
             skipped.incr((n - (hi - lo)) as u64);
         }
@@ -431,29 +614,27 @@ impl WindowCursors {
     fn cells<const LO_PINNED: bool, const HI_PINNED: bool>(
         &self,
         range: Range<usize>,
-        inv_hs: &[f64],
         pass: &mut impl CellPass,
     ) {
-        let start = range.start;
-        for (j, (&(lo, hi), &inv_h)) in self.windows[range.clone()]
-            .iter()
-            .zip(&inv_hs[range])
-            .enumerate()
-        {
-            pass.cell::<LO_PINNED, HI_PINNED>(start + j, inv_h, lo, hi);
-        }
+        pass.run::<LO_PINNED, HI_PINNED>(CellRun {
+            start: range.start,
+            inv_hs: &self.inv_hs[range.clone()],
+            lo: &self.lo[range.clone()],
+            hi: &self.hi[range],
+        });
     }
 
-    /// Seeds every cursor at `si` by bisection, each bandwidth narrowing
-    /// from the previous one's window, and recounts the live bounds.
-    fn seed(&mut self, keys: &[f64], si: usize, inv_hs: &[f64], radius: f64) {
+    /// Seeds every cursor at `si` by bisection over the `keys`, each
+    /// bandwidth narrowing from the previous one's window, and recounts
+    /// the live bounds.
+    fn seed(&mut self, keys: &[f64], si: usize) {
         let (mut lo, mut hi) = (si, si + 1);
-        for (win, &inv_h) in self.windows.iter_mut().zip(inv_hs) {
-            (lo, hi) = support_window(keys, si, inv_h, radius, lo, hi);
-            *win = (lo, hi);
+        for (m, &inv_h) in self.inv_hs.iter().enumerate() {
+            (lo, hi) = support_window(keys, si, inv_h, self.radius, lo, hi);
+            (self.lo[m], self.hi[m]) = (lo, hi);
         }
-        self.lo_live = self.windows.iter().filter(|w| w.0 > 0).count();
-        self.hi_live = self.windows.iter().filter(|w| w.1 < keys.len()).count();
+        self.lo_live = self.lo.iter().filter(|&&lo| lo > 0).count();
+        self.hi_live = self.hi.iter().filter(|&&hi| hi < keys.len()).count();
     }
 
     /// The live bounds `(lo_live, hi_live)`.
@@ -621,6 +802,39 @@ impl<const W: usize> LcCell<W> {
         }
         (num, den)
     }
+
+    /// Scores the leading quads of `run` in lanes (see the module docs):
+    /// for each cell, the sides from the rows `rows[lo]` and `rows[hi]` or
+    /// the hoisted ones, [`score`](Self::score), and, where `den > 0`, the
+    /// squared residual `(y_i − num/den)²` added into `sq_sums[j]` and one
+    /// into `included[j]`, `j` the cell's place in the run. Returns the
+    /// number of leading cells scored: a multiple of four, and 0 where the
+    /// host has no AVX2.
+    ///
+    /// # Safety
+    /// Every window edge of `run` indexes `rows`.
+    #[inline(always)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    pub(crate) unsafe fn score_quads<const LO_PINNED: bool, const HI_PINNED: bool>(
+        &self,
+        rows: &[Row<W>],
+        yi: f64,
+        run: CellRun<'_>,
+        sq_sums: &mut [f64],
+        included: &mut [usize],
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if lanes::enabled(lanes::Pass::Cell) {
+            // SAFETY: AVX2 is present, and the caller vouches for the
+            // window edges.
+            return unsafe {
+                lanes::score_quads::<W, LO_PINNED, HI_PINNED>(
+                    self, rows, yi, run, sq_sums, included,
+                )
+            };
+        }
+        0
+    }
 }
 
 #[cfg(test)]
@@ -708,7 +922,10 @@ mod tests {
     /// bandwidth. An excluded cell (`den` NaN in either form) needs only
     /// both `den`s NaN. A window from key 0 or to key `n` is also scored
     /// from the hoisted side of that edge, which must give the
-    /// row-differenced cell's `num` and `den`.
+    /// row-differenced cell's `num` and `den`. Every window is also scored
+    /// in lanes, four cells at a time at every inverse bandwidth in every
+    /// lane, and must accumulate what the scalar cell adds: `(y_i −
+    /// num/den)²` and one where `den > 0`, nothing elsewhere.
     fn cells_agree<const W: usize>(
         coeffs: &[f64],
         xs: &[f64],
@@ -720,6 +937,13 @@ mod tests {
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
         let rows = moment_rows::<W>(xc.iter().copied().zip(ys.iter().copied()));
         let mut cell = LcCell::<W>::new(coeffs);
+        // Each inverse bandwidth once in each lane.
+        let lane_inv_hs: Vec<f64> = inv_hs
+            .iter()
+            .cycle()
+            .take(4 * inv_hs.len())
+            .copied()
+            .collect();
         for si in 0..n {
             cell.prepare(xc[si], &rows[si], &rows[si + 1], &rows[n]);
             for lo in 0..=si {
@@ -746,10 +970,58 @@ mod tests {
                             return Err(format!("hoisted side differs: {ctx}"));
                         }
                     }
+                    let scalar = lane_inv_hs.iter().map(|&inv_h| {
+                        let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
+                        let resid = ys[si] - num / den;
+                        match den > 0.0 {
+                            true => ((0.0 + resid * resid).to_bits(), 1),
+                            false => (0.0f64.to_bits(), 0),
+                        }
+                    });
+                    let lanes = accumulate_in_lanes(&cell, &rows, ys[si], &lane_inv_hs, lo, hi);
+                    if lanes.is_some_and(|lanes| !lanes.into_iter().eq(scalar)) {
+                        return Err(format!("W={W} si={si} [{lo},{hi}): lanes differ"));
+                    }
                 }
             }
         }
         Ok(())
+    }
+
+    /// The sums and counts [`LcCell::score_quads`] accumulates from zero
+    /// for cells of the window `[lo, hi)` at `inv_hs` (a multiple of four
+    /// of them), pinned where the window starts at key 0 or ends at key
+    /// `n`; `None` where the host runs no lanes.
+    fn accumulate_in_lanes<const W: usize>(
+        cell: &LcCell<W>,
+        rows: &[Row<W>],
+        yi: f64,
+        inv_hs: &[f64],
+        lo: usize,
+        hi: usize,
+    ) -> Option<Vec<(u64, usize)>> {
+        let k = inv_hs.len();
+        let (los, his) = (vec![lo; k], vec![hi; k]);
+        let run = CellRun {
+            start: 0,
+            inv_hs,
+            lo: &los,
+            hi: &his,
+        };
+        let (mut sq, mut inc) = (vec![0.0; k], vec![0; k]);
+        let n = rows.len() - 1;
+        // SAFETY: lo ≤ hi ≤ n index the n + 1 rows.
+        let done = unsafe {
+            match (lo == 0, hi == n) {
+                (false, false) => {
+                    cell.score_quads::<false, false>(rows, yi, run, &mut sq, &mut inc)
+                }
+                (true, false) => cell.score_quads::<true, false>(rows, yi, run, &mut sq, &mut inc),
+                (false, true) => cell.score_quads::<false, true>(rows, yi, run, &mut sq, &mut inc),
+                (true, true) => cell.score_quads::<true, true>(rows, yi, run, &mut sq, &mut inc),
+            }
+        };
+        (done == k).then(|| sq.iter().map(|s| s.to_bits()).zip(inc).collect())
     }
 
     fn bits(p: &CvProfile) -> (Vec<u64>, Vec<usize>) {
@@ -772,6 +1044,23 @@ mod tests {
         let prefix = || profile_in_blocks(x, y, hs, kernel, 1).unwrap();
         if bits(&prefix()) != bits(&with_full_cell(prefix)) {
             return Err(format!("{name}: prefix profile differs"));
+        }
+        // Lanes against the scalar step and cell, on grids of every length
+        // mod 4, each dealt into 1, 2 and 3 interleaved blocks as a profile
+        // deals them (a block is the one-block profile of its bandwidths).
+        for k in 12..16 {
+            let grid = widened(hs, k);
+            for blocks in 1..=3 {
+                for b in 0..blocks {
+                    let block: Vec<f64> = grid.iter().copied().skip(b).step_by(blocks).collect();
+                    let profile = || profile_in_blocks(x, y, &block, kernel, 1).unwrap();
+                    if bits(&profile()) != bits(&with_scalar(true, true, profile)) {
+                        return Err(format!(
+                            "{name}: lanes differ from scalar, k = {k}, block {b} of {blocks}"
+                        ));
+                    }
+                }
+            }
         }
         let grid = crate::grid::BandwidthGrid::from_values(hs.to_vec()).unwrap();
         // A window of half the sample, so arrivals evict; it re-selects
@@ -808,6 +1097,24 @@ mod tests {
             .map_err(|e| format!("{name}: {e}"))
     }
 
+    /// `hs` (ascending) with the midpoint of each neighbouring pair, cut to
+    /// `k` bandwidths or widened to `k` by doubling the widest: the narrow
+    /// end gets more bandwidths with both edges live, and the wide end more
+    /// with both pinned.
+    fn widened(hs: &[f64], k: usize) -> Vec<f64> {
+        let mut out: Vec<f64> = hs
+            .windows(2)
+            .map(|w| 0.5 * (w[0] + w[1]))
+            .chain(hs.iter().copied())
+            .collect();
+        out.sort_by(f64::total_cmp);
+        while out.len() < k {
+            out.push(2.0 * out[out.len() - 1]);
+        }
+        out.truncate(k);
+        out
+    }
+
     /// A sample of `n` observations in one of the layouts the exactness
     /// argument has to survive, with its ascending bandwidths.
     fn layout(kind: usize, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -831,16 +1138,21 @@ mod tests {
             }
             // Every y zero.
             1 => ((0..n).map(|_| rng.next_f64()).collect(), vec![0.0; n]),
-            // Duplicate keys on an eighth lattice.
-            2 => (0..n)
-                .map(|i| {
-                    let key = match i {
-                        0 | 1 => i as f64,
-                        _ => (rng.next_f64() * 9.0).floor() / 8.0,
-                    };
-                    (key, rng.next_f64() - 0.5)
-                })
-                .unzip(),
+            // Duplicate keys on an eighth lattice. At 1/h = +inf a left
+            // edge stops on the first duplicate of x_i, so the left side
+            // is not empty there and only the +inf test excludes the cell.
+            2 => {
+                hs.insert(0, 1e-310);
+                (0..n)
+                    .map(|i| {
+                        let key = match i {
+                            0 | 1 => i as f64,
+                            _ => (rng.next_f64() * 9.0).floor() / 8.0,
+                        };
+                        (key, rng.next_f64() - 0.5)
+                    })
+                    .unzip()
+            }
             // The boundary-tie lattice: d/h lands exactly on the radius.
             3 => {
                 hs = vec![0.125, 0.25, 0.5, 1.0];
@@ -869,9 +1181,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The trimmed cell returns the full cell's `num` and `den` (equal,
-        /// the same bits when nonzero) on every window, and the prefix profile
-        /// and the window's re-selection are `to_bits`-equal under either cell, for all six
-        /// kernels.
+        /// the same bits when nonzero) on every window, the prefix profile
+        /// and the window's re-selection are `to_bits`-equal under either
+        /// cell, and the lanes give the scalar path's profile bits and
+        /// `included` counts, for all six kernels.
         #[test]
         fn trimmed_cell_is_exact(kind in 0usize..5, n in 2usize..24, seed in 0u64..1_000_000) {
             let (x, y, hs) = layout(kind, n, seed);
