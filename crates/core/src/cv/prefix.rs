@@ -153,8 +153,6 @@ struct PrefixTables<const W: usize> {
     /// the cursors' window edges, which are at most `n`, with no bounds
     /// check, so [`build`](Self::build) asserts the length.
     rows: Vec<Row<W>>,
-    /// Sample size.
-    n: usize,
 }
 
 impl<const W: usize> PrefixTables<W> {
@@ -180,13 +178,7 @@ impl<const W: usize> PrefixTables<W> {
         let rows = moment_rows(xc.iter().copied().zip(ys.iter().copied()));
         assert_eq!(rows.len(), n + 1, "one prefix row per key, and row 0");
 
-        Self {
-            xs,
-            ys,
-            xc,
-            rows,
-            n,
-        }
+        Self { xs, ys, xc, rows }
     }
 }
 
@@ -341,7 +333,7 @@ fn accumulate_observation_prefix<const W: usize>(
     let rows = &t.rows;
     scratch
         .cell
-        .prepare(t.xc[si], &rows[si], &rows[si + 1], &rows[t.n]);
+        .prepare(t.xc[si], &rows[si], &rows[si + 1], &rows[t.xs.n()]);
     let mut pass = LcPass {
         rows,
         cell: &scratch.cell,
@@ -448,7 +440,7 @@ fn accumulate_observation_prefix_ll<const W: usize>(
         binom,
         npow,
         pinned_left: WindowMoments::assemble(binom, &rows[0], row_si, &npow),
-        pinned_right: WindowMoments::assemble(binom, row_si1, &rows[t.n], &npow),
+        pinned_right: WindowMoments::assemble(binom, row_si1, &rows[t.xs.n()], &npow),
         coeffs: sw.coeffs,
         hs: &scratch.hs,
         yi: t.ys[si],
@@ -577,7 +569,7 @@ impl<'a, const W: usize> Sweep<'a, W> {
     {
         let _window = kcv_obs::phase("cv.window");
         fold_bandwidth_blocks(
-            self.t.n,
+            self.t.xs.n(),
             self.hs,
             blocks,
             new_scratch,
