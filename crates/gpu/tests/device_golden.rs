@@ -239,12 +239,12 @@ fn lookup(table: &[(&str, u64)], case: &str) -> Option<u64> {
         .map(|&(_, v)| v)
 }
 
-/// Checks every case, reporting all mismatches (and missing entries) at
-/// once in the form of `GOLDEN` lines.
-fn check(cases: Vec<(String, u64)>) {
+/// Checks every case against `table`, reporting all mismatches (and
+/// missing entries) at once in the form of its lines.
+fn check(table: &[(&str, u64)], cases: Vec<(String, u64)>) {
     let bad: Vec<String> = cases
         .iter()
-        .filter(|(name, hash)| lookup(GOLDEN, name) != Some(*hash))
+        .filter(|(name, hash)| lookup(table, name) != Some(*hash))
         .map(|(name, hash)| format!("(\"{name}\", 0x{hash:016x}),"))
         .collect();
     assert!(bad.is_empty(), "fingerprints changed:\n{}", bad.join("\n"));
@@ -279,7 +279,7 @@ fn classic_program_matches_its_fingerprints() {
             }
         }
     }
-    check(cases);
+    check(GOLDEN, cases);
 }
 
 #[test]
@@ -300,7 +300,7 @@ fn windowed_program_matches_its_fingerprints() {
             }
         }
     }
-    check(cases);
+    check(GOLDEN, cases);
 }
 
 /// Results-only fingerprints of the windowed program: bandwidth, score,
@@ -407,5 +407,62 @@ fn multi_device_programs_match_their_fingerprints() {
         "simulated seconds changed:\n{}",
         bad.join("\n")
     );
-    check(cases);
+    check(GOLDEN, cases);
+}
+
+/// Block size of the small-block cases: at n = 600 it makes ten blocks,
+/// the last one partial (24 threads).
+const SMALL_TPB: usize = 64;
+
+/// Fingerprints (as in `GOLDEN`) of both single-device programs at
+/// `SMALL_TPB`-thread blocks, n = 600, so that the launch's per-block
+/// accounting is pinned over many blocks and a partial one.
+#[rustfmt::skip]
+const SMALL_BLOCKS: &[(&str, u64)] = &[
+    ("classic/epanechnikov/tpb64/n600/s1013", 0x091a5e0270b6f66b),
+    ("classic/epanechnikov/tpb64/n600/s7", 0xa388ce874ae62a8e),
+    ("classic/quartic/tpb64/n600/s1013", 0xfebdc5e3326daab5),
+    ("classic/quartic/tpb64/n600/s7", 0xe1f0639935dc542e),
+    ("classic/triangular/tpb64/n600/s1013", 0x6f1e8f683db8036d),
+    ("classic/triangular/tpb64/n600/s7", 0x6d5feb3ea2322222),
+    ("classic/triweight/tpb64/n600/s1013", 0xb33e4206e90cf413),
+    ("classic/triweight/tpb64/n600/s7", 0xd0a337678595789f),
+    ("classic/uniform/tpb64/n600/s1013", 0x6000fd8299b9efd0),
+    ("classic/uniform/tpb64/n600/s7", 0x510bda116c5a9363),
+    ("windowed/epanechnikov/tpb64/n600/s1013", 0x4a03e6b783ee41fa),
+    ("windowed/epanechnikov/tpb64/n600/s7", 0x8100987bba541d65),
+    ("windowed/quartic/tpb64/n600/s1013", 0x64aa1315c5bf5d07),
+    ("windowed/quartic/tpb64/n600/s7", 0xfe97a27b73c0e614),
+    ("windowed/triangular/tpb64/n600/s1013", 0x70b0f4c91f5e0696),
+    ("windowed/triangular/tpb64/n600/s7", 0xed1bf0e0f6371d42),
+    ("windowed/triweight/tpb64/n600/s1013", 0xef1e6a348bbeedd0),
+    ("windowed/triweight/tpb64/n600/s7", 0x0c24956bb77416b2),
+    ("windowed/uniform/tpb64/n600/s1013", 0x80105faca53e31c1),
+    ("windowed/uniform/tpb64/n600/s7", 0x81032a7adaac06ee),
+];
+
+#[test]
+fn programs_at_small_blocks_match_their_fingerprints() {
+    let config = GpuConfig::default().with_threads_per_block(SMALL_TPB);
+    let n = SIZES[1];
+    let mut cases = Vec::new();
+    for core_kernel in polynomial_kernels() {
+        let kernel = GpuKernel::from_core(&*core_kernel);
+        for seed in SEEDS {
+            let (x, y, grid) = data(n, seed);
+            let run = select_bandwidth_gpu_kernel(&x, &y, &grid, &config, &kernel).unwrap();
+            let mut h = Fnv::new();
+            hash_run!(h, run);
+            let case = format!("classic/{}/tpb{SMALL_TPB}/n{n}/s{seed}", kernel.name);
+            cases.push((case, h.0));
+            let run =
+                select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &kernel).unwrap();
+            let mut h = Fnv::new();
+            hash_run!(h, run);
+            h.word(run.report.deg as u64);
+            let case = format!("windowed/{}/tpb{SMALL_TPB}/n{n}/s{seed}", kernel.name);
+            cases.push((case, h.0));
+        }
+    }
+    check(SMALL_BLOCKS, cases);
 }
