@@ -21,16 +21,20 @@ use crate::error::{Result, SimError};
 use crate::launch::{build_report, LaunchConfig};
 use std::time::Instant;
 
-/// Buffered shared-memory writes from one thread within one phase.
+/// The shared-memory writes of one barrier phase, buffered until the
+/// barrier. The block reuses one buffer for every phase.
 #[derive(Debug, Default)]
 pub struct SharedWrites {
-    writes: Vec<(usize, f32)>,
+    /// The thread whose body is running.
+    tid: usize,
+    /// `(thread, index, value)` in the order the threads wrote them.
+    writes: Vec<(usize, usize, f32)>,
 }
 
 impl SharedWrites {
     /// Schedules `shared[index] = value` to take effect at the next barrier.
     pub fn write(&mut self, index: usize, value: f32) {
-        self.writes.push((index, value));
+        self.writes.push((self.tid, index, value));
     }
 }
 
@@ -43,6 +47,13 @@ pub struct CooperativeBlock<'a> {
     threads: usize,
     shared: Vec<f32>,
     counters: Vec<ThreadCounters>,
+    /// The phase's buffered writes.
+    writes: SharedWrites,
+    /// Per shared cell, the phase that last wrote it and the writing
+    /// thread: a cell whose phase is not the current one is unwritten.
+    writer: Vec<(u64, usize)>,
+    /// Barrier phases run so far.
+    phase: u64,
     started: Instant,
 }
 
@@ -70,6 +81,9 @@ impl<'a> CooperativeBlock<'a> {
             threads,
             shared: vec![0.0; shared_len],
             counters: vec![ThreadCounters::default(); threads],
+            writes: SharedWrites::default(),
+            writer: vec![(0, 0); shared_len],
+            phase: 0,
             started: Instant::now(),
         })
     }
@@ -87,7 +101,8 @@ impl<'a> CooperativeBlock<'a> {
     /// Runs one barrier phase: `body(tid, shared, counters, writes)` for
     /// every thread, in thread order on the calling thread, against the
     /// current shared snapshot, then applies the buffered writes and charges
-    /// one `__syncthreads` per thread.
+    /// one `__syncthreads` per thread. Each thread's operations are charged
+    /// straight to its counters.
     ///
     /// Returns an error if two different threads wrote the same cell (data
     /// race) or any write was out of bounds.
@@ -95,39 +110,29 @@ impl<'a> CooperativeBlock<'a> {
     where
         F: Fn(usize, &[f32], &mut ThreadCounters, &mut SharedWrites),
     {
-        let shared = &self.shared;
-        let results: Vec<(ThreadCounters, SharedWrites)> = (0..self.threads)
-            .map(|tid| {
-                let mut c = ThreadCounters::default();
-                let mut w = SharedWrites::default();
-                body(tid, shared, &mut c, &mut w);
-                c.sync();
-                (c, w)
-            })
-            .collect();
+        self.phase += 1;
+        self.writes.writes.clear();
+        for (tid, c) in self.counters.iter_mut().enumerate() {
+            self.writes.tid = tid;
+            body(tid, &self.shared, c, &mut self.writes);
+            c.sync();
+        }
 
         // Apply writes in thread order, detecting cross-thread conflicts.
-        let mut writer: Vec<Option<usize>> = vec![None; self.shared.len()];
-        for (tid, (c, w)) in results.into_iter().enumerate() {
-            self.counters[tid].absorb(&c);
-            for (idx, val) in w.writes {
-                if idx >= self.shared.len() {
-                    return Err(SimError::SharedMemoryOutOfBounds {
-                        index: idx,
-                        len: self.shared.len(),
-                    });
-                }
-                match writer[idx] {
-                    Some(prev) if prev != tid => {
-                        return Err(SimError::SharedMemoryRace {
-                            index: idx,
-                            threads: (prev, tid),
-                        });
-                    }
-                    _ => writer[idx] = Some(tid),
-                }
-                self.shared[idx] = val;
+        let len = self.shared.len();
+        for &(tid, idx, val) in &self.writes.writes {
+            if idx >= len {
+                return Err(SimError::SharedMemoryOutOfBounds { index: idx, len });
             }
+            let (phase, prev) = self.writer[idx];
+            if phase == self.phase && prev != tid {
+                return Err(SimError::SharedMemoryRace {
+                    index: idx,
+                    threads: (prev, tid),
+                });
+            }
+            self.writer[idx] = (self.phase, tid);
+            self.shared[idx] = val;
         }
         Ok(())
     }
@@ -137,7 +142,12 @@ impl<'a> CooperativeBlock<'a> {
     pub fn finish(self) -> (Vec<f32>, LaunchReport) {
         let config = LaunchConfig::new(self.threads, self.threads);
         let host_seconds = self.started.elapsed().as_secs_f64();
-        let report = build_report(&self.counters, config, self.spec, self.cost, host_seconds);
+        let mut totals = ThreadCounters::default();
+        for c in &self.counters {
+            totals.absorb(c);
+        }
+        let cycles: Vec<f64> = self.counters.iter().map(|c| c.cycles(self.cost)).collect();
+        let report = build_report(totals, &cycles, config, self.spec, host_seconds);
         (self.shared, report)
     }
 }

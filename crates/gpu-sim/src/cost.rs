@@ -189,14 +189,17 @@ impl std::fmt::Display for LaunchReport {
 
 /// Aggregates per-thread cycle counts into device cycles:
 ///
-/// 1. threads are grouped into warps of `warp_size` consecutive ids; a warp
-///    executes in lockstep, so its cost is the *maximum* over its threads
-///    (divergent threads make the whole warp wait — the SIMT penalty);
-/// 2. warps are grouped into blocks of `threads_per_block`;
-/// 3. blocks are distributed round-robin over the SMs; each SM issues one
+/// 1. threads are grouped into blocks of `threads_per_block` consecutive
+///    ids, and each block's threads into warps of `warp_size` consecutive
+///    ids (a block whose size is not a multiple of the warp size ends in a
+///    partial warp; no warp takes threads of two blocks); a warp executes
+///    in lockstep, so its cost is the *maximum* over its threads (divergent
+///    threads make the whole warp wait — the SIMT penalty), and a block's
+///    cost is the sum of its warps';
+/// 2. blocks are distributed round-robin over the SMs; each SM issues one
 ///    warp's lanes over `warp_size / cores_per_sm` passes (8 cores per SM on
 ///    Tesla ⇒ 4 passes per 32-wide warp);
-/// 4. device time is the busiest SM.
+/// 3. device time is the busiest SM.
 pub fn aggregate_cycles(
     per_thread_cycles: &[f64],
     threads_per_block: usize,
@@ -208,26 +211,20 @@ pub fn aggregate_cycles(
     let warp = spec.warp_size.max(1);
     let lane_passes = (warp as f64 / spec.cores_per_sm as f64).max(1.0);
 
-    // Warp cost = max over member threads.
-    let warp_cycles: Vec<f64> = per_thread_cycles
-        .chunks(warp)
-        .map(|c| c.iter().copied().fold(0.0_f64, f64::max) * lane_passes)
-        .collect();
-
-    // Group warps into blocks.
-    let warps_per_block = threads_per_block.div_ceil(warp).max(1);
-    let block_cycles: Vec<f64> = warp_cycles
-        .chunks(warps_per_block)
-        .map(|ws| ws.iter().sum::<f64>())
-        .collect();
-
     // Round-robin blocks over SMs; device time = busiest SM, degraded by
     // the occupancy efficiency of the chosen block size (few resident
     // warps → exposed memory latency; the paper's 512-thread tuning).
     let num_sms = spec.num_sms.max(1);
     let mut sm_loads = vec![0.0_f64; num_sms];
-    for (b, &cycles) in block_cycles.iter().enumerate() {
-        sm_loads[b % num_sms] += cycles;
+    for (b, block) in per_thread_cycles
+        .chunks(threads_per_block.max(1))
+        .enumerate()
+    {
+        // Warp cost = max over member threads; block cost = sum of warps.
+        sm_loads[b % num_sms] += block
+            .chunks(warp)
+            .map(|c| c.iter().copied().fold(0.0_f64, f64::max) * lane_passes)
+            .sum::<f64>();
     }
     let busiest = sm_loads.into_iter().fold(0.0_f64, f64::max);
     busiest / spec.occupancy_efficiency(threads_per_block)
@@ -304,6 +301,34 @@ mod tests {
         cycles[7] = 100.0;
         let divergent = aggregate_cycles(&cycles, 32, &spec);
         assert!((divergent / uniform - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warps_never_straddle_blocks() {
+        // Blocks of 48 threads on one SM, so the device time is the sum of
+        // every warp's cost. Each block is one full warp and one of 16
+        // threads: 96 threads make four warps, not the three a grid-wide
+        // chunking into 32s would make.
+        let spec = DeviceSpec {
+            num_sms: 1,
+            ..DeviceSpec::tesla_s10()
+        };
+        let (passes, efficiency) = (4.0, spec.occupancy_efficiency(48));
+        let uniform = vec![1.0; 96];
+        let t = aggregate_cycles(&uniform, 48, &spec) * efficiency;
+        assert!((t - 4.0 * passes).abs() < 1e-9, "got {t}");
+        // A slow thread of block 1 (id 48) slows block 1's first warp
+        // only; block 0's warps {0..32} and {32..48} stay at 1 each.
+        let mut slow = uniform.clone();
+        slow[48] = 100.0;
+        let t = aggregate_cycles(&slow, 48, &spec) * efficiency;
+        assert!(
+            (t - (1.0 + 1.0 + 100.0 + 1.0) * passes).abs() < 1e-9,
+            "got {t}"
+        );
+        // At a multiple of the warp size the grouping is the grid-wide one.
+        let t = aggregate_cycles(&slow, 32, &spec) * spec.occupancy_efficiency(32);
+        assert!((t - (1.0 + 100.0 + 1.0) * passes).abs() < 1e-9, "got {t}");
     }
 
     #[test]

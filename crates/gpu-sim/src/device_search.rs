@@ -59,7 +59,7 @@ impl SupportWindow {
     /// its mirror) every CPU strategy uses, evaluated on the original sorted
     /// coordinates, so the returned membership set matches them exactly at
     /// equal precision. Charges one divergent global read, one flop, and one
-    /// branch per probe to `c`.
+    /// branch per probe to `c`, once for both searches.
     pub fn advance(
         &mut self,
         xs: &[f32],
@@ -68,51 +68,55 @@ impl SupportWindow {
         radius: f32,
         c: &mut ThreadCounters,
     ) -> [u32; 2] {
-        let mut probes = [0u32; 2];
-        let mut inside = |side: usize, t: usize| {
-            c.global_read(1);
-            c.flop(1);
-            c.branch(1);
-            probes[side] += 1;
-            if side == 0 {
-                (xi - xs[t]) * inv_h <= radius
-            } else {
-                (xs[t] - xi) * inv_h <= radius
-            }
-        };
         let (lo_prev, hi_prev) = (self.lo, self.hi);
         // Leftmost l with (xi − xs[l])·inv_h ≤ r; the previous lo still
         // qualifies at the wider bandwidth.
         let lo_guess = lo_prev.saturating_sub(self.lo_step);
-        let lo = edge(0, lo_prev, lo_guess, self.lo_step, |t| inside(0, t));
+        let (lo, l) = edge(0, lo_prev, lo_guess, self.lo_step, |t| {
+            (xi - xs[t]) * inv_h <= radius
+        });
         // One past the rightmost l with (xs[l] − xi)·inv_h ≤ r.
+        let inside_right = |t: usize| (xs[t] - xi) * inv_h <= radius;
         let hi_guess = hi_prev + self.hi_step;
-        let hi = edge(hi_prev, xs.len(), hi_guess, self.hi_step, |t| !inside(1, t));
+        let (hi, r) = edge(hi_prev, xs.len(), hi_guess, self.hi_step, |t| {
+            !inside_right(t)
+        });
+        let probes = u64::from(l + r);
+        c.global_read(probes);
+        c.flop(probes);
+        c.branch(probes);
         *self = Self {
             lo,
             hi,
             lo_step: lo_prev - lo,
             hi_step: hi - hi_prev,
         };
-        probes
+        [l, r]
     }
 }
 
 /// First position `t` in `[a, b]` with `past(t)`, for a `past` that is
 /// false then true over ascending positions and holds at `b` (or `b` is
-/// one past the end, never probed). Probes `guess` first, then one bracket
-/// of `step/8 + 1` positions on the side of `guess` that holds the edge,
-/// then bisects what is left: at most `⌈log₂(b − a + 1)⌉ + 2` probes.
+/// one past the end, never probed), and the probes spent. Probes `guess`
+/// first, then one bracket of `step/8 + 1` positions on the side of
+/// `guess` that holds the edge, then bisects what is left: at most
+/// `⌈log₂(b − a + 1)⌉ + 2` probes. The bisection moves its bounds by
+/// selects, so a probe's outcome is data, not a branch to predict.
 fn edge(
     mut a: usize,
     mut b: usize,
     guess: usize,
     step: usize,
-    mut past: impl FnMut(usize) -> bool,
-) -> usize {
+    past: impl Fn(usize) -> bool,
+) -> (usize, u32) {
+    let mut probes = 0u32;
     let width = step / 8 + 1;
     let guess = guess.clamp(a, b);
-    let bracket = if guess < b && !past(guess) {
+    let before = guess < b && {
+        probes += 1;
+        !past(guess)
+    };
+    let bracket = if before {
         a = guess + 1;
         guess + width
     } else {
@@ -121,6 +125,7 @@ fn edge(
     };
     let bracket = bracket.clamp(a, b);
     if bracket < b {
+        probes += 1;
         if past(bracket) {
             b = bracket;
         } else {
@@ -129,13 +134,12 @@ fn edge(
     }
     while a < b {
         let mid = (a + b) / 2;
-        if past(mid) {
-            b = mid;
-        } else {
-            a = mid + 1;
-        }
+        let p = past(mid);
+        probes += 1;
+        b = std::hint::select_unpredictable(p, mid, b);
+        a = std::hint::select_unpredictable(p, a, mid + 1);
     }
-    a
+    (a, probes)
 }
 
 #[cfg(test)]

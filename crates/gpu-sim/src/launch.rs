@@ -61,6 +61,10 @@ impl LaunchConfig {
 /// so events a kernel emits (e.g. the device sort's comparisons) land in
 /// the launching run's recorder. Returns each thread's output in thread
 /// order plus the cost report.
+///
+/// A block keeps no per-thread record beyond its threads' outputs and
+/// their cycle counts, which it writes into the launch's one cycle array;
+/// it sums its threads' counters into one total.
 pub fn launch_blocks<W, R, F>(
     spec: &DeviceSpec,
     cost: &CostModel,
@@ -85,40 +89,52 @@ where
     let _launch = kcv_obs::phase("gpu.launch");
     let scope = kcv_obs::scope();
     let start = Instant::now();
-    let per_block: Vec<Vec<(R, ThreadCounters)>> = workspaces
-        .into_par_iter()
+    let mut cycles = vec![0.0f64; config.threads];
+    let items: Vec<(usize, (W, &mut [f64]))> = workspaces
+        .into_iter()
+        .zip(cycles.chunks_mut(tpb))
         .enumerate()
-        .map(|(b, mut ws)| {
+        .collect();
+    let per_block: Vec<(Vec<R>, ThreadCounters)> = items
+        .into_par_iter()
+        .map(|(b, (mut ws, block_cycles))| {
             let _in_scope = scope.enter();
-            (b * tpb..config.threads.min((b + 1) * tpb))
-                .map(|tid| {
+            let mut totals = ThreadCounters::default();
+            let outputs = block_cycles
+                .iter_mut()
+                .enumerate()
+                .map(|(i, slot)| {
                     let mut c = ThreadCounters::default();
-                    let r = kernel(tid, &mut ws, &mut c);
-                    (r, c)
+                    let r = kernel(b * tpb + i, &mut ws, &mut c);
+                    *slot = c.cycles(cost);
+                    totals.absorb(&c);
+                    r
                 })
-                .collect()
+                .collect();
+            (outputs, totals)
         })
         .collect();
     let host_seconds = start.elapsed().as_secs_f64();
-    let (outputs, counters): (Vec<R>, Vec<ThreadCounters>) =
-        per_block.into_iter().flatten().unzip();
-    let report = build_report(&counters, config, spec, cost, host_seconds);
+    let mut totals = ThreadCounters::default();
+    let mut outputs = Vec::with_capacity(config.threads);
+    for (block_outputs, block_totals) in per_block {
+        totals.absorb(&block_totals);
+        outputs.extend(block_outputs);
+    }
+    let report = build_report(totals, &cycles, config, spec, host_seconds);
     Ok((outputs, report))
 }
 
+/// The cost report of a launch whose threads' counters sum to `totals` and
+/// whose thread `t` took `cycles[t]` cycles.
 pub(crate) fn build_report(
-    counters: &[ThreadCounters],
+    totals: ThreadCounters,
+    cycles: &[f64],
     config: LaunchConfig,
     spec: &DeviceSpec,
-    cost: &CostModel,
     host_seconds: f64,
 ) -> LaunchReport {
-    let mut totals = ThreadCounters::default();
-    for c in counters {
-        totals.absorb(c);
-    }
-    let per_thread: Vec<f64> = counters.iter().map(|c| c.cycles(cost)).collect();
-    let simulated_cycles = aggregate_cycles(&per_thread, config.threads_per_block, spec);
+    let simulated_cycles = aggregate_cycles(cycles, config.threads_per_block, spec);
     // Fold the launch totals into the workspace-wide observability counters
     // so BENCH_report.json sees device traffic next to host-side op counts.
     kcv_obs::add(

@@ -189,6 +189,42 @@ impl<T: Copy + Default> DeviceBuffer<T> {
         Ok(())
     }
 
+    /// Strided `cudaMemcpyHostToDevice` (the `cudaMemcpy2D` pattern): copies
+    /// a host array of `len` elements, element `i` being `value(i)`, to
+    /// position `place(i)` of the buffer. It moves the same bytes as a
+    /// contiguous copy of the array and is counted as one. Interleaves
+    /// host arrays into one device layout without a host copy in that
+    /// layout.
+    ///
+    /// # Panics
+    /// If some `place(i)` is out of the buffer's range.
+    pub fn scatter_from_host(
+        &mut self,
+        len: usize,
+        place: impl Fn(usize) -> usize,
+        value: impl Fn(usize) -> T,
+    ) -> Result<()> {
+        if len > self.data.len() {
+            return Err(SimError::CopyLengthMismatch {
+                device_len: self.data.len(),
+                host_len: len,
+            });
+        }
+        for i in 0..len {
+            self.data[place(i)] = value(i);
+        }
+        let bytes = len * std::mem::size_of::<T>();
+        self.pool
+            .inner
+            .h2d_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        kcv_obs::add(
+            kcv_obs::Counter::MemTransactions,
+            transfer_transactions(bytes),
+        );
+        Ok(())
+    }
+
     /// `cudaMemcpyDeviceToHost`: copies the buffer into a host slice of the
     /// same length, counting the transferred bytes.
     pub fn copy_to_host(&self, host: &mut [T]) -> Result<()> {

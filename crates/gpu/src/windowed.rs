@@ -53,7 +53,24 @@
 //! get true f64 tables and f64 assembly, chosen from the kernel degree
 //! alone. An f64 entry takes the same 8 bytes as a pair, so the memory
 //! footprint (and the perf gate on it) does not depend on the precision.
-//! `tests/windowed_agreement.rs` pins both regimes.
+//! `tests/windowed_agreement.rs` pins both regimes. Each precision has its
+//! own copy of the kernel ([`TableWord`] is the precision's arithmetic), so
+//! no cell asks which precision it runs in.
+//!
+//! ## Layout
+//!
+//! The device tables are one row-major buffer: row `t` holds, for each
+//! moment `m = 0..=deg`, `P_m[t]` and then `Q_m[t]` — as `(hi, lo)` pairs,
+//! `4·(deg+1)` f32 words, or as `2·(deg+1)` f64 words. A thread reads whole
+//! rows at window edges that differ from its neighbours', so a row that
+//! sits together is the layout such divergent reads want on a device; on
+//! the host it is one or two cache lines a row instead of one per table.
+//! The host uploads its column-major f64 master tables into that layout
+//! with strided copies, one per host table (and per pair word), without
+//! building a host copy of it. The cost model prices the layout no
+//! differently from separate tables: a row read is `4·(deg+1)` divergent
+//! words either way, since neighbouring threads' rows are uncoalesced in
+//! both, and the copies move the same bytes.
 
 use crate::config::GpuConfig;
 use crate::driver::{run_shards, upload, GpuRun, PipelineReport, Residuals, Shard, ShardBody};
@@ -67,6 +84,7 @@ use kcv_gpu_sim::{
     launch_blocks, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, SupportWindow,
     ThreadCounters,
 };
+use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
 
 /// The windowed program's report: the same fields as the classic one.
 pub type WindowedReport = PipelineReport;
@@ -147,264 +165,370 @@ impl WindowedTables {
         }
     }
 
-    /// Splits an f64 master table into the device's compensated f32 pair
-    /// representation: `hi = f32(v)`, `lo = f32(v − hi)`.
-    pub(crate) fn split_pair(table: &[f64]) -> (Vec<f32>, Vec<f32>) {
-        let mut hi = Vec::with_capacity(table.len());
-        let mut lo = Vec::with_capacity(table.len());
-        for &v in table {
-            let h = v as f32;
-            hi.push(h);
-            lo.push((v - h as f64) as f32);
+    /// Allocates the device's row-major tables in precision `W` and
+    /// uploads the master tables into them: one strided copy per master
+    /// table and word of a value, so `4·(deg+1)·(n+1)` f32 or
+    /// `2·(deg+1)·(n+1)` f64 words.
+    fn upload_rows<W: TableWord>(&self, pool: &MemoryPool) -> Result<DeviceBuffer<W>> {
+        let stride = self.xs32.len() + 1;
+        let deg = self.px.len() / stride - 1;
+        let row = row_words::<W>(deg);
+        let mut rows = pool.alloc::<W>(row * stride)?;
+        for (table, master) in [&self.px, &self.py].into_iter().enumerate() {
+            for slot in 0..W::PER_VALUE {
+                // Master entry m·stride + t is P_m[t] (or Q_m[t]).
+                let place = |i: usize| {
+                    let (m, t) = (i / stride, i % stride);
+                    t * row + (2 * m + table) * W::PER_VALUE + slot
+                };
+                rows.scatter_from_host(master.len(), place, |i| W::word(master[i], slot))?;
+            }
         }
-        (hi, lo)
+        Ok(rows)
     }
 }
 
-/// Read-only device views of the uploaded prefix tables, in either
-/// precision mode. Both represent each entry in 8 device bytes.
-pub(crate) enum TableView<'a> {
-    /// Compensated f32 pairs (kernel degree ≤ 4, period-authentic).
-    PairF32 {
-        /// High f32 words of `P_m`.
-        px_hi: &'a [f32],
-        /// Low (compensation) words of `P_m`.
-        px_lo: &'a [f32],
-        /// High words of `Q_m`.
-        py_hi: &'a [f32],
-        /// Low words of `Q_m`.
-        py_lo: &'a [f32],
-    },
-    /// True f64 tables (kernel degree 5 and above).
-    F64 {
-        /// `P_m` table.
-        px: &'a [f64],
-        /// `Q_m` table.
-        py: &'a [f64],
-    },
+/// The arithmetic of one table precision: the words a table value is
+/// stored in and the type the per-cell assembly runs in.
+pub(crate) trait TableWord:
+    Copy
+    + Default
+    + Send
+    + Sync
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + MulAssign
+{
+    /// Device words per table value: a compensated `(hi, lo)` pair or one
+    /// f64.
+    const PER_VALUE: usize;
+    /// `0`.
+    const ZERO: Self;
+    /// `1`.
+    const ONE: Self;
+    /// An f32 device value in this precision.
+    fn from_f32(v: f32) -> Self;
+    /// A host constant (a binomial coefficient) in this precision.
+    fn from_f64(v: f64) -> Self;
+    /// The value as an f32.
+    fn to_f32(self) -> f32;
+    /// `xi` centred on the sample midrange.
+    fn centred(xi: f32, center: f64) -> Self;
+    /// Word `slot` (below [`Self::PER_VALUE`]) of the master value `v`.
+    fn word(v: f64, slot: usize) -> Self;
+    /// `b − a` of one table value stored in [`Self::PER_VALUE`] words.
+    fn difference(a: &[Self], b: &[Self]) -> Self;
 }
 
-/// One position of both prefix tables, held in a thread's registers:
-/// `P_m` and `Q_m` for `m = 0..=deg`, `4·(deg+1)` words in either
-/// precision.
-#[derive(Clone, Copy)]
-enum Row {
-    /// `[P_hi, P_lo, Q_hi, Q_lo]` per moment.
-    Pair([[f32; 4]; MAX_DEVICE_DEGREE + 1]),
-    /// `[P, Q]` per moment.
-    F64([[f64; 2]; MAX_DEVICE_DEGREE + 1]),
-}
-
-impl TableView<'_> {
-    /// Reads the tables' row at position `t` (stride `n + 1`), charging its
-    /// `4·(deg+1)` divergent words: neighbouring threads read rows at
-    /// different window edges.
-    fn row(&self, t: usize, deg: usize, stride: usize, c: &mut ThreadCounters) -> Row {
-        c.global_read(4 * (deg as u64 + 1));
-        match self {
-            TableView::PairF32 {
-                px_hi,
-                px_lo,
-                py_hi,
-                py_lo,
-            } => {
-                let mut row = [[0.0f32; 4]; MAX_DEVICE_DEGREE + 1];
-                for (m, r) in row.iter_mut().enumerate().take(deg + 1) {
-                    let i = m * stride + t;
-                    *r = [px_hi[i], px_lo[i], py_hi[i], py_lo[i]];
-                }
-                Row::Pair(row)
-            }
-            TableView::F64 { px, py } => {
-                let mut row = [[0.0f64; 2]; MAX_DEVICE_DEGREE + 1];
-                for (m, r) in row.iter_mut().enumerate().take(deg + 1) {
-                    *r = [px[m * stride + t], py[m * stride + t]];
-                }
-                Row::F64(row)
-            }
+/// Compensated f32 pairs (kernel degree ≤ 4, period-authentic); the cell
+/// assembly runs in f32.
+impl TableWord for f32 {
+    const PER_VALUE: usize = 2;
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    fn from_f32(v: f32) -> Self {
+        v
+    }
+    fn from_f64(v: f64) -> Self {
+        v as f32
+    }
+    fn to_f32(self) -> f32 {
+        self
+    }
+    fn centred(xi: f32, center: f64) -> Self {
+        xi - center as f32
+    }
+    /// `hi = f32(v)`, `lo = f32(v − hi)`.
+    fn word(v: f64, slot: usize) -> Self {
+        let hi = v as f32;
+        if slot == 0 {
+            hi
+        } else {
+            (v - hi as f64) as f32
         }
+    }
+    /// Difference of compensated pairs in f32: the error tracks the window
+    /// magnitude, not the prefix magnitude.
+    fn difference(a: &[Self], b: &[Self]) -> Self {
+        (b[0] - a[0]) + (b[1] - a[1])
     }
 }
 
-/// The windowed main kernel: one thread per observation (sorted position
-/// `si`), answering all `k` of its cells.
+/// True f64 tables and assembly (kernel degree 5 and above).
+impl TableWord for f64 {
+    const PER_VALUE: usize = 1;
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    fn from_f32(v: f32) -> Self {
+        v as f64
+    }
+    fn from_f64(v: f64) -> Self {
+        v
+    }
+    fn to_f32(self) -> f32 {
+        self as f32
+    }
+    fn centred(xi: f32, center: f64) -> Self {
+        xi as f64 - center
+    }
+    fn word(v: f64, _slot: usize) -> Self {
+        v
+    }
+    fn difference(a: &[Self], b: &[Self]) -> Self {
+        b[0] - a[0]
+    }
+}
+
+/// Words in one table row: `P_m` and `Q_m` for `m = 0..=deg`.
+fn row_words<W: TableWord>(deg: usize) -> usize {
+    2 * W::PER_VALUE * (deg + 1)
+}
+
+/// What every thread of a windowed launch reads: the sorted sample, the
+/// device tables in precision `W`, and the grid and kernel constants.
+pub(crate) struct WindowedArgs<'a, W> {
+    /// Sorted `x`.
+    pub xs: &'a [f32],
+    /// Co-sorted `y`.
+    pub ys: &'a [f32],
+    /// Row-major prefix tables, [`row_words`] words a row.
+    pub rows: &'a [W],
+    /// Midrange of the sorted sample.
+    pub center: f64,
+    /// Pascal triangle, `binom[j·(deg+1)+m] = C(j,m)`.
+    pub binom: &'a [W],
+    /// The ascending grid, in constant memory.
+    pub bandwidths: &'a [f32],
+    /// Kernel polynomial coefficients.
+    pub coeffs: &'a [f32],
+    /// Kernel support radius.
+    pub radius: f32,
+    /// Kernel degree.
+    pub deg: usize,
+}
+
+impl<'a, W: TableWord> WindowedArgs<'a, W> {
+    /// Reads the tables' row at position `t`, charging its `4·(deg+1)`
+    /// divergent words: neighbouring threads read rows at different window
+    /// edges.
+    fn row(&self, t: usize, c: &mut ThreadCounters) -> &'a [W] {
+        c.global_read(4 * (self.deg as u64 + 1));
+        let words = row_words::<W>(self.deg);
+        &self.rows[t * words..(t + 1) * words]
+    }
+}
+
+/// One thread of the windowed main kernel: the observation at sorted
+/// position `si`, answering all `k` of its cells.
 ///
-/// The thread reads its two self rows `si` and `si + 1` once. Per
-/// bandwidth (ascending) it advances its [`SupportWindow`]: each edge
-/// search starts from the edge the previous bandwidth's move predicts.
-/// The window splits at `si`, which excludes the self observation. A side
-/// whose edge did not move keeps its windowed power sums `S_j`/`SY_j` from
-/// the previous bandwidth. A side whose edge moved reads only the new edge
-/// row, differences it against its self row for every moment of both
-/// tables, and binomially recombines the differences. The thread then
-/// assembles `N/D` exactly like every other strategy and adds the squared
-/// residual to its block's accumulator `acc`, the block's shared partial
-/// row (the launch runs a block's threads in thread order; the block
-/// leader's coalesced flush of the row is charged here).
+/// The thread reads its two self rows `si` and `si + 1` once
+/// ([`Self::start`]). Per bandwidth (ascending, [`Self::cell`]) it advances
+/// its [`SupportWindow`]: each edge search starts from the edge the
+/// previous bandwidth's move predicts. The window splits at `si`, which
+/// excludes the self observation. A side whose edge did not move keeps its
+/// windowed power sums `S_j`/`SY_j` from the previous bandwidth. A side
+/// whose edge moved reads only the new edge row, differences it against
+/// its self row for every moment of both tables, and binomially recombines
+/// the differences. The thread then assembles `N/D` exactly like every
+/// other strategy and adds the squared residual to its block's shared
+/// partial row.
 ///
 /// `kcv-gpu-sim` has no register-file model, so the words a thread keeps
 /// live are not charged. Besides the per-side sums `S_j`/`SY_j`, a thread
 /// keeps its two self rows live across the sweep: `8·(deg+1)` extra words
 /// (24 for the quadratic kernel, 56 at degree 6).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn windowed_kernel(
-    si: usize,
-    xs: &[f32],
-    ys: &[f32],
-    view: &TableView<'_>,
-    center: f64,
-    binom: &[f64],
-    bandwidths: &[f32],
-    coeffs: &[f32],
-    radius: f32,
-    deg: usize,
-    n: usize,
-    acc: &mut [f32],
-    c: &mut ThreadCounters,
-) -> u64 {
-    debug_assert!(deg <= MAX_DEVICE_DEGREE);
-    let stride = n + 1;
-    let bw = deg + 1;
-    let xi = xs[si];
-    let yi = ys[si];
-    c.global_read(2);
+struct WindowedThread<'a, W> {
+    xi: f32,
+    yi: f32,
+    /// Powers of −xc_i.
+    npow: [W; MAX_DEVICE_DEGREE + 1],
+    /// Row `si`: the left side is `[lo, si)`.
+    self_left: &'a [W],
+    /// Row `si + 1`: the right side is `[si + 1, hi)`.
+    self_right: &'a [W],
+    /// Left side's `S_j` and `SY_j`.
+    wl: [W; MAX_DEVICE_DEGREE + 1],
+    wyl: [W; MAX_DEVICE_DEGREE + 1],
+    /// Right side's `S_j` and `SY_j`.
+    wr: [W; MAX_DEVICE_DEGREE + 1],
+    wyr: [W; MAX_DEVICE_DEGREE + 1],
+    window: SupportWindow,
+    /// Edge probes spent so far.
+    probes: u64,
+}
 
-    // Powers of −xc_i, in the working precision.
-    let xci = match view {
-        TableView::PairF32 { .. } => (xi - center as f32) as f64,
-        TableView::F64 { .. } => xi as f64 - center,
-    };
-    let mut npow = [0.0f64; MAX_DEVICE_DEGREE + 1];
-    npow[0] = 1.0;
-    for m in 1..=deg {
-        npow[m] = match view {
-            TableView::PairF32 { .. } => (npow[m - 1] as f32 * -xci as f32) as f64,
-            TableView::F64 { .. } => npow[m - 1] * -xci,
+impl<'a, W: TableWord> WindowedThread<'a, W> {
+    /// Reads the thread's observation and self rows; both sides start
+    /// empty.
+    fn start(si: usize, args: &WindowedArgs<'a, W>, c: &mut ThreadCounters) -> Self {
+        let deg = args.deg;
+        debug_assert!(deg <= MAX_DEVICE_DEGREE);
+        let xi = args.xs[si];
+        let yi = args.ys[si];
+        c.global_read(2);
+        let xci = W::centred(xi, args.center);
+        let mut npow = [W::ZERO; MAX_DEVICE_DEGREE + 1];
+        npow[0] = W::ONE;
+        for m in 1..=deg {
+            npow[m] = npow[m - 1] * -xci;
+        }
+        c.flop(deg as u64);
+        let self_left = args.row(si, c);
+        let self_right = args.row(si + 1, c);
+        let mut thread = Self {
+            xi,
+            yi,
+            npow,
+            self_left,
+            self_right,
+            wl: [W::ZERO; MAX_DEVICE_DEGREE + 1],
+            wyl: [W::ZERO; MAX_DEVICE_DEGREE + 1],
+            wr: [W::ZERO; MAX_DEVICE_DEGREE + 1],
+            wyr: [W::ZERO; MAX_DEVICE_DEGREE + 1],
+            window: SupportWindow::new(si),
+            probes: 0,
         };
+        side(
+            args,
+            &npow,
+            self_left,
+            self_left,
+            &mut thread.wl,
+            &mut thread.wyl,
+            c,
+        );
+        side(
+            args,
+            &npow,
+            self_right,
+            self_right,
+            &mut thread.wr,
+            &mut thread.wyr,
+            c,
+        );
+        thread
     }
-    c.flop(deg as u64);
 
-    // Windowed moments of one side `[a, b)` from its two boundary rows:
-    // prefix differencing + binomial recombination, in the view's
-    // precision. Charges the assembly flops.
-    let side = |a: &Row, b: &Row, w: &mut [f64], wy: &mut [f64], c: &mut ThreadCounters| {
-        let mut dp = [0.0f64; MAX_DEVICE_DEGREE + 1];
-        let mut dq = [0.0f64; MAX_DEVICE_DEGREE + 1];
-        for m in 0..=deg {
-            match (a, b) {
-                (Row::Pair(a), Row::Pair(b)) => {
-                    // Difference of compensated pairs in f32: the error
-                    // tracks the window magnitude, not the prefix magnitude.
-                    let ([ph_a, pl_a, qh_a, ql_a], [ph_b, pl_b, qh_b, ql_b]) = (a[m], b[m]);
-                    dp[m] = ((ph_b - ph_a) + (pl_b - pl_a)) as f64;
-                    dq[m] = ((qh_b - qh_a) + (ql_b - ql_a)) as f64;
-                }
-                (Row::F64(a), Row::F64(b)) => {
-                    dp[m] = b[m][0] - a[m][0];
-                    dq[m] = b[m][1] - a[m][1];
-                }
-                _ => unreachable!("one view's rows share its precision"),
-            }
-        }
-        c.flop(6 * (deg as u64 + 1));
-        for j in 0..=deg {
-            let row = &binom[j * bw..j * bw + j + 1];
-            let (mut s, mut sy) = (0.0f64, 0.0f64);
-            for (m, &cf) in row.iter().enumerate() {
-                match view {
-                    TableView::PairF32 { .. } => {
-                        let coeff = (cf as f32) * (npow[j - m] as f32);
-                        s = (s as f32 + coeff * dp[m] as f32) as f64;
-                        sy = (sy as f32 + coeff * dq[m] as f32) as f64;
-                    }
-                    TableView::F64 { .. } => {
-                        let coeff = cf * npow[j - m];
-                        s += coeff * dp[m];
-                        sy += coeff * dq[m];
-                    }
-                }
-            }
-            w[j] = s;
-            wy[j] = sy;
-            c.flop(5 * (j as u64 + 1));
-        }
-    };
-
-    // The self rows bound the left side [lo, si) and the right side
-    // [si+1, hi); both sides start empty.
-    let self_left = view.row(si, deg, stride, c);
-    let self_right = view.row(si + 1, deg, stride, c);
-    let mut wl = [0.0f64; MAX_DEVICE_DEGREE + 1];
-    let mut wyl = [0.0f64; MAX_DEVICE_DEGREE + 1];
-    let mut wr = [0.0f64; MAX_DEVICE_DEGREE + 1];
-    let mut wyr = [0.0f64; MAX_DEVICE_DEGREE + 1];
-    side(&self_left, &self_left, &mut wl, &mut wyl, c);
-    side(&self_right, &self_right, &mut wr, &mut wyr, c);
-
-    let mut probes_total = 0u64;
-    let mut window = SupportWindow::new(si);
-    for (m, &h) in bandwidths.iter().enumerate() {
+    /// The squared residual of the thread's cell at bandwidth `h`, the
+    /// next of the ascending grid, accumulated into the block's shared
+    /// partial row slot `acc`.
+    fn cell(&mut self, h: f32, args: &WindowedArgs<'a, W>, acc: &mut f32, c: &mut ThreadCounters) {
         c.constant_read(1);
         let inv_h = 1.0 / h;
         c.flop(1);
-        let (lo_prev, hi_prev) = (window.lo, window.hi);
-        let [l, r] = window.advance(xs, xi, inv_h, radius, c);
-        probes_total += u64::from(l + r);
-        if window.lo != lo_prev {
-            let edge = view.row(window.lo, deg, stride, c);
-            side(&edge, &self_left, &mut wl, &mut wyl, c);
+        let (lo_prev, hi_prev) = (self.window.lo, self.window.hi);
+        let [l, r] = self.window.advance(args.xs, self.xi, inv_h, args.radius, c);
+        self.probes += u64::from(l + r);
+        if self.window.lo != lo_prev {
+            let edge = args.row(self.window.lo, c);
+            side(
+                args,
+                &self.npow,
+                edge,
+                self.self_left,
+                &mut self.wl,
+                &mut self.wyl,
+                c,
+            );
         }
-        if window.hi != hi_prev {
-            let edge = view.row(window.hi, deg, stride, c);
-            side(&self_right, &edge, &mut wr, &mut wyr, c);
+        if self.window.hi != hi_prev {
+            let edge = args.row(self.window.hi, c);
+            side(
+                args,
+                &self.npow,
+                self.self_right,
+                edge,
+                &mut self.wr,
+                &mut self.wyr,
+                c,
+            );
         }
 
         // d = x_i − x_l on the left, x_l − x_i on the right:
         // S_j = W_j^right + (−1)^j·W_j^left, then the standard
         // N/D = Σ_j c_j·h^{-j}·{SY_j, S_j} assembly.
-        let (num, den) = match view {
-            TableView::PairF32 { .. } => {
-                let inv = inv_h;
-                let (mut hp, mut num, mut den, mut sign) = (1.0f32, 0.0f32, 0.0f32, 1.0f32);
-                for (j, &cf) in coeffs.iter().enumerate() {
-                    let s_j = wr[j] as f32 + sign * wl[j] as f32;
-                    let sy_j = wyr[j] as f32 + sign * wyl[j] as f32;
-                    num += cf * hp * sy_j;
-                    den += cf * hp * s_j;
-                    hp *= inv;
-                    sign = -sign;
-                }
-                (num, den)
-            }
-            TableView::F64 { .. } => {
-                let inv = inv_h as f64;
-                let (mut hp, mut num, mut den, mut sign) = (1.0f64, 0.0f64, 0.0f64, 1.0f64);
-                for (j, &cf) in coeffs.iter().enumerate() {
-                    let s_j = wr[j] + sign * wl[j];
-                    let sy_j = wyr[j] + sign * wyl[j];
-                    num += cf as f64 * hp * sy_j;
-                    den += cf as f64 * hp * s_j;
-                    hp *= inv;
-                    sign = -sign;
-                }
-                (num as f32, den as f32)
-            }
-        };
-        c.flop(7 * (deg as u64 + 1));
+        let inv = W::from_f32(inv_h);
+        let (mut hp, mut num, mut den, mut sign) = (W::ONE, W::ZERO, W::ZERO, W::ONE);
+        for (j, &cf) in args.coeffs.iter().enumerate() {
+            let s_j = self.wr[j] + sign * self.wl[j];
+            let sy_j = self.wyr[j] + sign * self.wyl[j];
+            let cf = W::from_f32(cf);
+            num += cf * hp * sy_j;
+            den += cf * hp * s_j;
+            hp *= inv;
+            sign = -sign;
+        }
+        let (num, den) = (num.to_f32(), den.to_f32());
+        c.flop(7 * (args.deg as u64 + 1));
         c.branch(1);
-        acc[m] += if den > 0.0 {
-            let r = yi - num / den;
+        *acc += if den > 0.0 {
+            let r = self.yi - num / den;
             c.flop(3);
             r * r
         } else {
             // M(X_i) = 0 at this h: the observation contributes nothing.
             0.0
         };
-        // Accumulate into the block's shared partial row.
         c.shared_access(1);
     }
+}
+
+/// Windowed moments `w`/`wy` of one side `[a, b)` from its two boundary
+/// rows: prefix differencing + binomial recombination with the powers
+/// `npow` of −xc_i. Charges the assembly flops.
+fn side<W: TableWord>(
+    args: &WindowedArgs<'_, W>,
+    npow: &[W],
+    a: &[W],
+    b: &[W],
+    w: &mut [W],
+    wy: &mut [W],
+    c: &mut ThreadCounters,
+) {
+    let (deg, bw, p) = (args.deg, args.deg + 1, W::PER_VALUE);
+    let mut dp = [W::ZERO; MAX_DEVICE_DEGREE + 1];
+    let mut dq = [W::ZERO; MAX_DEVICE_DEGREE + 1];
+    for m in 0..=deg {
+        // Moment m's P words, then its Q words.
+        let (pm, qm) = (2 * m * p, (2 * m + 1) * p);
+        dp[m] = W::difference(&a[pm..pm + p], &b[pm..pm + p]);
+        dq[m] = W::difference(&a[qm..qm + p], &b[qm..qm + p]);
+    }
+    c.flop(6 * (deg as u64 + 1));
+    for j in 0..=deg {
+        let row = &args.binom[j * bw..j * bw + j + 1];
+        let (mut s, mut sy) = (W::ZERO, W::ZERO);
+        for (m, &cf) in row.iter().enumerate() {
+            let coeff = cf * npow[j - m];
+            s += coeff * dp[m];
+            sy += coeff * dq[m];
+        }
+        w[j] = s;
+        wy[j] = sy;
+        c.flop(5 * (j as u64 + 1));
+    }
+}
+
+/// The windowed main kernel, one thread at a time: the thread at sorted
+/// position `si` answers its `k` cells into its block's shared partial row
+/// `acc` (the launch runs a block's threads in thread order). Returns the
+/// edge probes it spent.
+pub(crate) fn windowed_kernel<'a, W: TableWord>(
+    si: usize,
+    args: &WindowedArgs<'a, W>,
+    acc: &mut [f32],
+    c: &mut ThreadCounters,
+) -> u64 {
+    let mut thread = WindowedThread::start(si, args, c);
+    for (slot, &h) in acc.iter_mut().zip(args.bandwidths) {
+        thread.cell(h, args, slot, c);
+    }
     c.sync();
-    probes_total
+    thread.probes
 }
 
 /// Runs the windowed (O(n)-memory) GPU program on the simulated device:
@@ -435,19 +559,11 @@ pub(crate) struct Windowed {
     tables: WindowedTables,
 }
 
-/// The device-resident prefix tables, in the precision the kernel degree
-/// calls for; both spend 8 device bytes per entry.
-enum TableBuffers {
-    Pair {
-        px_hi: DeviceBuffer<f32>,
-        px_lo: DeviceBuffer<f32>,
-        py_hi: DeviceBuffer<f32>,
-        py_lo: DeviceBuffer<f32>,
-    },
-    F64 {
-        px: DeviceBuffer<f64>,
-        py: DeviceBuffer<f64>,
-    },
+/// The device-resident row-major prefix tables, in the precision the
+/// kernel degree calls for; both spend 8 device bytes per entry.
+enum TableRows {
+    Pair(DeviceBuffer<f32>),
+    F64(DeviceBuffer<f64>),
 }
 
 /// A windowed shard's device buffers: the full sorted sample and tables,
@@ -455,7 +571,7 @@ enum TableBuffers {
 pub(crate) struct WindowedResident {
     xs: DeviceBuffer<f32>,
     ys: DeviceBuffer<f32>,
-    tables: TableBuffers,
+    rows: TableRows,
     partials: DeviceBuffer<f32>,
 }
 
@@ -472,22 +588,10 @@ impl ShardBody for Windowed {
         let t = &self.tables;
         let xs = upload(pool, &t.xs32)?;
         let ys = upload(pool, &t.ys32)?;
-        let tables = if shard.kernel.degree() >= F64_TABLE_DEGREE {
-            TableBuffers::F64 {
-                px: upload(pool, &t.px)?,
-                py: upload(pool, &t.py)?,
-            }
+        let rows = if shard.kernel.degree() >= F64_TABLE_DEGREE {
+            TableRows::F64(t.upload_rows(pool)?)
         } else {
-            // Split each f64 master entry into (hi, lo) f32 words; the host
-            // split is dropped once uploaded.
-            let (hx, lx) = WindowedTables::split_pair(&t.px);
-            let (hy, ly) = WindowedTables::split_pair(&t.py);
-            TableBuffers::Pair {
-                px_hi: upload(pool, &hx)?,
-                px_lo: upload(pool, &lx)?,
-                py_hi: upload(pool, &hy)?,
-                py_lo: upload(pool, &ly)?,
-            }
+            TableRows::Pair(t.upload_rows(pool)?)
         };
         // Block partials, bandwidth-major so the per-bandwidth reductions
         // read consecutive addresses.
@@ -495,7 +599,7 @@ impl ShardBody for Windowed {
         Ok(WindowedResident {
             xs,
             ys,
-            tables,
+            rows,
             partials,
         })
     }
@@ -506,83 +610,99 @@ impl ShardBody for Windowed {
         shard: &Shard<'_>,
         bandwidths: &[f32],
     ) -> Result<(LaunchReport, Residuals<'r>)> {
-        let (rows, k, tpb, lo) = (shard.rows.len(), shard.k, shard.tpb, shard.rows.start);
-        let (t, deg, n) = (&self.tables, shard.kernel.degree(), self.tables.xs32.len());
-        // Each block's shared partial row, one after another.
-        let num_blocks = rows.div_ceil(tpb);
-        let mut block_rows = vec![0.0f32; num_blocks * k];
-        let (xs, ys) = (resident.xs.as_slice(), resident.ys.as_slice());
-        let view = match &resident.tables {
-            TableBuffers::Pair {
-                px_hi,
-                px_lo,
-                py_hi,
-                py_lo,
-            } => TableView::PairF32 {
-                px_hi: px_hi.as_slice(),
-                px_lo: px_lo.as_slice(),
-                py_hi: py_hi.as_slice(),
-                py_lo: py_lo.as_slice(),
+        let WindowedResident {
+            xs,
+            ys,
+            rows,
+            partials,
+        } = resident;
+        let (xs, ys, partials) = (xs.as_slice(), ys.as_slice(), partials.as_mut_slice());
+        let report = match rows {
+            TableRows::Pair(rows) => {
+                self.launch_rows(xs, ys, rows.as_slice(), partials, shard, bandwidths)
+            }
+            TableRows::F64(rows) => {
+                self.launch_rows(xs, ys, rows.as_slice(), partials, shard, bandwidths)
+            }
+        }?;
+        Ok((
+            report,
+            Residuals {
+                values: resident.partials.as_slice(),
+                bandwidth_major: true,
             },
-            TableBuffers::F64 { px, py } => TableView::F64 {
-                px: px.as_slice(),
-                py: py.as_slice(),
-            },
+        ))
+    }
+}
+
+impl Windowed {
+    /// Launches the windowed kernel in precision `W` over the shard and
+    /// flushes the block partials into the device partial matrix.
+    fn launch_rows<W: TableWord>(
+        &self,
+        xs: &[f32],
+        ys: &[f32],
+        rows: &[W],
+        partials: &mut [f32],
+        shard: &Shard<'_>,
+        bandwidths: &[f32],
+    ) -> Result<LaunchReport> {
+        let (threads, k, tpb, lo) = (shard.rows.len(), shard.k, shard.tpb, shard.rows.start);
+        let t = &self.tables;
+        let binom: Vec<W> = t.binom.iter().map(|&v| W::from_f64(v)).collect();
+        let args = WindowedArgs {
+            xs,
+            ys,
+            rows,
+            center: t.center,
+            binom: &binom,
+            bandwidths,
+            coeffs: shard.kernel.coeffs.as_slice(),
+            radius: shard.kernel.radius,
+            deg: shard.kernel.degree(),
         };
-        let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
+        // Each block's shared partial row, one after another, and the edge
+        // probes its threads spent.
+        let num_blocks = threads.div_ceil(tpb);
+        let mut block_rows = vec![0.0f32; num_blocks * k];
+        let mut block_probes = vec![0u64; num_blocks];
+        let workspaces: Vec<(&mut [f32], &mut u64)> = block_rows
+            .chunks_mut(k)
+            .zip(block_probes.iter_mut())
+            .collect();
         // Main kernel: one thread per sorted position of the shard, a
         // block's threads in thread order so each folds its residuals into
         // the block's row in the same order.
-        let (probes, report) = launch_blocks(
+        let (_, report) = launch_blocks(
             &shard.config.spec,
             &shard.config.cost,
-            LaunchConfig::new(rows, tpb),
-            block_rows.chunks_mut(k).collect(),
+            LaunchConfig::new(threads, tpb),
+            workspaces,
             // Thread tid of this device answers sorted position lo + tid.
-            |tid, acc: &mut &mut [f32], c| {
-                let probes = windowed_kernel(
-                    lo + tid,
-                    xs,
-                    ys,
-                    &view,
-                    t.center,
-                    &t.binom,
-                    bandwidths,
-                    coeffs,
-                    radius,
-                    deg,
-                    n,
-                    acc,
-                    c,
-                );
+            |tid, (acc, probes), c| {
+                **probes += windowed_kernel(lo + tid, &args, acc, c);
                 // Each block's leader flushes the block's accumulated partial
                 // row to the device partial matrix — k consecutive
                 // bandwidth-major slots per block, a coalesced store.
                 if tid % tpb == 0 {
                     c.global_coalesced(k as u64);
                 }
-                probes
             },
         )?;
-        kcv_obs::add(kcv_obs::Counter::WindowQueries, (rows * k) as u64);
-        kcv_obs::add(kcv_obs::Counter::BinarySearchProbes, probes.iter().sum());
+        kcv_obs::add(kcv_obs::Counter::WindowQueries, (threads * k) as u64);
+        kcv_obs::add(
+            kcv_obs::Counter::BinarySearchProbes,
+            block_probes.iter().sum(),
+        );
 
         // The flushes: block b's row lands in slot b of every bandwidth's
         // row of the partial matrix.
-        let partials = resident.partials.as_mut_slice();
         for (b, row) in block_rows.chunks(k).enumerate() {
             for (m, &v) in row.iter().enumerate() {
                 partials[m * num_blocks + b] = v;
             }
         }
-        let values = resident.partials.as_slice();
-        Ok((
-            report,
-            Residuals {
-                values,
-                bandwidth_major: true,
-            },
-        ))
+        Ok(report)
     }
 }
 
