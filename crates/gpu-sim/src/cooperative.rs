@@ -13,7 +13,10 @@
 //! A block's threads run one after another, in thread order, on the calling
 //! thread: a phase is a few shared-memory operations per thread, far less
 //! than starting a host worker costs, and the buffered writes make the
-//! result independent of the order anyway.
+//! result independent of the order anyway. A phase allocates nothing: each
+//! thread charges its block-lifetime counters in place, and the block
+//! reuses one write buffer and one race map (stamped with the phase that
+//! wrote each cell) for all its phases.
 
 use crate::cost::{CostModel, LaunchReport, ThreadCounters};
 use crate::device::DeviceSpec;

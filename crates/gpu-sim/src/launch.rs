@@ -6,14 +6,23 @@
 //! caller-prepared workspace (for instance the block's group of per-thread
 //! rows of the global-memory matrices, or a block accumulator), and a
 //! [`ThreadCounters`] to report its operations. Blocks run in parallel on
-//! host cores via rayon, one pass per launch; a block's threads run in
-//! thread order on the block's worker. The cost model then replays the
-//! counts through the warp/SM schedule of the target [`DeviceSpec`].
+//! host cores via rayon, one pass per launch. With [`launch_blocks`] a
+//! block's threads run in thread order on the block's worker; with
+//! [`launch_block_kernel`] the kernel gets the whole block and may
+//! interleave its threads' steps (a warp's threads stepping together),
+//! each thread still charging its own counters.
+//!
+//! The host keeps per thread only what the cost model needs: one cycle
+//! count (8 bytes), written by the thread's block into the launch's cycle
+//! array. A block's counters are summed into one total per block. The cost
+//! model then replays the cycle counts through the warp/SM schedule of the
+//! target [`DeviceSpec`] ([`aggregate_cycles`]).
 
 use crate::cost::{aggregate_cycles, CostModel, LaunchReport, ThreadCounters};
 use crate::device::DeviceSpec;
 use crate::error::{Result, SimError};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Grid configuration for a launch.
@@ -61,10 +70,6 @@ impl LaunchConfig {
 /// so events a kernel emits (e.g. the device sort's comparisons) land in
 /// the launching run's recorder. Returns each thread's output in thread
 /// order plus the cost report.
-///
-/// A block keeps no per-thread record beyond its threads' outputs and
-/// their cycle counts, which it writes into the launch's one cycle array;
-/// it sums its threads' counters into one total.
 pub fn launch_blocks<W, R, F>(
     spec: &DeviceSpec,
     cost: &CostModel,
@@ -76,6 +81,56 @@ where
     W: Send,
     R: Send,
     F: Fn(usize, &mut W, &mut ThreadCounters) -> R + Sync,
+{
+    run_blocks(spec, cost, config, workspaces, |tids, ws, counters| {
+        tids.zip(counters)
+            .map(|(tid, c)| kernel(tid, ws, c))
+            .collect()
+    })
+}
+
+/// Launches an independent kernel a whole block at a time:
+/// `kernel(tids, workspace, counters)` runs the block of threads `tids`
+/// against its workspace and charges thread `tids.start + i` to
+/// `counters[i]`. The kernel may interleave its threads' steps in any
+/// order that keeps each thread's own work — the host's model of a block's
+/// warps running side by side — and the cost model sees the same
+/// per-thread counts as from [`launch_blocks`]. Blocks run in parallel as
+/// in [`launch_blocks`].
+pub fn launch_block_kernel<W, F>(
+    spec: &DeviceSpec,
+    cost: &CostModel,
+    config: LaunchConfig,
+    workspaces: Vec<W>,
+    kernel: F,
+) -> Result<LaunchReport>
+where
+    W: Send,
+    F: Fn(Range<usize>, &mut W, &mut [ThreadCounters]) + Sync,
+{
+    let (_, report) = run_blocks(spec, cost, config, workspaces, |tids, ws, counters| {
+        kernel(tids, ws, counters);
+        Vec::<()>::new()
+    })?;
+    Ok(report)
+}
+
+/// Runs `block(tids, workspace, counters)` for every block, in parallel,
+/// and builds the report from the threads' counters. A block keeps no
+/// per-thread record beyond its outputs and its threads' counters; it
+/// writes their cycle counts into the launch's one cycle array and sums
+/// them into one total.
+fn run_blocks<W, R, F>(
+    spec: &DeviceSpec,
+    cost: &CostModel,
+    config: LaunchConfig,
+    workspaces: Vec<W>,
+    block: F,
+) -> Result<(Vec<R>, LaunchReport)>
+where
+    W: Send,
+    R: Send,
+    F: Fn(Range<usize>, &mut W, &mut [ThreadCounters]) -> Vec<R> + Sync,
 {
     config.validate(spec)?;
     let tpb = config.threads_per_block;
@@ -99,24 +154,20 @@ where
         .into_par_iter()
         .map(|(b, (mut ws, block_cycles))| {
             let _in_scope = scope.enter();
+            let tids = b * tpb..b * tpb + block_cycles.len();
+            let mut counters = vec![ThreadCounters::default(); tids.len()];
+            let outputs = block(tids, &mut ws, &mut counters);
             let mut totals = ThreadCounters::default();
-            let outputs = block_cycles
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let mut c = ThreadCounters::default();
-                    let r = kernel(b * tpb + i, &mut ws, &mut c);
-                    *slot = c.cycles(cost);
-                    totals.absorb(&c);
-                    r
-                })
-                .collect();
+            for (slot, c) in block_cycles.iter_mut().zip(&counters) {
+                *slot = c.cycles(cost);
+                totals.absorb(c);
+            }
             (outputs, totals)
         })
         .collect();
     let host_seconds = start.elapsed().as_secs_f64();
     let mut totals = ThreadCounters::default();
-    let mut outputs = Vec::with_capacity(config.threads);
+    let mut outputs = Vec::with_capacity(per_block.iter().map(|(o, _)| o.len()).sum());
     for (block_outputs, block_totals) in per_block {
         totals.absorb(&block_totals);
         outputs.extend(block_outputs);
@@ -265,6 +316,36 @@ mod tests {
         assert_eq!(report.totals.flops, 70);
         // One workspace per block, not per thread.
         let r = launch_blocks(&spec, &cost, cfg, vec![(); 70], |_, _, _| ());
+        assert!(r.is_err());
+    }
+
+    #[test]
+    fn block_kernel_charges_each_thread_its_own_counters() {
+        let (spec, cost) = tesla();
+        // 70 threads in blocks of 32; thread t does t flops. The block
+        // kernel steps its threads round-robin, two flops at a time, and
+        // must cost what the thread-at-a-time launch costs.
+        let cfg = LaunchConfig::new(70, 32);
+        let mut seen = vec![Vec::new(); 3];
+        let workspaces: Vec<&mut Vec<usize>> = seen.iter_mut().collect();
+        let report = launch_block_kernel(&spec, &cost, cfg, workspaces, |tids, block, cs| {
+            assert_eq!(tids.len(), cs.len());
+            block.extend(tids.clone());
+            for round in 0..70u64 {
+                for (tid, c) in tids.clone().zip(cs.iter_mut()) {
+                    c.flop((tid as u64).saturating_sub(2 * round).min(2));
+                }
+            }
+        })
+        .unwrap();
+        let (_, serial) = launch(&spec, &cost, cfg, |tid, c| c.flop(tid as u64)).unwrap();
+        assert_eq!(report.totals, serial.totals);
+        assert_eq!(
+            report.simulated_cycles.to_bits(),
+            serial.simulated_cycles.to_bits()
+        );
+        assert_eq!(seen[2], (64..70).collect::<Vec<_>>());
+        let r = launch_block_kernel(&spec, &cost, cfg, vec![(); 70], |_, _, _| ());
         assert!(r.is_err());
     }
 

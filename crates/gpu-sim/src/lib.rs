@@ -21,6 +21,14 @@
 //!   cooperative block (a reduction's barrier phases) runs its threads in
 //!   thread order on the calling thread.
 //!
+//! The simulator's own host cost is kept small, since every simulated
+//! statistic is a function of the per-thread operation counts alone: a
+//! launch keeps one cycle count per thread and one counter total per
+//! block ([`launch`]), a barrier phase allocates nothing ([`cooperative`]),
+//! an edge search charges its probes in one step and bisects with selects
+//! ([`device_search`]), and a block kernel may step a warp's threads
+//! together ([`launch::launch_block_kernel`]).
+//!
 //! The building blocks the paper's program needs are included: Harris-style
 //! sum and min-with-payload reductions ([`reduce`]) and the per-thread
 //! iterative quicksort ([`device_sort`]). The actual port of the paper's
@@ -67,6 +75,6 @@ pub use device::DeviceSpec;
 pub use device_search::SupportWindow;
 pub use device_sort::device_sort_with_aux;
 pub use error::{Result, SimError};
-pub use launch::{launch_blocks, LaunchConfig};
+pub use launch::{launch_block_kernel, launch_blocks, LaunchConfig};
 pub use memory::{ConstantMemory, DeviceBuffer, MemoryPool};
 pub use reduce::{min_payload_reduction, sum_reduction, sum_reduction_strided};

@@ -362,6 +362,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn scatter_interleaves_host_arrays_and_counts_each_copy() {
+        let pool = MemoryPool::new(1024);
+        let mut buf = pool.alloc::<f32>(6).unwrap();
+        let (a, b) = ([1.0f32, 2.0, 3.0], [10.0f32, 20.0, 30.0]);
+        buf.scatter_from_host(3, |i| 2 * i, |i| a[i]).unwrap();
+        buf.scatter_from_host(3, |i| 2 * i + 1, |i| b[i]).unwrap();
+        assert_eq!(buf.as_slice(), &[1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
+        // Two copies of 12 bytes each, as two contiguous copies would be.
+        assert_eq!(pool.h2d_bytes(), 24);
+        let err = buf.scatter_from_host(7, |i| i, |_| 0.0).unwrap_err();
+        assert!(matches!(err, SimError::CopyLengthMismatch { .. }));
+    }
+
+    #[test]
     fn allocation_tracks_usage_and_frees_on_drop() {
         let pool = MemoryPool::new(1024);
         {

@@ -28,7 +28,10 @@
 //! ascending sweep) and reads only the row of an edge that moved. Its
 //! block folds the squared residuals into a shared partial row in thread
 //! order, and the rows feed the shard driver's standard Harris reductions,
-//! which produce the score profile and the argmin.
+//! which produce the score profile and the argmin. On the host a block runs
+//! its warps one after another and steps a warp's threads bandwidth by
+//! bandwidth, so independent threads' edge searches overlap; each thread
+//! still charges its own counters.
 //!
 //! ## Precision
 //!
@@ -81,7 +84,7 @@ use kcv_core::kernels::Epanechnikov;
 use kcv_core::sort::{apply_permutation, argsort};
 use kcv_core::util::NeumaierSum;
 use kcv_gpu_sim::{
-    launch_blocks, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, SupportWindow,
+    launch_block_kernel, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, SupportWindow,
     ThreadCounters,
 };
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
@@ -335,7 +338,8 @@ impl<'a, W: TableWord> WindowedArgs<'a, W> {
 /// its self row for every moment of both tables, and binomially recombines
 /// the differences. The thread then assembles `N/D` exactly like every
 /// other strategy and adds the squared residual to its block's shared
-/// partial row.
+/// partial row. It returns to the caller between bandwidths, so the launch
+/// can step a warp's threads together.
 ///
 /// `kcv-gpu-sim` has no register-file model, so the words a thread keeps
 /// live are not charged. Besides the per-side sums `S_j`/`SY_j`, a thread
@@ -513,24 +517,6 @@ fn side<W: TableWord>(
     }
 }
 
-/// The windowed main kernel, one thread at a time: the thread at sorted
-/// position `si` answers its `k` cells into its block's shared partial row
-/// `acc` (the launch runs a block's threads in thread order). Returns the
-/// edge probes it spent.
-pub(crate) fn windowed_kernel<'a, W: TableWord>(
-    si: usize,
-    args: &WindowedArgs<'a, W>,
-    acc: &mut [f32],
-    c: &mut ThreadCounters,
-) -> u64 {
-    let mut thread = WindowedThread::start(si, args, c);
-    for (slot, &h) in acc.iter_mut().zip(args.bandwidths) {
-        thread.cell(h, args, slot, c);
-    }
-    c.sync();
-    thread.probes
-}
-
 /// Runs the windowed (O(n)-memory) GPU program on the simulated device:
 /// selects the CV-optimal Epanechnikov bandwidth for `(x, y)` over `grid`.
 pub fn select_bandwidth_gpu_windowed(
@@ -670,23 +656,42 @@ impl Windowed {
             .chunks_mut(k)
             .zip(block_probes.iter_mut())
             .collect();
-        // Main kernel: one thread per sorted position of the shard, a
-        // block's threads in thread order so each folds its residuals into
-        // the block's row in the same order.
-        let (_, report) = launch_blocks(
+        // Main kernel: one thread per sorted position of the shard, a block
+        // at a time. The block runs its warps one after another, and a warp
+        // steps its threads bandwidth by bandwidth, as they would run in
+        // lockstep; independent threads' edge searches then overlap on the
+        // host. Each bandwidth's residuals still fold into the block's row
+        // in thread order, and each thread charges its own counters.
+        let warp = shard.config.spec.warp_size.max(1);
+        let report = launch_block_kernel(
             &shard.config.spec,
             &shard.config.cost,
             LaunchConfig::new(threads, tpb),
             workspaces,
-            // Thread tid of this device answers sorted position lo + tid.
-            |tid, (acc, probes), c| {
-                **probes += windowed_kernel(lo + tid, &args, acc, c);
-                // Each block's leader flushes the block's accumulated partial
+            |tids, (acc, probes), counters| {
+                for (w, counters) in counters.chunks_mut(warp).enumerate() {
+                    // Thread tid of this device answers sorted position
+                    // lo + tid.
+                    let first = lo + tids.start + w * warp;
+                    let mut lanes: Vec<WindowedThread<'_, W>> = counters
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, c)| WindowedThread::start(first + i, &args, c))
+                        .collect();
+                    for (slot, &h) in acc.iter_mut().zip(args.bandwidths) {
+                        for (lane, c) in lanes.iter_mut().zip(counters.iter_mut()) {
+                            lane.cell(h, &args, slot, c);
+                        }
+                    }
+                    for (lane, c) in lanes.iter().zip(counters.iter_mut()) {
+                        c.sync();
+                        **probes += lane.probes;
+                    }
+                }
+                // The block's leader flushes the block's accumulated partial
                 // row to the device partial matrix — k consecutive
                 // bandwidth-major slots per block, a coalesced store.
-                if tid % tpb == 0 {
-                    c.global_coalesced(k as u64);
-                }
+                counters[0].global_coalesced(k as u64);
             },
         )?;
         kcv_obs::add(kcv_obs::Counter::WindowQueries, (threads * k) as u64);
