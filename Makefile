@@ -26,10 +26,12 @@ build:
 test:
 	$(CARGO) test $(FLAGS) --workspace -q
 
-## The core suite as it ships, optimised: the prefix sweep's AVX2 lanes
-## are unsafe code, and debug builds do not run what release builds run.
+## The core suite and the simulated GPU as they ship, optimised: the
+## prefix sweep's AVX2 lanes are unsafe code, the simulator's bit-identity
+## goldens (crates/gpu/tests/device_golden.rs) must hold for the optimised
+## kernel, and debug builds do not run what release builds run.
 test-release:
-	$(CARGO) test $(FLAGS) --release -p kcv-core -q
+	$(CARGO) test $(FLAGS) --release -p kcv-core -p kcv-gpu-sim -p kcv-gpu -q
 
 ## The observability layer changes what compiles; test both feature states.
 ## Counters are scoped per `kcv_obs::Recorder`, so the metrics suite runs

@@ -12,7 +12,9 @@
 //!    never approaches the ceiling — this binary *runs* it (not a dry-run
 //!    check) at every size the classic program refuses, up to n = 100,000
 //!    on the same 4 GB device, and verifies the selected bandwidth against
-//!    the f64 CPU prefix-moment reference at each size.
+//!    the f64 CPU prefix-moment reference at each size. Beside each measured
+//!    device peak it prints the run's host heap peak (the counting
+//!    allocator of `kcv-bench`), which includes the simulated device.
 //!
 //! Usage: `cargo run -p kcv-bench --release --bin memory_limit -- [--allocate]
 //! [--max-windowed-n N]` (by default the classic capacity check is a dry
@@ -20,6 +22,7 @@
 //! back onto host RAM. `--max-windowed-n` caps the windowed demonstration,
 //! default 100,000.)
 
+use kcv_bench::alloc_track;
 use kcv_bench::table::{arg_flag, arg_parse, render};
 use kcv_core::cv::cv_profile_prefix;
 use kcv_core::grid::BandwidthGrid;
@@ -129,6 +132,7 @@ fn main() {
         "n".into(),
         "classic bytes".into(),
         "windowed peak (measured)".into(),
+        "host heap peak".into(),
         "bandwidth".into(),
         "vs CPU f64 reference".into(),
     ];
@@ -143,7 +147,14 @@ fn main() {
         let sample = PaperDgp.sample(n, 3_000 + n as u64);
         let grid = BandwidthGrid::paper_default(&sample.x, k).expect("grid");
         let step = grid.step();
-        let row = match select_bandwidth_gpu_windowed(&sample.x, &sample.y, &grid, &config) {
+        // The simulator's device buffers are host memory too: the host heap
+        // peak is the device peak plus the host-side tables and the
+        // simulator's bookkeeping.
+        alloc_track::reset_peak();
+        let baseline = alloc_track::current_bytes();
+        let result = select_bandwidth_gpu_windowed(&sample.x, &sample.y, &grid, &config);
+        let host_peak = alloc_track::peak_bytes().saturating_sub(baseline);
+        let row = match result {
             Ok(run) => {
                 let reference = cv_profile_prefix(&sample.x, &sample.y, &grid, &Epanechnikov)
                     .expect("CPU reference")
@@ -155,6 +166,7 @@ fn main() {
                     n.to_string(),
                     required_device_bytes(n, k).to_string(),
                     run.report.device_bytes_peak.to_string(),
+                    host_peak.to_string(),
                     format!("{:.6}", run.bandwidth),
                     if agrees {
                         "agrees (within one grid step)".to_string()
@@ -167,6 +179,7 @@ fn main() {
                 n.to_string(),
                 required_device_bytes(n, k).to_string(),
                 format!("FAILED: {e}"),
+                host_peak.to_string(),
                 String::new(),
                 String::new(),
             ],
