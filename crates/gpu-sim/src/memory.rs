@@ -190,28 +190,19 @@ impl<T: Copy + Default> DeviceBuffer<T> {
     }
 
     /// Strided `cudaMemcpyHostToDevice` (the `cudaMemcpy2D` pattern): copies
-    /// a host array of `len` elements, element `i` being `value(i)`, to
-    /// position `place(i)` of the buffer. It moves the same bytes as a
-    /// contiguous copy of the array and is counted as one. Interleaves
-    /// host arrays into one device layout without a host copy in that
-    /// layout.
+    /// one host array to scattered positions of the buffer, `host` yielding
+    /// each element's device position and value. It moves the same bytes
+    /// as a contiguous copy of the array and is counted as one, so host
+    /// arrays can be interleaved into one device layout without a host copy
+    /// in that layout.
     ///
     /// # Panics
-    /// If some `place(i)` is out of the buffer's range.
-    pub fn scatter_from_host(
-        &mut self,
-        len: usize,
-        place: impl Fn(usize) -> usize,
-        value: impl Fn(usize) -> T,
-    ) -> Result<()> {
-        if len > self.data.len() {
-            return Err(SimError::CopyLengthMismatch {
-                device_len: self.data.len(),
-                host_len: len,
-            });
-        }
-        for i in 0..len {
-            self.data[place(i)] = value(i);
+    /// If a position is out of the buffer's range.
+    pub fn scatter_from_host(&mut self, host: impl IntoIterator<Item = (usize, T)>) {
+        let mut len = 0;
+        for (position, value) in host {
+            self.data[position] = value;
+            len += 1;
         }
         let bytes = len * std::mem::size_of::<T>();
         self.pool
@@ -222,7 +213,6 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             kcv_obs::Counter::MemTransactions,
             transfer_transactions(bytes),
         );
-        Ok(())
     }
 
     /// `cudaMemcpyDeviceToHost`: copies the buffer into a host slice of the
@@ -366,13 +356,11 @@ mod tests {
         let pool = MemoryPool::new(1024);
         let mut buf = pool.alloc::<f32>(6).unwrap();
         let (a, b) = ([1.0f32, 2.0, 3.0], [10.0f32, 20.0, 30.0]);
-        buf.scatter_from_host(3, |i| 2 * i, |i| a[i]).unwrap();
-        buf.scatter_from_host(3, |i| 2 * i + 1, |i| b[i]).unwrap();
+        buf.scatter_from_host(a.iter().enumerate().map(|(i, &v)| (2 * i, v)));
+        buf.scatter_from_host(b.iter().enumerate().map(|(i, &v)| (2 * i + 1, v)));
         assert_eq!(buf.as_slice(), &[1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
         // Two copies of 12 bytes each, as two contiguous copies would be.
         assert_eq!(pool.h2d_bytes(), 24);
-        let err = buf.scatter_from_host(7, |i| i, |_| 0.0).unwrap_err();
-        assert!(matches!(err, SimError::CopyLengthMismatch { .. }));
     }
 
     #[test]

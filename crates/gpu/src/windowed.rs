@@ -57,7 +57,7 @@
 //! alone. An f64 entry takes the same 8 bytes as a pair, so the memory
 //! footprint (and the perf gate on it) does not depend on the precision.
 //! `tests/windowed_agreement.rs` pins both regimes. Each precision has its
-//! own copy of the kernel ([`TableWord`] is the precision's arithmetic), so
+//! own copy of the kernel (`TableWord` is the precision's arithmetic), so
 //! no cell asks which precision it runs in.
 //!
 //! ## Layout
@@ -179,12 +179,16 @@ impl WindowedTables {
         let mut rows = pool.alloc::<W>(row * stride)?;
         for (table, master) in [&self.px, &self.py].into_iter().enumerate() {
             for slot in 0..W::PER_VALUE {
-                // Master entry m·stride + t is P_m[t] (or Q_m[t]).
-                let place = |i: usize| {
-                    let (m, t) = (i / stride, i % stride);
-                    t * row + (2 * m + table) * W::PER_VALUE + slot
-                };
-                rows.scatter_from_host(master.len(), place, |i| W::word(master[i], slot))?;
+                // Master column m is P_m (or Q_m) over positions t.
+                rows.scatter_from_host(master.chunks(stride).enumerate().flat_map(
+                    |(m, column)| {
+                        let offset = (2 * m + table) * W::PER_VALUE + slot;
+                        column
+                            .iter()
+                            .enumerate()
+                            .map(move |(t, &v)| (t * row + offset, W::word(v, slot)))
+                    },
+                ));
             }
         }
         Ok(rows)
@@ -193,12 +197,11 @@ impl WindowedTables {
 
 /// The arithmetic of one table precision: the words a table value is
 /// stored in and the type the per-cell assembly runs in.
-pub(crate) trait TableWord:
+trait TableWord:
     Copy
     + Default
     + Send
     + Sync
-    + PartialOrd
     + Add<Output = Self>
     + Sub<Output = Self>
     + Mul<Output = Self>
@@ -293,25 +296,25 @@ fn row_words<W: TableWord>(deg: usize) -> usize {
 
 /// What every thread of a windowed launch reads: the sorted sample, the
 /// device tables in precision `W`, and the grid and kernel constants.
-pub(crate) struct WindowedArgs<'a, W> {
+struct WindowedArgs<'a, W> {
     /// Sorted `x`.
-    pub xs: &'a [f32],
+    xs: &'a [f32],
     /// Co-sorted `y`.
-    pub ys: &'a [f32],
+    ys: &'a [f32],
     /// Row-major prefix tables, [`row_words`] words a row.
-    pub rows: &'a [W],
+    rows: &'a [W],
     /// Midrange of the sorted sample.
-    pub center: f64,
+    center: f64,
     /// Pascal triangle, `binom[j·(deg+1)+m] = C(j,m)`.
-    pub binom: &'a [W],
+    binom: &'a [W],
     /// The ascending grid, in constant memory.
-    pub bandwidths: &'a [f32],
+    bandwidths: &'a [f32],
     /// Kernel polynomial coefficients.
-    pub coeffs: &'a [f32],
+    coeffs: &'a [f32],
     /// Kernel support radius.
-    pub radius: f32,
+    radius: f32,
     /// Kernel degree.
-    pub deg: usize,
+    deg: usize,
 }
 
 impl<'a, W: TableWord> WindowedArgs<'a, W> {
@@ -973,8 +976,8 @@ mod tests {
         let run = select_bandwidth_gpu_windowed(&x, &y, &grid, &GpuConfig::default()).unwrap();
         let r = &run.report;
         assert_eq!((r.n, r.k, r.deg), (80, 10, 2));
-        // H2D: xs, ys (n f32 each) + the four pair tables ((deg+1)·(n+1)
-        // f32 each).
+        // H2D: xs, ys (n f32 each) + the row-major pair tables, uploaded
+        // as four strided copies of (deg+1)·(n+1) f32 each.
         let table_words = 3 * 81u64;
         assert_eq!(r.h2d_bytes, (2 * 80 + 4 * table_words as usize) as u64 * 4);
         // D2H: the k per-bandwidth sums.
