@@ -21,7 +21,7 @@
 use crate::cost::{CostModel, LaunchReport, ThreadCounters};
 use crate::device::DeviceSpec;
 use crate::error::{Result, SimError};
-use crate::launch::{build_report, LaunchConfig};
+use crate::launch::{build_report, charge, LaunchConfig};
 use std::time::Instant;
 
 /// The shared-memory writes of one barrier phase, buffered until the
@@ -145,11 +145,8 @@ impl<'a> CooperativeBlock<'a> {
     pub fn finish(self) -> (Vec<f32>, LaunchReport) {
         let config = LaunchConfig::new(self.threads, self.threads);
         let host_seconds = self.started.elapsed().as_secs_f64();
-        let mut totals = ThreadCounters::default();
-        for c in &self.counters {
-            totals.absorb(c);
-        }
-        let cycles: Vec<f64> = self.counters.iter().map(|c| c.cycles(self.cost)).collect();
+        let mut cycles = vec![0.0; self.threads];
+        let totals = charge(&self.counters, self.cost, &mut cycles);
         let report = build_report(totals, &cycles, config, self.spec, host_seconds);
         (self.shared, report)
     }

@@ -157,12 +157,7 @@ where
             let tids = b * tpb..b * tpb + block_cycles.len();
             let mut counters = vec![ThreadCounters::default(); tids.len()];
             let outputs = block(tids, &mut ws, &mut counters);
-            let mut totals = ThreadCounters::default();
-            for (slot, c) in block_cycles.iter_mut().zip(&counters) {
-                *slot = c.cycles(cost);
-                totals.absorb(c);
-            }
-            (outputs, totals)
+            (outputs, charge(&counters, cost, block_cycles))
         })
         .collect();
     let host_seconds = start.elapsed().as_secs_f64();
@@ -174,6 +169,21 @@ where
     }
     let report = build_report(totals, &cycles, config, spec, host_seconds);
     Ok((outputs, report))
+}
+
+/// Writes each thread's cycle count under `cost` into `cycles` and
+/// returns the threads' counter total.
+pub(crate) fn charge(
+    counters: &[ThreadCounters],
+    cost: &CostModel,
+    cycles: &mut [f64],
+) -> ThreadCounters {
+    let mut totals = ThreadCounters::default();
+    for (slot, c) in cycles.iter_mut().zip(counters) {
+        *slot = c.cycles(cost);
+        totals.absorb(c);
+    }
+    totals
 }
 
 /// The cost report of a launch whose threads' counters sum to `totals` and
