@@ -770,9 +770,11 @@ mod tests {
     #[test]
     fn version_gate_catches_a_stale_writer() {
         let report = fixture();
-        let stale = report
-            .to_json()
-            .replacen("{\"version\":12,", "{\"version\":11,", 1);
+        let stale = report.to_json().replacen(
+            &format!("{{\"version\":{REPORT_VERSION},"),
+            &format!("{{\"version\":{},", REPORT_VERSION - 1),
+            1,
+        );
         let gates = evaluate_gates(&report, &stale, true);
         assert_eq!(
             fails(&gates),

@@ -120,7 +120,9 @@ use std::time::Instant;
 /// - 11: dropped the `scaling` array and the `*_bits` fields.
 /// - 12: dropped the `prefix-par` strategy (`prefix` splits its grid
 ///   across cores itself).
-pub const REPORT_VERSION: u32 = 12;
+/// - 13: added the `transfer_segments` counter; `mem_transactions` no
+///   longer counts host↔device copy segments.
+pub const REPORT_VERSION: u32 = 13;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 9] = [
@@ -872,7 +874,7 @@ mod tests {
         assert_eq!(bits(&sv.final_bandwidths), bits(&sv.lock_final_bandwidths));
 
         let json = report.to_json();
-        assert!(json.starts_with("{\"version\":12,"));
+        assert!(json.starts_with(&format!("{{\"version\":{REPORT_VERSION},")));
         for name in STRATEGIES {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
@@ -893,9 +895,9 @@ mod tests {
         );
     }
 
-    /// The v12 layout, byte for byte: every key, its order, each `null`
+    /// The v13 layout, byte for byte: every key, its order, each `null`
     /// form and each number format.
-    const PINNED_V12: &str = "{\"version\":12,\"metrics_enabled\":METRICS,\
+    const PINNED_V13: &str = "{\"version\":13,\"metrics_enabled\":METRICS,\
         \"config\":{\"n\":1000,\"k\":50,\"seed\":7,\"kernel\":\"epanechnikov\"},\
         \"strategies\":[\
         {\"name\":\"prefix\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
@@ -928,7 +930,7 @@ mod tests {
         \"lock_final_bandwidths\":[0.054000000000,0.055000000000]}}";
 
     #[test]
-    fn report_json_is_the_pinned_v12_layout() {
+    fn report_json_is_the_pinned_v13_layout() {
         let prefix = StrategyPerf {
             name: "prefix",
             bandwidth: 0.125,
@@ -1026,7 +1028,7 @@ mod tests {
                 lock_final_bandwidths: vec![0.054, 0.055],
             }),
         };
-        let pinned = PINNED_V12.replace("METRICS", &kcv_obs::enabled().to_string());
+        let pinned = PINNED_V13.replace("METRICS", &kcv_obs::enabled().to_string());
         assert_eq!(report.to_json(), pinned);
 
         report.streaming = None;

@@ -197,7 +197,8 @@ pub(crate) fn build_report(
 ) -> LaunchReport {
     let simulated_cycles = aggregate_cycles(cycles, config.threads_per_block, spec);
     // Fold the launch totals into the workspace-wide observability counters
-    // so BENCH_report.json sees device traffic next to host-side op counts.
+    // so BENCH_report.json sees device traffic next to host-side op counts:
+    // one memory transaction per global word the kernel touched.
     kcv_obs::add(
         kcv_obs::Counter::MemTransactions,
         totals.global_reads + totals.global_writes + totals.global_coalesced,

@@ -25,9 +25,8 @@
 //! statistic is a function of the per-thread operation counts alone: a
 //! launch keeps one cycle count per thread and one counter total per
 //! block ([`launch`]), a barrier phase allocates nothing ([`cooperative`]),
-//! an edge search charges its probes in one step and bisects with selects
-//! ([`device_search`]), and a block kernel may step a warp's threads
-//! together ([`launch::launch_block_kernel`]).
+//! and a block kernel may step a warp's threads together
+//! ([`launch::launch_block_kernel`]).
 //!
 //! The building blocks the paper's program needs are included: Harris-style
 //! sum and min-with-payload reductions ([`reduce`]) and the per-thread
@@ -62,7 +61,6 @@
 pub mod cooperative;
 pub mod cost;
 pub mod device;
-pub mod device_search;
 pub mod device_sort;
 pub mod error;
 pub mod launch;
@@ -72,7 +70,6 @@ pub mod reduce;
 pub use cooperative::{CooperativeBlock, SharedWrites};
 pub use cost::{CostModel, LaunchReport, ThreadCounters};
 pub use device::DeviceSpec;
-pub use device_search::SupportWindow;
 pub use device_sort::device_sort_with_aux;
 pub use error::{Result, SimError};
 pub use launch::{launch_block_kernel, launch_blocks, LaunchConfig};

@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Host↔device copies move in 128-byte bus segments; a copy of `bytes`
-/// therefore costs `ceil(bytes / 128)` simulated memory transactions.
-fn transfer_transactions(bytes: usize) -> u64 {
+/// therefore costs `ceil(bytes / 128)` segments
+/// ([`kcv_obs::Counter::TransferSegments`]).
+fn transfer_segments(bytes: usize) -> u64 {
     bytes.div_ceil(128).max(1) as u64
 }
 
@@ -183,8 +184,8 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             .h2d_bytes
             .fetch_add(self.bytes as u64, Ordering::Relaxed);
         kcv_obs::add(
-            kcv_obs::Counter::MemTransactions,
-            transfer_transactions(self.bytes),
+            kcv_obs::Counter::TransferSegments,
+            transfer_segments(self.bytes),
         );
         Ok(())
     }
@@ -209,10 +210,7 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             .inner
             .h2d_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        kcv_obs::add(
-            kcv_obs::Counter::MemTransactions,
-            transfer_transactions(bytes),
-        );
+        kcv_obs::add(kcv_obs::Counter::TransferSegments, transfer_segments(bytes));
     }
 
     /// `cudaMemcpyDeviceToHost`: copies the buffer into a host slice of the
@@ -230,8 +228,8 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             .d2h_bytes
             .fetch_add(self.bytes as u64, Ordering::Relaxed);
         kcv_obs::add(
-            kcv_obs::Counter::MemTransactions,
-            transfer_transactions(self.bytes),
+            kcv_obs::Counter::TransferSegments,
+            transfer_segments(self.bytes),
         );
         Ok(())
     }

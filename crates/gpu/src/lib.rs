@@ -50,6 +50,7 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
+mod device_search;
 mod driver;
 mod error;
 mod gpu_kernel_type;

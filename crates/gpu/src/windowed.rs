@@ -23,15 +23,58 @@
 //! at the paper's k = 50 an n = 100 000 problem needs ~5.6 MB where the
 //! classic layout would demand ~80 GB. One thread per observation answers
 //! its `k` cells. It reads its two self rows once, then per bandwidth
-//! advances its [`kcv_gpu_sim::SupportWindow`] (each edge search starts at
-//! the edge the previous move predicts; the windows only grow across the
-//! ascending sweep) and reads only the row of an edge that moved. Its
+//! advances its support window (`device_search`: each edge search starts
+//! at the edge the previous move predicts; the windows only grow across
+//! the ascending sweep) and reads only the row of an edge that moved. Its
 //! block folds the squared residuals into a shared partial row in thread
 //! order, and the rows feed the shard driver's standard Harris reductions,
-//! which produce the score profile and the argmin. On the host a block runs
-//! its warps one after another and steps a warp's threads bandwidth by
-//! bandwidth, so independent threads' edge searches overlap; each thread
-//! still charges its own counters.
+//! which produce the score profile and the argmin. On the host a block
+//! steps groups of its threads bandwidth by bandwidth, as a warp's threads
+//! run in lockstep: eight at a time in AVX2 lanes where it can (see
+//! *Lanes*), else warps of the scalar thread, so independent threads' edge
+//! searches overlap. Each thread charges its own counters once, when its
+//! group ends.
+//!
+//! ## Lanes
+//!
+//! On a host with AVX2 (detected once per process, on the launching
+//! thread) the pair-f32 kernel runs eight simulated threads per step, one
+//! per 256-bit lane (the private `lanes` module): the two edge searches
+//! (`device_search`'s lane search: gathered probes, each lane at its own
+//! positions, repeated while any lane still searches), each side's row
+//! gathered and recombined under the mask of the lanes whose edge moved,
+//! and the `N/D` assembly. Every reported bit and count is the scalar
+//! path's:
+//!
+//! * **Per-lane operation order.** Each lane runs the scalar thread's IEEE
+//!   operations on the same operands in the same order, with `mul`, `add`,
+//!   `sub` and `div` only, never a fused multiply-add (nor does Rust
+//!   contract the scalar `a·b + c`). What is the same in every lane —
+//!   `1/h`, `c_j·h^{-j}`, the sign `(−1)^j` — is computed once, in f32, by
+//!   the scalar expressions; a blend only selects whole values.
+//! * **NaN predicates.** The edge predicate compares with `_CMP_LE_OQ`,
+//!   false on NaN as Rust's `<=` is (its negation `_CMP_NLE_UQ` on the
+//!   right edge), and `den > 0` with `_CMP_GT_OQ`, so a NaN `den` (for
+//!   instance at an f32 `1/h = +inf`) excludes its cell on both paths.
+//! * **Thread-order fold.** A lane step stores its eight squared residuals
+//!   (`+0.0` for an excluded cell, which the scalar thread also adds) and
+//!   scalar code folds the live ones into the block's `acc[m]` in thread
+//!   order, so every sum adds the scalar path's terms in its order. Groups
+//!   run one after another, each through every bandwidth, which keeps
+//!   that order for every `acc[m]`.
+//! * **Tallied counters.** Every count a cell charges is a fixed function
+//!   of its probes, whether each edge moved, and whether `den > 0`
+//!   (`Tally`; `ThreadCounters::cycles` reads only the totals). Each
+//!   lane keeps those tallies as integers and charges its thread once,
+//!   when its group ends, by the same `Tally::charge` the scalar thread
+//!   uses; the lane search spends exactly the scalar search's probes.
+//!
+//! A partial group's idle lanes repeat its last thread and are neither
+//! folded nor charged. The scalar thread still runs on hosts without AVX2
+//! and on other architectures, for the f64 kernel (degree ≥ 5: four f64
+//! lanes would need a second lane body, so it keeps the scalar one), and
+//! for tables whose word offsets do not fit the lanes' `i32`s. The tests
+//! compare both paths' every reported bit.
 //!
 //! ## Precision
 //!
@@ -76,6 +119,7 @@
 //! both, and the copies move the same bytes.
 
 use crate::config::GpuConfig;
+use crate::device_search::{charge_probes, SupportWindow};
 use crate::driver::{run_shards, upload, GpuRun, PipelineReport, Residuals, Shard, ShardBody};
 use crate::error::Result;
 use crate::gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
@@ -84,10 +128,12 @@ use kcv_core::kernels::Epanechnikov;
 use kcv_core::sort::{apply_permutation, argsort};
 use kcv_core::util::NeumaierSum;
 use kcv_gpu_sim::{
-    launch_block_kernel, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, SupportWindow,
-    ThreadCounters,
+    launch_block_kernel, DeviceBuffer, LaunchConfig, LaunchReport, MemoryPool, ThreadCounters,
 };
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// The windowed program's report: the same fields as the classic one.
 pub type WindowedReport = PipelineReport;
@@ -228,7 +274,23 @@ trait TableWord:
     fn word(v: f64, slot: usize) -> Self;
     /// `b − a` of one table value stored in [`Self::PER_VALUE`] words.
     fn difference(a: &[Self], b: &[Self]) -> Self;
+    /// The lane form of one block of the kernel (as [`scalar_block`]) over
+    /// `args`, where this precision has one and this host runs it.
+    fn lane_block(args: &WindowedArgs<'_, Self>) -> Option<LaneBlock<Self>>;
 }
+
+/// One block of the windowed kernel in lanes: `(args, first, acc,
+/// counters)` as [`scalar_block`].
+///
+/// # Safety
+/// Only as returned by [`TableWord::lane_block`] for the same tables, with
+/// every position answered indexing `xs`.
+type LaneBlock<W> = for<'a, 'b> unsafe fn(
+    &'b WindowedArgs<'a, W>,
+    usize,
+    &'b mut [f32],
+    &'b mut [ThreadCounters],
+) -> u64;
 
 /// Compensated f32 pairs (kernel degree ≤ 4, period-authentic); the cell
 /// assembly runs in f32.
@@ -262,6 +324,16 @@ impl TableWord for f32 {
     fn difference(a: &[Self], b: &[Self]) -> Self {
         (b[0] - a[0]) + (b[1] - a[1])
     }
+    /// Eight f32 lanes where the host has AVX2 and the tables' offsets fit
+    /// the lanes' `i32`s.
+    fn lane_block(args: &WindowedArgs<'_, Self>) -> Option<LaneBlock<Self>> {
+        #[cfg(target_arch = "x86_64")]
+        if lanes::enabled() && lanes::fits(args) {
+            return Some(lanes::run_block);
+        }
+        let _ = args;
+        None
+    }
 }
 
 /// True f64 tables and assembly (kernel degree 5 and above).
@@ -286,6 +358,10 @@ impl TableWord for f64 {
     }
     fn difference(a: &[Self], b: &[Self]) -> Self {
         b[0] - a[0]
+    }
+    /// None: the f64 kernel runs the scalar thread.
+    fn lane_block(_: &WindowedArgs<'_, Self>) -> Option<LaneBlock<Self>> {
+        None
     }
 }
 
@@ -318,13 +394,55 @@ struct WindowedArgs<'a, W> {
 }
 
 impl<'a, W: TableWord> WindowedArgs<'a, W> {
-    /// Reads the tables' row at position `t`, charging its `4·(deg+1)`
-    /// divergent words: neighbouring threads read rows at different window
-    /// edges.
-    fn row(&self, t: usize, c: &mut ThreadCounters) -> &'a [W] {
-        c.global_read(4 * (self.deg as u64 + 1));
+    /// The tables' row at position `t`.
+    fn row(&self, t: usize) -> &'a [W] {
         let words = row_words::<W>(self.deg);
         &self.rows[t * words..(t + 1) * words]
+    }
+}
+
+/// What a thread's cells charge beyond their fixed per-cell work: every
+/// count a windowed thread charges is a fixed function of these tallies,
+/// the kernel degree and `k`, so a thread keeps them while it runs and
+/// charges its counters once, when it ends ([`Tally::charge`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    /// Edge probes, both sides.
+    probes: u64,
+    /// Window edges that moved, both sides: each read one row and
+    /// recombined one side.
+    moves: u64,
+    /// Cells with `den > 0`, whose residual was computed.
+    included: u64,
+}
+
+impl Tally {
+    /// Charges a thread of a degree-`deg` kernel that answered `k` cells
+    /// with these tallies:
+    ///
+    /// * at its start, the `x_i`/`y_i` reads, the `deg` powers of −xc_i,
+    ///   and its two self rows with their sides;
+    /// * per cell, the bandwidth's constant read, `1/h`, the `7·(deg+1)`
+    ///   flops of the `N/D` assembly and its branch, and the shared
+    ///   partial-row access;
+    /// * per probe, a divergent read, a flop and a branch
+    ///   ([`charge_probes`]);
+    /// * per moved edge, the `4·(deg+1)` divergent words of its row and the
+    ///   flops of [`side`]; per included cell, the residual's 3 flops;
+    /// * and the barrier at its end.
+    fn charge(&self, deg: usize, k: usize, c: &mut ThreadCounters) {
+        let (deg, k) = (deg as u64, k as u64);
+        let row = 4 * (deg + 1);
+        // Differences, then Σ_j 5·(j + 1) recombination flops.
+        let side = 6 * (deg + 1) + 5 * (deg + 1) * (deg + 2) / 2;
+        c.global_read(2 + row * (2 + self.moves));
+        c.flop(deg + side * (2 + self.moves));
+        c.constant_read(k);
+        c.flop(k * (1 + 7 * (deg + 1)) + 3 * self.included);
+        c.branch(k);
+        c.shared_access(k);
+        charge_probes(self.probes, c);
+        c.sync();
     }
 }
 
@@ -342,7 +460,8 @@ impl<'a, W: TableWord> WindowedArgs<'a, W> {
 /// the differences. The thread then assembles `N/D` exactly like every
 /// other strategy and adds the squared residual to its block's shared
 /// partial row. It returns to the caller between bandwidths, so the launch
-/// can step a warp's threads together.
+/// can step a group of threads together, and it tallies what it did
+/// ([`Tally`]) instead of charging counters as it goes.
 ///
 /// `kcv-gpu-sim` has no register-file model, so the words a thread keeps
 /// live are not charged. Besides the per-side sums `S_j`/`SY_j`, a thread
@@ -364,28 +483,25 @@ struct WindowedThread<'a, W> {
     wr: [W; MAX_DEVICE_DEGREE + 1],
     wyr: [W; MAX_DEVICE_DEGREE + 1],
     window: SupportWindow,
-    /// Edge probes spent so far.
-    probes: u64,
+    tally: Tally,
 }
 
 impl<'a, W: TableWord> WindowedThread<'a, W> {
     /// Reads the thread's observation and self rows; both sides start
     /// empty.
-    fn start(si: usize, args: &WindowedArgs<'a, W>, c: &mut ThreadCounters) -> Self {
+    fn start(si: usize, args: &WindowedArgs<'a, W>) -> Self {
         let deg = args.deg;
         debug_assert!(deg <= MAX_DEVICE_DEGREE);
         let xi = args.xs[si];
         let yi = args.ys[si];
-        c.global_read(2);
         let xci = W::centred(xi, args.center);
         let mut npow = [W::ZERO; MAX_DEVICE_DEGREE + 1];
         npow[0] = W::ONE;
         for m in 1..=deg {
             npow[m] = npow[m - 1] * -xci;
         }
-        c.flop(deg as u64);
-        let self_left = args.row(si, c);
-        let self_right = args.row(si + 1, c);
+        let self_left = args.row(si);
+        let self_right = args.row(si + 1);
         let mut thread = Self {
             xi,
             yi,
@@ -397,7 +513,7 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
             wr: [W::ZERO; MAX_DEVICE_DEGREE + 1],
             wyr: [W::ZERO; MAX_DEVICE_DEGREE + 1],
             window: SupportWindow::new(si),
-            probes: 0,
+            tally: Tally::default(),
         };
         side(
             args,
@@ -406,7 +522,6 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
             self_left,
             &mut thread.wl,
             &mut thread.wyl,
-            c,
         );
         side(
             args,
@@ -415,7 +530,6 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
             self_right,
             &mut thread.wr,
             &mut thread.wyr,
-            c,
         );
         thread
     }
@@ -423,15 +537,13 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
     /// The squared residual of the thread's cell at bandwidth `h`, the
     /// next of the ascending grid, accumulated into the block's shared
     /// partial row slot `acc`.
-    fn cell(&mut self, h: f32, args: &WindowedArgs<'a, W>, acc: &mut f32, c: &mut ThreadCounters) {
-        c.constant_read(1);
+    fn cell(&mut self, h: f32, args: &WindowedArgs<'a, W>, acc: &mut f32) {
         let inv_h = 1.0 / h;
-        c.flop(1);
         let (lo_prev, hi_prev) = (self.window.lo, self.window.hi);
-        let [l, r] = self.window.advance(args.xs, self.xi, inv_h, args.radius, c);
-        self.probes += u64::from(l + r);
+        let [l, r] = self.window.advance(args.xs, self.xi, inv_h, args.radius);
+        self.tally.probes += u64::from(l + r);
         if self.window.lo != lo_prev {
-            let edge = args.row(self.window.lo, c);
+            let edge = args.row(self.window.lo);
             side(
                 args,
                 &self.npow,
@@ -439,11 +551,11 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
                 self.self_left,
                 &mut self.wl,
                 &mut self.wyl,
-                c,
             );
+            self.tally.moves += 1;
         }
         if self.window.hi != hi_prev {
-            let edge = args.row(self.window.hi, c);
+            let edge = args.row(self.window.hi);
             side(
                 args,
                 &self.npow,
@@ -451,8 +563,8 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
                 edge,
                 &mut self.wr,
                 &mut self.wyr,
-                c,
             );
+            self.tally.moves += 1;
         }
 
         // d = x_i − x_l on the left, x_l − x_i on the right:
@@ -470,23 +582,20 @@ impl<'a, W: TableWord> WindowedThread<'a, W> {
             sign = -sign;
         }
         let (num, den) = (num.to_f32(), den.to_f32());
-        c.flop(7 * (args.deg as u64 + 1));
-        c.branch(1);
         *acc += if den > 0.0 {
+            self.tally.included += 1;
             let r = self.yi - num / den;
-            c.flop(3);
             r * r
         } else {
             // M(X_i) = 0 at this h: the observation contributes nothing.
             0.0
         };
-        c.shared_access(1);
     }
 }
 
 /// Windowed moments `w`/`wy` of one side `[a, b)` from its two boundary
 /// rows: prefix differencing + binomial recombination with the powers
-/// `npow` of −xc_i. Charges the assembly flops.
+/// `npow` of −xc_i.
 fn side<W: TableWord>(
     args: &WindowedArgs<'_, W>,
     npow: &[W],
@@ -494,7 +603,6 @@ fn side<W: TableWord>(
     b: &[W],
     w: &mut [W],
     wy: &mut [W],
-    c: &mut ThreadCounters,
 ) {
     let (deg, bw, p) = (args.deg, args.deg + 1, W::PER_VALUE);
     let mut dp = [W::ZERO; MAX_DEVICE_DEGREE + 1];
@@ -505,7 +613,6 @@ fn side<W: TableWord>(
         dp[m] = W::difference(&a[pm..pm + p], &b[pm..pm + p]);
         dq[m] = W::difference(&a[qm..qm + p], &b[qm..qm + p]);
     }
-    c.flop(6 * (deg as u64 + 1));
     for j in 0..=deg {
         let row = &args.binom[j * bw..j * bw + j + 1];
         let (mut s, mut sy) = (W::ZERO, W::ZERO);
@@ -516,8 +623,44 @@ fn side<W: TableWord>(
         }
         w[j] = s;
         wy[j] = sy;
-        c.flop(5 * (j as u64 + 1));
     }
+}
+
+/// Threads the scalar path steps together on the host: a warp of the
+/// paper's device. Any grouping gives the same results and counts (each
+/// thread's cells are its own, and each `acc[m]` still folds in thread
+/// order); this one lets independent threads' edge searches overlap.
+const GROUP: usize = 32;
+
+/// Runs the threads of one block on the scalar path — thread `i` of
+/// `counters` answers sorted position `first + i` — folding each
+/// bandwidth's squared residuals into `acc` in thread order and charging
+/// each thread's counters once. Returns the block's edge probes.
+fn scalar_block<W: TableWord>(
+    args: &WindowedArgs<'_, W>,
+    first: usize,
+    acc: &mut [f32],
+    counters: &mut [ThreadCounters],
+) -> u64 {
+    let mut probes = 0;
+    for (g, counters) in counters.chunks_mut(GROUP).enumerate() {
+        // A partial group's idle slots repeat its last thread; they are
+        // neither stepped nor charged.
+        let (first, live) = (first + g * GROUP, counters.len());
+        let mut group: [WindowedThread<'_, W>; GROUP] =
+            std::array::from_fn(|i| WindowedThread::start(first + i.min(live - 1), args));
+        let group = &mut group[..live];
+        for (slot, &h) in acc.iter_mut().zip(args.bandwidths) {
+            for thread in group.iter_mut() {
+                thread.cell(h, args, slot);
+            }
+        }
+        for (thread, c) in group.iter().zip(counters) {
+            thread.tally.charge(args.deg, args.bandwidths.len(), c);
+            probes += thread.tally.probes;
+        }
+    }
+    probes
 }
 
 /// Runs the windowed (O(n)-memory) GPU program on the simulated device:
@@ -660,37 +803,29 @@ impl Windowed {
             .zip(block_probes.iter_mut())
             .collect();
         // Main kernel: one thread per sorted position of the shard, a block
-        // at a time. The block runs its warps one after another, and a warp
-        // steps its threads bandwidth by bandwidth, as they would run in
-        // lockstep; independent threads' edge searches then overlap on the
-        // host. Each bandwidth's residuals still fold into the block's row
-        // in thread order, and each thread charges its own counters.
-        let warp = shard.config.spec.warp_size.max(1);
+        // at a time. A block runs its threads in groups that step together
+        // bandwidth by bandwidth, as a warp's threads run in lockstep: eight
+        // AVX2 lanes where this precision and host have them, else groups
+        // of the scalar thread. Each bandwidth's residuals still fold into
+        // the block's row in thread order, and each thread charges its own
+        // counters when its group ends. The path is chosen here, on the
+        // launching thread.
+        let lane_block = W::lane_block(&args);
         let report = launch_block_kernel(
             &shard.config.spec,
             &shard.config.cost,
             LaunchConfig::new(threads, tpb),
             workspaces,
             |tids, (acc, probes), counters| {
-                for (w, counters) in counters.chunks_mut(warp).enumerate() {
-                    // Thread tid of this device answers sorted position
-                    // lo + tid.
-                    let first = lo + tids.start + w * warp;
-                    let mut lanes: Vec<WindowedThread<'_, W>> = counters
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, c)| WindowedThread::start(first + i, &args, c))
-                        .collect();
-                    for (slot, &h) in acc.iter_mut().zip(args.bandwidths) {
-                        for (lane, c) in lanes.iter_mut().zip(counters.iter_mut()) {
-                            lane.cell(h, &args, slot, c);
-                        }
-                    }
-                    for (lane, c) in lanes.iter().zip(counters.iter_mut()) {
-                        c.sync();
-                        **probes += lane.probes;
-                    }
-                }
+                // Thread tid of this device answers sorted position lo + tid.
+                let first = lo + tids.start;
+                **probes = match lane_block {
+                    // SAFETY: `lane_block` returned the lanes for these
+                    // tables on this host, and every position answered
+                    // indexes `xs`.
+                    Some(block) => unsafe { block(&args, first, acc, counters) },
+                    None => scalar_block(&args, first, acc, counters),
+                };
                 // The block's leader flushes the block's accumulated partial
                 // row to the device partial matrix — k consecutive
                 // bandwidth-major slots per block, a coalesced store.
@@ -728,6 +863,28 @@ pub fn required_device_bytes_windowed(
     let f = std::mem::size_of::<f32>();
     let num_blocks = n.div_ceil(threads_per_block.max(1));
     2 * n * f + 2 * (deg + 1) * (n + 1) * 2 * f + num_blocks * k * f + k * f
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keeps launches from this thread off the lanes.
+    static SCALAR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with this thread's windowed launches on the scalar path (a
+/// launch picks its path on the launching thread).
+#[cfg(test)]
+fn with_scalar<T>(f: impl FnOnce() -> T) -> T {
+    let before = SCALAR.with(|s| s.replace(true));
+    let out = f();
+    SCALAR.with(|s| s.set(before));
+    out
+}
+
+/// Whether this thread's launches stay scalar ([`with_scalar`]).
+#[cfg(all(test, target_arch = "x86_64"))]
+fn scalar_forced() -> bool {
+    SCALAR.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -910,7 +1067,7 @@ mod tests {
                     + 1;
                 moves += u64::from(scan_lo != lo) + u64::from(scan_hi != hi);
                 (lo, hi) = (scan_lo, scan_hi);
-                let [l, r] = window.advance(&xs, xi, inv_h, radius, &mut ThreadCounters::default());
+                let [l, r] = window.advance(&xs, xi, inv_h, radius);
                 assert_eq!((window.lo, window.hi), (lo, hi));
                 probes += u64::from(l + r);
             }
@@ -967,6 +1124,138 @@ mod tests {
         assert!(
             select_bandwidth_gpu_windowed(&[1.0], &[1.0], &grid, &GpuConfig::default()).is_err()
         );
+    }
+
+    /// Every field a windowed run reports, as bits: bandwidth, score,
+    /// profile, simulated seconds and cycles, bytes, and the main-kernel
+    /// and reduction counters.
+    fn run_bits(run: &WindowedRun) -> Vec<u64> {
+        let r = &run.report;
+        let mut bits = vec![run.bandwidth.to_bits(), run.score.to_bits()];
+        for profile in [&run.bandwidths, &run.scores] {
+            bits.extend(profile.iter().map(|v| u64::from(v.to_bits())));
+        }
+        bits.extend(
+            [
+                r.total_simulated_seconds,
+                r.main_kernel.simulated_seconds,
+                r.main_kernel.simulated_cycles,
+                r.reduction_seconds,
+                r.transfer_seconds,
+            ]
+            .map(f64::to_bits),
+        );
+        bits.extend([r.device_bytes_peak as u64, r.h2d_bytes, r.d2h_bytes]);
+        for c in [&r.main_kernel.totals, &r.reduction_totals] {
+            bits.extend([
+                c.flops,
+                c.global_reads,
+                c.global_writes,
+                c.global_coalesced,
+                c.shared_accesses,
+                c.constant_reads,
+                c.branches,
+                c.syncs,
+            ]);
+        }
+        bits
+    }
+
+    /// The samples and grids the lanes are checked on, by name.
+    fn lane_cases() -> Vec<(String, Vec<f64>, Vec<f64>, BandwidthGrid)> {
+        let dgp = |n: usize, seed: u64| {
+            let mut rng = kcv_core::util::SplitMix64::new(seed);
+            let x: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+            let y: Vec<f64> = x
+                .iter()
+                .map(|&v| 0.5 * v + 10.0 * v * v + 0.5 * rng.next_f64())
+                .collect();
+            (x, y)
+        };
+        let mut cases = Vec::new();
+        // device_golden.rs's cases.
+        for n in [120, 600] {
+            for seed in [7, 1013] {
+                let (x, y) = dgp(n, seed);
+                let grid = BandwidthGrid::paper_default(&x, 25).unwrap();
+                cases.push((format!("golden n{n} s{seed}"), x, y, grid));
+            }
+        }
+        let (x, y) = dgp(100, 5);
+        // 100 threads: every block's last lane group holds 4 threads.
+        let paper = BandwidthGrid::paper_default(&x, 20).unwrap();
+        cases.push(("partial".into(), x.clone(), y.clone(), paper));
+        // The smallest bandwidth covers the domain: every edge is pinned
+        // from the first bandwidth on.
+        let covering = BandwidthGrid::linear(1.5, 3.0, 6).unwrap();
+        cases.push(("covering".into(), x.clone(), y.clone(), covering));
+        let geometric = BandwidthGrid::log(1e-3, 0.6, 30).unwrap();
+        cases.push(("geometric".into(), x.clone(), y.clone(), geometric));
+        // 1e-39 is an f32 subnormal, so its f32 1/h is +inf.
+        let overflow = BandwidthGrid::from_values(vec![1e-39, 1e-3, 0.05, 0.4]).unwrap();
+        cases.push(("1/h = +inf".into(), x.clone(), y.clone(), overflow));
+        // Eighths: nine distinct keys, so long runs of duplicates.
+        let lattice: Vec<f64> = x.iter().map(|v| (v * 8.0).round() / 8.0).collect();
+        let grid = BandwidthGrid::linear(0.05, 0.5, 12).unwrap();
+        cases.push(("duplicates".into(), lattice, y, grid));
+        cases
+    }
+
+    #[test]
+    fn lanes_report_the_scalar_bits() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(lanes::enabled(), is_x86_feature_detected!("avx2"));
+        for (name, x, y, grid) in lane_cases() {
+            for kernel in kcv_core::kernels::polynomial_kernels() {
+                let kernel = GpuKernel::from_core(kernel.as_ref());
+                for tpb in [512, 64] {
+                    let config = GpuConfig::default().with_threads_per_block(tpb);
+                    let run =
+                        || select_bandwidth_gpu_windowed_kernel(&x, &y, &grid, &config, &kernel);
+                    let (lanes, scalar) = (run().unwrap(), with_scalar(run).unwrap());
+                    assert_eq!(
+                        run_bits(&lanes),
+                        run_bits(&scalar),
+                        "{name}, {}, {tpb}-thread blocks",
+                        kernel.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// One-core cost of a windowed launch at the `oneshot` shape (paper
+    /// DGP, n = 2·10⁴, the paper-default k = 100, Epanechnikov), scalar
+    /// against lanes: the median (p25–p75) main-kernel host milliseconds of
+    /// 11 alternating calls each. Pin the process to one core (`taskset -c
+    /// 0`) to read per-core cost: `cargo test --offline --release -p kcv-gpu
+    /// --lib lanes_vs_scalar_table -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release"]
+    fn lanes_vs_scalar_table() {
+        let (x, y) = paper_data(20_000, 45);
+        let grid = BandwidthGrid::paper_default(&x, 100).unwrap();
+        let config = GpuConfig::default();
+        let launch_ms = || {
+            let run = select_bandwidth_gpu_windowed(&x, &y, &grid, &config).unwrap();
+            run.report.main_kernel.host_seconds * 1e3
+        };
+        let (mut scalar, mut lanes) = (Vec::new(), Vec::new());
+        for _ in 0..11 {
+            scalar.push(with_scalar(launch_ms));
+            lanes.push(launch_ms());
+        }
+        let quartiles = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            let at = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
+            (at(0.5), at(0.25), at(0.75))
+        };
+        let (s, l) = (quartiles(&mut scalar), quartiles(&mut lanes));
+        println!("| path | launch ms |");
+        println!("|---|---|");
+        println!("| scalar | {:.1} ({:.1}–{:.1}) |", s.0, s.1, s.2);
+        println!("| lanes | {:.1} ({:.1}–{:.1}) |", l.0, l.1, l.2);
+        println!("lanes / scalar: {:.2}", l.0 / s.0);
     }
 
     #[test]

@@ -40,6 +40,16 @@ pub fn cv_objective_parallel<K: Kernel + Clone + Sync>(
     mean_square(residuals, x.len())
 }
 
+/// How many observations have a defined leave-one-out fit at `h` — the
+/// observations the objective's sum includes; 0 where no fit is defined.
+pub(crate) fn included<K: Kernel + Clone>(x: &[f64], y: &[f64], h: f64, kernel: &K) -> usize {
+    NadarayaWatson::new(x, y, kernel.clone(), h).map_or(0, |fit| {
+        (0..x.len())
+            .filter(|&i| fit.loo_predict(i).is_some())
+            .count()
+    })
+}
+
 /// `Σ r² / n` over the defined leave-one-out residuals, summed in
 /// observation order; the penalty when none is defined.
 fn mean_square(residuals: impl IntoIterator<Item = Option<f64>>, n: usize) -> f64 {

@@ -1,7 +1,7 @@
 //! `npregbw` — bandwidth selection by numerical optimisation, R-np style.
 
 use crate::nelder_mead::nelder_mead_1d;
-use crate::objective::{cv_objective, cv_objective_parallel, DEGENERATE_PENALTY};
+use crate::objective::{cv_objective, cv_objective_parallel, included, DEGENERATE_PENALTY};
 use kcv_core::error::{validate_sample, Error, Result};
 use kcv_core::kernels::Epanechnikov;
 use kcv_core::util::min_max;
@@ -56,6 +56,11 @@ pub struct NpRegBw {
     pub options: NpRegBwOptions,
     /// Sample size.
     pub n: usize,
+    /// Observations with a defined leave-one-out fit at `bw`, the ones
+    /// `fval` averages over (it divides by `n`, each excluded observation
+    /// adding 0). Below `n` the optimum drops observations, which is how
+    /// the raw objective can reach its minimum at the bracket floor.
+    pub included: usize,
 }
 
 impl NpRegBw {
@@ -66,7 +71,8 @@ impl NpRegBw {
              Bandwidth Selection Method: Least Squares Cross-Validation\n\
              Formula: y ~ x\n\
              Bandwidth Type: Fixed\n\
-             Objective Function Value: {:.6e} (achieved on multistart {} of {})\n\n\
+             Objective Function Value: {:.6e} (achieved on multistart {} of {})\n\
+             Observations Included: {} / {}\n\n\
              Exp. Var. Name: x  Bandwidth: {:.6}\n\n\
              Continuous Kernel Type: Epanechnikov\n\
              Regression Type: Local-Constant\n\
@@ -78,6 +84,8 @@ impl NpRegBw {
                 .position(|&f| f == self.fval)
                 .map_or(1, |i| i + 1),
             self.restart_fvals.len(),
+            self.included,
+            self.n,
             self.bw,
         )
     }
@@ -137,9 +145,11 @@ pub fn npregbw(x: &[f64], y: &[f64], options: NpRegBwOptions) -> Result<NpRegBw>
     if best.1 >= DEGENERATE_PENALTY {
         return Err(Error::NoValidBandwidth);
     }
+    let bw = restart_bws[best.0];
     Ok(NpRegBw {
-        bw: restart_bws[best.0],
+        bw,
         fval: best.1,
+        included: included(x, y, bw, &Epanechnikov),
         restart_fvals,
         restart_bws,
         evaluations,
@@ -237,6 +247,26 @@ mod tests {
         assert!(s.contains("Epanechnikov"));
         assert!(s.contains("Local-Constant"));
         assert!(s.contains("Bandwidth:"));
+    }
+
+    #[test]
+    fn reports_how_few_observations_an_optimum_at_the_bracket_floor_includes() {
+        // On these samples the raw objective is smallest at the bracket
+        // floor, domain/1000, where most observations have no neighbour in
+        // support and add 0 to the sum instead of their residual.
+        for (seed, want) in [(1, 53), (2, 70), (3, 71)] {
+            let (x, y) = paper_dgp(200, seed);
+            let bws = npregbw(&x, &y, NpRegBwOptions::default()).unwrap();
+            let (lo, hi) = min_max(&x).unwrap();
+            let floor = (hi - lo) / 1000.0;
+            assert!(bws.bw <= floor * (1.0 + 1e-9), "seed {seed}: {}", bws.bw);
+            assert_eq!(bws.included, want, "seed {seed}");
+            let (_, core) = kcv_core::cv::cv_score_single(&x, &y, bws.bw, &Epanechnikov);
+            assert_eq!(bws.included, core, "seed {seed}");
+            assert!(bws
+                .summary()
+                .contains(&format!("Observations Included: {want} / 200")));
+        }
     }
 
     #[test]

@@ -107,8 +107,10 @@ pub enum Counter {
     /// support excluded them — work the naive evaluation would have spent
     /// multiplying by zero.
     LooTermsSkipped = 2,
-    /// Simulated global-memory transactions reported by the GPU cost model
-    /// (uncoalesced reads + writes + coalesced accesses).
+    /// Global-memory words a simulated kernel touched, as the GPU cost
+    /// model counts them: **one per word** read or written uncoalesced, and
+    /// one per coalesced access (`kcv-gpu-sim` launch reports). Host↔device
+    /// copies are not in it; they are [`Counter::TransferSegments`].
     MemTransactions = 3,
     /// Simulated device cycles folded in from `kcv-gpu-sim` launch reports
     /// (rounded to u64).
@@ -188,10 +190,15 @@ pub enum Counter {
     /// was full — the backpressure contract's visible cost (shed load
     /// instead of unbounded buffering).
     ShedRequests = 15,
+    /// Host↔device copy traffic of the simulated GPU: **one per 128-byte
+    /// bus segment** a copy moves (`⌈bytes/128⌉`, at least one per copy),
+    /// for every upload, download and strided upload of a `kcv-gpu-sim`
+    /// device buffer.
+    TransferSegments = 16,
 }
 
 /// Number of counters (array sizing).
-const NUM_COUNTERS: usize = 16;
+const NUM_COUNTERS: usize = 17;
 
 impl Counter {
     /// Every counter, in serialisation order.
@@ -212,6 +219,7 @@ impl Counter {
         Counter::CoalescedArrivals,
         Counter::QueueHighWater,
         Counter::ShedRequests,
+        Counter::TransferSegments,
     ];
 
     /// The snake_case name used in snapshots and JSON.
@@ -233,6 +241,7 @@ impl Counter {
             Counter::CoalescedArrivals => "coalesced_arrivals",
             Counter::QueueHighWater => "queue_high_water",
             Counter::ShedRequests => "shed_requests",
+            Counter::TransferSegments => "transfer_segments",
         }
     }
 }
