@@ -205,14 +205,15 @@ pub(crate) mod lanes {
 
     /// Eight window positions, one per lane, as `i32`.
     #[derive(Clone, Copy)]
-    pub(crate) struct Lanes(pub __m256i);
+    struct Lanes(__m256i);
 
     impl Add for Lanes {
         type Output = Self;
         #[inline(always)]
         fn add(self, other: Self) -> Self {
-            // SAFETY: values of this type exist only where AVX2 does (every
-            // one is built by AVX2 code).
+            // SAFETY: values of this type exist only where AVX2 does: it is
+            // private to this module, which builds it only in AVX2
+            // functions.
             Self(unsafe { _mm256_add_epi32(self.0, other.0) })
         }
     }

@@ -331,6 +331,7 @@ impl TableWord for f32 {
         if lanes::enabled() && lanes::fits(args) {
             return Some(lanes::run_block);
         }
+        #[cfg(not(target_arch = "x86_64"))]
         let _ = args;
         None
     }
