@@ -26,14 +26,17 @@ build:
 test:
 	$(CARGO) test $(FLAGS) --workspace -q
 
-## The core suite and the simulated GPU as they ship, optimised: the
-## prefix sweep's and the windowed kernel's AVX2 lanes are unsafe code, the
-## simulator's bit-identity goldens (crates/gpu/tests/device_golden.rs)
-## must hold for the optimised kernel, the simulator's host heap bound
-## (crates/bench/tests/gpu_host_heap.rs) must hold as it ships, and debug
-## builds do not run what release builds run.
+## The core suite, the service and the simulated GPU as they ship,
+## optimised: the prefix sweep's AVX2 and AVX-512 lanes and the windowed
+## kernel's AVX2 lanes are unsafe code, the service's bit-identity suite
+## (crates/serve/tests/determinism.rs) re-selects through the sweep's
+## lanes, the simulator's bit-identity goldens
+## (crates/gpu/tests/device_golden.rs) must hold for the optimised kernel,
+## the simulator's host heap bound (crates/bench/tests/gpu_host_heap.rs)
+## must hold as it ships, and debug builds do not run what release builds
+## run.
 test-release:
-	$(CARGO) test $(FLAGS) --release -p kcv-core -p kcv-gpu-sim -p kcv-gpu -q
+	$(CARGO) test $(FLAGS) --release -p kcv-core -p kcv-serve -p kcv-gpu-sim -p kcv-gpu -q
 	$(CARGO) test $(FLAGS) --release -p kcv-bench --test gpu_host_heap -q
 
 ## The observability layer changes what compiles; test both feature states.

@@ -5,7 +5,7 @@
 //! peak of a run, so that a regression that quietly materialises an
 //! `O(n)`-sized structure per bag (or keeps every bag's subsample alive at
 //! once) fails on measurement, not on bookkeeping. This module wraps the
-//! system allocator with relaxed atomic live/peak counters; the bench crate
+//! system allocator with relaxed atomic live/peak/call counters; the bench crate
 //! installs it as its `#[global_allocator]`, so every binary and test in
 //! `kcv-bench` is measured.
 //!
@@ -15,6 +15,9 @@
 //!   allocator-internal slack — a lower bound on RSS growth but exactly the
 //!   quantity the footprint formula in
 //!   `kcv_core::select::bagged::bag_footprint_bound_bytes` bounds.
+//! * [`allocations`] counts calls, not bytes: every `alloc`,
+//!   `alloc_zeroed` and `realloc` that succeeded, so a growing `Vec` counts
+//!   once per reallocation.
 //! * The counters are process-global. Peak deltas are only meaningful when
 //!   nothing else allocates concurrently — true in the single-threaded
 //!   `perf_gate`/`scaling` mains (the measured run's rayon workers are the
@@ -27,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// System-allocator wrapper keeping live/peak byte counters.
 pub struct CountingAllocator;
@@ -34,6 +38,7 @@ pub struct CountingAllocator;
 impl CountingAllocator {
     #[inline]
     fn on_alloc(size: usize) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         let live = CURRENT.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -89,6 +94,13 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Heap allocation calls (`alloc`, `alloc_zeroed` and `realloc`) that
+/// succeeded since process start, process-wide. Take the difference of two
+/// reads around a region to count its allocations.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
 /// Resets the high-water mark to the current live count, so the next
 /// [`peak_bytes`] read reports the peak of *subsequent* activity only.
 /// Call immediately before the region to measure; subtract the
@@ -116,6 +128,10 @@ mod tests {
         let during = current_bytes();
         assert!(during >= before + BLOCK / 2, "live {before} -> {during}");
         assert!(peak_bytes() >= during);
+        let calls = allocations();
+        let more: Vec<u8> = Vec::with_capacity(1 << 10);
+        assert!(allocations() > calls, "an allocation was not counted");
+        drop(more);
         drop(block);
         let after = current_bytes();
         assert!(

@@ -483,6 +483,7 @@ mod tests {
             device_bytes_peak: None,
             bagged: None,
             multi: None,
+            select_costs: None,
             obs: Snapshot {
                 counters: counters.iter().map(|&(c, v)| (c.name(), v)).collect(),
                 phases: Vec::new(),

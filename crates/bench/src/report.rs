@@ -17,7 +17,7 @@
 //! and it evaluates its gates on the [`PerfReport`] itself, not on the
 //! text: the JSON is for people and CI artifacts.
 //!
-//! ## Schema (version 12)
+//! ## Schema (version 14)
 //!
 //! * `version`, `metrics_enabled` and `config` (`n`, `k`, `seed`,
 //!   `kernel`).
@@ -26,7 +26,9 @@
 //!   `device_bytes_peak` are `null` on CPU strategies, `bagged`
 //!   ([`BaggedInfo`]) on all but `bagged`, and `multi` ([`MultiInfo`]) on
 //!   all but the two `multi-*` strategies, whose scalar `bandwidth` is
-//!   dimension 1's component. `obs` is that run's counter and phase
+//!   dimension 1's component. `select_costs` ([`SelectCosts`]: the run's
+//!   minor page faults and heap allocations) is `null` on all but
+//!   `prefix`. `obs` is that run's counter and phase
 //!   snapshot. Phase times are `cpu_seconds`: same-name scopes on
 //!   different rayon workers sum, so a parallel phase (the bagged
 //!   `cv.bag`) can exceed the strategy's `wall_seconds`. Compare
@@ -42,7 +44,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 12,
+//!   "version": 14,
 //!   "metrics_enabled": true,
 //!   "config": {"n": 2000, "k": 100, "seed": 42, "kernel": "epanechnikov"},
 //!   "strategies": [
@@ -55,10 +57,17 @@
 //!       "device_bytes_peak": null,
 //!       "bagged": null,
 //!       "multi": null,
+//!       "select_costs": null,
 //!       "obs": {
 //!         "counters": {"kernel_evals": 399800000, "sort_comparisons": 0, ...},
 //!         "phases": {"cv.naive": {"calls": 1, "cpu_seconds": 0.511000000}, ...}
 //!       }
+//!     },
+//!     {
+//!       "name": "prefix",
+//!       ...
+//!       "select_costs": {"minor_faults": 10, "heap_allocations": 31},
+//!       ...
 //!     },
 //!     {
 //!       "name": "bagged",
@@ -122,7 +131,9 @@ use std::time::Instant;
 ///   across cores itself).
 /// - 13: added the `transfer_segments` counter; `mem_transactions` no
 ///   longer counts host↔device copy segments.
-pub const REPORT_VERSION: u32 = 13;
+/// - 14: added `select_costs` (minor page faults and heap allocations of
+///   the run) to the `prefix` strategy.
+pub const REPORT_VERSION: u32 = 14;
 
 /// The strategies a report covers, in emission order.
 pub const STRATEGIES: [&str; 9] = [
@@ -280,6 +291,53 @@ pub struct ServingInfo {
     pub lock_final_bandwidths: Vec<f64>,
 }
 
+/// What one select costs the process besides its cells (schema v14): the
+/// minor page faults and heap allocation calls counted across the run.
+/// Both are process-wide counts, so they hold only what the run did when
+/// nothing else runs (true in the `perf_gate` main). They show what an
+/// earlier run left behind: a select after a call that freed a large heap
+/// faults its pages in again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectCosts {
+    /// Minor page faults (`minflt` of `/proc/self/stat`; 0 where that file
+    /// cannot be read).
+    pub minor_faults: u64,
+    /// Heap allocation calls, from the crate's counting allocator
+    /// ([`crate::alloc_track::allocations`]).
+    pub heap_allocations: u64,
+}
+
+impl SelectCosts {
+    /// The counts now, to difference against a later [`SelectCosts::now`].
+    pub fn now() -> Self {
+        Self {
+            minor_faults: minor_faults(),
+            heap_allocations: crate::alloc_track::allocations(),
+        }
+    }
+
+    /// The counts since `before`.
+    pub fn since(before: Self) -> Self {
+        let now = Self::now();
+        Self {
+            minor_faults: now.minor_faults.saturating_sub(before.minor_faults),
+            heap_allocations: now.heap_allocations.saturating_sub(before.heap_allocations),
+        }
+    }
+}
+
+/// The process's minor page faults so far: field 10 (`minflt`) of
+/// `/proc/self/stat`, or 0 where the file cannot be read or parsed.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name (field 2) is parenthesised and may hold spaces, so
+    // count from the last `)`: state is field 3, minflt field 10.
+    stat.rsplit_once(')')
+        .and_then(|(_, rest)| rest.split_whitespace().nth(7))
+        .and_then(|f| f.parse().ok())
+        .unwrap_or(0)
+}
+
 /// One strategy's measurement: selection outcome, wall time, and the
 /// observability snapshot delta for exactly that run.
 #[derive(Debug, Clone)]
@@ -302,6 +360,9 @@ pub struct StrategyPerf {
     pub bagged: Option<BaggedInfo>,
     /// Multivariate-run dimensions (the `multi-*` strategies only).
     pub multi: Option<MultiInfo>,
+    /// Page faults and heap allocations of the run (the `prefix` strategy
+    /// only).
+    pub select_costs: Option<SelectCosts>,
     /// Counters and phase timers recorded during the run.
     pub obs: Snapshot,
 }
@@ -358,11 +419,17 @@ impl PerfReport {
                     decimals(&m.bandwidths),
                 )
             });
+            let costs = s.select_costs.map_or("null".to_string(), |c| {
+                format!(
+                    "{{\"minor_faults\":{},\"heap_allocations\":{}}}",
+                    c.minor_faults, c.heap_allocations,
+                )
+            });
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"bandwidth\":{:.12},\"score\":{:.12},\
                  \"wall_seconds\":{:.9},\"simulated_seconds\":{sim},\
                  \"device_bytes_peak\":{peak},\"bagged\":{bagged},\
-                 \"multi\":{multi},\"obs\":{}}}",
+                 \"multi\":{multi},\"select_costs\":{costs},\"obs\":{}}}",
                 s.name,
                 s.bandwidth,
                 s.score,
@@ -634,6 +701,7 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
         let scope = recorder.install();
         let mut bagged_info = None;
         let mut multi_info = None;
+        let mut select_costs = None;
         let start = Instant::now();
         let (bandwidth, score, simulated_seconds, device_bytes_peak) = match name {
             "naive" => {
@@ -655,9 +723,11 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
                 (o.bandwidth, o.score, None, None)
             }
             "prefix" => {
+                let before = SelectCosts::now();
                 let p = cv_profile_prefix(&s.x, &s.y, &grid, &Epanechnikov)
                     .map_err(|e| e.to_string())?;
                 let o = p.argmin().map_err(|e| e.to_string())?;
+                select_costs = Some(SelectCosts::since(before));
                 (o.bandwidth, o.score, None, None)
             }
             "gpu-sim" => {
@@ -740,6 +810,7 @@ pub fn collect_report(config: ReportConfig) -> Result<PerfReport, String> {
             device_bytes_peak,
             bagged: bagged_info,
             multi: multi_info,
+            select_costs,
             obs: recorder.snapshot(),
         });
     }
@@ -895,28 +966,30 @@ mod tests {
         );
     }
 
-    /// The v13 layout, byte for byte: every key, its order, each `null`
+    /// The v14 layout, byte for byte: every key, its order, each `null`
     /// form and each number format.
-    const PINNED_V13: &str = "{\"version\":13,\"metrics_enabled\":METRICS,\
+    const PINNED_V14: &str = "{\"version\":14,\"metrics_enabled\":METRICS,\
         \"config\":{\"n\":1000,\"k\":50,\"seed\":7,\"kernel\":\"epanechnikov\"},\
         \"strategies\":[\
         {\"name\":\"prefix\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
         \"wall_seconds\":0.250000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
-        \"bagged\":null,\"multi\":null,\"obs\":{\"counters\":{\"kernel_evals\":0,\
-        \"window_queries\":50000},\"phases\":{\"cv.window\":{\"calls\":1,\
+        \"bagged\":null,\"multi\":null,\
+        \"select_costs\":{\"minor_faults\":12,\"heap_allocations\":40},\
+        \"obs\":{\"counters\":{\"kernel_evals\":0,\"window_queries\":50000},\"phases\":{\"cv.window\":{\"calls\":1,\
         \"cpu_seconds\":0.001500000}}}},\
         {\"name\":\"gpu-windowed\",\"bandwidth\":0.125000000000,\"score\":0.500000000000,\
         \"wall_seconds\":0.500000000,\"simulated_seconds\":0.042100000,\
         \"device_bytes_peak\":58048,\"bagged\":null,\"multi\":null,\
-        \"obs\":{\"counters\":{},\"phases\":{}}},\
+        \"select_costs\":null,\"obs\":{\"counters\":{},\"phases\":{}}},\
         {\"name\":\"bagged\",\"bandwidth\":0.118000000000,\"score\":0.510000000000,\
         \"wall_seconds\":0.030000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
         \"bagged\":{\"bags\":25,\"bag_size\":2000,\"combiner\":\"median\",\"workers\":8,\
-        \"host_bytes_peak\":4300800},\"multi\":null,\"obs\":{\"counters\":{},\"phases\":{}}},\
+        \"host_bytes_peak\":4300800},\"multi\":null,\"select_costs\":null,\
+        \"obs\":{\"counters\":{},\"phases\":{}}},\
         {\"name\":\"multi-fast\",\"bandwidth\":0.104000000000,\"score\":0.490000000000,\
         \"wall_seconds\":0.010000000,\"simulated_seconds\":null,\"device_bytes_peak\":null,\
         \"bagged\":null,\"multi\":{\"dims\":2,\"grid_points\":100,\
-        \"bandwidths\":[0.104000000000,0.088000000000]},\
+        \"bandwidths\":[0.104000000000,0.088000000000]},\"select_costs\":null,\
         \"obs\":{\"counters\":{},\"phases\":{}}}],\
         \"streaming\":{\"arrivals\":2000,\"window\":500,\"cadence\":64,\"inserts\":2000,\
         \"removes\":1500,\"reselects\":32,\"tree_updates\":104000,\"kernel_evals\":0,\
@@ -930,7 +1003,7 @@ mod tests {
         \"lock_final_bandwidths\":[0.054000000000,0.055000000000]}}";
 
     #[test]
-    fn report_json_is_the_pinned_v13_layout() {
+    fn report_json_is_the_pinned_v14_layout() {
         let prefix = StrategyPerf {
             name: "prefix",
             bandwidth: 0.125,
@@ -940,6 +1013,10 @@ mod tests {
             device_bytes_peak: None,
             bagged: None,
             multi: None,
+            select_costs: Some(SelectCosts {
+                minor_faults: 12,
+                heap_allocations: 40,
+            }),
             obs: Snapshot {
                 counters: vec![("kernel_evals", 0), ("window_queries", 50_000)],
                 phases: vec![kcv_obs::PhaseStat {
@@ -950,6 +1027,7 @@ mod tests {
             },
         };
         let quiet = StrategyPerf {
+            select_costs: None,
             obs: Snapshot::default(),
             ..prefix.clone()
         };
@@ -1028,7 +1106,7 @@ mod tests {
                 lock_final_bandwidths: vec![0.054, 0.055],
             }),
         };
-        let pinned = PINNED_V13.replace("METRICS", &kcv_obs::enabled().to_string());
+        let pinned = PINNED_V14.replace("METRICS", &kcv_obs::enabled().to_string());
         assert_eq!(report.to_json(), pinned);
 
         report.streaming = None;
@@ -1076,6 +1154,15 @@ mod tests {
         let prefix = by_name("prefix");
         assert_eq!(prefix.counter("window_queries"), n * k);
         assert_eq!(prefix.counter("kernel_evals"), 0);
+        // Only prefix counts what its select costs besides cells; it
+        // allocates at least its argsort and tables.
+        for s in &report.strategies {
+            let costs = s.select_costs;
+            match s.name {
+                "prefix" => assert!(costs.is_some_and(|c| c.heap_allocations > 0)),
+                _ => assert_eq!(costs, None, "{}", s.name),
+            }
+        }
         // The gpu-sim path reports simulated memory traffic.
         assert!(by_name("gpu-sim").counter("mem_transactions") > 0);
         // The windowed device program answers each (obs, bandwidth) cell

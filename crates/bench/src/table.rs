@@ -36,9 +36,19 @@ pub fn render(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats seconds the way the paper's tables do (two decimals).
+/// Formats seconds to three significant figures, never fewer than the
+/// paper's two decimals: `232.51`, `1.50`, `0.00312`, `0.00`. A time below
+/// a hundredth of a second keeps its leading digits instead of reading
+/// `0.00`.
 pub fn fmt_seconds(s: f64) -> String {
-    format!("{s:.2}")
+    let decimals = if s.is_finite() && s != 0.0 {
+        // The place of the leading digit: 0 for 1.x, −3 for 0.00x.
+        let lead = s.abs().log10().floor() as i32;
+        (2 - lead).max(2) as usize
+    } else {
+        2
+    };
+    format!("{s:.decimals$}")
 }
 
 /// Writes a CSV file under `results/`, creating the directory as needed.
@@ -89,9 +99,13 @@ mod tests {
     }
 
     #[test]
-    fn fmt_seconds_two_decimals() {
+    fn fmt_seconds_three_significant_figures() {
         assert_eq!(fmt_seconds(232.509), "232.51");
         assert_eq!(fmt_seconds(0.0), "0.00");
+        assert_eq!(fmt_seconds(1.5), "1.50");
+        assert_eq!(fmt_seconds(0.05), "0.0500");
+        assert_eq!(fmt_seconds(0.00312), "0.00312");
+        assert_eq!(fmt_seconds(0.000999), "0.000999");
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! * each observation makes two passes over the bandwidths: one steps
 //!   every live cursor a block of keys at a time, one scores every cell.
 //!   An edge pinned at either end of the sample does not step, and its
-//!   side of the cell is hoisted per observation. Where the host has AVX2
-//!   both passes run four bandwidths at a time in lanes, to the same bits
-//!   (`cv::window`, Lanes); the local-linear cell stays scalar.
+//!   side of the cell is hoisted per observation. Both passes run eight
+//!   bandwidths at a time in lanes where the host has AVX-512, and four
+//!   where it has AVX2, to the same bits (`cv::window`, Lanes); the
+//!   local-linear cell stays scalar.
 //!
 //! ```text
 //! O(n log n + n·k·deg²) amortised, plus O(k·log n) cursor seeding
@@ -255,8 +256,9 @@ fn inverses(hs: &[f64]) -> Vec<f64> {
 /// The cell pass of one observation, local-constant form: scores each
 /// cell and adds `(Y_i − ĝ_{-i}(X_i))² M(X_i)` into the block's sums. A
 /// pinned edge's side is the one [`LcCell::prepare`] hoisted. A run of
-/// cells is scored four at a time in lanes where the host has AVX2
-/// ([`LcCell::score_quads`]), and its `k mod 4` tail one at a time.
+/// cells is scored in lanes where the host has them
+/// ([`LcCell::score_lanes`]: the whole run eight at a time on AVX-512, the
+/// leading multiple of four on AVX2), and what they leave one at a time.
 struct LcPass<'s, const W: usize> {
     rows: &'s [Row<W>],
     cell: &'s LcCell<W>,
@@ -303,7 +305,7 @@ impl<const W: usize> CellPass for LcPass<'_, W> {
         // sweeps `t.xs` with `t.rows`), and `PrefixTables::build` asserted
         // n + 1 of them.
         let done = unsafe {
-            self.cell.score_quads::<LO_PINNED, HI_PINNED>(
+            self.cell.score_lanes::<LO_PINNED, HI_PINNED>(
                 self.rows,
                 self.yi,
                 run,
@@ -813,15 +815,18 @@ mod tests {
     /// the cursors were seeded at the first observation or mid-sample and
     /// then stepped forward, and no window ever covers a sentinel. After
     /// every observation the live bounds count the cursors whose left edge
-    /// has left key 0 and whose right edge has not reached key `n`. The
-    /// lane steps and the scalar steps give the same windows and live
-    /// bounds, on grids of every length mod 4 dealt into 1, 2 and 3
-    /// interleaved blocks as a profile deals them, and each sample steps
-    /// at least four cursors at once in each live run: both edges, the left
-    /// edge only and the right edge only.
+    /// has left key 0 and whose right edge has not reached key `n`. Each
+    /// lane path the host has gives the scalar steps' windows and live
+    /// bounds, on grids of every length mod 8 dealt into 1, 2 and 3
+    /// interleaved blocks as a profile deals them, and each sample has live
+    /// runs of at least eight cursors, and of every length mod 8, of each
+    /// kind: both edges, the left edge only and the right edge only.
     #[test]
     fn cursor_windows_match_bisection_oracle() {
-        use crate::cv::window::{support_window, with_scalar, with_sentinels, WindowCursors};
+        use crate::cv::window::{
+            lane_paths, support_window, with_paths, with_sentinels, Path, WindowCursors,
+        };
+        let paths = lane_paths();
         let mut rng = SplitMix64::new(41);
         let random: Vec<f64> = (0..300).map(|_| rng.next_f64()).collect();
         let duplicates: Vec<f64> = (0..300)
@@ -873,10 +878,14 @@ mod tests {
                 2.0 * range,
                 1e3 * range,
             ]);
-            // Widest runs of live cursors seen: both edges, left, right.
+            // Widest runs of live cursors seen, and their lengths mod 8
+            // (bit t set for a run of length t mod 8): both edges, left,
+            // right.
             let mut widest = [0usize; 3];
-            // 48 bandwidths, then one, two and three more.
-            for extra in [&[][..], &[0.03], &[0.03, 0.3], &[0.03, 0.3, 3.0]] {
+            let mut tails = [0u8; 3];
+            // 48 bandwidths, then one to seven more.
+            let more = [0.03, 0.3, 3.0, 0.045, 0.45, 0.0045, 4.5];
+            for extra in (0..8).map(|e| &more[..e]) {
                 let mut hs: Vec<f64> = grid.iter().chain(extra).copied().collect();
                 hs.sort_by(f64::total_cmp);
                 for blocks in 1..=3 {
@@ -899,13 +908,15 @@ mod tests {
                                 }
                                 seen
                             };
-                            let lanes = trace();
+                            let scalar = with_paths(Path::Scalar, Path::Scalar, trace);
                             let at = format!("{name}: k = {}, block {b} of {blocks}", hs.len());
-                            assert!(
-                                lanes == with_scalar(true, false, trace),
-                                "{at}, start {start}: lane and scalar steps differ"
-                            );
-                            for (si, (windows, live)) in (start..n).zip(&lanes) {
+                            for &path in &paths {
+                                assert!(
+                                    with_paths(path, Path::Scalar, trace) == scalar,
+                                    "{at}, start {start}: {path:?} lane and scalar steps differ"
+                                );
+                            }
+                            for (si, (windows, live)) in (start..n).zip(&scalar) {
                                 let at = format!("{at}, start {start}, observation {si}");
                                 assert_eq!(windows.len(), block.len());
                                 for (m, &(lo, hi)) in windows.iter().enumerate() {
@@ -935,8 +946,11 @@ mod tests {
                                     lo_live.saturating_sub(hi_live),
                                     hi_live.saturating_sub(lo_live),
                                 ];
-                                for (w, r) in widest.iter_mut().zip(runs) {
+                                for ((w, t), r) in widest.iter_mut().zip(&mut tails).zip(runs) {
                                     *w = (*w).max(r);
+                                    if r > 0 {
+                                        *t |= 1 << (r % 8);
+                                    }
                                 }
                             }
                         }
@@ -944,8 +958,9 @@ mod tests {
                 }
             }
             assert!(
-                widest.iter().all(|&w| w >= 4),
-                "{name}: widest live runs (both, left, right) {widest:?}"
+                widest.iter().all(|&w| w >= 8) && tails.iter().all(|&t| t == u8::MAX),
+                "{name}: widest live runs (both, left, right) {widest:?}, \
+                 lengths mod 8 seen {tails:02x?}"
             );
         }
     }
@@ -1108,51 +1123,63 @@ mod tests {
     /// The local-constant profile's cost per kernel width on one core,
     /// scalar against lanes (n = 2·10⁴, paper-default k = 100, one block
     /// on the calling thread; median and interquartile range of 15
-    /// alternating runs): the scalar step and cell, the lane cells alone,
-    /// and both passes in lanes. The measurement behind each width's
-    /// choice of cell. A timing table, not a check, so it runs only on
-    /// request: `cargo test --release -p kcv-core --lib lanes_by_kernel_table
-    /// -- --ignored --nocapture`.
+    /// alternating runs): the scalar step and cell, the four-lane cells
+    /// alone, both passes in four lanes, and both in eight. The measurement
+    /// behind each width's choice of cell. A timing table, not a check, so
+    /// it runs only on request: `cargo test --release -p kcv-core --lib
+    /// lanes_by_kernel_table -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing table; run on request in release"]
     fn lanes_by_kernel_table() {
-        use crate::cv::window::with_scalar;
+        use crate::cv::window::{lane_paths, with_paths, Path};
         let reps = 15;
         let (x, y) = paper_dgp(20_000, 45);
         let hs = BandwidthGrid::paper_default(&x, 100)
             .unwrap()
             .values()
             .to_vec();
-        println!("| kernel | W | scalar ms | lane cells ms | both lanes ms | both / scalar |");
-        println!("|---|---|---|---|---|---|");
+        // A path the host lacks runs narrower; its column says so.
+        let host = lane_paths().last().copied().unwrap_or(Path::Scalar);
+        println!("widest lanes on this host: {host:?}");
+        println!(
+            "| kernel | W | scalar ms | 4-lane cells ms | 4 lanes ms | 8 lanes ms | 4 lanes / scalar | 8 / 4 lanes |"
+        );
+        println!("|---|---|---|---|---|---|---|---|");
         for kernel in all_widths() {
-            let time = |(step, cell): (bool, bool)| {
-                with_scalar(step, cell, || {
+            let time = |(step, cell): (Path, Path)| {
+                with_paths(step, cell, || {
                     let start = std::time::Instant::now();
                     std::hint::black_box(profile_in_blocks(&x, &y, &hs, kernel, 1)).unwrap();
                     start.elapsed().as_secs_f64() * 1e3
                 })
             };
-            let paths = [(true, true), (true, false), (false, false)];
-            let mut runs = [vec![], vec![], vec![]];
+            let paths = [
+                (Path::Scalar, Path::Scalar),
+                (Path::Scalar, Path::Avx2),
+                (Path::Avx2, Path::Avx2),
+                (Path::Avx512, Path::Avx512),
+            ];
+            let mut runs = [vec![], vec![], vec![], vec![]];
             for _ in 0..reps {
                 for (path, samples) in paths.into_iter().zip(&mut runs) {
                     samples.push(time(path));
                 }
             }
-            let [scalar, cells, both] = runs.map(|mut v| {
+            let [scalar, cells, four, eight] = runs.map(|mut v| {
                 v.sort_by(f64::total_cmp);
                 (v[reps / 2], v[reps / 4], v[3 * reps / 4])
             });
             let ms = |(m, lo, hi): (f64, f64, f64)| format!("{m:.2} ({lo:.2}–{hi:.2})");
             println!(
-                "| {} | {} | {} | {} | {} | {:.2} |",
+                "| {} | {} | {} | {} | {} | {} | {:.2} | {:.2} |",
                 kernel.name(),
                 kernel.coeffs().len(),
                 ms(scalar),
                 ms(cells),
-                ms(both),
-                both.0 / scalar.0
+                ms(four),
+                ms(eight),
+                four.0 / scalar.0,
+                eight.0 / four.0
             );
         }
     }

@@ -29,7 +29,8 @@
 //!   ([`SentinelKeys`]) fail both predicates, so no block needs a clamp.
 //!   The second scores the cells through a [`CellPass`], in at most three
 //!   runs of bandwidths, one per combination of pinned edges. Both passes
-//!   run four bandwidths at a time where the host has AVX2 (see Lanes).
+//!   run eight bandwidths at a time where the host has AVX-512 and four
+//!   where it has AVX2 (see Lanes).
 //! * [`LcCell`] precombines the local-constant kernel polynomial about
 //!   `x_i` once per observation into per-moment coefficients
 //!   `b[m][j] = c_j·C(j,m)·(−x_i)^{j−m}`, `j ≥ m`. A cell differences the
@@ -109,42 +110,57 @@
 //!
 //! ## Lanes
 //!
-//! Every cell is independent, so on a host with AVX2 (detected once per
-//! process) the sweep runs both passes four bandwidths at a time, in
-//! 256-bit lanes (the private `lanes` module):
+//! Every cell is independent, so the sweep runs both passes several
+//! bandwidths at a time in vector lanes (the private `lanes` module): eight
+//! `f64` lanes of a 512-bit register where the host has AVX-512F, four of
+//! a 256-bit one where it has AVX2, chosen once per process:
 //!
-//! * the cursor pass steps four cursors of a live edge per iteration: a
-//!   gather (`_mm256_i64gather_pd`) per key of the block reads each lane's
-//!   block of four keys at its own cursor, the unchanged predicate is
-//!   counted per lane, and the iteration repeats while any lane counted
-//!   four. A lane that has stopped counts 0 in a repeat, because its
-//!   predicate holds on a prefix of the keys from its cursor, so every
-//!   cursor ends where the scalar step ends it;
-//! * the local-constant cell pass ([`LcCell::score_quads`]) scores four
-//!   cells per iteration: their sides gathered from the rows at the window
-//!   edges and differenced against the self rows, or a pinned run's
-//!   hoisted side broadcast; the trimmed Horners at the four `1/h`, with
+//! * the cursor pass steps a vector of cursors of a live edge per
+//!   iteration: a gather per key of the block reads each lane's block of
+//!   four keys at its own cursor, the unchanged predicate is counted per
+//!   lane, and the iteration repeats while any lane counted four. A lane
+//!   that has stopped counts 0 in a repeat, because its predicate holds on
+//!   a prefix of the keys from its cursor, so every cursor ends where the
+//!   scalar step ends it;
+//! * the local-constant cell pass ([`LcCell::score_lanes`]) scores a vector
+//!   of cells per iteration: their sides gathered from the rows at the
+//!   window edges and differenced against the self rows, or a pinned run's
+//!   hoisted side broadcast; the trimmed Horners at each lane's `1/h`, with
 //!   the same skipped terms; `num` and `den`; and `den > 0` as a lane mask
 //!   on the accumulation.
+//!
+//! Both passes are one width-generic body each, over a private trait of
+//! vector and mask operations with one implementation per instruction set.
 //!
 //! The bits are the scalar code's. Each lane runs the scalar code's IEEE
 //! operations on the same operands in the same order: `mul`, `add`, `sub`
 //! and `div` only, never a fused multiply-add (nor does Rust contract the
 //! scalar `a·b + c`), and `−1/h` as a sign flip. So each lane's `num`,
 //! `den`, residual and square are the scalar cell's, and its comparisons
-//! are the scalar ones (ordered: false on NaN). The accumulation differs
-//! only for an excluded cell, whose lane adds `+0.0` where the scalar cell
-//! adds nothing: `s + 0.0` is `s` for every sum `s` but `−0.0` (a NaN keeps
-//! its payload), and a sum that starts at `+0.0` and adds squares is never
-//! `−0.0`. A lane at `1/h = +inf` is masked out, as the scalar cell
-//! returns NaN there. The module's tests compare the two paths' windows,
-//! live bounds, profile bits and `included` counts.
+//! are the scalar ones (ordered: false on NaN). A lane at `1/h = +inf` is
+//! masked out, as the scalar cell returns NaN there. On AVX-512 an
+//! excluded cell's lane adds nothing: the sum and the count are masked
+//! adds. On AVX2 it adds `+0.0`, where the scalar cell adds nothing; `s +
+//! 0.0` is `s` for every sum `s` but `−0.0` (a NaN keeps its payload), and
+//! a sum that starts at `+0.0` and adds squares is never `−0.0`.
 //!
-//! The scalar code still runs where AVX2 is absent and on other
-//! architectures (the whole sweep, as before the lanes), for the `k mod 4`
-//! tail of every run, for the seeding bisections, and for the local-linear
-//! cell (the local-linear sweep steps its cursors in lanes). The lanes win
-//! at every kernel width (EXPERIMENTS.md LANES), so no width opts out.
+//! **Tails.** A run of `len` bandwidths is `⌊len/8⌋` full vectors on
+//! AVX-512 and then, if `len mod 8 > 0`, one vector under a mask of its
+//! first `len mod 8` lanes. A dead lane of that mask loads, gathers and
+//! stores nothing (so nothing past a run is read or written), loads
+//! `1/h = 0`, and counts nothing: the mask gates the step's count as well
+//! as the cell's, because at `1/h = 0` the right-edge predicate
+//! `(v − x_i)·0 ≤ r` holds and an ungated dead lane would count four keys
+//! forever. AVX2 runs the full vectors of four only, and the scalar code
+//! scores a run's `len mod 4` tail.
+//!
+//! The scalar code runs where neither instruction set is present and on
+//! other architectures (the whole sweep), for the AVX2 tails, for the
+//! seeding bisections, and for the local-linear cell (the local-linear
+//! sweep steps its cursors in lanes). The module's tests compare every
+//! lane path the host has against the scalar path: windows, live bounds,
+//! profile bits and `included` counts. The lanes win at every kernel width
+//! (EXPERIMENTS.md LANES), so no width opts out.
 //!
 //! The gathers do no bounds check. Their reads stay in bounds because
 //! every swept key array ends in four `+inf` keys (only
@@ -374,8 +390,8 @@ fn block_step(keys: &[f64], mut at: usize, holds: impl Fn(f64) -> bool) -> usize
 }
 
 /// Steps every cursor of one edge, `edges[m]` that of inverse bandwidth
-/// `inv_hs[m]`, past the keys on which its predicate holds: four cursors
-/// at a time in lanes where the host has AVX2, the rest one at a time.
+/// `inv_hs[m]`, past the keys on which its predicate holds: in lanes where
+/// the host has them (see Lanes), the rest one at a time.
 #[inline(always)]
 fn step_edges<const RIGHT: bool>(
     keys: &SentinelKeys,
@@ -384,17 +400,15 @@ fn step_edges<const RIGHT: bool>(
     xi: f64,
     radius: f64,
 ) {
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-    let mut done = 0;
+    // SAFETY: every cursor is at most `keys.n()`: it was seeded by
+    // bisection over these keys (`sweep` reseeds when the key count
+    // changes) and has stepped only past keys on which its predicate
+    // holds. `WindowCursors::new` checked that both predicates fail at the
+    // `+inf` sentinels for every `inv_h`.
     #[cfg(target_arch = "x86_64")]
-    if lanes::enabled(lanes::Pass::Step) {
-        // SAFETY: AVX2 is present. Every cursor is at most `keys.n()`: it
-        // was seeded by bisection over these keys (`sweep` reseeds when the
-        // key count changes) and has stepped only past keys on which its
-        // predicate holds. `WindowCursors::new` checked that both
-        // predicates fail at the `+inf` sentinels for every `inv_h`.
-        done = unsafe { lanes::step_edges::<RIGHT>(keys, edges, inv_hs, xi, radius) };
-    }
+    let done = unsafe { lanes::step_edges::<RIGHT>(keys, edges, inv_hs, xi, radius) };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
     for (at, &inv_h) in edges[done..].iter_mut().zip(&inv_hs[done..]) {
         *at = block_step(&keys.0, *at, |v| holds::<RIGHT>(xi, v, inv_h, radius));
     }
@@ -475,31 +489,64 @@ impl<F: FnMut(usize, f64, usize, usize)> CellPass for F {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Keeps this thread's cursor steps (`.0`) and cells (`.1`) off the
-    /// lanes.
-    static SCALAR: std::cell::Cell<(bool, bool)> = const { std::cell::Cell::new((false, false)) };
+/// The lanes a sweep pass runs in, narrowest first: the scalar code, four
+/// `f64` lanes of AVX2, or eight of AVX-512 (see Lanes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(any(test, target_arch = "x86_64")), allow(dead_code))]
+pub(crate) enum Path {
+    Scalar,
+    Avx2,
+    Avx512,
 }
 
-/// Runs `f` with this thread's cursor steps (`step`) and local-constant
-/// cells (`cell`) on the scalar path, where set.
 #[cfg(test)]
-pub(crate) fn with_scalar<T>(step: bool, cell: bool, f: impl FnOnce() -> T) -> T {
-    let before = SCALAR.with(|s| s.replace((step, cell)));
+thread_local! {
+    /// The widest lanes this thread's cursor steps (`.0`) and
+    /// local-constant cells (`.1`) may run in.
+    static WIDEST: std::cell::Cell<(Path, Path)> =
+        const { std::cell::Cell::new((Path::Avx512, Path::Avx512)) };
+}
+
+/// Runs `f` with this thread's cursor steps in at most the `step` lanes
+/// and its local-constant cells in at most the `cell` lanes (the host's
+/// widest where they are narrower).
+#[cfg(test)]
+pub(crate) fn with_paths<T>(step: Path, cell: Path, f: impl FnOnce() -> T) -> T {
+    let before = WIDEST.with(|w| w.replace((step, cell)));
     let out = f();
-    SCALAR.with(|s| s.set(before));
+    WIDEST.with(|w| w.set(before));
     out
 }
 
-/// Whether this thread keeps `pass` scalar: by [`with_scalar`], and the
-/// cells also under the full (untrimmed) reference cell.
+/// The lane paths this host runs, narrowest first, each of which a test
+/// compares against the scalar path. Prints each one the host lacks, so a
+/// skipped comparison does not pass silently.
+#[cfg(test)]
+pub(crate) fn lane_paths() -> Vec<Path> {
+    #[cfg(target_arch = "x86_64")]
+    let host = lanes::host();
+    #[cfg(not(target_arch = "x86_64"))]
+    let host = Path::Scalar;
+    let (ran, skipped): (Vec<Path>, Vec<Path>) = [Path::Avx2, Path::Avx512]
+        .into_iter()
+        .partition(|&p| p <= host);
+    for path in skipped {
+        println!(
+            "{path:?} lanes absent on this host: their comparison with the scalar path skipped"
+        );
+    }
+    ran
+}
+
+/// The widest lanes this thread lets `pass` run in: by [`with_paths`],
+/// and the cells scalar under the full (untrimmed) reference cell.
 #[cfg(all(test, target_arch = "x86_64"))]
-fn scalar_forced(pass: lanes::Pass) -> bool {
-    let (step, cell) = SCALAR.with(std::cell::Cell::get);
+fn widest(pass: lanes::Pass) -> Path {
+    let (step, cell) = WIDEST.with(std::cell::Cell::get);
     match pass {
         lanes::Pass::Step => step,
-        lanes::Pass::Cell => cell || tests::REFERENCE_CELL.with(std::cell::Cell::get),
+        lanes::Pass::Cell if tests::REFERENCE_CELL.with(std::cell::Cell::get) => Path::Scalar,
+        lanes::Pass::Cell => cell,
     }
 }
 
@@ -803,19 +850,19 @@ impl<const W: usize> LcCell<W> {
         (num, den)
     }
 
-    /// Scores the leading quads of `run` in lanes (see the module docs):
+    /// Scores the leading cells of `run` in lanes (see the module docs):
     /// for each cell, the sides from the rows `rows[lo]` and `rows[hi]` or
     /// the hoisted ones, [`score`](Self::score), and, where `den > 0`, the
     /// squared residual `(y_i − num/den)²` added into `sq_sums[j]` and one
     /// into `included[j]`, `j` the cell's place in the run. Returns the
-    /// number of leading cells scored: a multiple of four, and 0 where the
-    /// host has no AVX2.
+    /// number of leading cells scored: the whole run on AVX-512, a multiple
+    /// of four on AVX2, and none on a host without lanes.
     ///
     /// # Safety
     /// Every window edge of `run` indexes `rows`.
     #[inline(always)]
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-    pub(crate) unsafe fn score_quads<const LO_PINNED: bool, const HI_PINNED: bool>(
+    pub(crate) unsafe fn score_lanes<const LO_PINNED: bool, const HI_PINNED: bool>(
         &self,
         rows: &[Row<W>],
         yi: f64,
@@ -823,16 +870,12 @@ impl<const W: usize> LcCell<W> {
         sq_sums: &mut [f64],
         included: &mut [usize],
     ) -> usize {
+        // SAFETY: the caller vouches for the window edges.
         #[cfg(target_arch = "x86_64")]
-        if lanes::enabled(lanes::Pass::Cell) {
-            // SAFETY: AVX2 is present, and the caller vouches for the
-            // window edges.
-            return unsafe {
-                lanes::score_quads::<W, LO_PINNED, HI_PINNED>(
-                    self, rows, yi, run, sq_sums, included,
-                )
-            };
-        }
+        return unsafe {
+            lanes::score_cells::<W, LO_PINNED, HI_PINNED>(self, rows, yi, run, sq_sums, included)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
         0
     }
 }
@@ -923,9 +966,11 @@ mod tests {
     /// both `den`s NaN. A window from key 0 or to key `n` is also scored
     /// from the hoisted side of that edge, which must give the
     /// row-differenced cell's `num` and `den`. Every window is also scored
-    /// in lanes, four cells at a time at every inverse bandwidth in every
-    /// lane, and must accumulate what the scalar cell adds: `(y_i −
-    /// num/den)²` and one where `den > 0`, nothing elsewhere.
+    /// in each lane path the host has, at every inverse bandwidth in every
+    /// lane of eight, in a run that ends in a partial vector of each length
+    /// 0–7 across the windows, and must accumulate what the scalar cell
+    /// adds: `(y_i − num/den)²` and one where `den > 0`, nothing elsewhere,
+    /// and nothing past the run.
     fn cells_agree<const W: usize>(
         coeffs: &[f64],
         xs: &[f64],
@@ -937,13 +982,11 @@ mod tests {
         let xc: Vec<f64> = xs.iter().map(|&v| v - center).collect();
         let rows = moment_rows::<W>(xc.iter().copied().zip(ys.iter().copied()));
         let mut cell = LcCell::<W>::new(coeffs);
-        // Each inverse bandwidth once in each lane.
-        let lane_inv_hs: Vec<f64> = inv_hs
-            .iter()
-            .cycle()
-            .take(4 * inv_hs.len())
-            .copied()
-            .collect();
+        // Each inverse bandwidth once in each lane of eight (and so of
+        // four): vector v holds bandwidths v, v + 1, … (mod k).
+        let k = inv_hs.len();
+        let lane_inv_hs: Vec<f64> = (0..8 * k).map(|j| inv_hs[(j / 8 + j % 8) % k]).collect();
+        let paths = lane_paths();
         for si in 0..n {
             cell.prepare(xc[si], &rows[si], &rows[si + 1], &rows[n]);
             for lo in 0..=si {
@@ -970,17 +1013,28 @@ mod tests {
                             return Err(format!("hoisted side differs: {ctx}"));
                         }
                     }
-                    let scalar = lane_inv_hs.iter().map(|&inv_h| {
-                        let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
-                        let resid = ys[si] - num / den;
-                        match den > 0.0 {
-                            true => ((0.0 + resid * resid).to_bits(), 1),
-                            false => (0.0f64.to_bits(), 0),
+                    // A run of 8k − t cells, t = 0..7 as the window moves.
+                    let run = &lane_inv_hs[..8 * k - (lo + 3 * hi) % 8];
+                    let scalar: Vec<(u64, usize)> = run
+                        .iter()
+                        .map(|&inv_h| {
+                            let (num, den) = cell.eval(inv_h, &rows[lo], &rows[hi]);
+                            let resid = ys[si] - num / den;
+                            match den > 0.0 {
+                                true => ((0.0 + resid * resid).to_bits(), 1),
+                                false => (0.0f64.to_bits(), 0),
+                            }
+                        })
+                        .collect();
+                    for &path in &paths {
+                        let (done, lanes) =
+                            accumulate_in_lanes(path, &cell, &rows, ys[si], run, lo, hi)?;
+                        if lanes[..] != scalar[..done] {
+                            return Err(format!(
+                                "W={W} si={si} [{lo},{hi}), {} cells: {path:?} lanes differ",
+                                run.len()
+                            ));
                         }
-                    });
-                    let lanes = accumulate_in_lanes(&cell, &rows, ys[si], &lane_inv_hs, lo, hi);
-                    if lanes.is_some_and(|lanes| !lanes.into_iter().eq(scalar)) {
-                        return Err(format!("W={W} si={si} [{lo},{hi}): lanes differ"));
                     }
                 }
             }
@@ -988,18 +1042,21 @@ mod tests {
         Ok(())
     }
 
-    /// The sums and counts [`LcCell::score_quads`] accumulates from zero
-    /// for cells of the window `[lo, hi)` at `inv_hs` (a multiple of four
-    /// of them), pinned where the window starts at key 0 or ends at key
-    /// `n`; `None` where the host runs no lanes.
+    /// The sums and counts [`LcCell::score_lanes`] accumulates from zero
+    /// in the `path` lanes for cells of the window `[lo, hi)` at `inv_hs`,
+    /// pinned where the window starts at key 0 or ends at key `n`: the
+    /// number of leading cells the lanes scored (the whole run on AVX-512,
+    /// a multiple of four on AVX2) and their results. An error if the
+    /// lanes wrote past the run.
     fn accumulate_in_lanes<const W: usize>(
+        path: Path,
         cell: &LcCell<W>,
         rows: &[Row<W>],
         yi: f64,
         inv_hs: &[f64],
         lo: usize,
         hi: usize,
-    ) -> Option<Vec<(u64, usize)>> {
+    ) -> std::result::Result<(usize, Vec<(u64, usize)>), String> {
         let k = inv_hs.len();
         let (los, his) = (vec![lo; k], vec![hi; k]);
         let run = CellRun {
@@ -1008,20 +1065,34 @@ mod tests {
             lo: &los,
             hi: &his,
         };
-        let (mut sq, mut inc) = (vec![0.0; k], vec![0; k]);
+        // Guards past the run, which no lane may write.
+        const GUARD: usize = 8;
+        let (mut sq, mut inc) = (vec![0.0; k + GUARD], vec![0; k + GUARD]);
+        sq[k..].fill(7.0);
+        inc[k..].fill(7);
+        let (sums, counts) = (&mut sq[..k], &mut inc[..k]);
         let n = rows.len() - 1;
         // SAFETY: lo ≤ hi ≤ n index the n + 1 rows.
-        let done = unsafe {
+        let done = with_paths(Path::Scalar, path, || unsafe {
             match (lo == 0, hi == n) {
-                (false, false) => {
-                    cell.score_quads::<false, false>(rows, yi, run, &mut sq, &mut inc)
-                }
-                (true, false) => cell.score_quads::<true, false>(rows, yi, run, &mut sq, &mut inc),
-                (false, true) => cell.score_quads::<false, true>(rows, yi, run, &mut sq, &mut inc),
-                (true, true) => cell.score_quads::<true, true>(rows, yi, run, &mut sq, &mut inc),
+                (false, false) => cell.score_lanes::<false, false>(rows, yi, run, sums, counts),
+                (true, false) => cell.score_lanes::<true, false>(rows, yi, run, sums, counts),
+                (false, true) => cell.score_lanes::<false, true>(rows, yi, run, sums, counts),
+                (true, true) => cell.score_lanes::<true, true>(rows, yi, run, sums, counts),
             }
-        };
-        (done == k).then(|| sq.iter().map(|s| s.to_bits()).zip(inc).collect())
+        });
+        if sq[k..].iter().any(|&s| s != 7.0) || inc[k..].iter().any(|&c| c != 7) {
+            return Err(format!("{path:?} lanes wrote past a run of {k} cells"));
+        }
+        let expect = if path == Path::Avx512 { k } else { k / 4 * 4 };
+        if done != expect {
+            return Err(format!("{path:?} lanes scored {done} of {k} cells"));
+        }
+        let lanes = sq[..done]
+            .iter()
+            .map(|s| s.to_bits())
+            .zip(inc[..done].iter().copied());
+        Ok((done, lanes.collect()))
     }
 
     fn bits(p: &CvProfile) -> (Vec<u64>, Vec<usize>) {
@@ -1045,19 +1116,25 @@ mod tests {
         if bits(&prefix()) != bits(&with_full_cell(prefix)) {
             return Err(format!("{name}: prefix profile differs"));
         }
-        // Lanes against the scalar step and cell, on grids of every length
-        // mod 4, each dealt into 1, 2 and 3 interleaved blocks as a profile
-        // deals them (a block is the one-block profile of its bandwidths).
-        for k in 12..16 {
+        // Each lane path against the scalar step and cell, on grids of
+        // every length mod 8, each dealt into 1, 2 and 3 interleaved blocks
+        // as a profile deals them (a block is the one-block profile of its
+        // bandwidths).
+        let paths = lane_paths();
+        for k in 16..24 {
             let grid = widened(hs, k);
             for blocks in 1..=3 {
                 for b in 0..blocks {
                     let block: Vec<f64> = grid.iter().copied().skip(b).step_by(blocks).collect();
                     let profile = || profile_in_blocks(x, y, &block, kernel, 1).unwrap();
-                    if bits(&profile()) != bits(&with_scalar(true, true, profile)) {
-                        return Err(format!(
-                            "{name}: lanes differ from scalar, k = {k}, block {b} of {blocks}"
-                        ));
+                    let scalar = bits(&with_paths(Path::Scalar, Path::Scalar, profile));
+                    for &path in &paths {
+                        if bits(&with_paths(path, path, profile)) != scalar {
+                            return Err(format!(
+                                "{name}: {path:?} lanes differ from scalar, k = {k}, \
+                                 block {b} of {blocks}"
+                            ));
+                        }
                     }
                 }
             }
@@ -1183,8 +1260,8 @@ mod tests {
         /// The trimmed cell returns the full cell's `num` and `den` (equal,
         /// the same bits when nonzero) on every window, the prefix profile
         /// and the window's re-selection are `to_bits`-equal under either
-        /// cell, and the lanes give the scalar path's profile bits and
-        /// `included` counts, for all six kernels.
+        /// cell, and every lane path the host has gives the scalar path's
+        /// profile bits and `included` counts, for all six kernels.
         #[test]
         fn trimmed_cell_is_exact(kind in 0usize..5, n in 2usize..24, seed in 0u64..1_000_000) {
             let (x, y, hs) = layout(kind, n, seed);
