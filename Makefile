@@ -5,7 +5,7 @@
 CARGO ?= cargo
 FLAGS ?= --offline
 
-.PHONY: verify fmt build test test-release test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve loc clean
+.PHONY: verify fmt build test test-release test-metrics doc clippy perf-gate examples perfbench-smoke scaling streaming serve memory-limit loc clean
 
 ## The full PR gate: formatting, build, tests with metrics off AND on,
 ## the core suite in release, docs, lints, the counter-based performance
@@ -122,6 +122,14 @@ streaming:
 ## (CI uploads it). Takes ~45 s in release.
 serve:
 	$(CARGO) run $(FLAGS) --release -p kcv-bench --features metrics --bin serve
+
+## The paper's resource ceilings (EXPERIMENTS.md MEMLIM): the classic
+## program's allocation set fits at n = 23 000 and not at 24 000, the
+## constant cache holds 2 048 bandwidths and rejects 2 049, and the windowed
+## program runs every size up to 30 000 and agrees with the f64 CPU
+## reference. The binary exits non-zero unless all three hold.
+memory-limit:
+	$(CARGO) run $(FLAGS) --release -p kcv-bench --bin memory_limit -- --max-windowed-n 30000
 
 clean:
 	$(CARGO) clean

@@ -125,6 +125,10 @@ pub struct ProgramResult {
     /// Objective evaluations (numerical programs) or grid size (grid
     /// searches).
     pub evaluations: usize,
+    /// Observations with a defined leave-one-out fit at the selected
+    /// bandwidth, the ones its score averages over (numerical programs
+    /// only; see `NpRegBw::included`).
+    pub included: Option<usize>,
 }
 
 /// Runs `program` once on `(x, y)` with a `k`-point paper-default grid
@@ -151,6 +155,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: None,
                 evaluations: bw.evaluations,
+                included: Some(bw.included),
             })
         }
         Program::SequentialC | Program::PrefixC => {
@@ -167,6 +172,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: None,
                 evaluations: k,
+                included: None,
             })
         }
         Program::CudaGpu => {
@@ -179,6 +185,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: Some(run.report.total_simulated_seconds),
                 evaluations: k,
+                included: None,
             })
         }
         Program::WindowedGpu => {
@@ -191,6 +198,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: Some(run.report.total_simulated_seconds),
                 evaluations: k,
+                included: None,
             })
         }
         Program::Bagged => {
@@ -209,6 +217,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: None,
                 evaluations: sel.evaluations,
+                included: None,
             })
         }
         Program::MultiFast => {
@@ -226,6 +235,7 @@ pub fn run_program(
                 wall_seconds: start.elapsed().as_secs_f64(),
                 simulated_seconds: None,
                 evaluations: side * side,
+                included: None,
             })
         }
     }

@@ -45,6 +45,9 @@ pub struct SweepRow {
     pub simulated_seconds: Option<f64>,
     /// Selected bandwidth.
     pub bandwidth: f64,
+    /// Observations with a defined leave-one-out fit at the selected
+    /// bandwidth (numerical programs only).
+    pub included: Option<usize>,
 }
 
 /// Runs the Figure-1/Table-I sweep: all programs (the paper's four plus
@@ -65,6 +68,7 @@ pub fn figure1_sweep(max_n: usize, k: usize, reps: usize, nmulti: usize) -> Vec<
                     wall_seconds: r.wall_seconds,
                     simulated_seconds: r.simulated_seconds,
                     bandwidth: r.bandwidth,
+                    included: r.included,
                 }),
                 Err(e) => eprintln!("  {} at n={n}: {e}", program.label()),
             }
@@ -74,9 +78,10 @@ pub fn figure1_sweep(max_n: usize, k: usize, reps: usize, nmulti: usize) -> Vec<
 }
 
 /// Table I's columns: the CSV header and the display header of each.
-const TABLE1_COLUMNS: [(&str, &str); 9] = [
+const TABLE1_COLUMNS: [(&str, &str); 10] = [
     ("n", "n"),
     ("racine_hayfield", "Racine & Hayfield"),
+    ("racine_hayfield_included", "R&H included / n"),
     ("multicore_r", "Multicore R"),
     ("sequential_c", "Sequential C"),
     ("prefix_c", "Prefix C"),
@@ -87,9 +92,10 @@ const TABLE1_COLUMNS: [(&str, &str); 9] = [
 ];
 
 /// Builds Table I from a Figure-1 sweep: one row per measured `n` with
-/// each program's median wall seconds and the GPU program's simulated
-/// seconds. Writes the rows as CSV to `csv_path` and returns the measured
-/// table followed by the paper's, rendered in the same columns.
+/// each program's median wall seconds, the share of observations Program
+/// 1's optimum includes and the GPU program's simulated seconds. Writes
+/// the rows as CSV to `csv_path` and returns the measured table followed by
+/// the paper's, rendered in the same columns.
 pub fn table1(rows: &[SweepRow], csv_path: &Path) -> io::Result<String> {
     let measured = table1_rows(rows);
     write_csv(csv_path, &TABLE1_COLUMNS.map(|(csv, _)| csv), &measured)?;
@@ -97,10 +103,12 @@ pub fn table1(rows: &[SweepRow], csv_path: &Path) -> io::Result<String> {
     let nan = f64::NAN;
     let paper: Vec<Vec<f64>> = PAPER_TABLE1
         .iter()
-        .map(|&(n, a, b, c, d)| vec![n as f64, a, b, c, nan, d, nan, nan, nan])
+        .map(|&(n, a, b, c, d)| vec![n as f64, a, nan, b, c, nan, d, nan, nan, nan])
         .collect();
     Ok(format!(
-        "TABLE I (measured) — RUN TIMES BY PROGRAM AND SAMPLE SIZE (seconds)\n\n{}\n\
+        "TABLE I (measured) — RUN TIMES BY PROGRAM AND SAMPLE SIZE (seconds; \
+         `R&H included / n` is the share of observations Program 1's optimum \
+         includes)\n\n{}\n\
          TABLE I (paper, for comparison)\n\n{}",
         render_table1(&measured),
         render_table1(&paper)
@@ -119,9 +127,11 @@ fn table1_rows(rows: &[SweepRow]) -> Vec<Vec<f64>> {
             let get = |p| rows.iter().find(|r| r.n == n && r.program == p);
             let wall = |p| get(p).map_or(f64::NAN, |r| r.wall_seconds);
             let sim = get(Program::CudaGpu).and_then(|r| r.simulated_seconds);
+            let included = get(Program::RacineHayfield).and_then(|r| r.included);
             vec![
                 n as f64,
                 wall(Program::RacineHayfield),
+                included.map_or(f64::NAN, |c| c as f64 / n as f64),
                 wall(Program::MulticoreR),
                 wall(Program::SequentialC),
                 wall(Program::PrefixC),
@@ -332,6 +342,16 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert!(table.iter().all(|r| r.len() == TABLE1_COLUMNS.len()));
         assert!(table.iter().flatten().all(|v| !v.is_nan()));
+        // Program 1's included share is its own count over n.
+        for row in &table {
+            let r = rows
+                .iter()
+                .find(|r| r.n as f64 == row[0] && r.program == Program::RacineHayfield)
+                .unwrap();
+            assert_eq!(row[2], r.included.unwrap() as f64 / row[0]);
+            assert!(row[2] > 0.0 && row[2] <= 1.0);
+        }
+        assert!(render_table1(&table).contains("R&H included / n"));
         // Eight wall series and the two GPU programs' simulated series.
         let series = figure1_series(&rows);
         assert_eq!(series.len(), 10);

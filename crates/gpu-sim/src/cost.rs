@@ -336,8 +336,12 @@ mod tests {
         // 60 blocks of one warp each, uniform cost.
         let cycles = vec![1.0; 60 * 32];
         let tesla = aggregate_cycles(&cycles, 32, &DeviceSpec::tesla_s10());
-        let modern = aggregate_cycles(&cycles, 32, &DeviceSpec::modern());
-        assert!(modern < tesla, "modern {modern} vs tesla {tesla}");
+        let more_sms = DeviceSpec {
+            num_sms: 60,
+            ..DeviceSpec::tesla_s10()
+        };
+        let wider = aggregate_cycles(&cycles, 32, &more_sms);
+        assert!(wider < tesla, "60 SMs {wider} vs 30 SMs {tesla}");
     }
 
     #[test]

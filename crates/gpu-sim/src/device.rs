@@ -58,25 +58,6 @@ impl DeviceSpec {
         }
     }
 
-    /// A modern-GPU preset (for the "later versions of this study" scaling
-    /// discussion): more memory, larger blocks, more cores.
-    pub fn modern() -> Self {
-        Self {
-            name: "Modern GPU (simulated)",
-            global_mem_bytes: 24 * 1024 * 1024 * 1024,
-            constant_cache_bytes: 64 * 1024,
-            max_threads_per_block: 1024,
-            cores_per_sm: 128,
-            num_sms: 80,
-            warp_size: 32,
-            max_resident_threads_per_sm: 2048,
-            max_resident_blocks_per_sm: 32,
-            latency_hiding_warps: 48,
-            clock_hz: 1.7e9,
-            transfer_bytes_per_sec: 25.0e9,
-        }
-    }
-
     /// Total streaming cores (`cores_per_sm × num_sms`).
     pub fn total_cores(&self) -> usize {
         self.cores_per_sm * self.num_sms
@@ -141,14 +122,5 @@ mod tests {
         d.latency_hiding_warps = 0;
         assert_eq!(d.occupancy_efficiency(1), 1.0);
         assert_eq!(d.occupancy_efficiency(512), 1.0);
-    }
-
-    #[test]
-    fn modern_is_strictly_bigger() {
-        let t = DeviceSpec::tesla_s10();
-        let m = DeviceSpec::modern();
-        assert!(m.global_mem_bytes > t.global_mem_bytes);
-        assert!(m.total_cores() > t.total_cores());
-        assert!(m.max_constant_f32() > t.max_constant_f32());
     }
 }

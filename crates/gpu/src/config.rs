@@ -12,8 +12,6 @@ pub struct GpuConfig {
     /// Threads per block for the main kernel. The paper reports the fastest
     /// performance at 512, the device maximum.
     pub threads_per_block: usize,
-    /// Thread count for the reduction block (power of two ≤ block max).
-    pub reduction_threads: usize,
     /// Ablation switch: store the squared residuals observation-major
     /// (i.e. *without* the paper's §IV-B index switch), making the residual
     /// stores and reduction loads strided instead of coalesced. Results are
@@ -26,7 +24,6 @@ impl Default for GpuConfig {
         let spec = DeviceSpec::tesla_s10();
         Self {
             threads_per_block: spec.max_threads_per_block,
-            reduction_threads: spec.max_threads_per_block,
             cost: CostModel::default(),
             obs_major_residuals: false,
             spec,
@@ -35,18 +32,6 @@ impl Default for GpuConfig {
 }
 
 impl GpuConfig {
-    /// Configuration targeting the modern-device preset.
-    pub fn modern() -> Self {
-        let spec = DeviceSpec::modern();
-        Self {
-            threads_per_block: 512,
-            reduction_threads: 512,
-            cost: CostModel::default(),
-            obs_major_residuals: false,
-            spec,
-        }
-    }
-
     /// Overrides the main-kernel block size.
     pub fn with_threads_per_block(mut self, t: usize) -> Self {
         self.threads_per_block = t;
@@ -62,7 +47,6 @@ mod tests {
     fn default_matches_paper_settings() {
         let c = GpuConfig::default();
         assert_eq!(c.threads_per_block, 512);
-        assert_eq!(c.reduction_threads, 512);
         assert_eq!(c.spec.total_cores(), 240);
     }
 
@@ -70,8 +54,14 @@ mod tests {
     fn builders_apply() {
         let c = GpuConfig::default().with_threads_per_block(128);
         assert_eq!(c.threads_per_block, 128);
-        assert!(
-            GpuConfig::modern().spec.global_mem_bytes > GpuConfig::default().spec.global_mem_bytes
-        );
+        let bigger = GpuConfig {
+            spec: DeviceSpec {
+                global_mem_bytes: 24 << 30,
+                ..DeviceSpec::tesla_s10()
+            },
+            ..c
+        };
+        assert_eq!(bigger.threads_per_block, 128);
+        assert!(bigger.spec.global_mem_bytes > GpuConfig::default().spec.global_mem_bytes);
     }
 }

@@ -27,10 +27,9 @@
 //! compensated f32 pairs through kernel degree 4 and true f64 from degree 5
 //! on, chosen from the kernel degree alone.
 //!
-//! Both programs run through one shard driver (allocate, launch, reduce per
-//! bandwidth, combine, minimum, account), so the single-device functions
-//! are the `D = 1` case of [`select_bandwidth_multi_gpu`] and
-//! [`select_bandwidth_multi_gpu_windowed`]. Values the f32 device cannot
+//! Both programs run on one simulated device through one driver (allocate,
+//! launch, reduce per bandwidth, read the sums back, minimum, account), as
+//! the paper's program runs on one Tesla S10. Values the f32 device cannot
 //! hold are rejected with [`GpuError::NotF32`].
 //!
 //! ```
@@ -55,7 +54,6 @@ mod driver;
 mod error;
 mod gpu_kernel_type;
 mod kernel;
-mod multi_device;
 mod pipeline;
 pub mod windowed;
 
@@ -63,10 +61,6 @@ pub use config::GpuConfig;
 pub use driver::{GpuRun, PipelineReport};
 pub use error::{GpuError, Result};
 pub use gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
-pub use multi_device::{
-    required_bytes_per_device, select_bandwidth_multi_gpu, select_bandwidth_multi_gpu_windowed,
-    MultiDeviceRun,
-};
 pub use pipeline::{required_device_bytes, select_bandwidth_gpu, select_bandwidth_gpu_kernel};
 pub use windowed::{
     required_device_bytes_windowed, select_bandwidth_gpu_windowed,

@@ -1,8 +1,7 @@
 //! The full GPU program, step for step as the paper's §IV describes it:
 //! allocate, copy in, main kernel (fill → sort → sweep → residuals),
 //! per-bandwidth summation reductions, minimum reduction, copy out. This
-//! module is the allocation and main kernel; the shard driver does the
-//! rest, here on one device.
+//! module is the allocation and main kernel; the driver does the rest.
 //!
 //! §IV-B's *index switch*: the squared residuals are produced "indexed as
 //! k separate groups of n" (bandwidth-major) rather than the n-groups-of-k
@@ -14,7 +13,7 @@
 //! as a measurable ablation of the paper's design choice.
 
 use crate::config::GpuConfig;
-use crate::driver::{run_shards, upload, GpuRun, Residuals, Shard, ShardBody};
+use crate::driver::{run_program, upload, Device, DeviceProgram, GpuRun, Residuals};
 use crate::error::Result;
 use crate::gpu_kernel_type::GpuKernel;
 use crate::kernel::{main_kernel, MainWorkspace};
@@ -42,20 +41,14 @@ pub fn select_bandwidth_gpu_kernel(
     config: &GpuConfig,
     kernel: &GpuKernel,
 ) -> Result<GpuRun> {
-    Ok(run_shards::<Classic>(x, y, grid, config, kernel, 1)?.0)
+    run_program::<Classic>(x, y, grid, config, kernel)
 }
 
-/// The classic program's shard body: the §IV-A allocation and the
-/// fill → sort → sweep main kernel, in single precision (the paper's
-/// programs generate and process f32 data).
+/// The classic program: the §IV-A allocation and the fill → sort → sweep
+/// main kernel, in single precision (the paper's programs generate and
+/// process f32 data). Its device buffers are the full `x` and `y`, the two
+/// `n×n` matrices and the `n×k` sum and residual matrices.
 pub(crate) struct Classic {
-    x32: Vec<f32>,
-    y32: Vec<f32>,
-}
-
-/// A classic shard's device buffers: the full `x` and `y`, the shard's rows
-/// of the two `n×n` matrices and of the `n×k` sum and residual matrices.
-pub(crate) struct ClassicResident {
     x: DeviceBuffer<f32>,
     y: DeviceBuffer<f32>,
     dist: DeviceBuffer<f32>,
@@ -65,51 +58,42 @@ pub(crate) struct ClassicResident {
     sqres: DeviceBuffer<f32>,
 }
 
-impl ShardBody for Classic {
-    type Resident = ClassicResident;
-
-    fn prepare(x: &[f64], y: &[f64], _deg: usize) -> Self {
-        Self {
-            x32: x.iter().map(|&v| v as f32).collect(),
-            y32: y.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    fn allocate(&self, pool: &MemoryPool, shard: &Shard<'_>) -> Result<ClassicResident> {
-        let (n, rows, k) = (self.x32.len(), shard.rows.len(), shard.k);
-        Ok(ClassicResident {
-            x: upload(pool, &self.x32)?,
-            y: upload(pool, &self.y32)?,
-            dist: pool.alloc(rows * n)?,
-            y_mat: pool.alloc(rows * n)?,
-            num: pool.alloc(rows * k)?,
-            den: pool.alloc(rows * k)?,
-            sqres: pool.alloc(rows * k)?,
+impl DeviceProgram for Classic {
+    fn allocate(x: &[f64], y: &[f64], pool: &MemoryPool, device: &Device<'_>) -> Result<Self> {
+        let narrow = |v: &[f64]| -> Vec<f32> { v.iter().map(|&v| v as f32).collect() };
+        let (n, k) = (x.len(), device.k);
+        Ok(Self {
+            x: upload(pool, &narrow(x))?,
+            y: upload(pool, &narrow(y))?,
+            dist: pool.alloc(n * n)?,
+            y_mat: pool.alloc(n * n)?,
+            num: pool.alloc(n * k)?,
+            den: pool.alloc(n * k)?,
+            sqres: pool.alloc(n * k)?,
         })
     }
 
-    fn launch<'r>(
-        &self,
-        resident: &'r mut ClassicResident,
-        shard: &Shard<'_>,
+    fn launch(
+        &mut self,
+        device: &Device<'_>,
         bandwidths: &[f32],
-    ) -> Result<(LaunchReport, Residuals<'r>)> {
-        let (n, rows, k, lo) = (self.x32.len(), shard.rows.len(), shard.k, shard.rows.start);
-        let config = shard.config;
+    ) -> Result<(LaunchReport, Residuals<'_>)> {
+        let (n, k) = (self.x.len(), device.k);
+        let config = device.config;
         let coalesced_layout = !config.obs_major_residuals;
-        // Main kernel: one thread per observation of the shard, over each
-        // thread's rows, launched block by block with each block's group of
-        // rows as its workspace. The squared residuals come back per thread
-        // and land in the device matrix below in whatever physical layout
-        // the configuration charges for.
-        let (x, y, tpb) = (resident.x.as_slice(), resident.y.as_slice(), shard.tpb);
-        let mut rows_of_threads = resident
+        // Main kernel: one thread per observation, over each thread's rows,
+        // launched block by block with each block's group of rows as its
+        // workspace. The squared residuals come back per thread and land in
+        // the device matrix below in whatever physical layout the
+        // configuration charges for.
+        let (x, y, tpb) = (self.x.as_slice(), self.y.as_slice(), device.tpb);
+        let mut rows_of_threads = self
             .dist
             .as_mut_slice()
             .chunks_mut(n)
-            .zip(resident.y_mat.as_mut_slice().chunks_mut(n))
-            .zip(resident.num.as_mut_slice().chunks_mut(k))
-            .zip(resident.den.as_mut_slice().chunks_mut(k))
+            .zip(self.y_mat.as_mut_slice().chunks_mut(n))
+            .zip(self.num.as_mut_slice().chunks_mut(k))
+            .zip(self.den.as_mut_slice().chunks_mut(k))
             .map(|(((dist, yrow), num), den)| MainWorkspace {
                 dist,
                 yrow,
@@ -118,19 +102,18 @@ impl ShardBody for Classic {
             });
         // A zero block size groups by one, for `launch_blocks` to reject.
         let group_len = tpb.max(1);
-        let groups: Vec<Vec<MainWorkspace<'_>>> = (0..rows.div_ceil(group_len))
+        let groups: Vec<Vec<MainWorkspace<'_>>> = (0..n.div_ceil(group_len))
             .map(|_| rows_of_threads.by_ref().take(group_len).collect())
             .collect();
-        let (coeffs, radius) = (shard.kernel.coeffs.as_slice(), shard.kernel.radius);
+        let (coeffs, radius) = (device.kernel.coeffs.as_slice(), device.kernel.radius);
         let (sqres_rows, report) = launch_blocks(
             &config.spec,
             &config.cost,
-            LaunchConfig::new(rows, tpb),
+            LaunchConfig::new(n, tpb),
             groups,
-            // Thread tid of this device handles observation lo + tid.
             |tid, group, c| {
                 main_kernel(
-                    lo + tid,
+                    tid,
                     x,
                     y,
                     bandwidths,
@@ -145,21 +128,21 @@ impl ShardBody for Classic {
 
         // Place each thread's residuals into the *pool-backed* residual
         // matrix in the physical layout whose stores the kernel charged:
-        // bandwidth-major `[m·rows + j]` under the §IV-B index switch (so the
+        // bandwidth-major `[m·n + j]` under the §IV-B index switch (so the
         // per-bandwidth reductions read consecutive device addresses),
         // observation-major `[j·k + m]` in the ablation. No host-side shadow
         // copy: the reductions read this device memory directly.
-        let sqres = resident.sqres.as_mut_slice();
+        let sqres = self.sqres.as_mut_slice();
         for (j, row) in sqres_rows.iter().enumerate() {
             for (m, &v) in row.iter().enumerate() {
                 if coalesced_layout {
-                    sqres[m * rows + j] = v;
+                    sqres[m * n + j] = v;
                 } else {
                     sqres[j * k + m] = v;
                 }
             }
         }
-        let values = resident.sqres.as_slice();
+        let values = self.sqres.as_slice();
         Ok((
             report,
             Residuals {
@@ -343,23 +326,6 @@ mod tests {
             assert_eq!(run.report.h2d_bytes, 2 * 150 * 4);
             assert_eq!(run.report.d2h_bytes, 20 * 4);
         }
-    }
-
-    #[test]
-    fn oversized_reduction_threads_clamped_to_device_maximum() {
-        // Regression: `reduction_threads` above the device block maximum
-        // used to reach the summation reductions unclamped and error out.
-        let (x, y) = paper_data(100, 13);
-        let grid = BandwidthGrid::paper_default(&x, 10).unwrap();
-        let default_run = select_bandwidth_gpu(&x, &y, &grid, &GpuConfig::default()).unwrap();
-        let oversized = GpuConfig {
-            reduction_threads: 1024,
-            ..GpuConfig::default()
-        };
-        assert!(oversized.reduction_threads > oversized.spec.max_threads_per_block);
-        let clamped_run = select_bandwidth_gpu(&x, &y, &grid, &oversized).unwrap();
-        assert_eq!(clamped_run.bandwidth, default_run.bandwidth);
-        assert_eq!(clamped_run.scores, default_run.scores);
     }
 
     #[test]

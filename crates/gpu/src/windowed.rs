@@ -27,7 +27,7 @@
 //! at the edge the previous move predicts; the windows only grow across
 //! the ascending sweep) and reads only the row of an edge that moved. Its
 //! block folds the squared residuals into a shared partial row in thread
-//! order, and the rows feed the shard driver's standard Harris reductions,
+//! order, and the rows feed the driver's standard Harris reductions,
 //! which produce the score profile and the argmin. On the host a block
 //! steps groups of its threads bandwidth by bandwidth, as a warp's threads
 //! run in lockstep: eight at a time in AVX2 lanes where it can (see
@@ -120,7 +120,9 @@
 
 use crate::config::GpuConfig;
 use crate::device_search::{charge_probes, SupportWindow};
-use crate::driver::{run_shards, upload, GpuRun, PipelineReport, Residuals, Shard, ShardBody};
+use crate::driver::{
+    run_program, upload, Device, DeviceProgram, GpuRun, PipelineReport, Residuals,
+};
 use crate::error::Result;
 use crate::gpu_kernel_type::{GpuKernel, MAX_DEVICE_DEGREE};
 use kcv_core::grid::BandwidthGrid;
@@ -683,13 +685,7 @@ pub fn select_bandwidth_gpu_windowed_kernel(
     config: &GpuConfig,
     kernel: &GpuKernel,
 ) -> Result<WindowedRun> {
-    Ok(run_shards::<Windowed>(x, y, grid, config, kernel, 1)?.0)
-}
-
-/// The windowed program's shard body: the host-built prefix tables, the
-/// windowed kernel and the block fold.
-pub(crate) struct Windowed {
-    tables: WindowedTables,
+    run_program::<Windowed>(x, y, grid, config, kernel)
 }
 
 /// The device-resident row-major prefix tables, in the precision the
@@ -699,100 +695,95 @@ enum TableRows {
     F64(DeviceBuffer<f64>),
 }
 
-/// A windowed shard's device buffers: the full sorted sample and tables,
-/// and the shard's bandwidth-major block partials.
-pub(crate) struct WindowedResident {
+/// The windowed program: the sorted sample, the prefix tables and the
+/// bandwidth-major block partials on the device, the host-built tables
+/// they were uploaded from, the windowed kernel and the block fold.
+pub(crate) struct Windowed {
     xs: DeviceBuffer<f32>,
     ys: DeviceBuffer<f32>,
     rows: TableRows,
     partials: DeviceBuffer<f32>,
+    /// Declared last, so that it is freed after the device buffers.
+    tables: WindowedTables,
 }
 
-impl ShardBody for Windowed {
-    type Resident = WindowedResident;
-
-    fn prepare(x: &[f64], y: &[f64], deg: usize) -> Self {
-        Self {
-            tables: WindowedTables::build(x, y, deg),
-        }
-    }
-
-    fn allocate(&self, pool: &MemoryPool, shard: &Shard<'_>) -> Result<WindowedResident> {
-        let t = &self.tables;
-        let xs = upload(pool, &t.xs32)?;
-        let ys = upload(pool, &t.ys32)?;
-        let rows = if shard.kernel.degree() >= F64_TABLE_DEGREE {
-            TableRows::F64(t.upload_rows(pool)?)
+impl DeviceProgram for Windowed {
+    fn allocate(x: &[f64], y: &[f64], pool: &MemoryPool, device: &Device<'_>) -> Result<Self> {
+        let tables = WindowedTables::build(x, y, device.kernel.degree());
+        let xs = upload(pool, &tables.xs32)?;
+        let ys = upload(pool, &tables.ys32)?;
+        let rows = if device.kernel.degree() >= F64_TABLE_DEGREE {
+            TableRows::F64(tables.upload_rows(pool)?)
         } else {
-            TableRows::Pair(t.upload_rows(pool)?)
+            TableRows::Pair(tables.upload_rows(pool)?)
         };
         // Block partials, bandwidth-major so the per-bandwidth reductions
         // read consecutive addresses.
-        let partials = pool.alloc::<f32>(shard.rows.len().div_ceil(shard.tpb) * shard.k)?;
-        Ok(WindowedResident {
+        let n = tables.xs32.len();
+        let partials = pool.alloc::<f32>(n.div_ceil(device.tpb) * device.k)?;
+        Ok(Self {
             xs,
             ys,
             rows,
             partials,
+            tables,
         })
     }
 
-    fn launch<'r>(
-        &self,
-        resident: &'r mut WindowedResident,
-        shard: &Shard<'_>,
+    fn launch(
+        &mut self,
+        device: &Device<'_>,
         bandwidths: &[f32],
-    ) -> Result<(LaunchReport, Residuals<'r>)> {
-        let WindowedResident {
-            xs,
-            ys,
-            rows,
-            partials,
-        } = resident;
-        let (xs, ys, partials) = (xs.as_slice(), ys.as_slice(), partials.as_mut_slice());
-        let report = match rows {
+    ) -> Result<(LaunchReport, Residuals<'_>)> {
+        let (xs, ys, partials) = (
+            self.xs.as_slice(),
+            self.ys.as_slice(),
+            self.partials.as_mut_slice(),
+        );
+        let t = &self.tables;
+        let report = match &self.rows {
             TableRows::Pair(rows) => {
-                self.launch_rows(xs, ys, rows.as_slice(), partials, shard, bandwidths)
+                t.launch_rows(xs, ys, rows.as_slice(), partials, device, bandwidths)
             }
             TableRows::F64(rows) => {
-                self.launch_rows(xs, ys, rows.as_slice(), partials, shard, bandwidths)
+                t.launch_rows(xs, ys, rows.as_slice(), partials, device, bandwidths)
             }
         }?;
         Ok((
             report,
             Residuals {
-                values: resident.partials.as_slice(),
+                values: self.partials.as_slice(),
                 bandwidth_major: true,
             },
         ))
     }
 }
 
-impl Windowed {
-    /// Launches the windowed kernel in precision `W` over the shard and
-    /// flushes the block partials into the device partial matrix.
+impl WindowedTables {
+    /// Launches the windowed kernel in precision `W` over these tables,
+    /// uploaded as `xs`, `ys` and `rows`, and flushes the block partials
+    /// into the device partial matrix.
     fn launch_rows<W: TableWord>(
         &self,
         xs: &[f32],
         ys: &[f32],
         rows: &[W],
         partials: &mut [f32],
-        shard: &Shard<'_>,
+        device: &Device<'_>,
         bandwidths: &[f32],
     ) -> Result<LaunchReport> {
-        let (threads, k, tpb, lo) = (shard.rows.len(), shard.k, shard.tpb, shard.rows.start);
-        let t = &self.tables;
-        let binom: Vec<W> = t.binom.iter().map(|&v| W::from_f64(v)).collect();
+        let (threads, k, tpb) = (xs.len(), device.k, device.tpb);
+        let binom: Vec<W> = self.binom.iter().map(|&v| W::from_f64(v)).collect();
         let args = WindowedArgs {
             xs,
             ys,
             rows,
-            center: t.center,
+            center: self.center,
             binom: &binom,
             bandwidths,
-            coeffs: shard.kernel.coeffs.as_slice(),
-            radius: shard.kernel.radius,
-            deg: shard.kernel.degree(),
+            coeffs: device.kernel.coeffs.as_slice(),
+            radius: device.kernel.radius,
+            deg: device.kernel.degree(),
         };
         // Each block's shared partial row, one after another, and the edge
         // probes its threads spent.
@@ -803,8 +794,8 @@ impl Windowed {
             .chunks_mut(k)
             .zip(block_probes.iter_mut())
             .collect();
-        // Main kernel: one thread per sorted position of the shard, a block
-        // at a time. A block runs its threads in groups that step together
+        // Main kernel: one thread per sorted position, a block at a time. A
+        // block runs its threads in groups that step together
         // bandwidth by bandwidth, as a warp's threads run in lockstep: eight
         // AVX2 lanes where this precision and host have them, else groups
         // of the scalar thread. Each bandwidth's residuals still fold into
@@ -813,13 +804,12 @@ impl Windowed {
         // launching thread.
         let lane_block = W::lane_block(&args);
         let report = launch_block_kernel(
-            &shard.config.spec,
-            &shard.config.cost,
+            &device.config.spec,
+            &device.config.cost,
             LaunchConfig::new(threads, tpb),
             workspaces,
             |tids, (acc, probes), counters| {
-                // Thread tid of this device answers sorted position lo + tid.
-                let first = lo + tids.start;
+                let first = tids.start;
                 **probes = match lane_block {
                     // SAFETY: `lane_block` returned the lanes for these
                     // tables on this host, and every position answered

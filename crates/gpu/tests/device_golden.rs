@@ -9,18 +9,12 @@
 //! arithmetic order fails here. The windowed program also has a
 //! results-only table that leaves out every time and counter, so a change
 //! of its cost accounting alone can be told from a change of its results.
-//!
-//! The multi-device runs pin bandwidth, scores, per-device peak and both
-//! byte counts bitwise. Their `total_simulated_seconds` (busiest device
-//! plus the final minimum) is compared at 1e-12 relative, since the host
-//! combine may associate that sum differently.
 
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::polynomial_kernels;
 use kcv_core::util::SplitMix64;
 use kcv_gpu::{
-    select_bandwidth_gpu_kernel, select_bandwidth_gpu_windowed_kernel, select_bandwidth_multi_gpu,
-    select_bandwidth_multi_gpu_windowed, GpuConfig, GpuKernel, MultiDeviceRun,
+    select_bandwidth_gpu_kernel, select_bandwidth_gpu_windowed_kernel, GpuConfig, GpuKernel,
 };
 use kcv_gpu_sim::ThreadCounters;
 
@@ -75,20 +69,10 @@ impl Fnv {
             self.word(w);
         }
     }
-
-    fn multi(&mut self, run: &MultiDeviceRun) {
-        self.f64(run.bandwidth);
-        self.f64(run.score);
-        self.f32s(&run.scores);
-        self.word(run.devices as u64);
-        self.word(run.peak_bytes_per_device as u64);
-        self.word(run.h2d_bytes);
-        self.word(run.d2h_bytes);
-    }
 }
 
-/// Hashes a single-device run field by field (the classic and windowed
-/// programs report the same fields).
+/// Hashes a run field by field (the classic and windowed programs report
+/// the same fields).
 macro_rules! hash_run {
     ($h:expr, $run:expr) => {{
         let (h, run) = (&mut $h, &$run);
@@ -124,11 +108,10 @@ fn data(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, BandwidthGrid) {
 }
 
 /// Fingerprints of every reported bit; a mismatch means some reported bit
-/// changed. The `classic/*`, `multi/*` and `multi-windowed/*` entries were
-/// recorded before the GPU programs shared one shard driver. The
-/// `windowed/*` entries were re-recorded when the windowed kernel started
-/// reading each prefix row once per edge move, which moved only its costs
-/// (`WINDOWED_RESULTS` did not change).
+/// changed. The `classic/*` entries were recorded before the GPU programs
+/// shared one driver. The `windowed/*` entries were re-recorded when the
+/// windowed kernel started reading each prefix row once per edge move,
+/// which moved only its costs (`WINDOWED_RESULTS` did not change).
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("classic/epanechnikov/bw-major/n120/s1013", 0x773074b1a81f3078),
@@ -171,22 +154,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("classic/uniform/obs-major/n120/s7", 0xa0ce1ff987a5b56c),
     ("classic/uniform/obs-major/n600/s1013", 0xced1f66fe6839695),
     ("classic/uniform/obs-major/n600/s7", 0xbf25810e98a93713),
-    ("multi-windowed/d2/n120/s1013", 0x02715b9191e0b38b),
-    ("multi-windowed/d2/n120/s7", 0x754e6c8e81796f3f),
-    ("multi-windowed/d2/n600/s1013", 0x8dc5412d364204e7),
-    ("multi-windowed/d2/n600/s7", 0xd1832b65159ba539),
-    ("multi-windowed/d3/n120/s1013", 0x2ee819abf48565fa),
-    ("multi-windowed/d3/n120/s7", 0x6c05617e8a057674),
-    ("multi-windowed/d3/n600/s1013", 0xc74df2fc7e0dce65),
-    ("multi-windowed/d3/n600/s7", 0xf5e40f614d86210c),
-    ("multi/d2/n120/s1013", 0x0f732a3a5c91ef7d),
-    ("multi/d2/n120/s7", 0x18606a5c1b31ded9),
-    ("multi/d2/n600/s1013", 0x6bfe52cb70071ede),
-    ("multi/d2/n600/s7", 0x8470d620ab3cf186),
-    ("multi/d3/n120/s1013", 0x24741a366faf0eb0),
-    ("multi/d3/n120/s7", 0xd90878c401e102e6),
-    ("multi/d3/n600/s1013", 0xf1c363ead4ec5e80),
-    ("multi/d3/n600/s7", 0x4e429a8fdb28165a),
     ("windowed/epanechnikov/n120/s1013", 0xdcd0890e75640551),
     ("windowed/epanechnikov/n120/s7", 0x0b65a499004029ab),
     ("windowed/epanechnikov/n600/s1013", 0xf26ce3753a468401),
@@ -207,29 +174,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("windowed/uniform/n120/s7", 0x175d941639bd878d),
     ("windowed/uniform/n600/s1013", 0x69d9f3b30edcefd1),
     ("windowed/uniform/n600/s7", 0x61bfcea714e93c0a),
-];
-
-/// `total_simulated_seconds` of the multi-device cases, as `to_bits`; the
-/// `multi-windowed/*` entries were re-recorded with the `windowed/*`
-/// fingerprints.
-#[rustfmt::skip]
-const MULTI_SECONDS: &[(&str, u64)] = &[
-    ("multi-windowed/d2/n120/s1013", 0x3f4cb545d6849f71),
-    ("multi-windowed/d2/n120/s7", 0x3f4d3267afb47567),
-    ("multi-windowed/d2/n600/s1013", 0x3f6cf7261c11a854),
-    ("multi-windowed/d2/n600/s7", 0x3f6d20dc0f219a50),
-    ("multi-windowed/d3/n120/s1013", 0x3f4ceea004ba8c2b),
-    ("multi-windowed/d3/n120/s7", 0x3f4d3267afb47567),
-    ("multi-windowed/d3/n600/s1013", 0x3f64f22dd42e084b),
-    ("multi-windowed/d3/n600/s7", 0x3f651be3c73dfa48),
-    ("multi/d2/n120/s1013", 0x3f7ac0ca3de74d5f),
-    ("multi/d2/n120/s7", 0x3f7a5f82dd769bff),
-    ("multi/d2/n600/s1013", 0x3fc775909810fddb),
-    ("multi/d2/n600/s7", 0x3fc7d6426538a241),
-    ("multi/d3/n120/s1013", 0x3f7ab3457d43d65a),
-    ("multi/d3/n120/s7", 0x3f7a1a8998018260),
-    ("multi/d3/n600/s1013", 0x3fc07e19ccf2f3fe),
-    ("multi/d3/n600/s7", 0x3fc0b68fd6364be3),
 ];
 
 fn lookup(table: &[(&str, u64)], case: &str) -> Option<u64> {
@@ -364,50 +308,6 @@ fn windowed_program_results_match_their_fingerprints() {
         "windowed results changed:\n{}",
         bad.join("\n")
     );
-}
-
-type Multi =
-    fn(&[f64], &[f64], &BandwidthGrid, &GpuConfig, usize) -> kcv_gpu::Result<MultiDeviceRun>;
-
-#[test]
-fn multi_device_programs_match_their_fingerprints() {
-    let programs: [(&str, Multi); 2] = [
-        ("multi", select_bandwidth_multi_gpu),
-        ("multi-windowed", select_bandwidth_multi_gpu_windowed),
-    ];
-    let mut cases = Vec::new();
-    let mut seconds = Vec::new();
-    for (name, program) in programs {
-        for devices in [2usize, 3] {
-            for n in SIZES {
-                for seed in SEEDS {
-                    let (x, y, grid) = data(n, seed);
-                    let run = program(&x, &y, &grid, &GpuConfig::default(), devices).unwrap();
-                    let case = format!("{name}/d{devices}/n{n}/s{seed}");
-                    let mut h = Fnv::new();
-                    h.multi(&run);
-                    cases.push((case.clone(), h.0));
-                    seconds.push((case, run.total_simulated_seconds));
-                }
-            }
-        }
-    }
-    let bad: Vec<String> = seconds
-        .iter()
-        .filter(|(name, secs)| {
-            lookup(MULTI_SECONDS, name).is_none_or(|bits| {
-                let want = f64::from_bits(bits);
-                (secs - want).abs() > 1e-12 * want.abs()
-            })
-        })
-        .map(|(name, secs)| format!("(\"{name}\", 0x{:016x}),", secs.to_bits()))
-        .collect();
-    assert!(
-        bad.is_empty(),
-        "simulated seconds changed:\n{}",
-        bad.join("\n")
-    );
-    check(GOLDEN, cases);
 }
 
 /// Block size of the small-block cases: at n = 600 it makes ten blocks,

@@ -1,33 +1,25 @@
-//! Hostile input through all six public selection functions: each returns
-//! `Err` (or, for a device count of zero, its documented clamped result)
-//! and never panics.
+//! Hostile input through all four public selection functions: each returns
+//! `Err` and never panics.
 
 use kcv_core::grid::BandwidthGrid;
 use kcv_core::kernels::Epanechnikov;
 use kcv_gpu::{
     select_bandwidth_gpu, select_bandwidth_gpu_kernel, select_bandwidth_gpu_windowed,
-    select_bandwidth_gpu_windowed_kernel, select_bandwidth_multi_gpu,
-    select_bandwidth_multi_gpu_windowed, GpuConfig, GpuError, GpuKernel,
+    select_bandwidth_gpu_windowed_kernel, GpuConfig, GpuError, GpuKernel,
 };
 use kcv_gpu_sim::SimError;
 
 /// Runs every public selection function on one input; returns the selected
 /// bandwidths or errors, in a fixed order.
-fn all_six(
-    x: &[f64],
-    y: &[f64],
-    grid: &BandwidthGrid,
-    devices: usize,
-) -> Vec<Result<f64, GpuError>> {
-    all_six_with(x, y, grid, devices, &GpuConfig::default())
+fn all_four(x: &[f64], y: &[f64], grid: &BandwidthGrid) -> Vec<Result<f64, GpuError>> {
+    all_four_with(x, y, grid, &GpuConfig::default())
 }
 
-/// [`all_six`] under the configuration `c`.
-fn all_six_with(
+/// [`all_four`] under the configuration `c`.
+fn all_four_with(
     x: &[f64],
     y: &[f64],
     grid: &BandwidthGrid,
-    devices: usize,
     c: &GpuConfig,
 ) -> Vec<Result<f64, GpuError>> {
     let k = GpuKernel::from_core(&Epanechnikov);
@@ -36,13 +28,11 @@ fn all_six_with(
         select_bandwidth_gpu_kernel(x, y, grid, c, &k).map(|r| r.bandwidth),
         select_bandwidth_gpu_windowed(x, y, grid, c).map(|r| r.bandwidth),
         select_bandwidth_gpu_windowed_kernel(x, y, grid, c, &k).map(|r| r.bandwidth),
-        select_bandwidth_multi_gpu(x, y, grid, c, devices).map(|r| r.bandwidth),
-        select_bandwidth_multi_gpu_windowed(x, y, grid, c, devices).map(|r| r.bandwidth),
     ]
 }
 
 fn assert_all_err(x: &[f64], y: &[f64], grid: &BandwidthGrid, want: &GpuError) {
-    for (i, result) in all_six(x, y, grid, 2).into_iter().enumerate() {
+    for (i, result) in all_four(x, y, grid).into_iter().enumerate() {
         assert_eq!(result.as_ref(), Err(want), "function {i}");
     }
 }
@@ -97,34 +87,13 @@ fn non_finite_and_short_samples_are_rejected() {
         (&[0.0, 0.5, 1.0], &[1.0, 2.0]),
     ];
     for (x, y) in cases {
-        for (i, result) in all_six(x, y, &grid, 2).into_iter().enumerate() {
+        for (i, result) in all_four(x, y, &grid).into_iter().enumerate() {
             assert!(
                 matches!(result, Err(GpuError::Core(_))),
                 "function {i} on x = {x:?}, y = {y:?}: {result:?}"
             );
         }
     }
-}
-
-#[test]
-fn zero_devices_clamp_to_one_device() {
-    let x: Vec<f64> = (0..40).map(|i| f64::from(i) / 39.0).collect();
-    let y: Vec<f64> = x.iter().map(|&v| v * v).collect();
-    let grid = BandwidthGrid::paper_default(&x, 8).unwrap();
-    let c = GpuConfig::default();
-    let one = select_bandwidth_multi_gpu(&x, &y, &grid, &c, 1).unwrap();
-    let zero = select_bandwidth_multi_gpu(&x, &y, &grid, &c, 0).unwrap();
-    assert_eq!(zero.devices, 1);
-    assert_eq!(zero.bandwidth.to_bits(), one.bandwidth.to_bits());
-    assert_eq!(zero.scores, one.scores);
-    let one = select_bandwidth_multi_gpu_windowed(&x, &y, &grid, &c, 1).unwrap();
-    let zero = select_bandwidth_multi_gpu_windowed(&x, &y, &grid, &c, 0).unwrap();
-    assert_eq!(zero.devices, 1);
-    assert_eq!(zero.bandwidth.to_bits(), one.bandwidth.to_bits());
-    assert_eq!(zero.scores, one.scores);
-    // Every function succeeds at devices = 0.
-    let picks = all_six(&x, &y, &grid, 0);
-    assert!(picks.iter().all(|p| p.is_ok()), "{picks:?}");
 }
 
 #[test]
@@ -137,21 +106,7 @@ fn zero_block_sizes_are_rejected_by_every_program() {
     // classic program's launch error.
     let zero_block = GpuConfig::default().with_threads_per_block(0);
     let want = GpuError::Sim(SimError::InvalidLaunch("block has zero threads".into()));
-    for (i, result) in all_six_with(&x, &y, &grid, 2, &zero_block)
-        .into_iter()
-        .enumerate()
-    {
-        assert_eq!(result.as_ref(), Err(&want), "function {i}");
-    }
-    // A zero reduction block is rejected by the reductions.
-    let zero_reduction = GpuConfig {
-        reduction_threads: 0,
-        ..GpuConfig::default()
-    };
-    let want = GpuError::Sim(SimError::InvalidLaunch(
-        "reduction needs a power-of-two thread count, got 0".into(),
-    ));
-    for (i, result) in all_six_with(&x, &y, &grid, 2, &zero_reduction)
+    for (i, result) in all_four_with(&x, &y, &grid, &zero_block)
         .into_iter()
         .enumerate()
     {

@@ -1,10 +1,8 @@
-//! Integration tests for the extension surfaces: local-linear sweep,
-//! canned datasets and multi-device execution — exercised together through
-//! the public facade.
+//! Integration tests for the extension surfaces: local-linear sweep and
+//! canned datasets — exercised together through the public facade.
 
 use kernelcv::core::cv::{cv_profile_naive_ll, cv_profile_sorted_ll};
 use kernelcv::data::datasets::{cps71_like, gdp_like, motorcycle_like};
-use kernelcv::gpu::select_bandwidth_multi_gpu;
 use kernelcv::prelude::*;
 
 #[test]
@@ -67,15 +65,4 @@ fn motorcycle_needs_a_much_tighter_bandwidth_than_gdp() {
     let moto = rel_bw(&motorcycle_like());
     let gdp = rel_bw(&gdp_like());
     assert!(moto < gdp, "motorcycle {moto} vs gdp {gdp}");
-}
-
-#[test]
-fn multi_device_agrees_with_single_device_through_the_facade() {
-    let sample = PaperDgp.sample(400, 504);
-    let grid = BandwidthGrid::paper_default(&sample.x, 25).unwrap();
-    let single = select_bandwidth_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default()).unwrap();
-    let dual =
-        select_bandwidth_multi_gpu(&sample.x, &sample.y, &grid, &GpuConfig::default(), 2).unwrap();
-    assert_eq!(single.bandwidth, dual.bandwidth);
-    assert!(dual.peak_bytes_per_device < single.report.device_bytes_peak);
 }

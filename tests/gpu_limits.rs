@@ -70,13 +70,21 @@ fn oversized_run_fails_with_out_of_memory() {
 }
 
 #[test]
-fn modern_device_raises_both_ceilings() {
-    let modern = GpuConfig::modern();
-    assert!(modern.spec.max_constant_f32() > 2_048);
+fn bigger_device_raises_both_ceilings() {
+    let bigger = GpuConfig {
+        spec: DeviceSpec {
+            global_mem_bytes: 24 << 30,
+            constant_cache_bytes: 64 * 1024,
+            ..DeviceSpec::tesla_s10()
+        },
+        ..GpuConfig::default()
+    };
+    assert!(bigger.spec.global_mem_bytes > DeviceSpec::tesla_s10().global_mem_bytes);
+    assert!(bigger.spec.max_constant_f32() > 2_048);
     let sample = PaperDgp.sample(100, 3);
     let grid = BandwidthGrid::linear(0.001, 1.0, 4_096).unwrap();
-    // 4,096 bandwidths fit in the modern constant cache.
-    assert!(select_bandwidth_gpu(&sample.x, &sample.y, &grid, &modern).is_ok());
+    // 4,096 bandwidths fit in the 64 KB constant cache.
+    assert!(select_bandwidth_gpu(&sample.x, &sample.y, &grid, &bigger).is_ok());
 }
 
 #[test]
